@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -54,7 +55,6 @@ func run(args []string, out io.Writer) error {
 		quiet     = fs.Bool("q", false, "suppress the periodic stats line")
 		statsSec  = fs.Duration("stats-every", time.Second, "stats line interval")
 		check     = fs.Bool("check", true, "replay each certificate after the campaign and verify its verdict")
-		strCore   = fs.Bool("stringcore", false, "execute through the legacy string-keyed executor (reference implementation; campaign trajectory is identical either way)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -76,7 +76,6 @@ func run(args []string, out io.Writer) error {
 		OutDir:          *outDir,
 		StopOnViolation: !*keepGoing,
 		Corrupt:         *corrupt,
-		StringCore:      *strCore,
 		StatsEvery:      *statsSec,
 	}
 	if !*quiet {
@@ -98,7 +97,6 @@ func run(args []string, out io.Writer) error {
 		res.Execs, res.Elapsed.Round(time.Millisecond), rate, res.CorpusSize, res.CoveragePoints, res.DL3Misses)
 	if len(res.Violations) == 0 {
 		fmt.Fprintf(out, "no violations found\n")
-		return nil
 	}
 	for _, v := range res.Violations {
 		if v.Corruption != "" {
@@ -107,7 +105,7 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "violation %s: found at exec %d, %d ops after shrink", v.Property, v.FoundAtExec, v.Ops)
 		}
 		if v.CycleOps > 0 {
-			fmt.Fprintf(out, ", %d-op livelock cycle pumped x3", v.CycleOps)
+			fmt.Fprintf(out, ", %d-op livelock cycle pumped x%d", v.CycleOps, replay.DefaultPump)
 		}
 		if v.Path != "" {
 			fmt.Fprintf(out, " -> %s", v.Path)
@@ -154,6 +152,9 @@ func run(args []string, out io.Writer) error {
 			}
 			fmt.Fprintf(out, "  re-checked: replay reproduces %s with zero divergence\n", v.Property)
 		}
+	}
+	if len(res.Errors) > 0 {
+		return fmt.Errorf("campaign reported %d error(s):\n%w", len(res.Errors), errors.Join(res.Errors...))
 	}
 	return nil
 }

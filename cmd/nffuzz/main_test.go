@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -94,6 +95,26 @@ func TestFuzzSoundProtocolFindsNothing(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "no violations found") {
 		t.Fatalf("expected a clean campaign:\n%s", buf.String())
+	}
+}
+
+// TestFuzzWriteErrorFails: a certificate that cannot be written is a
+// campaign error, so nffuzz still reports the finding but fails.
+func TestFuzzWriteErrorFails(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	err := run([]string{
+		"-protocol", "altbit", "-workers", "1", "-budget", "30000",
+		"-seed", "1", "-o", filepath.Join(file, "certs"), "-q",
+	}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "out dir") {
+		t.Fatalf("nffuzz error = %v, want the out-dir failure\n%s", err, buf.String())
+	}
+	if !strings.Contains(buf.String(), "violation DL1") {
+		t.Fatalf("expected the DL1 finding despite the write error:\n%s", buf.String())
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -82,6 +83,22 @@ func TestServeMax(t *testing.T) {
 	}
 	if len(m.Entries) != 4 {
 		t.Fatalf("serve -max 4 recorded %d sessions", len(m.Entries))
+	}
+}
+
+// TestLsRejectsOutOfRangeShard: a manifest entry naming a shard the
+// manifest does not list is a malformed-manifest error, not a panic in ls.
+func TestLsRejectsOutOfRangeShard(t *testing.T) {
+	dir := t.TempDir()
+	if err := trace.WriteManifestFile(dir, &trace.Manifest{
+		Shards:  []string{"shard-000.nfts"},
+		Entries: []trace.ManifestEntry{{Session: "s000000", Shard: 5}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"ls", "-store", dir}, &out); !errors.Is(err, trace.ErrManifest) {
+		t.Fatalf("ls error = %v, want a malformed-manifest error", err)
 	}
 }
 

@@ -233,7 +233,7 @@ func cmdCertifyLivelock(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("certify-livelock", flag.ContinueOnError)
 	var (
 		outPath = fs.String("o", "livelock.nft", "output file for the pumped certificate")
-		pump    = fs.Int("pump", 3, "cycle repetitions in the emitted certificate")
+		pump    = fs.Int("pump", replay.DefaultPump, "cycle repetitions in the emitted certificate")
 		budget  = fs.Int("budget", replay.DefaultDriveBudget, "closing-drive round budget")
 	)
 	file, err := parseWithFile(fs, args)

@@ -32,7 +32,6 @@ func runVerify(args []string, out, errw io.Writer) int {
 		maxStates = fs.Int("maxstates", 1<<18, "exploration budget (BUDGET verdict when hit)")
 		noPOR     = fs.Bool("nopor", false, "disable the lazy-drop partial-order reduction")
 		spill     = fs.String("spill", "", "spill the visited set to a temp file under this directory")
-		strKeys   = fs.Bool("stringkeys", false, "use the legacy string-keyed visited set (reference implementation; A/B against the interned default)")
 		outDir    = fs.String("o", "", "write VIOLATED witnesses as <protocol>-<property>.nft under this directory")
 		jsonOut   = fs.Bool("json", false, "print machine-readable JSON reports instead of text")
 		stab      = fs.Bool("stabilize", false, "seed the frontier with every bounded corrupted start: PROVED means the protocol self-stabilizes within the bounds")
@@ -60,7 +59,6 @@ func runVerify(args []string, out, errw io.Writer) int {
 		MaxStates:   *maxStates,
 		NoPOR:       *noPOR,
 		SpillDir:    *spill,
-		StringKeys:  *strKeys,
 		Stabilize:   *stab,
 		MaxPoison:   *maxPoison,
 	}

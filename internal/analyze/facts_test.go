@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -54,6 +55,45 @@ func TestFactsCodecRoundTrip(t *testing.T) {
 	if len(empty.Purity) != 0 {
 		t.Errorf("empty payload decoded to %d entries", len(empty.Purity))
 	}
+}
+
+// FuzzFactsCodecRoundTrip feeds arbitrary bytes to the vetx facts decoder:
+// cmd/go hands nfvet whatever vetx files its cache holds. Decoding must not
+// panic; an accepted fact set must survive encode→decode unchanged, and its
+// encoding must be stable.
+func FuzzFactsCodecRoundTrip(f *testing.F) {
+	fs := NewFactSet()
+	fs.Purity["Render"] = PurityFact{Impure: true, Reason: "calls fmt.Sprint"}
+	fs.Purity["Width"] = PurityFact{}
+	for _, s := range []*FactSet{NewFactSet(), fs} {
+		data, err := EncodeFacts(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got, err := DecodeFacts(b)
+		if err != nil {
+			return
+		}
+		data, err := EncodeFacts(got)
+		if err != nil {
+			t.Fatalf("re-encoding accepted facts: %v", err)
+		}
+		again, err := DecodeFacts(data)
+		if err != nil {
+			t.Fatalf("re-decoding own encoding: %v", err)
+		}
+		if !reflect.DeepEqual(got, again) {
+			t.Fatalf("round trip changed the facts:\n%+v\nvs\n%+v", got, again)
+		}
+		if redo, err := EncodeFacts(again); err != nil || !bytes.Equal(redo, data) {
+			t.Fatalf("re-encoding accepted facts is not stable (err %v)", err)
+		}
+	})
 }
 
 // writeUnitCfg hand-authors the JSON config cmd/go would write for one

@@ -8,7 +8,7 @@ import (
 
 // moduleRoot walks up from the working directory to the directory containing
 // go.mod. The analyze tests run from internal/analyze, two levels down.
-func moduleRoot(t *testing.T) string {
+func moduleRoot(t testing.TB) string {
 	t.Helper()
 	dir, err := os.Getwd()
 	if err != nil {
@@ -47,4 +47,23 @@ func TestModuleLintClean(t *testing.T) {
 			t.Errorf("lint finding: %s", d)
 		}
 	}
+}
+
+// BenchmarkModuleLint times the work of `nfvet check ./...` over the
+// module's own source: load and type-check every package, then run the
+// whole analyzer suite in dependency order with the facts channel on.
+// ns/op is one whole-module pass.
+func BenchmarkModuleLint(b *testing.B) {
+	root := moduleRoot(b)
+	var pkgs []*LoadedPackage
+	for i := 0; i < b.N; i++ {
+		var err error
+		if pkgs, err = LoadPackages(root, "./..."); err != nil {
+			b.Fatal(err)
+		}
+		if res := AnalyzeModule(Analyzers(), pkgs, true); len(res.Diags) > 0 {
+			b.Fatalf("lint finding: %s", res.Diags[0])
+		}
+	}
+	b.ReportMetric(float64(len(pkgs)*b.N)/b.Elapsed().Seconds(), "packages/sec")
 }

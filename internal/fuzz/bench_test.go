@@ -9,12 +9,20 @@ import (
 	"repro/internal/protocol"
 )
 
-// BenchmarkFuzzThroughput measures end-to-end campaign throughput
-// (executions per second, mutation + execution + coverage merge) at several
-// worker counts. The sound cntlinear protocol is used so no campaign ends
-// early on a violation; b.N is the execution budget, so ns/op is ns per
-// fuzzed input and the scaling across worker counts is read directly off
-// the op times. Results are recorded in EXPERIMENTS.md.
+// BenchmarkFuzzThroughput measures end-to-end throughput (executions per
+// second) of campaigns that run their whole budget.
+//
+// The workers-<n> cases fuzz the sound cntlinear protocol, so nothing is
+// promoted: each exec is mutation + execution + coverage merge. b.N is the
+// execution budget, so ns/op is ns per fuzzed input and the scaling across
+// worker counts is read directly off the op times. Results are recorded in
+// EXPERIMENTS.md.
+//
+// altbit-keepgoing is one fixed single-worker altbit campaign per op with
+// StopOnViolation off, so every violating input found over the whole budget
+// goes through promotion (logged re-execution, shrink, certification).
+// This is the keep-going campaign traffic; a campaign that stops at its
+// first certificate never reaches it. ns/op is ns per campaign.
 func BenchmarkFuzzThroughput(b *testing.B) {
 	counts := []int{1, 4}
 	if n := runtime.NumCPU(); n != 1 && n != 4 {
@@ -37,11 +45,29 @@ func BenchmarkFuzzThroughput(b *testing.B) {
 			b.ReportMetric(float64(res.Execs)/b.Elapsed().Seconds(), "execs/sec")
 		})
 	}
+	b.Run("altbit-keepgoing", func(b *testing.B) {
+		const budget = 5000
+		for i := 0; i < b.N; i++ {
+			res, err := Run(Config{
+				Protocol: protocol.NewAltBit(),
+				Workers:  1,
+				Budget:   budget,
+				Seed:     1,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Execs != budget || len(res.Violations) == 0 || len(res.Errors) > 0 {
+				b.Fatalf("campaign ran %d of %d execs, %d violations, errors %v",
+					res.Execs, budget, len(res.Violations), res.Errors)
+			}
+		}
+		b.ReportMetric(float64(budget*b.N)/b.Elapsed().Seconds(), "execs/sec")
+	})
 }
 
 // benchCorpus grows a fixed deterministic schedule corpus: the canonical
-// seeds plus mutation chains, the same construction nfbench uses for its
-// pure-execution rows.
+// seeds plus mutation chains drawn from a seed-1 RNG.
 func benchCorpus(n int) []*Input {
 	rng := rand.New(rand.NewSource(1))
 	ins := SeedInputs()

@@ -51,8 +51,8 @@ type Config struct {
 	// StringCore forces the legacy string-keyed executor (Execute) instead of
 	// the interned Core. The two are phenotype-identical — same coverage
 	// points, verdicts and certificates, so the campaign trajectory does not
-	// depend on the flag — and the differential harness (internal/simdiff)
-	// and the A/B benchmark rows exist to keep it that way.
+	// depend on the field — and the differential harness (internal/simdiff)
+	// keeps it that way; BenchmarkExecute times the two.
 	StringCore bool
 	// Stats, when non-nil, receives a progress line every StatsEvery
 	// (default 1s).
@@ -106,7 +106,8 @@ type Violation struct {
 	CycleOps int
 	// FoundAtExec is the execution count at discovery.
 	FoundAtExec int64
-	// Path is the written certificate file ("" when Config.OutDir unset).
+	// Path is the written certificate file ("" when Config.OutDir is unset
+	// or the write failed).
 	Path string
 }
 
@@ -129,6 +130,11 @@ type Result struct {
 	DL3Misses int64
 	// Elapsed is the campaign wall-clock time.
 	Elapsed time.Duration
+	// Errors lists the campaign's failures in the order they happened:
+	// corpus and certificate writes, and shrinks or replays that failed
+	// while promoting a finding. The campaign carries on after each; a
+	// finding whose promotion failed is missing from Violations.
+	Errors []error
 }
 
 // campaign is the merger-side state shared by the serial and parallel paths.
@@ -137,7 +143,8 @@ type campaign struct {
 	exec   func(in *Input, withLog bool) *ExecResult // merger-side executor
 	master coverSet
 	corpus []*Entry
-	wins   map[string]*Violation // property → smallest certificate
+	wins   map[string]*Violation // certificate name → smallest certificate
+	errs   []error
 
 	execs     atomic.Int64
 	dl3Misses atomic.Int64
@@ -224,7 +231,7 @@ func (c *campaign) observe(in *Input, res *ExecResult, countDL3 bool) {
 		kept := Trim(in, res)
 		c.corpus = append(c.corpus, &Entry{Input: kept, NewPoints: fresh})
 		if err := saveEntry(c.cfg.CorpusDir, kept); err != nil {
-			fmt.Fprintf(os.Stderr, "fuzz: %v\n", err)
+			c.errs = append(c.errs, err)
 		}
 	}
 	// Livelock promotion: a safety-clean DL3 miss on a coverage-adding input
@@ -238,9 +245,9 @@ func (c *campaign) observe(in *Input, res *ExecResult, countDL3 bool) {
 }
 
 // promote turns a violating input into a first-class certificate: re-execute
-// with trace recording, shrink with the delta-debugging shrinker, keep the
-// smallest certificate per property, and write it out. Corrupted-start
-// violations take their own confirmation path (promoteCorrupt).
+// with trace recording, shrink with the delta-debugging shrinker, and hand
+// the result to win. Corrupted-start violations take their own confirmation
+// path (promoteCorrupt).
 func (c *campaign) promote(in *Input, res *ExecResult) {
 	if !res.Corruption.Clean() {
 		c.promoteCorrupt(in)
@@ -253,7 +260,7 @@ func (c *campaign) promote(in *Input, res *ExecResult) {
 	}
 	sr, err := replay.Shrink(logged.Log)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fuzz: shrinking %s violation: %v\n", res.Verdict.Property, err)
+		c.errs = append(c.errs, fmt.Errorf("fuzz: shrinking %s violation: %w", res.Verdict.Property, err))
 		return
 	}
 	v := &Violation{
@@ -262,31 +269,7 @@ func (c *campaign) promote(in *Input, res *ExecResult) {
 		Ops:         sr.FinalOps,
 		FoundAtExec: c.execs.Load(),
 	}
-	if old, ok := c.wins[v.Property]; ok && old.Ops <= v.Ops {
-		if c.cfg.StopOnViolation {
-			c.stop.Store(true)
-		}
-		return
-	}
-	if c.cfg.OutDir != "" {
-		if err := os.MkdirAll(c.cfg.OutDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "fuzz: out dir: %v\n", err)
-		} else {
-			v.Path = filepath.Join(c.cfg.OutDir, c.cfg.Protocol.Name()+"-"+v.Property+".nft")
-			if err := trace.WriteFile(v.Path, v.Cert); err != nil {
-				fmt.Fprintf(os.Stderr, "fuzz: write certificate: %v\n", err)
-				v.Path = ""
-			}
-		}
-	}
-	c.wins[v.Property] = v
-	if c.cfg.Stats != nil {
-		fmt.Fprintf(c.cfg.Stats, "VIOLATION %s after %d execs: %d ops after shrink%s\n",
-			v.Property, v.FoundAtExec, v.Ops, pathNote(v.Path))
-	}
-	if c.cfg.StopOnViolation {
-		c.stop.Store(true)
-	}
+	c.win(v.Property, v, "%s after %d execs: %d ops after shrink", v.Property, v.FoundAtExec, v.Ops)
 }
 
 // promoteCorrupt turns a corrupted-start over-amnesty violation into a
@@ -306,11 +289,11 @@ func (c *campaign) promoteCorrupt(in *Input) {
 	}
 	rr, err := replay.Run(logged.Log)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fuzz: corrupted-start witness replay: %v\n", err)
+		c.errs = append(c.errs, fmt.Errorf("fuzz: corrupted-start witness replay: %w", err))
 		return
 	}
 	if rr.Divergence != nil {
-		fmt.Fprintf(os.Stderr, "fuzz: corrupted-start witness diverged on replay: %v\n", rr.Divergence)
+		c.errs = append(c.errs, fmt.Errorf("fuzz: corrupted-start witness diverged on replay: %v", rr.Divergence))
 		return
 	}
 	j := stabilize.JudgeTrace(rr.Trace, logged.Amnesty)
@@ -334,32 +317,8 @@ func (c *campaign) promoteCorrupt(in *Input) {
 	// Corrupted findings compete in their own bracket: a clean-start DL1 and
 	// a corrupted-start DL1 are different claims (the latter says nothing
 	// without its start), so neither should evict the other.
-	key := v.Property + "+corrupt"
-	if old, ok := c.wins[key]; ok && old.Ops <= v.Ops {
-		if c.cfg.StopOnViolation {
-			c.stop.Store(true)
-		}
-		return
-	}
-	if c.cfg.OutDir != "" {
-		if err := os.MkdirAll(c.cfg.OutDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "fuzz: out dir: %v\n", err)
-		} else {
-			v.Path = filepath.Join(c.cfg.OutDir, c.cfg.Protocol.Name()+"-"+v.Property+"-corrupt.nft")
-			if err := trace.WriteFile(v.Path, v.Cert); err != nil {
-				fmt.Fprintf(os.Stderr, "fuzz: write certificate: %v\n", err)
-				v.Path = ""
-			}
-		}
-	}
-	c.wins[key] = v
-	if c.cfg.Stats != nil {
-		fmt.Fprintf(c.cfg.Stats, "VIOLATION %s from corrupted start %s after %d execs: %d ops, amnesty %d%s\n",
-			v.Property, v.Corruption, v.FoundAtExec, v.Ops, logged.Amnesty, pathNote(v.Path))
-	}
-	if c.cfg.StopOnViolation {
-		c.stop.Store(true)
-	}
+	c.win(v.Property+"-corrupt", v, "%s from corrupted start %s after %d execs: %d ops, amnesty %d",
+		v.Property, v.Corruption, v.FoundAtExec, v.Ops, logged.Amnesty)
 }
 
 // promoteLivelock tries to turn a safety-clean DL3 miss into a certified,
@@ -384,20 +343,20 @@ func (c *campaign) promoteLivelock(in *Input) {
 	}
 	sr, err := replay.ShrinkLiveness(logged.Log, replay.DriveReliable)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fuzz: shrinking livelock trace: %v\n", err)
+		c.errs = append(c.errs, fmt.Errorf("fuzz: shrinking livelock trace: %w", err))
 		return
 	}
 	cert, err := replay.CertifyLivelock(sr.Log, replay.CertifyOptions{})
 	if err != nil {
-		// The minimized schedule lost the pumping cycle (it can only have
-		// gotten simpler, so this is unexpected); fall back to certifying the
-		// unshrunk trace rather than dropping a real finding.
-		fmt.Fprintf(os.Stderr, "fuzz: re-certifying shrunk livelock trace: %v\n", err)
+		// The minimized schedule lost the pumping cycle. It can only have
+		// gotten simpler, so this is unexpected; the finding is dropped, not
+		// certified from the unshrunk trace, and the failure is reported.
+		c.errs = append(c.errs, fmt.Errorf("fuzz: re-certifying shrunk livelock trace: %w", err))
 		return
 	}
 	v := &Violation{
 		Property:    "DL3",
-		Cert:        cert.Pumped(3),
+		Cert:        cert.Pumped(replay.DefaultPump),
 		Ops:         sr.FinalOps,
 		CycleOps:    cert.CycleOps,
 		FoundAtExec: c.execs.Load(),
@@ -405,32 +364,37 @@ func (c *campaign) promoteLivelock(in *Input) {
 	// Cycle length is a coverage dimension of its own: campaigns that have
 	// certified a short cycle still reward inputs reaching longer ones.
 	c.master.addAll([]uint64{livelockPoint(cert.CycleOps)})
-	if c.cfg.OutDir != "" {
-		if err := os.MkdirAll(c.cfg.OutDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "fuzz: out dir: %v\n", err)
-		} else {
-			v.Path = filepath.Join(c.cfg.OutDir, c.cfg.Protocol.Name()+"-DL3.nft")
-			if err := trace.WriteFile(v.Path, v.Cert); err != nil {
-				fmt.Fprintf(os.Stderr, "fuzz: write certificate: %v\n", err)
-				v.Path = ""
+	c.win("DL3", v, "DL3 after %d execs: livelock, %d-op cycle over %d-op schedule",
+		v.FoundAtExec, v.CycleOps, v.Ops)
+}
+
+// win keeps v as the finding named name unless one at least as small is
+// already kept, writes its certificate to OutDir as <protocol>-<name>.nft,
+// and reports it on Stats as "VIOLATION " plus the formatted note. Either
+// way, a StopOnViolation campaign stops.
+func (c *campaign) win(name string, v *Violation, format string, args ...any) {
+	if old, ok := c.wins[name]; !ok || v.Ops < old.Ops {
+		if c.cfg.OutDir != "" {
+			path := filepath.Join(c.cfg.OutDir, c.cfg.Protocol.Name()+"-"+name+".nft")
+			if err := os.MkdirAll(c.cfg.OutDir, 0o755); err != nil {
+				c.errs = append(c.errs, fmt.Errorf("fuzz: out dir: %w", err))
+			} else if err := trace.WriteFile(path, v.Cert); err != nil {
+				c.errs = append(c.errs, fmt.Errorf("fuzz: write certificate: %w", err))
+			} else {
+				v.Path = path
 			}
 		}
-	}
-	c.wins["DL3"] = v
-	if c.cfg.Stats != nil {
-		fmt.Fprintf(c.cfg.Stats, "VIOLATION DL3 after %d execs: livelock, %d-op cycle over %d-op schedule%s\n",
-			v.FoundAtExec, v.CycleOps, v.Ops, pathNote(v.Path))
+		c.wins[name] = v
+		if c.cfg.Stats != nil {
+			if v.Path != "" {
+				format, args = format+" -> %s", append(args, v.Path)
+			}
+			fmt.Fprintf(c.cfg.Stats, "VIOLATION "+format+"\n", args...)
+		}
 	}
 	if c.cfg.StopOnViolation {
 		c.stop.Store(true)
 	}
-}
-
-func pathNote(p string) string {
-	if p == "" {
-		return ""
-	}
-	return " -> " + p
 }
 
 // pickParent selects a mutation parent: mostly uniform over the corpus, with
@@ -562,6 +526,7 @@ func (c *campaign) result() *Result {
 		CoveragePoints: len(c.master),
 		DL3Misses:      c.dl3Misses.Load(),
 		Elapsed:        c.cfg.Clock().Sub(c.start),
+		Errors:         c.errs,
 	}
 	//nfvet:allow maprange (violations are sorted by property below)
 	for _, v := range c.wins {

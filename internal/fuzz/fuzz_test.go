@@ -2,8 +2,12 @@ package fuzz
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ioa"
@@ -49,6 +53,43 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 			t.Errorf("case %d: Decode accepted garbage %q", i, b)
 		}
 	}
+}
+
+// FuzzInputCodecRoundTrip feeds arbitrary bytes to the NFZI decoder, the
+// reader of persisted corpus entries. Decoding must never panic and fails
+// only with ErrInputFormat; an accepted input must survive encode→decode
+// unchanged, and its encoding must be stable.
+func FuzzInputCodecRoundTrip(f *testing.F) {
+	for _, in := range SeedInputs() {
+		f.Add(in.Encode())
+	}
+	f.Add((&Input{
+		Ops:     []Op{{Kind: OpSubmit}, {Kind: OpStale, Dir: ioa.RtoT, Pick: 7}},
+		Data:    []trace.Decision{trace.Drop},
+		Corrupt: &CorruptGene{TPick: 1, Data: []uint8{2}},
+	}).Encode())
+	f.Add([]byte("NFZI\x02\x00\x00\x00"))
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		in, err := Decode(b)
+		if err != nil {
+			if !errors.Is(err, ErrInputFormat) {
+				t.Fatalf("decode error is not ErrInputFormat: %v", err)
+			}
+			return
+		}
+		enc := in.Encode()
+		again, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("re-decoding own encoding: %v", err)
+		}
+		if !reflect.DeepEqual(in, again) {
+			t.Fatalf("round trip changed the input:\n%+v\nvs\n%+v", in, again)
+		}
+		if !bytes.Equal(again.Encode(), enc) {
+			t.Fatal("re-encoding an accepted input is not stable")
+		}
+	})
 }
 
 func TestExecuteDeterministic(t *testing.T) {
@@ -277,6 +318,33 @@ func TestParallelFindsViolation(t *testing.T) {
 	}
 	if len(res.Violations) == 0 {
 		t.Fatalf("parallel campaign found nothing in %d execs", res.Execs)
+	}
+}
+
+// TestWriteErrorsAreReturned pins errors as values: a campaign whose
+// certificate cannot be written still promotes its finding, and returns the
+// failure in Result.Errors.
+func TestWriteErrorsAreReturned(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(Config{
+		Protocol:        protocol.NewAltBit(),
+		Workers:         1,
+		Budget:          30000,
+		Seed:            1,
+		OutDir:          filepath.Join(file, "certs"), // under a regular file
+		StopOnViolation: true,
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(res.Violations) != 1 || res.Violations[0].Path != "" {
+		t.Fatalf("want one unwritten finding, got %+v", res.Violations)
+	}
+	if len(res.Errors) != 1 || !strings.Contains(res.Errors[0].Error(), "out dir") {
+		t.Fatalf("want the out-dir error, got %v", res.Errors)
 	}
 }
 

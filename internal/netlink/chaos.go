@@ -49,12 +49,12 @@ type ChaosConfig struct {
 	// DupProb is the probability a written datagram is delivered AND a
 	// copy of it is held for later release (duplication).
 	DupProb float64
-	// MaxHeld bounds the hold queue; beyond it datagrams pass through.
-	// Defaults to 32.
-	MaxHeld int
 	// Seed makes the chaos deterministic.
 	Seed int64
 }
+
+// maxHeld bounds a ChaosConn's hold queue; beyond it datagrams pass through.
+const maxHeld = 32
 
 type heldPacket struct {
 	b    []byte
@@ -105,9 +105,6 @@ var _ net.PacketConn = (*ChaosConn)(nil)
 
 // NewChaosConn wraps inner with the given chaos configuration.
 func NewChaosConn(inner net.PacketConn, cfg ChaosConfig) *ChaosConn {
-	if cfg.MaxHeld == 0 {
-		cfg.MaxHeld = 32
-	}
 	return &ChaosConn{
 		inner: inner,
 		cfg:   cfg,
@@ -138,7 +135,7 @@ func (c *ChaosConn) WriteOutcome(b []byte, addr net.Addr) (WriteResult, error) {
 		c.mu.Unlock()
 		res.Fate = FateDropped
 		return res, nil // swallowed: an unbounded delay
-	case roll < p+c.cfg.HoldProb && len(c.held) < c.cfg.MaxHeld:
+	case roll < p+c.cfg.HoldProb && len(c.held) < maxHeld:
 		cp := make([]byte, len(b))
 		copy(cp, b)
 		c.held = append(c.held, heldPacket{b: cp, addr: addr})
@@ -153,7 +150,7 @@ func (c *ChaosConn) WriteOutcome(b []byte, addr net.Addr) (WriteResult, error) {
 			release = &c.held[0]
 			c.held = c.held[1:]
 		}
-		if roll < p+c.cfg.HoldProb+c.cfg.DupProb && len(c.held) < c.cfg.MaxHeld {
+		if roll < p+c.cfg.HoldProb+c.cfg.DupProb && len(c.held) < maxHeld {
 			cp := make([]byte, len(b))
 			copy(cp, b)
 			dupCopy = &heldPacket{b: cp, addr: addr}
@@ -204,7 +201,7 @@ func (c *ChaosConn) ReleaseOne() (b []byte, ok bool) {
 func (c *ChaosConn) Preload(b []byte, addr net.Addr) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.held) >= c.cfg.MaxHeld {
+	if len(c.held) >= maxHeld {
 		return false
 	}
 	cp := make([]byte, len(b))

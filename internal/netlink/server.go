@@ -127,7 +127,7 @@ func (sv *Server) RunSession(cfg SessionConfig) (*SessionResult, error) {
 		dataAddr: sv.conn.LocalAddr(),
 		ackAddr:  clientConn.LocalAddr(),
 		recvData: inboxReader(inbox),
-		recvAck:  deadlineReader(clientConn, cfg.Clock),
+		recvAck:  deadlineReader(clientConn),
 		close: func() {
 			sv.unregister(key)
 			_ = clientConn.Close()
@@ -137,14 +137,15 @@ func (sv *Server) RunSession(cfg SessionConfig) (*SessionResult, error) {
 }
 
 // inboxReader adapts a mux inbox to the session's blocking-read shape,
-// reusing one timer across calls (sessions read thousands of times).
-func inboxReader(inbox <-chan []byte) func(time.Duration) ([]byte, bool) {
+// bounded by sessionReadTimeout and reusing one timer across calls
+// (sessions read thousands of times).
+func inboxReader(inbox <-chan []byte) func() ([]byte, bool) {
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
 		<-timer.C
 	}
-	return func(d time.Duration) ([]byte, bool) {
-		timer.Reset(d)
+	return func() ([]byte, bool) {
+		timer.Reset(sessionReadTimeout)
 		select {
 		case b := <-inbox:
 			if !timer.Stop() {

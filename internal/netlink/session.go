@@ -32,13 +32,13 @@ package netlink
 // filtered and counted. The lift is count-conserving: the model never
 // delivers more copies than it holds, preserving PL1 by construction.
 //
-// Timing: all recorded/reported timing (latency stats) flows through the
-// Clock seam; nothing clock-derived enters the NFT log, so two runs with the
-// same seed produce byte-identical traces regardless of scheduling. Socket
-// read deadlines are failure detectors, not semantics — on loopback, a
-// lock-step session never has more datagrams in flight than one write burst,
-// so the deadline only fires on genuine loss (and then becomes a recorded
-// Drop, keeping the trace replayable anyway).
+// Timing: latency stats read the wall clock, but nothing clock-derived
+// enters the NFT log, so two runs with the same seed produce byte-identical
+// traces regardless of scheduling. Socket read deadlines are failure
+// detectors, not semantics — on loopback, a lock-step session never has
+// more datagrams in flight than one write burst, so the deadline only fires
+// on genuine loss (and then becomes a recorded Drop, keeping the trace
+// replayable anyway).
 
 import (
 	"errors"
@@ -66,19 +66,22 @@ const SoakTraceKind = "soak"
 // operational liveness (DL3) failure observed on a live wire.
 var ErrSessionStalled = errors.New("netlink: session stalled")
 
-// DefaultSessionReadTimeout bounds one blocking wire read. It is a failure
+// sessionReadTimeout bounds one blocking wire read. It is a failure
 // detector: on loopback the expected datagrams of a lock-step round trip
 // arrive in microseconds, so the timeout fires only on genuine loss.
-const DefaultSessionReadTimeout = 2 * time.Second
+const sessionReadTimeout = 2 * time.Second
+
+// sessionStepBudget bounds transmitter steps per message; each step is a
+// wire round trip.
+const sessionStepBudget = 1 << 12
 
 // SessionConfig describes one lock-step soak session.
 type SessionConfig struct {
 	// Protocol selects the data link protocol to run.
 	Protocol protocol.Protocol
-	// Messages is the number of messages to deliver. Defaults to 8.
+	// Messages is the number of messages to deliver, with payloads
+	// "msg-<i>". Defaults to 8.
 	Messages int
-	// Payload generates the i-th message payload. Defaults to "msg-<i>".
-	Payload func(i int) string
 	// Chaos sets the drop/hold/dup probabilities applied independently to
 	// each direction. The Seed field is ignored; per-direction chaos seeds
 	// are derived from Seed below.
@@ -87,40 +90,15 @@ type SessionConfig struct {
 	// are core.SplitSeed(Seed, "soak/data") and core.SplitSeed(Seed,
 	// "soak/ack").
 	Seed int64
-	// StepBudget bounds transmitter steps per message (each step is a wire
-	// round trip). Defaults to 1 << 12.
-	StepBudget int
 	// CorruptT/CorruptR select corrupted start states from the protocol's
 	// declared corruption space (protocol.Corruptible); zero is the clean
 	// start. Stabilize specimens soak from adversarial starts this way.
 	CorruptT, CorruptR int
-	// Clock is the timing seam for latency stats; defaults to time.Now.
-	// Clock readings never enter the NFT log.
-	Clock func() time.Time
-	// ReadTimeout bounds one blocking wire read. Defaults to
-	// DefaultSessionReadTimeout.
-	ReadTimeout time.Duration
 }
 
 func (c SessionConfig) withDefaults() SessionConfig {
 	if c.Messages == 0 {
 		c.Messages = 8
-	}
-	if c.Payload == nil {
-		c.Payload = func(i int) string { return "msg-" + strconv.Itoa(i) }
-	}
-	if c.StepBudget == 0 {
-		c.StepBudget = 1 << 12
-	}
-	if c.Clock == nil {
-		// internal/netlink is outside the wallclock lint's deterministic set:
-		// sessions touch real sockets, so ambient time is part of the job.
-		// The seam exists so reported timing is overridable, and because
-		// nothing clock-derived may enter the NFT log.
-		c.Clock = time.Now
-	}
-	if c.ReadTimeout == 0 {
-		c.ReadTimeout = DefaultSessionReadTimeout
 	}
 	return c
 }
@@ -144,8 +122,7 @@ type SessionStats struct {
 	// ForcedReleases counts held datagrams force-released to unstick the
 	// transmitter.
 	ForcedReleases int
-	// Latencies holds each message's submit→confirm duration, measured
-	// through the Clock seam.
+	// Latencies holds each message's submit→confirm wall-clock duration.
 	Latencies []time.Duration
 	// Elapsed is the whole session's duration.
 	Elapsed time.Duration
@@ -177,8 +154,8 @@ type sessionEnv struct {
 	ackChaos  *ChaosConn // wraps the server writer; acks → ackAddr
 	dataAddr  net.Addr   // the server (receiver-side) address
 	ackAddr   net.Addr   // the client (transmitter-side) address
-	recvData  func(timeout time.Duration) ([]byte, bool)
-	recvAck   func(timeout time.Duration) ([]byte, bool)
+	recvData  func() ([]byte, bool)
+	recvAck   func() ([]byte, bool)
 	close     func()
 }
 
@@ -215,8 +192,8 @@ func RunLoopbackSession(cfg SessionConfig) (*SessionResult, error) {
 		ackChaos:  NewChaosConn(serverConn, chaosFor(cfg, "soak/ack")),
 		dataAddr:  serverConn.LocalAddr(),
 		ackAddr:   clientConn.LocalAddr(),
-		recvData:  deadlineReader(serverConn, cfg.Clock),
-		recvAck:   deadlineReader(clientConn, cfg.Clock),
+		recvData:  deadlineReader(serverConn),
+		recvAck:   deadlineReader(clientConn),
 		close: func() {
 			_ = clientConn.Close()
 			_ = serverConn.Close()
@@ -234,12 +211,12 @@ func chaosFor(cfg SessionConfig, stream string) ChaosConfig {
 }
 
 // deadlineReader returns a single-goroutine blocking read function over
-// conn. The buffer is reused across calls; each returned datagram is copied
-// out.
-func deadlineReader(conn net.PacketConn, clock func() time.Time) func(time.Duration) ([]byte, bool) {
+// conn, bounded by sessionReadTimeout. The buffer is reused across calls;
+// each returned datagram is copied out.
+func deadlineReader(conn net.PacketConn) func() ([]byte, bool) {
 	buf := make([]byte, 64<<10)
-	return func(d time.Duration) ([]byte, bool) {
-		_ = conn.SetReadDeadline(clock().Add(d))
+	return func() ([]byte, bool) {
+		_ = conn.SetReadDeadline(time.Now().Add(sessionReadTimeout))
 		n, _, err := conn.ReadFrom(buf)
 		if err != nil {
 			return nil, false
@@ -263,8 +240,7 @@ func runSession(cfg SessionConfig, env *sessionEnv) *SessionResult {
 		Protocol:    cfg.Protocol,
 		DataPolicy:  channel.PolicyFunc(func(p ioa.Packet) channel.Decision { return s.onSend(ioa.TtoR, p) }),
 		AckPolicy:   channel.PolicyFunc(func(p ioa.Packet) channel.Decision { return s.onSend(ioa.RtoT, p) }),
-		StepBudget:  cfg.StepBudget,
-		Payload:     cfg.Payload,
+		StepBudget:  sessionStepBudget,
 		RecordTrace: true,
 		TraceLog:    log,
 	})
@@ -278,18 +254,20 @@ func runSession(cfg SessionConfig, env *sessionEnv) *SessionResult {
 		}
 	}
 
-	start := cfg.Clock()
+	// internal/netlink is outside the wallclock lint's deterministic set:
+	// sessions touch real sockets, so ambient time is part of the job.
+	start := time.Now()
 	for i := 0; i < cfg.Messages && res.Err == nil; i++ {
-		mstart := cfg.Clock()
-		s.runner.SubmitMsg(cfg.Payload(i))
+		mstart := time.Now()
+		s.runner.SubmitMsg("msg-" + strconv.Itoa(i))
 		s.stats.Messages++
 		res.Err = s.runToIdle()
-		s.stats.Latencies = append(s.stats.Latencies, cfg.Clock().Sub(mstart))
+		s.stats.Latencies = append(s.stats.Latencies, time.Since(mstart))
 	}
 	if res.Err == nil {
 		s.finalDrain()
 	}
-	s.stats.Elapsed = cfg.Clock().Sub(start)
+	s.stats.Elapsed = time.Since(start)
 	s.stats.Delivered = len(s.runner.Delivered())
 
 	run := s.runner.Result()
@@ -318,7 +296,7 @@ func runSession(cfg SessionConfig, env *sessionEnv) *SessionResult {
 // datagrams when the transmitter is stuck waiting on one.
 func (s *session) runToIdle() error {
 	for steps := 0; s.runner.T.Busy(); steps++ {
-		if steps >= s.cfg.StepBudget {
+		if steps >= sessionStepBudget {
 			return fmt.Errorf("%w after %d steps (protocol %s)", ErrSessionStalled, steps, s.cfg.Protocol.Name())
 		}
 		progressed := s.runner.StepTransmit()
@@ -370,7 +348,7 @@ func (s *session) onSend(dir ioa.Dir, p ioa.Packet) channel.Decision {
 	// (multiset semantics), so kernel arrival order cannot matter.
 	delivered := false
 	for i := 0; i < 1+len(res.Released); i++ {
-		b, ok := recv(s.cfg.ReadTimeout)
+		b, ok := recv()
 		if !ok {
 			break // lost or late; a straggler surfaces in a later window
 		}
@@ -423,7 +401,7 @@ func (s *session) forceRelease() bool {
 	type lane struct {
 		conn *ChaosConn
 		dir  ioa.Dir
-		recv func(time.Duration) ([]byte, bool)
+		recv func() ([]byte, bool)
 	}
 	for _, ln := range []lane{
 		{s.env.ackChaos, ioa.RtoT, s.env.recvAck},
@@ -433,7 +411,7 @@ func (s *session) forceRelease() bool {
 			continue
 		}
 		s.stats.ForcedReleases++
-		if b, ok := ln.recv(s.cfg.ReadTimeout); ok {
+		if b, ok := ln.recv(); ok {
 			if q, err := wire.Decode(b); err == nil {
 				s.pending = append(s.pending, pendingStale{dir: ln.dir, pkt: q})
 			} else {
@@ -457,7 +435,7 @@ func (s *session) finalDrain() {
 		for _, ln := range []struct {
 			conn *ChaosConn
 			dir  ioa.Dir
-			recv func(time.Duration) ([]byte, bool)
+			recv func() ([]byte, bool)
 		}{
 			{s.env.dataChaos, ioa.TtoR, s.env.recvData},
 			{s.env.ackChaos, ioa.RtoT, s.env.recvAck},
@@ -466,7 +444,7 @@ func (s *session) finalDrain() {
 				continue
 			}
 			released = true
-			if b, ok := ln.recv(s.cfg.ReadTimeout); ok {
+			if b, ok := ln.recv(); ok {
 				if q, err := wire.Decode(b); err == nil {
 					s.pending = append(s.pending, pendingStale{dir: ln.dir, pkt: q})
 				} else {

@@ -36,10 +36,6 @@ type SoakConfig struct {
 	Seed int64
 	// Workers bounds concurrently running sessions. Defaults to 16.
 	Workers int
-	// StepBudget, ReadTimeout and Clock are passed through to each session.
-	StepBudget  int
-	ReadTimeout time.Duration
-	Clock       func() time.Time
 	// Store, when non-nil, records every completed session's log under its
 	// session name. Zero lost recordings is the soak contract: a Put
 	// failure is surfaced as the session's error.
@@ -75,7 +71,7 @@ type SessionOutcome struct {
 	// Err is a non-empty operational failure (stall, socket error,
 	// recording failure).
 	Err string
-	// Elapsed is the session's wall time through the clock seam.
+	// Elapsed is the session's wall time.
 	Elapsed time.Duration
 	// Recorded reports whether the log reached the shard store.
 	Recorded bool
@@ -117,12 +113,8 @@ func (sv *Server) RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	if workers <= 0 {
 		workers = 16
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = time.Now // see SessionConfig.Clock: reported timing only
-	}
 
-	start := clock()
+	start := time.Now()
 	ids := make(chan int)
 	skipped := make(chan int, 1)
 	go func() {
@@ -166,7 +158,7 @@ func (sv *Server) RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	}
 	wg.Wait()
 
-	rep := &SoakReport{Skipped: <-skipped, Elapsed: clock().Sub(start)}
+	rep := &SoakReport{Skipped: <-skipped, Elapsed: time.Since(start)}
 	sort.Slice(outcomes, func(i, j int) bool { return outcomes[i].ID < outcomes[j].ID })
 	rep.Outcomes = outcomes
 	for _, o := range outcomes {
@@ -201,13 +193,10 @@ func (sv *Server) RunSoak(cfg SoakConfig) (*SoakReport, error) {
 func (sv *Server) runSoakSession(cfg SoakConfig, id int) (SessionOutcome, []time.Duration) {
 	p := cfg.Protocols[id%len(cfg.Protocols)]
 	scfg := SessionConfig{
-		Protocol:    p,
-		Messages:    cfg.Messages,
-		Chaos:       cfg.Chaos,
-		Seed:        core.SplitSeed(cfg.Seed, "session/"+strconv.Itoa(id)),
-		StepBudget:  cfg.StepBudget,
-		ReadTimeout: cfg.ReadTimeout,
-		Clock:       cfg.Clock,
+		Protocol: p,
+		Messages: cfg.Messages,
+		Chaos:    cfg.Chaos,
+		Seed:     core.SplitSeed(cfg.Seed, "session/"+strconv.Itoa(id)),
 	}
 	out := SessionOutcome{ID: id, Session: SessionName(id), Protocol: p.Name(), Seed: scfg.Seed}
 	res, err := sv.RunSession(scfg)

@@ -79,6 +79,11 @@ func (m DriveMode) String() string {
 // this repo cycle within a handful of rounds, so 512 is generous.
 const DefaultDriveBudget = 512
 
+// DefaultPump is how many times a livelock certificate's cycle is repeated
+// when the caller does not say: in the verification replay, and in the
+// pumped certificates the prover, fuzzer and stabilizer emit.
+const DefaultPump = 3
+
 // DriveOutcome reports what the closing extension did to a replayed trace.
 type DriveOutcome struct {
 	// Mode is the drive mode that produced this outcome.
@@ -274,7 +279,7 @@ type CertifyOptions struct {
 	// DefaultDriveBudget.
 	DriveBudget int
 	// Pump is how many cycle repetitions the verification replay checks;
-	// <= 0 means 3.
+	// <= 0 means DefaultPump.
 	Pump int
 }
 
@@ -283,7 +288,7 @@ func (o CertifyOptions) withDefaults() CertifyOptions {
 		o.DriveBudget = DefaultDriveBudget
 	}
 	if o.Pump <= 0 {
-		o.Pump = 3
+		o.Pump = DefaultPump
 	}
 	return o
 }

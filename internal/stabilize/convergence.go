@@ -37,9 +37,6 @@ type Config struct {
 	// StepBudget bounds transmitter steps per probe before the run is
 	// declared stalled. Defaults to 512.
 	StepBudget int
-	// DriveBudget and Pump tune the livelock certification of stalled
-	// runs; zero means replay.CertifyLivelock's defaults.
-	DriveBudget, Pump int
 }
 
 func (c Config) withDefaults() Config {
@@ -130,10 +127,7 @@ func CheckConvergence(p protocol.Protocol, c Corruption, cfg Config) (*Report, e
 			Index:    -1,
 			Detail:   fmt.Sprintf("probe %d never completed from corrupted start %s: %v", probe, c, err),
 		}
-		cert, cerr := replay.CertifyLivelock(tlog, replay.CertifyOptions{
-			DriveBudget: cfg.DriveBudget,
-			Pump:        cfg.Pump,
-		})
+		cert, cerr := replay.CertifyLivelock(tlog, replay.CertifyOptions{})
 		if cerr != nil {
 			// Not every stall closes into a certifiable cycle (e.g. the
 			// closing drive recovers under a schedule the stalled run never
@@ -142,13 +136,9 @@ func CheckConvergence(p protocol.Protocol, c Corruption, cfg Config) (*Report, e
 			rep.Witness = stampWitness(tlog.Clone(), rep)
 			return rep, nil
 		}
-		pump := cfg.Pump
-		if pump <= 0 {
-			pump = 3
-		}
 		rep.Cert = cert
 		// The same pumped artifact CertifyLivelock verified by replay.
-		rep.Witness = stampWitness(cert.Pumped(pump), rep)
+		rep.Witness = stampWitness(cert.Pumped(replay.DefaultPump), rep)
 		rep.ReplayConfirmed = true
 		return rep, nil
 	}

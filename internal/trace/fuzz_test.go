@@ -65,3 +65,52 @@ func FuzzTraceCodecRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzManifestCodecRoundTrip does the same for the NFMAN shard-store
+// manifest. An accepted manifest must name only shards it lists, since
+// readers index Shards by entry, and must survive encode→decode unchanged.
+func FuzzManifestCodecRoundTrip(f *testing.F) {
+	seed := func(m *Manifest) {
+		var buf bytes.Buffer
+		if err := EncodeManifest(&buf, m); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	seed(&Manifest{})
+	seed(&Manifest{
+		Shards: []string{"shard-000.nfts", "shard-001.nfts"},
+		Entries: []ManifestEntry{
+			{Session: "s000000", Shard: 1, Offset: 9, Length: 120, Protocol: "altbit",
+				Verdict: "DL1", Events: 40, Ops: 12, Messages: 8, Deliveries: 7},
+			{Session: "s000001", Protocol: "seqnum", Events: 31},
+		},
+	})
+	f.Add([]byte("NFMAN\x01\x01\x00\x01\x01s\x05"))
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := DecodeManifest(bytes.NewReader(b))
+		if err != nil {
+			if !errors.Is(err, ErrManifest) {
+				t.Fatalf("decode error is not ErrManifest: %v", err)
+			}
+			return
+		}
+		for _, e := range m.Entries {
+			if e.Shard < 0 || e.Shard >= len(m.Shards) {
+				t.Fatalf("accepted entry %q names shard %d of %d", e.Session, e.Shard, len(m.Shards))
+			}
+		}
+		var buf bytes.Buffer
+		if err := EncodeManifest(&buf, m); err != nil {
+			t.Fatalf("re-encoding accepted manifest: %v", err)
+		}
+		again, err := DecodeManifest(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("re-decoding own encoding: %v", err)
+		}
+		if !reflect.DeepEqual(m, again) {
+			t.Fatalf("round trip changed the manifest:\n%+v\nvs\n%+v", m, again)
+		}
+	})
+}

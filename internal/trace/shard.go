@@ -170,6 +170,9 @@ func DecodeManifest(r io.Reader) (*Manifest, error) {
 		if err != nil {
 			return nil, err
 		}
+		if sh >= nShards {
+			return nil, fmt.Errorf("%w: session %q: shard index %d out of range (%d shards)", ErrManifest, e.Session, sh, nShards)
+		}
 		e.Shard = int(sh)
 		off, err := uvar("offset")
 		if err != nil {

@@ -193,11 +193,19 @@ func TestShardManifestDecodeRejects(t *testing.T) {
 	if err := EncodeManifest(&good, &Manifest{Shards: []string{"a"}}); err != nil {
 		t.Fatal(err)
 	}
+	var badShard bytes.Buffer
+	if err := EncodeManifest(&badShard, &Manifest{
+		Shards:  []string{"a"},
+		Entries: []ManifestEntry{{Session: "s0", Shard: 5}},
+	}); err != nil {
+		t.Fatal(err)
+	}
 	cases := map[string][]byte{
-		"bad magic":      append([]byte("NOTNF"), good.Bytes()[5:]...),
-		"bad version":    append(append([]byte{}, good.Bytes()[:5]...), append([]byte{0x7f}, good.Bytes()[6:]...)...),
-		"trailing bytes": append(append([]byte{}, good.Bytes()...), 0xff),
-		"truncated":      good.Bytes()[:4],
+		"shard out of range": badShard.Bytes(),
+		"bad magic":          append([]byte("NOTNF"), good.Bytes()[5:]...),
+		"bad version":        append(append([]byte{}, good.Bytes()[:5]...), append([]byte{0x7f}, good.Bytes()[6:]...)...),
+		"trailing bytes":     append(append([]byte{}, good.Bytes()...), 0xff),
+		"truncated":          good.Bytes()[:4],
 	}
 	for name, b := range cases {
 		if _, err := DecodeManifest(bytes.NewReader(b)); err == nil {

@@ -62,17 +62,18 @@ func (e *explorer) strandedCandidates() []int32 {
 	return out
 }
 
+// dl3Confirm caps how many stranded candidates are re-driven through the
+// livelock certifier.
+const dl3Confirm = 3
+
 // confirmLivelock tries to certify a livelock from the stranded candidates,
-// in BFS order (shallowest witness first), attempting at most tries of
+// in BFS order (shallowest witness first), attempting at most dl3Confirm of
 // them. It returns the certificate and the pumped, self-contained NFT form,
 // or nil when every attempted candidate recovers under the reliable drive.
-func (e *explorer) confirmLivelock(cands []int32, tries int) (*replay.LivelockCert, *trace.Log, int, error) {
-	if tries <= 0 {
-		tries = 3
-	}
+func (e *explorer) confirmLivelock(cands []int32) (*replay.LivelockCert, *trace.Log, int, error) {
 	attempted := 0
 	for _, id := range cands {
-		if attempted >= tries {
+		if attempted >= dl3Confirm {
 			break
 		}
 		attempted++
@@ -81,16 +82,13 @@ func (e *explorer) confirmLivelock(cands []int32, tries int) (*replay.LivelockCe
 		if err != nil {
 			return nil, nil, attempted, err
 		}
-		cert, err := replay.CertifyLivelock(wl, replay.CertifyOptions{
-			DriveBudget: e.cfg.DriveBudget,
-			Pump:        e.cfg.Pump,
-		})
+		cert, err := replay.CertifyLivelock(wl, replay.CertifyOptions{})
 		if err != nil {
 			// The candidate recovers (or stalls without a cycle) under the
 			// reliable closing drive: not a livelock, try the next one.
 			continue
 		}
-		pumped := cert.Pumped(e.cfg.Pump)
+		pumped := cert.Pumped(replay.DefaultPump)
 		// Re-derive the verdict through an ordinary replay so the returned
 		// artifact is confirmed the same way safety witnesses are.
 		rr, err := replay.Run(pumped)

@@ -71,19 +71,10 @@ type Config struct {
 	// StringKeys forces the legacy string-keyed in-memory visited set
 	// instead of the interned packed-key store. The two are
 	// phenotype-identical — same States, Edges, SpaceHash and verdict; the
-	// simdiff harness pins the equivalence — so the flag exists for
-	// differential checking and A/B benchmarks, not correctness. Ignored
+	// simdiff harness pins the equivalence — so the field exists for
+	// differential checking and BenchmarkVerify, not correctness. Ignored
 	// when SpillDir is set (spilled keys are stored as strings regardless).
 	StringKeys bool
-	// Pump is how many times a livelock certificate's cycle is pumped in
-	// the emitted witness; <= 0 means 3.
-	Pump int
-	// DriveBudget bounds the reliable closing drive's rounds during DL3
-	// confirmation; <= 0 means replay.DefaultDriveBudget.
-	DriveBudget int
-	// DL3Confirm caps how many stranded candidates are re-driven through
-	// the livelock certifier; <= 0 means 3.
-	DL3Confirm int
 	// Stabilize switches the run to self-stabilization mode: the BFS
 	// frontier is seeded with every bounded corrupted configuration the
 	// protocol declares (internal/stabilize), deliveries are judged by the
@@ -106,12 +97,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxStates <= 0 {
 		c.MaxStates = 1 << 18
-	}
-	if c.Pump <= 0 {
-		c.Pump = 3
-	}
-	if c.DL3Confirm <= 0 {
-		c.DL3Confirm = 3
 	}
 	if c.MaxPoison <= 0 {
 		c.MaxPoison = 1
@@ -372,7 +357,7 @@ func Run(p protocol.Protocol, cfg Config) (*Report, error) {
 		cands := e.strandedCandidates()
 		rep.DL3Candidates = len(cands)
 		if len(cands) > 0 {
-			cert, pumped, attempted, err := e.confirmLivelock(cands, cfg.DL3Confirm)
+			cert, pumped, attempted, err := e.confirmLivelock(cands)
 			rep.DL3Attempted = attempted
 			if err != nil {
 				rep.Failures = append(rep.Failures, err.Error())
