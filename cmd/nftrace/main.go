@@ -240,6 +240,11 @@ func cmdCertifyLivelock(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if *pump < 1 {
+		// The certificate must repeat its cycle at least once, and the
+		// verification replay must check the count the certificate states.
+		return fmt.Errorf("certify-livelock: -pump must be at least 1, got %d", *pump)
+	}
 	l, err := trace.ReadFile(file)
 	if err != nil {
 		return err

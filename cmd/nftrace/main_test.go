@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -113,6 +114,25 @@ func TestCertifyLivelockPipeline(t *testing.T) {
 	}
 	if !strings.Contains(out, "recorded verdict reproduced") {
 		t.Fatalf("pumped certificate verdict not reproduced:\n%s", out)
+	}
+}
+
+// TestCertifyLivelockRejectsBadPump: a certificate repeats its cycle at
+// least once. A pump count below 1 is refused before anything is written,
+// not rounded up to 1 in the certificate while the verification replay
+// checks the default count.
+func TestCertifyLivelockRejectsBadPump(t *testing.T) {
+	dir := t.TempDir()
+	strandingFile(t, dir+"/strand.nft")
+	for _, pump := range []string{"0", "-2"} {
+		var buf bytes.Buffer
+		err := run([]string{"certify-livelock", dir + "/strand.nft", "-pump", pump, "-o", dir + "/pumped.nft"}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "-pump must be at least 1") {
+			t.Errorf("-pump %s: err = %v, output:\n%s", pump, err, buf.String())
+		}
+		if _, statErr := os.Stat(dir + "/pumped.nft"); statErr == nil {
+			t.Fatalf("-pump %s wrote a certificate", pump)
+		}
 	}
 }
 

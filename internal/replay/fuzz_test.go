@@ -2,6 +2,7 @@ package replay
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/ioa"
@@ -14,7 +15,9 @@ import (
 // input whatsoever it must either return an error or a result, never panic.
 // (Infeasible stale deliveries, exhausted decision streams, unknown
 // protocols and observational traces are all defined, non-panicking
-// outcomes.)
+// outcomes.) Every decoded trace also goes through the unrecorded judge the
+// shrinker and the certifier decide on, which must answer exactly as Run and
+// CloseDrive do on the same trace, errors included.
 func FuzzReplayRobustness(f *testing.F) {
 	// Seed with a genuine recorded run, a truncation of it, and junk.
 	l := trace.NewLog(map[string]string{
@@ -46,9 +49,13 @@ func FuzzReplayRobustness(f *testing.F) {
 		if err != nil {
 			return // malformed file: the codec's problem, tested there
 		}
-		res, err := Run(l)
-		if err == nil && res == nil {
-			t.Fatal("Run returned neither result nor error")
+		j, err := newJudge(l)
+		if err != nil {
+			if _, rerr := Run(l); fmt.Sprint(rerr) != err.Error() {
+				t.Fatalf("Run error %v, newJudge error %v", rerr, err)
+			}
+			return
 		}
+		checkJudge(t, j, l)
 	})
 }

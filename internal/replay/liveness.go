@@ -142,9 +142,6 @@ func appendDriveKey(dst []byte, r *sim.Runner) []byte {
 // selected by mode. budget bounds the drive rounds; <= 0 means
 // DefaultDriveBudget.
 func CloseDrive(l *trace.Log, mode DriveMode, budget int) (*DriveOutcome, error) {
-	if budget <= 0 {
-		budget = DefaultDriveBudget
-	}
 	rd, err := redrive(l)
 	if err != nil {
 		return nil, err
@@ -157,35 +154,7 @@ func CloseDrive(l *trace.Log, mode DriveMode, budget int) (*DriveOutcome, error)
 		Log:                rd.log,
 	}
 	r := rd.runner
-
-	if mode == DriveReliable {
-		r.SetPolicies(channel.Reliable(), channel.Reliable())
-	} else {
-		// Adversarial: every packet sent from here on is dropped on arrival
-		// (DropEvery(1) drops the 1st, 2nd, ... — all of them), so the joint
-		// configuration cannot grow and the drive either quiesces or cycles.
-		r.SetPolicies(channel.DropEvery(1), channel.DropEvery(1))
-	}
-	seen := make(map[string]int) // joint configuration -> event index at first sighting
-	var kbuf []byte
-	for out.Rounds < budget {
-		if !r.T.Busy() {
-			out.Quiescent = true
-			break
-		}
-		kbuf = appendDriveKey(kbuf[:0], r)
-		if at, ok := seen[string(kbuf)]; ok { // no-alloc map probe
-			out.CycleFound = true
-			out.RepeatedKey = string(kbuf)
-			out.CycleStart = at
-			out.CycleEnd = len(rd.log.Events)
-			break
-		}
-		seen[string(kbuf)] = len(rd.log.Events)
-		r.StepTransmit()
-		r.DrainAcks()
-		out.Rounds++
-	}
+	closeLoop(r, budget, make(map[string]int), nil, out)
 
 	run := r.Result()
 	if err := ioa.CheckSafety(run.Trace); err != nil {
@@ -197,6 +166,55 @@ func CloseDrive(l *trace.Log, mode DriveMode, budget int) (*DriveOutcome, error)
 	out.Submitted = r.SentMessages()
 	out.Delivered = len(r.Delivered())
 	return out, nil
+}
+
+// closeLoop is the closing drive itself, shared by CloseDrive and the
+// unrecorded judge (judge.go): it switches r's channels to the closing
+// behaviour of out.Mode and steps the transmitter and drains acks until the
+// transmitter goes idle, a joint configuration repeats, or budget rounds
+// (<= 0 means DefaultDriveBudget) have run, recording Rounds, Quiescent and
+// the cycle in out. seen must be empty; it maps each configuration to its
+// position at first sighting, which is the capture-log event index when r
+// records a log and the round number when it does not. kbuf is scratch for
+// the rendered key; the grown buffer is returned for reuse.
+func closeLoop(r *sim.Runner, budget int, seen map[string]int, kbuf []byte, out *DriveOutcome) []byte {
+	if budget <= 0 {
+		budget = DefaultDriveBudget
+	}
+	if out.Mode == DriveReliable {
+		r.SetPolicies(channel.Reliable(), channel.Reliable())
+	} else {
+		// Adversarial: every packet sent from here on is dropped on arrival
+		// (DropEvery(1) drops the 1st, 2nd, ... — all of them), so the joint
+		// configuration cannot grow and the drive either quiesces or cycles.
+		r.SetPolicies(channel.DropEvery(1), channel.DropEvery(1))
+	}
+	tl := r.TraceLog()
+	pos := func() int {
+		if tl != nil {
+			return len(tl.Events)
+		}
+		return out.Rounds
+	}
+	for out.Rounds < budget {
+		if !r.T.Busy() {
+			out.Quiescent = true
+			break
+		}
+		kbuf = appendDriveKey(kbuf[:0], r)
+		if at, ok := seen[string(kbuf)]; ok { // no-alloc map probe
+			out.CycleFound = true
+			out.RepeatedKey = string(kbuf)
+			out.CycleStart = at
+			out.CycleEnd = pos()
+			break
+		}
+		seen[string(kbuf)] = pos()
+		r.StepTransmit()
+		r.DrainAcks()
+		out.Rounds++
+	}
+	return kbuf
 }
 
 // Meta keys stamped on pumped livelock certificates.
@@ -303,21 +321,28 @@ func (o CertifyOptions) withDefaults() CertifyOptions {
 // with a diagnosis.
 func CertifyLivelock(l *trace.Log, opts CertifyOptions) (*LivelockCert, error) {
 	opts = opts.withDefaults()
+	// Most traces handed here are refused, so the refusal is decided by the
+	// unrecorded judge; only a certifiable trace is re-driven with recording,
+	// for the events the certificate is cut from.
+	j, err := newJudge(l)
+	if err != nil {
+		return nil, err
+	}
+	judged, err := j.close(l.Events, opts.Mode, opts.DriveBudget)
+	if err != nil {
+		return nil, err
+	}
+	if err := refuse(judged); err != nil {
+		return nil, err
+	}
 	out, err := CloseDrive(l, opts.Mode, opts.DriveBudget)
 	if err != nil {
 		return nil, err
 	}
-	if out.Safety != nil {
-		return nil, fmt.Errorf("replay: driven trace violates %s; livelock certification wants a safety-clean liveness failure (use Shrink for safety violations): %v",
-			out.Safety.Property, out.Safety)
-	}
-	if out.DL3 == nil {
-		return nil, fmt.Errorf("replay: protocol recovers under the %s closing drive (quiescent=%v after %d rounds, %d/%d delivered); no livelock to certify",
-			opts.Mode, out.Quiescent, out.Rounds, out.Delivered, out.Submitted)
-	}
-	if !out.CycleFound {
-		return nil, fmt.Errorf("replay: %d message(s) stranded but no joint configuration repeated within %d drive rounds; cannot certify a pumping cycle",
-			out.Submitted-out.Delivered, out.Rounds)
+	if err := refuse(out); err != nil {
+		// Cannot happen: the judge drove the same deterministic execution.
+		// Guard anyway rather than cut a certificate from a refused drive.
+		return nil, err
 	}
 	cert := &LivelockCert{
 		Protocol:    out.Log.Meta[trace.MetaProtocol],
@@ -349,4 +374,23 @@ func CertifyLivelock(l *trace.Log, opts CertifyOptions) (*LivelockCert, error) {
 		return nil, fmt.Errorf("replay: pumped certificate delivers everything; cycle is not a livelock")
 	}
 	return cert, nil
+}
+
+// refuse diagnoses a closing-drive outcome that certifies no livelock: a
+// safety violation, a recovery, or a stranding without a repeated
+// configuration. It returns nil for a stranding cycle.
+func refuse(out *DriveOutcome) error {
+	if out.Safety != nil {
+		return fmt.Errorf("replay: driven trace violates %s; livelock certification wants a safety-clean liveness failure (use Shrink for safety violations): %v",
+			out.Safety.Property, out.Safety)
+	}
+	if out.DL3 == nil {
+		return fmt.Errorf("replay: protocol recovers under the %s closing drive (quiescent=%v after %d rounds, %d/%d delivered); no livelock to certify",
+			out.Mode, out.Quiescent, out.Rounds, out.Delivered, out.Submitted)
+	}
+	if !out.CycleFound {
+		return fmt.Errorf("replay: %d message(s) stranded but no joint configuration repeated within %d drive rounds; cannot certify a pumping cycle",
+			out.Submitted-out.Delivered, out.Rounds)
+	}
+	return nil
 }

@@ -13,7 +13,7 @@ import (
 // broken livelock protocol: one submit and a few transmitter steps under a
 // reliable channel. Nothing in the recording itself violates anything — the
 // livelock only becomes evident under the closing drive.
-func livelockTrace(t *testing.T, transmits int) *trace.Log {
+func livelockTrace(t testing.TB, transmits int) *trace.Log {
 	t.Helper()
 	l := trace.NewLog(nil)
 	r := sim.NewRunner(sim.Config{
@@ -27,6 +27,25 @@ func livelockTrace(t *testing.T, transmits int) *trace.Log {
 	for i := 0; i < transmits; i++ {
 		r.StepTransmit()
 	}
+	return l
+}
+
+// strandedAltbitLog records one altbit message whose only data packet is
+// delayed: the message strands in the recording, but the protocol
+// retransmits and recovers under the reliable closing drive, while the
+// adversarial drive pins it in a retransmit loop.
+func strandedAltbitLog(t testing.TB) *trace.Log {
+	t.Helper()
+	l := trace.NewLog(nil)
+	r := sim.NewRunner(sim.Config{
+		Protocol:    replayLookup(t, "altbit"),
+		DataPolicy:  channel.DelayAll(),
+		AckPolicy:   channel.Reliable(),
+		RecordTrace: true,
+		TraceLog:    l,
+	})
+	r.SubmitMsg("m0")
+	r.StepTransmit()
 	return l
 }
 
@@ -79,16 +98,7 @@ func TestCertifyRefusesRecoverableProtocol(t *testing.T) {
 	// Altbit with every data packet delayed strands the message in the
 	// recording, but the protocol retransmits and recovers under the reliable
 	// closing drive: no livelock, certification must refuse.
-	l := trace.NewLog(nil)
-	r := sim.NewRunner(sim.Config{
-		Protocol:    replayLookup(t, "altbit"),
-		DataPolicy:  channel.DelayAll(),
-		AckPolicy:   channel.Reliable(),
-		RecordTrace: true,
-		TraceLog:    l,
-	})
-	r.SubmitMsg("m0")
-	r.StepTransmit()
+	l := strandedAltbitLog(t)
 	_, err := CertifyLivelock(l, CertifyOptions{})
 	if err == nil {
 		t.Fatal("certified a livelock for a protocol that recovers")
@@ -134,16 +144,7 @@ func TestCloseDriveQuiescentOnCleanRun(t *testing.T) {
 
 func TestCloseDriveReliableRecoversStrandedMessage(t *testing.T) {
 	// The adversarial outcome on the same trace blames the schedule instead.
-	l := trace.NewLog(nil)
-	r := sim.NewRunner(sim.Config{
-		Protocol:    replayLookup(t, "altbit"),
-		DataPolicy:  channel.DelayAll(),
-		AckPolicy:   channel.Reliable(),
-		RecordTrace: true,
-		TraceLog:    l,
-	})
-	r.SubmitMsg("m0")
-	r.StepTransmit()
+	l := strandedAltbitLog(t)
 
 	rel, err := CloseDrive(l, DriveReliable, 0)
 	if err != nil {
@@ -187,16 +188,7 @@ func TestCloseDriveReliableRecoversStrandedMessage(t *testing.T) {
 // certificate blames the schedule, not the protocol — and the pumped
 // artifact must say so in its meta.
 func TestCertifyLivelockAdversarialMode(t *testing.T) {
-	l := trace.NewLog(nil)
-	r := sim.NewRunner(sim.Config{
-		Protocol:    replayLookup(t, "altbit"),
-		DataPolicy:  channel.DelayAll(),
-		AckPolicy:   channel.Reliable(),
-		RecordTrace: true,
-		TraceLog:    l,
-	})
-	r.SubmitMsg("m0")
-	r.StepTransmit()
+	l := strandedAltbitLog(t)
 
 	if _, err := CertifyLivelock(l, CertifyOptions{Mode: DriveReliable}); err == nil {
 		t.Fatal("reliable mode certified a trace altbit recovers from")
@@ -315,16 +307,7 @@ func TestLivenessOracleEdges(t *testing.T) {
 	r.StepTransmit()
 	r.DrainAcks()
 
-	stranded := trace.NewLog(nil)
-	r = sim.NewRunner(sim.Config{
-		Protocol:    replayLookup(t, "altbit"),
-		DataPolicy:  channel.DelayAll(),
-		AckPolicy:   channel.Reliable(),
-		RecordTrace: true,
-		TraceLog:    stranded,
-	})
-	r.SubmitMsg("m0")
-	r.StepTransmit()
+	stranded := strandedAltbitLog(t)
 
 	tests := []struct {
 		name string
@@ -341,7 +324,11 @@ func TestLivenessOracleEdges(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := livenessOracle(tc.mode).holds(tc.l); got != tc.want {
+			j, err := newJudge(tc.l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := livenessOracle(tc.mode).holds(j, tc.l.Events); got != tc.want {
 				t.Fatalf("oracle holds = %v, want %v", got, tc.want)
 			}
 		})

@@ -11,6 +11,9 @@
 // and quiescent DL3) independently of the recorded verdict, and re-recorded
 // into a fresh log, which is what makes trace shrinking (see Shrink) sound:
 // a shrunk trace is never trusted, it is always re-executed and re-judged.
+// Shrink candidates and refused livelock certifications are re-executed
+// without recording (judge.go); only what becomes a certificate is
+// re-recorded.
 package replay
 
 import (
@@ -154,34 +157,17 @@ func redrive(l *trace.Log) (*redriven, error) { return redriveWith(l, nil) }
 // differential conformance harness (internal/conformance) uses the override
 // to push one schedule through two implementations of the same protocol.
 func redriveWith(l *trace.Log, proto protocol.Protocol) (*redriven, error) {
-	// "sim" traces come from the simulator; "soak" traces come from the
-	// lock-step netlink sessions, which drive a sim.Runner whose channel
-	// behaviour is decided by a real wire — every wire outcome is lifted
-	// into the recorded decision/stale vocabulary, so the log is exactly as
-	// re-drivable as a simulator log. Other kinds (e.g. the free-running
-	// "netlink" recordings) are observational and refused.
-	if kind := l.Meta[trace.MetaKind]; kind != "" && kind != "sim" && kind != "soak" {
-		return nil, fmt.Errorf("replay: trace kind %q is observational, only %q and %q traces can be re-driven", kind, "sim", "soak")
+	proto, err := resolve(l, proto)
+	if err != nil {
+		return nil, err
 	}
-	if proto == nil {
-		name := l.Meta[trace.MetaProtocol]
-		if name == "" {
-			return nil, fmt.Errorf("replay: trace has no %q metadata", trace.MetaProtocol)
-		}
-		p, err := LookupProtocol(name)
-		if err != nil {
-			return nil, err
-		}
-		proto = p
-	}
-
 	rd := &redriven{log: trace.NewLog(nil)}
 	//nfvet:allow maprange (order-insensitive copy into another map)
 	for k, v := range l.Meta {
 		rd.log.SetMeta(k, v)
 	}
 	rd.log.SetMeta(trace.MetaSource, "replay")
-	r := sim.NewRunner(sim.Config{
+	rd.runner = sim.NewRunner(sim.Config{
 		Protocol: proto,
 		// Substitute the recorded decision streams for the channel policies.
 		// Delay is the conservative fallback once a stream runs dry: extra
@@ -192,13 +178,45 @@ func redriveWith(l *trace.Log, proto protocol.Protocol) (*redriven, error) {
 		RecordTrace: true,
 		TraceLog:    rd.log,
 	})
-	rd.runner = r
+	rd.ops, rd.staleSkipped, err = reissue(rd.runner, l.Events)
+	if err != nil {
+		return nil, err
+	}
+	return rd, nil
+}
 
-	for _, e := range l.Events {
+// resolve checks that l can be re-driven and returns the protocol to drive:
+// proto when non-nil, else the one l's metadata names.
+func resolve(l *trace.Log, proto protocol.Protocol) (protocol.Protocol, error) {
+	// "sim" traces come from the simulator; "soak" traces come from the
+	// lock-step netlink sessions, which drive a sim.Runner whose channel
+	// behaviour is decided by a real wire — every wire outcome is lifted
+	// into the recorded decision/stale vocabulary, so the log is exactly as
+	// re-drivable as a simulator log. Other kinds (e.g. the free-running
+	// "netlink" recordings) are observational and refused.
+	if kind := l.Meta[trace.MetaKind]; kind != "" && kind != "sim" && kind != "soak" {
+		return nil, fmt.Errorf("replay: trace kind %q is observational, only %q and %q traces can be re-driven", kind, "sim", "soak")
+	}
+	if proto != nil {
+		return proto, nil
+	}
+	name := l.Meta[trace.MetaProtocol]
+	if name == "" {
+		return nil, fmt.Errorf("replay: trace has no %q metadata", trace.MetaProtocol)
+	}
+	return LookupProtocol(name)
+}
+
+// reissue re-issues the driver operations among events against r, in order,
+// and counts them. It is the one operation dispatch of this package: the
+// recording replay (redriveWith) and the unrecorded judge (judge.go) both
+// drive through it.
+func reissue(r *sim.Runner, events []trace.Event) (ops, staleSkipped int, err error) {
+	for _, e := range events {
 		if !e.Kind.IsOp() {
 			continue
 		}
-		rd.ops++
+		ops++
 		switch e.Kind {
 		case trace.KindSubmit:
 			r.SubmitMsg(e.Msg.Payload)
@@ -207,14 +225,14 @@ func redriveWith(l *trace.Log, proto protocol.Protocol) (*redriven, error) {
 		case trace.KindDrain:
 			r.DrainAcks()
 		case trace.KindStale:
-			if err := r.DeliverStale(e.Dir, e.Pkt); err != nil {
+			if r.DeliverStale(e.Dir, e.Pkt) != nil {
 				// The delayed copy does not exist in this (shrunk) execution;
 				// the move is infeasible and skipped.
-				rd.staleSkipped++
+				staleSkipped++
 			}
 		case trace.KindDropStale:
-			if err := r.DropStale(e.Dir, e.Pkt); err != nil {
-				rd.staleSkipped++
+			if r.DropStale(e.Dir, e.Pkt) != nil {
+				staleSkipped++
 			}
 		case trace.KindCorrupt:
 			// Corrupted-start moves are structural: a trace that replays
@@ -222,15 +240,15 @@ func redriveWith(l *trace.Log, proto protocol.Protocol) (*redriven, error) {
 			// malformed, not shrunk, so the failure is fatal rather than
 			// skipped.
 			if err := r.CorruptStart(e.Index, int(e.Bits)); err != nil {
-				return nil, fmt.Errorf("replay: %w", err)
+				return ops, staleSkipped, fmt.Errorf("replay: %w", err)
 			}
 		case trace.KindPoison:
 			if err := r.Poison(e.Dir, e.Pkt); err != nil {
-				return nil, fmt.Errorf("replay: %w", err)
+				return ops, staleSkipped, fmt.Errorf("replay: %w", err)
 			}
 		}
 	}
-	return rd, nil
+	return ops, staleSkipped, nil
 }
 
 // Run replays a recorded simulation trace and re-checks it.

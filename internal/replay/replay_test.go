@@ -79,7 +79,7 @@ func TestReplayReproduces(t *testing.T) {
 // to do: confirm two messages while a delayed copy of the first data packet
 // sits in transit, then deliver the stale copy — the receiver's bit has
 // wrapped around, so it accepts the old packet as a new message (DL1).
-func violatingAltbitLog(t *testing.T) *trace.Log {
+func violatingAltbitLog(t testing.TB) *trace.Log {
 	t.Helper()
 	l := trace.NewLog(nil)
 	r := sim.NewRunner(sim.Config{

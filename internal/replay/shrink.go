@@ -13,9 +13,14 @@ import (
 // with the observations and decisions it caused. Removing whole groups keeps
 // every remaining decision attached to the operation that consumed it, so a
 // candidate trace is still a coherent script for the replayer. Candidates
-// are never trusted: each one is re-executed by Run (and, for liveness, by
-// CloseDrive), and it survives only if the re-driven execution still
-// violates the original property.
+// are never trusted: each one is re-executed, and it survives only if the
+// re-driven execution still violates the original property. The
+// re-execution is unrecorded: a judge (judge.go) re-issues the candidate's
+// operations on one reused runner under an ioa.LiveChecker, which by its
+// contract returns the batch checkers' verdicts, and runs the liveness
+// oracles' closing drive (CloseDrive's loop) the same way. Most candidates
+// are rejected, so none of them pays for a capture log, an ioa.Trace or a
+// divergence scan.
 //
 // Two oracle families are supported:
 //
@@ -33,8 +38,10 @@ import (
 //     violation.
 //
 // The result is the *re-recorded* log of the final candidate, not the
-// candidate itself: what Shrink returns is an execution the replayer
-// actually performed, verdict included, never a speculative edit.
+// candidate itself: only the kept candidate is re-driven by Run, with
+// recording, and re-checked by the batch checkers, so what Shrink returns is
+// an execution the replayer actually performed, verdict included, never a
+// speculative edit.
 
 // ShrinkResult describes a completed shrink.
 type ShrinkResult struct {
@@ -87,19 +94,21 @@ type oracle struct {
 	// prefixPass enables the binary-search prefix-truncation pass; sound
 	// only for prefix-monotone properties (safety).
 	prefixPass bool
-	// holds reports whether the candidate still exhibits the violation.
-	holds func(*trace.Log) bool
+	// holds reports whether the candidate's events, re-driven on the judge,
+	// still exhibit the violation.
+	holds func(j *judge, events []trace.Event) bool
 }
 
-// safetyOracle preserves a specific safety property through Run.
+// safetyOracle preserves a specific safety property: Run's Verdict, judged
+// unrecorded.
 func safetyOracle(property string) oracle {
 	return oracle{
 		property:   property,
 		name:       "safety",
 		prefixPass: true,
-		holds: func(c *trace.Log) bool {
-			r, err := Run(c)
-			return err == nil && r.Verdict != nil && r.Verdict.Property == property
+		holds: func(j *judge, c []trace.Event) bool {
+			v, err := j.safety(c)
+			return err == nil && v != nil && v.Property == property
 		},
 	}
 }
@@ -113,35 +122,31 @@ func livenessOracle(mode DriveMode) oracle {
 		property:   "DL3",
 		name:       "DL3-" + mode.String(),
 		prefixPass: false,
-		holds: func(c *trace.Log) bool {
-			out, err := CloseDrive(c, mode, 0)
+		holds: func(j *judge, c []trace.Event) bool {
+			out, err := j.close(c, mode, 0)
 			return err == nil && out.Safety == nil && out.DL3 != nil
 		},
 	}
 }
 
-// shrinkWith minimizes l against o. The caller has already established that
-// o.holds(l) is true.
-func shrinkWith(l *trace.Log, o oracle, res *ShrinkResult) (*ShrinkResult, error) {
+// shrinkWith minimizes l against o, judging candidates on j. The caller has
+// already established that o.holds(j, l.Events) is true.
+func shrinkWith(l *trace.Log, j *judge, o oracle, res *ShrinkResult) (*ShrinkResult, error) {
 	res.Property = o.property
 	res.Oracle = o.name
 
 	prelude, groups := segment(l)
-	candidate := func(keep []group) *trace.Log {
-		c := trace.NewLog(nil)
-		//nfvet:allow maprange (order-insensitive copy into another map)
-		for k, v := range l.Meta {
-			c.SetMeta(k, v)
-		}
-		c.Events = append(c.Events, prelude...)
+	var buf []trace.Event // the candidate's events, rebuilt per candidate
+	events := func(keep []group) []trace.Event {
+		buf = append(buf[:0], prelude...)
 		for _, g := range keep {
-			c.Events = append(c.Events, g.events...)
+			buf = append(buf, g.events...)
 		}
-		return c
+		return buf
 	}
 	violates := func(keep []group) bool {
 		res.Replays++
-		return o.holds(candidate(keep))
+		return o.holds(j, events(keep))
 	}
 
 	kept := append([]group(nil), groups...)
@@ -175,7 +180,13 @@ func shrinkWith(l *trace.Log, o oracle, res *ShrinkResult) (*ShrinkResult, error
 		}
 	}
 
-	final, err := Run(candidate(kept))
+	c := trace.NewLog(nil)
+	//nfvet:allow maprange (order-insensitive copy into another map)
+	for k, v := range l.Meta {
+		c.SetMeta(k, v)
+	}
+	c.Events = append(c.Events, events(kept)...)
+	final, err := Run(c)
 	res.Replays++
 	if err != nil {
 		return nil, fmt.Errorf("replay: re-recording shrunk trace: %w", err)
@@ -201,20 +212,24 @@ func shrinkWith(l *trace.Log, o oracle, res *ShrinkResult) (*ShrinkResult, error
 func Shrink(l *trace.Log) (*ShrinkResult, error) {
 	res := &ShrinkResult{OriginalEvents: l.Len()}
 
-	full, err := Run(l)
+	j, err := newJudge(l)
+	if err != nil {
+		return nil, err
+	}
+	v, err := j.safety(l.Events)
 	if err != nil {
 		return nil, err
 	}
 	res.Replays++
-	res.OriginalOps = full.Ops
-	if full.Verdict != nil {
-		return shrinkWith(l, safetyOracle(full.Verdict.Property), res)
+	res.OriginalOps = j.ops
+	if v != nil {
+		return shrinkWith(l, j, safetyOracle(v.Property), res)
 	}
 	for _, mode := range []DriveMode{DriveReliable, DriveAdversarial} {
 		o := livenessOracle(mode)
 		res.Replays++
-		if o.holds(l) {
-			return shrinkWith(l, o, res)
+		if o.holds(j, l.Events) {
+			return shrinkWith(l, j, o, res)
 		}
 	}
 	return nil, fmt.Errorf("replay: trace violates no safety property and strands no message when replayed; nothing to shrink")
@@ -228,19 +243,23 @@ func Shrink(l *trace.Log) (*ShrinkResult, error) {
 func ShrinkLiveness(l *trace.Log, mode DriveMode) (*ShrinkResult, error) {
 	res := &ShrinkResult{OriginalEvents: l.Len()}
 
-	full, err := Run(l)
+	j, err := newJudge(l)
+	if err != nil {
+		return nil, err
+	}
+	v, err := j.safety(l.Events)
 	if err != nil {
 		return nil, err
 	}
 	res.Replays++
-	res.OriginalOps = full.Ops
-	if full.Verdict != nil {
-		return nil, fmt.Errorf("replay: trace violates %s; ShrinkLiveness preserves safety-clean DL3 failures only (use Shrink)", full.Verdict.Property)
+	res.OriginalOps = j.ops
+	if v != nil {
+		return nil, fmt.Errorf("replay: trace violates %s; ShrinkLiveness preserves safety-clean DL3 failures only (use Shrink)", v.Property)
 	}
 	o := livenessOracle(mode)
 	res.Replays++
-	if !o.holds(l) {
+	if !o.holds(j, l.Events) {
 		return nil, fmt.Errorf("replay: trace does not fail quiescent DL3 under the %s closing drive; nothing to shrink", mode)
 	}
-	return shrinkWith(l, o, res)
+	return shrinkWith(l, j, o, res)
 }

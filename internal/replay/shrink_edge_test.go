@@ -46,7 +46,7 @@ func minimalAltbitViolation(t *testing.T) *trace.Log {
 	return l
 }
 
-func replayLookup(t *testing.T, name string) protocol.Protocol {
+func replayLookup(t testing.TB, name string) protocol.Protocol {
 	t.Helper()
 	p, err := LookupProtocol(name)
 	if err != nil {
@@ -114,16 +114,7 @@ func TestShrinkRefusesNonViolatingTrace(t *testing.T) {
 // the lone submit: a message accepted by the transmitter that the recorded
 // channel behaviour never delivers.
 func TestShrinkDL3OnlyTraceShrinks(t *testing.T) {
-	l := trace.NewLog(nil)
-	r := sim.NewRunner(sim.Config{
-		Protocol:    replayLookup(t, "altbit"),
-		DataPolicy:  channel.DelayAll(),
-		AckPolicy:   channel.Reliable(),
-		RecordTrace: true,
-		TraceLog:    l,
-	})
-	r.SubmitMsg("m0")
-	r.StepTransmit() // delayed: message stranded forever
+	l := strandedAltbitLog(t)
 	sr, err := Shrink(l)
 	if err != nil {
 		t.Fatalf("Shrink refused a DL3-only trace: %v", err)
