@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/protocol"
+	"repro/internal/replay"
 )
 
 // BenchmarkFuzzThroughput measures end-to-end throughput (executions per
@@ -96,6 +97,40 @@ func BenchmarkExecute(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if r := c.Execute(corpus[i%len(corpus)], false); r == nil {
 				b.Fatal("nil result")
+			}
+		}
+	})
+}
+
+// BenchmarkLivelockRefusal times one refused livelock candidate: the
+// delay-everything seed against seqnum, which strands its messages until
+// the reliable closing drive recovers them, the fuzzer's most common
+// candidate. core is the campaign's refusal on its Core, including the
+// unrecorded execution it drives on from (the merger's re-execution, the
+// serial loop's own execution). logged is the path it replaced, through
+// public calls: a logged execution handed to replay.CertifyLivelock.
+func BenchmarkLivelockRefusal(b *testing.B) {
+	p := protocol.NewSeqNum()
+	in := SeedInputs()[1]
+	if res := Execute(p, in, false); res.Verdict != nil || res.DL3 == nil {
+		b.Fatal("the delay-everything seed does not strand seqnum")
+	}
+	b.Run("core", func(b *testing.B) {
+		c := NewCore(p)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if c.refuseLivelock(in) == nil {
+				b.Fatal("the closing drive cycles")
+			}
+		}
+	})
+	b.Run("logged", func(b *testing.B) {
+		c := NewCore(p)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res := c.Execute(in, true)
+			if _, err := replay.CertifyLivelock(res.Log, replay.CertifyOptions{}); err == nil {
+				b.Fatal("certified a stranding seqnum recovers from")
 			}
 		}
 	})

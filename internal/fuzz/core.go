@@ -6,6 +6,7 @@ import (
 	"repro/internal/channel"
 	"repro/internal/ioa"
 	"repro/internal/protocol"
+	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/stabilize"
 	"repro/internal/trace"
@@ -24,7 +25,9 @@ import (
 //     key — the per-operation coverage point costs one map probe and three
 //     FNV steps instead of building and hashing both key strings;
 //   - judges clean runs with an incremental ioa.LiveChecker monitor instead
-//     of recording a trace and re-walking it per property.
+//     of recording a trace and re-walking it per property;
+//   - judges a livelock candidate's closing drive (refuseLivelock) on the
+//     same runner and checker, straight on from the execution it holds.
 //
 // Corrupted-start inputs keep the recorded-trace path: the amnesty judge
 // consumes an ioa.Trace, and corruption is the cold path by construction
@@ -38,6 +41,12 @@ type Core struct {
 	dpol  channel.DecisionReplayer // data policy, rebound per execution
 	apol  channel.DecisionReplayer // ack policy, rebound per execution
 	jbuf  []byte                   // scratch for the rendered joint key
+
+	// held is the input whose unrecorded execution the pooled runner holds,
+	// nil once a logged execution or a closing drive has replaced it.
+	held *Input
+	seen map[string]int // the closing drive's sightings
+	kbuf []byte         // scratch for the closing drive's keys
 
 	// Adjacency cache: the coverage point (pre-salt) last computed and the
 	// runner version it was computed at. Schedules are full of unproductive
@@ -55,6 +64,7 @@ func NewCore(proto protocol.Protocol) *Core {
 		proto: proto,
 		pair:  make(map[string]uint64),
 		check: ioa.NewLiveChecker(),
+		seen:  make(map[string]int),
 	}
 }
 
@@ -69,20 +79,20 @@ func (c *Core) Execute(in *Input, withLog bool) *ExecResult {
 		tlog = trace.NewLog(map[string]string{trace.MetaSource: "fuzz"})
 	}
 	corrupt := in.Corrupt != nil
+	c.held = nil
 	c.dpol.Bind(in.Data, channel.Delay, &res.DataUsed)
 	c.apol.Bind(in.Ack, channel.Delay, &res.AckUsed)
+	c.check.Reset()
 	cfg := sim.Config{
 		Protocol:   c.proto,
 		DataPolicy: &c.dpol,
 		AckPolicy:  &c.apol,
 		// The amnesty judge consumes a materialised trace; clean runs are
-		// judged by the live checker and need none.
+		// judged by the live checker and need none. The checker watches
+		// corrupted runs too, for refuseLivelock's closing drive.
 		RecordTrace: corrupt,
 		TraceLog:    tlog,
-	}
-	if !corrupt {
-		c.check.Reset()
-		cfg.Monitor = c.check
+		Monitor:     c.check,
 	}
 	if c.run == nil {
 		c.run = sim.NewRunner(cfg)
@@ -162,8 +172,28 @@ func (c *Core) Execute(in *Input, withLog bool) *ExecResult {
 		}
 		tlog.Emit(ve)
 		res.Log = tlog
+	} else {
+		c.held = in
 	}
 	return res
+}
+
+// refuseLivelock returns the refusal replay.CertifyLivelock gives
+// Execute(in, true).Log at its closing drive, judged without recording: the
+// reliable closing drive runs on the pooled runner, re-executing in first
+// unless the runner still holds in's unrecorded execution (it does right
+// after Execute(in, false) on this Core, and nothing else ran since). nil
+// means the drive ends in a stranding cycle; only CertifyLivelock can then
+// certify, or refuse, the logged trace. Either way the drive leaves the
+// runner past in's execution.
+func (c *Core) refuseLivelock(in *Input) error {
+	if c.held != in {
+		c.Execute(in, false)
+	}
+	c.held = nil
+	var err error
+	c.kbuf, err = replay.RefuseLivelock(c.run, c.check, c.seen, c.kbuf)
+	return err
 }
 
 // FNV-64a, inlined so the midstate can be cached mid-stream. The constants

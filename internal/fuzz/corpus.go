@@ -1,11 +1,15 @@
 package fuzz
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 
 	"repro/internal/protocol"
 )
@@ -35,7 +39,11 @@ func inputID(in *Input) string {
 
 // SaveCorpus writes every input to dir as <hash>.nfzi, creating dir if
 // needed. Existing files are left alone (content-addressed names make
-// rewrites no-ops).
+// rewrites no-ops). Each entry is written to a temporary file in dir,
+// synced and renamed into place once complete, so an entry file is never a
+// partial write, and a temporary left behind by a killed campaign (its name
+// ends in ".tmp" and a number) is no corpus entry to LoadCorpus.
+// Entries are created 0644 before the umask, as os.WriteFile would.
 func SaveCorpus(dir string, inputs []*Input) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("fuzz: corpus dir: %w", err)
@@ -45,11 +53,43 @@ func SaveCorpus(dir string, inputs []*Input) error {
 		if _, err := os.Stat(path); err == nil {
 			continue
 		}
-		if err := os.WriteFile(path, in.Encode(), 0o644); err != nil {
+		b := in.Encode()
+		if err := writeAtomic(path, 0o644, func(w io.Writer) error { _, err := w.Write(b); return err }); err != nil {
 			return fmt.Errorf("fuzz: save corpus entry: %w", err)
 		}
 	}
 	return nil
+}
+
+// writeAtomic creates or replaces path with what write produces. It writes
+// a temporary file in path's directory, named path's base name plus ".tmp"
+// and the first number no other file there has (another writer's, or one a
+// killed process left), created with perm (before the umask); syncs it; and
+// renames it over path only once write, the sync and the close succeed. On
+// failure it removes the temporary and leaves path alone.
+func writeAtomic(path string, perm os.FileMode, write func(io.Writer) error) error {
+	var f *os.File
+	err := fs.ErrExist
+	for i := 0; errors.Is(err, fs.ErrExist); i++ {
+		f, err = os.OpenFile(path+".tmp"+strconv.Itoa(i), os.O_WRONLY|os.O_CREATE|os.O_EXCL, perm)
+	}
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(f.Name())
+	}
+	return err
 }
 
 // saveEntry persists one input to dir (no-op if dir is empty).
@@ -98,6 +138,7 @@ func Distill(proto protocol.Protocol, inputs []*Input) []*Input {
 	return kept
 }
 
+// LoadCorpus reads every *.nfzi file in dir, in deterministic (sorted-name)
 // order. A missing directory is an empty corpus; an undecodable file is an
 // error (a corpus dir is machine-written — corruption should be loud).
 func LoadCorpus(dir string) ([]*Input, error) {

@@ -140,6 +140,7 @@ type Result struct {
 // campaign is the merger-side state shared by the serial and parallel paths.
 type campaign struct {
 	cfg    Config
+	core   *Core                                     // merger-side interned core
 	exec   func(in *Input, withLog bool) *ExecResult // merger-side executor
 	master coverSet
 	corpus []*Entry
@@ -165,8 +166,9 @@ func Run(cfg Config) (*Result, error) {
 		master: make(coverSet),
 		wins:   make(map[string]*Violation),
 		start:  cfg.Clock(),
+		core:   NewCore(cfg.Protocol),
 	}
-	c.exec = c.newExec()
+	c.exec = c.execOn(c.core)
 
 	// Seed the corpus: canonical starting schedules plus any persisted
 	// entries from a previous run. Every initial input is executed (and
@@ -202,17 +204,18 @@ func Run(cfg Config) (*Result, error) {
 	return c.result(), nil
 }
 
-// newExec builds an executor closure for one goroutine: the string reference
-// Execute under Config.StringCore, otherwise a fresh interned Core. Cores are
-// not safe for concurrent use, so each worker calls newExec itself; the
-// campaign's own c.exec serves the seeding loop, the serial loop and the
-// merger-side promotions, which all run on one goroutine.
-func (c *campaign) newExec() func(in *Input, withLog bool) *ExecResult {
+// execOn builds an executor closure for the goroutine that owns core: the
+// string reference Execute under Config.StringCore, otherwise core itself.
+// Cores are not safe for concurrent use, so each worker brings its own; the
+// campaign's c.core and c.exec serve the seeding loop, the serial loop and
+// the merger-side promotions, which all run on one goroutine. Livelock
+// refusals are judged on c.core under either executor.
+func (c *campaign) execOn(core *Core) func(in *Input, withLog bool) *ExecResult {
 	if c.cfg.StringCore {
 		proto := c.cfg.Protocol
 		return func(in *Input, withLog bool) *ExecResult { return Execute(proto, in, withLog) }
 	}
-	return NewCore(c.cfg.Protocol).Execute
+	return core.Execute
 }
 
 // observe merges one execution into the campaign: coverage admission and
@@ -235,9 +238,11 @@ func (c *campaign) observe(in *Input, res *ExecResult, countDL3 bool) {
 		}
 	}
 	// Livelock promotion: a safety-clean DL3 miss on a coverage-adding input
-	// is a candidate livelock. Gating on fresh coverage keeps certification
-	// attempts rare (the common stranded-schedule miss adds nothing new after
-	// the frontier settles), and the first certified win per campaign is kept.
+	// is a candidate livelock, and the first certified win per campaign is
+	// kept. The coverage gate does not make candidates rare: a campaign's
+	// frontier keeps moving, and in nfperf's fuzz workloads about half of all
+	// executions are candidates. promoteLivelock refuses almost all of them
+	// on the campaign's Core, without a log.
 	if fresh > 0 && res.Verdict == nil && res.DL3 != nil && c.wins["DL3"] == nil {
 		c.promoteLivelock(in)
 	}
@@ -322,22 +327,29 @@ func (c *campaign) promoteCorrupt(in *Input) {
 }
 
 // promoteLivelock tries to turn a safety-clean DL3 miss into a certified,
-// pumpable livelock. Most misses are stranded schedules the protocol would
-// recover from — ShrinkLiveness's reliable oracle rejects those immediately
-// and silently. A genuine livelock is minimized, certified via the
-// pumping-lemma certifier (which verifies its own cycle by replay), and the
-// *pumped* certificate is what gets recorded and written out.
+// pumpable livelock. Most misses are refused, silently: a protocol that
+// recovers under the reliable closing drive, or one that strands a dropped
+// message without cycling (correct counting protocols never retransmit, so
+// a dropped copy is gone but no configuration repeats). The campaign's Core
+// judges that closing drive from the input itself, with CertifyLivelock's
+// own diagnosis, straight on from the execution it holds in the serial and
+// seeding loops; no log is recorded for a refusal. Only an input whose
+// drive cycles is re-executed with a log, certified via the pumping-lemma
+// certifier (which verifies its own cycle by replay), minimized and
+// re-certified, and the *pumped* certificate is what gets recorded and
+// written out.
 func (c *campaign) promoteLivelock(in *Input) {
+	if c.core.refuseLivelock(in) != nil {
+		return
+	}
 	logged := c.exec(in, true)
 	if logged.Verdict != nil || logged.DL3 == nil {
 		// Unreachable: execution is deterministic.
 		return
 	}
-	// Certify first, shrink after: refusals are one closing drive, while the
-	// liveness shrink replays that drive per candidate. The cheap cases — a
-	// protocol that recovers, or one that strands a dropped message without
-	// cycling (correct counting protocols never retransmit, so a dropped copy
-	// is gone but no configuration repeats) — must stay cheap and silent.
+	// Certify first, shrink after: the liveness shrink replays the closing
+	// drive per candidate, and the certifier can still refuse a cycling
+	// drive (an empty cycle, or one that does not pump).
 	if _, err := replay.CertifyLivelock(logged.Log, replay.CertifyOptions{}); err != nil {
 		return
 	}
@@ -465,7 +477,7 @@ func (c *campaign) parallel() {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(core.SplitSeed(c.cfg.Seed, "fuzz-worker-"+strconv.Itoa(id))))
 			local := make(coverSet)
-			exec := c.newExec() // per-worker: cores are single-goroutine
+			exec := c.execOn(NewCore(c.cfg.Protocol)) // per-worker: cores are single-goroutine
 			for !c.stop.Load() {
 				if c.execs.Add(1) > c.cfg.Budget {
 					c.execs.Add(-1)

@@ -3,6 +3,7 @@ package fuzz
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -321,6 +322,21 @@ func TestParallelFindsViolation(t *testing.T) {
 	}
 }
 
+// TestParallelSoundCampaign runs the worker pool on the sound seqnum
+// protocol. Its livelock candidates reach the merger from the workers, so
+// the merger's Core re-executes each one before refusing it; every
+// candidate must be refused, and nothing may fail.
+func TestParallelSoundCampaign(t *testing.T) {
+	res, err := Run(Config{Protocol: protocol.NewSeqNum(), Workers: 4, Budget: 3000, Seed: 1})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(res.Violations) != 0 || len(res.Errors) != 0 || res.DL3Misses == 0 {
+		t.Fatalf("%d execs: violations %v, errors %v, %d DL3 misses; want none, none, some",
+			res.Execs, res.Violations, res.Errors, res.DL3Misses)
+	}
+}
+
 // TestWriteErrorsAreReturned pins errors as values: a campaign whose
 // certificate cannot be written still promotes its finding, and returns the
 // failure in Result.Errors.
@@ -373,5 +389,69 @@ func TestCorpusSaveLoadResume(t *testing.T) {
 	}
 	if second.CoveragePoints < first.CoveragePoints/2 {
 		t.Fatalf("resume rebuilt only %d of %d coverage points", second.CoveragePoints, first.CoveragePoints)
+	}
+}
+
+// TestCorpusWritesSurviveAKill pins corpus writes as all-or-nothing. A
+// campaign killed mid-write leaves at most a temporary file, which must not
+// break a resume, and a write that fails leaves nothing under the entry's
+// name. SaveCorpus must write by rename: a dangling symlink at an entry's
+// name is replaced by the entry, where a write in place would follow it.
+func TestCorpusWritesSurviveAKill(t *testing.T) {
+	corpus := t.TempDir()
+	in := SeedInputs()[1]
+	b := in.Encode()
+	name := inputID(in) + ".nfzi"
+	// A kill between writing the temporary and renaming it; the next write
+	// must pick another name.
+	if err := os.WriteFile(filepath.Join(corpus, name+".tmp0"), b[:len(b)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveCorpus(corpus, []*Input{in}); err != nil {
+		t.Fatalf("SaveCorpus: %v", err)
+	}
+	loaded, err := LoadCorpus(corpus)
+	if err != nil || len(loaded) != 1 || !bytes.Equal(loaded[0].Encode(), b) {
+		t.Fatalf("LoadCorpus: %d entries, error %v; want the saved entry alone", len(loaded), err)
+	}
+	if _, err := Run(Config{Protocol: protocol.NewAltBit(), Workers: 1, Budget: 50, Seed: 1, CorpusDir: corpus}); err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+
+	dir := t.TempDir()
+	full := errors.New("no space left on device")
+	err = writeAtomic(filepath.Join(dir, name), 0o644, func(w io.Writer) error {
+		_, _ = w.Write(b[:len(b)/2])
+		return full
+	})
+	if !errors.Is(err, full) {
+		t.Fatalf("writeAtomic error %v, want %v", err, full)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("failed write left %d files, e.g. %s", len(entries), entries[0].Name())
+	}
+
+	target := filepath.Join(dir, "elsewhere")
+	if err := os.Symlink(target, filepath.Join(dir, name)); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveCorpus(dir, []*Input{in}); err != nil {
+		t.Fatalf("SaveCorpus over a dangling symlink: %v", err)
+	}
+	fi, err := os.Lstat(filepath.Join(dir, name))
+	if err != nil || !fi.Mode().IsRegular() {
+		t.Fatalf("the entry's name is not a regular file (error %v): SaveCorpus wrote in place", err)
+	}
+	if _, err := os.Lstat(target); err == nil {
+		t.Fatal("SaveCorpus wrote through the symlink")
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, b) {
+		t.Fatalf("entry holds %d bytes (error %v), want %d", len(got), err, len(b))
+	}
+	if err := os.WriteFile(target, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := os.Stat(target); fi.Mode() != want.Mode() {
+		t.Fatalf("SaveCorpus made mode %v, os.WriteFile %v", fi.Mode(), want.Mode())
 	}
 }

@@ -106,11 +106,21 @@ func (j *judge) close(events []trace.Event, mode DriveMode, budget int) (*DriveO
 		// end; closeLoop swaps the replayers out before driving on.
 		DecisionsExhausted: j.dataUsed > len(j.data) || j.ackUsed > len(j.ack),
 	}
-	clear(j.seen)
-	j.kbuf = closeLoop(j.run, budget, j.seen, j.kbuf, out)
-	out.Safety, _ = ioa.AsViolation(j.check.Safety())
-	out.DL3, _ = ioa.AsViolation(j.check.DL3Quiescent())
-	out.Submitted = j.run.SentMessages()
-	out.Delivered = len(j.run.Delivered())
+	j.kbuf = judgeClose(j.run, j.check, budget, j.seen, j.kbuf, out)
 	return out, nil
+}
+
+// judgeClose drives the closing extension of out.Mode on r, a runner that
+// has executed a trace's operations unrecorded with check as its Monitor,
+// and records the drive (closeLoop) and check's verdicts and counts over the
+// driven execution in out. It clears seen before the drive; kbuf is the
+// key scratch, returned grown for reuse.
+func judgeClose(r *sim.Runner, check *ioa.LiveChecker, budget int, seen map[string]int, kbuf []byte, out *DriveOutcome) []byte {
+	clear(seen)
+	kbuf = closeLoop(r, budget, seen, kbuf, out)
+	out.Safety, _ = ioa.AsViolation(check.Safety())
+	out.DL3, _ = ioa.AsViolation(check.DL3Quiescent())
+	out.Submitted = r.SentMessages()
+	out.Delivered = len(r.Delivered())
+	return kbuf
 }

@@ -169,14 +169,15 @@ func CloseDrive(l *trace.Log, mode DriveMode, budget int) (*DriveOutcome, error)
 }
 
 // closeLoop is the closing drive itself, shared by CloseDrive and the
-// unrecorded judge (judge.go): it switches r's channels to the closing
-// behaviour of out.Mode and steps the transmitter and drains acks until the
-// transmitter goes idle, a joint configuration repeats, or budget rounds
-// (<= 0 means DefaultDriveBudget) have run, recording Rounds, Quiescent and
-// the cycle in out. seen must be empty; it maps each configuration to its
-// position at first sighting, which is the capture-log event index when r
-// records a log and the round number when it does not. kbuf is scratch for
-// the rendered key; the grown buffer is returned for reuse.
+// unrecorded drives of judgeClose (the judge and RefuseLivelock): it
+// switches r's channels to the closing behaviour of out.Mode and steps the
+// transmitter and drains acks until the transmitter goes idle, a joint
+// configuration repeats, or budget rounds (<= 0 means DefaultDriveBudget)
+// have run, recording Rounds, Quiescent and the cycle in out. seen must be
+// empty; it maps each configuration to its position at first sighting,
+// which is the capture-log event index when r records a log and the round
+// number when it does not. kbuf is scratch for the rendered key; the grown
+// buffer is returned for reuse.
 func closeLoop(r *sim.Runner, budget int, seen map[string]int, kbuf []byte, out *DriveOutcome) []byte {
 	if budget <= 0 {
 		budget = DefaultDriveBudget
@@ -374,6 +375,24 @@ func CertifyLivelock(l *trace.Log, opts CertifyOptions) (*LivelockCert, error) {
 		return nil, fmt.Errorf("replay: pumped certificate delivers everything; cycle is not a livelock")
 	}
 	return cert, nil
+}
+
+// RefuseLivelock is the closing-drive refusal of CertifyLivelock(l,
+// CertifyOptions{}), judged on a caller's live runner instead of a log. r
+// must have just executed a trace's operations with check as its Monitor
+// and no TraceLog; the reliable closing drive, DefaultDriveBudget rounds at
+// most, then runs on r itself, and the result is the diagnosis
+// CertifyLivelock refuses that trace's log l with, text for text. nil means
+// the drive ends in a stranding cycle: only CertifyLivelock can certify such
+// a trace, and it may still refuse it after the drive (an empty cycle, or a
+// cycle that does not pump). The drive leaves r past the trace's execution.
+//
+// seen and kbuf are the drive's cycle map and key scratch, kept by the
+// caller across calls: seen is cleared here, and kbuf is returned grown.
+func RefuseLivelock(r *sim.Runner, check *ioa.LiveChecker, seen map[string]int, kbuf []byte) ([]byte, error) {
+	out := DriveOutcome{Mode: DriveReliable}
+	kbuf = judgeClose(r, check, DefaultDriveBudget, seen, kbuf, &out)
+	return kbuf, refuse(&out)
 }
 
 // refuse diagnoses a closing-drive outcome that certifies no livelock: a

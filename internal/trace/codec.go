@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"sort"
+	"strconv"
 
 	"repro/internal/ioa"
 )
@@ -228,17 +230,57 @@ func ReadLog(r io.Reader) (*Log, error) {
 	}
 }
 
-// WriteFile writes the log to path in the NFT format.
+// WriteFile writes the log to path in the NFT format. A regular file at
+// path, or none, is replaced whole and never left partial: the log goes to
+// a temporary file in path's directory (writeAtomic, with os.Create's
+// mode), which is synced and renamed over path once complete, so a hard
+// link to the old file keeps the old log. Anything else at path (a device
+// such as /dev/stdout, a pipe, a symlink) is written through in place, as
+// os.Create would.
 func WriteFile(path string, l *Log) error {
-	f, err := os.Create(path)
+	if fi, err := os.Lstat(path); err == nil && !fi.Mode().IsRegular() {
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		if err := l.Encode(f); err != nil {
+			_ = f.Close()
+			return err
+		}
+		return f.Close()
+	}
+	return writeAtomic(path, 0o666, l.Encode)
+}
+
+// writeAtomic creates or replaces path with what write produces. It writes
+// a temporary file in path's directory, named path's base name plus ".tmp"
+// and the first number no other file there has (another writer's, or one a
+// killed process left), created with perm (before the umask); syncs it; and
+// renames it over path only once write, the sync and the close succeed. On
+// failure it removes the temporary and leaves path alone.
+func writeAtomic(path string, perm os.FileMode, write func(io.Writer) error) error {
+	var f *os.File
+	err := fs.ErrExist
+	for i := 0; errors.Is(err, fs.ErrExist); i++ {
+		f, err = os.OpenFile(path+".tmp"+strconv.Itoa(i), os.O_WRONLY|os.O_CREATE|os.O_EXCL, perm)
+	}
 	if err != nil {
 		return err
 	}
-	if err := l.Encode(f); err != nil {
-		_ = f.Close()
-		return err
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	return f.Close()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(f.Name())
+	}
+	return err
 }
 
 // ReadFile reads an NFT trace file.

@@ -2,8 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -63,6 +66,74 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, l) {
 		t.Errorf("file round trip mismatch")
+	}
+}
+
+// TestWriteFileIsAllOrNothing pins certificate writes as atomic. A write
+// that fails leaves neither a file under the final name nor a temporary. A
+// write over a regular file replaces it by rename, so a hard link to the old
+// file keeps the old log, and the new file gets the mode os.Create gives. A
+// symlink at the path is written through, not replaced.
+func TestWriteFileIsAllOrNothing(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.nft")
+	full := errors.New("no space left on device")
+	err := writeAtomic(path, 0o666, func(w io.Writer) error {
+		_, _ = io.WriteString(w, magic)
+		return full
+	})
+	if !errors.Is(err, full) {
+		t.Fatalf("writeAtomic error %v, want %v", err, full)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("failed write left %d files, e.g. %s", len(entries), entries[0].Name())
+	}
+
+	old := NewLog(map[string]string{MetaProtocol: "altbit"})
+	old.Emit(Event{Kind: KindTransmit})
+	if err := WriteFile(path, old); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+	link := filepath.Join(dir, "link.nft")
+	if err := os.Link(path, link); err != nil {
+		t.Fatal(err)
+	}
+	l := sampleLog()
+	if err := WriteFile(path, l); err != nil {
+		t.Fatalf("WriteFile over an existing file: %v", err)
+	}
+	if got, err := ReadFile(path); err != nil || !reflect.DeepEqual(got, l) {
+		t.Fatalf("ReadFile after an overwrite: %v", err)
+	}
+	if got, err := ReadFile(link); err != nil || !reflect.DeepEqual(got, old) {
+		t.Fatalf("the hard link no longer holds the old log (error %v): the file was written in place", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 2 {
+		t.Fatalf("overwrite left %d files, want the log and its old link", len(entries))
+	}
+	created := filepath.Join(dir, "created")
+	f, err := os.Create(created)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = f.Close()
+	want, _ := os.Stat(created)
+	if got, _ := os.Stat(path); got.Mode() != want.Mode() {
+		t.Fatalf("WriteFile made mode %v, os.Create %v", got.Mode(), want.Mode())
+	}
+
+	sym := filepath.Join(dir, "sym.nft")
+	if err := os.Symlink(link, sym); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(sym, l); err != nil {
+		t.Fatalf("WriteFile through a symlink: %v", err)
+	}
+	if fi, err := os.Lstat(sym); err != nil || fi.Mode()&os.ModeSymlink == 0 {
+		t.Fatalf("the symlink was replaced (error %v)", err)
+	}
+	if got, err := ReadFile(link); err != nil || !reflect.DeepEqual(got, l) {
+		t.Fatalf("the symlink's target does not hold the log (error %v)", err)
 	}
 }
 
