@@ -20,6 +20,7 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/channel"
 	"repro/internal/protocol"
+	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -35,7 +36,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("nfadv", flag.ContinueOnError)
 	var (
 		attack    = fs.String("attack", "replay", "attack: replay, headerbudget, pump")
-		protoName = fs.String("protocol", "altbit", "protocol: "+strings.Join(protocol.Names(), ", ")+", livelock")
+		protoName = fs.String("protocol", "altbit", "protocol: "+strings.Join(protocol.Names(), ", ")+", livelock, cntnobind, cheat<d>, cntk<k>, swindow-s<S>-w<W>, gbn-s<S>-w<W> (-unbounded-w<W> for S=0)")
 		stranded  = fs.Int("stranded", 2, "replay: stale copies to strand before attacking")
 		messages  = fs.Int("messages", 2, "messages to deliver during setup")
 		copies    = fs.Int("copies", 3, "headerbudget: copies to strand per header")
@@ -50,7 +51,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	p, err := lookup(*protoName)
+	p, err := replay.LookupProtocol(*protoName)
 	if err != nil {
 		return err
 	}
@@ -74,18 +75,6 @@ func run(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown attack %q", *attack)
 	}
-}
-
-func lookup(name string) (protocol.Protocol, error) {
-	if name == "livelock" {
-		return protocol.NewLivelock(), nil
-	}
-	p, ok := protocol.Registry()[name]
-	if !ok {
-		return nil, fmt.Errorf("unknown protocol %q (have: %s, livelock)",
-			name, strings.Join(protocol.Names(), ", "))
-	}
-	return p, nil
 }
 
 // certMode selects how certificates are rendered.

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/bound"
 	"repro/internal/protocol"
+	"repro/internal/replay"
 )
 
 func main() {
@@ -31,7 +32,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("nfbound", flag.ContinueOnError)
 	var (
-		protoName = fs.String("protocol", "cntlinear", "protocol: "+strings.Join(protocol.Names(), ", "))
+		protoName = fs.String("protocol", "cntlinear", "protocol: "+strings.Join(protocol.Names(), ", ")+", livelock, cntnobind, cheat<d>, cntk<k>, swindow-s<S>-w<W>, gbn-s<S>-w<W> (-unbounded-w<W> for S=0)")
 		curve     = fs.String("curve", "mf", "curve: mf (Definition 5) or pf (Definition 6)")
 		n         = fs.Int("n", 10, "mf: number of messages to sweep")
 		levels    = fs.String("levels", "0,4,16,64", "pf: comma-separated in-transit levels")
@@ -40,9 +41,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p, ok := protocol.Registry()[*protoName]
-	if !ok {
-		return fmt.Errorf("unknown protocol %q (have: %s)", *protoName, strings.Join(protocol.Names(), ", "))
+	p, err := replay.LookupProtocol(*protoName)
+	if err != nil {
+		return err
 	}
 
 	switch *curve {

@@ -7,7 +7,7 @@
 //
 //	nfexplore -protocol altbit
 //	nfexplore -protocol altbit -fifo -drop          # safe: reordering is the culprit
-//	nfexplore -protocol swindow -seqspace 2 -window 1 -messages 3
+//	nfexplore -protocol swindow-s2-w1 -messages 3
 package main
 
 import (
@@ -20,7 +20,7 @@ import (
 	"repro/internal/explore"
 	"repro/internal/ioa"
 	"repro/internal/protocol"
-	"repro/internal/transport"
+	"repro/internal/replay"
 )
 
 func main() {
@@ -33,10 +33,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("nfexplore", flag.ContinueOnError)
 	var (
-		protoName = fs.String("protocol", "altbit",
-			"protocol: "+strings.Join(protocol.Names(), ", ")+", livelock, cntnobind, swindow")
-		seqSpace  = fs.Int("seqspace", 2, "swindow: sequence space size (0 = unbounded)")
-		window    = fs.Int("window", 1, "swindow: window size")
+		protoName = fs.String("protocol", "altbit", "protocol: "+strings.Join(protocol.Names(), ", ")+", livelock, cntnobind, cheat<d>, cntk<k>, swindow-s<S>-w<W>, gbn-s<S>-w<W> (-unbounded-w<W> for S=0)")
 		messages  = fs.Int("messages", 0, "messages to submit (default 2)")
 		dataSends = fs.Int("data-sends", 0, "cap on data packet sends (default 3×messages)")
 		ackSends  = fs.Int("ack-sends", 0, "cap on ack packet sends (default 3×messages)")
@@ -50,20 +47,9 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	var p protocol.Protocol
-	switch *protoName {
-	case "livelock":
-		p = protocol.NewLivelock()
-	case "cntnobind":
-		p = protocol.NewCntNoBind()
-	case "swindow":
-		p = transport.New(*seqSpace, *window)
-	default:
-		reg, ok := protocol.Registry()[*protoName]
-		if !ok {
-			return fmt.Errorf("unknown protocol %q", *protoName)
-		}
-		p = reg
+	p, err := replay.LookupProtocol(*protoName)
+	if err != nil {
+		return err
 	}
 
 	rep, err := explore.Explore(p, explore.Config{

@@ -29,7 +29,7 @@ func TestExploreAltbitFIFOSafe(t *testing.T) {
 
 func TestExploreSwindow(t *testing.T) {
 	var buf bytes.Buffer
-	args := []string{"-protocol", "swindow", "-seqspace", "2", "-window", "1", "-messages", "3"}
+	args := []string{"-protocol", "swindow-s2-w1", "-messages", "3"}
 	if err := run(args, &buf); err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestExploreSwindow(t *testing.T) {
 
 func TestExploreSwindowUnbounded(t *testing.T) {
 	var buf bytes.Buffer
-	args := []string{"-protocol", "swindow", "-seqspace", "0", "-window", "2"}
+	args := []string{"-protocol", "swindow-unbounded-w2"}
 	if err := run(args, &buf); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,14 @@ func TestExploreSpecialProtocols(t *testing.T) {
 }
 
 func TestExploreErrors(t *testing.T) {
-	for _, args := range [][]string{{"-protocol", "nope"}, {"-badflag"}} {
+	for _, args := range [][]string{
+		{"-protocol", "nope"},
+		{"-badflag"},
+		// No protocol lookup accepts a negative sequence space, so neither
+		// its name nor the retired flags that used to build it may run.
+		{"-protocol", "swindow-s-1-w1"},
+		{"-protocol", "swindow", "-seqspace", "-1", "-window", "1"},
+	} {
 		var buf bytes.Buffer
 		if err := run(args, &buf); err == nil {
 			t.Fatalf("args %v should fail", args)

@@ -44,7 +44,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("nffuzz", flag.ContinueOnError)
 	var (
-		protoName = fs.String("protocol", "altbit", "protocol under test: "+strings.Join(protocol.Names(), ", ")+", livelock, cntnobind, cheat<d>, cntk<k>, swindow-s<S>-w<W>, gbn-s<S>-w<W> (adapted transport; -unbounded-w<W> for S=0)")
+		protoName = fs.String("protocol", "altbit", "protocol under test: "+strings.Join(protocol.Names(), ", ")+", livelock, cntnobind, cheat<d>, cntk<k>, swindow-s<S>-w<W>, gbn-s<S>-w<W> (-unbounded-w<W> for S=0)")
 		workers   = fs.Int("workers", runtime.NumCPU(), "parallel executors; 1 = fully deterministic serial mode")
 		budget    = fs.Int64("budget", 50000, "total input executions")
 		seed      = fs.Int64("seed", 1, "campaign root seed (per-worker seeds are split from it)")

@@ -22,6 +22,7 @@ import (
 	"repro/internal/channel"
 	"repro/internal/ioa"
 	"repro/internal/protocol"
+	"repro/internal/replay"
 	"repro/internal/sim"
 )
 
@@ -35,7 +36,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("nfsim", flag.ContinueOnError)
 	var (
-		protoName  = fs.String("protocol", "seqnum", "protocol: "+strings.Join(protocol.Names(), ", "))
+		protoName  = fs.String("protocol", "seqnum", "protocol: "+strings.Join(protocol.Names(), ", ")+", livelock, cntnobind, cheat<d>, cntk<k>, swindow-s<S>-w<W>, gbn-s<S>-w<W> (-unbounded-w<W> for S=0)")
 		n          = fs.Int("n", 10, "number of messages to deliver")
 		q          = fs.Float64("q", 0, "probabilistic channel delay probability on the data channel")
 		qAck       = fs.Float64("q-ack", 0, "probabilistic delay probability on the ack channel")
@@ -51,9 +52,9 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	p, ok := protocol.Registry()[*protoName]
-	if !ok {
-		return fmt.Errorf("unknown protocol %q (have: %s)", *protoName, strings.Join(protocol.Names(), ", "))
+	p, err := replay.LookupProtocol(*protoName)
+	if err != nil {
+		return err
 	}
 
 	dataPolicy, err := buildPolicy(*q, *dropEvery, *delayFirst, rand.New(rand.NewSource(*seed)))

@@ -20,7 +20,7 @@
 //	                         precision, -json for machine-readable
 //	                         diagnostics including suppressed allows)
 //	nfvet audit -all         audit every registered protocol's boundness,
-//	                         including the adapted transport endpoints
+//	                         including the transport protocols
 //	nfvet audit altbit cntk4 audit specific protocols (replay names work:
 //	                         livelock, cntnobind, cheat<d>, cntk<k>,
 //	                         swindow-s<S>-w<W>, gbn-s<S>-w<W>)
@@ -198,14 +198,14 @@ func runCheck(args []string, out, errw io.Writer) int {
 }
 
 // runAudit audits the named protocols (or, with -all, every registered
-// protocol — including the adapted transport endpoints — plus the broken
+// protocol — including the transport protocols — plus the broken
 // specimens) and prints one report each. With -sweep it instead prints the
 // k_t/k_r-vs-occupancy curve for the named protocols as one TSV table.
 func runAudit(args []string, out, errw io.Writer) int {
 	fs := flag.NewFlagSet("nfvet audit", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	var (
-		all       = fs.Bool("all", false, "audit every registered protocol (incl. adapted transport) plus livelock and cntnobind")
+		all       = fs.Bool("all", false, "audit every registered protocol (incl. transport) plus livelock and cntnobind")
 		occupancy = fs.Int("occupancy", 2, "max in-transit packets per channel")
 		maxStates = fs.Int("maxstates", 1<<16, "joint-state enumeration budget")
 		sweep     = fs.Bool("sweep", false, "emit the k_t/k_r-vs-occupancy TSV curve instead of verdict reports")

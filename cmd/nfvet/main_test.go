@@ -60,7 +60,7 @@ func TestAuditAll(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("audit -all exited %d: %s", code, stderr)
 	}
-	// Every registered protocol — core and adapted transport — plus the
+	// Every registered protocol — core and transport — plus the
 	// broken specimens gets a report.
 	for _, name := range []string{
 		"altbit", "cheat1", "cntexp", "cntk4", "cntlinear", "seqnum",

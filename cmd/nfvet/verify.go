@@ -17,7 +17,7 @@ import (
 
 // runVerify drives the bounded model checker (internal/verify) over the
 // named protocols — or, with -all, every registered protocol and transport
-// adapter — and prints one report each. A VIOLATED verdict's witness is
+// protocol — and prints one report each. A VIOLATED verdict's witness is
 // written as a replayable .nft counterexample when -o is set; -json writes
 // each report as a machine-readable proof artifact next to it. Exit status
 // is nonzero iff a protocol's check is FAIL (the verdict contradicts its
@@ -26,7 +26,7 @@ func runVerify(args []string, out, errw io.Writer) int {
 	fs := flag.NewFlagSet("nfvet verify", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	var (
-		all       = fs.Bool("all", false, "verify every registered protocol (incl. adapted transport) plus livelock and cntnobind")
+		all       = fs.Bool("all", false, "verify every registered protocol (incl. transport) plus livelock and cntnobind")
 		maxOcc    = fs.Int("maxocc", 2, "per-channel occupancy cap L (the PROVED-up-to-L bound)")
 		maxMsg    = fs.Int("maxmsg", 3, "submitted-message bound")
 		maxStates = fs.Int("maxstates", 1<<18, "exploration budget (BUDGET verdict when hit)")

@@ -46,19 +46,6 @@ func SlidingWindow(s, w int) SlidingWindowProtocol { return transport.New(s, w) 
 // deadlocks that Explore's CheckDeadlock option detects.
 func GoBackN(s, w int) Protocol { return transport.NewGoBackN(s, w) }
 
-// AdaptedTransport is a transport endpoint pair wrapped as an auditable
-// protocol: same name, same packets, same StateKeys, plus declared Bounds
-// and a mod-S ControlKey quotient that makes the joint control space finite
-// for S > 0.
-type AdaptedTransport = transport.Adapted
-
-// AdaptTransport wraps a SlidingWindow or GoBackN protocol for the static
-// boundness audit (AuditProtocol, AuditSweep, `nfvet audit`). The wrapped
-// form is behaviour-identical to the native one — the differential
-// conformance harness (internal/conformance) holds it to that, event for
-// event, on recorded schedules including pumped livelock certificates.
-func AdaptTransport(p Protocol) (AdaptedTransport, error) { return transport.Adapt(p) }
-
 // Induction machinery (the instrumented Theorem 3.1 construction).
 type (
 	// InductionPhase is one step of the accumulation history.

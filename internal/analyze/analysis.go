@@ -252,8 +252,8 @@ var deterministicPackages = []string{
 
 // mapOrderCriticalPackages extends the deterministic set with the
 // substrate packages whose iteration order feeds state keys and channel
-// keys directly — including the transport endpoints, whose adapted
-// ControlKey quotients the static auditor hashes.
+// keys directly — including the transport endpoints, whose mod-S
+// ControlKey quotients the static auditor and the prover hash.
 var mapOrderCriticalPackages = append([]string{
 	"internal/mset",
 	"internal/protocol",

@@ -15,8 +15,8 @@ func TestSweepMonotone(t *testing.T) {
 	ps := []protocol.Protocol{
 		protocol.NewAltBit(),
 		protocol.NewCntK(4),
-		transport.MustAdapt(transport.New(4, 2)),
-		transport.MustAdapt(transport.NewGoBackN(4, 2)),
+		transport.New(4, 2),
+		transport.NewGoBackN(4, 2),
 	}
 	for _, rep := range SweepAll(ps, SweepConfig{MaxOccupancy: 3, MaxStates: 1 << 14}) {
 		if err := rep.CheckMonotone(); err != nil {
@@ -37,7 +37,7 @@ func TestSweepMonotone(t *testing.T) {
 // — reachable sets grow with the cap, so later points are foregone
 // conclusions — and marks the report truncated.
 func TestSweepTruncatesAtBudget(t *testing.T) {
-	rep := Sweep(transport.MustAdapt(transport.New(4, 2)), SweepConfig{MaxOccupancy: 4, MaxStates: 256})
+	rep := Sweep(transport.New(4, 2), SweepConfig{MaxOccupancy: 4, MaxStates: 256})
 	if !rep.Truncated {
 		t.Fatalf("swindow-s4-w2 under a 256-state budget should truncate, got %d full points", len(rep.Points))
 	}

@@ -1,10 +1,10 @@
 package analyze
 
-// Audit coverage for the transport adapter (internal/transport): the adapted
-// sliding-window and go-back-n endpoints are ordinary protocol.Protocol
-// values with ControlKey quotients, so the static auditor can certify their
-// k_t·k_r exactly as it does the paper protocols. These tests live here
-// rather than in internal/transport because they exercise the auditor
+// Audit coverage for the transport protocols (internal/transport): the
+// sliding-window and go-back-n endpoints carry mod-S ControlKey quotients
+// and their descriptors declare Bounds, so the static auditor can certify
+// their k_t·k_r exactly as it does the paper protocols. These tests live
+// here rather than in internal/transport because they exercise the auditor
 // (analyze → transport is the only import direction that does not cycle).
 
 import (
@@ -16,22 +16,32 @@ import (
 	"repro/internal/transport"
 )
 
-// TestTransportAuditGolden pins the complete audit reports for the adapted
-// transport endpoints, plus a FAIL fixture where the adapter declares
-// understated Bounds ceilings. Regenerate with
+// understated declares b in place of the Bounds the embedded transport
+// protocol derives: the what-if fixture for declarations the audit must
+// FAIL.
+type understated struct {
+	protocol.Protocol
+	b protocol.Bounds
+}
+
+func (u understated) Bounds() protocol.Bounds { return u.b }
+
+// TestTransportAuditGolden pins the complete audit reports for the
+// transport endpoints, plus a FAIL fixture that declares understated Bounds
+// ceilings. Regenerate with
 // `go test -run TestTransportAuditGolden -update ./internal/analyze`.
 func TestTransportAuditGolden(t *testing.T) {
 	cases := []struct {
 		name string
 		p    protocol.Protocol
 	}{
-		{"swindow-s4-w2", transport.MustAdapt(transport.New(4, 2))},
-		{"gbn-s4-w2", transport.MustAdapt(transport.NewGoBackN(4, 2))},
-		// The understated fixture: the adapter claims k_t<=2 and a 4-letter
-		// header alphabet for a protocol that provably reaches k_t=8 over 8
+		{"swindow-s4-w2", transport.New(4, 2)},
+		{"gbn-s4-w2", transport.NewGoBackN(4, 2)},
+		// The understated fixture claims k_t<=2 and a 4-letter header
+		// alphabet for a protocol that provably reaches k_t=8 over 8
 		// headers. The audit must FAIL it on both ceilings.
-		{"swindow-s4-w2-understated", transport.MustAdapt(transport.New(4, 2)).
-			WithBounds(protocol.Bounds{StateBounded: true, KT: 2, Headers: 4})},
+		{"swindow-s4-w2-understated", understated{transport.New(4, 2),
+			protocol.Bounds{StateBounded: true, KT: 2, Headers: 4}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -85,8 +95,7 @@ func TestTransportRegistryVerdicts(t *testing.T) {
 // TestTransportUnderstatedBoundsFail spells out the FAIL path the golden
 // fixture pins: understated ceilings are contradictions, not warnings.
 func TestTransportUnderstatedBoundsFail(t *testing.T) {
-	p := transport.MustAdapt(transport.New(4, 2)).
-		WithBounds(protocol.Bounds{StateBounded: true, KT: 2, KR: 3, Headers: 4})
+	p := understated{transport.New(4, 2), protocol.Bounds{StateBounded: true, KT: 2, KR: 3, Headers: 4}}
 	rep := Audit(p, goldenConfig)
 	auditFailures(t, rep,
 		"observed k_t=8 exceeds declared ceiling 2",
@@ -95,11 +104,11 @@ func TestTransportUnderstatedBoundsFail(t *testing.T) {
 }
 
 // TestTransportStateKeyLintClean runs the determinism analyzers over the
-// transport package alone: the adapter's ControlKey quotients (and the
-// native StateKeys they delegate to) must be pure — no fmt verbs over
-// arbitrary values, no map ranges, no clock or randomness reads. The
-// whole-module selfcheck covers this too, but only outside -short; the
-// adapter's keys are load-bearing enough for a dedicated fast check.
+// transport package alone: the endpoints' ControlKey quotients and
+// StateKeys must be pure — no fmt verbs over arbitrary values, no map
+// ranges, no clock or randomness reads. The whole-module selfcheck covers
+// this too, but only outside -short; the quotients are load-bearing enough
+// for a dedicated fast check.
 func TestTransportStateKeyLintClean(t *testing.T) {
 	pkgs, err := LoadPackages(moduleRoot(t), "./internal/transport")
 	if err != nil {

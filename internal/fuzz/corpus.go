@@ -1,17 +1,15 @@
 package fuzz
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 
 	"repro/internal/protocol"
+	"repro/internal/trace"
 )
 
 // Corpus management: the retained input set and its on-disk form.
@@ -54,42 +52,11 @@ func SaveCorpus(dir string, inputs []*Input) error {
 			continue
 		}
 		b := in.Encode()
-		if err := writeAtomic(path, 0o644, func(w io.Writer) error { _, err := w.Write(b); return err }); err != nil {
+		if err := trace.WriteAtomic(path, 0o644, func(w io.Writer) error { _, err := w.Write(b); return err }); err != nil {
 			return fmt.Errorf("fuzz: save corpus entry: %w", err)
 		}
 	}
 	return nil
-}
-
-// writeAtomic creates or replaces path with what write produces. It writes
-// a temporary file in path's directory, named path's base name plus ".tmp"
-// and the first number no other file there has (another writer's, or one a
-// killed process left), created with perm (before the umask); syncs it; and
-// renames it over path only once write, the sync and the close succeed. On
-// failure it removes the temporary and leaves path alone.
-func writeAtomic(path string, perm os.FileMode, write func(io.Writer) error) error {
-	var f *os.File
-	err := fs.ErrExist
-	for i := 0; errors.Is(err, fs.ErrExist); i++ {
-		f, err = os.OpenFile(path+".tmp"+strconv.Itoa(i), os.O_WRONLY|os.O_CREATE|os.O_EXCL, perm)
-	}
-	if err != nil {
-		return err
-	}
-	err = write(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(f.Name(), path)
-	}
-	if err != nil {
-		_ = os.Remove(f.Name())
-	}
-	return err
 }
 
 // saveEntry persists one input to dir (no-op if dir is empty).

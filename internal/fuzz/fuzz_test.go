@@ -420,12 +420,12 @@ func TestCorpusWritesSurviveAKill(t *testing.T) {
 
 	dir := t.TempDir()
 	full := errors.New("no space left on device")
-	err = writeAtomic(filepath.Join(dir, name), 0o644, func(w io.Writer) error {
+	err = trace.WriteAtomic(filepath.Join(dir, name), 0o644, func(w io.Writer) error {
 		_, _ = w.Write(b[:len(b)/2])
 		return full
 	})
 	if !errors.Is(err, full) {
-		t.Fatalf("writeAtomic error %v, want %v", err, full)
+		t.Fatalf("WriteAtomic error %v, want %v", err, full)
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
 		t.Fatalf("failed write left %d files, e.g. %s", len(entries), entries[0].Name())

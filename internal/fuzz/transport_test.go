@@ -7,13 +7,12 @@ import (
 	"repro/internal/transport"
 )
 
-// TestTransportSmoke is the adapted-transport fuzz smoke: a short
-// deterministic campaign against each unbounded-sequence-space transport
-// variant (the safe ones — finite S is genuinely breakable, per Theorem 3.1
-// extended to the transport layer) must execute its full budget from benign
-// seeds with no DL1/safety violation and no codec panic. The corpus round-
-// trips through CorpusDir, exercising the input codec on every promoted
-// entry.
+// TestTransportSmoke is the transport fuzz smoke: a short deterministic
+// campaign against each unbounded-sequence-space transport variant (the
+// safe ones — finite S is genuinely breakable, per Theorem 3.1 extended to
+// the transport layer) must execute its full budget from benign seeds with
+// no DL1/safety violation and no codec panic. The corpus round-trips
+// through CorpusDir, exercising the input codec on every promoted entry.
 func TestTransportSmoke(t *testing.T) {
 	for _, name := range []string{"swindow-unbounded-w2", "gbn-unbounded-w2"} {
 		t.Run(name, func(t *testing.T) {
@@ -21,8 +20,10 @@ func TestTransportSmoke(t *testing.T) {
 			if err != nil {
 				t.Fatalf("LookupProtocol: %v", err)
 			}
-			if _, ok := proto.(transport.Adapted); !ok {
-				t.Fatalf("LookupProtocol(%q) = %T, want the adapted transport form", name, proto)
+			switch proto.(type) {
+			case transport.SlidingWindow, transport.GoBackN:
+			default:
+				t.Fatalf("LookupProtocol(%q) = %T, want a transport descriptor", name, proto)
 			}
 			res, err := Run(Config{
 				Protocol:  proto,
@@ -51,7 +52,7 @@ func TestTransportSmoke(t *testing.T) {
 // a delayed s0 copy aliases sequence 4 after wrap — and the fuzzer must
 // rediscover that DL1 from the same benign seeds, certificate included.
 func TestTransportFuzzFindsWrapAlias(t *testing.T) {
-	res := runCampaign(t, transport.MustAdapt(transport.New(4, 2)), "DL1", 60000)
+	res := runCampaign(t, transport.New(4, 2), "DL1", 60000)
 	t.Logf("swindow-s4-w2 DL1 found after %d execs, corpus %d, coverage %d",
 		res.Execs, res.CorpusSize, res.CoveragePoints)
 }

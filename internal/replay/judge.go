@@ -43,7 +43,7 @@ type judge struct {
 // share its metadata: it checks once, as every redrive does, that l can be
 // re-driven and resolves its protocol.
 func newJudge(l *trace.Log) (*judge, error) {
-	proto, err := resolve(l, nil)
+	proto, err := resolve(l)
 	if err != nil {
 		return nil, err
 	}

@@ -33,10 +33,8 @@ import (
 // parameterised families (cheat<d>, cntk<k>), the deliberately broken
 // specimens (livelock, cntnobind) that are not part of the main registry,
 // and the transport-layer endpoint families (swindow-s<S>-w<W>,
-// swindow-unbounded-w<W>, gbn-s<S>-w<W>, gbn-unbounded-w<W>). Transport
-// names resolve to their *adapted* form (transport.Adapt) — behaviourally
-// identical to the native endpoints (internal/conformance proves it per
-// schedule), and additionally auditable by `nfvet audit`.
+// swindow-unbounded-w<W>, gbn-s<S>-w<W>, gbn-unbounded-w<W>). It is the one
+// protocol lookup of every command that takes a protocol name.
 func LookupProtocol(name string) (protocol.Protocol, error) {
 	if p, ok := protocol.Registry()[name]; ok {
 		return p, nil
@@ -150,14 +148,8 @@ type redriven struct {
 // fails on traces that are not re-drivable: unknown protocols, or
 // observational recordings (e.g. netlink session logs, which capture only
 // one vantage point of a real network run and cannot be re-executed).
-func redrive(l *trace.Log) (*redriven, error) { return redriveWith(l, nil) }
-
-// redriveWith is redrive with an optional protocol override: when proto is
-// non-nil it is driven in place of the trace's protocol metadata. The
-// differential conformance harness (internal/conformance) uses the override
-// to push one schedule through two implementations of the same protocol.
-func redriveWith(l *trace.Log, proto protocol.Protocol) (*redriven, error) {
-	proto, err := resolve(l, proto)
+func redrive(l *trace.Log) (*redriven, error) {
+	proto, err := resolve(l)
 	if err != nil {
 		return nil, err
 	}
@@ -185,9 +177,9 @@ func redriveWith(l *trace.Log, proto protocol.Protocol) (*redriven, error) {
 	return rd, nil
 }
 
-// resolve checks that l can be re-driven and returns the protocol to drive:
-// proto when non-nil, else the one l's metadata names.
-func resolve(l *trace.Log, proto protocol.Protocol) (protocol.Protocol, error) {
+// resolve checks that l can be re-driven and returns the protocol its
+// metadata names.
+func resolve(l *trace.Log) (protocol.Protocol, error) {
 	// "sim" traces come from the simulator; "soak" traces come from the
 	// lock-step netlink sessions, which drive a sim.Runner whose channel
 	// behaviour is decided by a real wire — every wire outcome is lifted
@@ -196,9 +188,6 @@ func resolve(l *trace.Log, proto protocol.Protocol) (protocol.Protocol, error) {
 	// "netlink" recordings) are observational and refused.
 	if kind := l.Meta[trace.MetaKind]; kind != "" && kind != "sim" && kind != "soak" {
 		return nil, fmt.Errorf("replay: trace kind %q is observational, only %q and %q traces can be re-driven", kind, "sim", "soak")
-	}
-	if proto != nil {
-		return proto, nil
 	}
 	name := l.Meta[trace.MetaProtocol]
 	if name == "" {
@@ -209,7 +198,7 @@ func resolve(l *trace.Log, proto protocol.Protocol) (protocol.Protocol, error) {
 
 // reissue re-issues the driver operations among events against r, in order,
 // and counts them. It is the one operation dispatch of this package: the
-// recording replay (redriveWith) and the unrecorded judge (judge.go) both
+// recording replay (redrive) and the unrecorded judge (judge.go) both
 // drive through it.
 func reissue(r *sim.Runner, events []trace.Event) (ops, staleSkipped int, err error) {
 	for _, e := range events {
@@ -252,23 +241,8 @@ func reissue(r *sim.Runner, events []trace.Event) (ops, staleSkipped int, err er
 }
 
 // Run replays a recorded simulation trace and re-checks it.
-func Run(l *trace.Log) (*Result, error) { return runWith(l, nil) }
-
-// RunAs replays a recorded simulation trace against the supplied protocol
-// implementation instead of resolving the trace's protocol metadata. The
-// differential conformance harness replays one schedule through a native
-// endpoint pair and its adapted form and compares the two Results; any
-// implementation claiming behavioural equivalence with the recorded
-// protocol can be checked the same way.
-func RunAs(l *trace.Log, p protocol.Protocol) (*Result, error) {
-	if p == nil {
-		return nil, fmt.Errorf("replay: RunAs needs a protocol")
-	}
-	return runWith(l, p)
-}
-
-func runWith(l *trace.Log, p protocol.Protocol) (*Result, error) {
-	rd, err := redriveWith(l, p)
+func Run(l *trace.Log) (*Result, error) {
+	rd, err := redrive(l)
 	if err != nil {
 		return nil, err
 	}
@@ -343,14 +317,9 @@ func replayable(l *trace.Log) []trace.Event {
 	return out
 }
 
-// Diverge compares two logs event for event over their replayable
-// projections and returns the first mismatch, or nil when they agree. Beyond
-// the recorded-vs-replayed check Run performs, this is the equivalence
-// criterion of the conformance harness: two logs with no divergence describe
-// the same operations, the same packet sends and deliveries, and the same
-// channel decisions.
-func Diverge(a, b *trace.Log) *Divergence { return diverge(a, b) }
-
+// diverge compares the recording and the replay event for event over their
+// replayable projections and returns the first mismatch, or nil when they
+// agree.
 func diverge(recorded, replayed *trace.Log) *Divergence {
 	a, b := replayable(recorded), replayable(replayed)
 	n := len(a)

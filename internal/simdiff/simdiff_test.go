@@ -12,9 +12,9 @@ import (
 )
 
 // specimens returns every protocol the harness replays through both cores:
-// the full registry, the deliberately broken livelock protocol, and the
-// transport adapters (whose endpoints exercise the Append*Key fallback
-// paths — native StateKey delegation and the ControlKeyer quotient).
+// the full registry, the deliberately broken livelock protocol, and two
+// transport protocols (whose endpoints exercise the Append*Key fallback
+// paths: a string StateKey and the ControlKeyer quotient).
 func specimens() []protocol.Protocol {
 	var ps []protocol.Protocol
 	for _, name := range protocol.Names() {
@@ -22,8 +22,8 @@ func specimens() []protocol.Protocol {
 	}
 	ps = append(ps,
 		protocol.NewLivelock(),
-		transport.MustAdapt(transport.New(4, 2)),
-		transport.MustAdapt(transport.NewGoBackN(4, 2)),
+		transport.New(4, 2),
+		transport.NewGoBackN(4, 2),
 	)
 	return ps
 }

@@ -232,7 +232,7 @@ func ReadLog(r io.Reader) (*Log, error) {
 
 // WriteFile writes the log to path in the NFT format. A regular file at
 // path, or none, is replaced whole and never left partial: the log goes to
-// a temporary file in path's directory (writeAtomic, with os.Create's
+// a temporary file in path's directory (WriteAtomic, with os.Create's
 // mode), which is synced and renamed over path once complete, so a hard
 // link to the old file keeps the old log. Anything else at path (a device
 // such as /dev/stdout, a pipe, a symlink) is written through in place, as
@@ -249,16 +249,17 @@ func WriteFile(path string, l *Log) error {
 		}
 		return f.Close()
 	}
-	return writeAtomic(path, 0o666, l.Encode)
+	return WriteAtomic(path, 0o666, l.Encode)
 }
 
-// writeAtomic creates or replaces path with what write produces. It writes
-// a temporary file in path's directory, named path's base name plus ".tmp"
-// and the first number no other file there has (another writer's, or one a
-// killed process left), created with perm (before the umask); syncs it; and
-// renames it over path only once write, the sync and the close succeed. On
-// failure it removes the temporary and leaves path alone.
-func writeAtomic(path string, perm os.FileMode, write func(io.Writer) error) error {
+// WriteAtomic creates or replaces path with what write produces, so path
+// is never a partial write. It writes a temporary file in path's directory,
+// named path's base name plus ".tmp" and the first number no other file
+// there has (another writer's, or one a killed process left), created with
+// perm (before the umask); syncs it; and renames it over path only once
+// write, the sync and the close succeed. On failure it removes the
+// temporary and leaves path alone.
+func WriteAtomic(path string, perm os.FileMode, write func(io.Writer) error) error {
 	var f *os.File
 	err := fs.ErrExist
 	for i := 0; errors.Is(err, fs.ErrExist); i++ {

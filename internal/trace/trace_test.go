@@ -78,12 +78,12 @@ func TestWriteFileIsAllOrNothing(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.nft")
 	full := errors.New("no space left on device")
-	err := writeAtomic(path, 0o666, func(w io.Writer) error {
+	err := WriteAtomic(path, 0o666, func(w io.Writer) error {
 		_, _ = io.WriteString(w, magic)
 		return full
 	})
 	if !errors.Is(err, full) {
-		t.Fatalf("writeAtomic error %v, want %v", err, full)
+		t.Fatalf("WriteAtomic error %v, want %v", err, full)
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
 		t.Fatalf("failed write left %d files, e.g. %s", len(entries), entries[0].Name())

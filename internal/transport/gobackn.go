@@ -29,7 +29,10 @@ type GoBackN struct {
 	W int
 }
 
-var _ protocol.Protocol = GoBackN{}
+var (
+	_ protocol.Protocol = GoBackN{}
+	_ protocol.Bounded  = GoBackN{}
+)
 
 // NewGoBackN returns a go-back-N transport descriptor.
 func NewGoBackN(s, w int) GoBackN {
@@ -55,6 +58,10 @@ func (p GoBackN) HeaderBound() (int, bool) {
 	return 2 * p.S, true
 }
 
+// Bounds implements protocol.Bounded with the declaration the mod-S
+// quotient implies (see deriveBounds).
+func (p GoBackN) Bounds() protocol.Bounds { return deriveBounds(p.S) }
+
 // New implements protocol.Protocol (the genies are unused).
 func (p GoBackN) New(_, _ channel.Genie) (protocol.Transmitter, protocol.Receiver) {
 	w := p.W
@@ -74,7 +81,10 @@ type gbnSender struct {
 	rr    int
 }
 
-var _ protocol.Transmitter = (*gbnSender)(nil)
+var (
+	_ protocol.Transmitter  = (*gbnSender)(nil)
+	_ protocol.ControlKeyer = (*gbnSender)(nil)
+)
 
 func (t *gbnSender) SendMsg(payload string) {
 	t.queue = append(t.queue, payload)
@@ -167,6 +177,16 @@ func (t *gbnSender) StateKey() string {
 	return b.String()
 }
 
+// ControlKey implements protocol.ControlKeyer with the mod-S quotient; the
+// argument is the sliding-window sender's (swSender.ControlKey), without
+// per-segment ack marks.
+func (t *gbnSender) ControlKey() string {
+	if t.s == 0 {
+		return t.StateKey()
+	}
+	return senderQuotient("gbnS/", t.s, t.w, t.base, t.rr, t.segs, t.queue, false)
+}
+
 func (t *gbnSender) StateSize() int {
 	n := len(strconv.Itoa(t.base)) + len(strconv.Itoa(t.next))
 	for _, sg := range t.segs {
@@ -187,7 +207,10 @@ type gbnReceiver struct {
 	acks      []ioa.Packet
 }
 
-var _ protocol.Receiver = (*gbnReceiver)(nil)
+var (
+	_ protocol.Receiver     = (*gbnReceiver)(nil)
+	_ protocol.ControlKeyer = (*gbnReceiver)(nil)
+)
 
 func (r *gbnReceiver) DeliverPkt(p ioa.Packet) {
 	if !strings.HasPrefix(p.Header, "s") {
@@ -250,6 +273,26 @@ func (r *gbnReceiver) StateKey() string {
 	b.WriteString(" pendDeliv=")
 	b.WriteString(strconv.Itoa(len(r.delivered)))
 	b.WriteByte('}')
+	return b.String()
+}
+
+// ControlKey implements protocol.ControlKeyer: next's residue mod S and the
+// pending queues, as for swReceiver, plus one bit, whether any segment has
+// been accepted yet. The cumulative re-ack fires only once next > 0, so
+// next=0 and next=S (both residue 0) would otherwise be merged despite
+// behaving differently on an out-of-order delivery.
+func (r *gbnReceiver) ControlKey() string {
+	if r.s == 0 {
+		return r.StateKey()
+	}
+	var b strings.Builder
+	b.WriteString("gbnR/{s=")
+	b.WriteString(strconv.Itoa(r.s))
+	b.WriteString(" next%=")
+	b.WriteString(strconv.Itoa(r.next % r.s))
+	b.WriteString(" started=")
+	b.WriteString(strconv.FormatBool(r.next > 0))
+	quotientQueues(&b, r.acks, r.delivered)
 	return b.String()
 }
 

@@ -22,6 +22,16 @@
 // data link protocols, so every harness in this repo — the runner, the
 // adversaries, the explorer, the boundness measurements — applies
 // unchanged.
+//
+// Their StateKeys carry absolute sequence numbers, which grow without bound
+// with the message count; replay, coverage and the explorer need them. For
+// S > 0, though, every decision both endpoint families make reads a
+// sequence number only modulo S, so the endpoints also declare that
+// quotient as their protocol.ControlKey and the descriptors declare the
+// Bounds it implies. The boundness auditor and the bounded prover enumerate
+// control keys, so a finite sequence space audits CERTIFIED as the
+// finite-state protocol it is; S = 0 has no quotient and declares itself
+// state-unbounded. Registry and Parse name the descriptors.
 package transport
 
 import (
@@ -50,7 +60,10 @@ type SlidingWindow struct {
 	W int
 }
 
-var _ protocol.Protocol = SlidingWindow{}
+var (
+	_ protocol.Protocol = SlidingWindow{}
+	_ protocol.Bounded  = SlidingWindow{}
+)
 
 // New returns a sliding window transport descriptor.
 func New(s, w int) SlidingWindow {
@@ -75,6 +88,23 @@ func (p SlidingWindow) HeaderBound() (int, bool) {
 		return 0, false
 	}
 	return 2 * p.S, true
+}
+
+// Bounds implements protocol.Bounded with the declaration the mod-S
+// quotient implies (see deriveBounds).
+func (p SlidingWindow) Bounds() protocol.Bounds { return deriveBounds(p.S) }
+
+// deriveBounds is the declaration the mod-S ControlKey quotient implies: a
+// state-bounded joint control space over exactly the 2S data and ack
+// headers, or no bound at all for S = 0, where the headers are the sequence
+// numbers themselves. No k_t/k_r ceilings are declared: the observed counts
+// depend on the audit's occupancy cap (see `nfvet audit -sweep`), and Bounds
+// ceilings are cap-independent claims.
+func deriveBounds(s int) protocol.Bounds {
+	if s == 0 {
+		return protocol.Bounds{StateBounded: false}
+	}
+	return protocol.Bounds{StateBounded: true, Headers: 2 * s}
 }
 
 // New implements protocol.Protocol. The genies are ignored: the sliding
@@ -120,7 +150,10 @@ type swSender struct {
 	rr    int // round-robin cursor over unacked segments
 }
 
-var _ protocol.Transmitter = (*swSender)(nil)
+var (
+	_ protocol.Transmitter  = (*swSender)(nil)
+	_ protocol.ControlKeyer = (*swSender)(nil)
+)
 
 func (t *swSender) SendMsg(payload string) {
 	t.queue = append(t.queue, payload)
@@ -219,6 +252,53 @@ func (t *swSender) StateKey() string {
 	return b.String()
 }
 
+// ControlKey implements protocol.ControlKeyer with the mod-S quotient (the
+// S = 0 form has none and returns StateKey). Two states with equal
+// ControlKey behave identically and have equal-key successors because of
+// the window invariant both senders keep: in-flight segments carry
+// consecutive sequence numbers starting at base, and next == base +
+// len(segs), so base's residue plus the per-segment residues determine
+// every future header and every ack resolution.
+func (t *swSender) ControlKey() string {
+	if t.s == 0 {
+		return t.StateKey()
+	}
+	return senderQuotient("swS/", t.s, t.w, t.base, t.rr, t.segs, t.queue, true)
+}
+
+// senderQuotient renders the shared sender control key: base mod S, the
+// in-flight segments as (seq mod S, payload[, acked]) triples, the
+// round-robin cursor and the unadmitted queue. acked is rendered only for
+// the sliding-window sender; go-back-N slides cumulatively and keeps no
+// per-segment ack marks.
+func senderQuotient(prefix string, s, w, base, rr int, segs []segment, queue []string, acked bool) string {
+	var b strings.Builder
+	b.WriteString(prefix)
+	b.WriteString("{s=")
+	b.WriteString(strconv.Itoa(s))
+	b.WriteString(" w=")
+	b.WriteString(strconv.Itoa(w))
+	b.WriteString(" base%=")
+	b.WriteString(strconv.Itoa(base % s))
+	b.WriteString(" rr=")
+	b.WriteString(strconv.Itoa(rr))
+	b.WriteString(" segs=")
+	for _, sg := range segs {
+		b.WriteString(strconv.Itoa(sg.seq % s))
+		b.WriteByte(':')
+		b.WriteString(sg.payload)
+		if acked {
+			b.WriteByte(':')
+			b.WriteString(strconv.FormatBool(sg.acked))
+		}
+		b.WriteByte(';')
+	}
+	b.WriteString(" q=")
+	b.WriteString(strings.Join(queue, "|"))
+	b.WriteByte('}')
+	return b.String()
+}
+
 func (t *swSender) StateSize() int {
 	n := len(strconv.Itoa(t.base)) + len(strconv.Itoa(t.next))
 	for _, sg := range t.segs {
@@ -291,7 +371,10 @@ func (sb segBuf) clone() segBuf {
 	return out
 }
 
-var _ protocol.Receiver = (*swReceiver)(nil)
+var (
+	_ protocol.Receiver     = (*swReceiver)(nil)
+	_ protocol.ControlKeyer = (*swReceiver)(nil)
+)
 
 func (r *swReceiver) DeliverPkt(p ioa.Packet) {
 	if !strings.HasPrefix(p.Header, "s") {
@@ -394,6 +477,47 @@ func (r *swReceiver) StateKey() string {
 	return b.String()
 }
 
+// ControlKey implements protocol.ControlKeyer with the receiver-side
+// quotient: next's residue mod S (the only way resolve reads it), the
+// reorder buffer as window-relative offsets, and the pending ack and
+// delivery queues verbatim. Ack headers are already mod-S reduced, and
+// every driver in the repo drains both queues, so neither reintroduces
+// unbounded state.
+func (r *swReceiver) ControlKey() string {
+	if r.s == 0 {
+		return r.StateKey()
+	}
+	var b strings.Builder
+	b.WriteString("swR/{s=")
+	b.WriteString(strconv.Itoa(r.s))
+	b.WriteString(" w=")
+	b.WriteString(strconv.Itoa(r.w))
+	b.WriteString(" next%=")
+	b.WriteString(strconv.Itoa(r.next % r.s))
+	b.WriteString(" buf=")
+	for _, sg := range r.buf {
+		b.WriteString(strconv.Itoa(sg.seq - r.next)) // window-relative offset
+		b.WriteByte(':')
+		b.WriteString(sg.payload)
+		b.WriteByte(';')
+	}
+	quotientQueues(&b, r.acks, r.delivered)
+	return b.String()
+}
+
+// quotientQueues renders the pending ack headers and undelivered payloads
+// into a receiver control key and closes the brace.
+func quotientQueues(b *strings.Builder, acks []ioa.Packet, delivered []string) {
+	b.WriteString(" acks=")
+	for _, a := range acks {
+		b.WriteString(a.Header)
+		b.WriteByte(';')
+	}
+	b.WriteString(" deliv=")
+	b.WriteString(strings.Join(delivered, "|"))
+	b.WriteByte('}')
+}
+
 func (r *swReceiver) StateSize() int {
 	n := len(strconv.Itoa(r.next)) + len(r.acks)
 	for _, sg := range r.buf {
@@ -403,4 +527,80 @@ func (r *swReceiver) StateSize() int {
 		n += len(d)
 	}
 	return n
+}
+
+// Registry returns the default transport protocols keyed by name: the
+// instances `nfvet audit -all` certifies and CI fuzz-smokes. The classical
+// selective-repeat sizing S = 2W covers both endpoint families (go-back-N's
+// bufferless receiver keeps its joint space small enough to also carry the
+// S = 8 sizing within the default state budget), and the unbounded sliding
+// window is the transport layer's CONSISTENT specimen: the Theorem 3.1
+// dichotomy, one audit table row apart. Arbitrary sizings resolve through
+// Parse.
+func Registry() map[string]protocol.Protocol {
+	ps := []protocol.Protocol{New(4, 2), New(0, 2), NewGoBackN(4, 2), NewGoBackN(8, 4)}
+	m := make(map[string]protocol.Protocol, len(ps))
+	for _, p := range ps {
+		m[p.Name()] = p
+	}
+	return m
+}
+
+// Names returns the default registry names in sorted order.
+func Names() []string {
+	m := Registry()
+	out := make([]string, 0, len(m))
+	//nfvet:allow maprange (keys are collected then sorted before use)
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Parse resolves a transport protocol name (the Name() forms
+// "swindow-s<S>-w<W>", "swindow-unbounded-w<W>", "gbn-s<S>-w<W>",
+// "gbn-unbounded-w<W>") to its descriptor. ok is false when the name is not
+// a transport name; a malformed transport-shaped name also returns ok=false
+// and falls through to the caller's unknown-name error.
+func Parse(name string) (protocol.Protocol, bool) {
+	var rest string
+	var mk func(s, w int) protocol.Protocol
+	switch {
+	case strings.HasPrefix(name, "swindow-"):
+		rest = strings.TrimPrefix(name, "swindow-")
+		mk = func(s, w int) protocol.Protocol { return New(s, w) }
+	case strings.HasPrefix(name, "gbn-"):
+		rest = strings.TrimPrefix(name, "gbn-")
+		mk = func(s, w int) protocol.Protocol { return NewGoBackN(s, w) }
+	default:
+		return nil, false
+	}
+	var s int
+	if u, ok := strings.CutPrefix(rest, "unbounded-"); ok {
+		rest = u
+	} else {
+		sPart, wPart, ok := strings.Cut(rest, "-")
+		if !ok {
+			return nil, false
+		}
+		digits, ok := strings.CutPrefix(sPart, "s")
+		if !ok {
+			return nil, false
+		}
+		n, err := strconv.Atoi(digits)
+		if err != nil || n <= 0 {
+			return nil, false
+		}
+		s, rest = n, wPart
+	}
+	digits, ok := strings.CutPrefix(rest, "w")
+	if !ok {
+		return nil, false
+	}
+	w, err := strconv.Atoi(digits)
+	if err != nil || w < 1 {
+		return nil, false
+	}
+	return mk(s, w), true
 }
