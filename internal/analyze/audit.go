@@ -136,12 +136,7 @@ func (s *auditState) clone() *auditState {
 		chData: s.chData.Clone(),
 		chAck:  s.chAck.Clone(),
 	}
-	if u, ok := ns.t.(protocol.AckGenieUser); ok {
-		u.SetAckGenie(channel.ChannelGenie{Ch: ns.chAck})
-	}
-	if u, ok := ns.r.(protocol.DataGenieUser); ok {
-		u.SetDataGenie(channel.ChannelGenie{Ch: ns.chData})
-	}
+	protocol.BindGenies(ns.t, ns.r, ns.chData, ns.chAck)
 	return ns
 }
 

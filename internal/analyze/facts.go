@@ -5,8 +5,11 @@ import (
 	"encoding/gob"
 	"fmt"
 	"go/types"
+	"io"
 	"os"
 	"sort"
+
+	"repro/internal/trace"
 )
 
 // This file is the cross-package facts channel: per-package fact sets keyed
@@ -207,11 +210,15 @@ func ReadFactsFile(path string) (*FactSet, error) {
 	return fs, nil
 }
 
-// WriteFactsFile writes a unit's fact set to its vetx output.
+// WriteFactsFile writes a unit's fact set to its vetx output, atomically:
+// a killed run leaves the previous file or none, never a torn one.
 func WriteFactsFile(path string, fs *FactSet) error {
 	data, err := EncodeFacts(fs)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, data, 0o666)
+	return trace.WriteAtomic(path, 0o666, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }

@@ -204,6 +204,41 @@ func TestVetxCfgRoundTrip(t *testing.T) {
 	if code := runUnit("nfvet", writeUnitCfg(t, tmp, keysCfg), Analyzers(), &errw); code != 0 {
 		t.Fatalf("keys unit without facts exited %d, want 0; output: %s", code, errw.String())
 	}
+
+	// A torn dependency facts file fails the unit and names the file:
+	// skipping it would silently drop the cross-package diagnostic above.
+	data, err := os.ReadFile(helperVetx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tornVetx := filepath.Join(tmp, "helper-torn.vetx")
+	if err := os.WriteFile(tornVetx, data[:len(data)/2], 0o666); err != nil {
+		t.Fatal(err)
+	}
+	keysCfg.PackageVetx = map[string]string{"vetmod/helper": tornVetx}
+	keysCfg.ID = "vetmod/keys-torn"
+	keysCfg.VetxOutput = filepath.Join(tmp, "keys-torn.vetx")
+	errw.Reset()
+	if code := runUnit("nfvet", writeUnitCfg(t, tmp, keysCfg), Analyzers(), &errw); code != 1 {
+		t.Fatalf("keys unit with a torn facts file exited %d, want 1; output: %s", code, errw.String())
+	}
+	if out := errw.String(); !strings.Contains(out, tornVetx) {
+		t.Errorf("torn facts failure does not name %s: %s", tornVetx, out)
+	}
+
+	// A zero-byte facts file, as the pre-facts tool wrote, reads as the
+	// empty set: the unit analyzes as it does without facts.
+	emptyVetx := filepath.Join(tmp, "helper-empty.vetx")
+	if err := os.WriteFile(emptyVetx, nil, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	keysCfg.PackageVetx = map[string]string{"vetmod/helper": emptyVetx}
+	keysCfg.ID = "vetmod/keys-empty"
+	keysCfg.VetxOutput = filepath.Join(tmp, "keys-empty.vetx")
+	errw.Reset()
+	if code := runUnit("nfvet", writeUnitCfg(t, tmp, keysCfg), Analyzers(), &errw); code != 0 {
+		t.Fatalf("keys unit with a zero-byte facts file exited %d, want 0; output: %s", code, errw.String())
+	}
 }
 
 // TestInProcessFactsFixture asserts the same contrast through the standalone

@@ -219,15 +219,17 @@ func runUnit(progname, cfgFile string, analyzers []*Analyzer, errw io.Writer) in
 		return 1
 	}
 
-	// Load the dependencies' fact sets. A missing or undecodable vetx file
-	// degrades that one dependency to fact-free (package-local precision)
-	// rather than failing the unit: stale caches may still hold the
-	// pre-facts tool's zero-byte files, and those decode to the empty set.
+	// Load the dependencies' fact sets. A missing, torn or otherwise
+	// undecodable vetx file fails the unit: skipping it would silently drop
+	// every diagnostic that dependency's facts carry. Stale caches may still
+	// hold the pre-facts tool's zero-byte files; those decode to the empty
+	// set.
 	facts := NewFactStore()
 	for importPath, vetxFile := range cfg.PackageVetx {
 		fs, err := ReadFactsFile(vetxFile)
 		if err != nil {
-			continue
+			fmt.Fprintf(errw, "%s: %v\n", progname, err)
+			return 1
 		}
 		facts.AddPackage(importPath, fs)
 	}

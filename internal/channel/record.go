@@ -1,16 +1,13 @@
 package channel
 
 import (
-	"math/rand"
-
 	"repro/internal/ioa"
 	"repro/internal/trace"
 )
 
 // This file connects channel policies to the trace subsystem: Capture
-// records every policy verdict into a trace sink, FromDecisions replays a
-// recorded verdict stream as a policy, and RecordedProbabilistic is the
-// probabilistic physical layer with its raw RNG draws logged.
+// records every policy verdict into a trace sink, and FromDecisions replays
+// a recorded verdict stream as a policy.
 //
 // Together they close the record→replay loop for the channel: a policy's
 // decision sequence is the *only* nondeterminism in a simulated execution
@@ -58,21 +55,6 @@ func Counting(pol Policy, n *int) Policy {
 	return PolicyFunc(func(p ioa.Packet) Decision {
 		*n++
 		return pol.OnSend(p)
-	})
-}
-
-// RecordedProbabilistic is Probabilistic with every raw RNG draw logged to
-// sink as a trace RNG event, for audit of the randomness behind the
-// recorded decisions. (Replay consumes the captured decisions, not the
-// draws; the draws document where the decisions came from.)
-func RecordedProbabilistic(q float64, rng *rand.Rand, sink trace.Sink) Policy {
-	return PolicyFunc(func(ioa.Packet) Decision {
-		v := rng.Float64()
-		sink.Emit(trace.Event{Kind: trace.KindRNG, Bits: uint64(v * (1 << 53))})
-		if v < q {
-			return Delay
-		}
-		return DeliverNow
 	})
 }
 

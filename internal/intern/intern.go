@@ -20,17 +20,13 @@
 // what makes the steady-state hot loop allocation-free.
 package intern
 
-import (
-	"hash/fnv"
-	"sync"
-)
+import "sync"
 
 // Local is a single-goroutine string interner. The zero value is not
 // usable; construct with NewLocal. For cross-goroutine sharing use Table.
 type Local struct {
 	ids  map[string]uint32
 	strs []string
-	hash []uint64 // fnv64a of each interned string, cached at intern time
 }
 
 // NewLocal returns an empty unsynchronised interner.
@@ -60,7 +56,6 @@ func (l *Local) assign(s string) uint32 {
 	id := uint32(len(l.strs))
 	l.ids[s] = id
 	l.strs = append(l.strs, s)
-	l.hash = append(l.hash, hashString(s))
 	return id
 }
 
@@ -68,14 +63,6 @@ func (l *Local) assign(s string) uint32 {
 // interner never issued, which is always a programming error (ids only come
 // from Intern/InternBytes on the same interner).
 func (l *Local) Resolve(id uint32) string { return l.strs[id] }
-
-// AppendResolve appends the string with the given id to dst.
-func (l *Local) AppendResolve(dst []byte, id uint32) []byte {
-	return append(dst, l.strs[id]...)
-}
-
-// Hash returns the cached fnv64a hash of the interned string.
-func (l *Local) Hash(id uint32) uint64 { return l.hash[id] }
 
 // Len reports the number of interned strings.
 func (l *Local) Len() int { return len(l.strs) }
@@ -131,35 +118,9 @@ func (t *Table) Resolve(id uint32) string {
 	return t.l.strs[id]
 }
 
-// AppendResolve appends the string with the given id to dst.
-func (t *Table) AppendResolve(dst []byte, id uint32) []byte {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return append(dst, t.l.strs[id]...)
-}
-
-// Hash returns the cached fnv64a hash of the interned string.
-func (t *Table) Hash(id uint32) uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.l.hash[id]
-}
-
 // Len reports the number of interned strings.
 func (t *Table) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return len(t.l.strs)
-}
-
-// Pack packs two ids into one uint64 map key (hi in the upper 32 bits).
-func Pack(hi, lo uint32) uint64 { return uint64(hi)<<32 | uint64(lo) }
-
-// Unpack splits a Pack result back into its ids.
-func Unpack(p uint64) (hi, lo uint32) { return uint32(p >> 32), uint32(p) }
-
-func hashString(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s))
-	return h.Sum64()
 }

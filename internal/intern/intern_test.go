@@ -2,7 +2,6 @@ package intern
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"testing"
 )
@@ -13,8 +12,6 @@ type interner interface {
 	Intern(string) uint32
 	InternBytes([]byte) uint32
 	Resolve(uint32) string
-	AppendResolve([]byte, uint32) []byte
-	Hash(uint32) uint64
 	Len() int
 }
 
@@ -48,14 +45,6 @@ func roundTrip(t *testing.T, tab interner) {
 	for i, k := range keys {
 		if got := tab.Resolve(ids[i]); got != k {
 			t.Fatalf("Resolve(%d) = %q, want %q", ids[i], got, k)
-		}
-		if got := string(tab.AppendResolve(nil, ids[i])); got != k {
-			t.Fatalf("AppendResolve(%d) = %q, want %q", ids[i], got, k)
-		}
-		h := fnv.New64a()
-		_, _ = h.Write([]byte(k))
-		if got := tab.Hash(ids[i]); got != h.Sum64() {
-			t.Fatalf("Hash(%d) = %016x, want fnv64a(%q) = %016x", ids[i], got, k, h.Sum64())
 		}
 	}
 	if tab.Len() != 500 {
@@ -123,22 +112,8 @@ func TestConcurrent(t *testing.T) {
 	}
 }
 
-// TestPack: Pack/Unpack round-trip and ordering of the halves.
-func TestPack(t *testing.T) {
-	cases := [][2]uint32{{0, 0}, {1, 0}, {0, 1}, {1 << 31, 7}, {0xffffffff, 0xffffffff}}
-	for _, c := range cases {
-		hi, lo := Unpack(Pack(c[0], c[1]))
-		if hi != c[0] || lo != c[1] {
-			t.Fatalf("Pack/Unpack(%d, %d) = (%d, %d)", c[0], c[1], hi, lo)
-		}
-	}
-	if Pack(1, 0) == Pack(0, 1) {
-		t.Fatal("Pack collapses (1,0) and (0,1)")
-	}
-}
-
 // FuzzIntern feeds arbitrary byte strings through both intern entry points
-// and checks round-trip, idempotence and hash agreement.
+// and checks round-trip and idempotence.
 func FuzzIntern(f *testing.F) {
 	f.Add([]byte("altbitT{bit=0 busy=false}"))
 	f.Add([]byte(""))
@@ -151,11 +126,6 @@ func FuzzIntern(f *testing.F) {
 		}
 		if got := tab.Resolve(id); got != string(b) {
 			t.Fatalf("Resolve(%d) = %q, want %q", id, got, b)
-		}
-		h := fnv.New64a()
-		_, _ = h.Write(b)
-		if tab.Hash(id) != h.Sum64() {
-			t.Fatalf("Hash(%d) != fnv64a(%q)", id, b)
 		}
 	})
 }

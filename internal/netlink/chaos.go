@@ -193,23 +193,6 @@ func (c *ChaosConn) ReleaseOne() (b []byte, ok bool) {
 	return h.b, true
 }
 
-// Preload appends a datagram to the hold queue without writing anything: it
-// has been "in transit since before time 0". The soak sessions use it to
-// realise the stabilization adversary's poison move on a real wire; the
-// preloaded copy is subsequently released through the ordinary
-// ReleaseOne/overtaking paths. It reports false when the hold queue is full.
-func (c *ChaosConn) Preload(b []byte, addr net.Addr) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.held) >= maxHeld {
-		return false
-	}
-	cp := make([]byte, len(b))
-	copy(cp, b)
-	c.held = append(c.held, heldPacket{b: cp, addr: addr})
-	return true
-}
-
 // FlushHeld releases every held datagram (stale copies arriving at last).
 func (c *ChaosConn) FlushHeld() {
 	c.mu.Lock()

@@ -263,6 +263,19 @@ type DataGenieUser interface {
 	SetDataGenie(g channel.Genie)
 }
 
+// BindGenies points the transmitter's ack genie at ack and the receiver's
+// data genie at data, for whichever of the two consult one. Every harness
+// that copies endpoints onto fresh channels (forks, clones, corrupted
+// starts) calls it; the copies still read the original channels otherwise.
+func BindGenies(t Transmitter, r Receiver, data, ack *channel.NonFIFO) {
+	if u, ok := t.(AckGenieUser); ok {
+		u.SetAckGenie(channel.ChannelGenie{Ch: ack})
+	}
+	if u, ok := r.(DataGenieUser); ok {
+		u.SetDataGenie(channel.ChannelGenie{Ch: data})
+	}
+}
+
 // Registry returns all built-in protocols keyed by name. The cheat variants
 // are included with their default under-provisioning d=1.
 func Registry() map[string]Protocol {

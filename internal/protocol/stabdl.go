@@ -67,9 +67,6 @@ func (p StabDL) Name() string { return "stabdl" + strconv.Itoa(p.c) }
 // K returns the label-alphabet size 2C+4.
 func (p StabDL) K() int { return 2*p.c + 4 }
 
-// Copies returns the adoption threshold C+1.
-func (p StabDL) Copies() int { return p.c + 1 }
-
 // HeaderBound implements Protocol: d<label> and a<label> per label.
 func (p StabDL) HeaderBound() (int, bool) { return 2 * p.K(), true }
 

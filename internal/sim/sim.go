@@ -248,14 +248,7 @@ func (r *Runner) Fork(data, ack channel.Policy) *Runner {
 		f.rec = r.rec.Clone()
 	}
 	f.tlog = ftlog
-	// Rebind channel genies to the forked channels; the clones still point
-	// at the original runner's channels otherwise.
-	if tg, ok := f.T.(protocol.AckGenieUser); ok {
-		tg.SetAckGenie(channel.ChannelGenie{Ch: f.ChAck})
-	}
-	if rg, ok := f.R.(protocol.DataGenieUser); ok {
-		rg.SetDataGenie(channel.ChannelGenie{Ch: f.ChData})
-	}
+	protocol.BindGenies(f.T, f.R, f.ChData, f.ChAck)
 	return f
 }
 
@@ -454,12 +447,7 @@ func (r *Runner) CorruptStart(tIdx, rIdx int) error {
 	}
 	r.T = space.Transmitters[tIdx].Clone()
 	r.R = space.Receivers[rIdx].Clone()
-	if tg, ok := r.T.(protocol.AckGenieUser); ok {
-		tg.SetAckGenie(channel.ChannelGenie{Ch: r.ChAck})
-	}
-	if rg, ok := r.R.(protocol.DataGenieUser); ok {
-		rg.SetDataGenie(channel.ChannelGenie{Ch: r.ChData})
-	}
+	protocol.BindGenies(r.T, r.R, r.ChData, r.ChAck)
 	if r.tlog != nil {
 		r.tlog.Emit(trace.Event{Kind: trace.KindCorrupt, Index: tIdx, Bits: uint64(rIdx)})
 	}
@@ -515,14 +503,6 @@ func (r *Runner) recordStale(d ioa.Dir, p ioa.Packet) {
 // system somewhere no earlier input did.
 func (r *Runner) JointState() (tkey, rkey string, dataTransit, ackTransit int) {
 	return r.T.StateKey(), r.R.StateKey(), r.ChData.InTransit(), r.ChAck.InTransit()
-}
-
-// AppendJointState is the zero-alloc form of JointState: the state keys are
-// appended to the caller's scratch buffers (endpoints implementing
-// protocol.KeyAppender render without allocating).
-func (r *Runner) AppendJointState(tdst, rdst []byte) (tkey, rkey []byte, dataTransit, ackTransit int) {
-	return protocol.AppendStateKeyOf(tdst, r.T), protocol.AppendStateKeyOf(rdst, r.R),
-		r.ChData.InTransit(), r.ChAck.InTransit()
 }
 
 // Reset reinitialises the runner in place for a fresh run of cfg, recycling

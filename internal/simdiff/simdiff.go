@@ -1,17 +1,25 @@
 // Package simdiff is the differential equivalence harness that locks the
-// interned fast paths to their string-keyed reference semantics.
+// engines' interned fast paths to a reference semantics.
 //
-// PR 8's interning layer rebuilt the hot loops of the fuzzer and the
-// verifier — pooled runners, append-rendered state keys, packed visited-set
-// keys, midstate-cached coverage hashes — under an equivalence obligation:
-// none of it may change a single observable. This package is where that
-// obligation is enforced. Both engines keep their reference implementation
-// alive behind a flag (fuzz.Config.StringCore, verify.Config.StringKeys),
-// and the harness replays identical schedules through both, asserting
-// identical event streams, coverage points, verdicts and canonical space
-// hashes. The CI step running this package's tests is the license for every
-// future optimisation of the interned core: a fast path that drifts from
-// the reference fails here, not in a campaign three PRs later.
+// The interning layer rebuilt the hot loops of the fuzzer and the verifier
+// — pooled runners, append-rendered state keys, packed visited-set keys,
+// midstate-cached coverage hashes — under an equivalence obligation: none
+// of it may change a single observable. This package is where that
+// obligation is enforced, against one reference per engine:
+//
+//   - the fuzzer keeps its string-keyed executor alive behind
+//     fuzz.Config.StringCore, and the harness replays identical schedules
+//     through both cores, asserting identical event streams, coverage
+//     points and verdicts;
+//   - the verifier's reference is its spill store (verify.Config.SpillDir),
+//     a supported path that dedups on the canonical key bytes instead of
+//     the packed interned key, and the harness runs each obligation on both
+//     stores, asserting identical graphs, verdicts and canonical space
+//     hashes.
+//
+// The CI step running this package's tests is the license for every future
+// optimisation of the interned cores: a fast path that drifts from the
+// reference fails here, not in a campaign long after.
 package simdiff
 
 import (
@@ -74,28 +82,29 @@ func CompareExec(proto protocol.Protocol, core *fuzz.Core, in *fuzz.Input) error
 	return nil
 }
 
-// CompareVerify runs the bounded checker twice — once over the legacy
-// string-keyed visited set, once over the packed interned store — and
-// returns the first divergence in the proof artifact, or nil. SpillDir is
-// cleared on both runs (the spill store has its own equivalence test).
-func CompareVerify(proto protocol.Protocol, cfg verify.Config) error {
+// CompareVerify runs the bounded checker twice — once over the packed
+// interned store, the default, and once spilled to dir, whose store dedups
+// on the canonical key bytes — and returns the first divergence in the
+// proof artifact, or nil. cfg.SpillDir is ignored.
+func CompareVerify(proto protocol.Protocol, cfg verify.Config, dir string) error {
 	cfg.SpillDir = ""
-	cfg.StringKeys = true
 	want, err := verify.Run(proto, cfg)
 	if err != nil {
-		return fmt.Errorf("string-keyed run: %w", err)
+		return fmt.Errorf("packed run: %w", err)
 	}
-	cfg.StringKeys = false
+	cfg.SpillDir = dir
 	got, err := verify.Run(proto, cfg)
 	if err != nil {
-		return fmt.Errorf("interned run: %w", err)
+		return fmt.Errorf("spilled run: %w", err)
+	}
+	if !got.Spilled {
+		return fmt.Errorf("spilled run did not report Spilled")
 	}
 	return DiffReports(want, got)
 }
 
 // DiffReports compares the store-independent content of two verification
-// reports and returns the first divergence, or nil. It is shared by the
-// string-vs-interned and spill-vs-memory equivalence checks.
+// reports and returns the first divergence, or nil.
 func DiffReports(want, got *verify.Report) error {
 	if want.States != got.States || want.Edges != got.Edges {
 		return fmt.Errorf("graph: %d states/%d edges vs %d states/%d edges",

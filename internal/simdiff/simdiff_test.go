@@ -11,7 +11,7 @@ import (
 	"repro/internal/verify"
 )
 
-// specimens returns every protocol the harness replays through both cores:
+// specimens returns every protocol the harness holds to its references:
 // the full registry, the deliberately broken livelock protocol, and two
 // transport protocols (whose endpoints exercise the Append*Key fallback
 // paths: a string StateKey and the ControlKeyer quotient).
@@ -138,15 +138,17 @@ func TestCampaignEquivalence(t *testing.T) {
 	}
 }
 
-// TestVerifyEquivalence runs the bounded checker over every registry
-// protocol with both visited-set stores and demands identical proof
+// TestVerifyEquivalence runs the bounded checker over every specimen with
+// the packed default store and the spill store, and demands identical proof
 // artifacts — states, edges, space hash, verdict, check — including the
-// stabilize mode for the protocols that declare a corruption space.
+// stabilize mode for the protocols that declare a corruption space. The
+// transport specimens' ControlKey quotients are among the components the
+// packed store interns.
 func TestVerifyEquivalence(t *testing.T) {
-	for _, name := range protocol.Names() {
-		p := protocol.Registry()[name]
-		t.Run(name, func(t *testing.T) {
-			if err := CompareVerify(p, verify.Config{MaxStates: 4000}); err != nil {
+	for _, p := range specimens() {
+		p := p
+		t.Run(p.Name(), func(t *testing.T) {
+			if err := CompareVerify(p, verify.Config{MaxStates: 4000}, t.TempDir()); err != nil {
 				t.Fatalf("clean mode: %v", err)
 			}
 		})
@@ -157,31 +159,19 @@ func TestVerifyEquivalence(t *testing.T) {
 			t.Fatalf("registry lost %s", name)
 		}
 		t.Run(name+"-stabilize", func(t *testing.T) {
-			if err := CompareVerify(p, verify.Config{MaxStates: 4000, Stabilize: true}); err != nil {
+			if err := CompareVerify(p, verify.Config{MaxStates: 4000, Stabilize: true}, t.TempDir()); err != nil {
 				t.Fatalf("stabilize mode: %v", err)
 			}
 		})
 	}
 }
 
-// TestVerifySpillEquivalence holds the spill store to the in-memory interned
-// store on an exhaustive seqnum run: identical space hash, graph size and
-// verdict whether the visited keys live in RAM as packed ids or on disk as
-// canonical strings.
+// TestVerifySpillEquivalence holds the spill store to the packed store on
+// an exhaustive seqnum run: identical space hash, graph size and verdict
+// whether the visited keys live in RAM as packed ids or on disk as
+// canonical bytes.
 func TestVerifySpillEquivalence(t *testing.T) {
-	p := protocol.Registry()["seqnum"]
-	mem, err := verify.Run(p, verify.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spill, err := verify.Run(p, verify.Config{SpillDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !spill.Spilled {
-		t.Fatal("spill run did not report Spilled")
-	}
-	if err := DiffReports(mem, spill); err != nil {
-		t.Fatalf("spill vs interned in-memory: %v", err)
+	if err := CompareVerify(protocol.Registry()["seqnum"], verify.Config{}, t.TempDir()); err != nil {
+		t.Fatalf("spill vs packed: %v", err)
 	}
 }

@@ -7,43 +7,31 @@ import (
 	"repro/internal/protocol"
 )
 
-// BenchmarkVerify holds the interned visited set against the legacy
-// string-keyed reference on a budget-bounded cntexp exploration — the
-// profile-dominant workload (key render + clone + dedup insert). The
-// configs-per-second ratio between the two sub-benchmarks is the verifier
-// half of the PR's throughput claim.
+// BenchmarkVerify times a budget-bounded cntexp exploration over the packed
+// interned store — the profile-dominant workload (key render + clone +
+// dedup insert).
 func BenchmarkVerify(b *testing.B) {
-	run := func(b *testing.B, stringKeys bool) {
-		b.Helper()
+	b.Run("interned", func(b *testing.B) {
 		p := protocol.NewCntExp()
 		states := 0
 		for i := 0; i < b.N; i++ {
-			rep, err := Run(p, Config{MaxStates: 1 << 14, StringKeys: stringKeys})
+			rep, err := Run(p, Config{MaxStates: 1 << 14})
 			if err != nil {
 				b.Fatal(err)
 			}
 			states = rep.States
 		}
 		b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "configs/sec")
-	}
-	b.Run("string", func(b *testing.B) { run(b, true) })
-	b.Run("interned", func(b *testing.B) { run(b, false) })
+	})
 }
 
-// BenchmarkConfigKey isolates the canonical-key cost: the legacy string
-// rendering versus the append rendering into a reused scratch buffer (the
-// interned path also gets packed component ids out of the same bytes).
+// BenchmarkConfigKey isolates the canonical-key cost: the append rendering
+// into a reused scratch buffer, with the packed component ids interned out
+// of the same bytes.
 func BenchmarkConfigKey(b *testing.B) {
 	p := protocol.NewCntExp()
 	e := &explorer{cfg: Config{}.withDefaults(), proto: p, tab: intern.NewLocal(), pkts: newPktIntern()}
 	c := newInit(p)
-	b.Run("string", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if len(c.key(false)) == 0 {
-				b.Fatal("empty key")
-			}
-		}
-	})
 	b.Run("append-interned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_, canon := e.keyOf(c)

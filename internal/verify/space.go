@@ -3,7 +3,6 @@ package verify
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/channel"
 	"repro/internal/intern"
@@ -119,55 +118,27 @@ type config struct {
 	lost      uint64
 }
 
-// clone deep-copies the configuration, rebinding the endpoints' genies to
-// the cloned channels (the same discipline as sim.Runner.Fork and the
-// audit enumerator).
-func (c *config) clone() *config {
-	nc := &config{
-		t:         c.t.Clone(),
-		r:         c.r.Clone(),
-		chData:    c.chData.Clone(),
-		chAck:     c.chAck.Clone(),
-		submitted: c.submitted,
-		delivered: c.delivered,
-		remaining: c.remaining,
-		frontier:  c.frontier,
-		lost:      c.lost,
-	}
-	if u, ok := nc.t.(protocol.AckGenieUser); ok {
-		u.SetAckGenie(channel.ChannelGenie{Ch: nc.chAck})
-	}
-	if u, ok := nc.r.(protocol.DataGenieUser); ok {
-		u.SetDataGenie(channel.ChannelGenie{Ch: nc.chData})
-	}
-	return nc
-}
-
-// cloneOf deep-copies c exactly like (*config).clone, recycling a released
-// configuration's struct and channel storage when one is available.
-// Duplicate successors and expanded parents dominate the exploration's
-// allocation profile; the endpoints are still freshly cloned (the protocol
-// Clone contract allocates), but the config struct and both channel
-// multisets are reused.
+// cloneOf deep-copies c, rebinding the endpoints' genies to the copied
+// channels (the same discipline as sim.Runner.Fork and the audit
+// enumerator). It recycles a released configuration's struct and channel
+// storage when one is available: duplicate successors and expanded parents
+// dominate the exploration's allocation profile. The endpoints are always
+// freshly cloned (the protocol Clone contract allocates).
 func (e *explorer) cloneOf(c *config) *config {
-	n := len(e.free)
-	if n == 0 {
-		return c.clone()
+	var nc *config
+	if n := len(e.free); n > 0 {
+		nc = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		nc = &config{chData: channel.NewNonFIFO(ioa.TtoR), chAck: channel.NewNonFIFO(ioa.RtoT)}
 	}
-	nc := e.free[n-1]
-	e.free = e.free[:n-1]
 	nc.t = c.t.Clone()
 	nc.r = c.r.Clone()
 	c.chData.CloneInto(nc.chData)
 	c.chAck.CloneInto(nc.chAck)
 	nc.submitted, nc.delivered, nc.id = c.submitted, c.delivered, 0
 	nc.remaining, nc.frontier, nc.lost = c.remaining, c.frontier, c.lost
-	if u, ok := nc.t.(protocol.AckGenieUser); ok {
-		u.SetAckGenie(channel.ChannelGenie{Ch: nc.chAck})
-	}
-	if u, ok := nc.r.(protocol.DataGenieUser); ok {
-		u.SetDataGenie(channel.ChannelGenie{Ch: nc.chData})
-	}
+	protocol.BindGenies(nc.t, nc.r, nc.chData, nc.chAck)
 	return nc
 }
 
@@ -179,42 +150,15 @@ func (e *explorer) release(c *config) {
 	e.free = append(e.free, c)
 }
 
-// key is the canonical configuration encoding the visited set dedups on. In
-// stabilize mode the amnesty bookkeeping joins the key: two occurrences of
-// the same joint configuration with different remaining budgets, frontiers
-// or lost sets have different judgeable futures, so merging them would be
-// unsound. Clean-mode keys are unchanged (space hashes stay comparable
-// across versions).
-func (c *config) key(stabilizeMode bool) string {
-	var b strings.Builder
-	b.WriteString(protocol.ControlKeyOf(c.t))
-	b.WriteByte('|')
-	b.WriteString(protocol.ControlKeyOf(c.r))
-	b.WriteByte('|')
-	b.WriteString(c.chData.Key())
-	b.WriteByte('|')
-	b.WriteString(c.chAck.Key())
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(int(c.submitted)))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(int(c.delivered)))
-	if stabilizeMode {
-		b.WriteString("|g")
-		b.WriteString(strconv.Itoa(int(c.remaining)))
-		b.WriteString("|f")
-		b.WriteString(strconv.Itoa(int(c.frontier)))
-		b.WriteString("|l")
-		b.WriteString(strconv.FormatUint(c.lost, 16))
-	}
-	return b.String()
-}
-
-// keyOf is the interned fast path of config.key: it renders the canonical
-// key once into the explorer's scratch buffer — byte-identical to key(), so
-// the space hash is store-independent — while interning the four string
+// keyOf renders the canonical configuration key the visited set dedups on
+// into the explorer's scratch buffer, while interning the four string
 // components from their sub-slices into the packed intKey the default store
-// dedups on. The returned bytes alias e.kbuf and are valid until the next
-// call.
+// dedups on. In stabilize mode the amnesty bookkeeping joins the key: two
+// occurrences of the same joint configuration with different remaining
+// budgets, frontiers or lost sets have different judgeable futures, so
+// merging them would be unsound. Clean-mode keys omit it (space hashes stay
+// comparable across versions). The returned bytes alias e.kbuf and are
+// valid until the next call.
 func (e *explorer) keyOf(ns *config) (intKey, []byte) {
 	var k intKey
 	b := protocol.AppendControlKeyOf(e.kbuf[:0], ns.t)
@@ -323,8 +267,8 @@ type explorer struct {
 	edges   []edgeRec
 
 	// tab interns the key components of keyOf, pkts the parent-edge
-	// packets, and kbuf is the canonical-key scratch buffer both key paths
-	// render into (valid until the next visit).
+	// packets, and kbuf is the canonical-key scratch buffer keyOf renders
+	// into (valid until the next visit).
 	tab  *intern.Local
 	pkts *pktIntern
 	kbuf []byte
@@ -342,15 +286,7 @@ func (e *explorer) visit(ns *config, from int32, mv move) (int32, bool) {
 	if e.err != nil {
 		return -1, false
 	}
-	var ik intKey
-	var canon []byte
-	if e.cfg.StringKeys {
-		canon = append(e.kbuf[:0], ns.key(e.cfg.Stabilize)...)
-		e.kbuf = canon
-	} else {
-		ik, canon = e.keyOf(ns)
-	}
-	id, fresh, err := e.seen.insert(ik, canon)
+	id, fresh, err := e.seen.insert(e.keyOf(ns))
 	if err != nil {
 		e.err = err
 		return -1, false

@@ -16,8 +16,8 @@ import (
 //   - intStore (the default) dedups on the packed key: one comparable
 //     32-byte struct probe instead of hashing a canonical string that runs
 //     to hundreds of bytes at high occupancy;
-//   - memStore (Config.StringKeys) and diskStore (Config.SpillDir) dedup on
-//     the canonical bytes, the legacy reference semantics.
+//   - diskStore (Config.SpillDir) dedups on the canonical bytes, and so is
+//     the reference the simdiff harness holds the packed keys to.
 //
 // The two dedup disciplines agree: interning is injective (equal component
 // ids ⇔ equal component strings), so a packed-key hit is a canonical-key
@@ -27,9 +27,9 @@ import (
 // separator at a splitting position); a hypothetical ambiguous format would
 // make the packed store strictly *finer* (never merging distinct
 // configurations), erring sound. TestStoreEquivalence and the simdiff
-// harness pin States/Edges/SpaceHash equality across all three stores.
+// harness pin States/Edges/SpaceHash equality across the two stores.
 //
-// All implementations maintain the canonical space hash — the XOR of fnv64a
+// Both implementations maintain the canonical space hash — the XOR of fnv64a
 // over all visited canonical keys, folded only on fresh inserts — an
 // order-independent fingerprint of the explored configuration set that two
 // runs of the same protocol at the same bounds must agree on (the POR on/off
@@ -49,7 +49,7 @@ type store interface {
 // string components (transmitter control key, receiver control key, data
 // channel key, ack channel key) interned to dense ids, plus the raw
 // counters. The stabilize-mode bookkeeping rides in grem/gfro/lost and is
-// zero in clean mode, exactly mirroring the string key's conditional
+// zero in clean mode, exactly mirroring the canonical bytes' conditional
 // "|g…|f…|l…" suffix.
 type intKey struct {
 	tc, rc, dk, ak uint32
@@ -92,31 +92,6 @@ func (s *intStore) insert(k intKey, canon []byte) (int32, bool, error) {
 func (s *intStore) len() int     { return len(s.ids) }
 func (s *intStore) hash() uint64 { return s.xor }
 func (s *intStore) close() error { return nil }
-
-// memStore is the legacy in-memory visited set, keyed by the canonical
-// string. Retained behind Config.StringKeys as the reference the packed
-// store is differentially checked against.
-type memStore struct {
-	ids map[string]int32
-	xor uint64
-}
-
-func newMemStore() *memStore { return &memStore{ids: make(map[string]int32)} }
-
-func (s *memStore) insert(_ intKey, canon []byte) (int32, bool, error) {
-	if id, ok := s.ids[string(canon)]; ok { // no-alloc map probe
-		return id, false, nil
-	}
-	k := string(canon)
-	id := int32(len(s.ids))
-	s.ids[k] = id
-	s.xor ^= keyHash(canon)
-	return id, true, nil
-}
-
-func (s *memStore) len() int     { return len(s.ids) }
-func (s *memStore) hash() uint64 { return s.xor }
-func (s *memStore) close() error { return nil }
 
 // diskStore spills the canonical key bytes — the dominant memory cost of a
 // large exploration — to an append-only temp file, keeping only a 64-bit

@@ -6,13 +6,12 @@ import (
 	"testing"
 )
 
-// TestStoreEquivalence drives all three stores through the same
-// configuration sequence — with plenty of duplicates — and demands identical
-// ids, counts, and canonical hashes. The packed keys are built the way the
-// explorer builds them (component-injective), so the intStore's packed-key
-// dedup must agree with the byte-key dedup of the other two.
+// TestStoreEquivalence drives both stores through the same configuration
+// sequence — with plenty of duplicates — and demands identical ids, counts,
+// and canonical hashes. The packed keys are built the way the explorer
+// builds them (component-injective), so the intStore's packed-key dedup
+// must agree with the diskStore's byte-key dedup.
 func TestStoreEquivalence(t *testing.T) {
-	mem := newMemStore()
 	ints := newIntStore()
 	disk, err := newDiskStore(t.TempDir())
 	if err != nil {
@@ -37,10 +36,6 @@ func TestStoreEquivalence(t *testing.T) {
 	probes = append(probes, probes...)
 
 	for i, p := range probes {
-		mid, mfresh, err := mem.insert(p.k, []byte(p.canon))
-		if err != nil {
-			t.Fatal(err)
-		}
 		iid, ifresh, err := ints.insert(p.k, []byte(p.canon))
 		if err != nil {
 			t.Fatal(err)
@@ -49,16 +44,15 @@ func TestStoreEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mid != did || mfresh != dfresh || mid != iid || mfresh != ifresh {
-			t.Fatalf("insert %d (%q): mem (%d, %v), int (%d, %v), disk (%d, %v)",
-				i, p.canon, mid, mfresh, iid, ifresh, did, dfresh)
+		if iid != did || ifresh != dfresh {
+			t.Fatalf("insert %d (%q): int (%d, %v), disk (%d, %v)", i, p.canon, iid, ifresh, did, dfresh)
 		}
 	}
-	if mem.len() != disk.len() || mem.len() != ints.len() {
-		t.Fatalf("len: mem %d, int %d, disk %d", mem.len(), ints.len(), disk.len())
+	if ints.len() != disk.len() {
+		t.Fatalf("len: int %d, disk %d", ints.len(), disk.len())
 	}
-	if mem.hash() != disk.hash() || mem.hash() != ints.hash() {
-		t.Fatalf("hash: mem %016x, int %016x, disk %016x", mem.hash(), ints.hash(), disk.hash())
+	if ints.hash() != disk.hash() {
+		t.Fatalf("hash: int %016x, disk %016x", ints.hash(), disk.hash())
 	}
 }
 

@@ -66,15 +66,11 @@ type Config struct {
 	NoPOR bool
 	// SpillDir, when non-empty, spills the visited key set to a temp file
 	// under this directory instead of holding it in memory ("" = in
-	// memory; "." spills to the current directory's temp space).
+	// memory; "." spills to the current directory's temp space). The
+	// spill store dedups on the canonical key bytes rather than the packed
+	// key, which makes it the reference internal/simdiff holds the default
+	// store to.
 	SpillDir string
-	// StringKeys forces the legacy string-keyed in-memory visited set
-	// instead of the interned packed-key store. The two are
-	// phenotype-identical — same States, Edges, SpaceHash and verdict; the
-	// simdiff harness pins the equivalence — so the field exists for
-	// differential checking and BenchmarkVerify, not correctness. Ignored
-	// when SpillDir is set (spilled keys are stored as strings regardless).
-	StringKeys bool
 	// Stabilize switches the run to self-stabilization mode: the BFS
 	// frontier is seeded with every bounded corrupted configuration the
 	// protocol declares (internal/stabilize), deliveries are judged by the
@@ -265,17 +261,14 @@ func Run(p protocol.Protocol, cfg Config) (*Report, error) {
 	}
 	rep.POR = e.por
 
-	switch {
-	case cfg.SpillDir != "":
+	if cfg.SpillDir != "" {
 		ds, err := newDiskStore(cfg.SpillDir)
 		if err != nil {
 			return nil, err
 		}
 		e.seen = ds
 		rep.Spilled = true
-	case cfg.StringKeys:
-		e.seen = newMemStore()
-	default:
+	} else {
 		e.seen = newIntStore()
 	}
 	defer func() { _ = e.seen.close() }()
@@ -416,12 +409,7 @@ func corruptInit(p protocol.Protocol, seed stabilize.Corruption, occupancy int) 
 		}
 		init.t = space.Transmitters[seed.TIdx].Clone()
 		init.r = space.Receivers[seed.RIdx].Clone()
-		if u, ok := init.t.(protocol.AckGenieUser); ok {
-			u.SetAckGenie(channel.ChannelGenie{Ch: init.chAck})
-		}
-		if u, ok := init.r.(protocol.DataGenieUser); ok {
-			u.SetDataGenie(channel.ChannelGenie{Ch: init.chData})
-		}
+		protocol.BindGenies(init.t, init.r, init.chData, init.chAck)
 	}
 	for _, pkt := range seed.Data {
 		init.chData.Send(pkt)
