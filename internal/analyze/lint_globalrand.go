@@ -7,7 +7,7 @@ import (
 // globalRandFuncs are the math/rand package-level functions backed by the
 // shared global source. Calling them makes the draw order a cross-package,
 // cross-goroutine global — the opposite of the per-stream seeding contract
-// (core.SplitSeed) the replay and fuzz subsystems are built on.
+// (seed.Split) the replay and fuzz subsystems are built on.
 var globalRandFuncs = map[string]bool{
 	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
 	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
@@ -18,13 +18,13 @@ var globalRandFuncs = map[string]bool{
 // GlobalRandAnalyzer forbids the global math/rand source and constant
 // seeds anywhere in the module's non-test code. All randomness must be an
 // explicit *rand.Rand whose seed is derived from a configured root seed via
-// core.SplitSeed, so that every stream is pinned and replayable.
+// seed.Split, so that every stream is pinned and replayable.
 func GlobalRandAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "globalrand",
 		Doc: "forbid top-level math/rand functions (the process-global source) and " +
 			"constant-seeded rand.NewSource; all randomness must flow from an " +
-			"explicit *rand.Rand seeded via core.SplitSeed(root, stream)",
+			"explicit *rand.Rand seeded via seed.Split(root, stream)",
 		Run: runGlobalRand,
 	}
 }
@@ -46,9 +46,9 @@ func runGlobalRand(pass *Pass) {
 			}
 			switch {
 			case globalRandFuncs[name]:
-				pass.Report(call.Pos(), "rand.%s uses the process-global source; draw from a *rand.Rand seeded via core.SplitSeed", name)
+				pass.Report(call.Pos(), "rand.%s uses the process-global source; draw from a *rand.Rand seeded via seed.Split", name)
 			case name == "NewSource" && len(call.Args) == 1 && isConstExpr(pass, call.Args[0]):
-				pass.Report(call.Pos(), "rand.NewSource with a constant seed; derive the seed from the configured root via core.SplitSeed")
+				pass.Report(call.Pos(), "rand.NewSource with a constant seed; derive the seed from the configured root via seed.Split")
 			}
 			return true
 		})

@@ -12,9 +12,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/protocol"
 	"repro/internal/replay"
+	"repro/internal/seed"
 	"repro/internal/stabilize"
 	"repro/internal/trace"
 )
@@ -31,7 +31,7 @@ type Config struct {
 	// Defaults to 50000.
 	Budget int64
 	// Seed is the campaign's root seed; per-worker RNGs are derived with
-	// core.SplitSeed(Seed, "fuzz-worker-<i>").
+	// seed.Split(Seed, "fuzz-worker-<i>").
 	Seed int64
 	// CorpusDir, when non-empty, persists the corpus: existing entries are
 	// loaded before fuzzing (resume) and every admitted input is saved.
@@ -442,7 +442,7 @@ func nextCandidate(corpus []*Entry, rng *rand.Rand, corrupt bool) *Input {
 
 // serial is the deterministic single-worker loop.
 func (c *campaign) serial() {
-	rng := rand.New(rand.NewSource(core.SplitSeed(c.cfg.Seed, "fuzz-worker-0")))
+	rng := rand.New(rand.NewSource(seed.Split(c.cfg.Seed, "fuzz-worker-0")))
 	for c.execs.Load() < c.cfg.Budget && !c.stop.Load() {
 		cand := nextCandidate(c.corpus, rng, c.cfg.Corrupt)
 		res := c.exec(cand, false)
@@ -475,7 +475,7 @@ func (c *campaign) parallel() {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(core.SplitSeed(c.cfg.Seed, "fuzz-worker-"+strconv.Itoa(id))))
+			rng := rand.New(rand.NewSource(seed.Split(c.cfg.Seed, "fuzz-worker-"+strconv.Itoa(id))))
 			local := make(coverSet)
 			exec := c.execOn(NewCore(c.cfg.Protocol)) // per-worker: cores are single-goroutine
 			for !c.stop.Load() {

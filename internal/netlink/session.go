@@ -48,9 +48,9 @@ import (
 	"time"
 
 	"repro/internal/channel"
-	"repro/internal/core"
 	"repro/internal/ioa"
 	"repro/internal/protocol"
+	"repro/internal/seed"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -87,7 +87,7 @@ type SessionConfig struct {
 	// are derived from Seed below.
 	Chaos ChaosConfig
 	// Seed makes the whole session deterministic: the two ChaosConn seeds
-	// are core.SplitSeed(Seed, "soak/data") and core.SplitSeed(Seed,
+	// are seed.Split(Seed, "soak/data") and seed.Split(Seed,
 	// "soak/ack").
 	Seed int64
 	// CorruptT/CorruptR select corrupted start states from the protocol's
@@ -206,7 +206,7 @@ func RunLoopbackSession(cfg SessionConfig) (*SessionResult, error) {
 // from cfg.Chaos, the seed split from the session seed by stream name.
 func chaosFor(cfg SessionConfig, stream string) ChaosConfig {
 	cc := cfg.Chaos
-	cc.Seed = core.SplitSeed(cfg.Seed, stream)
+	cc.Seed = seed.Split(cfg.Seed, stream)
 	return cc
 }
 

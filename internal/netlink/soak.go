@@ -13,8 +13,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/protocol"
+	"repro/internal/seed"
 	"repro/internal/trace"
 )
 
@@ -32,7 +32,7 @@ type SoakConfig struct {
 	// session (seeds are derived per session and direction).
 	Chaos ChaosConfig
 	// Seed is the root seed; session i runs with
-	// core.SplitSeed(Seed, "session/<i>").
+	// seed.Split(Seed, "session/<i>").
 	Seed int64
 	// Workers bounds concurrently running sessions. Defaults to 16.
 	Workers int
@@ -196,7 +196,7 @@ func (sv *Server) runSoakSession(cfg SoakConfig, id int) (SessionOutcome, []time
 		Protocol: p,
 		Messages: cfg.Messages,
 		Chaos:    cfg.Chaos,
-		Seed:     core.SplitSeed(cfg.Seed, "session/"+strconv.Itoa(id)),
+		Seed:     seed.Split(cfg.Seed, "session/"+strconv.Itoa(id)),
 	}
 	out := SessionOutcome{ID: id, Session: SessionName(id), Protocol: p.Name(), Seed: scfg.Seed}
 	res, err := sv.RunSession(scfg)

@@ -28,17 +28,40 @@ func everyProtocol() []Protocol {
 	}
 }
 
+// countingGenie is a Genie that counts its Stale calls.
+type countingGenie struct{ reads int }
+
+func (g *countingGenie) Stale(string) int {
+	g.reads++
+	return 0
+}
+
 // TestContractAppendKeysMatch: the allocation-free Append*Key renderings
 // must stay byte-identical to the string-returning StateKey/ControlKey at
 // every reachable state — the interned cores dedup and hash on the appended
 // bytes, so a divergence here is a silent wrong-answer in verify and fuzz.
 // The endpoints are driven through a full exchange (including an ack round
 // trip and a duplicate delivery) so conditional key segments show up.
+//
+// At every step it also holds the genie contract (AckGenieUser): rendering
+// keys, Busy and Clone read no genie, because the prover shares unstepped
+// endpoints whose genies are bound to stale channels. As a control, the
+// genie users' own steps must read theirs.
 func TestContractAppendKeysMatch(t *testing.T) {
 	for _, p := range everyProtocol() {
-		tx, rx := p.New(channel.NoGenie{}, channel.NoGenie{})
+		g := &countingGenie{}
+		tx, rx := p.New(g, g)
 		check := func(step string) {
 			t.Helper()
+			before := g.reads
+			defer func() {
+				t.Helper()
+				if g.reads != before {
+					t.Fatalf("%s %s: rendering keys, Busy and Clone read the genie %d time(s)", p.Name(), step, g.reads-before)
+				}
+			}()
+			_, _ = tx.Busy(), tx.Clone()
+			_ = rx.Clone()
 			if got, want := string(AppendStateKeyOf(nil, tx)), tx.StateKey(); got != want {
 				t.Fatalf("%s %s: transmitter AppendStateKey %q != StateKey %q", p.Name(), step, got, want)
 			}
@@ -78,6 +101,11 @@ func TestContractAppendKeysMatch(t *testing.T) {
 				tx.DeliverPkt(ack)
 			}
 			check("after ack round")
+		}
+		_, tUser := tx.(AckGenieUser)
+		_, rUser := rx.(DataGenieUser)
+		if (tUser || rUser) && g.reads == 0 {
+			t.Fatalf("%s: a genie user's steps never read its genie", p.Name())
 		}
 	}
 }

@@ -253,20 +253,29 @@ func AppendControlKeyOf(dst []byte, endpoint interface{ StateKey() string }) []b
 // execution (sim.Runner.Fork), the harness rebinds the genie to the forked
 // channel through this hook; the endpoints only read the genie at phase
 // starts, so rebinding between phases is safe.
+//
+// An endpoint reads its genie only while it steps, inside SendMsg and
+// DeliverPkt (and at construction), never while rendering its keys,
+// reporting Busy or cloning. The prover relies on it: its explorer shares
+// an endpoint a move does not step between configurations, with the genie
+// still bound to an ancestor's channels (internal/verify's cloneOf).
+// TestContractAppendKeysMatch pins it.
 type AckGenieUser interface {
 	SetAckGenie(g channel.Genie)
 }
 
 // DataGenieUser is the receiver-side analogue of AckGenieUser, for the t→r
-// channel oracle.
+// channel oracle, under the same rule: the genie is read only while the
+// receiver steps, inside DeliverPkt (and at construction).
 type DataGenieUser interface {
 	SetDataGenie(g channel.Genie)
 }
 
 // BindGenies points the transmitter's ack genie at ack and the receiver's
-// data genie at data, for whichever of the two consult one. Every harness
-// that copies endpoints onto fresh channels (forks, clones, corrupted
-// starts) calls it; the copies still read the original channels otherwise.
+// data genie at data, for whichever of the two consult one; a nil endpoint
+// is skipped. Every harness that copies endpoints onto fresh channels
+// (forks, clones, corrupted starts) calls it; the copies still read the
+// original channels otherwise.
 func BindGenies(t Transmitter, r Receiver, data, ack *channel.NonFIFO) {
 	if u, ok := t.(AckGenieUser); ok {
 		u.SetAckGenie(channel.ChannelGenie{Ch: ack})

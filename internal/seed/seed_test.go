@@ -1,11 +1,11 @@
-package core
+package seed
 
 import "testing"
 
-func TestSplitSeedDeterministicAndDistinct(t *testing.T) {
+func TestSplitDeterministicAndDistinct(t *testing.T) {
 	// Stable across calls.
-	if SplitSeed(3, "E4") != SplitSeed(3, "E4") {
-		t.Fatal("SplitSeed is not deterministic")
+	if Split(3, "E4") != Split(3, "E4") {
+		t.Fatal("Split is not deterministic")
 	}
 	// Distinct across streams and across roots, including the collision
 	// shapes the old affine formulas allowed (different (root, stream)
@@ -13,7 +13,7 @@ func TestSplitSeedDeterministicAndDistinct(t *testing.T) {
 	seen := make(map[int64]string)
 	for root := int64(0); root < 50; root++ {
 		for _, stream := range []string{"E4", "E5/n=8", "E5/n=16", "E6/seqnum", "E6/altbit", "E11/q=0.25"} {
-			s := SplitSeed(root, stream)
+			s := Split(root, stream)
 			key := stream + "@" + string(rune(root))
 			if prev, dup := seen[s]; dup {
 				t.Fatalf("seed collision: %q and %q both map to %d", prev, key, s)
@@ -23,7 +23,7 @@ func TestSplitSeedDeterministicAndDistinct(t *testing.T) {
 	}
 }
 
-func TestSplitSeedGoldenValues(t *testing.T) {
+func TestSplitGoldenValues(t *testing.T) {
 	// The derivation is part of experiment reproducibility: these values
 	// must never change without a deliberate (documented) break.
 	cases := []struct {
@@ -36,8 +36,8 @@ func TestSplitSeedGoldenValues(t *testing.T) {
 		{7, "E6/seqnum", 3090647103791314087},
 	}
 	for _, c := range cases {
-		if got := SplitSeed(c.root, c.stream); got != c.want {
-			t.Fatalf("SplitSeed(%d, %q) = %d, want %d", c.root, c.stream, got, c.want)
+		if got := Split(c.root, c.stream); got != c.want {
+			t.Fatalf("Split(%d, %q) = %d, want %d", c.root, c.stream, got, c.want)
 		}
 	}
 }

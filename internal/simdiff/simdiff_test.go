@@ -4,9 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fuzz"
 	"repro/internal/protocol"
+	"repro/internal/seed"
 	"repro/internal/transport"
 	"repro/internal/verify"
 )
@@ -33,7 +33,7 @@ func specimens() []protocol.Protocol {
 // — stale replays and drop storms arrive via the mutators), and a
 // corrupted-start variant of every chain step.
 func schedules(p protocol.Protocol, n int) []*fuzz.Input {
-	rng := rand.New(rand.NewSource(core.SplitSeed(42, "simdiff-"+p.Name())))
+	rng := rand.New(rand.NewSource(seed.Split(42, "simdiff-"+p.Name())))
 	ins := fuzz.SeedInputs()
 	parents := ins
 	for len(ins) < n {
@@ -79,7 +79,7 @@ func TestExecEquivalence(t *testing.T) {
 // one by luck.
 func TestExecEquivalenceOnWitness(t *testing.T) {
 	p := protocol.NewAltBit()
-	rng := rand.New(rand.NewSource(core.SplitSeed(7, "simdiff-witness")))
+	rng := rand.New(rand.NewSource(seed.Split(7, "simdiff-witness")))
 	c := fuzz.NewCore(p)
 	parents := fuzz.SeedInputs()
 	for i := 0; i < 5000; i++ {

@@ -25,17 +25,32 @@ func BenchmarkVerify(b *testing.B) {
 	})
 }
 
-// BenchmarkConfigKey isolates the canonical-key cost: the append rendering
-// into a reused scratch buffer, with the packed component ids interned out
-// of the same bytes.
+// BenchmarkConfigKey isolates the key cost on a configuration with a data
+// packet in transit: refreshing the packed key after a move (a drop
+// re-renders and interns one channel, a data delivery three components, a
+// root all four) and rendering the canonical bytes a fresh insert hashes.
 func BenchmarkConfigKey(b *testing.B) {
 	p := protocol.NewCntExp()
 	e := &explorer{cfg: Config{}.withDefaults(), proto: p, tab: intern.NewLocal(), pkts: newPktIntern()}
 	c := newInit(p)
-	b.Run("append-interned", func(b *testing.B) {
+	c.t.SendMsg(payload(0))
+	c.submitted = 1
+	if pkt, ok := c.t.NextPkt(); ok {
+		c.chData.Send(pkt)
+	}
+	for _, m := range []struct {
+		name string
+		kind moveKind
+	}{{"drop", mvDropData}, {"deliver-data", mvDeliverData}, {"root", 0}} {
+		b.Run("key-"+m.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e.keyOf(c, m.kind)
+			}
+		})
+	}
+	b.Run("render", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_, canon := e.keyOf(c)
-			if len(canon) == 0 {
+			if len(e.render(c)) == 0 {
 				b.Fatal("empty key")
 			}
 		}

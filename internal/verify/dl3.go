@@ -23,10 +23,11 @@ import (
 // strandedCandidates returns, in BFS order, the nodes that strand a message
 // and cannot reach a delivery-count-increasing edge in the explored graph.
 func (e *explorer) strandedCandidates() []int32 {
-	good := make([]bool, len(e.parents))
-	radj := make([][]int32, len(e.parents))
+	good := make([]bool, e.nodes.len())
+	radj := make([][]int32, e.nodes.len())
 	var stack []int32
-	for _, ed := range e.edges {
+	for i := 0; i < e.edges.len(); i++ {
+		ed := e.edges.at(int32(i))
 		radj[ed.to] = append(radj[ed.to], ed.from)
 		if ed.progress && !good[ed.from] {
 			good[ed.from] = true
@@ -44,16 +45,17 @@ func (e *explorer) strandedCandidates() []int32 {
 		}
 	}
 	var out []int32
-	for id := range e.parents {
+	for id := range good {
 		if good[id] {
 			continue
 		}
-		stranded := e.nodes[id].submitted > e.nodes[id].delivered
+		nc := e.nodes.at(int32(id))
+		stranded := nc.submitted > nc.delivered
 		if e.cfg.Stabilize {
 			// Corrupted runs also deliver garbage and duplicates, which
 			// inflate the delivery count without progress; a message is
 			// stranded when the clean frontier has not passed it.
-			stranded = e.nodes[id].submitted > e.nodes[id].frontier
+			stranded = nc.submitted > nc.frontier
 		}
 		if stranded {
 			out = append(out, int32(id))

@@ -70,6 +70,43 @@ const (
 	mvDropAck
 )
 
+// touch is the set of configuration parts a move changes: the endpoint it
+// steps and the channels it sends into, delivers from or drops from.
+type touch uint8
+
+const (
+	touchT touch = 1 << iota
+	touchR
+	touchData
+	touchAck
+)
+
+// touches returns the parts a move of kind k changes. cloneOf copies only
+// the endpoints in the set, and keyOf re-renders only its components; the
+// rest is the parent's. A root (kind 0) touches everything. Getting a set
+// too small is a wrong answer, not a slowdown: TestExpandSharing and the
+// spill store's full render (internal/simdiff) hold every kind to it.
+func (k moveKind) touches() touch {
+	switch k {
+	case mvSubmit:
+		return touchT
+	case mvTransmit, mvTransmitDrop:
+		return touchT | touchData
+	case mvDeliverData:
+		// The receiver steps, and its drained acknowledgements enter the
+		// ack channel.
+		return touchR | touchData | touchAck
+	case mvDeliverAck:
+		return touchT | touchAck
+	case mvDropData:
+		return touchData
+	case mvDropAck:
+		return touchAck
+	default:
+		return touchT | touchR | touchData | touchAck
+	}
+}
+
 // move is one transition: a kind plus, for the per-packet moves, the packet.
 type move struct {
 	kind moveKind
@@ -97,7 +134,9 @@ func (m move) String() string {
 	}
 }
 
-// config is one joint configuration of the exploration.
+// config is one joint configuration of the exploration. Its endpoints may
+// be shared with its parent and siblings (see cloneOf); its channels are
+// its own.
 type config struct {
 	t         protocol.Transmitter
 	r         protocol.Receiver
@@ -106,6 +145,9 @@ type config struct {
 	submitted int32
 	delivered int32
 	id        int32
+	// key is the packed key the default store dedups on. A successor
+	// inherits its parent's and keyOf refreshes what the move touched.
+	key intKey
 
 	// Stabilize-mode bookkeeping (zero and excluded from the key in clean
 	// mode): remaining is the seed's amnesty minus the faults charged so
@@ -118,13 +160,17 @@ type config struct {
 	lost      uint64
 }
 
-// cloneOf deep-copies c, rebinding the endpoints' genies to the copied
-// channels (the same discipline as sim.Runner.Fork and the audit
-// enumerator). It recycles a released configuration's struct and channel
-// storage when one is available: duplicate successors and expanded parents
-// dominate the exploration's allocation profile. The endpoints are always
-// freshly cloned (the protocol Clone contract allocates).
-func (e *explorer) cloneOf(c *config) *config {
+// cloneOf copies c for a move of kind k. The channels are always copied;
+// of the endpoints, only the one the move steps is cloned, and only its
+// genie is rebound to the copied channels (the discipline of
+// sim.Runner.Fork and the audit enumerator). The other endpoint is shared
+// with c. That is sound because expand steps only endpoints it has just
+// cloned, and endpoints read their genies only while stepping (see
+// protocol.AckGenieUser), so a shared endpoint's genie, still bound to
+// some ancestor's channels, is never read. A released configuration's
+// struct and channel storage are recycled when one is available:
+// duplicate successors and expanded parents dominate the exploration.
+func (e *explorer) cloneOf(c *config, k moveKind) *config {
 	var nc *config
 	if n := len(e.free); n > 0 {
 		nc = e.free[n-1]
@@ -132,65 +178,95 @@ func (e *explorer) cloneOf(c *config) *config {
 	} else {
 		nc = &config{chData: channel.NewNonFIFO(ioa.TtoR), chAck: channel.NewNonFIFO(ioa.RtoT)}
 	}
-	nc.t = c.t.Clone()
-	nc.r = c.r.Clone()
 	c.chData.CloneInto(nc.chData)
 	c.chAck.CloneInto(nc.chAck)
 	nc.submitted, nc.delivered, nc.id = c.submitted, c.delivered, 0
 	nc.remaining, nc.frontier, nc.lost = c.remaining, c.frontier, c.lost
-	protocol.BindGenies(nc.t, nc.r, nc.chData, nc.chAck)
+	nc.key = c.key
+	nc.t, nc.r = c.t, c.r
+	// BindGenies skips a nil endpoint, so only the clones are rebound.
+	var t protocol.Transmitter
+	var r protocol.Receiver
+	tc := k.touches()
+	if tc&touchT != 0 {
+		t = c.t.Clone()
+		nc.t = t
+	}
+	if tc&touchR != 0 {
+		r = c.r.Clone()
+		nc.r = r
+	}
+	protocol.BindGenies(t, r, nc.chData, nc.chAck)
 	return nc
 }
 
 // release returns a dead configuration (duplicate successor or expanded
-// parent) to the freelist. The endpoint references are dropped so the
-// cloned endpoints can be collected immediately.
+// parent) to the freelist. The endpoint references are dropped so
+// endpoints no live configuration shares can be collected.
 func (e *explorer) release(c *config) {
 	c.t, c.r = nil, nil
 	e.free = append(e.free, c)
 }
 
-// keyOf renders the canonical configuration key the visited set dedups on
-// into the explorer's scratch buffer, while interning the four string
-// components from their sub-slices into the packed intKey the default store
-// dedups on. In stabilize mode the amnesty bookkeeping joins the key: two
-// occurrences of the same joint configuration with different remaining
-// budgets, frontiers or lost sets have different judgeable futures, so
-// merging them would be unsound. Clean-mode keys omit it (space hashes stay
-// comparable across versions). The returned bytes alias e.kbuf and are
-// valid until the next call.
-func (e *explorer) keyOf(ns *config) (intKey, []byte) {
-	var k intKey
-	b := protocol.AppendControlKeyOf(e.kbuf[:0], ns.t)
-	k.tc = e.tab.InternBytes(b)
+// keyOf refreshes ns.key after a move of kind k: it re-renders and interns
+// only the components the move touched and keeps the parent's ids for the
+// rest, then copies the counters in. In stabilize mode the amnesty
+// bookkeeping joins the key: two occurrences of the same joint
+// configuration with different remaining budgets, frontiers or lost sets
+// have different judgeable futures, so merging them would be unsound.
+func (e *explorer) keyOf(ns *config, k moveKind) {
+	tc := k.touches()
+	if tc&touchT != 0 {
+		e.kbuf = protocol.AppendControlKeyOf(e.kbuf[:0], ns.t)
+		ns.key.tc = e.tab.InternBytes(e.kbuf)
+	}
+	if tc&touchR != 0 {
+		e.kbuf = protocol.AppendControlKeyOf(e.kbuf[:0], ns.r)
+		ns.key.rc = e.tab.InternBytes(e.kbuf)
+	}
+	if tc&touchData != 0 {
+		e.kbuf = ns.chData.AppendKey(e.kbuf[:0])
+		ns.key.dk = e.tab.InternBytes(e.kbuf)
+	}
+	if tc&touchAck != 0 {
+		e.kbuf = ns.chAck.AppendKey(e.kbuf[:0])
+		ns.key.ak = e.tab.InternBytes(e.kbuf)
+	}
+	ns.key.sub, ns.key.del = ns.submitted, ns.delivered
+	if e.cfg.Stabilize {
+		ns.key.grem, ns.key.gfro, ns.key.lost = ns.remaining, ns.frontier, ns.lost
+	}
+}
+
+// render returns the canonical key of c: the same four components keyOf
+// interns, joined by '|', then the counters and, in stabilize mode, the
+// amnesty bookkeeping (clean-mode keys omit it, so space hashes stay
+// comparable across versions). It renders every component from the
+// configuration itself, never from interned ids, so the spill store, which
+// dedups on these bytes, checks keyOf's touch sets independently. The
+// bytes alias e.kbuf and are valid until the next render or keyOf.
+func (e *explorer) render(c *config) []byte {
+	b := protocol.AppendControlKeyOf(e.kbuf[:0], c.t)
 	b = append(b, '|')
-	m := len(b)
-	b = protocol.AppendControlKeyOf(b, ns.r)
-	k.rc = e.tab.InternBytes(b[m:])
+	b = protocol.AppendControlKeyOf(b, c.r)
 	b = append(b, '|')
-	m = len(b)
-	b = ns.chData.AppendKey(b)
-	k.dk = e.tab.InternBytes(b[m:])
+	b = c.chData.AppendKey(b)
 	b = append(b, '|')
-	m = len(b)
-	b = ns.chAck.AppendKey(b)
-	k.ak = e.tab.InternBytes(b[m:])
+	b = c.chAck.AppendKey(b)
 	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(ns.submitted), 10)
+	b = strconv.AppendInt(b, int64(c.submitted), 10)
 	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(ns.delivered), 10)
-	k.sub, k.del = ns.submitted, ns.delivered
+	b = strconv.AppendInt(b, int64(c.delivered), 10)
 	if e.cfg.Stabilize {
 		b = append(b, "|g"...)
-		b = strconv.AppendInt(b, int64(ns.remaining), 10)
+		b = strconv.AppendInt(b, int64(c.remaining), 10)
 		b = append(b, "|f"...)
-		b = strconv.AppendInt(b, int64(ns.frontier), 10)
+		b = strconv.AppendInt(b, int64(c.frontier), 10)
 		b = append(b, "|l"...)
-		b = strconv.AppendUint(b, ns.lost, 16)
-		k.grem, k.gfro, k.lost = ns.remaining, ns.frontier, ns.lost
+		b = strconv.AppendUint(b, c.lost, 16)
 	}
 	e.kbuf = b
-	return k, b
+	return b
 }
 
 // parentEdge records how a configuration was first reached, for witness
@@ -253,6 +329,32 @@ type foundViolation struct {
 	detail string
 }
 
+// chunkLen is the element count of one chunk of a chunked log.
+const chunkLen = 1 << 12
+
+// chunked is an append-only log kept in fixed-size chunks, for the
+// exploration's queue and per-node and per-edge records, which run to
+// millions. A slice grown by append copies itself at every growth step,
+// and past small sizes it grows by 1.25×, so a slice that reaches n
+// elements allocates about 5n in total; a chunk is allocated once and
+// never copied.
+type chunked[T any] struct {
+	chunks []*[chunkLen]T
+	n      int
+}
+
+func (c *chunked[T]) push(v T) {
+	if c.n%chunkLen == 0 {
+		c.chunks = append(c.chunks, new([chunkLen]T))
+	}
+	c.chunks[c.n/chunkLen][c.n%chunkLen] = v
+	c.n++
+}
+
+func (c *chunked[T]) at(i int32) T { return c.chunks[i/chunkLen][i%chunkLen] }
+
+func (c *chunked[T]) len() int { return c.n }
+
 // explorer carries the exploration's accumulators.
 type explorer struct {
 	cfg   Config
@@ -260,15 +362,14 @@ type explorer struct {
 	por   bool
 
 	seen    store
-	queue   []*config
-	free    []*config // released configurations recycled by cloneOf
-	parents []parentEdge
-	nodes   []nodeCounts
-	edges   []edgeRec
+	queue   chunked[*config] // fresh configurations by id, expanded in order
+	free    []*config        // released configurations recycled by cloneOf
+	parents chunked[parentEdge]
+	nodes   chunked[nodeCounts]
+	edges   chunked[edgeRec]
 
 	// tab interns the key components of keyOf, pkts the parent-edge
-	// packets, and kbuf is the canonical-key scratch buffer keyOf renders
-	// into (valid until the next visit).
+	// packets, and kbuf is the scratch buffer keyOf and render write into.
 	tab  *intern.Local
 	pkts *pktIntern
 	kbuf []byte
@@ -286,23 +387,25 @@ func (e *explorer) visit(ns *config, from int32, mv move) (int32, bool) {
 	if e.err != nil {
 		return -1, false
 	}
-	id, fresh, err := e.seen.insert(e.keyOf(ns))
+	e.keyOf(ns, mv.kind)
+	id, fresh, err := e.seen.insert(ns)
 	if err != nil {
 		e.err = err
 		return -1, false
 	}
 	if fresh {
 		ns.id = id
-		e.queue = append(e.queue, ns)
-		e.parents = append(e.parents, parentEdge{parent: from, kind: mv.kind, pkt: e.pkts.intern(mv.pkt)})
-		e.nodes = append(e.nodes, nodeCounts{submitted: ns.submitted, delivered: ns.delivered, frontier: ns.frontier})
+		e.queue.push(ns)
+		e.parents.push(parentEdge{parent: from, kind: mv.kind, pkt: e.pkts.intern(mv.pkt)})
+		e.nodes.push(nodeCounts{submitted: ns.submitted, delivered: ns.delivered, frontier: ns.frontier})
 	}
 	if from >= 0 {
-		progress := ns.delivered > e.nodes[from].delivered
+		pc := e.nodes.at(from)
+		progress := ns.delivered > pc.delivered
 		if e.cfg.Stabilize {
-			progress = ns.frontier > e.nodes[from].frontier
+			progress = ns.frontier > pc.frontier
 		}
-		e.edges = append(e.edges, edgeRec{from: from, to: id, progress: progress})
+		e.edges.push(edgeRec{from: from, to: id, progress: progress})
 	}
 	// The progress comparison above reads ns; a duplicate goes back to the
 	// freelist only once nothing more will touch it.
@@ -375,7 +478,7 @@ func (e *explorer) expand(s *config) {
 	// submit: hand the transmitter the next positional message, only when
 	// it is idle and the message bound has room.
 	if !s.t.Busy() && int(s.submitted) < e.cfg.MaxMessages {
-		ns := e.cloneOf(s)
+		ns := e.cloneOf(s, mvSubmit)
 		ns.t.SendMsg(payload(int(ns.submitted)))
 		ns.submitted++
 		e.visit(ns, s.id, move{kind: mvSubmit})
@@ -385,7 +488,7 @@ func (e *explorer) expand(s *config) {
 	// delayed in transit; at cap it is dropped at send, which is the only
 	// way to let the transmitter keep stepping against a full channel.
 	{
-		ns := e.cloneOf(s)
+		ns := e.cloneOf(s, mvTransmit)
 		if pkt, ok := ns.t.NextPkt(); ok {
 			ns.chData.Send(pkt)
 			if s.chData.InTransit() < L {
@@ -404,7 +507,7 @@ func (e *explorer) expand(s *config) {
 	// post-delivery transit), DL1-checked per delivery, acks drained.
 	for i, n := 0, s.chData.DistinctPackets(); i < n; i++ {
 		pkt := s.chData.PacketAt(i)
-		ns := e.cloneOf(s)
+		ns := e.cloneOf(s, mvDeliverData)
 		if ns.chData.Deliver(pkt) != nil {
 			e.release(ns)
 			continue
@@ -421,7 +524,7 @@ func (e *explorer) expand(s *config) {
 	// deliver-ack: each distinct in-transit ack packet.
 	for i, n := 0, s.chAck.DistinctPackets(); i < n; i++ {
 		pkt := s.chAck.PacketAt(i)
-		ns := e.cloneOf(s)
+		ns := e.cloneOf(s, mvDeliverAck)
 		if ns.chAck.Deliver(pkt) != nil {
 			e.release(ns)
 			continue
@@ -437,7 +540,7 @@ func (e *explorer) expand(s *config) {
 	if !e.por || s.chData.InTransit() >= L {
 		for i, n := 0, s.chData.DistinctPackets(); i < n; i++ {
 			pkt := s.chData.PacketAt(i)
-			ns := e.cloneOf(s)
+			ns := e.cloneOf(s, mvDropData)
 			if ns.chData.Drop(pkt) == nil {
 				e.visit(ns, s.id, move{kind: mvDropData, pkt: pkt})
 			} else {
@@ -448,7 +551,7 @@ func (e *explorer) expand(s *config) {
 	if !e.por || s.chAck.InTransit() >= L {
 		for i, n := 0, s.chAck.DistinctPackets(); i < n; i++ {
 			pkt := s.chAck.PacketAt(i)
-			ns := e.cloneOf(s)
+			ns := e.cloneOf(s, mvDropAck)
 			if ns.chAck.Drop(pkt) == nil {
 				e.visit(ns, s.id, move{kind: mvDropAck, pkt: pkt})
 			} else {

@@ -9,15 +9,18 @@ import (
 
 // store is the visited set of the exploration: canonical configurations
 // mapped to dense ids (assigned in first-visit order, so id order is BFS
-// order). Every insert carries the configuration in two equivalent forms —
-// the packed interned key (component ids plus counters) and the rendered
-// canonical key bytes — and each implementation dedups on one of them:
+// order). A configuration has two equivalent forms — its packed key
+// (config.key: component ids plus counters) and its canonical key bytes
+// (explorer.render) — and each implementation dedups on one of them:
 //
 //   - intStore (the default) dedups on the packed key: one comparable
-//     32-byte struct probe instead of hashing a canonical string that runs
-//     to hundreds of bytes at high occupancy;
-//   - diskStore (Config.SpillDir) dedups on the canonical bytes, and so is
-//     the reference the simdiff harness holds the packed keys to.
+//     40-byte struct probe instead of hashing a canonical string that runs
+//     to hundreds of bytes at high occupancy. It renders the bytes only on
+//     a fresh insert, to fold the space hash;
+//   - diskStore (Config.SpillDir) renders and dedups on the canonical bytes
+//     at every insert. They are rendered from the configuration, not from
+//     the packed key's ids, so it is the reference the simdiff harness
+//     holds the packed keys, and with them keyOf's touch sets, to.
 //
 // The two dedup disciplines agree: interning is injective (equal component
 // ids ⇔ equal component strings), so a packed-key hit is a canonical-key
@@ -36,14 +39,17 @@ import (
 // equivalence tests compare verdicts, not hashes: the reduction visits fewer
 // states by design).
 type store interface {
-	// insert returns the configuration's id and whether it was fresh. canon
-	// is valid only for the duration of the call (it aliases the explorer's
-	// scratch buffer); implementations that retain it must copy.
-	insert(k intKey, canon []byte) (id int32, fresh bool, err error)
+	// insert returns c's id and whether it was fresh. It reads c.key and,
+	// where it needs the canonical bytes, the store's renderer.
+	insert(c *config) (id int32, fresh bool, err error)
 	len() int
 	hash() uint64
 	close() error
 }
+
+// renderer returns a configuration's canonical key bytes, valid until the
+// next call (explorer.render).
+type renderer func(*config) []byte
 
 // intKey is the packed form of a canonical configuration key: the four
 // string components (transmitter control key, receiver control key, data
@@ -70,22 +76,25 @@ func keyHash(k []byte) uint64 {
 }
 
 // intStore is the default visited set: a map keyed by the packed interned
-// key. The canonical bytes are touched only on fresh inserts, to fold the
+// key. The canonical bytes are rendered only on fresh inserts, to fold the
 // space hash.
 type intStore struct {
-	ids map[intKey]int32
-	xor uint64
+	ids    map[intKey]int32
+	xor    uint64
+	render renderer
 }
 
-func newIntStore() *intStore { return &intStore{ids: make(map[intKey]int32)} }
+func newIntStore(render renderer) *intStore {
+	return &intStore{ids: make(map[intKey]int32), render: render}
+}
 
-func (s *intStore) insert(k intKey, canon []byte) (int32, bool, error) {
-	if id, ok := s.ids[k]; ok {
+func (s *intStore) insert(c *config) (int32, bool, error) {
+	if id, ok := s.ids[c.key]; ok {
 		return id, false, nil
 	}
 	id := int32(len(s.ids))
-	s.ids[k] = id
-	s.xor ^= keyHash(canon)
+	s.ids[c.key] = id
+	s.xor ^= keyHash(s.render(c))
 	return id, true, nil
 }
 
@@ -110,6 +119,7 @@ type diskStore struct {
 	n      int
 	xor    uint64
 	buf    []byte
+	render renderer
 }
 
 type diskRec struct {
@@ -117,7 +127,7 @@ type diskRec struct {
 	id  int32
 }
 
-func newDiskStore(dir string) (*diskStore, error) {
+func newDiskStore(dir string, render renderer) (*diskStore, error) {
 	f, err := os.CreateTemp(dir, "nfverify-visited-*.keys")
 	if err != nil {
 		// Name the directory: the default ("" → os.TempDir) and an explicit
@@ -129,10 +139,11 @@ func newDiskStore(dir string) (*diskStore, error) {
 		return nil, fmt.Errorf("verify: spill store: cannot create spill file in %q: %w", dir, err)
 	}
 	// The file is unlinked-on-close via close(); keep the name for Remove.
-	return &diskStore{f: f, byHash: make(map[uint64][]diskRec)}, nil
+	return &diskStore{f: f, byHash: make(map[uint64][]diskRec), render: render}, nil
 }
 
-func (s *diskStore) insert(_ intKey, canon []byte) (int32, bool, error) {
+func (s *diskStore) insert(c *config) (int32, bool, error) {
+	canon := s.render(c)
 	h := keyHash(canon)
 	for _, rec := range s.byHash[h] {
 		same, err := s.keyAt(rec.off, canon)
@@ -181,11 +192,16 @@ func (s *diskStore) keyAt(off int64, want []byte) (bool, error) {
 func (s *diskStore) len() int     { return s.n }
 func (s *diskStore) hash() uint64 { return s.xor }
 
+// close closes and removes the spill file. Its error names the file (an
+// *os.PathError): a file that could not be removed is left on disk.
 func (s *diskStore) close() error {
 	name := s.f.Name()
 	err := s.f.Close()
 	if rmErr := os.Remove(name); err == nil {
 		err = rmErr
 	}
-	return err
+	if err != nil {
+		return fmt.Errorf("verify: spill store: %w", err)
+	}
+	return nil
 }

@@ -1,51 +1,68 @@
 package verify
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/channel"
+	"repro/internal/protocol"
 )
+
+// canonTable is a test renderer: the canonical bytes of each configuration
+// come from a table, and every call is counted.
+type canonTable struct {
+	keys  map[*config]string
+	calls int
+}
+
+func (ct *canonTable) render(c *config) []byte {
+	ct.calls++
+	return []byte(ct.keys[c])
+}
 
 // TestStoreEquivalence drives both stores through the same configuration
 // sequence — with plenty of duplicates — and demands identical ids, counts,
 // and canonical hashes. The packed keys are built the way the explorer
 // builds them (component-injective), so the intStore's packed-key dedup
-// must agree with the diskStore's byte-key dedup.
+// must agree with the diskStore's byte-key dedup. The intStore renders only
+// on fresh inserts, the diskStore on every insert.
 func TestStoreEquivalence(t *testing.T) {
-	ints := newIntStore()
-	disk, err := newDiskStore(t.TempDir())
+	intCanon := &canonTable{keys: map[*config]string{}}
+	diskCanon := &canonTable{keys: intCanon.keys}
+	ints := newIntStore(intCanon.render)
+	disk, err := newDiskStore(t.TempDir(), diskCanon.render)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer disk.close()
 
-	type probe struct {
-		k     intKey
-		canon string
-	}
-	var probes []probe
+	var probes []*config
 	for i := 0; i < 200; i++ {
 		tc, rc := uint32(i%37), uint32(i%11)
 		sub, del := int32(i%5), int32(i%3)
-		probes = append(probes, probe{
-			k:     intKey{tc: tc, rc: rc, sub: sub, del: del},
-			canon: fmt.Sprintf("tkey-%d|rkey-%d|{}|{}|%d|%d", tc, rc, sub, del),
-		})
+		c := &config{submitted: sub, delivered: del, key: intKey{tc: tc, rc: rc, sub: sub, del: del}}
+		intCanon.keys[c] = fmt.Sprintf("tkey-%d|rkey-%d|{}|{}|%d|%d", tc, rc, sub, del)
+		probes = append(probes, c)
 	}
 	// Re-insert everything a second time: all revisits.
 	probes = append(probes, probes...)
 
-	for i, p := range probes {
-		iid, ifresh, err := ints.insert(p.k, []byte(p.canon))
+	for i, c := range probes {
+		iid, ifresh, err := ints.insert(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		did, dfresh, err := disk.insert(p.k, []byte(p.canon))
+		did, dfresh, err := disk.insert(c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if iid != did || ifresh != dfresh {
-			t.Fatalf("insert %d (%q): int (%d, %v), disk (%d, %v)", i, p.canon, iid, ifresh, did, dfresh)
+			t.Fatalf("insert %d (%q): int (%d, %v), disk (%d, %v)", i, intCanon.keys[c], iid, ifresh, did, dfresh)
 		}
 	}
 	if ints.len() != disk.len() {
@@ -54,6 +71,10 @@ func TestStoreEquivalence(t *testing.T) {
 	if ints.hash() != disk.hash() {
 		t.Fatalf("hash: int %016x, disk %016x", ints.hash(), disk.hash())
 	}
+	if intCanon.calls != ints.len() || diskCanon.calls != len(probes) {
+		t.Fatalf("renders: int %d (want one per fresh insert, %d), disk %d (want one per insert, %d)",
+			intCanon.calls, ints.len(), diskCanon.calls, len(probes))
+	}
 }
 
 // TestDiskStoreUnwritableDir: an unwritable spill directory must fail at
@@ -61,7 +82,7 @@ func TestStoreEquivalence(t *testing.T) {
 // a mid-exploration write failure.
 func TestDiskStoreUnwritableDir(t *testing.T) {
 	dir := t.TempDir() + "/missing"
-	_, err := newDiskStore(dir)
+	_, err := newDiskStore(dir, nil)
 	if err == nil {
 		t.Fatal("newDiskStore in a nonexistent directory succeeded")
 	}
@@ -73,7 +94,8 @@ func TestDiskStoreUnwritableDir(t *testing.T) {
 // TestDiskStoreLargeKeys checks the spill records across the varint length
 // boundary (keys longer than 127 bytes need a two-byte length prefix).
 func TestDiskStoreLargeKeys(t *testing.T) {
-	disk, err := newDiskStore(t.TempDir())
+	canon := &canonTable{keys: map[*config]string{}}
+	disk, err := newDiskStore(t.TempDir(), canon.render)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,12 +109,73 @@ func TestDiskStoreLargeKeys(t *testing.T) {
 	wantFresh := []bool{true, true, true, false}
 	wantID := []int32{0, 1, 2, 0}
 	for i, k := range keys {
-		id, fresh, err := disk.insert(intKey{}, []byte(k))
+		c := &config{}
+		canon.keys[c] = k
+		id, fresh, err := disk.insert(c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if id != wantID[i] || fresh != wantFresh[i] {
 			t.Fatalf("insert %d: got (%d, %v), want (%d, %v)", i, id, fresh, wantID[i], wantFresh[i])
 		}
+	}
+}
+
+// removingProto wraps a protocol so that every transmitter's SendMsg calls
+// rm first.
+type removingProto struct {
+	protocol.Protocol
+	rm func()
+}
+
+func (p removingProto) New(data, ack channel.Genie) (protocol.Transmitter, protocol.Receiver) {
+	t, r := p.Protocol.New(data, ack)
+	return removingT{t, p.rm}, r
+}
+
+type removingT struct {
+	protocol.Transmitter
+	rm func()
+}
+
+func (t removingT) SendMsg(payload string) {
+	t.rm()
+	t.Transmitter.SendMsg(payload)
+}
+
+func (t removingT) Clone() protocol.Transmitter { return removingT{t.Transmitter.Clone(), t.rm} }
+
+// TestRunReportsSpillCloseError: a spill file that cannot be removed when
+// the run ends stays on disk, so Run must fail with an error naming it. The
+// protocol removes the file behind the store's back at the first submitted
+// message; removing it again at close then fails.
+func TestRunReportsSpillCloseError(t *testing.T) {
+	dir := t.TempDir()
+	removed := false
+	rm := func() {
+		if removed {
+			return
+		}
+		removed = true
+		files, err := filepath.Glob(filepath.Join(dir, "nfverify-visited-*"))
+		if err != nil || len(files) != 1 {
+			t.Fatalf("spill files in %s: %v (%v)", dir, files, err)
+		}
+		if err := os.Remove(files[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := Run(removingProto{protocol.NewSeqNum(), rm}, Config{SpillDir: dir})
+	if !removed {
+		t.Fatal("the run never submitted a message")
+	}
+	if err == nil {
+		t.Fatalf("Run returned no error (verdict %s) though its spill file could not be removed", rep.Verdict)
+	}
+	if rep != nil {
+		t.Fatalf("Run returned a report with its error: %v", err)
+	}
+	if !errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), filepath.Join(dir, "nfverify-visited-")) {
+		t.Fatalf("error does not name the spill file: %v", err)
 	}
 }

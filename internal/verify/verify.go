@@ -223,9 +223,9 @@ func (r *Report) JSON() ([]byte, error) {
 }
 
 // Run verifies one protocol up to the configured bounds.
-func Run(p protocol.Protocol, cfg Config) (*Report, error) {
+func Run(p protocol.Protocol, cfg Config) (rep *Report, err error) {
 	cfg = cfg.withDefaults()
-	rep := &Report{
+	rep = &Report{
 		Protocol:    p.Name(),
 		Occupancy:   cfg.Occupancy,
 		MaxMessages: cfg.MaxMessages,
@@ -238,7 +238,6 @@ func Run(p protocol.Protocol, cfg Config) (*Report, error) {
 			return nil, fmt.Errorf("verify: stabilize mode tracks at most %d message positions, got MaxMessages=%d",
 				stabilize.MaxLost, cfg.MaxMessages)
 		}
-		e.roots = make(map[int32]stabilize.Corruption)
 		rep.Stabilize = true
 		rep.MaxPoison = cfg.MaxPoison
 	}
@@ -262,40 +261,28 @@ func Run(p protocol.Protocol, cfg Config) (*Report, error) {
 	rep.POR = e.por
 
 	if cfg.SpillDir != "" {
-		ds, err := newDiskStore(cfg.SpillDir)
+		ds, err := newDiskStore(cfg.SpillDir, e.render)
 		if err != nil {
 			return nil, err
 		}
 		e.seen = ds
 		rep.Spilled = true
 	} else {
-		e.seen = newIntStore()
+		e.seen = newIntStore(e.render)
 	}
-	defer func() { _ = e.seen.close() }()
-
-	if cfg.Stabilize {
-		// Seed the frontier with the full bounded corrupted space: every
-		// declared endpoint-state pair crossed with every poison multiset.
-		// Each seed is a BFS root carrying its own amnesty; subspaces that
-		// reconverge to identical joint configurations with identical
-		// bookkeeping dedup across seeds.
-		seeds := stabilize.Enumerate(p, cfg.MaxPoison)
-		rep.Seeds = len(seeds)
-		for _, seed := range seeds {
-			root, err := corruptInit(p, seed, cfg.Occupancy)
-			if err != nil {
-				return nil, err
-			}
-			id, fresh := e.visit(root, -1, move{})
-			if fresh {
-				e.roots[id] = seed
-			}
+	defer func() {
+		// A spill file that could not be removed stays on disk, and it can
+		// run to gigabytes: that fails an otherwise good run.
+		if cerr := e.seen.close(); cerr != nil && err == nil {
+			rep, err = nil, cerr
 		}
-	} else {
-		e.visit(init, -1, move{})
+	}()
+
+	if rep.Seeds, err = e.visitRoots(); err != nil {
+		return nil, err
 	}
 	exhausted := true
-	for head := 0; head < len(e.queue); head++ {
+	for head := int32(0); int(head) < e.queue.len(); head++ {
 		if e.violation != nil || e.err != nil {
 			exhausted = false
 			break
@@ -304,20 +291,20 @@ func Run(p protocol.Protocol, cfg Config) (*Report, error) {
 			exhausted = false
 			break
 		}
-		s := e.queue[head]
+		s := e.queue.at(head)
 		e.expand(s)
 		// Recycle the configuration once its wave has passed; only the
 		// parent edges and counters are needed afterwards, so its struct
-		// and channel storage go back to the freelist for cloneOf.
+		// and channel storage go back to the freelist for cloneOf. Its
+		// queue entry is never read again.
 		e.release(s)
-		e.queue[head] = nil
 	}
 	if e.err != nil {
 		return nil, e.err
 	}
 
 	rep.States = e.seen.len()
-	rep.Edges = len(e.edges)
+	rep.Edges = e.edges.len()
 	rep.Exhausted = exhausted
 	rep.SpaceHash = fmt.Sprintf("%016x", e.seen.hash())
 
@@ -377,6 +364,32 @@ func Run(p protocol.Protocol, cfg Config) (*Report, error) {
 		judge(rep, p)
 	}
 	return rep, nil
+}
+
+// visitRoots visits the exploration's roots and returns the number of
+// corrupted seeds. A clean run has the single root newInit. In stabilize
+// mode the frontier is seeded with the full bounded corrupted space: every
+// declared endpoint-state pair crossed with every poison multiset. Each
+// seed is a BFS root carrying its own amnesty; subspaces that reconverge to
+// identical joint configurations with identical bookkeeping dedup across
+// seeds.
+func (e *explorer) visitRoots() (int, error) {
+	if !e.cfg.Stabilize {
+		e.visit(newInit(e.proto), -1, move{})
+		return 0, nil
+	}
+	e.roots = make(map[int32]stabilize.Corruption)
+	seeds := stabilize.Enumerate(e.proto, e.cfg.MaxPoison)
+	for _, seed := range seeds {
+		root, err := corruptInit(e.proto, seed, e.cfg.Occupancy)
+		if err != nil {
+			return 0, err
+		}
+		if id, fresh := e.visit(root, -1, move{}); fresh {
+			e.roots[id] = seed
+		}
+	}
+	return len(seeds), nil
 }
 
 // newInit builds the clean initial configuration.

@@ -36,8 +36,8 @@ func (e *explorer) chain(id int32, last *move) ([]move, int32) {
 		rev = append(rev, *last)
 	}
 	cur := id
-	for cur >= 0 && e.parents[cur].parent >= 0 {
-		pe := e.parents[cur]
+	for cur >= 0 && e.parents.at(cur).parent >= 0 {
+		pe := e.parents.at(cur)
 		rev = append(rev, move{kind: pe.kind, pkt: e.pkts.at(pe.pkt)})
 		cur = pe.parent
 	}

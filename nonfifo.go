@@ -67,6 +67,7 @@ import (
 	"repro/internal/ioa"
 	"repro/internal/protocol"
 	"repro/internal/replay"
+	"repro/internal/seed"
 	"repro/internal/sim"
 	"repro/internal/stabilize"
 	"repro/internal/trace"
@@ -423,10 +424,10 @@ func RunExperiments(w io.Writer, scale ExperimentScale) error { return core.RunA
 
 // SplitSeed derives the RNG seed for one named stream from a root seed, so
 // every randomized component of a program can be pinned and replayed
-// independently (see internal/core). All randomness in the module flows
+// independently (see internal/seed). All randomness in the module flows
 // from seeds derived this way — the globalrand lint (cmd/nfvet) forbids the
 // process-global math/rand source and hard-coded constant seeds.
-func SplitSeed(root int64, stream string) int64 { return core.SplitSeed(root, stream) }
+func SplitSeed(root int64, stream string) int64 { return seed.Split(root, stream) }
 
 // Static boundness audit (see internal/analyze and cmd/nfvet).
 type (
