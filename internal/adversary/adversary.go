@@ -178,12 +178,12 @@ func ReplaySearch(r *sim.Runner, cfg ReplayConfig) (ReplayReport, error) {
 					// The fork chain cloned the op log along the winning
 					// branch; seal it with the verdict.
 					cl := tl.Clone()
-					cl.Emit(trace.Event{Kind: trace.KindVerdict, Property: v.Property, Index: v.Index, Detail: v.Detail})
+					cl.Emit(trace.VerdictEvent(v, nil))
 					cert.Log = cl
 				}
 				return cert
 			}
-			key := child.R.StateKey() + "\x1f" + child.ChData.Key()
+			key := protocol.StateKey(child.R) + "\x1f" + child.ChData.Key()
 			if !visited[key] {
 				visited[key] = true
 				if c := dfs(child, newPath, depth+1); c != nil {
@@ -209,7 +209,7 @@ func opsLog(cfg ReplayConfig) *trace.Log {
 func protocolName(r *sim.Runner) string {
 	// The transmitter's state key begins with the protocol's type tag;
 	// extract a short name from it for certificates.
-	key := r.T.StateKey()
+	key := protocol.StateKey(r.T)
 	if i := strings.IndexByte(key, '{'); i > 0 {
 		return strings.TrimSuffix(key[:i], "T")
 	}
@@ -284,7 +284,7 @@ func Pump(r *sim.Runner, budget int) (PumpReport, error) {
 }
 
 func jointKey(f *sim.Runner) string {
-	return f.T.StateKey() + "\x1f" + f.R.StateKey()
+	return protocol.StateKey(f.T) + "\x1f" + protocol.StateKey(f.R)
 }
 
 // HeaderBudgetReport is the outcome of the Theorem 3.1 construction.

@@ -207,11 +207,11 @@ func TestPumpDetectsLivelock(t *testing.T) {
 func TestPumpDoesNotMutateCaller(t *testing.T) {
 	r := sim.NewRunner(sim.Config{Protocol: protocol.NewAltBit()})
 	r.SubmitMsg("m")
-	key := r.T.StateKey()
+	key := protocol.StateKey(r.T)
 	if _, err := Pump(r, 1000); err != nil {
 		t.Fatal(err)
 	}
-	if r.T.StateKey() != key || !r.T.Busy() {
+	if protocol.StateKey(r.T) != key || !r.T.Busy() {
 		t.Fatal("pump mutated the caller's runner")
 	}
 }

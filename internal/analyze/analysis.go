@@ -15,7 +15,7 @@
 //	globalrand  — no global math/rand state, no constant seeds
 //	maprange    — no map-order-dependent iteration on determinism-critical
 //	              paths (hashing, serialization, coverage, state keys)
-//	statekey    — StateKey/ControlKey implementations stay pure and cheap,
+//	statekey    — AppendStateKey/AppendControlKey renderers stay pure and cheap,
 //	              across package boundaries via purity facts
 //	nextpkt     — NextPkt must not mutate state on paths returning ok=false
 //	internlocal — intern.Local (single-goroutine by contract) must not

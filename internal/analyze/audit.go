@@ -38,7 +38,7 @@ import (
 //     payloads are the constant "m" — the paper's "all messages identical"
 //     convention: DL1 violations need distinguishable payloads, but
 //     boundness is a control-space property.
-//   - Endpoint states are compared by ControlKey (protocol.ControlKeyOf),
+//   - Endpoint states are compared by control key (protocol.AppendControlKey),
 //     letting protocols quotient away bookkeeping that provably never
 //     influences behavior (metrics counters, phase counters read mod k).
 //   - Receiver acknowledgements are drained eagerly: after every data
@@ -163,10 +163,10 @@ type auditor struct {
 
 // visit records a configuration and enqueues it if new.
 func (a *auditor) visit(s *auditState) {
-	b := protocol.AppendControlKeyOf(a.kbuf[:0], s.t)
+	b := protocol.AppendControlKey(a.kbuf[:0], s.t)
 	k := auditKey{tc: a.tab.InternBytes(b)}
 	m := len(b)
-	b = protocol.AppendControlKeyOf(b, s.r)
+	b = protocol.AppendControlKey(b, s.r)
 	k.rc = a.tab.InternBytes(b[m:])
 	m = len(b)
 	b = s.chData.AppendKey(b)

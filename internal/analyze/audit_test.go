@@ -152,13 +152,13 @@ func (t *fixtureT) NextPkt() (ioa.Packet, bool) {
 	t.sent++
 	return ioa.Packet{Header: "x", Payload: "m"}, true
 }
-func (t *fixtureT) StateKey() string {
-	k := "fixT{busy=" + strconv.FormatBool(t.busy)
+func (t *fixtureT) AppendStateKey(dst []byte) []byte {
+	dst = strconv.AppendBool(append(dst, "fixT{busy="...), t.busy)
 	if t.leak {
 		// The leak: unbounded bookkeeping in the control state.
-		k += " sent=" + strconv.Itoa(t.sent)
+		dst = strconv.AppendInt(append(dst, " sent="...), int64(t.sent), 10)
 	}
-	return k + "}"
+	return append(dst, '}')
 }
 
 type fixtureR struct {
@@ -188,8 +188,10 @@ func (r *fixtureR) Clone() protocol.Receiver {
 	c.delivered = append([]string(nil), r.delivered...)
 	return &c
 }
-func (r *fixtureR) StateKey() string {
-	return "fixR{acks=" + strconv.Itoa(r.acks) + " pend=" + strconv.Itoa(len(r.delivered)) + "}"
+func (r *fixtureR) AppendStateKey(dst []byte) []byte {
+	dst = strconv.AppendInt(append(dst, "fixR{acks="...), int64(r.acks), 10)
+	dst = strconv.AppendInt(append(dst, " pend="...), int64(len(r.delivered)), 10)
+	return append(dst, '}')
 }
 
 func auditFailures(t *testing.T, rep *AuditReport, substrings ...string) {

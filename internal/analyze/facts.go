@@ -19,9 +19,9 @@ import (
 // cmd/go hands each unit the vetx outputs of its dependencies via
 // PackageVetx and caches the unit's own VetxOutput). Facts are what lift the
 // statekey purity fixpoint from package scope to module scope: a
-// `StateKey → intern/mset helper → fmt.Sprintf` chain is invisible to a
-// per-unit analysis, but the helper's unit exports an impurity fact and the
-// StateKey's unit reads it back through the channel.
+// `AppendStateKey → intern/mset helper → fmt.Sprintf` chain is invisible to
+// a per-unit analysis, but the helper's unit exports an impurity fact and
+// the renderer's unit reads it back through the channel.
 
 // PurityFact is the statekey analyzer's verdict on one exported function:
 // fit or unfit for a state-key path. Pure facts are exported too (not just

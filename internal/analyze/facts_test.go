@@ -12,14 +12,14 @@ import (
 
 // vetmodDir is the checked-in two-package fixture module (own go.mod, so the
 // repo's ./... patterns skip it): helper exports an impure Render, and
-// keys.StateKey calls it across the package boundary.
+// keys.AppendStateKey calls it across the package boundary.
 const vetmodDir = "testdata/vetmod"
 
 func TestFactsCodecRoundTrip(t *testing.T) {
 	fs := NewFactSet()
 	fs.Purity["Render"] = PurityFact{Impure: true, Reason: "calls fmt.Sprint"}
 	fs.Purity["Width"] = PurityFact{}
-	fs.Purity["Node.StateKey"] = PurityFact{Impure: true, Reason: "calls helper.Render, which calls fmt.Sprint"}
+	fs.Purity["Node.AppendStateKey"] = PurityFact{Impure: true, Reason: "calls helper.Render, which calls fmt.Sprint"}
 
 	data, err := EncodeFacts(fs)
 	if err != nil {
@@ -115,7 +115,7 @@ func writeUnitCfg(t *testing.T, dir string, cfg *vetConfig) string {
 // unit, dependency vetx fed forward — and asserts the full channel: a
 // VetxOnly helper unit exports a non-empty decodable fact set, the keys unit
 // fails on the cross-package impurity only when PackageVetx is supplied, and
-// the keys unit's own vetx carries the derived Node.StateKey impurity.
+// the keys unit's own vetx carries the derived Node.AppendStateKey impurity.
 func TestVetxCfgRoundTrip(t *testing.T) {
 	exports, err := ExportMap(vetmodDir, "./...")
 	if err != nil {
@@ -184,15 +184,15 @@ func TestVetxCfgRoundTrip(t *testing.T) {
 	if code := runUnit("nfvet", writeUnitCfg(t, tmp, keysCfg), Analyzers(), &errw); code != 1 {
 		t.Fatalf("keys unit with facts exited %d, want 1; output: %s", code, errw.String())
 	}
-	if out := errw.String(); !strings.Contains(out, "StateKey calls helper.Render") || !strings.Contains(out, "fmt.Sprint") {
+	if out := errw.String(); !strings.Contains(out, "AppendStateKey calls helper.Render") || !strings.Contains(out, "fmt.Sprint") {
 		t.Errorf("keys diagnostics missing the cross-package chain: %s", out)
 	}
 	keysFacts, err := ReadFactsFile(keysVetx)
 	if err != nil {
 		t.Fatalf("reading keys vetx: %v", err)
 	}
-	if f, ok := keysFacts.Purity["Node.StateKey"]; !ok || !f.Impure {
-		t.Errorf("keys vetx Node.StateKey fact = %+v, want derived impurity", f)
+	if f, ok := keysFacts.Purity["Node.AppendStateKey"]; !ok || !f.Impure {
+		t.Errorf("keys vetx Node.AppendStateKey fact = %+v, want derived impurity", f)
 	}
 
 	// Control: the same unit without PackageVetx analyzes clean — the
@@ -258,7 +258,7 @@ func TestInProcessFactsFixture(t *testing.T) {
 		t.Fatalf("with facts: got %d diagnostics, want 1: %v", len(withFacts.Diags), withFacts.Diags)
 	}
 	d := withFacts.Diags[0]
-	if d.Analyzer != "statekey" || !strings.Contains(d.Message, "StateKey calls helper.Render") {
+	if d.Analyzer != "statekey" || !strings.Contains(d.Message, "AppendStateKey calls helper.Render") {
 		t.Errorf("unexpected diagnostic: %s", d)
 	}
 

@@ -5,11 +5,11 @@ import (
 	"go/types"
 )
 
-// fmtFormatting lists the reflection-driven fmt entry points. StateKey sits
-// on the hot path of the adversary search and the fuzzer's coverage signal
-// (two calls per simulator operation); PR 2 measured ~1.3x fuzz throughput
-// from replacing Sprintf with direct byte appends (keyBuf), and this lint
-// keeps that win from regressing.
+// fmtFormatting lists the reflection-driven fmt entry points. The key
+// renderers sit on the hot path of the adversary search, the prover and the
+// fuzzer's coverage signal (two renders per simulator operation); PR 2
+// measured ~1.3x fuzz throughput from replacing Sprintf with direct byte
+// appends (keyBuf), and this lint keeps that win from regressing.
 var fmtFormatting = map[string]bool{
 	"Sprintf": true, "Sprint": true, "Sprintln": true,
 	"Fprintf": true, "Fprint": true, "Fprintln": true,
@@ -17,26 +17,27 @@ var fmtFormatting = map[string]bool{
 	"Errorf": true, "Appendf": true, "Append": true, "Appendln": true,
 }
 
-// stateKeyMethods are the canonical-encoding methods the lint guards.
+// stateKeyMethods are the canonical-encoding methods the lint guards: the
+// renderers every hot loop calls.
 var stateKeyMethods = map[string]bool{
-	"StateKey":   true,
-	"ControlKey": true,
+	"AppendStateKey":   true,
+	"AppendControlKey": true,
 }
 
-// StateKeyAnalyzer checks that StateKey/ControlKey implementations are
-// pure and cheap: no map iteration (order-dependent bytes), no randomness,
-// no clock reads, and no fmt formatting (reflection on the hot path) —
-// directly or through helpers. With the facts channel (facts.go) the
+// StateKeyAnalyzer checks that AppendStateKey/AppendControlKey
+// implementations are pure and cheap: no map iteration (order-dependent
+// bytes), no randomness, no clock reads, and no fmt formatting (reflection
+// on the hot path) — directly or through helpers. With the facts channel (facts.go) the
 // transitive fixpoint is module-wide: every unit exports a purity fact for
 // each of its exported functions, and calls into other packages are judged
-// by the callee's fact, so a StateKey → helper-package → fmt chain is
+// by the callee's fact, so an AppendStateKey → helper-package → fmt chain is
 // caught across package boundaries. Without facts the fixpoint degrades to
 // its original package-local scope.
 func StateKeyAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "statekey",
-		Doc: "StateKey/ControlKey methods must be pure and allocation-lean: no map " +
-			"iteration, no math/rand, no clock reads, and no fmt.Sprintf-style " +
+		Doc: "AppendStateKey/AppendControlKey methods must be pure and allocation-lean: " +
+			"no map iteration, no math/rand, no clock reads, and no fmt.Sprintf-style " +
 			"formatting (use the keyBuf append helpers), including transitively " +
 			"through helpers — cross-package when the facts channel is enabled",
 		Run: runStateKey,
@@ -47,7 +48,7 @@ func StateKeyAnalyzer() *Analyzer {
 type impurity struct {
 	reason string
 	// callees are the package-local functions this function calls; used to
-	// propagate impurity up to StateKey callers.
+	// propagate impurity up to key renderers.
 	callees []*types.Func
 }
 
@@ -71,7 +72,8 @@ func runStateKey(pass *Pass) {
 	}
 
 	// Pass 2: propagate impurity through package-local calls to a fixpoint,
-	// so a StateKey that calls keyf (which calls fmt.Sprintf) is flagged.
+	// so an AppendStateKey that calls keyf (which calls fmt.Sprintf) is
+	// flagged.
 	// Cross-package impurity enters via classify (imported callees with an
 	// impure fact) and propagates through the same fixpoint.
 	impure := make(map[*types.Func]string)
@@ -96,7 +98,7 @@ func runStateKey(pass *Pass) {
 		}
 	}
 
-	// Pass 3: report findings inside StateKey/ControlKey bodies.
+	// Pass 3: report findings inside AppendStateKey/AppendControlKey bodies.
 	for _, fd := range decls {
 		if !stateKeyMethods[fd.Name.Name] || fd.Recv == nil {
 			continue

@@ -1,30 +1,27 @@
-// Fixture: statekey findings. The analyzer guards StateKey/ControlKey
-// method bodies in every package, including impurity reached transitively
-// through package-local helpers.
+// Fixture: statekey findings. The analyzer guards AppendStateKey and
+// AppendControlKey method bodies in every package, including impurity
+// reached transitively through package-local helpers.
 package keys
 
 import (
 	"fmt"
 	"math/rand"
 	"strconv"
-	"strings"
 )
 
 type sprintfKey struct{ n int }
 
-func (s sprintfKey) StateKey() string {
-	return fmt.Sprintf("s{n=%d}", s.n) // want "StateKey calls fmt.Sprintf"
+func (s sprintfKey) AppendStateKey(dst []byte) []byte {
+	return append(dst, fmt.Sprintf("s{n=%d}", s.n)...) // want "AppendStateKey calls fmt.Sprintf"
 }
 
 type mapKey struct{ counts map[string]int }
 
-func (m mapKey) StateKey() string {
-	var b strings.Builder
-	for k, v := range m.counts { // want "StateKey ranges over a map"
-		b.WriteString(k)
-		b.WriteString(strconv.Itoa(v))
+func (m mapKey) AppendStateKey(dst []byte) []byte {
+	for k, v := range m.counts { // want "AppendStateKey ranges over a map"
+		dst = strconv.AppendInt(append(dst, k...), int64(v), 10)
 	}
-	return b.String()
+	return dst
 }
 
 func keyf(format string, args ...any) string {
@@ -33,22 +30,22 @@ func keyf(format string, args ...any) string {
 
 type helperKey struct{ n int }
 
-func (h helperKey) StateKey() string {
-	return keyf("h{n=%d}", h.n) // want "StateKey calls keyf, which calls fmt.Sprintf"
+func (h helperKey) AppendStateKey(dst []byte) []byte {
+	return append(dst, keyf("h{n=%d}", h.n)...) // want "AppendStateKey calls keyf, which calls fmt.Sprintf"
 }
 
 func render(n int) string { return keyf("r{n=%d}", n) }
 
 type deepKey struct{ n int }
 
-func (d deepKey) ControlKey() string {
-	return render(d.n) // want "ControlKey calls render, which calls keyf, which calls fmt.Sprintf"
+func (d deepKey) AppendControlKey(dst []byte) []byte {
+	return append(dst, render(d.n)...) // want "AppendControlKey calls render, which calls keyf, which calls fmt.Sprintf"
 }
 
 type randKey struct{}
 
-func (randKey) StateKey() string {
-	return strconv.FormatInt(rand.Int63(), 16) // want "state keys must not consume randomness" "rand.Int63 uses the process-global source"
+func (randKey) AppendStateKey(dst []byte) []byte {
+	return strconv.AppendInt(dst, rand.Int63(), 16) // want "state keys must not consume randomness" "rand.Int63 uses the process-global source"
 }
 
 type cleanKey struct {
@@ -56,17 +53,13 @@ type cleanKey struct {
 	tags []string
 }
 
-func (c cleanKey) StateKey() string {
+func (c cleanKey) AppendStateKey(dst []byte) []byte {
 	// Direct byte appends and slice iteration: not flagged.
-	var b strings.Builder
-	b.WriteString("c{n=")
-	b.WriteString(strconv.Itoa(c.n))
+	dst = strconv.AppendInt(append(dst, "c{n="...), int64(c.n), 10)
 	for _, tag := range c.tags {
-		b.WriteByte(' ')
-		b.WriteString(tag)
+		dst = append(append(dst, ' '), tag...)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(dst, '}')
 }
 
 // describe is not a state-key method; fmt formatting here is fine.

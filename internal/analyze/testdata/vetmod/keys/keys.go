@@ -1,7 +1,7 @@
 // Package keys is the downstream half of the cross-package facts fixture:
-// its StateKey calls helper.Render, which is impure — but only the helper
-// package's unit can see why. Without facts this package analyzes clean;
-// with the channel, statekey reports the call below.
+// its AppendStateKey calls helper.Render, which is impure — but only the
+// helper package's unit can see why. Without facts this package analyzes
+// clean; with the channel, statekey reports the call below.
 package keys
 
 import "vetmod/helper"
@@ -11,16 +11,16 @@ type Node struct {
 	vals []int
 }
 
-// StateKey delegates its encoding to the impure imported helper. The
+// AppendStateKey delegates its encoding to the impure imported helper. The
 // diagnostic here fires only when the helper's purity fact is in scope.
-func (n Node) StateKey() string {
-	return helper.Render(n.vals)
+func (n Node) AppendStateKey(dst []byte) []byte {
+	return append(dst, helper.Render(n.vals)...)
 }
 
-// ControlKey stays on the pure helper; no diagnostic.
-func (n Node) ControlKey() string {
+// AppendControlKey stays on the pure helper; no diagnostic.
+func (n Node) AppendControlKey(dst []byte) []byte {
 	if helper.Width(n.vals) == 0 {
-		return "empty"
+		return append(dst, "empty"...)
 	}
-	return "loaded"
+	return append(dst, "loaded"...)
 }

@@ -160,19 +160,19 @@ func StateSpace(p protocol.Protocol, messages int) (tStates, rStates int, err er
 				AckPolicy:  mkAck(),
 				Payload:    func(int) string { return "m" },
 			})
-			tSeen[r.T.StateKey()] = true
-			rSeen[r.R.StateKey()] = true
+			tSeen[protocol.StateKey(r.T)] = true
+			rSeen[protocol.StateKey(r.R)] = true
 			for i := 0; i < messages; i++ {
 				r.SubmitMsg("m")
-				tSeen[r.T.StateKey()] = true
+				tSeen[protocol.StateKey(r.T)] = true
 				for steps := 0; r.T.Busy(); steps++ {
 					if steps > 1<<16 {
 						return len(tSeen), len(rSeen), fmt.Errorf("bound: state sweep stalled")
 					}
 					progressed := r.StepTransmit()
 					r.DrainAcks()
-					tSeen[r.T.StateKey()] = true
-					rSeen[r.R.StateKey()] = true
+					tSeen[protocol.StateKey(r.T)] = true
+					rSeen[protocol.StateKey(r.R)] = true
 					if !progressed && r.T.Busy() {
 						return len(tSeen), len(rSeen), fmt.Errorf("bound: state sweep: no enabled output")
 					}

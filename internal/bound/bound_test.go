@@ -20,11 +20,11 @@ func TestClosingCostIdleIsZero(t *testing.T) {
 func TestClosingCostDoesNotMutateCaller(t *testing.T) {
 	r := sim.NewRunner(sim.Config{Protocol: protocol.NewAltBit()})
 	r.SubmitMsg("m")
-	key := r.T.StateKey()
+	key := protocol.StateKey(r.T)
 	if _, err := ClosingCost(r, budget); err != nil {
 		t.Fatal(err)
 	}
-	if r.T.StateKey() != key {
+	if protocol.StateKey(r.T) != key {
 		t.Fatal("ClosingCost mutated the caller's runner")
 	}
 	if !r.T.Busy() {

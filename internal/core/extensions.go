@@ -288,8 +288,8 @@ func (t ungeniedT) Busy() bool                  { return t.inner.Busy() }
 func (t ungeniedT) Clone() protocol.Transmitter {
 	return ungeniedT{inner: t.inner.Clone()}
 }
-func (t ungeniedT) StateKey() string { return t.inner.StateKey() }
-func (t ungeniedT) StateSize() int   { return t.inner.StateSize() }
+func (t ungeniedT) AppendStateKey(dst []byte) []byte { return t.inner.AppendStateKey(dst) }
+func (t ungeniedT) StateSize() int                   { return t.inner.StateSize() }
 
 type ungeniedR struct{ inner protocol.Receiver }
 
@@ -299,8 +299,8 @@ func (r ungeniedR) TakeDelivered() []string     { return r.inner.TakeDelivered()
 func (r ungeniedR) Clone() protocol.Receiver {
 	return ungeniedR{inner: r.inner.Clone()}
 }
-func (r ungeniedR) StateKey() string { return r.inner.StateKey() }
-func (r ungeniedR) StateSize() int   { return r.inner.StateSize() }
+func (r ungeniedR) AppendStateKey(dst []byte) []byte { return r.inner.AppendStateKey(dst) }
+func (r ungeniedR) StateSize() int                   { return r.inner.StateSize() }
 
 // E9Row is one ablation outcome.
 type E9Row struct {

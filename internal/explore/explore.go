@@ -379,6 +379,6 @@ func rebuild(arena []*node, last *node) ioa.Trace {
 // key canonically encodes a configuration for deduplication.
 func key(n *node) string {
 	return fmt.Sprintf("%s\x1f%s\x1f%s\x1f%s\x1f%d\x1f%d\x1f%d\x1f%d",
-		n.t.StateKey(), n.r.StateKey(), n.chData.key(), n.chAck.key(),
+		protocol.StateKey(n.t), protocol.StateKey(n.r), n.chData.key(), n.chAck.key(),
 		n.submitted, len(n.delivered), n.dataSends, n.ackSends)
 }

@@ -394,18 +394,12 @@ func (t *blindAckT) Clone() protocol.Transmitter {
 	return &c
 }
 
-func (t *blindAckT) StateKey() string {
-	var b strings.Builder
-	b.WriteString("blindAckT{bit=")
-	b.WriteString(strconv.Itoa(t.bit))
-	b.WriteString(" busy=")
-	b.WriteString(strconv.FormatBool(t.busy))
-	b.WriteString(" payload=")
-	b.WriteString(strconv.Quote(t.payload))
-	b.WriteString(" q=[")
-	b.WriteString(strings.Join(t.queue, " "))
-	b.WriteString("]}")
-	return b.String()
+func (t *blindAckT) AppendStateKey(dst []byte) []byte {
+	dst = strconv.AppendInt(append(dst, "blindAckT{bit="...), int64(t.bit), 10)
+	dst = strconv.AppendBool(append(dst, " busy="...), t.busy)
+	dst = strconv.AppendQuote(append(dst, " payload="...), t.payload)
+	dst = append(append(dst, " q=["...), strings.Join(t.queue, " ")...)
+	return append(dst, "]}"...)
 }
 
 func (t *blindAckT) StateSize() int { return 2 + len(t.payload) }

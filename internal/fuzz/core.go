@@ -15,15 +15,15 @@ import (
 // Core is the interned execution engine: an Execute with the same observable
 // phenotype (coverage points, verdicts, logs — the differential harness in
 // internal/simdiff holds the two equal) built for throughput. Where Execute
-// allocates a runner per input, renders two StateKey strings per operation
+// allocates a runner per input, renders two state-key strings per operation
 // and re-scans the recorded trace with the batch checkers, a Core:
 //
 //   - pools one sim.Runner and resets it per input, recycling the channel
 //     multisets, recorder and metrics slices;
-//   - renders the joint state key into one reused scratch buffer
-//     (protocol.KeyAppender) and caches the coverage hash midstate per joint
-//     key — the per-operation coverage point costs one map probe and three
-//     FNV steps instead of building and hashing both key strings;
+//   - renders the joint state key into one reused scratch buffer (the
+//     endpoints' AppendStateKey) and caches the coverage hash midstate per
+//     joint key — the per-operation coverage point costs one map probe and
+//     three FNV steps instead of building and hashing both key strings;
 //   - judges clean runs with an incremental ioa.LiveChecker monitor instead
 //     of recording a trace and re-walking it per property;
 //   - judges a livelock candidate's closing drive (refuseLivelock) on the
@@ -163,14 +163,7 @@ func (c *Core) Execute(in *Input, withLog bool) *ExecResult {
 		}
 	}
 	if withLog {
-		ve := trace.Event{Kind: trace.KindVerdict}
-		switch {
-		case res.Verdict != nil:
-			ve.Property, ve.Index, ve.Detail = res.Verdict.Property, res.Verdict.Index, res.Verdict.Detail
-		case res.DL3 != nil:
-			ve.Property, ve.Index, ve.Detail = res.DL3.Property, res.DL3.Index, res.DL3.Detail
-		}
-		tlog.Emit(ve)
+		tlog.Emit(trace.VerdictEvent(res.Verdict, res.DL3))
 		res.Log = tlog
 	} else {
 		c.held = in
@@ -217,9 +210,9 @@ func (c *Core) point(r *sim.Runner) uint64 {
 	if c.ptValid && r.Version() == c.lastVer {
 		return c.lastPt
 	}
-	b := protocol.AppendStateKeyOf(c.jbuf[:0], r.T)
+	b := r.T.AppendStateKey(c.jbuf[:0])
 	b = append(b, 0)
-	b = protocol.AppendStateKeyOf(b, r.R)
+	b = r.R.AppendStateKey(b)
 	c.jbuf = b
 	mid, ok := c.pair[string(b)]
 	if !ok {

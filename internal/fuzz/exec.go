@@ -128,16 +128,9 @@ func Execute(proto protocol.Protocol, in *Input, withLog bool) *ExecResult {
 		}
 	}
 	if withLog {
-		// Mirror replay's verdict priority: safety wins, else the quiescent
-		// DL3 miss (so promoted livelock traces carry their liveness claim).
-		ve := trace.Event{Kind: trace.KindVerdict}
-		switch {
-		case res.Verdict != nil:
-			ve.Property, ve.Index, ve.Detail = res.Verdict.Property, res.Verdict.Index, res.Verdict.Detail
-		case res.DL3 != nil:
-			ve.Property, ve.Index, ve.Detail = res.DL3.Property, res.DL3.Index, res.DL3.Detail
-		}
-		tlog.Emit(ve)
+		// Replay's verdict priority: safety wins, else the quiescent DL3
+		// miss (so promoted livelock traces carry their liveness claim).
+		tlog.Emit(trace.VerdictEvent(res.Verdict, res.DL3))
 		res.Log = tlog
 	}
 	return res

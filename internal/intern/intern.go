@@ -1,4 +1,4 @@
-// Package intern maps canonical key strings — endpoint StateKey/ControlKey
+// Package intern maps canonical key strings — endpoint state and control key
 // encodings, channel multiset keys, packet renderings — to dense uint32 ids.
 //
 // The repo's exploration engines (fuzz coverage, the bounded verifier, the

@@ -338,36 +338,13 @@ func TestQuickDLSubsetDelivery(t *testing.T) {
 	}
 }
 
-func TestRecorderRollback(t *testing.T) {
-	r := NewRecorder()
-	r.SendMsg(msg(0))
-	mark := r.Len()
-	r.SendPkt(TtoR, pkt("d0"))
-	r.ReceivePkt(TtoR, pkt("d0"))
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d", r.Len())
-	}
-	suffix := r.Since(mark)
-	if len(suffix) != 2 || suffix[0].Kind != SendPkt {
-		t.Fatalf("Since = %v", suffix)
-	}
-	r.Rollback(mark)
-	if r.Len() != 1 {
-		t.Fatalf("after rollback Len = %d", r.Len())
-	}
-	c := r.Counters()
-	if c.SM != 1 || c.SPtoR != 0 {
-		t.Fatalf("counters after rollback = %+v", c)
-	}
-}
-
 func TestRecorderCloneIndependence(t *testing.T) {
 	r := NewRecorder()
 	r.SendMsg(msg(0))
 	c := r.Clone()
 	c.ReceiveMsg(msg(0))
-	if r.Len() != 1 || c.Len() != 2 {
-		t.Fatalf("clone not independent: r=%d c=%d", r.Len(), c.Len())
+	if len(r.Trace()) != 1 || len(c.Trace()) != 2 {
+		t.Fatalf("clone not independent: r=%d c=%d", len(r.Trace()), len(c.Trace()))
 	}
 }
 
@@ -481,18 +458,5 @@ func TestRecorderTraceCopyAndBounds(t *testing.T) {
 	tr[0] = Event{Kind: ReceiveMsg, Msg: msg(9)}
 	if r.Trace()[0].Kind != SendMsg {
 		t.Fatal("Trace() exposed internal storage")
-	}
-	// Rollback out of range is a no-op.
-	r.Rollback(-1)
-	r.Rollback(100)
-	if r.Len() != 1 {
-		t.Fatalf("Len = %d", r.Len())
-	}
-	// Since clamps.
-	if got := r.Since(-5); len(got) != 1 {
-		t.Fatalf("Since(-5) = %v", got)
-	}
-	if got := r.Since(100); len(got) != 0 {
-		t.Fatalf("Since(100) = %v", got)
 	}
 }

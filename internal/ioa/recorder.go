@@ -1,8 +1,6 @@
 package ioa
 
-// Recorder accumulates an execution trace. It supports marks and rollback
-// so that adversaries can speculatively explore extensions of an execution
-// (the proofs' "consider the extension β ...") and rewind.
+// Recorder accumulates an execution trace.
 type Recorder struct {
 	trace Trace
 }
@@ -26,19 +24,8 @@ func (r *Recorder) SendPkt(d Dir, p Packet) { r.Append(Event{Kind: SendPkt, Dir:
 func (r *Recorder) ReceivePkt(d Dir, p Packet) { r.Append(Event{Kind: ReceivePkt, Dir: d, Pkt: p}) }
 
 // Reset empties the recorder, keeping the backing array for reuse by
-// pooled runners. Safe because Trace/Since return copies.
+// pooled runners. Safe because Trace returns a copy.
 func (r *Recorder) Reset() { r.trace = r.trace[:0] }
-
-// Len reports the current trace length. Use it as a mark for Rollback.
-func (r *Recorder) Len() int { return len(r.trace) }
-
-// Rollback truncates the trace to the given mark (a previous Len value).
-func (r *Recorder) Rollback(mark int) {
-	if mark < 0 || mark > len(r.trace) {
-		return
-	}
-	r.trace = r.trace[:mark]
-}
 
 // Trace returns a copy of the recorded trace.
 func (r *Recorder) Trace() Trace {
@@ -46,22 +33,6 @@ func (r *Recorder) Trace() Trace {
 	copy(out, r.trace)
 	return out
 }
-
-// Since returns a copy of the suffix recorded after the given mark.
-func (r *Recorder) Since(mark int) Trace {
-	if mark < 0 {
-		mark = 0
-	}
-	if mark > len(r.trace) {
-		mark = len(r.trace)
-	}
-	out := make(Trace, len(r.trace)-mark)
-	copy(out, r.trace[mark:])
-	return out
-}
-
-// Counters computes the Definition-2 counters of the current trace.
-func (r *Recorder) Counters() Counters { return r.trace.Count() }
 
 // Clone returns an independent copy of the recorder.
 func (r *Recorder) Clone() *Recorder {

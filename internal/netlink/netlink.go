@@ -27,9 +27,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/ioa"
 	"repro/internal/protocol"
-	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -55,33 +53,11 @@ func WithResendInterval(d time.Duration) SenderOption {
 	}
 }
 
-// WithTraceSink makes the sender log its externally visible actions
-// (message submissions, data packet writes, ack arrivals) to sink. Events
-// are emitted from the event-loop goroutine, and writes are logged *before*
-// they hit the socket, so a combined two-station log (see
-// NewRecordedLoopbackPair) is ordered consistently with causality. Netlink
-// traces are observational — a record of what a real network session did —
-// not re-drivable by internal/replay, which owns both ends of a simulated
-// run.
-func WithTraceSink(sink trace.Sink) SenderOption {
-	return func(s *Sender) { s.sink = sink }
-}
-
-// ReceiverOption configures a Receiver.
-type ReceiverOption func(*Receiver)
-
-// WithReceiverTraceSink is WithTraceSink for the receiving station: data
-// packet arrivals, ack writes and payload deliveries are logged to sink.
-func WithReceiverTraceSink(sink trace.Sink) ReceiverOption {
-	return func(rc *Receiver) { rc.sink = sink }
-}
-
 // Sender drives a protocol transmitter over a datagram socket.
 type Sender struct {
 	conn        net.PacketConn
 	remote      net.Addr
 	resendEvery time.Duration
-	sink        trace.Sink
 
 	submit   chan string
 	flushReq chan chan struct{}
@@ -183,7 +159,6 @@ func (s *Sender) loop(t protocol.Transmitter) {
 	defer ticker.Stop()
 
 	var waiters []chan struct{}
-	submitted := 0
 	notify := func() {
 		if t.Busy() {
 			return
@@ -195,11 +170,6 @@ func (s *Sender) loop(t protocol.Transmitter) {
 	}
 	transmit := func() {
 		if p, ok := t.NextPkt(); ok {
-			if s.sink != nil {
-				// Log before the write so the combined session log orders
-				// this send before the peer's receive.
-				s.sink.Emit(trace.Event{Kind: trace.KindSendPkt, Dir: ioa.TtoR, Pkt: p})
-			}
 			_, _ = s.conn.WriteTo(wire.Encode(p), s.remote)
 		}
 	}
@@ -209,19 +179,12 @@ func (s *Sender) loop(t protocol.Transmitter) {
 		case <-s.stop:
 			return
 		case payload := <-s.submit:
-			if s.sink != nil {
-				s.sink.Emit(trace.Event{Kind: trace.KindSubmit, Msg: ioa.Message{ID: submitted, Payload: payload}})
-			}
-			submitted++
 			t.SendMsg(payload)
 			transmit() // fast path: first copy goes out immediately
 		case b := <-s.incoming:
 			pkt, err := wire.Decode(b)
 			if err != nil {
 				continue // corrupt datagram; the model assumes none, reality disagrees
-			}
-			if s.sink != nil {
-				s.sink.Emit(trace.Event{Kind: trace.KindRecvPkt, Dir: ioa.RtoT, Pkt: pkt})
 			}
 			t.DeliverPkt(pkt)
 			notify()
@@ -238,10 +201,8 @@ func (s *Sender) loop(t protocol.Transmitter) {
 // Receiver drives a protocol receiver over a datagram socket and delivers
 // payloads on a channel.
 type Receiver struct {
-	conn      net.PacketConn
-	out       chan string
-	sink      trace.Sink
-	delivered int // receive_msg counter for trace bookkeeping IDs
+	conn net.PacketConn
+	out  chan string
 
 	stop      chan struct{}
 	done      chan struct{}
@@ -251,16 +212,13 @@ type Receiver struct {
 // NewReceiver starts a receiver for protocol p on conn. Delivered payloads
 // appear on Out() in order; the consumer must drain it. Close releases the
 // station (and closes conn).
-func NewReceiver(p protocol.Protocol, conn net.PacketConn, opts ...ReceiverOption) *Receiver {
+func NewReceiver(p protocol.Protocol, conn net.PacketConn) *Receiver {
 	_, r := p.New(nil, nil)
 	rc := &Receiver{
 		conn: conn,
 		out:  make(chan string, 128),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
-	}
-	for _, o := range opts {
-		o(rc)
 	}
 	go rc.loop(r)
 	return rc
@@ -295,25 +253,15 @@ func (rc *Receiver) loop(r protocol.Receiver) {
 		if err != nil {
 			continue
 		}
-		if rc.sink != nil {
-			rc.sink.Emit(trace.Event{Kind: trace.KindRecvPkt, Dir: ioa.TtoR, Pkt: pkt})
-		}
 		r.DeliverPkt(pkt)
 		for {
 			ack, ok := r.NextPkt()
 			if !ok {
 				break
 			}
-			if rc.sink != nil {
-				rc.sink.Emit(trace.Event{Kind: trace.KindSendPkt, Dir: ioa.RtoT, Pkt: ack})
-			}
 			_, _ = rc.conn.WriteTo(wire.Encode(ack), src)
 		}
 		for _, payload := range r.TakeDelivered() {
-			if rc.sink != nil {
-				rc.sink.Emit(trace.Event{Kind: trace.KindRecvMsg, Msg: ioa.Message{ID: rc.delivered, Payload: payload}})
-			}
-			rc.delivered++
 			select {
 			case rc.out <- payload:
 			case <-rc.stop:
@@ -351,42 +299,6 @@ func NewLoopbackPair(p protocol.Protocol, wrap func(net.PacketConn) net.PacketCo
 	return &Pair{
 		Sender:   NewSender(p, sConn, remote, opts...),
 		Receiver: NewReceiver(p, rConn),
-	}, nil
-}
-
-// NewRecordedLoopbackPair is NewLoopbackPair with both stations logging
-// into l through one synchronized sink, producing a single combined session
-// log. Both stations emit sends before the datagram hits the socket, so the
-// interleaved log is ordered consistently with causality and satisfies PL1;
-// the trace is stamped kind "netlink" (observational — internal/replay
-// refuses to re-drive it, since only one side's nondeterminism was ours).
-func NewRecordedLoopbackPair(p protocol.Protocol, wrap func(net.PacketConn) net.PacketConn, l *trace.Log, opts ...SenderOption) (*Pair, error) {
-	if l.Meta[trace.MetaProtocol] == "" {
-		l.SetMeta(trace.MetaProtocol, p.Name())
-	}
-	if l.Meta[trace.MetaKind] == "" {
-		l.SetMeta(trace.MetaKind, "netlink")
-	}
-	sink := trace.NewSyncSink(l)
-
-	rConn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("netlink: receiver socket: %w", err)
-	}
-	sConn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		_ = rConn.Close()
-		return nil, fmt.Errorf("netlink: sender socket: %w", err)
-	}
-	remote := rConn.LocalAddr()
-	if wrap != nil {
-		rConn = wrap(rConn)
-		sConn = wrap(sConn)
-	}
-	opts = append(append([]SenderOption(nil), opts...), WithTraceSink(sink))
-	return &Pair{
-		Sender:   NewSender(p, sConn, remote, opts...),
-		Receiver: NewReceiver(p, rConn, WithReceiverTraceSink(sink)),
 	}, nil
 }
 

@@ -2,13 +2,12 @@ package netlink
 
 // Lock-step soak sessions: replayable data-link runs over real UDP.
 //
-// The free-running stations in netlink.go produce observational traces —
-// they record what a real network session did, but internal/replay cannot
-// re-drive them, because the wire's nondeterminism was never captured in the
-// simulator's vocabulary. A Session closes that gap. It wraps a sim.Runner
-// whose channel policies consult reality: every send does a real UDP wire
-// round trip through a seeded ChaosConn, and the chaos outcome is lifted
-// back into the model's recorded decision/stale-delivery vocabulary:
+// The free-running stations in netlink.go carry real traffic, but nothing
+// about their runs can be re-driven: the wire's nondeterminism never enters
+// the simulator's vocabulary. A Session closes that gap. It wraps a
+// sim.Runner whose channel policies consult reality: every send does a real
+// UDP wire round trip through a seeded ChaosConn, and the chaos outcome is
+// lifted back into the model's recorded decision/stale-delivery vocabulary:
 //
 //	chaos drop            → recorded Drop decision
 //	chaos hold            → recorded Delay decision (the model copy stays in
@@ -57,8 +56,8 @@ import (
 )
 
 // SoakTraceKind is the trace.MetaKind value stamped on lock-step session
-// logs. Unlike the observational "netlink" kind, "soak" traces are
-// operation- and decision-complete and internal/replay re-drives them.
+// logs. "soak" traces are operation- and decision-complete, and
+// internal/replay re-drives them.
 const SoakTraceKind = "soak"
 
 // ErrSessionStalled is wrapped by session errors when the transmitter stops
@@ -135,8 +134,8 @@ type SessionResult struct {
 	Log *trace.Log
 	// Stats are the wire and chaos counters.
 	Stats SessionStats
-	// Verdict is the safety check over the session's trace (PL1 both
-	// directions, DL1, DL2); nil if safe.
+	// Verdict is the safety check over the session's execution (PL1 both
+	// directions, DL1, DL2), judged live as it runs; nil if safe.
 	Verdict *ioa.Violation
 	// DL3 is the quiescent-liveness check; nil when every submitted message
 	// was delivered.
@@ -236,13 +235,14 @@ func runSession(cfg SessionConfig, env *sessionEnv) *SessionResult {
 	log := trace.NewLog(nil)
 	log.SetMeta(trace.MetaKind, SoakTraceKind)
 	log.SetMeta(trace.MetaSource, "netlink")
+	check := ioa.NewLiveChecker()
 	s.runner = sim.NewRunner(sim.Config{
-		Protocol:    cfg.Protocol,
-		DataPolicy:  channel.PolicyFunc(func(p ioa.Packet) channel.Decision { return s.onSend(ioa.TtoR, p) }),
-		AckPolicy:   channel.PolicyFunc(func(p ioa.Packet) channel.Decision { return s.onSend(ioa.RtoT, p) }),
-		StepBudget:  sessionStepBudget,
-		RecordTrace: true,
-		TraceLog:    log,
+		Protocol:   cfg.Protocol,
+		DataPolicy: channel.PolicyFunc(func(p ioa.Packet) channel.Decision { return s.onSend(ioa.TtoR, p) }),
+		AckPolicy:  channel.PolicyFunc(func(p ioa.Packet) channel.Decision { return s.onSend(ioa.RtoT, p) }),
+		StepBudget: sessionStepBudget,
+		Monitor:    check,
+		TraceLog:   log,
 	})
 
 	res := &SessionResult{Log: log}
@@ -270,23 +270,13 @@ func runSession(cfg SessionConfig, env *sessionEnv) *SessionResult {
 	s.stats.Elapsed = time.Since(start)
 	s.stats.Delivered = len(s.runner.Delivered())
 
-	run := s.runner.Result()
-	if err := ioa.CheckSafety(run.Trace); err != nil {
+	if err := check.Safety(); err != nil {
 		res.Verdict, _ = ioa.AsViolation(err)
 	}
-	if err := ioa.CheckDL3Quiescent(run.Trace); err != nil {
+	if err := check.DL3Quiescent(); err != nil {
 		res.DL3, _ = ioa.AsViolation(err)
 	}
-	// Stamp the verdict the way replay does: safety wins (it is the stronger
-	// finding), else the liveness miss, else clean.
-	ve := trace.Event{Kind: trace.KindVerdict}
-	switch {
-	case res.Verdict != nil:
-		ve.Property, ve.Index, ve.Detail = res.Verdict.Property, res.Verdict.Index, res.Verdict.Detail
-	case res.DL3 != nil:
-		ve.Property, ve.Index, ve.Detail = res.DL3.Property, res.DL3.Index, res.DL3.Detail
-	}
-	log.Emit(ve)
+	log.Emit(trace.VerdictEvent(res.Verdict, res.DL3))
 	res.Stats = s.stats
 	return res
 }

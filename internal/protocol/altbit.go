@@ -130,8 +130,6 @@ func (t *altBitT) Clone() Transmitter {
 	return &c
 }
 
-func (t *altBitT) StateKey() string { return keyString(t.AppendStateKey) }
-
 func (t *altBitT) AppendStateKey(dst []byte) []byte {
 	return keyTo(dst, "altbitT{bit=").d(t.bit).s(" busy=").t(t.busy).
 		s(" payload=").q(t.payload).s(" q=").queue(t.queue).s("}").bytes()
@@ -204,8 +202,6 @@ func (r *altBitR) Clone() Receiver {
 	}
 	return &c
 }
-
-func (r *altBitR) StateKey() string { return keyString(r.AppendStateKey) }
 
 func (r *altBitR) AppendStateKey(dst []byte) []byte {
 	return keyTo(dst, "altbitR{expect=").d(r.expect).s(" pendAcks=").d(len(r.acks)).

@@ -117,8 +117,6 @@ func (t *arrivalT) Clone() Transmitter {
 	return &c
 }
 
-func (t *arrivalT) StateKey() string { return keyString(t.AppendStateKey) }
-
 func (t *arrivalT) AppendStateKey(dst []byte) []byte {
 	return keyTo(dst, "arrivalT{seq=").d(t.seq).s(" busy=").t(t.busy).
 		s(" payload=").q(t.payload).s(" q=").queue(t.queue).s("}").bytes()
@@ -191,8 +189,6 @@ func (r *arrivalR) Clone() Receiver {
 	}
 	return &c
 }
-
-func (r *arrivalR) StateKey() string { return keyString(r.AppendStateKey) }
 
 func (r *arrivalR) AppendStateKey(dst []byte) []byte {
 	k := keyTo(dst, "arrivalR{seen=")

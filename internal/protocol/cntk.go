@@ -47,9 +47,9 @@ func (p CntK) Name() string { return "cntk" + strconv.Itoa(p.K) }
 func (p CntK) HeaderBound() (int, bool) { return 2 * p.K, true }
 
 // Bounds implements Bounded: the endpoints read their phase counters only
-// modulo K (see the ControlKey methods), and every other counter is capped
-// by the in-transit occupancy, so the joint control space under bounded
-// occupancy is finite with at most 2K distinct headers.
+// modulo K (see the AppendControlKey methods), and every other counter is
+// capped by the in-transit occupancy, so the joint control space under
+// bounded occupancy is finite with at most 2K distinct headers.
 func (p CntK) Bounds() Bounds {
 	k := p.K
 	if k < 2 {
@@ -156,21 +156,17 @@ func (t *cntkT) Clone() Transmitter {
 	return &c
 }
 
-func (t *cntkT) StateKey() string { return keyString(t.AppendStateKey) }
-
 func (t *cntkT) AppendStateKey(dst []byte) []byte {
 	return keyTo(dst, "cntk").d(t.k).s("T{phase=").d(t.phase).s(" busy=").t(t.busy).
 		s(" payload=").q(t.payload).s(" stale=").d(t.ackStale).s(" fresh=").d(t.ackFresh).
 		s(" q=").queue(t.queue).s("}").bytes()
 }
 
-// ControlKey implements ControlKeyer: the absolute phase counter is
+// AppendControlKey implements ControlKeyer: the absolute phase counter is
 // quotiented to phase mod K. Bisimulation argument: t.phase is read only by
 // cntkDataHeader/cntkAckHeader, both of which take it mod K, so two
 // transmitter states that agree on everything but a multiple-of-K phase
 // shift emit the same packets and react identically to the same inputs.
-func (t *cntkT) ControlKey() string { return keyString(t.AppendControlKey) }
-
 func (t *cntkT) AppendControlKey(dst []byte) []byte {
 	return keyTo(dst, "cntk").d(t.k).s("T{phase=").d(t.phase % t.k).s(" busy=").t(t.busy).
 		s(" payload=").q(t.payload).s(" stale=").d(t.ackStale).s(" fresh=").d(t.ackFresh).
@@ -259,21 +255,17 @@ func (r *cntkR) Clone() Receiver {
 	return &c
 }
 
-func (r *cntkR) StateKey() string { return keyString(r.AppendStateKey) }
-
 func (r *cntkR) AppendStateKey(dst []byte) []byte {
 	return keyTo(dst, "cntk").d(r.k).s("R{accepted=").d(r.accepted).s(" last=").d(r.lastAccepted).
 		s(" stale=").d(r.staleSnap).s(" fresh=").payloads(r.fresh).
 		s(" pendAcks=").d(len(r.acks)).s("}").bytes()
 }
 
-// ControlKey implements ControlKeyer: the accepted and lastAccepted phase
-// counters are quotiented mod K. Bisimulation argument: both counters are
-// read only through cntkDataHeader/cntkAckHeader (mod K); lastAccepted's
-// "-1 = nothing accepted yet" sentinel is preserved since it gates the
-// re-acknowledgement branch.
-func (r *cntkR) ControlKey() string { return keyString(r.AppendControlKey) }
-
+// AppendControlKey implements ControlKeyer: the accepted and lastAccepted
+// phase counters are quotiented mod K. Bisimulation argument: both counters
+// are read only through cntkDataHeader/cntkAckHeader (mod K);
+// lastAccepted's "-1 = nothing accepted yet" sentinel is preserved since it
+// gates the re-acknowledgement branch.
 func (r *cntkR) AppendControlKey(dst []byte) []byte {
 	last := r.lastAccepted
 	if last >= 0 {

@@ -76,9 +76,9 @@ func (CntLinear) Name() string { return "cntlinear" }
 func (CntLinear) HeaderBound() (int, bool) { return 4, true }
 
 // Bounds implements Bounded: with the ever/sent metrics counters quotiented
-// away (see the ControlKey methods — modeLinear never reads them), every
-// remaining component is capped by the channel occupancy, so the control
-// space under bounded occupancy is finite.
+// away (see the AppendControlKey methods — modeLinear never reads them),
+// every remaining component is capped by the channel occupancy, so the
+// control space under bounded occupancy is finite.
 func (CntLinear) Bounds() Bounds { return Bounds{StateBounded: true, Headers: 4} }
 
 // AttackBounds implements DLStatus: (0, 0) — the genie-snapshot threshold
@@ -289,23 +289,19 @@ func (t *countingT) Clone() Transmitter {
 	return &c
 }
 
-func (t *countingT) StateKey() string { return keyString(t.AppendStateKey) }
-
 func (t *countingT) AppendStateKey(dst []byte) []byte {
 	return keyTo(dst, t.mode.String()).s("T{bit=").d(t.bit).s(" busy=").t(t.busy).
 		s(" payload=").q(t.payload).s(" stale=").d(t.ackStale).s(" fresh=").d(t.ackFresh).
 		s(" ever=").pair(t.ackEver).s(" q=").queue(t.queue).s("}").bytes()
 }
 
-// ControlKey implements ControlKeyer: the sent metrics counters are always
-// dropped (nothing reads them), and the ackEver history counters are
+// AppendControlKey implements ControlKeyer: the sent metrics counters are
+// always dropped (nothing reads them), and the ackEver history counters are
 // dropped except in modeExp, where startPhase folds them into the
 // acceptance threshold and they are genuinely part of the control state.
 // Bisimulation argument for the non-exp modes: ackEver is written in
 // DeliverPkt but read only under t.mode == modeExp, so states differing
 // only in ackEver/sent step identically.
-func (t *countingT) ControlKey() string { return keyString(t.AppendControlKey) }
-
 func (t *countingT) AppendControlKey(dst []byte) []byte {
 	b := keyTo(dst, t.mode.String()).s("T{bit=").d(t.bit).s(" busy=").t(t.busy).
 		s(" payload=").q(t.payload).s(" stale=").d(t.ackStale).s(" fresh=").d(t.ackFresh)
@@ -443,20 +439,16 @@ func (r *countingR) Clone() Receiver {
 	return &c
 }
 
-func (r *countingR) StateKey() string { return keyString(r.AppendStateKey) }
-
 func (r *countingR) AppendStateKey(dst []byte) []byte {
 	return keyTo(dst, r.mode.String()).s("R{expect=").d(r.expect).s(" last=").d(r.lastAccepted).
 		s(" stale=").d(r.staleSnap).s(" fresh=").payloads(r.fresh).
 		s(" ever=").pair(r.recvEver).s(" pendAcks=").d(len(r.acks)).s("}").bytes()
 }
 
-// ControlKey implements ControlKeyer: the recvEver history counters are
-// dropped except in modeExp, where snapshot folds them into the stale
-// threshold. Bisimulation argument mirrors countingT.ControlKey: outside
-// modeExp, recvEver is write-only.
-func (r *countingR) ControlKey() string { return keyString(r.AppendControlKey) }
-
+// AppendControlKey implements ControlKeyer: the recvEver history counters
+// are dropped except in modeExp, where snapshot folds them into the stale
+// threshold. Bisimulation argument mirrors countingT.AppendControlKey:
+// outside modeExp, recvEver is write-only.
 func (r *countingR) AppendControlKey(dst []byte) []byte {
 	b := keyTo(dst, r.mode.String()).s("R{expect=").d(r.expect).s(" last=").d(r.lastAccepted).
 		s(" stale=").d(r.staleSnap).s(" fresh=").payloads(r.fresh)

@@ -16,36 +16,36 @@ func TestKeyBufMatchesFmt(t *testing.T) {
 	queue := []string{"p|q", "", `quote"back\slash`, "émoji⚡"}
 	for _, tc := range []struct {
 		name string
-		got  string
+		got  []byte
 		want string
 	}{
 		{
 			"ints",
-			key("k{").d(0).s(" ").d(-17).s(" ").d(1 << 40).s("}").done(),
+			keyTo(nil, "k{").d(0).s(" ").d(-17).s(" ").d(1 << 40).s("}").bytes(),
 			fmt.Sprintf("k{%d %d %d}", 0, -17, 1<<40),
 		},
 		{
 			"bools",
-			key("").t(true).s(" ").t(false).done(),
+			keyTo(nil, "").t(true).s(" ").t(false).bytes(),
 			fmt.Sprintf("%t %t", true, false),
 		},
 		{
 			"quoted strings",
-			key("").q("").s(" ").q("a\"b\n\x00").s(" ").q("émoji⚡").done(),
+			keyTo(nil, "").q("").s(" ").q("a\"b\n\x00").s(" ").q("émoji⚡").bytes(),
 			fmt.Sprintf("%q %q %q", "", "a\"b\n\x00", "émoji⚡"),
 		},
 		{
 			"int pairs",
-			key("").pair([2]int{7, -42}).done(),
+			keyTo(nil, "").pair([2]int{7, -42}).bytes(),
 			fmt.Sprintf("%v", [2]int{7, -42}),
 		},
 		{
 			"queues",
-			key("").queue(queue).s(";").queue(nil).done(),
-			fmt.Sprintf("%s;%s", strings.Join(queue, "|"), joinQueue(nil)),
+			keyTo(nil, "").queue(queue).s(";").queue(nil).bytes(),
+			fmt.Sprintf("%s;%s", strings.Join(queue, "|"), strings.Join(nil, "|")),
 		},
 	} {
-		if tc.got != tc.want {
+		if string(tc.got) != tc.want {
 			t.Errorf("%s: keyBuf rendered %q, fmt rendered %q", tc.name, tc.got, tc.want)
 		}
 	}

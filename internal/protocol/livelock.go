@@ -54,15 +54,11 @@ func (t *livelockT) NextPkt() (ioa.Packet, bool) {
 func (t *livelockT) Busy() bool         { return t.busy }
 func (t *livelockT) Clone() Transmitter { c := *t; return &c }
 
-func (t *livelockT) StateKey() string {
-	if t.busy {
-		return "livelockT{busy=true}"
-	}
-	return "livelockT{busy=false}"
-}
-
 func (t *livelockT) AppendStateKey(dst []byte) []byte {
-	return append(dst, t.StateKey()...)
+	if t.busy {
+		return append(dst, "livelockT{busy=true}"...)
+	}
+	return append(dst, "livelockT{busy=false}"...)
 }
 
 func (t *livelockT) StateSize() int { return 1 }
@@ -71,9 +67,9 @@ type livelockR struct{}
 
 var _ Receiver = (*livelockR)(nil)
 
-func (r *livelockR) DeliverPkt(ioa.Packet)       {}
-func (r *livelockR) NextPkt() (ioa.Packet, bool) { return ioa.Packet{}, false }
-func (r *livelockR) TakeDelivered() []string     { return nil }
-func (r *livelockR) Clone() Receiver             { c := *r; return &c }
-func (r *livelockR) StateKey() string            { return "livelockR{}" }
-func (r *livelockR) StateSize() int              { return 1 }
+func (r *livelockR) DeliverPkt(ioa.Packet)            {}
+func (r *livelockR) NextPkt() (ioa.Packet, bool)      { return ioa.Packet{}, false }
+func (r *livelockR) TakeDelivered() []string          { return nil }
+func (r *livelockR) Clone() Receiver                  { c := *r; return &c }
+func (r *livelockR) AppendStateKey(dst []byte) []byte { return append(dst, "livelockR{}"...) }
+func (r *livelockR) StateSize() int                   { return 1 }

@@ -6,9 +6,9 @@
 // transmitting station and a Receiver automaton at the receiving station.
 // The endpoints communicate only through packets handed to the channels by
 // the simulation engine (internal/sim) or by an adversary
-// (internal/adversary); they expose Clone and StateKey so the adversary
-// constructions can branch executions and detect repeated joint states,
-// which is how the paper's proofs manipulate executions.
+// (internal/adversary); they expose Clone and AppendStateKey so the
+// adversary constructions can branch executions and detect repeated joint
+// states, which is how the paper's proofs manipulate executions.
 //
 // The implemented protocols span the design space the paper discusses:
 //
@@ -35,7 +35,6 @@ package protocol
 import (
 	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/channel"
 	"repro/internal/ioa"
@@ -61,8 +60,11 @@ type Transmitter interface {
 	Busy() bool
 	// Clone returns an independent deep copy.
 	Clone() Transmitter
-	// StateKey returns a canonical encoding of the automaton state.
-	StateKey() string
+	// AppendStateKey appends a canonical encoding of the automaton state
+	// to dst and returns the extended slice. Equal keys mean equal states:
+	// the explorers, the fuzzer's coverage and the prover identify states
+	// by these bytes. StateKey renders the same bytes as a string.
+	AppendStateKey(dst []byte) []byte
 	// StateSize returns a proxy for the space used by the automaton
 	// state, in abstract units (counter words + queued payload bytes).
 	StateSize() int
@@ -81,8 +83,9 @@ type Receiver interface {
 	TakeDelivered() []string
 	// Clone returns an independent deep copy.
 	Clone() Receiver
-	// StateKey returns a canonical encoding of the automaton state.
-	StateKey() string
+	// AppendStateKey appends a canonical encoding of the automaton state
+	// to dst, as for Transmitter.
+	AppendStateKey(dst []byte) []byte
 	// StateSize returns a proxy for the space used by the automaton state.
 	StateSize() int
 }
@@ -175,8 +178,8 @@ type CorruptionSpace struct {
 // Corruptible is an optional Protocol extension declaring the protocol's
 // bounded corruption space, making it a subject for arbitrary-start
 // convergence checking. Corrupted endpoint states must satisfy the same
-// StateKey/Clone contracts as clean ones, so corrupted configurations get
-// canonical keys and intern into the existing coverage and visited maps.
+// AppendStateKey/Clone contracts as clean ones, so corrupted configurations
+// get canonical keys and intern into the existing coverage and visited maps.
 type Corruptible interface {
 	Corruptions() CorruptionSpace
 }
@@ -192,60 +195,31 @@ type StabilizeStatus interface {
 	SelfStabilizing() bool
 }
 
-// ControlKeyer is an optional endpoint extension returning the *control
-// state* key: StateKey quotiented by bookkeeping that grows without bound
-// but never influences behavior — a phase counter the automaton only reads
-// modulo k, or metrics counters. The boundness auditor enumerates control
-// keys, so an implementation carries a proof obligation (a bisimulation):
-// two endpoint states with equal ControlKey must produce identical observable
-// behavior, and ControlKey-equal successors, under every input.
+// ControlKeyer is an optional endpoint extension rendering the *control
+// state* key: the state key quotiented by bookkeeping that grows without
+// bound but never influences behavior — a phase counter the automaton only
+// reads modulo k, or metrics counters. The boundness auditor enumerates
+// control keys, so an implementation carries a proof obligation (a
+// bisimulation): two endpoint states with equal control keys must produce
+// identical observable behavior, and control-key-equal successors, under
+// every input.
 type ControlKeyer interface {
-	ControlKey() string
-}
-
-// ControlKeyOf returns the endpoint's control key, falling back to the full
-// StateKey for endpoints without a declared quotient.
-func ControlKeyOf(endpoint interface{ StateKey() string }) string {
-	if ck, ok := endpoint.(ControlKeyer); ok {
-		return ck.ControlKey()
-	}
-	return endpoint.StateKey()
-}
-
-// KeyAppender is an optional endpoint extension rendering StateKey into a
-// caller-provided buffer without allocating. Implementations must append
-// exactly the bytes StateKey returns — the interned exploration cores build
-// identity from these bytes, and the simdiff harness holds the two paths
-// equal.
-type KeyAppender interface {
-	AppendStateKey(dst []byte) []byte
-}
-
-// ControlKeyAppender is the ControlKeyer analogue of KeyAppender.
-type ControlKeyAppender interface {
 	AppendControlKey(dst []byte) []byte
 }
 
-// AppendStateKeyOf appends the endpoint's StateKey to dst, using the
-// zero-alloc appender when the endpoint provides one.
-func AppendStateKeyOf(dst []byte, endpoint interface{ StateKey() string }) []byte {
-	if ka, ok := endpoint.(KeyAppender); ok {
-		return ka.AppendStateKey(dst)
-	}
-	return append(dst, endpoint.StateKey()...)
+// StateKey renders the endpoint's state key as a string, for maps and
+// reports; hot loops append into a reused buffer instead.
+func StateKey(endpoint interface{ AppendStateKey([]byte) []byte }) string {
+	return string(endpoint.AppendStateKey(make([]byte, 0, 96)))
 }
 
-// AppendControlKeyOf appends the endpoint's control key to dst, mirroring
-// ControlKeyOf's fallback chain: declared control-key appender, then string
-// ControlKey, then the state key.
-func AppendControlKeyOf(dst []byte, endpoint interface{ StateKey() string }) []byte {
-	if ca, ok := endpoint.(ControlKeyAppender); ok {
-		return ca.AppendControlKey(dst)
-	}
+// AppendControlKey appends the endpoint's control key to dst, falling back
+// to its state key for endpoints without a declared quotient.
+func AppendControlKey(dst []byte, endpoint interface{ AppendStateKey([]byte) []byte }) []byte {
 	if ck, ok := endpoint.(ControlKeyer); ok {
-		return append(dst, ck.ControlKey()...)
+		return ck.AppendControlKey(dst)
 	}
-	return AppendStateKeyOf(dst, endpoint)
+	return endpoint.AppendStateKey(dst)
 }
 
 // AckGenieUser is implemented by transmitters that consult a stale-copy
@@ -259,7 +233,7 @@ func AppendControlKeyOf(dst []byte, endpoint interface{ StateKey() string }) []b
 // reporting Busy or cloning. The prover relies on it: its explorer shares
 // an endpoint a move does not step between configurations, with the genie
 // still bound to an ancestor's channels (internal/verify's cloneOf).
-// TestContractAppendKeysMatch pins it.
+// TestContractAppendKeys pins it.
 type AckGenieUser interface {
 	SetAckGenie(g channel.Genie)
 }
@@ -317,19 +291,17 @@ func Names() []string {
 	return out
 }
 
-// keyBuf assembles state keys by direct append. StateKey sits on the hot
-// path of both the adversary search and the fuzzer's coverage signal (two
-// calls per simulator operation), and fmt.Sprintf dominated those CPU
-// profiles; the append methods render the same bytes as the %d/%t/%q/%s
-// verbs without reflection. Verb names mirror fmt's. The builder is a
-// by-value chain so keyTo-rooted chains stay on the stack: the Append*Key
-// endpoint methods render into caller scratch buffers with zero
+// keyBuf assembles state keys by direct append. The key renderers sit on
+// the hot path of the adversary search, the fuzzer's coverage signal (two
+// renders per simulator operation) and the prover, and fmt.Sprintf
+// dominated those CPU profiles; the append methods render the same bytes
+// as the %d/%t/%q/%s verbs without reflection. Verb names mirror fmt's. The
+// builder is a by-value chain so keyTo-rooted chains stay on the stack: the
+// Append*Key endpoint methods render into caller scratch buffers with zero
 // allocations.
 type keyBuf struct{ buf []byte }
 
-func key(prefix string) keyBuf { return keyBuf{buf: append(make([]byte, 0, 96), prefix...)} }
-
-// keyTo roots a chain in a caller-provided buffer for the Append*Key paths.
+// keyTo roots a chain in a caller-provided buffer.
 func keyTo(dst []byte, prefix string) keyBuf { return keyBuf{buf: append(dst, prefix...)} }
 
 func (k keyBuf) s(s string) keyBuf { k.buf = append(k.buf, s...); return k }
@@ -342,7 +314,7 @@ func (k keyBuf) pair(a [2]int) keyBuf {
 	return k.s("[").d(a[0]).s(" ").d(a[1]).s("]")
 }
 
-// queue renders a payload queue like joinQueue.
+// queue renders a payload queue as its "|"-joined elements.
 func (k keyBuf) queue(q []string) keyBuf {
 	for i, s := range q {
 		if i > 0 {
@@ -353,14 +325,7 @@ func (k keyBuf) queue(q []string) keyBuf {
 	return k
 }
 
-func (k keyBuf) done() string  { return string(k.buf) }
 func (k keyBuf) bytes() []byte { return k.buf }
-
-// keyString materialises an Append*Key renderer as a string, for the
-// StateKey/ControlKey forms that remain the reporting and string-core path.
-func keyString(render func([]byte) []byte) string {
-	return string(render(make([]byte, 0, 96)))
-}
 
 // payloadCounts is a deterministic multiset of per-payload receipt counts:
 // a sorted assoc slice, so that rendering it into a state key needs no
@@ -407,9 +372,6 @@ func (k keyBuf) payloads(pc payloadCounts) keyBuf {
 	}
 	return k
 }
-
-// joinQueue encodes a payload queue into a state key component.
-func joinQueue(q []string) string { return strings.Join(q, "|") }
 
 // queueBytes is a space proxy for queued payloads.
 func queueBytes(q []string) int {

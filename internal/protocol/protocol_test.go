@@ -17,7 +17,7 @@ func pump(t *testing.T, tx Transmitter, rx Receiver, budget int) int {
 	sent := 0
 	for steps := 0; tx.Busy(); steps++ {
 		if steps > budget {
-			t.Fatalf("pump: no progress after %d steps (tx=%s rx=%s)", budget, tx.StateKey(), rx.StateKey())
+			t.Fatalf("pump: no progress after %d steps (tx=%s rx=%s)", budget, StateKey(tx), StateKey(rx))
 		}
 		if p, ok := tx.NextPkt(); ok {
 			sent++
@@ -195,7 +195,7 @@ func TestAltBitCloneIndependence(t *testing.T) {
 	if got := deliverAll(t, rx); len(got) != 0 {
 		t.Fatalf("original receiver delivered %v", got)
 	}
-	if tx.StateKey() == tc.StateKey() {
+	if StateKey(tx) == StateKey(tc) {
 		t.Fatal("clone state should have diverged")
 	}
 }
@@ -495,7 +495,7 @@ func TestCountingCloneIndependence(t *testing.T) {
 	rx.DeliverPkt(ioa.Packet{Header: "c0", Payload: "m0"})
 	rc2 := rx.Clone()
 	rx.DeliverPkt(ioa.Packet{Header: "c0", Payload: "m0"})
-	if rx.StateKey() == rc2.StateKey() {
+	if StateKey(rx) == StateKey(rc2) {
 		t.Fatal("receiver clone shares fresh-count state")
 	}
 }
@@ -507,16 +507,16 @@ func TestStateKeysDiffer(t *testing.T) {
 		t.Run(proto.Name(), func(t *testing.T) {
 			t1, r1 := proto.New(channel.NoGenie{}, channel.NoGenie{})
 			t2, r2 := proto.New(channel.NoGenie{}, channel.NoGenie{})
-			if t1.StateKey() != t2.StateKey() || r1.StateKey() != r2.StateKey() {
+			if StateKey(t1) != StateKey(t2) || StateKey(r1) != StateKey(r2) {
 				t.Fatal("fresh endpoints should have equal state keys")
 			}
 			t1.SendMsg("m")
-			if t1.StateKey() == t2.StateKey() {
+			if StateKey(t1) == StateKey(t2) {
 				t.Fatal("SendMsg should change the transmitter state key")
 			}
 			if p, ok := t1.NextPkt(); ok {
 				r1.DeliverPkt(p)
-				if r1.StateKey() == r2.StateKey() {
+				if StateKey(r1) == StateKey(r2) {
 					t.Fatal("DeliverPkt should change the receiver state key")
 				}
 			}
@@ -534,8 +534,8 @@ func TestCountingStateSizeGrowsWithCounters(t *testing.T) {
 		t.Fatalf("state size should grow with counter magnitude: %d vs %d",
 			rx.StateSize(), rx0.StateSize())
 	}
-	if !strings.Contains(rx.StateKey(), "stale=100000") {
-		t.Fatalf("state key should expose the stale counter: %s", rx.StateKey())
+	if !strings.Contains(StateKey(rx), "stale=100000") {
+		t.Fatalf("state key should expose the stale counter: %s", StateKey(rx))
 	}
 }
 

@@ -98,8 +98,6 @@ func (t *seqNumT) Clone() Transmitter {
 	return &c
 }
 
-func (t *seqNumT) StateKey() string { return keyString(t.AppendStateKey) }
-
 func (t *seqNumT) AppendStateKey(dst []byte) []byte {
 	return keyTo(dst, "seqnumT{seq=").d(t.seq).s(" busy=").t(t.busy).
 		s(" payload=").q(t.payload).s(" q=").queue(t.queue).s("}").bytes()
@@ -167,8 +165,6 @@ func (r *seqNumR) Clone() Receiver {
 	}
 	return &c
 }
-
-func (r *seqNumR) StateKey() string { return keyString(r.AppendStateKey) }
 
 func (r *seqNumR) AppendStateKey(dst []byte) []byte {
 	return keyTo(dst, "seqnumR{next=").d(r.next).s(" pendAcks=").d(len(r.acks)).

@@ -181,8 +181,6 @@ func (t *stabDLT) Clone() Transmitter {
 	return &c
 }
 
-func (t *stabDLT) StateKey() string { return keyString(t.AppendStateKey) }
-
 func (t *stabDLT) AppendStateKey(dst []byte) []byte {
 	return keyTo(dst, "stabdlT{label=").d(t.label).s(" busy=").t(t.busy).
 		s(" payload=").q(t.payload).s(" acked=").d(t.acked).
@@ -269,8 +267,6 @@ func (r *stabDLR) Clone() Receiver {
 	}
 	return &c
 }
-
-func (r *stabDLR) StateKey() string { return keyString(r.AppendStateKey) }
 
 func (r *stabDLR) AppendStateKey(dst []byte) []byte {
 	return keyTo(dst, "stabdlR{fence=").q(r.fence).s(" cand=").q(r.cand).

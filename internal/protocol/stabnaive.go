@@ -124,8 +124,6 @@ func (t *stabNaiveT) Clone() Transmitter {
 	return &c
 }
 
-func (t *stabNaiveT) StateKey() string { return keyString(t.AppendStateKey) }
-
 func (t *stabNaiveT) AppendStateKey(dst []byte) []byte {
 	return keyTo(dst, "stabnaiveT{round=").d(t.round).s(" busy=").t(t.busy).
 		s(" payload=").q(t.payload).s(" q=").queue(t.queue).s("}").bytes()
@@ -194,8 +192,6 @@ func (r *stabNaiveR) Clone() Receiver {
 	}
 	return &c
 }
-
-func (r *stabNaiveR) StateKey() string { return keyString(r.AppendStateKey) }
 
 func (r *stabNaiveR) AppendStateKey(dst []byte) []byte {
 	return keyTo(dst, "stabnaiveR{round=").d(r.round).s(" pendAcks=").d(len(r.acks)).

@@ -35,7 +35,6 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/ioa"
-	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -126,9 +125,9 @@ type DriveOutcome struct {
 // into one reused buffer — this is the hottest line of livelock
 // certification, which in turn dominates shrink-heavy fuzz campaigns.
 func appendDriveKey(dst []byte, r *sim.Runner) []byte {
-	dst = protocol.AppendStateKeyOf(dst, r.T)
+	dst = r.T.AppendStateKey(dst)
 	dst = append(dst, 0x1f)
-	dst = protocol.AppendStateKeyOf(dst, r.R)
+	dst = r.R.AppendStateKey(dst)
 	dst = append(dst, 0x1f)
 	dst = r.ChData.AppendKey(dst)
 	dst = append(dst, 0x1f)
@@ -283,7 +282,7 @@ func (c *LivelockCert) Pumped(n int) *trace.Log {
 	for i := 0; i < n; i++ {
 		p.Events = append(p.Events, c.Cycle...)
 	}
-	p.Emit(verdictEvent(nil, c.DL3))
+	p.Emit(trace.VerdictEvent(nil, c.DL3))
 	return p
 }
 

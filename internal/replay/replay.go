@@ -268,24 +268,9 @@ func Run(l *trace.Log) (*Result, error) {
 	res.VerdictMatches = verdictMatches(res.Verdict, res.DL3, res.RecordedVerdict)
 	res.Divergence = diverge(l, rl)
 
-	rl.Emit(verdictEvent(res.Verdict, res.DL3))
+	rl.Emit(trace.VerdictEvent(res.Verdict, res.DL3))
 	res.Log = rl
 	return res, nil
-}
-
-// verdictEvent renders the replayed checker outcome as a verdict event: the
-// safety violation if there is one, else the quiescent-liveness (DL3)
-// violation, else a clean verdict. Safety wins because it is the stronger
-// finding — a DL3 miss alongside a safety break is scheduling residue.
-func verdictEvent(safety, dl3 *ioa.Violation) trace.Event {
-	ve := trace.Event{Kind: trace.KindVerdict}
-	switch {
-	case safety != nil:
-		ve.Property, ve.Index, ve.Detail = safety.Property, safety.Index, safety.Detail
-	case dl3 != nil:
-		ve.Property, ve.Index, ve.Detail = dl3.Property, dl3.Index, dl3.Detail
-	}
-	return ve
 }
 
 // verdictMatches compares the replayed checker outcome against a recorded

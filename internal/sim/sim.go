@@ -502,7 +502,7 @@ func (r *Runner) recordStale(d ioa.Dir, p ioa.Packet) {
 // a new joint state (or a new occupancy regime) means the input drove the
 // system somewhere no earlier input did.
 func (r *Runner) JointState() (tkey, rkey string, dataTransit, ackTransit int) {
-	return r.T.StateKey(), r.R.StateKey(), r.ChData.InTransit(), r.ChAck.InTransit()
+	return protocol.StateKey(r.T), protocol.StateKey(r.R), r.ChData.InTransit(), r.ChAck.InTransit()
 }
 
 // Reset reinitialises the runner in place for a fresh run of cfg, recycling

@@ -337,7 +337,7 @@ func TestForkIndependence(t *testing.T) {
 	if len(f.Delivered()) != 2 || len(r.Delivered()) != 1 {
 		t.Fatalf("fork not independent: fork=%v orig=%v", f.Delivered(), r.Delivered())
 	}
-	if r.T.StateKey() == f.T.StateKey() {
+	if protocol.StateKey(r.T) == protocol.StateKey(f.T) {
 		t.Fatal("fork transmitter state should have diverged")
 	}
 	// The original's trace must be untouched by the fork's activity.

@@ -13,8 +13,8 @@ import (
 
 // specimens returns every protocol the harness holds to its references:
 // the full registry, the deliberately broken livelock protocol, and two
-// transport protocols (whose endpoints exercise the Append*Key fallback
-// paths: a string StateKey and the ControlKeyer quotient).
+// transport protocols (whose endpoints render the mod-S control-key
+// quotient).
 func specimens() []protocol.Protocol {
 	var ps []protocol.Protocol
 	for _, name := range protocol.Names() {
@@ -142,7 +142,7 @@ func TestCampaignEquivalence(t *testing.T) {
 // the packed default store and the spill store, and demands identical proof
 // artifacts — states, edges, space hash, verdict, check — including the
 // stabilize mode for the protocols that declare a corruption space. The
-// transport specimens' ControlKey quotients are among the components the
+// transport specimens' control-key quotients are among the components the
 // packed store interns.
 func TestVerifyEquivalence(t *testing.T) {
 	for _, p := range specimens() {

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/ioa"
 )
@@ -62,8 +61,9 @@ const (
 	// send on channel Dir. The decision stream is the recorded channel
 	// nondeterminism that replay substitutes for the live policy.
 	KindDecision
-	// KindRNG observes one raw RNG draw (the IEEE-754 bits of a float64),
-	// emitted by RecordingSource for audit of probabilistic policies.
+	// KindRNG observes one raw RNG draw (the IEEE-754 bits of a float64).
+	// No producer emits it; the codec still reads it so that existing logs
+	// carrying it stay readable, and replay skips it.
 	KindRNG
 	// KindVerdict records a checker verdict over the completed execution;
 	// by convention it is the final event of a log.
@@ -204,9 +204,9 @@ func (e Event) String() string {
 	}
 }
 
-// Sink consumes trace events. *Log and *Writer implement it, as does
-// SyncSink; producers (sim.Runner, channel.Capture, netlink stations) emit
-// into a Sink without caring where the events land.
+// Sink consumes trace events. *Log and *Writer implement it; producers
+// (sim.Runner, channel.Capture) emit into a Sink without caring where the
+// events land.
 type Sink interface {
 	Emit(Event)
 }
@@ -218,8 +218,7 @@ const (
 	// MetaKind distinguishes trace provenance: "sim" for simulator runs
 	// (deterministically replayable), "soak" for lock-step netlink soak
 	// sessions (wire-driven but decision-complete, equally replayable),
-	// "netlink" for observational socket sessions, "shrunk" for minimised
-	// traces.
+	// "shrunk" for minimised traces.
 	MetaKind = "kind"
 	// MetaSource is free-form provenance (tool name, attack, workload).
 	MetaSource = "source"
@@ -263,6 +262,22 @@ func (l *Log) Clone() *Log {
 	c.Events = make([]Event, len(l.Events))
 	copy(c.Events, l.Events)
 	return c
+}
+
+// VerdictEvent renders a run's checker outcome as the verdict event that
+// seals its log: the safety violation if there is one, else the
+// quiescent-liveness (DL3) violation, else a clean verdict. Safety wins
+// because it is the stronger finding — a DL3 miss alongside a safety break
+// is scheduling residue.
+func VerdictEvent(safety, dl3 *ioa.Violation) Event {
+	ve := Event{Kind: KindVerdict}
+	switch {
+	case safety != nil:
+		ve.Property, ve.Index, ve.Detail = safety.Property, safety.Index, safety.Detail
+	case dl3 != nil:
+		ve.Property, ve.Index, ve.Detail = dl3.Property, dl3.Index, dl3.Detail
+	}
+	return ve
 }
 
 // Verdict returns the final Verdict event's violation, if the log carries
@@ -336,52 +351,3 @@ func (l *Log) String() string {
 	}
 	return b.String()
 }
-
-// SyncSink serialises concurrent emissions into one underlying sink. The
-// netlink stations record from independent goroutines; sharing one SyncSink
-// between a sender and a receiver yields a single, totally ordered session
-// log.
-type SyncSink struct {
-	mu    sync.Mutex
-	inner Sink
-}
-
-// NewSyncSink wraps inner with a mutex.
-func NewSyncSink(inner Sink) *SyncSink { return &SyncSink{inner: inner} }
-
-// Emit implements Sink.
-func (s *SyncSink) Emit(e Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.inner.Emit(e)
-}
-
-// RecordingSource wraps a rand.Source64 so every draw is also emitted as a
-// KindRNG event. Probabilistic channel policies built over a recording
-// source leave an auditable record of the raw randomness behind their
-// decisions (the decisions themselves are what replay consumes).
-type RecordingSource struct {
-	Src interface {
-		Int63() int64
-		Uint64() uint64
-		Seed(int64)
-	}
-	Sink Sink
-}
-
-// Int63 implements rand.Source.
-func (r *RecordingSource) Int63() int64 {
-	v := r.Src.Int63()
-	r.Sink.Emit(Event{Kind: KindRNG, Bits: uint64(v)})
-	return v
-}
-
-// Uint64 implements rand.Source64.
-func (r *RecordingSource) Uint64() uint64 {
-	v := r.Src.Uint64()
-	r.Sink.Emit(Event{Kind: KindRNG, Bits: v})
-	return v
-}
-
-// Seed implements rand.Source.
-func (r *RecordingSource) Seed(seed int64) { r.Src.Seed(seed) }

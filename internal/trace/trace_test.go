@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -270,43 +269,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	if _, ok := l.Meta["extra"]; ok {
 		t.Error("clone shares meta map")
-	}
-}
-
-func TestSyncSinkConcurrent(t *testing.T) {
-	l := NewLog(nil)
-	s := NewSyncSink(l)
-	done := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 1000; i++ {
-				s.Emit(Event{Kind: KindTransmit})
-			}
-		}()
-	}
-	for g := 0; g < 4; g++ {
-		<-done
-	}
-	if l.Len() != 4000 {
-		t.Errorf("len = %d", l.Len())
-	}
-}
-
-func TestRecordingSource(t *testing.T) {
-	l := NewLog(nil)
-	src := &RecordingSource{Src: rand.NewSource(7).(rand.Source64), Sink: l}
-	rng := rand.New(src)
-	for i := 0; i < 10; i++ {
-		rng.Float64()
-	}
-	if l.Len() == 0 {
-		t.Fatal("no RNG events recorded")
-	}
-	for _, e := range l.Events {
-		if e.Kind != KindRNG {
-			t.Fatalf("unexpected event %v", e)
-		}
 	}
 }
 

@@ -152,39 +152,18 @@ func (t *gbnSender) Clone() protocol.Transmitter {
 	return &c
 }
 
-func (t *gbnSender) StateKey() string {
-	var b strings.Builder
-	b.WriteString("gbnS{s=")
-	b.WriteString(strconv.Itoa(t.s))
-	b.WriteString(" w=")
-	b.WriteString(strconv.Itoa(t.w))
-	b.WriteString(" base=")
-	b.WriteString(strconv.Itoa(t.base))
-	b.WriteString(" next=")
-	b.WriteString(strconv.Itoa(t.next))
-	b.WriteString(" rr=")
-	b.WriteString(strconv.Itoa(t.rr))
-	b.WriteString(" segs=")
-	for _, sg := range t.segs {
-		b.WriteString(strconv.Itoa(sg.seq))
-		b.WriteByte(':')
-		b.WriteString(sg.payload)
-		b.WriteByte(';')
-	}
-	b.WriteString(" q=")
-	b.WriteString(strings.Join(t.queue, "|"))
-	b.WriteByte('}')
-	return b.String()
+func (t *gbnSender) AppendStateKey(dst []byte) []byte {
+	return appendSenderKey(dst, "gbnS", t.s, t.w, t.base, t.next, t.rr, t.segs, t.queue, false)
 }
 
-// ControlKey implements protocol.ControlKeyer with the mod-S quotient; the
-// argument is the sliding-window sender's (swSender.ControlKey), without
-// per-segment ack marks.
-func (t *gbnSender) ControlKey() string {
+// AppendControlKey implements protocol.ControlKeyer with the mod-S
+// quotient; the argument is the sliding-window sender's
+// (swSender.AppendControlKey), without per-segment ack marks.
+func (t *gbnSender) AppendControlKey(dst []byte) []byte {
 	if t.s == 0 {
-		return t.StateKey()
+		return t.AppendStateKey(dst)
 	}
-	return senderQuotient("gbnS/", t.s, t.w, t.base, t.rr, t.segs, t.queue, false)
+	return appendSenderQuotient(dst, "gbnS/", t.s, t.w, t.base, t.rr, t.segs, t.queue, false)
 }
 
 func (t *gbnSender) StateSize() int {
@@ -262,38 +241,25 @@ func (r *gbnReceiver) Clone() protocol.Receiver {
 	return &c
 }
 
-func (r *gbnReceiver) StateKey() string {
-	var b strings.Builder
-	b.WriteString("gbnR{s=")
-	b.WriteString(strconv.Itoa(r.s))
-	b.WriteString(" next=")
-	b.WriteString(strconv.Itoa(r.next))
-	b.WriteString(" pendAcks=")
-	b.WriteString(strconv.Itoa(len(r.acks)))
-	b.WriteString(" pendDeliv=")
-	b.WriteString(strconv.Itoa(len(r.delivered)))
-	b.WriteByte('}')
-	return b.String()
+func (r *gbnReceiver) AppendStateKey(dst []byte) []byte {
+	dst = appendInt(append(dst, "gbnR{s="...), r.s)
+	dst = appendInt(append(dst, " next="...), r.next)
+	return appendPending(dst, r.acks, r.delivered)
 }
 
-// ControlKey implements protocol.ControlKeyer: next's residue mod S and the
-// pending queues, as for swReceiver, plus one bit, whether any segment has
-// been accepted yet. The cumulative re-ack fires only once next > 0, so
-// next=0 and next=S (both residue 0) would otherwise be merged despite
-// behaving differently on an out-of-order delivery.
-func (r *gbnReceiver) ControlKey() string {
+// AppendControlKey implements protocol.ControlKeyer: next's residue mod S
+// and the pending queues, as for swReceiver, plus one bit, whether any
+// segment has been accepted yet. The cumulative re-ack fires only once
+// next > 0, so next=0 and next=S (both residue 0) would otherwise be merged
+// despite behaving differently on an out-of-order delivery.
+func (r *gbnReceiver) AppendControlKey(dst []byte) []byte {
 	if r.s == 0 {
-		return r.StateKey()
+		return r.AppendStateKey(dst)
 	}
-	var b strings.Builder
-	b.WriteString("gbnR/{s=")
-	b.WriteString(strconv.Itoa(r.s))
-	b.WriteString(" next%=")
-	b.WriteString(strconv.Itoa(r.next % r.s))
-	b.WriteString(" started=")
-	b.WriteString(strconv.FormatBool(r.next > 0))
-	quotientQueues(&b, r.acks, r.delivered)
-	return b.String()
+	dst = appendInt(append(dst, "gbnR/{s="...), r.s)
+	dst = appendInt(append(dst, " next%="...), r.next%r.s)
+	dst = strconv.AppendBool(append(dst, " started="...), r.next > 0)
+	return appendQuotientQueues(dst, r.acks, r.delivered)
 }
 
 func (r *gbnReceiver) StateSize() int {

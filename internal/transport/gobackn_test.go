@@ -97,8 +97,8 @@ func TestGBNCumulativeAck(t *testing.T) {
 	tx.SendMsg("c")
 	// A single cumulative ack for seq 1 slides past both a and b.
 	tx.DeliverPkt(ioa.Packet{Header: "t1"})
-	if !strings.Contains(tx.StateKey(), "base=2") {
-		t.Fatalf("cumulative ack did not slide: %s", tx.StateKey())
+	if !strings.Contains(protocol.StateKey(tx), "base=2") {
+		t.Fatalf("cumulative ack did not slide: %s", protocol.StateKey(tx))
 	}
 }
 
@@ -183,13 +183,13 @@ func TestGBNCloneIndependence(t *testing.T) {
 	tx.SendMsg("a")
 	tc := tx.Clone()
 	tc.SendMsg("b")
-	if tx.StateKey() == tc.StateKey() {
+	if protocol.StateKey(tx) == protocol.StateKey(tc) {
 		t.Fatal("sender clone shares state")
 	}
 	rx.DeliverPkt(ioa.Packet{Header: "s0", Payload: "a"})
 	rc := rx.Clone()
 	rc.DeliverPkt(ioa.Packet{Header: "s1", Payload: "b"})
-	if rx.StateKey() == rc.StateKey() {
+	if protocol.StateKey(rx) == protocol.StateKey(rc) {
 		t.Fatal("receiver clone shares state")
 	}
 }

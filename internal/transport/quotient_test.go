@@ -76,8 +76,13 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
+// controlKey renders an endpoint's control key as a string.
+func controlKey(e interface{ AppendStateKey([]byte) []byte }) string {
+	return string(protocol.AppendControlKey(nil, e))
+}
+
 // jointKeys drives n messages to idle over reliable channels and returns
-// the joint control key and the joint StateKey after each confirmed
+// the joint control key and the joint state key after each confirmed
 // message.
 func jointKeys(t *testing.T, p protocol.Protocol, n int) (control, state []string) {
 	t.Helper()
@@ -86,15 +91,15 @@ func jointKeys(t *testing.T, p protocol.Protocol, n int) (control, state []strin
 		if err := r.RunMessage("m"); err != nil {
 			t.Fatalf("%s: message %d: %v", p.Name(), i, err)
 		}
-		control = append(control, protocol.ControlKeyOf(r.T)+"|"+protocol.ControlKeyOf(r.R))
-		state = append(state, r.T.StateKey()+"|"+r.R.StateKey())
+		control = append(control, controlKey(r.T)+"|"+controlKey(r.R))
+		state = append(state, protocol.StateKey(r.T)+"|"+protocol.StateKey(r.R))
 	}
 	return control, state
 }
 
 // TestControlKeyWrapInvariance is the finiteness property the audit relies
 // on: after a full trip around the sequence space the endpoints' control
-// keys revisit earlier values (period S), while their StateKeys grow
+// keys revisit earlier values (period S), while their state keys grow
 // forever with the absolute counters.
 func TestControlKeyWrapInvariance(t *testing.T) {
 	const s = 4
@@ -106,11 +111,11 @@ func TestControlKeyWrapInvariance(t *testing.T) {
 					p.Name(), i, i-s, control[i], control[i-s])
 			}
 		}
-		// The quotient is doing real work: the StateKeys never repeat.
+		// The quotient is doing real work: the state keys never repeat.
 		seen := make(map[string]bool)
 		for i, k := range state {
 			if seen[k] {
-				t.Fatalf("%s: StateKey repeated at message %d; the ControlKey quotient would be vacuous", p.Name(), i)
+				t.Fatalf("%s: state key repeated at message %d; the control-key quotient would be vacuous", p.Name(), i)
 			}
 			seen[k] = true
 		}
@@ -118,7 +123,7 @@ func TestControlKeyWrapInvariance(t *testing.T) {
 }
 
 // driveRecordedKeys replays one deterministic lossy schedule against a fresh
-// endpoint pair and records the joint ControlKey and StateKey after every
+// endpoint pair and records the joint control and state keys after every
 // driver operation.
 func driveRecordedKeys(t *testing.T, p protocol.Protocol) []string {
 	t.Helper()
@@ -130,7 +135,7 @@ func driveRecordedKeys(t *testing.T, p protocol.Protocol) []string {
 	var keys []string
 	snap := func() {
 		keys = append(keys,
-			protocol.ControlKeyOf(r.T)+"|"+protocol.ControlKeyOf(r.R)+"|"+r.T.StateKey()+"|"+r.R.StateKey())
+			controlKey(r.T)+"|"+controlKey(r.R)+"|"+protocol.StateKey(r.T)+"|"+protocol.StateKey(r.R))
 	}
 	for i := 0; i < 6; i++ {
 		r.SubmitMsg("m" + strconv.Itoa(i))
@@ -146,7 +151,7 @@ func driveRecordedKeys(t *testing.T, p protocol.Protocol) []string {
 
 // TestControlKeyReplayStability is the keys' determinism regression
 // (satellite of the statekey lint): two replays of the same schedule must
-// produce byte-identical ControlKey/StateKey sequences for every registered
+// produce byte-identical control and state key sequences for every registered
 // transport protocol. Clock reads, map iteration or randomness in a key
 // implementation would diverge here.
 func TestControlKeyReplayStability(t *testing.T) {
@@ -161,6 +166,109 @@ func TestControlKeyReplayStability(t *testing.T) {
 		for i := range first {
 			if first[i] != second[i] {
 				t.Fatalf("%s: key snapshot %d unstable across replays:\n %s\n %s", name, i, first[i], second[i])
+			}
+		}
+	}
+}
+
+// lossyExchange drives a fresh endpoint pair of p through a fixed lossy
+// schedule: nine messages, then steps transmit-deliver-drain rounds in which
+// every third data copy is lost, every fourth round leaves its acks pending
+// and acks drained in every fifth round are lost.
+func lossyExchange(p protocol.Protocol, steps int) (protocol.Transmitter, protocol.Receiver) {
+	tx, rx := p.New(nil, nil)
+	for i := 0; i < 9; i++ {
+		tx.SendMsg("m" + strconv.Itoa(i))
+	}
+	for step := 0; step < steps; step++ {
+		if pkt, ok := tx.NextPkt(); ok && step%3 != 1 {
+			rx.DeliverPkt(pkt)
+		}
+		if step%4 == 3 {
+			continue
+		}
+		for ack, ok := rx.NextPkt(); ok; ack, ok = rx.NextPkt() {
+			if step%5 != 2 {
+				tx.DeliverPkt(ack)
+			}
+		}
+	}
+	return tx, rx
+}
+
+// TestKeyBytesPinned pins the exact state and control key bytes of both
+// transport families, at S = 4 and unbounded, after the fixed lossy
+// exchange: mid-window, with acked and unacked segments in flight, a
+// buffered out-of-order segment or pending acks, and sequence numbers past
+// one wrap. The prover, the audit and the fuzzer identify states by these
+// bytes, so a rendering change would silently change every verdict's space.
+func TestKeyBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		p     protocol.Protocol
+		steps int
+		// want holds the transmitter and receiver state keys, then their
+		// control keys.
+		want [4]string
+	}{
+		{transport.New(4, 2), 11, [4]string{
+			"swS{s=4 w=2 base=5 next=7 rr=1 segs=5:m5:false;6:m6:true; q=m7|m8}",
+			"swR{s=4 w=2 next=5 buf=6:m6; pendAcks=0 pendDeliv=5}",
+			"swS/{s=4 w=2 base%=1 rr=1 segs=1:m5:false;2:m6:true; q=m7|m8}",
+			"swR/{s=4 w=2 next%=1 buf=1:m6; acks= deliv=m0|m1|m2|m3|m4}",
+		}},
+		{transport.New(4, 2), 12, [4]string{
+			"swS{s=4 w=2 base=5 next=7 rr=1 segs=5:m5:false;6:m6:true; q=m7|m8}",
+			"swR{s=4 w=2 next=7 buf= pendAcks=1 pendDeliv=7}",
+			"swS/{s=4 w=2 base%=1 rr=1 segs=1:m5:false;2:m6:true; q=m7|m8}",
+			"swR/{s=4 w=2 next%=3 buf= acks=t1; deliv=m0|m1|m2|m3|m4|m5|m6}",
+		}},
+		{transport.New(0, 2), 11, [4]string{
+			"swS{s=0 w=2 base=5 next=7 rr=1 segs=5:m5:false;6:m6:true; q=m7|m8}",
+			"swR{s=0 w=2 next=5 buf=6:m6; pendAcks=0 pendDeliv=5}",
+			"swS{s=0 w=2 base=5 next=7 rr=1 segs=5:m5:false;6:m6:true; q=m7|m8}",
+			"swR{s=0 w=2 next=5 buf=6:m6; pendAcks=0 pendDeliv=5}",
+		}},
+		{transport.New(0, 2), 12, [4]string{
+			"swS{s=0 w=2 base=5 next=7 rr=1 segs=5:m5:false;6:m6:true; q=m7|m8}",
+			"swR{s=0 w=2 next=7 buf= pendAcks=1 pendDeliv=7}",
+			"swS{s=0 w=2 base=5 next=7 rr=1 segs=5:m5:false;6:m6:true; q=m7|m8}",
+			"swR{s=0 w=2 next=7 buf= pendAcks=1 pendDeliv=7}",
+		}},
+		{transport.NewGoBackN(4, 2), 11, [4]string{
+			"gbnS{s=4 w=2 base=5 next=7 rr=1 segs=5:m5;6:m6; q=m7|m8}",
+			"gbnR{s=4 next=5 pendAcks=0 pendDeliv=5}",
+			"gbnS/{s=4 w=2 base%=1 rr=1 segs=1:m5;2:m6; q=m7|m8}",
+			"gbnR/{s=4 next%=1 started=true acks= deliv=m0|m1|m2|m3|m4}",
+		}},
+		{transport.NewGoBackN(4, 2), 12, [4]string{
+			"gbnS{s=4 w=2 base=5 next=7 rr=0 segs=5:m5;6:m6; q=m7|m8}",
+			"gbnR{s=4 next=5 pendAcks=1 pendDeliv=5}",
+			"gbnS/{s=4 w=2 base%=1 rr=0 segs=1:m5;2:m6; q=m7|m8}",
+			"gbnR/{s=4 next%=1 started=true acks=t0; deliv=m0|m1|m2|m3|m4}",
+		}},
+		{transport.NewGoBackN(0, 2), 11, [4]string{
+			"gbnS{s=0 w=2 base=5 next=7 rr=1 segs=5:m5;6:m6; q=m7|m8}",
+			"gbnR{s=0 next=5 pendAcks=0 pendDeliv=5}",
+			"gbnS{s=0 w=2 base=5 next=7 rr=1 segs=5:m5;6:m6; q=m7|m8}",
+			"gbnR{s=0 next=5 pendAcks=0 pendDeliv=5}",
+		}},
+		{transport.NewGoBackN(0, 2), 12, [4]string{
+			"gbnS{s=0 w=2 base=5 next=7 rr=0 segs=5:m5;6:m6; q=m7|m8}",
+			"gbnR{s=0 next=5 pendAcks=1 pendDeliv=5}",
+			"gbnS{s=0 w=2 base=5 next=7 rr=0 segs=5:m5;6:m6; q=m7|m8}",
+			"gbnR{s=0 next=5 pendAcks=1 pendDeliv=5}",
+		}},
+	} {
+		tx, rx := lossyExchange(tc.p, tc.steps)
+		got := [4]string{
+			string(tx.AppendStateKey(nil)),
+			string(rx.AppendStateKey(nil)),
+			string(tx.(protocol.ControlKeyer).AppendControlKey(nil)),
+			string(rx.(protocol.ControlKeyer).AppendControlKey(nil)),
+		}
+		for i, what := range []string{"transmitter state", "receiver state", "transmitter control", "receiver control"} {
+			if got[i] != tc.want[i] {
+				t.Errorf("%s after %d steps: %s key\n got  %s\n want %s", tc.p.Name(), tc.steps, what, got[i], tc.want[i])
 			}
 		}
 	}

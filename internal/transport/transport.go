@@ -23,15 +23,15 @@
 // adversaries, the explorer, the boundness measurements — applies
 // unchanged.
 //
-// Their StateKeys carry absolute sequence numbers, which grow without bound
-// with the message count; replay, coverage and the explorer need them. For
-// S > 0, though, every decision both endpoint families make reads a
-// sequence number only modulo S, so the endpoints also declare that
-// quotient as their protocol.ControlKey and the descriptors declare the
-// Bounds it implies. The boundness auditor and the bounded prover enumerate
-// control keys, so a finite sequence space audits CERTIFIED as the
-// finite-state protocol it is; S = 0 has no quotient and declares itself
-// state-unbounded. Registry and Parse name the descriptors.
+// Their state keys carry absolute sequence numbers, which grow without
+// bound with the message count; replay, coverage and the explorer need
+// them. For S > 0, though, every decision both endpoint families make reads
+// a sequence number only modulo S, so the endpoints also render that
+// quotient as their control key (protocol.ControlKeyer) and the
+// descriptors declare the Bounds it implies. The boundness auditor and the
+// bounded prover enumerate control keys, so a finite sequence space audits
+// CERTIFIED as the finite-state protocol it is; S = 0 has no quotient and
+// declares itself state-unbounded. Registry and Parse name the descriptors.
 package transport
 
 import (
@@ -94,7 +94,7 @@ func (p SlidingWindow) HeaderBound() (int, bool) {
 // quotient implies (see deriveBounds).
 func (p SlidingWindow) Bounds() protocol.Bounds { return deriveBounds(p.S) }
 
-// deriveBounds is the declaration the mod-S ControlKey quotient implies: a
+// deriveBounds is the declaration the mod-S control-key quotient implies: a
 // state-bounded joint control space over exactly the 2S data and ack
 // headers, or no bound at all for S = 0, where the headers are the sequence
 // numbers themselves. No k_t/k_r ceilings are declared: the observed counts
@@ -225,79 +225,82 @@ func (t *swSender) Clone() protocol.Transmitter {
 	return &c
 }
 
-func (t *swSender) StateKey() string {
-	var b strings.Builder
-	b.WriteString("swS{s=")
-	b.WriteString(strconv.Itoa(t.s))
-	b.WriteString(" w=")
-	b.WriteString(strconv.Itoa(t.w))
-	b.WriteString(" base=")
-	b.WriteString(strconv.Itoa(t.base))
-	b.WriteString(" next=")
-	b.WriteString(strconv.Itoa(t.next))
-	b.WriteString(" rr=")
-	b.WriteString(strconv.Itoa(t.rr))
-	b.WriteString(" segs=")
-	for _, sg := range t.segs {
-		b.WriteString(strconv.Itoa(sg.seq))
-		b.WriteByte(':')
-		b.WriteString(sg.payload)
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatBool(sg.acked))
-		b.WriteByte(';')
-	}
-	b.WriteString(" q=")
-	b.WriteString(strings.Join(t.queue, "|"))
-	b.WriteByte('}')
-	return b.String()
+func (t *swSender) AppendStateKey(dst []byte) []byte {
+	return appendSenderKey(dst, "swS", t.s, t.w, t.base, t.next, t.rr, t.segs, t.queue, true)
 }
 
-// ControlKey implements protocol.ControlKeyer with the mod-S quotient (the
-// S = 0 form has none and returns StateKey). Two states with equal
-// ControlKey behave identically and have equal-key successors because of
-// the window invariant both senders keep: in-flight segments carry
-// consecutive sequence numbers starting at base, and next == base +
+// AppendControlKey implements protocol.ControlKeyer with the mod-S quotient
+// (the S = 0 form has none and renders its state key). Two states with
+// equal control keys behave identically and have equal-key successors
+// because of the window invariant both senders keep: in-flight segments
+// carry consecutive sequence numbers starting at base, and next == base +
 // len(segs), so base's residue plus the per-segment residues determine
 // every future header and every ack resolution.
-func (t *swSender) ControlKey() string {
+func (t *swSender) AppendControlKey(dst []byte) []byte {
 	if t.s == 0 {
-		return t.StateKey()
+		return t.AppendStateKey(dst)
 	}
-	return senderQuotient("swS/", t.s, t.w, t.base, t.rr, t.segs, t.queue, true)
+	return appendSenderQuotient(dst, "swS/", t.s, t.w, t.base, t.rr, t.segs, t.queue, true)
 }
 
-// senderQuotient renders the shared sender control key: base mod S, the
-// in-flight segments as (seq mod S, payload[, acked]) triples, the
-// round-robin cursor and the unadmitted queue. acked is rendered only for
-// the sliding-window sender; go-back-N slides cumulatively and keeps no
+// appendSenderKey renders the shared sender state key: the absolute base,
+// next and round-robin cursor, the in-flight segments as (seq, payload[,
+// acked]) triples and the unadmitted queue. acked is rendered only for the
+// sliding-window sender; go-back-N slides cumulatively and keeps no
 // per-segment ack marks.
-func senderQuotient(prefix string, s, w, base, rr int, segs []segment, queue []string, acked bool) string {
-	var b strings.Builder
-	b.WriteString(prefix)
-	b.WriteString("{s=")
-	b.WriteString(strconv.Itoa(s))
-	b.WriteString(" w=")
-	b.WriteString(strconv.Itoa(w))
-	b.WriteString(" base%=")
-	b.WriteString(strconv.Itoa(base % s))
-	b.WriteString(" rr=")
-	b.WriteString(strconv.Itoa(rr))
-	b.WriteString(" segs=")
+func appendSenderKey(dst []byte, prefix string, s, w, base, next, rr int, segs []segment, queue []string, acked bool) []byte {
+	dst = append(append(dst, prefix...), "{s="...)
+	dst = appendInt(dst, s)
+	dst = appendInt(append(dst, " w="...), w)
+	dst = appendInt(append(dst, " base="...), base)
+	dst = appendInt(append(dst, " next="...), next)
+	dst = appendInt(append(dst, " rr="...), rr)
+	dst = append(dst, " segs="...)
 	for _, sg := range segs {
-		b.WriteString(strconv.Itoa(sg.seq % s))
-		b.WriteByte(':')
-		b.WriteString(sg.payload)
-		if acked {
-			b.WriteByte(':')
-			b.WriteString(strconv.FormatBool(sg.acked))
-		}
-		b.WriteByte(';')
+		dst = appendSegment(dst, sg.seq, sg, acked)
 	}
-	b.WriteString(" q=")
-	b.WriteString(strings.Join(queue, "|"))
-	b.WriteByte('}')
-	return b.String()
+	return appendQueue(append(dst, " q="...), queue, '}')
 }
+
+// appendSenderQuotient renders the shared sender control key: base mod S,
+// the in-flight segments as (seq mod S, payload[, acked]) triples, the
+// round-robin cursor and the unadmitted queue, with acked as for
+// appendSenderKey.
+func appendSenderQuotient(dst []byte, prefix string, s, w, base, rr int, segs []segment, queue []string, acked bool) []byte {
+	dst = append(append(dst, prefix...), "{s="...)
+	dst = appendInt(dst, s)
+	dst = appendInt(append(dst, " w="...), w)
+	dst = appendInt(append(dst, " base%="...), base%s)
+	dst = appendInt(append(dst, " rr="...), rr)
+	dst = append(dst, " segs="...)
+	for _, sg := range segs {
+		dst = appendSegment(dst, sg.seq%s, sg, acked)
+	}
+	return appendQueue(append(dst, " q="...), queue, '}')
+}
+
+// appendSegment renders one in-flight segment as "seq:payload[:acked];",
+// with seq absolute in state keys and reduced mod S in control keys.
+func appendSegment(dst []byte, seq int, sg segment, acked bool) []byte {
+	dst = append(append(appendInt(dst, seq), ':'), sg.payload...)
+	if acked {
+		dst = strconv.AppendBool(append(dst, ':'), sg.acked)
+	}
+	return append(dst, ';')
+}
+
+// appendQueue renders payloads "|"-joined, then the closing byte.
+func appendQueue(dst []byte, queue []string, end byte) []byte {
+	for i, q := range queue {
+		if i > 0 {
+			dst = append(dst, '|')
+		}
+		dst = append(dst, q...)
+	}
+	return append(dst, end)
+}
+
+func appendInt(dst []byte, n int) []byte { return strconv.AppendInt(dst, int64(n), 10) }
 
 func (t *swSender) StateSize() int {
 	n := len(strconv.Itoa(t.base)) + len(strconv.Itoa(t.next))
@@ -454,68 +457,55 @@ func (r *swReceiver) Clone() protocol.Receiver {
 	return &c
 }
 
-func (r *swReceiver) StateKey() string {
-	var b strings.Builder
-	b.WriteString("swR{s=")
-	b.WriteString(strconv.Itoa(r.s))
-	b.WriteString(" w=")
-	b.WriteString(strconv.Itoa(r.w))
-	b.WriteString(" next=")
-	b.WriteString(strconv.Itoa(r.next))
-	b.WriteString(" buf=")
+func (r *swReceiver) AppendStateKey(dst []byte) []byte {
+	dst = appendInt(append(dst, "swR{s="...), r.s)
+	dst = appendInt(append(dst, " w="...), r.w)
+	dst = appendInt(append(dst, " next="...), r.next)
+	dst = append(dst, " buf="...)
 	for _, sg := range r.buf {
-		b.WriteString(strconv.Itoa(sg.seq))
-		b.WriteByte(':')
-		b.WriteString(sg.payload)
-		b.WriteByte(';')
+		dst = append(appendInt(dst, sg.seq), ':')
+		dst = append(append(dst, sg.payload...), ';')
 	}
-	b.WriteString(" pendAcks=")
-	b.WriteString(strconv.Itoa(len(r.acks)))
-	b.WriteString(" pendDeliv=")
-	b.WriteString(strconv.Itoa(len(r.delivered)))
-	b.WriteByte('}')
-	return b.String()
+	return appendPending(dst, r.acks, r.delivered)
 }
 
-// ControlKey implements protocol.ControlKeyer with the receiver-side
+// AppendControlKey implements protocol.ControlKeyer with the receiver-side
 // quotient: next's residue mod S (the only way resolve reads it), the
 // reorder buffer as window-relative offsets, and the pending ack and
 // delivery queues verbatim. Ack headers are already mod-S reduced, and
 // every driver in the repo drains both queues, so neither reintroduces
 // unbounded state.
-func (r *swReceiver) ControlKey() string {
+func (r *swReceiver) AppendControlKey(dst []byte) []byte {
 	if r.s == 0 {
-		return r.StateKey()
+		return r.AppendStateKey(dst)
 	}
-	var b strings.Builder
-	b.WriteString("swR/{s=")
-	b.WriteString(strconv.Itoa(r.s))
-	b.WriteString(" w=")
-	b.WriteString(strconv.Itoa(r.w))
-	b.WriteString(" next%=")
-	b.WriteString(strconv.Itoa(r.next % r.s))
-	b.WriteString(" buf=")
+	dst = appendInt(append(dst, "swR/{s="...), r.s)
+	dst = appendInt(append(dst, " w="...), r.w)
+	dst = appendInt(append(dst, " next%="...), r.next%r.s)
+	dst = append(dst, " buf="...)
 	for _, sg := range r.buf {
-		b.WriteString(strconv.Itoa(sg.seq - r.next)) // window-relative offset
-		b.WriteByte(':')
-		b.WriteString(sg.payload)
-		b.WriteByte(';')
+		dst = append(appendInt(dst, sg.seq-r.next), ':') // window-relative offset
+		dst = append(append(dst, sg.payload...), ';')
 	}
-	quotientQueues(&b, r.acks, r.delivered)
-	return b.String()
+	return appendQuotientQueues(dst, r.acks, r.delivered)
 }
 
-// quotientQueues renders the pending ack headers and undelivered payloads
-// into a receiver control key and closes the brace.
-func quotientQueues(b *strings.Builder, acks []ioa.Packet, delivered []string) {
-	b.WriteString(" acks=")
+// appendPending renders the sizes of a receiver's pending ack and delivery
+// queues into its state key and closes the brace.
+func appendPending(dst []byte, acks []ioa.Packet, delivered []string) []byte {
+	dst = appendInt(append(dst, " pendAcks="...), len(acks))
+	dst = appendInt(append(dst, " pendDeliv="...), len(delivered))
+	return append(dst, '}')
+}
+
+// appendQuotientQueues renders the pending ack headers and undelivered
+// payloads into a receiver control key and closes the brace.
+func appendQuotientQueues(dst []byte, acks []ioa.Packet, delivered []string) []byte {
+	dst = append(dst, " acks="...)
 	for _, a := range acks {
-		b.WriteString(a.Header)
-		b.WriteByte(';')
+		dst = append(append(dst, a.Header...), ';')
 	}
-	b.WriteString(" deliv=")
-	b.WriteString(strings.Join(delivered, "|"))
-	b.WriteByte('}')
+	return appendQueue(append(dst, " deliv="...), delivered, '}')
 }
 
 func (r *swReceiver) StateSize() int {

@@ -137,13 +137,13 @@ func TestSenderSlidesOnCumulativePrefix(t *testing.T) {
 	tx.SendMsg("c") // queued; window is 2
 	// Ack segment 1 first: window cannot slide yet (0 unacked).
 	tx.DeliverPkt(ioa.Packet{Header: "t1"})
-	if !strings.Contains(tx.StateKey(), "base=0") {
-		t.Fatalf("window slid past an unacked segment: %s", tx.StateKey())
+	if !strings.Contains(protocol.StateKey(tx), "base=0") {
+		t.Fatalf("window slid past an unacked segment: %s", protocol.StateKey(tx))
 	}
 	// Ack segment 0: slides past both, admits "c".
 	tx.DeliverPkt(ioa.Packet{Header: "t0"})
-	if !strings.Contains(tx.StateKey(), "base=2") {
-		t.Fatalf("window did not slide: %s", tx.StateKey())
+	if !strings.Contains(protocol.StateKey(tx), "base=2") {
+		t.Fatalf("window did not slide: %s", protocol.StateKey(tx))
 	}
 	p, ok := tx.NextPkt()
 	if !ok || p.Payload != "c" {
@@ -258,13 +258,13 @@ func TestCloneIndependence(t *testing.T) {
 	tx.SendMsg("a")
 	tc := tx.Clone()
 	tc.SendMsg("b")
-	if tx.StateKey() == tc.StateKey() {
+	if protocol.StateKey(tx) == protocol.StateKey(tc) {
 		t.Fatal("sender clone shares state")
 	}
 	rx.DeliverPkt(ioa.Packet{Header: "s0", Payload: "a"})
 	rc := rx.Clone()
 	rc.DeliverPkt(ioa.Packet{Header: "s1", Payload: "b"})
-	if rx.StateKey() == rc.StateKey() {
+	if protocol.StateKey(rx) == protocol.StateKey(rc) {
 		t.Fatal("receiver clone shares state")
 	}
 }

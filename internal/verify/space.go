@@ -35,7 +35,7 @@ import (
 //     endpoint control keys fully determine the history-relevant state and
 //     the visited-set quotient is sound for DL1 (checked per edge, before
 //     deduplication, so no violating delivery is ever masked).
-//   - Endpoint states are compared by ControlKey (protocol.ControlKeyOf),
+//   - Endpoint states are compared by control key (protocol.AppendControlKey),
 //     inheriting the audit's bisimulation proof obligation.
 //   - Receiver acknowledgements drain eagerly after every data delivery;
 //     acks beyond the occupancy cap are dropped at send (a legal lossy
@@ -217,11 +217,11 @@ func (e *explorer) release(c *config) {
 func (e *explorer) keyOf(ns *config, k moveKind) {
 	tc := k.touches()
 	if tc&touchT != 0 {
-		e.kbuf = protocol.AppendControlKeyOf(e.kbuf[:0], ns.t)
+		e.kbuf = protocol.AppendControlKey(e.kbuf[:0], ns.t)
 		ns.key.tc = e.tab.InternBytes(e.kbuf)
 	}
 	if tc&touchR != 0 {
-		e.kbuf = protocol.AppendControlKeyOf(e.kbuf[:0], ns.r)
+		e.kbuf = protocol.AppendControlKey(e.kbuf[:0], ns.r)
 		ns.key.rc = e.tab.InternBytes(e.kbuf)
 	}
 	if tc&touchData != 0 {
@@ -246,9 +246,9 @@ func (e *explorer) keyOf(ns *config, k moveKind) {
 // dedups on these bytes, checks keyOf's touch sets independently. The
 // bytes alias e.kbuf and are valid until the next render or keyOf.
 func (e *explorer) render(c *config) []byte {
-	b := protocol.AppendControlKeyOf(e.kbuf[:0], c.t)
+	b := protocol.AppendControlKey(e.kbuf[:0], c.t)
 	b = append(b, '|')
-	b = protocol.AppendControlKeyOf(b, c.r)
+	b = protocol.AppendControlKey(b, c.r)
 	b = append(b, '|')
 	b = c.chData.AppendKey(b)
 	b = append(b, '|')

@@ -23,12 +23,12 @@ func (s keyCheckStore) insert(c *config) (int32, bool, error) {
 	return s.store.insert(c)
 }
 
-// fullKey is the reference for keyOf: every component rendered through the
-// string forms and interned, the counters read from the configuration.
+// fullKey is the reference for keyOf: every component rendered afresh and
+// interned, the counters read from the configuration.
 func fullKey(e *explorer, c *config) intKey {
 	k := intKey{
-		tc:  e.tab.Intern(protocol.ControlKeyOf(c.t)),
-		rc:  e.tab.Intern(protocol.ControlKeyOf(c.r)),
+		tc:  e.tab.Intern(string(protocol.AppendControlKey(nil, c.t))),
+		rc:  e.tab.Intern(string(protocol.AppendControlKey(nil, c.r))),
 		dk:  e.tab.Intern(c.chData.Key()),
 		ak:  e.tab.Intern(c.chAck.Key()),
 		sub: c.submitted,
@@ -43,7 +43,7 @@ func fullKey(e *explorer, c *config) intKey {
 // parentState renders everything of c a move could change, with the full
 // state keys besides the control keys the canonical key carries.
 func parentState(e *explorer, c *config) string {
-	return string(e.render(c)) + " t=" + c.t.StateKey() + " r=" + c.r.StateKey()
+	return string(e.render(c)) + " t=" + protocol.StateKey(c.t) + " r=" + protocol.StateKey(c.r)
 }
 
 // TestExpandSharing holds endpoint sharing and incremental keys to their
