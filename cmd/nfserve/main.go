@@ -20,6 +20,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -103,7 +104,7 @@ func addSoakFlags(fs *flag.FlagSet) *soakFlags {
 		dup:       fs.Float64("dup", 0, "per-datagram duplicate probability"),
 		seed:      fs.Int64("seed", 1, "root seed (per-session seeds are split from it)"),
 		workers:   fs.Int("workers", 16, "concurrently running sessions"),
-		store:     fs.String("store", "", "shard-store directory for recorded traces (empty: don't record)"),
+		store:     fs.String("store", "", "shard-store directory for recorded traces, refused if it holds one already (empty: don't record)"),
 		shards:    fs.Int("shards", 8, "shard files in the store"),
 	}
 }
@@ -131,7 +132,7 @@ func (sf *soakFlags) config() (netlink.SoakConfig, error) {
 }
 
 // runSoak opens the server and optional store, runs the soak, and closes the
-// store (writing the manifest) before reporting.
+// store before reporting; a failed Close fails the run.
 func runSoak(sf *soakFlags, cfg netlink.SoakConfig, out io.Writer) (*netlink.SoakReport, error) {
 	sv, err := netlink.NewServer(*sf.addr)
 	if err != nil {
@@ -140,19 +141,26 @@ func runSoak(sf *soakFlags, cfg netlink.SoakConfig, out io.Writer) (*netlink.Soa
 	defer sv.Close()
 	fmt.Fprintf(out, "serving on %s\n", sv.Addr())
 
-	if *sf.store != "" {
-		store, err := trace.NewShardStore(*sf.store, *sf.shards)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Store = store
-		defer func() {
-			if cerr := store.Close(); cerr != nil {
-				fmt.Fprintf(out, "store close: %v\n", cerr)
-			}
-		}()
+	if *sf.store == "" {
+		return sv.RunSoak(cfg)
 	}
-	return sv.RunSoak(cfg)
+	store, err := trace.NewShardStore(*sf.store, *sf.shards)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Store = store
+	rep, err := sv.RunSoak(cfg)
+	return rep, errors.Join(err, store.Close())
+}
+
+// checkRecorded fails a soak that recorded fewer sessions than it ran: the
+// violations table names each session whose recording failed, and the exit
+// status must say so too.
+func (sf *soakFlags) checkRecorded(rep *netlink.SoakReport) error {
+	if *sf.store == "" || rep.Recorded == rep.Sessions {
+		return nil
+	}
+	return fmt.Errorf("recorded %d of %d sessions in %s", rep.Recorded, rep.Sessions, *sf.store)
 }
 
 func cmdServe(args []string, out io.Writer) error {
@@ -169,7 +177,7 @@ func cmdServe(args []string, out io.Writer) error {
 	cfg.Sessions = *max
 
 	// Graceful drain: the first SIGINT/SIGTERM stops admissions; in-flight
-	// sessions finish and are recorded before the manifest is written.
+	// sessions finish and are recorded before the store is closed.
 	stop := make(chan struct{})
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
@@ -185,7 +193,10 @@ func cmdServe(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return reportSoak(rep, out, false)
+	if err := reportSoak(rep, out, false); err != nil {
+		return err
+	}
+	return sf.checkRecorded(rep)
 }
 
 func cmdLoad(args []string, out io.Writer) error {
@@ -208,7 +219,10 @@ func cmdLoad(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return reportSoak(rep, out, *md)
+	if err := reportSoak(rep, out, *md); err != nil {
+		return err
+	}
+	return sf.checkRecorded(rep)
 }
 
 // reportSoak renders the aggregate, latency and violation tables.

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"io/fs"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -12,9 +13,10 @@ import (
 )
 
 // TestLoadReplayShrink drives the whole production loop through the CLI:
-// a load run whose chaos provokes DL1 violations on live sockets, ls over
-// the resulting store, and replay-from-production shrinking the first
-// violating session to a certificate that the replay engine re-confirms.
+// a load run whose chaos provokes DL1 violations on live sockets, a refused
+// second load into its store, ls over the store, and replay-from-production
+// shrinking the first violating session to a certificate that the replay
+// engine re-confirms.
 func TestLoadReplayShrink(t *testing.T) {
 	dir := t.TempDir()
 	store := filepath.Join(dir, "soak")
@@ -31,6 +33,13 @@ func TestLoadReplayShrink(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("load output missing %q:\n%s", want, out.String())
 		}
+	}
+
+	// A second run into the recorded store is refused; the steps below
+	// read the first run's recordings whole.
+	out.Reset()
+	if err := run([]string{"load", "-sessions", "1", "-store", store}, &out); !errors.Is(err, fs.ErrExist) {
+		t.Fatalf("load into a recorded store: %v, want fs.ErrExist", err)
 	}
 
 	out.Reset()
@@ -79,26 +88,10 @@ func TestServeMax(t *testing.T) {
 	}
 	m, err := trace.ReadManifestFile(store)
 	if err != nil {
-		t.Fatalf("manifest: %v", err)
+		t.Fatalf("store index: %v", err)
 	}
 	if len(m.Entries) != 4 {
 		t.Fatalf("serve -max 4 recorded %d sessions", len(m.Entries))
-	}
-}
-
-// TestLsRejectsOutOfRangeShard: a manifest entry naming a shard the
-// manifest does not list is a malformed-manifest error, not a panic in ls.
-func TestLsRejectsOutOfRangeShard(t *testing.T) {
-	dir := t.TempDir()
-	if err := trace.WriteManifestFile(dir, &trace.Manifest{
-		Shards:  []string{"shard-000.nfts"},
-		Entries: []trace.ManifestEntry{{Session: "s000000", Shard: 5}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := run([]string{"ls", "-store", dir}, &out); !errors.Is(err, trace.ErrManifest) {
-		t.Fatalf("ls error = %v, want a malformed-manifest error", err)
 	}
 }
 
@@ -110,7 +103,7 @@ func TestCLIErrors(t *testing.T) {
 		{"load", "-sessions", "0"},
 		{"ls"},
 		{"replay"},
-		{"replay", "-store", t.TempDir()}, // no manifest
+		{"replay", "-store", t.TempDir()}, // no shard files
 		{"load", "-protocols", "nosuchproto", "-sessions", "1"},
 	}
 	for _, args := range cases {

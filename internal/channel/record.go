@@ -6,7 +6,7 @@ import (
 )
 
 // This file connects channel policies to the trace subsystem: Capture
-// records every policy verdict into a trace sink, and FromDecisions replays
+// records every policy verdict into a trace log, and FromDecisions replays
 // a recorded verdict stream as a policy.
 //
 // Together they close the record→replay loop for the channel: a policy's
@@ -15,13 +15,13 @@ import (
 // fixed), so capturing it makes any run — including a probabilistic or
 // adversarial one — reproducible bit for bit.
 
-// Capture wraps pol so that every verdict is also emitted to sink as a
+// Capture wraps pol so that every verdict is also emitted to tlog as a
 // trace Decision event for channel direction d, in consultation order. The
 // wrapped policy's behaviour is unchanged.
-func Capture(pol Policy, d ioa.Dir, sink trace.Sink) Policy {
+func Capture(pol Policy, d ioa.Dir, tlog *trace.Log) Policy {
 	return PolicyFunc(func(p ioa.Packet) Decision {
 		dec := pol.OnSend(p)
-		sink.Emit(trace.Event{Kind: trace.KindDecision, Dir: d, Decision: trace.Decision(dec)})
+		tlog.Emit(trace.Event{Kind: trace.KindDecision, Dir: d, Decision: trace.Decision(dec)})
 		return dec
 	})
 }

@@ -21,7 +21,7 @@ const (
 	// MetaStabilize records the stabilize-level verdict ("diverged
 	// <property>" or "converged") that the amnesty judge reached; the
 	// embedded verdict event stays the clean-start checkers' finding so the
-	// witness replays with a matching verdict under `nfvet replay`.
+	// witness replays with a matching verdict under `nftrace replay`.
 	MetaStabilize = "stabilize"
 )
 
@@ -186,7 +186,7 @@ func CheckConvergence(p protocol.Protocol, c Corruption, cfg Config) (*Report, e
 	rep.ReplayConfirmed = rr.Divergence == nil && rj.Violation != nil &&
 		rj.Violation.Property == rep.Violation.Property
 	// rr.Log carries the clean-start checkers' verdict event, so the
-	// witness replays with a matching verdict under `nfvet replay`; the
+	// witness replays with a matching verdict under `nftrace replay`; the
 	// amnesty-level verdict rides in the metadata.
 	rep.Witness = stampWitness(rr.Log, rep)
 	return rep, nil

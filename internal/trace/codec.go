@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -49,82 +50,6 @@ func requiresV2(k Kind) bool { return k == KindCorrupt || k == KindPoison }
 
 // ErrFormat is wrapped by decode errors for malformed trace files.
 var ErrFormat = errors.New("trace: malformed trace file")
-
-// Writer streams a trace log to an io.Writer with bounded memory: the
-// header is written on construction and each event is encoded as it is
-// emitted. Writer implements Sink; the first encoding error is latched and
-// reported by Err and Flush.
-type Writer struct {
-	bw      *bufio.Writer
-	buf     []byte
-	version byte
-	err     error
-}
-
-// NewWriter writes a version-1 file header (magic, version, meta) and
-// returns a streaming writer. Emitting a corrupted-start event (KindCorrupt,
-// KindPoison) through a version-1 writer latches an error — the header is
-// already on the wire, so the stream cannot be upgraded; use
-// NewWriterVersion with versionV2 (as Log.Encode does automatically) when
-// the log may contain them.
-func NewWriter(w io.Writer, meta map[string]string) (*Writer, error) {
-	return NewWriterVersion(w, meta, versionV1)
-}
-
-// NewWriterVersion is NewWriter with an explicit format version stamp.
-func NewWriterVersion(w io.Writer, meta map[string]string, v byte) (*Writer, error) {
-	if v < versionV1 || v > version {
-		return nil, fmt.Errorf("trace: unsupported writer version %d (have %d)", v, version)
-	}
-	tw := &Writer{bw: bufio.NewWriter(w), version: v}
-	if _, err := tw.bw.WriteString(magic); err != nil {
-		return nil, err
-	}
-	if err := tw.bw.WriteByte(v); err != nil {
-		return nil, err
-	}
-	keys := make([]string, 0, len(meta))
-	//nfvet:allow maprange (keys are collected then sorted before use)
-	for k := range meta {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	tw.buf = binary.AppendUvarint(tw.buf[:0], uint64(len(keys)))
-	for _, k := range keys {
-		tw.buf = appendString(tw.buf, k)
-		tw.buf = appendString(tw.buf, meta[k])
-	}
-	if _, err := tw.bw.Write(tw.buf); err != nil {
-		return nil, err
-	}
-	return tw, nil
-}
-
-// Emit implements Sink. Errors are latched; see Err.
-func (tw *Writer) Emit(e Event) {
-	if tw.err != nil {
-		return
-	}
-	if requiresV2(e.Kind) && tw.version < versionV2 {
-		tw.err = fmt.Errorf("trace: event %s requires format version %d, writer stamped version %d", e.Kind, versionV2, tw.version)
-		return
-	}
-	tw.buf = appendEvent(tw.buf[:0], e)
-	if _, err := tw.bw.Write(tw.buf); err != nil {
-		tw.err = err
-	}
-}
-
-// Err reports the first emission error, if any.
-func (tw *Writer) Err() error { return tw.err }
-
-// Flush flushes buffered events and reports any latched error.
-func (tw *Writer) Flush() error {
-	if tw.err != nil {
-		return tw.err
-	}
-	return tw.bw.Flush()
-}
 
 // Reader streams a trace log from an io.Reader.
 type Reader struct {
@@ -194,6 +119,13 @@ func (tr *Reader) Next() (Event, error) {
 // only when the log contains corrupted-start events — legacy logs encode
 // byte-identically to the version-1 format.
 func (l *Log) Encode(w io.Writer) error {
+	_, err := w.Write(l.appendTo(nil))
+	return err
+}
+
+// appendTo appends Encode's bytes to b: the header, the metadata in key
+// order, then the events.
+func (l *Log) appendTo(b []byte) []byte {
 	v := byte(versionV1)
 	for _, e := range l.Events {
 		if requiresV2(e.Kind) {
@@ -201,14 +133,22 @@ func (l *Log) Encode(w io.Writer) error {
 			break
 		}
 	}
-	tw, err := NewWriterVersion(w, l.Meta, v)
-	if err != nil {
-		return err
+	b = append(append(b, magic...), v)
+	keys := make([]string, 0, len(l.Meta))
+	//nfvet:allow maprange (keys are collected then sorted before use)
+	for k := range l.Meta {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	b = binary.AppendUvarint(b, uint64(len(keys)))
+	for _, k := range keys {
+		b = appendString(b, k)
+		b = appendString(b, l.Meta[k])
 	}
 	for _, e := range l.Events {
-		tw.Emit(e)
+		b = appendEvent(b, e)
 	}
-	return tw.Flush()
+	return b
 }
 
 // ReadLog decodes a complete log from r.
@@ -336,11 +276,24 @@ func readString(br *bufio.Reader) (string, error) {
 	if n > 1<<24 {
 		return "", fmt.Errorf("implausible string length %d", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", err
+	buf, err := readBytes(br, n)
+	return string(buf), err
+}
+
+// readBytes reads exactly n bytes. Beyond a bufio buffer's worth, its
+// buffer grows only as the bytes arrive, so a corrupt length costs no more
+// memory than the input holds.
+func readBytes(r io.Reader, n uint64) ([]byte, error) {
+	if n <= 4096 {
+		b := make([]byte, n)
+		_, err := io.ReadFull(r, b)
+		return b, err
 	}
-	return string(buf), nil
+	b, err := io.ReadAll(io.LimitReader(r, int64(min(n, math.MaxInt64))))
+	if err == nil && uint64(len(b)) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	return b, err
 }
 
 func readEvent(br *bufio.Reader) (Event, error) {

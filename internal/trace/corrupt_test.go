@@ -90,26 +90,3 @@ func TestCorruptVersionSkew(t *testing.T) {
 		t.Fatalf("future version accepted or misreported: %v", err)
 	}
 }
-
-// TestWriterVersionLatch: a streaming version-1 writer cannot upgrade
-// mid-stream, so emitting a corrupted-start event must latch an error that
-// Flush reports, and constructing a writer for an unknown version fails.
-func TestWriterVersionLatch(t *testing.T) {
-	var buf bytes.Buffer
-	tw, err := NewWriter(&buf, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tw.Emit(Event{Kind: KindTransmit})
-	tw.Emit(Event{Kind: KindPoison, Dir: ioa.TtoR, Pkt: ioa.Packet{Header: "c0"}})
-	if tw.Err() == nil {
-		t.Fatal("v1 writer accepted a KindPoison event")
-	}
-	if err := tw.Flush(); err == nil || !strings.Contains(err.Error(), "requires format version") {
-		t.Fatalf("Flush does not report the latched version error: %v", err)
-	}
-
-	if _, err := NewWriterVersion(&buf, nil, version+1); err == nil {
-		t.Fatal("NewWriterVersion accepted an unknown version")
-	}
-}

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -66,51 +67,33 @@ func FuzzTraceCodecRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzManifestCodecRoundTrip does the same for the NFMAN shard-store
-// manifest. An accepted manifest must name only shards it lists, since
-// readers index Shards by entry, and must survive encode→decode unchanged.
-func FuzzManifestCodecRoundTrip(f *testing.F) {
-	seed := func(m *Manifest) {
-		var buf bytes.Buffer
-		if err := EncodeManifest(&buf, m); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+// FuzzShardScan feeds arbitrary bytes to the shard scan as one shard file.
+// The scan must not panic, every error it returns must wrap ErrShard, and
+// every frame it indexes must read back through its entry.
+func FuzzShardScan(f *testing.F) {
+	shard := []byte(shardHeader)
+	for i, l := range []*Log{soakLog(0), corruptedLog(), soakLog(5)} {
+		frame, _ := encodeFrame(fmt.Sprintf("s%06d", i), l)
+		shard = append(shard, frame...)
 	}
-	seed(&Manifest{})
-	seed(&Manifest{
-		Shards: []string{"shard-000.nfts", "shard-001.nfts"},
-		Entries: []ManifestEntry{
-			{Session: "s000000", Shard: 1, Offset: 9, Length: 120, Protocol: "altbit",
-				Verdict: "DL1", Events: 40, Ops: 12, Messages: 8, Deliveries: 7},
-			{Session: "s000001", Protocol: "seqnum", Events: 31},
-		},
-	})
-	f.Add([]byte("NFMAN\x01\x01\x00\x01\x01s\x05"))
+	f.Add(shard)
+	f.Add(shard[:len(shard)-3])
+	f.Add([]byte(shardHeader))
+	f.Add([]byte{})
+	f.Add(oldFormatShard(f))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := DecodeManifest(bytes.NewReader(b))
+		entries, err := scanShard(bytes.NewReader(b), 0, nil)
 		if err != nil {
-			if !errors.Is(err, ErrManifest) {
-				t.Fatalf("decode error is not ErrManifest: %v", err)
+			if !errors.Is(err, ErrShard) {
+				t.Fatalf("scan error is not ErrShard: %v", err)
 			}
 			return
 		}
-		for _, e := range m.Entries {
-			if e.Shard < 0 || e.Shard >= len(m.Shards) {
-				t.Fatalf("accepted entry %q names shard %d of %d", e.Session, e.Shard, len(m.Shards))
+		for _, e := range entries {
+			if _, err := readEntry(bytes.NewReader(b), e); err != nil {
+				t.Fatalf("indexed session %q does not read back: %v", e.Session, err)
 			}
-		}
-		var buf bytes.Buffer
-		if err := EncodeManifest(&buf, m); err != nil {
-			t.Fatalf("re-encoding accepted manifest: %v", err)
-		}
-		again, err := DecodeManifest(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("re-decoding own encoding: %v", err)
-		}
-		if !reflect.DeepEqual(m, again) {
-			t.Fatalf("round trip changed the manifest:\n%+v\nvs\n%+v", m, again)
 		}
 	})
 }

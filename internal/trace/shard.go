@@ -1,32 +1,26 @@
 package trace
 
 // Sharded trace storage for soak runs: thousands of per-session NFT logs
-// packed into a fixed number of shard files, indexed by a manifest.
+// packed into a fixed number of shard files. The frames are the store's
+// only index: each names its session, so a scan of the shards rebuilds it.
 //
-// A shard file is a concatenation of length-framed NFT blobs:
+// A shard file is a header followed by frames:
 //
-//	uvarint blobLen | blobLen bytes of Log.Encode output | ...
+//	magic   "NFTS"           (4 bytes)
+//	version 0x02             (1 byte)
+//	frames  until EOF: string session | uvarint blobLen | blob
 //
-// Each blob is byte-identical to what Log.Encode would have written to a
-// standalone file — the framing is outside the NFT stream — so extracting a
-// session from a shard and decoding a single-session recording are the same
-// operation (the shard property test pins this).
+// The session string uses the NFT codec's uvarint-length encoding, and the
+// blob is exactly Log.Encode's output, so extracting a session from a shard
+// and decoding a single-session recording are the same operation (the
+// shard property test pins this). Version 1 was headerless, its frames
+// carried no session key and its index lived in a separate manifest file;
+// the header check rejects it.
 //
-// The NFMAN manifest format:
-//
-//	magic   "NFMAN"          (5 bytes)
-//	version 0x01             (1 byte)
-//	shards  uvarint count, then count × string (shard file name)
-//	entries uvarint count, then count × entry:
-//	        string session | uvarint shard | uvarint offset |
-//	        uvarint length | string protocol | string verdict |
-//	        uvarint events | uvarint ops | uvarint messages |
-//	        uvarint deliveries
-//
-// Strings reuse the NFT codec's uvarint-length encoding. Entries are sorted
-// by session name, so the manifest's entry order depends only on the set of
-// recorded sessions; only the byte offsets reflect the interleaving that
-// packed each shard.
+// Put writes each frame with one write on the unbuffered shard file, so a
+// writer killed mid-soak tears at most the frame in flight, the last one in
+// its shard, and a scan indexes every frame before it. Nothing is synced:
+// the bound holds for process death, not for power loss.
 
 import (
 	"bufio"
@@ -36,6 +30,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -43,28 +38,25 @@ import (
 )
 
 const (
-	manifestMagic   = "NFMAN"
-	manifestVersion = 1
-	// ManifestFile is the manifest's file name inside a shard directory.
-	ManifestFile = "manifest.nfm"
+	shardHeader  = "NFTS\x02"
+	shardPattern = "shard-*.nfts"
 )
 
-// ErrManifest is wrapped by manifest decode errors.
-var ErrManifest = errors.New("trace: malformed manifest")
+// ErrShard is wrapped by errors for malformed shard files.
+var ErrShard = errors.New("trace: malformed shard file")
 
 // ManifestEntry locates and summarises one recorded session.
 type ManifestEntry struct {
 	// Session is the caller-chosen session key (unique per store).
 	Session string
 	// Shard indexes Manifest.Shards; Offset is the byte position of the
-	// session's length frame inside that shard file; Length is the NFT blob
-	// size (excluding the frame).
+	// session's frame inside that shard file; Length is the NFT blob size
+	// (excluding the frame's key and length).
 	Shard  int
 	Offset int64
 	Length int64
 	// Protocol and Verdict mirror the log's metadata and final verdict
-	// event ("" means clean), so violating sessions are findable without
-	// opening any shard.
+	// event ("" means clean).
 	Protocol string
 	Verdict  string
 	// Events, Ops, Messages and Deliveries are the log's Stats headline.
@@ -99,165 +91,145 @@ func (m *Manifest) Violations() []ManifestEntry {
 	return out
 }
 
-// EncodeManifest writes m in the NFMAN format.
-func EncodeManifest(w io.Writer, m *Manifest) error {
-	var buf []byte
-	buf = append(buf, manifestMagic...)
-	buf = append(buf, manifestVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(m.Shards)))
-	for _, s := range m.Shards {
-		buf = appendString(buf, s)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(m.Entries)))
-	for _, e := range m.Entries {
-		buf = appendString(buf, e.Session)
-		buf = binary.AppendUvarint(buf, uint64(e.Shard))
-		buf = binary.AppendUvarint(buf, uint64(e.Offset))
-		buf = binary.AppendUvarint(buf, uint64(e.Length))
-		buf = appendString(buf, e.Protocol)
-		buf = appendString(buf, e.Verdict)
-		buf = binary.AppendUvarint(buf, uint64(e.Events))
-		buf = binary.AppendUvarint(buf, uint64(e.Ops))
-		buf = binary.AppendUvarint(buf, uint64(e.Messages))
-		buf = binary.AppendUvarint(buf, uint64(e.Deliveries))
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
-// DecodeManifest reads an NFMAN manifest.
-func DecodeManifest(r io.Reader) (*Manifest, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(manifestMagic)+1)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("%w: short header: %v", ErrManifest, err)
-	}
-	if string(head[:len(manifestMagic)]) != manifestMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrManifest, head[:len(manifestMagic)])
-	}
-	if v := head[len(manifestMagic)]; v != manifestVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d (have %d)", ErrManifest, v, manifestVersion)
-	}
-	uvar := func(field string) (uint64, error) {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return 0, fmt.Errorf("%w: %s: %v", ErrManifest, field, err)
-		}
-		return n, nil
+// ReadManifestFile rebuilds a shard directory's index by scanning every
+// shard file in it, decoding each frame's log for its entry. A short final
+// frame, what a killed writer leaves, ends its shard's scan; any other
+// malformation fails with an error wrapping ErrShard.
+func ReadManifestFile(dir string) (*Manifest, error) {
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
 	}
 	m := &Manifest{}
-	nShards, err := uvar("shard count")
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nShards; i++ {
-		s, err := readString(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: shard name: %v", ErrManifest, err)
+	for _, de := range des {
+		if ok, _ := filepath.Match(shardPattern, de.Name()); !ok {
+			continue
 		}
-		m.Shards = append(m.Shards, s)
-	}
-	nEntries, err := uvar("entry count")
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nEntries; i++ {
-		var e ManifestEntry
-		if e.Session, err = readString(br); err != nil {
-			return nil, fmt.Errorf("%w: session: %v", ErrManifest, err)
-		}
-		sh, err := uvar("shard index")
+		f, err := os.Open(filepath.Join(dir, de.Name()))
 		if err != nil {
 			return nil, err
 		}
-		if sh >= nShards {
-			return nil, fmt.Errorf("%w: session %q: shard index %d out of range (%d shards)", ErrManifest, e.Session, sh, nShards)
-		}
-		e.Shard = int(sh)
-		off, err := uvar("offset")
+		m.Entries, err = scanShard(f, len(m.Shards), m.Entries)
+		_ = f.Close() // read only
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", de.Name(), err)
 		}
-		e.Offset = int64(off)
-		ln, err := uvar("length")
-		if err != nil {
-			return nil, err
-		}
-		e.Length = int64(ln)
-		if e.Protocol, err = readString(br); err != nil {
-			return nil, fmt.Errorf("%w: protocol: %v", ErrManifest, err)
-		}
-		if e.Verdict, err = readString(br); err != nil {
-			return nil, fmt.Errorf("%w: verdict: %v", ErrManifest, err)
-		}
-		for _, f := range []struct {
-			name string
-			dst  *int
-		}{
-			{"events", &e.Events}, {"ops", &e.Ops},
-			{"messages", &e.Messages}, {"deliveries", &e.Deliveries},
-		} {
-			v, err := uvar(f.name)
-			if err != nil {
-				return nil, err
-			}
-			*f.dst = int(v)
-		}
-		m.Entries = append(m.Entries, e)
+		m.Shards = append(m.Shards, de.Name())
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("%w: trailing bytes", ErrManifest)
+	if len(m.Shards) == 0 {
+		return nil, fmt.Errorf("trace: no shard files in %s", dir)
+	}
+	sort.Slice(m.Entries, func(i, j int) bool { return m.Entries[i].Session < m.Entries[j].Session })
+	for i := 1; i < len(m.Entries); i++ {
+		if m.Entries[i].Session == m.Entries[i-1].Session {
+			return nil, fmt.Errorf("%w: session %q recorded twice", ErrShard, m.Entries[i].Session)
+		}
 	}
 	return m, nil
 }
 
-// WriteManifestFile writes the manifest into its shard directory.
-func WriteManifestFile(dir string, m *Manifest) error {
-	f, err := os.Create(filepath.Join(dir, ManifestFile))
-	if err != nil {
-		return err
+// scanShard appends an entry for each complete frame of the shard read
+// from r, whose index in Manifest.Shards is shard. Input that ends inside
+// the header or a frame ends the scan without an error.
+func scanShard(r io.Reader, shard int, entries []ManifestEntry) ([]ManifestEntry, error) {
+	br := bufio.NewReader(r)
+	var head [len(shardHeader)]byte
+	n, err := io.ReadFull(br, head[:])
+	switch {
+	case err != nil && err != io.EOF && err != io.ErrUnexpectedEOF:
+		return entries, err
+	case string(head[:n]) != shardHeader[:n]:
+		return entries, fmt.Errorf("%w: header %q, want %q", ErrShard, head[:n], shardHeader)
+	case err != nil:
+		return entries, nil // a store killed as it was created
 	}
-	if err := EncodeManifest(f, m); err != nil {
-		_ = f.Close()
-		return err
+	off := int64(n)
+	for {
+		session, blob, size, err := readFrame(br)
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return entries, nil
+		}
+		if err != nil {
+			return entries, fmt.Errorf("%w: frame at offset %d: %w", ErrShard, off, err)
+		}
+		l, err := ReadLog(bytes.NewReader(blob))
+		if err != nil {
+			return entries, fmt.Errorf("%w: session %q at offset %d: %v", ErrShard, session, off, err)
+		}
+		e := newEntry(session, shard, len(blob), l)
+		e.Offset = off
+		entries = append(entries, e)
+		off += size
 	}
-	return f.Close()
 }
 
-// ReadManifestFile reads a shard directory's manifest.
-func ReadManifestFile(dir string) (*Manifest, error) {
-	f, err := os.Open(filepath.Join(dir, ManifestFile))
-	if err != nil {
-		return nil, err
+// newEntry summarises session's log l, whose blob is blobLen bytes, in an
+// entry of the given shard; the caller sets its offset.
+func newEntry(session string, shard, blobLen int, l *Log) ManifestEntry {
+	st := Collect(l)
+	return ManifestEntry{
+		Session:    session,
+		Shard:      shard,
+		Length:     int64(blobLen),
+		Protocol:   l.Meta[MetaProtocol],
+		Verdict:    st.Verdict,
+		Events:     st.Events,
+		Ops:        st.Ops,
+		Messages:   st.Messages,
+		Deliveries: st.Deliveries,
 	}
-	defer f.Close()
-	return DecodeManifest(f)
+}
+
+// readFrame reads one frame and reports its size in bytes. Input that ends
+// before or inside the frame yields io.EOF or io.ErrUnexpectedEOF.
+func readFrame(br *bufio.Reader) (session string, blob []byte, size int64, err error) {
+	if session, err = readString(br); err != nil {
+		return "", nil, 0, err
+	}
+	n, err := binary.ReadUvarint(br)
+	if err != nil {
+		return "", nil, 0, err
+	}
+	if blob, err = readBytes(br, n); err != nil {
+		return "", nil, 0, err
+	}
+	size = int64(uvarintLen(uint64(len(session))) + len(session) + uvarintLen(n) + len(blob))
+	return session, blob, size, nil
+}
+
+func uvarintLen(x uint64) int {
+	var b [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(b[:], x)
 }
 
 // ShardStore writes per-session logs into a fixed set of shard files,
 // concurrently. Sessions are assigned to shards by name hash; writes to
 // different shards proceed in parallel, writes to the same shard serialise
-// on its lock. Close flushes every shard and writes the manifest.
+// on its lock. A session is in the store, and in the index a scan
+// rebuilds, once its Put returns.
 type ShardStore struct {
 	dir    string
 	shards []*shardFile
 
-	mu      sync.Mutex
-	seen    map[string]bool
-	entries []ManifestEntry
-	closed  bool
+	mu     sync.Mutex
+	seen   map[string]bool
+	closed bool
 }
 
 type shardFile struct {
-	mu   sync.Mutex
-	name string
-	f    *os.File
-	w    *bufio.Writer
-	off  int64
+	mu  sync.Mutex
+	f   *os.File
+	off int64
+	// err latches the first failed write: a torn frame must stay its
+	// shard's last, or a scan would read the frames after it as its blob.
+	err error
 }
 
-// NewShardStore creates dir (if needed) and opens the given number of shard
-// files inside it.
+// NewShardStore creates dir (if needed) and the given number of shard
+// files inside it. It refuses a directory that already holds them, with an
+// error wrapping fs.ErrExist: session keys restart in every soak run, so a
+// second run into a recorded store could only collide with its recordings
+// or replace them.
 func NewShardStore(dir string, shards int) (*ShardStore, error) {
 	if shards <= 0 {
 		shards = 8
@@ -267,15 +239,18 @@ func NewShardStore(dir string, shards int) (*ShardStore, error) {
 	}
 	s := &ShardStore{dir: dir, seen: make(map[string]bool)}
 	for i := 0; i < shards; i++ {
-		name := fmt.Sprintf("shard-%03d.nfts", i)
-		f, err := os.Create(filepath.Join(dir, name))
+		f, err := os.OpenFile(filepath.Join(dir, fmt.Sprintf("shard-%03d.nfts", i)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
+		if err == nil {
+			s.shards = append(s.shards, &shardFile{f: f, off: int64(len(shardHeader))})
+			_, err = f.WriteString(shardHeader)
+		}
 		if err != nil {
 			for _, sf := range s.shards {
-				_ = sf.f.Close()
+				_ = sf.f.Close()           // nothing recorded yet
+				_ = os.Remove(sf.f.Name()) // leave dir as it was found
 			}
 			return nil, err
 		}
-		s.shards = append(s.shards, &shardFile{name: name, f: f, w: bufio.NewWriter(f)})
 	}
 	return s, nil
 }
@@ -290,14 +265,10 @@ func shardIndex(session string, n int) int {
 	return int(h.Sum32() % uint32(n))
 }
 
-// Put records one session's log. Session keys must be unique; a duplicate
-// Put is refused (the soak contract counts recordings, and a silent
-// overwrite would hide a lost one).
+// Put records one session's log as one frame. Session keys must be
+// unique; a duplicate Put is refused (the soak contract counts recordings,
+// and a silent overwrite would hide a lost one).
 func (s *ShardStore) Put(session string, l *Log) (ManifestEntry, error) {
-	var buf bytes.Buffer
-	if err := l.Encode(&buf); err != nil {
-		return ManifestEntry{}, err
-	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -310,62 +281,39 @@ func (s *ShardStore) Put(session string, l *Log) (ManifestEntry, error) {
 	s.seen[session] = true
 	s.mu.Unlock()
 
-	st := Collect(l)
-	e := ManifestEntry{
-		Session:    session,
-		Length:     int64(buf.Len()),
-		Protocol:   l.Meta[MetaProtocol],
-		Verdict:    st.Verdict,
-		Events:     st.Events,
-		Ops:        st.Ops,
-		Messages:   st.Messages,
-		Deliveries: st.Deliveries,
-	}
-	e.Shard = shardIndex(session, len(s.shards))
+	frame, blobLen := encodeFrame(session, l)
+	e := newEntry(session, shardIndex(session, len(s.shards)), blobLen, l)
 	sf := s.shards[e.Shard]
-
-	var frame [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(frame[:], uint64(buf.Len()))
 	sf.mu.Lock()
+	defer sf.mu.Unlock()
+	if sf.err != nil {
+		return ManifestEntry{}, sf.err
+	}
+	if _, err := sf.f.Write(frame); err != nil {
+		sf.err = err
+		return ManifestEntry{}, err
+	}
 	e.Offset = sf.off
-	if _, err := sf.w.Write(frame[:n]); err != nil {
-		sf.mu.Unlock()
-		return ManifestEntry{}, err
-	}
-	if _, err := sf.w.Write(buf.Bytes()); err != nil {
-		sf.mu.Unlock()
-		return ManifestEntry{}, err
-	}
-	sf.off += int64(n) + int64(buf.Len())
-	sf.mu.Unlock()
-
-	s.mu.Lock()
-	s.entries = append(s.entries, e)
-	s.mu.Unlock()
+	sf.off += int64(len(frame))
 	return e, nil
 }
 
-// Len reports the number of recorded sessions.
-func (s *ShardStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
+// encodeFrame returns session's frame and its blob length. The log is
+// encoded once, straight into the frame: the blob goes in after room for
+// the key and the widest length prefix, and the two are then copied in
+// just before it.
+func encodeFrame(session string, l *Log) (frame []byte, blobLen int) {
+	room := len(session) + 2*binary.MaxVarintLen64
+	b := l.appendTo(make([]byte, room))
+	blobLen = len(b) - room
+	var buf [32]byte
+	head := binary.AppendUvarint(appendString(buf[:0], session), uint64(blobLen))
+	i := room - len(head)
+	copy(b[i:], head)
+	return b[i:], blobLen
 }
 
-// Manifest snapshots the store's index, entries sorted by session.
-func (s *ShardStore) Manifest() *Manifest {
-	s.mu.Lock()
-	entries := append([]ManifestEntry(nil), s.entries...)
-	s.mu.Unlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Session < entries[j].Session })
-	m := &Manifest{Entries: entries}
-	for _, sf := range s.shards {
-		m.Shards = append(m.Shards, sf.name)
-	}
-	return m
-}
-
-// Close flushes and closes every shard file and writes the manifest.
+// Close closes every shard file.
 func (s *ShardStore) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -374,21 +322,13 @@ func (s *ShardStore) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	var firstErr error
+	var errs []error
 	for _, sf := range s.shards {
 		sf.mu.Lock()
-		if err := sf.w.Flush(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if err := sf.f.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		errs = append(errs, sf.f.Close())
 		sf.mu.Unlock()
 	}
-	if err := WriteManifestFile(s.dir, s.Manifest()); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	return errors.Join(errs...)
 }
 
 // ReadShardLog extracts and decodes one session's log from a shard
@@ -396,26 +336,29 @@ func (s *ShardStore) Close() error {
 func ReadShardLog(dir string, m *Manifest, session string) (*Log, error) {
 	e, ok := m.Lookup(session)
 	if !ok {
-		return nil, fmt.Errorf("trace: session %q not in manifest", session)
+		return nil, fmt.Errorf("trace: session %q not in the store", session)
 	}
 	if e.Shard < 0 || e.Shard >= len(m.Shards) {
-		return nil, fmt.Errorf("%w: shard index %d out of range", ErrManifest, e.Shard)
+		return nil, fmt.Errorf("%w: shard index %d out of range", ErrShard, e.Shard)
 	}
 	f, err := os.Open(filepath.Join(dir, m.Shards[e.Shard]))
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	if _, err := f.Seek(e.Offset, io.SeekStart); err != nil {
-		return nil, err
-	}
-	br := bufio.NewReader(f)
-	blobLen, err := binary.ReadUvarint(br)
+	return readEntry(f, e)
+}
+
+// readEntry decodes the log of the frame e locates in shard r. The frame
+// must carry e's session key and blob length.
+func readEntry(r io.ReaderAt, e ManifestEntry) (*Log, error) {
+	session, blob, _, err := readFrame(bufio.NewReader(io.NewSectionReader(r, e.Offset, math.MaxInt64)))
 	if err != nil {
-		return nil, fmt.Errorf("%w: frame at offset %d: %v", ErrManifest, e.Offset, err)
+		return nil, fmt.Errorf("%w: frame at offset %d: %v", ErrShard, e.Offset, err)
 	}
-	if int64(blobLen) != e.Length {
-		return nil, fmt.Errorf("%w: frame length %d != manifest length %d", ErrManifest, blobLen, e.Length)
+	if session != e.Session || int64(len(blob)) != e.Length {
+		return nil, fmt.Errorf("%w: frame at offset %d holds %q (%d bytes), want %q (%d bytes)",
+			ErrShard, e.Offset, session, len(blob), e.Session, e.Length)
 	}
-	return ReadLog(io.LimitReader(br, e.Length))
+	return ReadLog(bytes.NewReader(blob))
 }

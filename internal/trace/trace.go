@@ -204,13 +204,6 @@ func (e Event) String() string {
 	}
 }
 
-// Sink consumes trace events. *Log and *Writer implement it; producers
-// (sim.Runner, channel.Capture) emit into a Sink without caring where the
-// events land.
-type Sink interface {
-	Emit(Event)
-}
-
 // Meta keys conventionally present in logs written by this repo.
 const (
 	// MetaProtocol names the protocol under test (protocol.Protocol.Name).
@@ -224,9 +217,9 @@ const (
 	MetaSource = "source"
 )
 
-// Log is an in-memory trace: metadata plus the event sequence. It is the
-// Sink used by the simulator, because speculative execution forks need to
-// clone their partial logs (streaming writers cannot rewind).
+// Log is an in-memory trace: metadata plus the event sequence. Producers
+// (sim.Runner, channel.Capture) emit into it, and speculative execution
+// forks clone their partial logs.
 type Log struct {
 	Meta   map[string]string `json:"meta,omitempty"`
 	Events []Event           `json:"events"`
@@ -242,7 +235,7 @@ func NewLog(meta map[string]string) *Log {
 	return &Log{Meta: m}
 }
 
-// Emit implements Sink.
+// Emit appends one event.
 func (l *Log) Emit(e Event) { l.Events = append(l.Events, e) }
 
 // Len reports the number of recorded events.
@@ -296,28 +289,6 @@ func (l *Log) Verdict() (v *ioa.Violation, ok bool) {
 		return &ioa.Violation{Property: e.Property, Index: e.Index, Detail: e.Detail}, true
 	}
 	return nil, false
-}
-
-// IOATrace projects the log's observation events onto an ioa.Trace, so the
-// correctness checkers (PL1, DL1–DL3) can run over a recorded execution
-// without re-driving it. Submit maps to send_msg, RecvMsg to receive_msg,
-// SendPkt/RecvPkt to their physical-layer actions; operations and decisions
-// leave no ioa footprint.
-func (l *Log) IOATrace() ioa.Trace {
-	var tr ioa.Trace
-	for _, e := range l.Events {
-		switch e.Kind {
-		case KindSubmit:
-			tr = append(tr, ioa.Event{Kind: ioa.SendMsg, Msg: e.Msg})
-		case KindRecvMsg:
-			tr = append(tr, ioa.Event{Kind: ioa.ReceiveMsg, Msg: e.Msg})
-		case KindSendPkt:
-			tr = append(tr, ioa.Event{Kind: ioa.SendPkt, Dir: e.Dir, Pkt: e.Pkt})
-		case KindRecvPkt:
-			tr = append(tr, ioa.Event{Kind: ioa.ReceivePkt, Dir: e.Dir, Pkt: e.Pkt})
-		}
-	}
-	return tr
 }
 
 // Decisions extracts the recorded channel-policy decision stream for one

@@ -229,15 +229,6 @@ func TestVerdictAndProjections(t *testing.T) {
 	if want := []Decision{Delay, DeliverNow}; !reflect.DeepEqual(ds, want) {
 		t.Errorf("Decisions(t→r) = %v want %v", ds, want)
 	}
-	tr := l.IOATrace()
-	c := tr.Count()
-	if c.SM != 1 || c.RM != 1 || c.SPtoR != 2 || c.RPtoR != 1 || c.SPtoT != 1 || c.RPtoT != 1 {
-		t.Errorf("projected counters = %+v", c)
-	}
-	// The sample's projected execution is PL1/DL1-clean.
-	if err := ioa.CheckSafety(tr); err != nil {
-		t.Errorf("CheckSafety(projection) = %v", err)
-	}
 }
 
 func TestStats(t *testing.T) {

@@ -147,7 +147,7 @@ func confirmSafety(wl *trace.Log) (*trace.Log, *ioa.Violation, error) {
 // fails them), so the replayed trace is re-judged by stabilize.JudgeTrace
 // with the seed's amnesty instead. The returned log carries the replay's
 // own verdict event, so the witness file replays with a matching verdict
-// under `nfvet replay`; the stabilize-level finding rides in the metadata.
+// under `nftrace replay`; the stabilize-level finding rides in the metadata.
 func confirmStabilize(wl *trace.Log, seed stabilize.Corruption, occupancy int) (*trace.Log, *ioa.Violation, error) {
 	rr, err := replay.Run(wl)
 	if err != nil {

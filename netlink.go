@@ -45,7 +45,7 @@ type (
 )
 
 // Sharded trace storage (see internal/trace): soak recordings packed into a
-// fixed set of shard files behind an NFMAN manifest.
+// fixed set of shard files, whose frames are the store's only index.
 type (
 	// ShardStore writes per-session trace logs into shard files.
 	ShardStore = trace.ShardStore
@@ -56,11 +56,13 @@ type (
 )
 
 // NewShardStore creates a shard directory with the given shard-file count.
+// It refuses a directory that already holds a store.
 func NewShardStore(dir string, shards int) (*ShardStore, error) {
 	return trace.NewShardStore(dir, shards)
 }
 
-// ReadShardManifest reads a shard directory's manifest.
+// ReadShardManifest rebuilds a shard directory's index by scanning its
+// shard files.
 func ReadShardManifest(dir string) (*ShardManifest, error) { return trace.ReadManifestFile(dir) }
 
 // ReadShardLog extracts one session's log from a shard directory.
