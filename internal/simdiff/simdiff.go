@@ -128,6 +128,13 @@ func DiffReports(want, got *verify.Report) error {
 	if want.Seeds != got.Seeds || want.Seed != got.Seed {
 		return fmt.Errorf("stabilize seeds: %d/%q vs %d/%q", want.Seeds, want.Seed, got.Seeds, got.Seed)
 	}
+	if want.DL3Candidates != got.DL3Candidates || want.DL3Attempted != got.DL3Attempted {
+		return fmt.Errorf("dl3: %d candidates/%d attempted vs %d/%d",
+			want.DL3Candidates, want.DL3Attempted, got.DL3Candidates, got.DL3Attempted)
+	}
+	if want.WitnessOps != got.WitnessOps {
+		return fmt.Errorf("witness ops: %d vs %d", want.WitnessOps, got.WitnessOps)
+	}
 	return nil
 }
 

@@ -14,6 +14,7 @@ func BenchmarkVerify(b *testing.B) {
 	b.Run("interned", func(b *testing.B) {
 		p := protocol.NewCntExp()
 		states := 0
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			rep, err := Run(p, Config{MaxStates: 1 << 14})
 			if err != nil {

@@ -21,44 +21,61 @@ import (
 // violations.
 
 // strandedCandidates returns, in BFS order, the nodes that strand a message
-// and cannot reach a delivery-count-increasing edge in the explored graph.
+// and cannot reach a progress edge in the explored graph. The reverse graph
+// is built in compressed sparse rows: the predecessors of node v are
+// pred[off[v]:off[v+1]], one flat array filled from the edge log in two
+// passes (in-degree counts, then placement).
 func (e *explorer) strandedCandidates() []int32 {
-	good := make([]bool, e.nodes.len())
-	radj := make([][]int32, e.nodes.len())
-	var stack []int32
+	n := e.keys.len()
+	off := make([]int32, n+1)
 	for i := 0; i < e.edges.len(); i++ {
+		off[e.edges.at(int32(i)).to]++
+	}
+	for v := 1; v <= n; v++ {
+		off[v] += off[v-1]
+	}
+	// off[v] is now the end of v's row; placing each edge backwards from
+	// the end leaves it at the row's start, with the rows in edge order.
+	pred := make([]int32, e.edges.len())
+	for i := e.edges.len() - 1; i >= 0; i-- {
 		ed := e.edges.at(int32(i))
-		radj[ed.to] = append(radj[ed.to], ed.from)
-		if ed.progress && !good[ed.from] {
-			good[ed.from] = true
-			stack = append(stack, ed.from)
+		off[ed.to]--
+		pred[off[ed.to]] = ed.from
+	}
+
+	good := make(bitset, (n+63)/64)
+	copy(good, e.progress)
+	var stack []int32
+	for id := int32(0); int(id) < n; id++ {
+		if good.has(id) {
+			stack = append(stack, id)
 		}
 	}
 	for len(stack) > 0 {
-		n := stack[len(stack)-1]
+		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, m := range radj[n] {
-			if !good[m] {
-				good[m] = true
-				stack = append(stack, m)
+		for _, u := range pred[off[v]:off[v+1]] {
+			if !good.has(u) {
+				good.add(u)
+				stack = append(stack, u)
 			}
 		}
 	}
 	var out []int32
-	for id := range good {
-		if good[id] {
+	for id := int32(0); int(id) < n; id++ {
+		if good.has(id) {
 			continue
 		}
-		nc := e.nodes.at(int32(id))
-		stranded := nc.submitted > nc.delivered
+		k := e.keys.at(id)
+		stranded := k.sub > k.del
 		if e.cfg.Stabilize {
 			// Corrupted runs also deliver garbage and duplicates, which
 			// inflate the delivery count without progress; a message is
 			// stranded when the clean frontier has not passed it.
-			stranded = nc.submitted > nc.frontier
+			stranded = k.sub > k.gfro
 		}
 		if stranded {
-			out = append(out, int32(id))
+			out = append(out, id)
 		}
 	}
 	return out

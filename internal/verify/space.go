@@ -304,20 +304,24 @@ func (pi *pktIntern) intern(p ioa.Packet) uint32 {
 
 func (pi *pktIntern) at(id uint32) ioa.Packet { return pi.pkts[id] }
 
-// nodeCounts keeps the progress-relevant counters per node for the DL3
-// analysis (the full config is released once its BFS wave passes). frontier
-// is meaningful only in stabilize mode, where progress means frontier
-// advance rather than delivery count — corrupted runs also deliver garbage
-// and duplicates, which are not progress.
-type nodeCounts struct {
-	submitted, delivered, frontier int32
-}
-
-// edgeRec is one explored transition; progress marks delivery-count
-// increase (the DL3 analysis seeds its reverse reachability on these).
+// edgeRec is one explored transition that the DL3 analysis walks: one that
+// neither makes progress nor loops on its node (see explorer.edge).
 type edgeRec struct {
 	from, to int32
-	progress bool
+}
+
+// bitset is a set of node ids, grown as ids are added.
+type bitset []uint64
+
+func (b *bitset) add(i int32) {
+	for int(i)/64 >= len(*b) {
+		*b = append(*b, 0)
+	}
+	(*b)[i/64] |= 1 << (i % 64)
+}
+
+func (b bitset) has(i int32) bool {
+	return int(i)/64 < len(b) && b[i/64]&(1<<(i%64)) != 0
 }
 
 // foundViolation is an on-the-fly safety finding: the pre-state and the
@@ -355,18 +359,31 @@ func (c *chunked[T]) at(i int32) T { return c.chunks[i/chunkLen][i%chunkLen] }
 
 func (c *chunked[T]) len() int { return c.n }
 
-// explorer carries the exploration's accumulators.
+// explorer carries the exploration's accumulators. Everything it keeps
+// per visited configuration is indexed by the configuration's id: its
+// packed key in keys, its configuration (until expanded) in queue, how it
+// was first reached in parents, and whether it has a progress edge out in
+// progress. The key log doubles as the node record the DL3 analysis reads
+// (submitted, delivered and, in stabilize mode, the clean frontier; gfro and
+// frontier are 0 in clean mode), and its length is the number of visited
+// configurations.
 type explorer struct {
 	cfg   Config
 	proto protocol.Protocol
 	por   bool
 
 	seen    store
+	keys    chunked[intKey]  // packed keys by id, appended by seen
 	queue   chunked[*config] // fresh configurations by id, expanded in order
 	free    []*config        // released configurations recycled by cloneOf
 	parents chunked[parentEdge]
-	nodes   chunked[nodeCounts]
-	edges   chunked[edgeRec]
+
+	// The explored graph, as much of it as the DL3 analysis needs: nedges
+	// counts every edge, progress marks the sources of progress edges, and
+	// edges keeps the rest, less self-loops.
+	nedges   int
+	progress bitset
+	edges    chunked[edgeRec]
 
 	// tab interns the key components of keyOf, pkts the parent-edge
 	// packets, and kbuf is the scratch buffer keyOf and render write into.
@@ -397,22 +414,35 @@ func (e *explorer) visit(ns *config, from int32, mv move) (int32, bool) {
 		ns.id = id
 		e.queue.push(ns)
 		e.parents.push(parentEdge{parent: from, kind: mv.kind, pkt: e.pkts.intern(mv.pkt)})
-		e.nodes.push(nodeCounts{submitted: ns.submitted, delivered: ns.delivered, frontier: ns.frontier})
-	}
-	if from >= 0 {
-		pc := e.nodes.at(from)
-		progress := ns.delivered > pc.delivered
-		if e.cfg.Stabilize {
-			progress = ns.frontier > pc.frontier
-		}
-		e.edges.push(edgeRec{from: from, to: id, progress: progress})
-	}
-	// The progress comparison above reads ns; a duplicate goes back to the
-	// freelist only once nothing more will touch it.
-	if !fresh {
+	} else {
 		e.release(ns)
 	}
+	if from >= 0 {
+		e.edge(from, id)
+	}
 	return id, fresh
+}
+
+// edge records an explored transition between two visited nodes. A
+// progress edge — one that raises the delivery count, or in stabilize mode
+// the clean frontier (corrupted runs also deliver garbage and duplicates,
+// which are not progress) — only marks its source as able to progress: the
+// DL3 analysis seeds its reverse reachability there and never walks the
+// edge itself. A self-loop changes no node's reachability. So only the
+// other edges are kept, and every edge is counted for Report.Edges.
+func (e *explorer) edge(from, to int32) {
+	e.nedges++
+	fk, tk := e.keys.at(from), e.keys.at(to)
+	progress := tk.del > fk.del
+	if e.cfg.Stabilize {
+		progress = tk.gfro > fk.gfro
+	}
+	switch {
+	case progress:
+		e.progress.add(from)
+	case from != to:
+		e.edges.push(edgeRec{from: from, to: to})
+	}
 }
 
 // collect drains the receiver's freshly delivered payloads into the

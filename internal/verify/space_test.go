@@ -76,12 +76,12 @@ func TestExpandSharing(t *testing.T) {
 		t.Run(r.name, func(t *testing.T) {
 			cfg := r.cfg.withDefaults()
 			e := &explorer{cfg: cfg, proto: r.p, tab: intern.NewLocal(), pkts: newPktIntern()}
-			e.seen = keyCheckStore{store: newIntStore(e.render), e: e, t: t}
+			e.seen = keyCheckStore{store: newIntStore(&e.keys, e.render), e: e, t: t}
 			if _, err := e.visitRoots(); err != nil {
 				t.Fatal(err)
 			}
 			head := int32(0)
-			for ; int(head) < e.queue.len() && e.violation == nil && e.seen.len() < cfg.MaxStates; head++ {
+			for ; int(head) < e.queue.len() && e.violation == nil && e.keys.len() < cfg.MaxStates; head++ {
 				s := e.queue.at(head)
 				before := parentState(e, s)
 				e.expand(s)

@@ -261,14 +261,14 @@ func Run(p protocol.Protocol, cfg Config) (rep *Report, err error) {
 	rep.POR = e.por
 
 	if cfg.SpillDir != "" {
-		ds, err := newDiskStore(cfg.SpillDir, e.render)
+		ds, err := newDiskStore(cfg.SpillDir, &e.keys, e.render)
 		if err != nil {
 			return nil, err
 		}
 		e.seen = ds
 		rep.Spilled = true
 	} else {
-		e.seen = newIntStore(e.render)
+		e.seen = newIntStore(&e.keys, e.render)
 	}
 	defer func() {
 		// A spill file that could not be removed stays on disk, and it can
@@ -287,14 +287,14 @@ func Run(p protocol.Protocol, cfg Config) (rep *Report, err error) {
 			exhausted = false
 			break
 		}
-		if e.seen.len() >= cfg.MaxStates {
+		if e.keys.len() >= cfg.MaxStates {
 			exhausted = false
 			break
 		}
 		s := e.queue.at(head)
 		e.expand(s)
-		// Recycle the configuration once its wave has passed; only the
-		// parent edges and counters are needed afterwards, so its struct
+		// Recycle the configuration once its wave has passed; only its
+		// packed key and parent edge are needed afterwards, so its struct
 		// and channel storage go back to the freelist for cloneOf. Its
 		// queue entry is never read again.
 		e.release(s)
@@ -303,8 +303,8 @@ func Run(p protocol.Protocol, cfg Config) (rep *Report, err error) {
 		return nil, e.err
 	}
 
-	rep.States = e.seen.len()
-	rep.Edges = e.edges.len()
+	rep.States = e.keys.len()
+	rep.Edges = e.nedges
 	rep.Exhausted = exhausted
 	rep.SpaceHash = fmt.Sprintf("%016x", e.seen.hash())
 

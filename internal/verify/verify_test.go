@@ -154,6 +154,30 @@ func TestLivelockDL3(t *testing.T) {
 	}
 }
 
+// TestLivelockDL3Counts pins the DL3 analysis's output on livelock, the
+// only registry protocol with stranded candidates: how many configurations
+// strand a message without reaching progress, and how many were re-driven
+// before one certified.
+func TestLivelockDL3Counts(t *testing.T) {
+	for _, c := range []struct {
+		cfg                  Config
+		states, edges        int
+		candidates, attempts int
+	}{
+		{Config{}, 4, 7, 3, 1},
+		{Config{Occupancy: 3, MaxMessages: 4}, 5, 9, 4, 1},
+	} {
+		rep, err := Run(protocol.NewLivelock(), c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.States != c.states || rep.Edges != c.edges || rep.DL3Candidates != c.candidates || rep.DL3Attempted != c.attempts {
+			t.Errorf("%+v: %d states, %d edges, %d candidates, %d attempted; want %d, %d, %d, %d", c.cfg,
+				rep.States, rep.Edges, rep.DL3Candidates, rep.DL3Attempted, c.states, c.edges, c.candidates, c.attempts)
+		}
+	}
+}
+
 // TestPOREquivalence is the reduction's soundness check at test scale: POR
 // on and off must agree on the verdict (and property), with the reduction
 // exploring no more states than the full exploration.
