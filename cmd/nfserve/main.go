@@ -300,7 +300,7 @@ func cmdLs(args []string, out io.Writer) error {
 	if *store == "" {
 		return fmt.Errorf("ls: -store is required")
 	}
-	m, err := trace.ReadManifestFile(*store)
+	m, err := trace.ScanShards(*store)
 	if err != nil {
 		return err
 	}
@@ -334,7 +334,7 @@ func cmdReplay(args []string, out io.Writer) error {
 	if *store == "" {
 		return fmt.Errorf("replay: -store is required")
 	}
-	m, err := trace.ReadManifestFile(*store)
+	m, err := trace.ScanShards(*store)
 	if err != nil {
 		return err
 	}

@@ -86,7 +86,7 @@ func TestServeMax(t *testing.T) {
 	if err != nil {
 		t.Fatalf("serve -max: %v\n%s", err, out.String())
 	}
-	m, err := trace.ReadManifestFile(store)
+	m, err := trace.ScanShards(store)
 	if err != nil {
 		t.Fatalf("store index: %v", err)
 	}

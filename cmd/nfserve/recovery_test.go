@@ -67,7 +67,7 @@ func TestServeKilledStoreRecovers(t *testing.T) {
 	}
 	// Listing the store under its live writer is the recovery path too.
 	for deadline := time.Now().Add(time.Minute); ; time.Sleep(10 * time.Millisecond) {
-		if m, err := trace.ReadManifestFile(store); err == nil && len(m.Entries) >= 32 {
+		if m, err := trace.ScanShards(store); err == nil && len(m.Entries) >= 32 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -81,7 +81,7 @@ func TestServeKilledStoreRecovers(t *testing.T) {
 	}
 	_ = cmd.Wait() // killed: its exit status says so
 
-	m, err := trace.ReadManifestFile(store)
+	m, err := trace.ScanShards(store)
 	if err != nil {
 		t.Fatalf("killed store does not list: %v", err)
 	}
@@ -126,7 +126,7 @@ func TestLoadFailsOnLostRecordings(t *testing.T) {
 	if !strings.Contains(string(ee.Stderr), "of 16 sessions") || !strings.Contains(string(out), "soak run summary") {
 		t.Fatalf("stderr %q; stdout:\n%s", ee.Stderr, out)
 	}
-	m, err := trace.ReadManifestFile(store)
+	m, err := trace.ScanShards(store)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,6 @@ func runVerify(args []string, out, errw io.Writer) int {
 		maxMsg    = fs.Int("maxmsg", 3, "submitted-message bound")
 		maxStates = fs.Int("maxstates", 1<<18, "exploration budget (BUDGET verdict when hit)")
 		noPOR     = fs.Bool("nopor", false, "disable the lazy-drop partial-order reduction")
-		spill     = fs.String("spill", "", "spill the visited set to a temp file under this directory")
 		outDir    = fs.String("o", "", "write VIOLATED witnesses as <protocol>-<property>.nft under this directory")
 		jsonOut   = fs.Bool("json", false, "print machine-readable JSON reports instead of text")
 		stab      = fs.Bool("stabilize", false, "seed the frontier with every bounded corrupted start: PROVED means the protocol self-stabilizes within the bounds")
@@ -58,7 +57,6 @@ func runVerify(args []string, out, errw io.Writer) int {
 		MaxMessages: *maxMsg,
 		MaxStates:   *maxStates,
 		NoPOR:       *noPOR,
-		SpillDir:    *spill,
 		Stabilize:   *stab,
 		MaxPoison:   *maxPoison,
 	}

@@ -30,6 +30,7 @@ import (
 	"repro/internal/bound"
 	"repro/internal/channel"
 	"repro/internal/protocol"
+	"repro/internal/seed"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -521,10 +522,10 @@ func RunE4(params E4Params) ([]E4Series, error) {
 			// channel history the theorem's stale-copy argument relies on.
 			maxN := params.Ns[len(params.Ns)-1]
 			checkpoints := make([][]float64, len(params.Ns))
-			for seed := 0; seed < params.Seeds; seed++ {
+			for root := 0; root < params.Seeds; root++ {
 				r := sim.NewRunner(sim.Config{
 					Protocol:   p,
-					DataPolicy: channel.Probabilistic(q, rand.New(rand.NewSource(SplitSeed(int64(seed), fmt.Sprintf("E4/%s/q=%g", p.Name(), q))))),
+					DataPolicy: channel.Probabilistic(q, rand.New(rand.NewSource(seed.Split(int64(root), fmt.Sprintf("E4/%s/q=%g", p.Name(), q))))),
 				})
 				ci := 0
 				for i := 0; i < maxN; i++ {
@@ -624,13 +625,13 @@ func RunE5(params E5Params) ([]E5Row, error) {
 	params = params.withDefaults()
 	totalsByN := make([][]float64, len(params.Ns))
 	for i, n := range params.Ns {
-		for seed := 0; seed < params.Seeds; seed++ {
+		for root := 0; root < params.Seeds; root++ {
 			res := sim.NewRunner(sim.Config{
 				Protocol:   protocol.NewCntLinear(),
-				DataPolicy: channel.Probabilistic(params.Q, rand.New(rand.NewSource(SplitSeed(int64(seed), fmt.Sprintf("E5/n=%d", n))))),
+				DataPolicy: channel.Probabilistic(params.Q, rand.New(rand.NewSource(seed.Split(int64(root), fmt.Sprintf("E5/n=%d", n))))),
 			}).Run(n)
 			if res.Err != nil {
-				return nil, fmt.Errorf("E5 n=%d seed=%d: %w", n, seed, res.Err)
+				return nil, fmt.Errorf("E5 n=%d seed=%d: %w", n, root, res.Err)
 			}
 			totalsByN[i] = append(totalsByN[i], float64(res.Metrics.TotalDataPackets))
 		}
@@ -684,7 +685,7 @@ type E6Row struct {
 // headers/packets/space bill of each protocol. The naive protocol pays n
 // headers and wins everywhere else — "it is probably better to pay the
 // penalty of unbounded headers".
-func RunE6(q float64, n, seed int) ([]E6Row, error) {
+func RunE6(q float64, n, root int) ([]E6Row, error) {
 	if q == 0 {
 		q = 0.25
 	}
@@ -700,7 +701,7 @@ func RunE6(q float64, n, seed int) ([]E6Row, error) {
 	} {
 		res := sim.NewRunner(sim.Config{
 			Protocol:   p,
-			DataPolicy: channel.Probabilistic(q, rand.New(rand.NewSource(SplitSeed(int64(seed), "E6/"+p.Name())))),
+			DataPolicy: channel.Probabilistic(q, rand.New(rand.NewSource(seed.Split(int64(root), "E6/"+p.Name())))),
 		}).Run(n)
 		if res.Err != nil {
 			return rows, fmt.Errorf("E6 %s: %w", p.Name(), res.Err)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/ioa"
 	"repro/internal/ioauto"
 	"repro/internal/protocol"
+	"repro/internal/seed"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/transport"
@@ -491,10 +492,10 @@ func RunE11(qs []float64, n, seeds int) ([]E11Series, error) {
 	var out []E11Series
 	for _, q := range qs {
 		sums := make([]float64, n)
-		for seed := 0; seed < seeds; seed++ {
+		for root := 0; root < seeds; root++ {
 			r := sim.NewRunner(sim.Config{
 				Protocol:   protocol.NewCntLinear(),
-				DataPolicy: channel.Probabilistic(q, rand.New(rand.NewSource(SplitSeed(int64(seed), fmt.Sprintf("E11/q=%g", q))))),
+				DataPolicy: channel.Probabilistic(q, rand.New(rand.NewSource(seed.Split(int64(root), fmt.Sprintf("E11/q=%g", q))))),
 				StepBudget: budget,
 			})
 			for i := 0; i < n; i++ {

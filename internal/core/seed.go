@@ -2,6 +2,6 @@ package core
 
 import "repro/internal/seed"
 
-// SplitSeed is seed.Split, kept for callers outside this module's
-// internal packages that still name it here.
+// SplitSeed forwards to seed.Split. Nothing in this module calls it; the
+// benchmark module (nfperf) still does.
 func SplitSeed(root int64, stream string) int64 { return seed.Split(root, stream) }

@@ -223,7 +223,7 @@ func TestSoakConcurrentSessionsReplay(t *testing.T) {
 		t.Fatalf("%d sessions failed operationally", rep.Errors)
 	}
 
-	m, err := trace.ReadManifestFile(dir)
+	m, err := trace.ScanShards(dir)
 	if err != nil {
 		t.Fatalf("manifest: %v", err)
 	}

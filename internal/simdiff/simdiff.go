@@ -1,24 +1,19 @@
 // Package simdiff is the differential equivalence harness that locks the
-// engines' interned fast paths to a reference semantics.
+// fuzzer's interned fast path to a reference semantics.
 //
-// The interning layer rebuilt the hot loops of the fuzzer and the verifier
-// — pooled runners, append-rendered state keys, packed visited-set keys,
-// midstate-cached coverage hashes — under an equivalence obligation: none
-// of it may change a single observable. This package is where that
-// obligation is enforced, against one reference per engine:
-//
-//   - the fuzzer keeps its string-keyed executor alive behind
-//     fuzz.Config.StringCore, and the harness replays identical schedules
-//     through both cores, asserting identical event streams, coverage
-//     points and verdicts;
-//   - the verifier's reference is its spill store (verify.Config.SpillDir),
-//     a supported path that dedups on the canonical key bytes instead of
-//     the packed interned key, and the harness runs each obligation on both
-//     stores, asserting identical graphs, verdicts and canonical space
-//     hashes.
+// The interning layer rebuilt the fuzzer's hot loop — pooled runners,
+// append-rendered state keys, midstate-cached coverage hashes — under an
+// equivalence obligation: none of it may change a single observable. This
+// package is where that obligation is enforced. The fuzzer keeps its
+// string-keyed executor alive behind fuzz.Config.StringCore, and the
+// harness replays identical schedules through both cores, asserting
+// identical event streams, coverage points and verdicts. (The prover's
+// packed visited set has its reference inside internal/verify:
+// TestReferenceEquivalence runs every obligation over a store that dedups
+// on canonical bytes.)
 //
 // The CI step running this package's tests is the license for every future
-// optimisation of the interned cores: a fast path that drifts from the
+// optimisation of the interned core: a fast path that drifts from the
 // reference fails here, not in a campaign long after.
 package simdiff
 
@@ -28,7 +23,6 @@ import (
 	"repro/internal/fuzz"
 	"repro/internal/ioa"
 	"repro/internal/protocol"
-	"repro/internal/verify"
 )
 
 // CompareExec executes in through the string reference executor
@@ -78,62 +72,6 @@ func CompareExec(proto protocol.Protocol, core *fuzz.Core, in *fuzz.Input) error
 			return fmt.Errorf("event %d: %s (string) vs %s (interned)",
 				i, want.Log.Events[i], got.Log.Events[i])
 		}
-	}
-	return nil
-}
-
-// CompareVerify runs the bounded checker twice — once over the packed
-// interned store, the default, and once spilled to dir, whose store dedups
-// on the canonical key bytes — and returns the first divergence in the
-// proof artifact, or nil. cfg.SpillDir is ignored.
-func CompareVerify(proto protocol.Protocol, cfg verify.Config, dir string) error {
-	cfg.SpillDir = ""
-	want, err := verify.Run(proto, cfg)
-	if err != nil {
-		return fmt.Errorf("packed run: %w", err)
-	}
-	cfg.SpillDir = dir
-	got, err := verify.Run(proto, cfg)
-	if err != nil {
-		return fmt.Errorf("spilled run: %w", err)
-	}
-	if !got.Spilled {
-		return fmt.Errorf("spilled run did not report Spilled")
-	}
-	return DiffReports(want, got)
-}
-
-// DiffReports compares the store-independent content of two verification
-// reports and returns the first divergence, or nil.
-func DiffReports(want, got *verify.Report) error {
-	if want.States != got.States || want.Edges != got.Edges {
-		return fmt.Errorf("graph: %d states/%d edges vs %d states/%d edges",
-			want.States, want.Edges, got.States, got.Edges)
-	}
-	if want.SpaceHash != got.SpaceHash {
-		return fmt.Errorf("space hash: %s vs %s", want.SpaceHash, got.SpaceHash)
-	}
-	if want.Exhausted != got.Exhausted {
-		return fmt.Errorf("exhausted: %v vs %v", want.Exhausted, got.Exhausted)
-	}
-	if want.Verdict != got.Verdict || want.Property != got.Property {
-		return fmt.Errorf("verdict: %s/%s vs %s/%s", want.Verdict, want.Property, got.Verdict, got.Property)
-	}
-	if want.Detail != got.Detail {
-		return fmt.Errorf("detail: %q vs %q", want.Detail, got.Detail)
-	}
-	if want.Check != got.Check {
-		return fmt.Errorf("check: %s vs %s", want.Check, got.Check)
-	}
-	if want.Seeds != got.Seeds || want.Seed != got.Seed {
-		return fmt.Errorf("stabilize seeds: %d/%q vs %d/%q", want.Seeds, want.Seed, got.Seeds, got.Seed)
-	}
-	if want.DL3Candidates != got.DL3Candidates || want.DL3Attempted != got.DL3Attempted {
-		return fmt.Errorf("dl3: %d candidates/%d attempted vs %d/%d",
-			want.DL3Candidates, want.DL3Attempted, got.DL3Candidates, got.DL3Attempted)
-	}
-	if want.WitnessOps != got.WitnessOps {
-		return fmt.Errorf("witness ops: %d vs %d", want.WitnessOps, got.WitnessOps)
 	}
 	return nil
 }

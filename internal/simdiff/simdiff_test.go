@@ -8,10 +8,9 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/seed"
 	"repro/internal/transport"
-	"repro/internal/verify"
 )
 
-// specimens returns every protocol the harness holds to its references:
+// specimens returns every protocol the harness holds to its reference:
 // the full registry, the deliberately broken livelock protocol, and two
 // transport protocols (whose endpoints render the mod-S control-key
 // quotient).
@@ -135,43 +134,5 @@ func TestCampaignEquivalence(t *testing.T) {
 			t.Fatalf("violation %d: %s/%q ops %d at %d (string) vs %s/%q ops %d at %d (interned)",
 				i, w.Property, w.Corruption, w.Ops, w.FoundAtExec, g.Property, g.Corruption, g.Ops, g.FoundAtExec)
 		}
-	}
-}
-
-// TestVerifyEquivalence runs the bounded checker over every specimen with
-// the packed default store and the spill store, and demands identical proof
-// artifacts — states, edges, space hash, verdict, check — including the
-// stabilize mode for the protocols that declare a corruption space. The
-// transport specimens' control-key quotients are among the components the
-// packed store interns.
-func TestVerifyEquivalence(t *testing.T) {
-	for _, p := range specimens() {
-		p := p
-		t.Run(p.Name(), func(t *testing.T) {
-			if err := CompareVerify(p, verify.Config{MaxStates: 4000}, t.TempDir()); err != nil {
-				t.Fatalf("clean mode: %v", err)
-			}
-		})
-	}
-	for _, name := range []string{"stabdl2", "stabnaive"} {
-		p := protocol.Registry()[name]
-		if p == nil {
-			t.Fatalf("registry lost %s", name)
-		}
-		t.Run(name+"-stabilize", func(t *testing.T) {
-			if err := CompareVerify(p, verify.Config{MaxStates: 4000, Stabilize: true}, t.TempDir()); err != nil {
-				t.Fatalf("stabilize mode: %v", err)
-			}
-		})
-	}
-}
-
-// TestVerifySpillEquivalence holds the spill store to the packed store on
-// an exhaustive seqnum run: identical space hash, graph size and verdict
-// whether the visited keys live in RAM as packed ids or on disk as
-// canonical bytes.
-func TestVerifySpillEquivalence(t *testing.T) {
-	if err := CompareVerify(protocol.Registry()["seqnum"], verify.Config{}, t.TempDir()); err != nil {
-		t.Fatalf("spill vs packed: %v", err)
 	}
 }

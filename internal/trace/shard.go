@@ -91,11 +91,16 @@ func (m *Manifest) Violations() []ManifestEntry {
 	return out
 }
 
-// ReadManifestFile rebuilds a shard directory's index by scanning every
-// shard file in it, decoding each frame's log for its entry. A short final
-// frame, what a killed writer leaves, ends its shard's scan; any other
-// malformation fails with an error wrapping ErrShard.
-func ReadManifestFile(dir string) (*Manifest, error) {
+// ReadManifestFile is ScanShards under its old name, which reads no
+// manifest file: the store has none. The benchmark module (nfperf) still
+// calls it by this name.
+func ReadManifestFile(dir string) (*Manifest, error) { return ScanShards(dir) }
+
+// ScanShards rebuilds a shard directory's index by scanning every shard
+// file in it, decoding each frame's log for its entry. A short final frame,
+// what a killed writer leaves, ends its shard's scan; any other malformation
+// fails with an error wrapping ErrShard.
+func ScanShards(dir string) (*Manifest, error) {
 	des, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err

@@ -82,9 +82,9 @@ func TestShardStoreInterleavedWritesByteIdentical(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	m, err := ReadManifestFile(dir)
+	m, err := ScanShards(dir)
 	if err != nil {
-		t.Fatalf("ReadManifestFile: %v", err)
+		t.Fatalf("ScanShards: %v", err)
 	}
 	if len(m.Entries) != sessions {
 		t.Fatalf("manifest has %d entries, want %d", len(m.Entries), sessions)
@@ -138,7 +138,7 @@ func TestShardManifestOrderIndependent(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		m, err := ReadManifestFile(dir)
+		m, err := ScanShards(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +290,7 @@ func TestShardStoreRefusesReopen(t *testing.T) {
 	if len(des) != 2 || des[0].Name() != "shard-000.nfts" || des[1].Name() != "shard-001.nfts" {
 		t.Fatalf("store directory holds %v, want its two shard files", des)
 	}
-	m, err := ReadManifestFile(dir)
+	m, err := ScanShards(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestShardScanRejectsOldFormat(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "manifest.nfm"), []byte("NFMAN\x01\x01\x0eshard-000.nfts\x00"), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := ReadManifestFile(dir); !errors.Is(err, ErrShard) {
+	if m, err := ScanShards(dir); !errors.Is(err, ErrShard) {
 		t.Fatalf("version-1 store read as %+v (error %v), want ErrShard", m, err)
 	}
 }
@@ -366,7 +366,7 @@ func TestShardScanRejectsDuplicateSession(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "shard-001.nfts"), shard, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadManifestFile(dir)
+	m, err := ScanShards(dir)
 	if !errors.Is(err, ErrShard) || !strings.Contains(err.Error(), `"s000000" recorded twice`) {
 		t.Fatalf("store holding s000000 in two shards read as %+v (error %v), want ErrShard", m, err)
 	}

@@ -85,7 +85,8 @@ const (
 // the endpoints in the set, and keyOf re-renders only its components; the
 // rest is the parent's. A root (kind 0) touches everything. Getting a set
 // too small is a wrong answer, not a slowdown: TestExpandSharing and the
-// spill store's full render (internal/simdiff) hold every kind to it.
+// reference store's full render (TestReferenceEquivalence) hold every kind
+// to it.
 func (k moveKind) touches() touch {
 	switch k {
 	case mvSubmit:
@@ -242,9 +243,10 @@ func (e *explorer) keyOf(ns *config, k moveKind) {
 // interns, joined by '|', then the counters and, in stabilize mode, the
 // amnesty bookkeeping (clean-mode keys omit it, so space hashes stay
 // comparable across versions). It renders every component from the
-// configuration itself, never from interned ids, so the spill store, which
-// dedups on these bytes, checks keyOf's touch sets independently. The
-// bytes alias e.kbuf and are valid until the next render or keyOf.
+// configuration itself, never from interned ids, so the tests' reference
+// store, which dedups on these bytes, checks keyOf's touch sets
+// independently. The bytes alias e.kbuf and are valid until the next render
+// or keyOf.
 func (e *explorer) render(c *config) []byte {
 	b := protocol.AppendControlKey(e.kbuf[:0], c.t)
 	b = append(b, '|')
@@ -396,20 +398,12 @@ type explorer struct {
 	roots map[int32]stabilize.Corruption
 
 	violation *foundViolation
-	err       error
 }
 
 // visit dedups a successor, records the edge, and enqueues fresh nodes.
 func (e *explorer) visit(ns *config, from int32, mv move) (int32, bool) {
-	if e.err != nil {
-		return -1, false
-	}
 	e.keyOf(ns, mv.kind)
-	id, fresh, err := e.seen.insert(ns)
-	if err != nil {
-		e.err = err
-		return -1, false
-	}
+	id, fresh := e.seen.insert(ns)
 	if fresh {
 		ns.id = id
 		e.queue.push(ns)

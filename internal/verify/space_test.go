@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/intern"
 	"repro/internal/protocol"
-	"repro/internal/transport"
 )
 
 // keyCheckStore holds every inserted configuration's incremental key to the
@@ -16,7 +15,7 @@ type keyCheckStore struct {
 	t *testing.T
 }
 
-func (s keyCheckStore) insert(c *config) (int32, bool, error) {
+func (s keyCheckStore) insert(c *config) (int32, bool) {
 	if full := fullKey(s.e, c); c.key != full {
 		s.t.Fatalf("incremental key %+v, full re-render %+v, of %s", c.key, full, s.e.render(c))
 	}
@@ -54,25 +53,7 @@ func parentState(e *explorer, c *config) string {
 // also run from their corrupted starts, whose keys carry the amnesty
 // bookkeeping.
 func TestExpandSharing(t *testing.T) {
-	type run struct {
-		name string
-		p    protocol.Protocol
-		cfg  Config
-	}
-	clean := Config{NoPOR: true, MaxStates: 2000}
-	var runs []run
-	for _, name := range protocol.Names() {
-		runs = append(runs, run{name, protocol.Registry()[name], clean})
-	}
-	for _, p := range []protocol.Protocol{protocol.NewLivelock(), transport.New(4, 2), transport.NewGoBackN(4, 2)} {
-		runs = append(runs, run{p.Name(), p, clean})
-	}
-	for _, name := range []string{"stabdl2", "stabnaive"} {
-		stab := clean
-		stab.Stabilize = true
-		runs = append(runs, run{name + "-stabilize", protocol.Registry()[name], stab})
-	}
-	for _, r := range runs {
+	for _, r := range specimenCases(Config{NoPOR: true, MaxStates: 2000}) {
 		t.Run(r.name, func(t *testing.T) {
 			cfg := r.cfg.withDefaults()
 			e := &explorer{cfg: cfg, proto: r.p, tab: intern.NewLocal(), pkts: newPktIntern()}

@@ -1,46 +1,32 @@
 package verify
 
-import (
-	"encoding/binary"
-	"fmt"
-	"io"
-	"os"
-	"slices"
-)
-
 // store is the visited set of the exploration: canonical configurations
 // mapped to dense ids, assigned in first-visit order, so id order is BFS
 // order. A fresh insert appends the configuration's packed key to the
 // explorer's key log (explorer.keys), so the log is indexed by id and its
 // length is the number of visited configurations. A configuration has two
 // equivalent forms — its packed key (config.key: component ids plus
-// counters) and its canonical key bytes (explorer.render) — and each
-// implementation dedups on one of them:
+// counters) and its canonical key bytes (explorer.render). The prover's
+// store, intStore, dedups on the packed key: an open-addressed table of ids
+// whose probes compare 40-byte keys from the key log, instead of hashing a
+// canonical string that runs to hundreds of bytes at high occupancy. It
+// renders the bytes only on a fresh insert, to fold the space hash.
 //
-//   - intStore (the default) dedups on the packed key: an open-addressed
-//     table of ids whose probes compare 40-byte keys from the key log,
-//     instead of hashing a canonical string that runs to hundreds of bytes
-//     at high occupancy. It renders the bytes only on a fresh insert, to
-//     fold the space hash;
-//   - diskStore (Config.SpillDir) renders and dedups on the canonical bytes
-//     at every insert, through a Go map of its own. The bytes are rendered
-//     from the configuration, not from the packed key's ids, and the map
-//     shares no code with intStore's table, so it is the reference the
-//     simdiff harness holds the packed keys, keyOf's touch sets and the
-//     table's probing to.
+// The tests' reference store (refStore, store_test.go) dedups on the
+// canonical bytes instead, rendered from each configuration at every insert
+// and looked up in a Go map that shares no code with intStore's table; run
+// takes the store's constructor so the tests can swap it in. The two dedup
+// disciplines agree: interning is injective (equal component ids ⇔ equal
+// component strings), so a packed-key hit is a canonical-key hit. The
+// converse — distinct packed keys implying distinct canonical keys —
+// additionally needs the '|'-joined rendering to be unambiguous, which every
+// registered key format satisfies (no component embeds the separator at a
+// splitting position); a hypothetical ambiguous format would make the packed
+// store strictly *finer* (never merging distinct configurations), erring
+// sound. TestStoreEquivalence and TestReferenceEquivalence pin the agreement.
 //
-// The two dedup disciplines agree: interning is injective (equal component
-// ids ⇔ equal component strings), so a packed-key hit is a canonical-key
-// hit. The converse — distinct packed keys implying distinct canonical
-// keys — additionally needs the '|'-joined rendering to be unambiguous,
-// which every registered key format satisfies (no component embeds the
-// separator at a splitting position); a hypothetical ambiguous format would
-// make the packed store strictly *finer* (never merging distinct
-// configurations), erring sound. TestStoreEquivalence and the simdiff
-// harness pin States/Edges/SpaceHash equality across the two stores.
-//
-// Both implementations maintain the canonical space hash — the XOR of fnv64a
-// over all visited canonical keys, folded only on fresh inserts — an
+// A store maintains the canonical space hash — the XOR of fnv64a over all
+// visited canonical keys, folded only on fresh inserts — an
 // order-independent fingerprint of the explored configuration set that two
 // runs of the same protocol at the same bounds must agree on (the POR on/off
 // equivalence tests compare verdicts, not hashes: the reduction visits fewer
@@ -49,9 +35,8 @@ type store interface {
 	// insert returns c's id and whether it was fresh, appending c.key to
 	// the key log when it was. It reads c.key and, where it needs the
 	// canonical bytes, the store's renderer.
-	insert(c *config) (id int32, fresh bool, err error)
+	insert(c *config) (id int32, fresh bool)
 	hash() uint64
-	close() error
 }
 
 // renderer returns a configuration's canonical key bytes, valid until the
@@ -116,18 +101,18 @@ type intStore struct {
 // few-hundred-state runs stay cheap, and a power of two, as every size is.
 const minSlots = 1 << 10
 
-func newIntStore(keys *chunked[intKey], render renderer) *intStore {
+func newIntStore(keys *chunked[intKey], render renderer) store {
 	return &intStore{keys: keys, slots: make([]uint64, minSlots), render: render}
 }
 
-func (s *intStore) insert(c *config) (int32, bool, error) {
+func (s *intStore) insert(c *config) (int32, bool) {
 	h := c.key.hash()
 	mask := uint64(len(s.slots) - 1)
 	i := h & mask
 	for ; s.slots[i] != 0; i = (i + 1) & mask {
 		if sl := s.slots[i]; sl>>32 == h>>32 {
 			if id := int32(uint32(sl) - 1); s.keys.at(id) == c.key {
-				return id, false, nil
+				return id, false
 			}
 		}
 	}
@@ -138,7 +123,7 @@ func (s *intStore) insert(c *config) (int32, bool, error) {
 		s.grow()
 	}
 	s.xor ^= keyHash(s.render(c))
-	return id, true, nil
+	return id, true
 }
 
 // grow doubles the table and re-places every id, in id order, rehashing
@@ -158,115 +143,3 @@ func (s *intStore) grow() {
 }
 
 func (s *intStore) hash() uint64 { return s.xor }
-func (s *intStore) close() error { return nil }
-
-// diskStore spills the canonical key bytes — the dominant memory cost of a
-// large exploration — to an append-only temp file, keeping only a 64-bit
-// hash and a file offset per visited configuration in memory (16 bytes per
-// rec vs a key that can run to kilobytes at high occupancy). The split is
-// keys on disk, ids in memory: dense ids never leave RAM, so the BFS
-// frontier and the parent chain stay pointer-free, while the only disk reads
-// are collision probes. A hash hit is verified by reading the stored key
-// back before it counts as a revisit, so hash collisions cost a read, never
-// a wrong answer. Records are uvarint-length-prefixed key bytes; all access
-// is ReadAt/WriteAt, so no buffering layer can serve stale data.
-//
-// Its index is a Go map on purpose. The store is the reference the packed
-// store is held to, and a probing bug in code the two shared would show in
-// both alike.
-type diskStore struct {
-	f      *os.File
-	off    int64
-	byHash map[uint64][]diskRec
-	keys   *chunked[intKey]
-	xor    uint64
-	// buf holds the record being written or the key being read back by a
-	// probe; one buffer serves both, since a probe ends before a write.
-	buf    []byte
-	render renderer
-}
-
-type diskRec struct {
-	off int64
-	id  int32
-}
-
-func newDiskStore(dir string, keys *chunked[intKey], render renderer) (*diskStore, error) {
-	f, err := os.CreateTemp(dir, "nfverify-visited-*.keys")
-	if err != nil {
-		// Name the directory: the default ("" → os.TempDir) and an explicit
-		// -spill dir fail the same way, and the operator needs to know which
-		// path to fix.
-		if dir == "" {
-			dir = os.TempDir()
-		}
-		return nil, fmt.Errorf("verify: spill store: cannot create spill file in %q: %w", dir, err)
-	}
-	// The file is unlinked-on-close via close(); keep the name for Remove.
-	return &diskStore{f: f, byHash: make(map[uint64][]diskRec), keys: keys, render: render}, nil
-}
-
-func (s *diskStore) insert(c *config) (int32, bool, error) {
-	canon := s.render(c)
-	h := keyHash(canon)
-	for _, rec := range s.byHash[h] {
-		same, err := s.keyAt(rec.off, canon)
-		if err != nil {
-			return 0, false, err
-		}
-		if same {
-			return rec.id, false, nil
-		}
-	}
-	s.buf = binary.AppendUvarint(s.buf[:0], uint64(len(canon)))
-	s.buf = append(s.buf, canon...)
-	if _, err := s.f.WriteAt(s.buf, s.off); err != nil {
-		return 0, false, fmt.Errorf("verify: spill store: %w", err)
-	}
-	id := int32(s.keys.len())
-	s.keys.push(c.key)
-	s.byHash[h] = append(s.byHash[h], diskRec{off: s.off, id: id})
-	s.off += int64(len(s.buf))
-	s.xor ^= h
-	return id, true, nil
-}
-
-// keyAt reports whether the record at off holds exactly want. Records of a
-// different length are rejected from the prefix alone, without a second read.
-// The key is read back into s.buf: most successors are revisits, and each
-// revisit probes at least one record.
-func (s *diskStore) keyAt(off int64, want []byte) (bool, error) {
-	var lbuf [binary.MaxVarintLen64]byte
-	n, err := s.f.ReadAt(lbuf[:], off)
-	if err != nil && err != io.EOF {
-		return false, fmt.Errorf("verify: spill store: %w", err)
-	}
-	l, ln := binary.Uvarint(lbuf[:n])
-	if ln <= 0 {
-		return false, fmt.Errorf("verify: spill store: corrupt record at offset %d", off)
-	}
-	if l != uint64(len(want)) {
-		return false, nil
-	}
-	s.buf = slices.Grow(s.buf[:0], len(want))[:len(want)]
-	if _, err := s.f.ReadAt(s.buf, off+int64(ln)); err != nil {
-		return false, fmt.Errorf("verify: spill store: %w", err)
-	}
-	return string(s.buf) == string(want), nil
-}
-
-func (s *diskStore) hash() uint64 { return s.xor }
-
-// close closes and removes the spill file. Its error names the file (an
-// *os.PathError): a file that could not be removed is left on disk.
-func (s *diskStore) close() error {
-	name := s.f.Name()
-	err := s.f.Close()
-	if rmErr := os.Remove(name); err == nil {
-		err = rmErr
-	}
-	if err != nil {
-		return fmt.Errorf("verify: spill store: %w", err)
-	}
-	return nil
-}

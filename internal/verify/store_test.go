@@ -1,18 +1,40 @@
 package verify
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
 	"math/bits"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
-
-	"repro/internal/channel"
-	"repro/internal/protocol"
 )
+
+// refStore is the reference visited set: it renders every inserted
+// configuration and dedups on the canonical bytes through a Go map. The
+// bytes come from the configuration, not from the packed key's ids, and the
+// map shares no code with intStore's table, so TestReferenceEquivalence
+// holds the packed keys, keyOf's touch sets and the table's probing to it.
+type refStore struct {
+	ids    map[string]int32
+	keys   *chunked[intKey]
+	xor    uint64
+	render renderer
+}
+
+func newRefStore(keys *chunked[intKey], render renderer) store {
+	return &refStore{ids: map[string]int32{}, keys: keys, render: render}
+}
+
+func (s *refStore) insert(c *config) (int32, bool) {
+	canon := s.render(c)
+	if id, ok := s.ids[string(canon)]; ok {
+		return id, false
+	}
+	id := int32(s.keys.len())
+	s.keys.push(c.key)
+	s.ids[string(canon)] = id
+	s.xor ^= keyHash(canon)
+	return id, true
+}
+
+func (s *refStore) hash() uint64 { return s.xor }
 
 // canonTable is a test renderer: the canonical bytes of each configuration
 // come from a table, and every call is counted.
@@ -30,23 +52,19 @@ func (ct *canonTable) render(c *config) []byte {
 // sequence and demands identical ids, key logs and canonical hashes. The
 // packed keys set every intKey field and are built the way the explorer
 // builds them (component-injective), so the intStore's packed-key dedup
-// must agree with the diskStore's byte-key dedup. The 100k distinct keys
+// must agree with the refStore's byte-key dedup. The 100k distinct keys
 // include, for each base key, keys that differ from it in one field only,
 // and they grow the intStore's table at least three times. Revisits of
 // earlier keys are interleaved with the fresh inserts, so they probe across
 // every growth, and at the end every key is inserted again, in reverse
 // order: each must get back the id it was first given. The intStore renders
-// only on fresh inserts, the diskStore on every insert.
+// only on fresh inserts, the refStore on every insert.
 func TestStoreEquivalence(t *testing.T) {
 	intCanon := &canonTable{keys: map[*config]string{}}
-	diskCanon := &canonTable{keys: intCanon.keys}
-	var intKeys, diskKeys chunked[intKey]
-	ints := newIntStore(&intKeys, intCanon.render)
-	disk, err := newDiskStore(t.TempDir(), &diskKeys, diskCanon.render)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disk.close()
+	refCanon := &canonTable{keys: intCanon.keys}
+	var intKeys, refKeys chunked[intKey]
+	ints := newIntStore(&intKeys, intCanon.render).(*intStore)
+	ref := newRefStore(&refKeys, refCanon.render)
 
 	const distinct = 100_000
 	var probes []*config
@@ -100,16 +118,10 @@ func TestStoreEquivalence(t *testing.T) {
 	insert := func(c *config, wantID int32, wantFresh bool) {
 		t.Helper()
 		inserts++
-		iid, ifresh, err := ints.insert(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		did, dfresh, err := disk.insert(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if iid != did || ifresh != dfresh {
-			t.Fatalf("insert %d (%q): int (%d, %v), disk (%d, %v)", inserts, intCanon.keys[c], iid, ifresh, did, dfresh)
+		iid, ifresh := ints.insert(c)
+		rid, rfresh := ref.insert(c)
+		if iid != rid || ifresh != rfresh {
+			t.Fatalf("insert %d (%q): int (%d, %v), ref (%d, %v)", inserts, intCanon.keys[c], iid, ifresh, rid, rfresh)
 		}
 		if iid != wantID || ifresh != wantFresh {
 			t.Fatalf("insert %d (%q): (%d, %v), want (%d, %v)", inserts, intCanon.keys[c], iid, ifresh, wantID, wantFresh)
@@ -128,122 +140,19 @@ func TestStoreEquivalence(t *testing.T) {
 		insert(probes[i], int32(i), false)
 	}
 
-	if intKeys.len() != distinct || diskKeys.len() != distinct {
-		t.Fatalf("key logs: int %d, disk %d, want %d", intKeys.len(), diskKeys.len(), distinct)
+	if intKeys.len() != distinct || refKeys.len() != distinct {
+		t.Fatalf("key logs: int %d, ref %d, want %d", intKeys.len(), refKeys.len(), distinct)
 	}
 	for i, c := range probes {
-		if ik, dk := intKeys.at(int32(i)), diskKeys.at(int32(i)); ik != c.key || dk != c.key {
-			t.Fatalf("key log entry %d: int %+v, disk %+v, want %+v", i, ik, dk, c.key)
+		if ik, rk := intKeys.at(int32(i)), refKeys.at(int32(i)); ik != c.key || rk != c.key {
+			t.Fatalf("key log entry %d: int %+v, ref %+v, want %+v", i, ik, rk, c.key)
 		}
 	}
-	if ints.hash() != disk.hash() {
-		t.Fatalf("hash: int %016x, disk %016x", ints.hash(), disk.hash())
+	if ints.hash() != ref.hash() {
+		t.Fatalf("hash: int %016x, ref %016x", ints.hash(), ref.hash())
 	}
-	if intCanon.calls != distinct || diskCanon.calls != inserts {
-		t.Fatalf("renders: int %d (want one per fresh insert, %d), disk %d (want one per insert, %d)",
-			intCanon.calls, distinct, diskCanon.calls, inserts)
-	}
-}
-
-// TestDiskStoreUnwritableDir: an unwritable spill directory must fail at
-// construction with an error that names the directory, not surface later as
-// a mid-exploration write failure.
-func TestDiskStoreUnwritableDir(t *testing.T) {
-	dir := t.TempDir() + "/missing"
-	_, err := newDiskStore(dir, new(chunked[intKey]), nil)
-	if err == nil {
-		t.Fatal("newDiskStore in a nonexistent directory succeeded")
-	}
-	if !strings.Contains(err.Error(), dir) {
-		t.Fatalf("error does not name the spill directory %q: %v", dir, err)
-	}
-}
-
-// TestDiskStoreLargeKeys checks the spill records across the varint length
-// boundary (keys longer than 127 bytes need a two-byte length prefix).
-func TestDiskStoreLargeKeys(t *testing.T) {
-	canon := &canonTable{keys: map[*config]string{}}
-	disk, err := newDiskStore(t.TempDir(), new(chunked[intKey]), canon.render)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disk.close()
-
-	long := make([]byte, 0, 4096)
-	for i := 0; i < 512; i++ {
-		long = append(long, byte('a'+i%26))
-	}
-	keys := []string{"short", string(long), string(long) + "x", "short"}
-	wantFresh := []bool{true, true, true, false}
-	wantID := []int32{0, 1, 2, 0}
-	for i, k := range keys {
-		c := &config{}
-		canon.keys[c] = k
-		id, fresh, err := disk.insert(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if id != wantID[i] || fresh != wantFresh[i] {
-			t.Fatalf("insert %d: got (%d, %v), want (%d, %v)", i, id, fresh, wantID[i], wantFresh[i])
-		}
-	}
-}
-
-// removingProto wraps a protocol so that every transmitter's SendMsg calls
-// rm first.
-type removingProto struct {
-	protocol.Protocol
-	rm func()
-}
-
-func (p removingProto) New(data, ack channel.Genie) (protocol.Transmitter, protocol.Receiver) {
-	t, r := p.Protocol.New(data, ack)
-	return removingT{t, p.rm}, r
-}
-
-type removingT struct {
-	protocol.Transmitter
-	rm func()
-}
-
-func (t removingT) SendMsg(payload string) {
-	t.rm()
-	t.Transmitter.SendMsg(payload)
-}
-
-func (t removingT) Clone() protocol.Transmitter { return removingT{t.Transmitter.Clone(), t.rm} }
-
-// TestRunReportsSpillCloseError: a spill file that cannot be removed when
-// the run ends stays on disk, so Run must fail with an error naming it. The
-// protocol removes the file behind the store's back at the first submitted
-// message; removing it again at close then fails.
-func TestRunReportsSpillCloseError(t *testing.T) {
-	dir := t.TempDir()
-	removed := false
-	rm := func() {
-		if removed {
-			return
-		}
-		removed = true
-		files, err := filepath.Glob(filepath.Join(dir, "nfverify-visited-*"))
-		if err != nil || len(files) != 1 {
-			t.Fatalf("spill files in %s: %v (%v)", dir, files, err)
-		}
-		if err := os.Remove(files[0]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rep, err := Run(removingProto{protocol.NewSeqNum(), rm}, Config{SpillDir: dir})
-	if !removed {
-		t.Fatal("the run never submitted a message")
-	}
-	if err == nil {
-		t.Fatalf("Run returned no error (verdict %s) though its spill file could not be removed", rep.Verdict)
-	}
-	if rep != nil {
-		t.Fatalf("Run returned a report with its error: %v", err)
-	}
-	if !errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), filepath.Join(dir, "nfverify-visited-")) {
-		t.Fatalf("error does not name the spill file: %v", err)
+	if intCanon.calls != distinct || refCanon.calls != inserts {
+		t.Fatalf("renders: int %d (want one per fresh insert, %d), ref %d (want one per insert, %d)",
+			intCanon.calls, distinct, refCanon.calls, inserts)
 	}
 }

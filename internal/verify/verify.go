@@ -64,13 +64,6 @@ type Config struct {
 	// (POR on) is sound for every protocol: the reduction auto-disables
 	// for genie-consulting protocols regardless of this flag.
 	NoPOR bool
-	// SpillDir, when non-empty, spills the visited key set to a temp file
-	// under this directory instead of holding it in memory ("" = in
-	// memory; "." spills to the current directory's temp space). The
-	// spill store dedups on the canonical key bytes rather than the packed
-	// key, which makes it the reference internal/simdiff holds the default
-	// store to.
-	SpillDir string
 	// Stabilize switches the run to self-stabilization mode: the BFS
 	// frontier is seeded with every bounded corrupted configuration the
 	// protocol declares (internal/stabilize), deliveries are judged by the
@@ -164,13 +157,11 @@ type Report struct {
 	// States and Edges size the explored graph; Exhausted reports whether
 	// the space was fully explored or the budget cut it off. SpaceHash is
 	// the canonical fingerprint of the visited configuration set (XOR of
-	// fnv64a over canonical keys), and Spilled whether the visited set
-	// lived on disk.
+	// fnv64a over canonical keys).
 	States    int    `json:"states"`
 	Edges     int    `json:"edges"`
 	Exhausted bool   `json:"exhausted"`
 	SpaceHash string `json:"spaceHash"`
-	Spilled   bool   `json:"spilled,omitempty"`
 
 	Verdict Verdict `json:"verdict"`
 	// Property is the violated property ("DL1" family safety property, or
@@ -216,16 +207,22 @@ type Report struct {
 	Witness *trace.Log `json:"-"`
 }
 
-// MarshalJSON emits the machine-readable proof artifact.
+// JSON emits the machine-readable proof artifact.
 func (r *Report) JSON() ([]byte, error) {
 	type alias Report // shed methods, keep tags
 	return json.MarshalIndent((*alias)(r), "", "  ")
 }
 
 // Run verifies one protocol up to the configured bounds.
-func Run(p protocol.Protocol, cfg Config) (rep *Report, err error) {
+func Run(p protocol.Protocol, cfg Config) (*Report, error) {
+	return run(p, cfg, newIntStore)
+}
+
+// run is Run over the visited set newStore builds. The tests pass the
+// reference store (refStore, store_test.go) to hold intStore to it.
+func run(p protocol.Protocol, cfg Config, newStore func(*chunked[intKey], renderer) store) (*Report, error) {
 	cfg = cfg.withDefaults()
-	rep = &Report{
+	rep := &Report{
 		Protocol:    p.Name(),
 		Occupancy:   cfg.Occupancy,
 		MaxMessages: cfg.MaxMessages,
@@ -260,30 +257,14 @@ func Run(p protocol.Protocol, cfg Config) (rep *Report, err error) {
 	}
 	rep.POR = e.por
 
-	if cfg.SpillDir != "" {
-		ds, err := newDiskStore(cfg.SpillDir, &e.keys, e.render)
-		if err != nil {
-			return nil, err
-		}
-		e.seen = ds
-		rep.Spilled = true
-	} else {
-		e.seen = newIntStore(&e.keys, e.render)
-	}
-	defer func() {
-		// A spill file that could not be removed stays on disk, and it can
-		// run to gigabytes: that fails an otherwise good run.
-		if cerr := e.seen.close(); cerr != nil && err == nil {
-			rep, err = nil, cerr
-		}
-	}()
-
+	e.seen = newStore(&e.keys, e.render)
+	var err error
 	if rep.Seeds, err = e.visitRoots(); err != nil {
 		return nil, err
 	}
 	exhausted := true
 	for head := int32(0); int(head) < e.queue.len(); head++ {
-		if e.violation != nil || e.err != nil {
+		if e.violation != nil {
 			exhausted = false
 			break
 		}
@@ -298,9 +279,6 @@ func Run(p protocol.Protocol, cfg Config) (rep *Report, err error) {
 		// and channel storage go back to the freelist for cloneOf. Its
 		// queue entry is never read again.
 		e.release(s)
-	}
-	if e.err != nil {
-		return nil, e.err
 	}
 
 	rep.States = e.keys.len()

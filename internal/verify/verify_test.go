@@ -241,23 +241,33 @@ func TestCntExpBudgetConsistent(t *testing.T) {
 	}
 }
 
-// TestSpillEquivalence: the disk-spilled visited set must explore the
-// identical space — same states, same canonical hash, same verdict.
-func TestSpillEquivalence(t *testing.T) {
-	mem, err := Run(protocol.NewSeqNum(), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	disk, err := Run(protocol.NewSeqNum(), Config{SpillDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !disk.Spilled {
-		t.Fatal("spill run did not spill")
-	}
-	if mem.States != disk.States || mem.SpaceHash != disk.SpaceHash || mem.Verdict != disk.Verdict {
-		t.Fatalf("spill changed the exploration: mem %d/%s/%s, disk %d/%s/%s",
-			mem.States, mem.SpaceHash, mem.Verdict, disk.States, disk.SpaceHash, disk.Verdict)
+// TestStabilizeTwoPoison pins the stabilize-mode answers with two poison
+// packets pre-loaded per channel (nfvet verify -stabilize -maxpoison 2),
+// where every other stabilize run loads at most one.
+func TestStabilizeTwoPoison(t *testing.T) {
+	for _, c := range []struct {
+		p                    protocol.Protocol
+		verdict              Verdict
+		prop                 string
+		seeds, states, edges int
+		hash                 string
+	}{
+		{protocol.NewStabDL(2), VerdictProved, "", 324, 73451, 306791, "feb706a42c7c26c7"},
+		{protocol.NewStabNaive(), VerdictViolated, "DL1", 36, 861, 1937, "bfb2eea618f7918e"},
+		{protocol.NewAltBit(), VerdictViolated, "DL1", 216, 4963, 13003, "3d542dcb97543c4f"},
+	} {
+		rep, err := Run(c.p, Config{Stabilize: true, MaxPoison: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Verdict != c.verdict || rep.Property != c.prop || rep.Check != CheckCertified {
+			t.Errorf("%s: %s (%s) check %s, want %s (%s) check CERTIFIED; failures %v",
+				c.p.Name(), rep.Verdict, rep.Property, rep.Check, c.verdict, c.prop, rep.Failures)
+		}
+		if rep.MaxPoison != 2 || rep.Seeds != c.seeds || rep.States != c.states || rep.Edges != c.edges || rep.SpaceHash != c.hash {
+			t.Errorf("%s: poison %d, %d seeds, %d states, %d edges, hash %s; want poison 2, %d, %d, %d, %s",
+				c.p.Name(), rep.MaxPoison, rep.Seeds, rep.States, rep.Edges, rep.SpaceHash, c.seeds, c.states, c.edges, c.hash)
+		}
 	}
 }
 

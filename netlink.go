@@ -63,7 +63,7 @@ func NewShardStore(dir string, shards int) (*ShardStore, error) {
 
 // ReadShardManifest rebuilds a shard directory's index by scanning its
 // shard files.
-func ReadShardManifest(dir string) (*ShardManifest, error) { return trace.ReadManifestFile(dir) }
+func ReadShardManifest(dir string) (*ShardManifest, error) { return trace.ScanShards(dir) }
 
 // ReadShardLog extracts one session's log from a shard directory.
 func ReadShardLog(dir string, m *ShardManifest, session string) (*TraceLog, error) {
