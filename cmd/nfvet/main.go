@@ -1,9 +1,9 @@
 // Command nfvet is the repo's determinism lint suite and static boundness
 // auditor.
 //
-// As a vet tool it speaks the `go vet -vettool` protocol, running the seven
+// As a vet tool it speaks the `go vet -vettool` protocol, running the six
 // analyzers (wallclock, globalrand, maprange, statekey, nextpkt,
-// internlocal, freelist) over every compilation unit, test files included.
+// internlocal) over every compilation unit, test files included.
 // Facts ride the protocol's vetx channel: each unit exports purity verdicts
 // for its exported functions and reads its dependencies' verdicts back, so
 // the statekey lint proves purity module-wide, across package boundaries:

@@ -33,7 +33,7 @@ func TestHelpListsAnalyzers(t *testing.T) {
 	}
 	for _, name := range []string{
 		"wallclock:", "globalrand:", "maprange:", "statekey:",
-		"nextpkt:", "internlocal:", "freelist:",
+		"nextpkt:", "internlocal:",
 	} {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("help output lacks %s", name)

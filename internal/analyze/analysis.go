@@ -7,7 +7,7 @@
 // Analyzer/Pass shapes, the `go vet -vettool` separate-compilation
 // protocol, and the cross-package facts channel (gob-encoded .vetx files
 // flowing along import edges; see facts.go) are reimplemented here on
-// go/ast + go/types + go/importer. The seven analyzers mechanically guard
+// go/ast + go/types + go/importer. The six analyzers mechanically guard
 // the invariants the whole verification stack (replay, fuzzing, livelock
 // certification) silently assumes:
 //
@@ -20,8 +20,6 @@
 //	nextpkt     — NextPkt must not mutate state on paths returning ok=false
 //	internlocal — intern.Local (single-goroutine by contract) must not
 //	              escape to other goroutines
-//	freelist    — no use-after-release of pooled configurations in
-//	              internal/verify
 //
 // Part B (audit.go) is the static protocol auditor: it exhaustively
 // enumerates the joint control states (q_t, q_r) reachable by a registered
@@ -167,7 +165,7 @@ func (a allowIndex) allowed(analyzer string, pos token.Position) (string, bool) 
 }
 
 // Analyzers returns the full lint suite in registration order: the four
-// determinism lints plus the three concurrency/lifetime-hazard lints.
+// determinism lints plus the two concurrency-hazard lints.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		WallclockAnalyzer(),
@@ -176,7 +174,6 @@ func Analyzers() []*Analyzer {
 		StateKeyAnalyzer(),
 		NextPktAnalyzer(),
 		InternLocalAnalyzer(),
-		FreelistAnalyzer(),
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // The fixture harness is an analysistest workalike on the stdlib: each
 // directory under testdata/src is parsed and type-checked under a pretend
 // import path (so the package-scoped analyzers see the scope the fixture
-// exercises), all seven analyzers run, and the diagnostics are matched
+// exercises), all six analyzers run, and the diagnostics are matched
 // line-by-line against `// want "substring"` comments. Every diagnostic must
 // be wanted and every want must be diagnosed.
 
@@ -166,8 +166,4 @@ func TestNextPktFixture(t *testing.T) {
 
 func TestInternLocalFixture(t *testing.T) {
 	runFixture(t, "internlocal", "fixture/internal/fuzz")
-}
-
-func TestFreelistFixture(t *testing.T) {
-	runFixture(t, "freelist", "fixture/internal/verify")
 }

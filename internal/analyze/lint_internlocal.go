@@ -7,21 +7,21 @@ import (
 )
 
 // InternLocalAnalyzer flags intern.Local values that escape the goroutine
-// that made them. intern.Local is the deliberately unsynchronized variant of
-// the interner (no RWMutex on its map); the single-goroutine explorer and
-// auditor use it for the ~15% lookup win, and the contract is that a Local
-// never becomes visible to a second goroutine. This analyzer enforces that
-// contract structurally: a goroutine launch whose closure captures (or whose
-// arguments carry) a Local, a channel send of a Local-carrying value, or a
-// package-level variable of a Local-carrying type is each a sharing point
-// and gets flagged — use intern.Table across goroutines instead.
+// that made them. intern.Local is deliberately unsynchronized (no RWMutex on
+// its map): the single-goroutine explorer and auditor intern through it, and
+// the contract is that a Local never becomes visible to a second goroutine.
+// This analyzer enforces that contract structurally: a goroutine launch
+// whose closure captures (or whose arguments carry) a Local, a channel send
+// of a Local-carrying value, or a package-level variable of a Local-carrying
+// type is each a sharing point and gets flagged — give each goroutine its
+// own Local instead.
 func InternLocalAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "internlocal",
 		Doc: "intern.Local is unsynchronized and must stay goroutine-local: " +
 			"flags goroutine closures capturing a Local carrier, go-statement " +
 			"arguments carrying one, channel sends of one, and package-level " +
-			"Local-carrying variables — share via intern.Table instead",
+			"Local-carrying variables — give each goroutine its own Local",
 		Run: runInternLocal,
 	}
 }
@@ -56,11 +56,6 @@ func carriesLocal(t types.Type, seen map[types.Type]bool) bool {
 	seen[t] = true
 	if internNamed(t, "Local") {
 		return true
-	}
-	// Table wraps a Local behind an RWMutex: it is the sanctioned way to
-	// share interning, so it is a boundary, not a carrier.
-	if internNamed(t, "Table") {
-		return false
 	}
 	switch u := t.Underlying().(type) {
 	case *types.Pointer:
@@ -110,7 +105,7 @@ func runInternLocal(pass *Pass) {
 						continue
 					}
 					if carriesLocal(obj.Type(), make(map[types.Type]bool)) {
-						pass.Report(name.Pos(), "package-level variable %s carries intern.Local, which is unsynchronized; any second goroutine touching it races — use intern.Table for shared interning", name.Name)
+						pass.Report(name.Pos(), "package-level variable %s carries intern.Local, which is unsynchronized; any second goroutine touching it races — give each goroutine its own Local", name.Name)
 					}
 				}
 			}
@@ -121,7 +116,7 @@ func runInternLocal(pass *Pass) {
 				checkGoStmt(pass, n)
 			case *ast.SendStmt:
 				if exprCarriesLocal(pass, n.Value) {
-					pass.Report(n.Pos(), "channel send publishes a value carrying intern.Local to another goroutine; Local is unsynchronized — send an intern.Table handle or the resolved strings instead")
+					pass.Report(n.Pos(), "channel send publishes a value carrying intern.Local to another goroutine; Local is unsynchronized — give each goroutine its own Local, or send the resolved strings")
 				}
 			}
 			return true
@@ -136,12 +131,12 @@ func checkGoStmt(pass *Pass, g *ast.GoStmt) {
 	} else if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		// go t.run() hands the receiver to the new goroutine.
 		if exprCarriesLocal(pass, sel.X) {
-			pass.Report(g.Pos(), "goroutine method call on %s, which carries intern.Local; Local is unsynchronized — give the goroutine an intern.Table", types.ExprString(sel.X))
+			pass.Report(g.Pos(), "goroutine method call on %s, which carries intern.Local; Local is unsynchronized — give each goroutine its own Local", types.ExprString(sel.X))
 		}
 	}
 	for _, arg := range call.Args {
 		if exprCarriesLocal(pass, arg) {
-			pass.Report(arg.Pos(), "goroutine argument %s carries intern.Local; Local is unsynchronized — pass an intern.Table across goroutines", types.ExprString(arg))
+			pass.Report(arg.Pos(), "goroutine argument %s carries intern.Local; Local is unsynchronized — give each goroutine its own Local", types.ExprString(arg))
 		}
 	}
 }
@@ -169,7 +164,7 @@ func reportLocalCaptures(pass *Pass, lit *ast.FuncLit) {
 		}
 		if carriesLocal(obj.Type(), make(map[types.Type]bool)) {
 			reported[obj] = true
-			pass.Report(id.Pos(), "goroutine closure captures %s, which carries intern.Local; Local is unsynchronized — use intern.Table for cross-goroutine sharing", id.Name)
+			pass.Report(id.Pos(), "goroutine closure captures %s, which carries intern.Local; Local is unsynchronized — give each goroutine its own Local", id.Name)
 		}
 		return true
 	})

@@ -26,7 +26,7 @@ func moduleRoot(t testing.TB) string {
 	}
 }
 
-// TestModuleLintClean runs all seven analyzers over the whole
+// TestModuleLintClean runs all six analyzers over the whole
 // module and requires zero findings. This is the self-application of the lint
 // suite: the codebase must satisfy its own determinism discipline. If this
 // test fails, either fix the finding or — for a provably order-insensitive

@@ -1,13 +1,10 @@
 // Fixture for the internlocal analyzer: intern.Local is unsynchronized and
-// must never become visible to a second goroutine; intern.Table is the
-// sanctioned shared variant.
+// must never become visible to a second goroutine.
 package fuzz
 
 import "repro/internal/intern"
 
 var shared *intern.Local // want "package-level variable shared carries intern.Local"
-
-var sharedTable *intern.Table // fine: Table is the synchronization boundary
 
 // engine carries a Local transitively through a struct field.
 type engine struct {
@@ -19,23 +16,19 @@ func (e *engine) run() {}
 
 func worker(l *intern.Local) uint32 { return l.Intern("x") }
 
-func tableWorker(t *intern.Table) uint32 { return t.Intern("x") }
-
 func spawnAll() {
 	loc := intern.NewLocal()
-	tbl := intern.New()
 
 	go func() {
 		_ = loc.Intern("a") // want "goroutine closure captures loc, which carries intern.Local"
 	}()
 
 	go func() {
-		_ = tbl.Intern("a") // fine: Table is safe to share
+		own := intern.NewLocal() // fine: the goroutine's own Local
+		_ = own.Intern("a")
 	}()
 
 	go worker(loc) // want "goroutine argument loc carries intern.Local"
-
-	go tableWorker(tbl) // fine
 
 	e := &engine{tab: loc}
 	go e.run() // want "goroutine method call on e, which carries intern.Local"

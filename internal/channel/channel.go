@@ -148,17 +148,6 @@ func (c *NonFIFO) Clone() *NonFIFO {
 	}
 }
 
-// CloneInto overwrites dst with a deep copy of c, reusing dst's multiset
-// backing array. dst must come from NewNonFIFO (its transit must be
-// non-nil).
-func (c *NonFIFO) CloneInto(dst *NonFIFO) {
-	dst.dir = c.dir
-	c.transit.CloneInto(dst.transit)
-	dst.sent = c.sent
-	dst.recvd = c.recvd
-	dst.dropped = c.dropped
-}
-
 // Reset empties the channel and zeroes its counters, keeping the multiset
 // backing array for reuse.
 func (c *NonFIFO) Reset(dir ioa.Dir) {

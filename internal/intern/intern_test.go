@@ -2,32 +2,17 @@ package intern
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 )
 
-// interner is the shared surface of Local and Table, so the round-trip
-// property is proved for both variants.
-type interner interface {
-	Intern(string) uint32
-	InternBytes([]byte) uint32
-	Resolve(uint32) string
-	Len() int
-}
-
 // TestRoundTrip: Intern then Resolve is the identity, ids are dense in
-// first-intern order, and re-interning returns the same id — for the
-// locked Table and the single-goroutine Local alike.
+// first-intern order, and re-interning returns the same id. The subtest is
+// named after the interner it runs on.
 func TestRoundTrip(t *testing.T) {
-	for _, v := range []struct {
-		name string
-		tab  interner
-	}{{"table", New()}, {"local", NewLocal()}} {
-		t.Run(v.name, func(t *testing.T) { roundTrip(t, v.tab) })
-	}
+	t.Run("local", func(t *testing.T) { roundTrip(t, NewLocal()) })
 }
 
-func roundTrip(t *testing.T, tab interner) {
+func roundTrip(t *testing.T, tab *Local) {
 	var keys []string
 	for i := 0; i < 500; i++ {
 		keys = append(keys, fmt.Sprintf("key-%d|{x×%d}|%d", i%97, i%7, i))
@@ -55,7 +40,7 @@ func roundTrip(t *testing.T, tab interner) {
 // TestInjective: distinct strings get distinct ids — the property every
 // packed-key dedup in verify/analyze leans on.
 func TestInjective(t *testing.T) {
-	tab := New()
+	tab := NewLocal()
 	seen := make(map[uint32]string)
 	for i := 0; i < 1000; i++ {
 		k := fmt.Sprintf("%d", i)
@@ -70,45 +55,12 @@ func TestInjective(t *testing.T) {
 // TestInternBytesDoesNotRetain: the table must copy the bytes it keeps —
 // callers hand it aliases of reused scratch buffers.
 func TestInternBytesDoesNotRetain(t *testing.T) {
-	tab := New()
+	tab := NewLocal()
 	buf := []byte("original")
 	id := tab.InternBytes(buf)
 	copy(buf, "clobberd")
 	if got := tab.Resolve(id); got != "original" {
 		t.Fatalf("Resolve after clobbering the caller's buffer: %q, want %q", got, "original")
-	}
-}
-
-// TestConcurrent hammers one table from many goroutines over an overlapping
-// key space; run under -race this is the locking proof, and the final
-// cross-check catches torn id assignments.
-func TestConcurrent(t *testing.T) {
-	tab := New()
-	const workers, perWorker = 8, 400
-	var wg sync.WaitGroup
-	got := make([][]uint32, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ids := make([]uint32, perWorker)
-			for i := 0; i < perWorker; i++ {
-				// Overlapping across workers: every key is interned by all.
-				ids[i] = tab.Intern(fmt.Sprintf("shared-%d", i))
-			}
-			got[w] = ids
-		}(w)
-	}
-	wg.Wait()
-	for w := 1; w < workers; w++ {
-		for i := range got[w] {
-			if got[w][i] != got[0][i] {
-				t.Fatalf("worker %d interned shared-%d as %d, worker 0 as %d", w, i, got[w][i], got[0][i])
-			}
-		}
-	}
-	if tab.Len() != perWorker {
-		t.Fatalf("Len = %d, want %d", tab.Len(), perWorker)
 	}
 }
 
@@ -118,7 +70,7 @@ func FuzzIntern(f *testing.F) {
 	f.Add([]byte("altbitT{bit=0 busy=false}"))
 	f.Add([]byte(""))
 	f.Add([]byte{0, 1, 2, 0xff})
-	tab := New()
+	tab := NewLocal()
 	f.Fuzz(func(t *testing.T, b []byte) {
 		id := tab.InternBytes(b)
 		if id2 := tab.Intern(string(b)); id2 != id {

@@ -1,42 +1,20 @@
 package mset
 
-import (
-	"strconv"
-	"testing"
-)
+import "testing"
 
-// BenchmarkHotLoop replays the channel hot-loop shape — clone, a burst of
-// inserts and removes, then a canonical-key render — contrasting the
-// allocating legacy surface (Clone + Key) with the reusing one
-// (CloneInto + AppendKey into scratch). Run with -benchmem: the right-hand
-// sub-benchmark is the zero-alloc claim.
+// BenchmarkHotLoop replays the channel hot-loop shape: clone, a burst of
+// inserts and removes, then a canonical-key render.
 func BenchmarkHotLoop(b *testing.B) {
 	src := New[int](func(a, c int) bool { return a < c })
 	for v := 0; v < 8; v++ {
 		src.Add(v%5, 1+v%3)
 	}
-	elem := func(dst []byte, v int) []byte { return strconv.AppendInt(dst, int64(v), 10) }
-	b.Run("clone-key", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m := src.Clone()
-			m.Add(i%7, 1)
-			m.Remove(i%5, 1)
-			if len(m.Key()) == 0 {
-				b.Fatal("empty key")
-			}
+	for i := 0; i < b.N; i++ {
+		m := src.Clone()
+		m.Add(i%7, 1)
+		m.Remove(i%5, 1)
+		if len(m.Key()) == 0 {
+			b.Fatal("empty key")
 		}
-	})
-	b.Run("cloneinto-appendkey", func(b *testing.B) {
-		m := New[int](func(a, c int) bool { return a < c })
-		var buf []byte
-		for i := 0; i < b.N; i++ {
-			src.CloneInto(m)
-			m.Add(i%7, 1)
-			m.Remove(i%5, 1)
-			buf = m.AppendKey(buf[:0], elem)
-			if len(buf) == 0 {
-				b.Fatal("empty key")
-			}
-		}
-	})
+	}
 }

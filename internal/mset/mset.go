@@ -13,9 +13,8 @@
 // exhaustive searches over channel behaviours and must be reproducible.
 //
 // Representation: a sorted association slice of (value, count) entries. The
-// exploration engines clone channel multisets once per explored
-// configuration, and a slice clone is one memcpy with no per-element map
-// rehash — CloneInto recycles a previous clone's backing array outright.
+// exploration engines clone channel multisets on every branch they take,
+// and a slice clone is one memcpy with no per-element map rehash.
 // The comparison function must be a strict total order on the values
 // actually stored (ties between distinct values would make the canonical
 // Key ambiguous, which the engines rely on for state identity).
@@ -131,19 +130,7 @@ func (m *Multiset[T]) ForEach(fn func(v T, n int)) {
 
 // Clone returns a deep copy sharing no state with m.
 func (m *Multiset[T]) Clone() *Multiset[T] {
-	c := &Multiset[T]{less: m.less}
-	m.CloneInto(c)
-	return c
-}
-
-// CloneInto overwrites dst with a deep copy of m, reusing dst's backing
-// array when it has capacity. dst adopts m's ordering. The exploration hot
-// loops use this to recycle per-branch channel copies instead of allocating
-// a fresh multiset per explored configuration.
-func (m *Multiset[T]) CloneInto(dst *Multiset[T]) {
-	dst.less = m.less
-	dst.size = m.size
-	dst.ents = append(dst.ents[:0], m.ents...)
+	return &Multiset[T]{ents: append([]entry[T](nil), m.ents...), less: m.less, size: m.size}
 }
 
 // Reset empties the multiset, keeping the backing array for reuse.

@@ -230,9 +230,10 @@ func AppendControlKey(dst []byte, endpoint interface{ AppendStateKey([]byte) []b
 //
 // An endpoint reads its genie only while it steps, inside SendMsg and
 // DeliverPkt (and at construction), never while rendering its keys,
-// reporting Busy or cloning. The prover relies on it: its explorer shares
-// an endpoint a move does not step between configurations, with the genie
-// still bound to an ancestor's channels (internal/verify's cloneOf).
+// reporting Busy or cloning. The prover relies on it: its explorer keeps
+// one endpoint per control key, never stepped, and steps clones whose
+// genie it binds to the channel contents of the step, so a kept endpoint's
+// own binding is never read (internal/verify's stepT and stepR).
 // TestContractAppendKeys pins it.
 type AckGenieUser interface {
 	SetAckGenie(g channel.Genie)

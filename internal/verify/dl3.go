@@ -97,7 +97,7 @@ func (e *explorer) confirmLivelock(cands []int32) (*replay.LivelockCert, *trace.
 		}
 		attempted++
 		moves, root := e.chain(id, nil)
-		wl, err := e.witnessLog(moves, root)
+		wl, _, err := e.witnessLog(moves, root)
 		if err != nil {
 			return nil, nil, attempted, err
 		}

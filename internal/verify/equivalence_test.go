@@ -47,11 +47,10 @@ var equivalenceCases = append(specimenCases(Config{MaxStates: 4000}),
 
 // TestReferenceEquivalence runs each case through Run, over the packed
 // store, and through run over refStore, which dedups on the canonical bytes
-// rendered from every configuration. The reports must be byte-identical as
-// text and as JSON, and so must the encoded witnesses. A touch set that
-// misses a component, a packed key that merges distinct configurations or a
-// probe that loses an id changes a state count, an edge count or the space
-// hash.
+// rendered from every inserted key. The reports must be byte-identical as
+// text and as JSON, and so must the encoded witnesses. A packed key that
+// merges distinct configurations or a probe that loses an id changes a
+// state count, an edge count or the space hash.
 func TestReferenceEquivalence(t *testing.T) {
 	for _, c := range equivalenceCases {
 		t.Run(c.name, func(t *testing.T) {

@@ -70,44 +70,6 @@ const (
 	mvDropAck
 )
 
-// touch is the set of configuration parts a move changes: the endpoint it
-// steps and the channels it sends into, delivers from or drops from.
-type touch uint8
-
-const (
-	touchT touch = 1 << iota
-	touchR
-	touchData
-	touchAck
-)
-
-// touches returns the parts a move of kind k changes. cloneOf copies only
-// the endpoints in the set, and keyOf re-renders only its components; the
-// rest is the parent's. A root (kind 0) touches everything. Getting a set
-// too small is a wrong answer, not a slowdown: TestExpandSharing and the
-// reference store's full render (TestReferenceEquivalence) hold every kind
-// to it.
-func (k moveKind) touches() touch {
-	switch k {
-	case mvSubmit:
-		return touchT
-	case mvTransmit, mvTransmitDrop:
-		return touchT | touchData
-	case mvDeliverData:
-		// The receiver steps, and its drained acknowledgements enter the
-		// ack channel.
-		return touchR | touchData | touchAck
-	case mvDeliverAck:
-		return touchT | touchAck
-	case mvDropData:
-		return touchData
-	case mvDropAck:
-		return touchAck
-	default:
-		return touchT | touchR | touchData | touchAck
-	}
-}
-
 // move is one transition: a kind plus, for the per-packet moves, the packet.
 type move struct {
 	kind moveKind
@@ -135,137 +97,188 @@ func (m move) String() string {
 	}
 }
 
-// config is one joint configuration of the exploration. Its endpoints may
-// be shared with its parent and siblings (see cloneOf); its channels are
-// its own.
-type config struct {
-	t         protocol.Transmitter
-	r         protocol.Receiver
-	chData    *channel.NonFIFO // t→r
-	chAck     *channel.NonFIFO // r→t
-	submitted int32
-	delivered int32
-	id        int32
-	// key is the packed key the default store dedups on. A successor
-	// inherits its parent's and keyOf refreshes what the move touched.
-	key intKey
-
-	// Stabilize-mode bookkeeping (zero and excluded from the key in clean
-	// mode): remaining is the seed's amnesty minus the faults charged so
-	// far (a negative balance is a divergence and is never visited),
-	// frontier the next submit position whose delivery is clean progress,
-	// and lost the bitmask of skipped positions that may still arrive late
-	// (see stabilize.Classify).
-	remaining int32
-	frontier  int32
-	lost      uint64
+// components is one kind of key component: transmitter control keys,
+// receiver control keys or channel contents, interned to dense ids, with
+// the object that first rendered each id. Kinds do not share ids, since a
+// transmitter and a receiver may render the same bytes. An object is never
+// stepped: a move clones it, steps the clone and interns the clone's key
+// (see stepT, stepR and stepCh). Equal control keys are the bisimulation
+// the visited set already relies on (protocol.ControlKeyer), so the first
+// object of a key steps for every object of it.
+type components[T any] struct {
+	tab  *intern.Local
+	objs []T
 }
 
-// cloneOf copies c for a move of kind k. The channels are always copied;
-// of the endpoints, only the one the move steps is cloned, and only its
-// genie is rebound to the copied channels (the discipline of
-// sim.Runner.Fork and the audit enumerator). The other endpoint is shared
-// with c. That is sound because expand steps only endpoints it has just
-// cloned, and endpoints read their genies only while stepping (see
-// protocol.AckGenieUser), so a shared endpoint's genie, still bound to
-// some ancestor's channels, is never read. A released configuration's
-// struct and channel storage are recycled when one is available:
-// duplicate successors and expanded parents dominate the exploration.
-func (e *explorer) cloneOf(c *config, k moveKind) *config {
-	var nc *config
-	if n := len(e.free); n > 0 {
-		nc = e.free[n-1]
-		e.free = e.free[:n-1]
+// intern returns the id of key, keeping obj as its object when the key is
+// new, and whether it was.
+func (c *components[T]) intern(key []byte, obj T) (uint32, bool) {
+	if c.tab == nil {
+		c.tab = intern.NewLocal()
+	}
+	id := c.tab.InternBytes(key)
+	if int(id) < len(c.objs) {
+		return id, false
+	}
+	c.objs = append(c.objs, obj)
+	return id, true
+}
+
+// chanObj is a channel component: its contents, and its distinct packets as
+// packet ids in the channel's order, which expand fans out over.
+type chanObj struct {
+	ch   *channel.NonFIFO
+	pkts []uint32
+}
+
+// stepKey is what an endpoint step reads: the endpoint's id, the move kind,
+// the move's argument (the submit index or the packet's id) and, for an
+// endpoint that consults a genie, the id of the channel contents its genie
+// reads (0 otherwise).
+type stepKey struct {
+	kind           moveKind
+	id, arg, genie uint32
+}
+
+// stepOut is a memoised endpoint step: the successor endpoint's id and what
+// the step put out — a transmit's packet and whether one was enabled, a data
+// delivery's delivered payloads and drained acks.
+type stepOut struct {
+	id, pkt  uint32
+	ok       bool
+	payloads []string
+	acks     []uint32
+}
+
+// chStep is a channel step: one copy of a packet sent into the channel, or
+// removed from it (a delivery or a drop).
+type chStep struct {
+	id, pkt uint32
+	send    bool
+}
+
+// internEnd interns an endpoint into its kind by its control key and
+// returns its id.
+func internEnd[T interface{ AppendStateKey([]byte) []byte }](e *explorer, c *components[T], end T) uint32 {
+	e.kbuf = protocol.AppendControlKey(e.kbuf[:0], end)
+	id, _ := c.intern(e.kbuf, end)
+	return id
+}
+
+// internCh interns a channel by its contents and returns its id.
+func (e *explorer) internCh(ch *channel.NonFIFO) uint32 {
+	e.kbuf = ch.AppendKey(e.kbuf[:0])
+	id, fresh := e.chs.intern(e.kbuf, chanObj{ch: ch})
+	if fresh {
+		o := &e.chs.objs[id]
+		for i := 0; i < ch.DistinctPackets(); i++ {
+			o.pkts = append(o.pkts, e.pkts.intern(ch.PacketAt(i)))
+		}
+	}
+	return id
+}
+
+// stepT steps transmitter id by a move of kind mvSubmit (arg is the submit
+// index), mvTransmit or mvDeliverAck (arg is the packet's id), with its
+// genie reading ack channel ack. The result is memoised.
+func (e *explorer) stepT(kind moveKind, id, arg, ack uint32) stepOut {
+	t := e.ts.objs[id]
+	if _, ok := t.(protocol.AckGenieUser); !ok {
+		ack = 0
+	}
+	k := stepKey{kind: kind, id: id, arg: arg, genie: ack}
+	out, ok := e.memo[k]
+	if ok {
+		return out
+	}
+	t = t.Clone()
+	protocol.BindGenies(t, nil, nil, e.chs.objs[ack].ch)
+	switch kind {
+	case mvSubmit:
+		t.SendMsg(payload(int(arg)))
+	case mvTransmit:
+		var p ioa.Packet
+		p, out.ok = t.NextPkt()
+		out.pkt = e.pkts.intern(p)
+	case mvDeliverAck:
+		t.DeliverPkt(e.pkts.at(arg))
+	}
+	out.id = internEnd(e, &e.ts, t)
+	e.memo[k] = out
+	return out
+}
+
+// stepR delivers packet pkt to receiver id, with its genie reading data
+// channel data (the delivered copy already removed, as the runner shows it),
+// takes the delivered payloads and drains the acks. The result is memoised.
+func (e *explorer) stepR(id, pkt, data uint32) stepOut {
+	r := e.rs.objs[id]
+	if _, ok := r.(protocol.DataGenieUser); !ok {
+		data = 0
+	}
+	k := stepKey{kind: mvDeliverData, id: id, arg: pkt, genie: data}
+	out, ok := e.memo[k]
+	if ok {
+		return out
+	}
+	r = r.Clone()
+	protocol.BindGenies(nil, r, e.chs.objs[data].ch, nil)
+	r.DeliverPkt(e.pkts.at(pkt))
+	out.payloads = r.TakeDelivered()
+	for {
+		a, ok := r.NextPkt()
+		if !ok {
+			break
+		}
+		out.acks = append(out.acks, e.pkts.intern(a))
+	}
+	out.id = internEnd(e, &e.rs, r)
+	e.memo[k] = out
+	return out
+}
+
+// stepCh returns the channel that sending one copy of packet pkt into
+// channel id, or removing one from it, leaves. The result is memoised.
+func (e *explorer) stepCh(id, pkt uint32, send bool) uint32 {
+	k := chStep{id: id, pkt: pkt, send: send}
+	if out, ok := e.chMemo[k]; ok {
+		return out
+	}
+	ch := e.chs.objs[id].ch.Clone()
+	if send {
+		ch.Send(e.pkts.at(pkt))
 	} else {
-		nc = &config{chData: channel.NewNonFIFO(ioa.TtoR), chAck: channel.NewNonFIFO(ioa.RtoT)}
+		_ = ch.Drop(e.pkts.at(pkt)) // pkt is one of the channel's packets
 	}
-	c.chData.CloneInto(nc.chData)
-	c.chAck.CloneInto(nc.chAck)
-	nc.submitted, nc.delivered, nc.id = c.submitted, c.delivered, 0
-	nc.remaining, nc.frontier, nc.lost = c.remaining, c.frontier, c.lost
-	nc.key = c.key
-	nc.t, nc.r = c.t, c.r
-	// BindGenies skips a nil endpoint, so only the clones are rebound.
-	var t protocol.Transmitter
-	var r protocol.Receiver
-	tc := k.touches()
-	if tc&touchT != 0 {
-		t = c.t.Clone()
-		nc.t = t
-	}
-	if tc&touchR != 0 {
-		r = c.r.Clone()
-		nc.r = r
-	}
-	protocol.BindGenies(t, r, nc.chData, nc.chAck)
-	return nc
+	out := e.internCh(ch)
+	e.chMemo[k] = out
+	return out
 }
 
-// release returns a dead configuration (duplicate successor or expanded
-// parent) to the freelist. The endpoint references are dropped so
-// endpoints no live configuration shares can be collected.
-func (e *explorer) release(c *config) {
-	c.t, c.r = nil, nil
-	e.free = append(e.free, c)
-}
-
-// keyOf refreshes ns.key after a move of kind k: it re-renders and interns
-// only the components the move touched and keeps the parent's ids for the
-// rest, then copies the counters in. In stabilize mode the amnesty
-// bookkeeping joins the key: two occurrences of the same joint
-// configuration with different remaining budgets, frontiers or lost sets
-// have different judgeable futures, so merging them would be unsound.
-func (e *explorer) keyOf(ns *config, k moveKind) {
-	tc := k.touches()
-	if tc&touchT != 0 {
-		e.kbuf = protocol.AppendControlKey(e.kbuf[:0], ns.t)
-		ns.key.tc = e.tab.InternBytes(e.kbuf)
-	}
-	if tc&touchR != 0 {
-		e.kbuf = protocol.AppendControlKey(e.kbuf[:0], ns.r)
-		ns.key.rc = e.tab.InternBytes(e.kbuf)
-	}
-	if tc&touchData != 0 {
-		e.kbuf = ns.chData.AppendKey(e.kbuf[:0])
-		ns.key.dk = e.tab.InternBytes(e.kbuf)
-	}
-	if tc&touchAck != 0 {
-		e.kbuf = ns.chAck.AppendKey(e.kbuf[:0])
-		ns.key.ak = e.tab.InternBytes(e.kbuf)
-	}
-	ns.key.sub, ns.key.del = ns.submitted, ns.delivered
-	if e.cfg.Stabilize {
-		ns.key.grem, ns.key.gfro, ns.key.lost = ns.remaining, ns.frontier, ns.lost
-	}
-}
-
-// render returns the canonical key of c: the same four components keyOf
-// interns, joined by '|', then the counters and, in stabilize mode, the
+// render returns the canonical key of k: its four components' interned
+// bytes joined by '|', then the counters and, in stabilize mode, the
 // amnesty bookkeeping (clean-mode keys omit it, so space hashes stay
-// comparable across versions). It renders every component from the
-// configuration itself, never from interned ids, so the tests' reference
-// store, which dedups on these bytes, checks keyOf's touch sets
-// independently. The bytes alias e.kbuf and are valid until the next render
-// or keyOf.
-func (e *explorer) render(c *config) []byte {
-	b := protocol.AppendControlKey(e.kbuf[:0], c.t)
+// comparable across versions). The bytes alias e.kbuf and are valid until
+// the next render or intern.
+func (e *explorer) render(k intKey) []byte {
+	b := append(e.kbuf[:0], e.ts.tab.Resolve(k.tc)...)
 	b = append(b, '|')
-	b = protocol.AppendControlKey(b, c.r)
+	b = append(b, e.rs.tab.Resolve(k.rc)...)
 	b = append(b, '|')
-	b = c.chData.AppendKey(b)
+	b = append(b, e.chs.tab.Resolve(k.dk)...)
 	b = append(b, '|')
-	b = c.chAck.AppendKey(b)
+	b = append(b, e.chs.tab.Resolve(k.ak)...)
 	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(c.submitted), 10)
+	b = strconv.AppendInt(b, int64(k.sub), 10)
 	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(c.delivered), 10)
+	b = strconv.AppendInt(b, int64(k.del), 10)
 	if e.cfg.Stabilize {
 		b = append(b, "|g"...)
-		b = strconv.AppendInt(b, int64(c.remaining), 10)
+		b = strconv.AppendInt(b, int64(k.grem), 10)
 		b = append(b, "|f"...)
-		b = strconv.AppendInt(b, int64(c.frontier), 10)
+		b = strconv.AppendInt(b, int64(k.gfro), 10)
 		b = append(b, "|l"...)
-		b = strconv.AppendUint(b, c.lost, 16)
+		b = strconv.AppendUint(b, k.lost, 16)
 	}
 	e.kbuf = b
 	return b
@@ -274,17 +287,16 @@ func (e *explorer) render(c *config) []byte {
 // parentEdge records how a configuration was first reached, for witness
 // path reconstruction. The move's packet rides as an interned id (pktIntern)
 // rather than an ioa.Packet: the table is one entry per visited state, and
-// two inline string headers per entry would multiply its footprint and pin
-// every packet string of every released configuration.
+// two inline string headers per entry would multiply its footprint.
 type parentEdge struct {
 	parent int32
 	kind   moveKind
 	pkt    uint32 // interned via explorer.pkts; 0 is the zero packet
 }
 
-// pktIntern interns ioa.Packets to dense ids, reversibly (witness
-// reconstruction needs the packet back to re-drive the move). Id 0 is the
-// zero packet, so packet-less moves pack to the zero parentEdge fields.
+// pktIntern interns ioa.Packets to dense ids, reversibly (the memoised
+// steps and witness reconstruction need the packet back). Id 0 is the zero
+// packet, so packet-less moves pack to the zero parentEdge fields.
 type pktIntern struct {
 	ids  map[ioa.Packet]uint32
 	pkts []ioa.Packet
@@ -330,8 +342,7 @@ func (b bitset) has(i int32) bool {
 // delivering move that produced a payload out of correspondence (clean
 // mode) or over the amnesty budget (stabilize mode).
 type foundViolation struct {
-	parent int32
-	mv     move
+	parentEdge
 	detail string
 }
 
@@ -339,11 +350,10 @@ type foundViolation struct {
 const chunkLen = 1 << 12
 
 // chunked is an append-only log kept in fixed-size chunks, for the
-// exploration's queue and per-node and per-edge records, which run to
-// millions. A slice grown by append copies itself at every growth step,
-// and past small sizes it grows by 1.25×, so a slice that reaches n
-// elements allocates about 5n in total; a chunk is allocated once and
-// never copied.
+// exploration's per-node and per-edge records, which run to millions. A
+// slice grown by append copies itself at every growth step, and past small
+// sizes it grows by 1.25×, so a slice that reaches n elements allocates
+// about 5n in total; a chunk is allocated once and never copied.
 type chunked[T any] struct {
 	chunks []*[chunkLen]T
 	n      int
@@ -363,21 +373,20 @@ func (c *chunked[T]) len() int { return c.n }
 
 // explorer carries the exploration's accumulators. Everything it keeps
 // per visited configuration is indexed by the configuration's id: its
-// packed key in keys, its configuration (until expanded) in queue, how it
-// was first reached in parents, and whether it has a progress edge out in
-// progress. The key log doubles as the node record the DL3 analysis reads
-// (submitted, delivered and, in stabilize mode, the clean frontier; gfro and
-// frontier are 0 in clean mode), and its length is the number of visited
-// configurations.
+// packed key in keys, how it was first reached in parents, and whether it
+// has a progress edge out in progress. A key is the whole configuration:
+// expand builds a node's successors from its key alone. The key log doubles
+// as the node record the DL3 analysis reads (submitted, delivered and, in
+// stabilize mode, the clean frontier; gfro is 0 in clean mode), and its
+// length is the number of visited configurations, so the BFS expands ids
+// in order until it reaches the log's end.
 type explorer struct {
 	cfg   Config
 	proto protocol.Protocol
 	por   bool
 
 	seen    store
-	keys    chunked[intKey]  // packed keys by id, appended by seen
-	queue   chunked[*config] // fresh configurations by id, expanded in order
-	free    []*config        // released configurations recycled by cloneOf
+	keys    chunked[intKey] // packed keys by id, appended by seen
 	parents chunked[parentEdge]
 
 	// The explored graph, as much of it as the DL3 analysis needs: nedges
@@ -387,11 +396,16 @@ type explorer struct {
 	progress bitset
 	edges    chunked[edgeRec]
 
-	// tab interns the key components of keyOf, pkts the parent-edge
-	// packets, and kbuf is the scratch buffer keyOf and render write into.
-	tab  *intern.Local
-	pkts *pktIntern
-	kbuf []byte
+	// The key components and the memoised steps over them: memo holds the
+	// endpoint steps, chMemo the channel steps. pkts interns packets, and
+	// kbuf is the scratch buffer keys are rendered into.
+	ts     components[protocol.Transmitter]
+	rs     components[protocol.Receiver]
+	chs    components[chanObj]
+	memo   map[stepKey]stepOut
+	chMemo map[chStep]uint32
+	pkts   *pktIntern
+	kbuf   []byte
 
 	// roots maps BFS root node ids to their corrupted seeds (stabilize
 	// mode only; nil otherwise — clean mode has the single root 0).
@@ -400,19 +414,15 @@ type explorer struct {
 	violation *foundViolation
 }
 
-// visit dedups a successor, records the edge, and enqueues fresh nodes.
-func (e *explorer) visit(ns *config, from int32, mv move) (int32, bool) {
-	e.keyOf(ns, mv.kind)
-	id, fresh := e.seen.insert(ns)
+// visit dedups a successor and records its edge, and its parent edge when
+// it is fresh. A root's parent is -1.
+func (e *explorer) visit(k intKey, pe parentEdge) (int32, bool) {
+	id, fresh := e.seen.insert(k)
 	if fresh {
-		ns.id = id
-		e.queue.push(ns)
-		e.parents.push(parentEdge{parent: from, kind: mv.kind, pkt: e.pkts.intern(mv.pkt)})
-	} else {
-		e.release(ns)
+		e.parents.push(pe)
 	}
-	if from >= 0 {
-		e.edge(from, id)
+	if pe.parent >= 0 {
+		e.edge(pe.parent, id)
 	}
 	return id, fresh
 }
@@ -439,148 +449,123 @@ func (e *explorer) edge(from, to int32) {
 	}
 }
 
-// collect drains the receiver's freshly delivered payloads into the
-// configuration's counters. In clean mode it checks DL1 correspondence per
-// delivery: the i-th delivered payload must be payload(i) of a submitted
-// message. In stabilize mode each delivery is instead classified by the
-// amnesty judge (stabilize.Classify) — progress, skip, late (DL2: FIFO
-// order broken on the fly), duplicate or garbage — and the faults are
-// charged against the seed's remaining budget; the violation fires only on
-// overdraft. It reports whether the configuration is violation-free.
-func (e *explorer) collect(ns *config, from int32, mv move) bool {
-	for _, p := range ns.r.TakeDelivered() {
+// collect counts a delivery's payloads into the successor key ns. In clean
+// mode it checks DL1 correspondence per delivery: the i-th delivered payload
+// must be payload(i) of a submitted message. In stabilize mode each delivery
+// is instead classified by the amnesty judge (stabilize.Classify) —
+// progress, skip, late (DL2: FIFO order broken on the fly), duplicate or
+// garbage — and the faults are charged against the seed's remaining budget;
+// the violation fires only on overdraft. It reports whether the successor is
+// violation-free.
+func (e *explorer) collect(ns *intKey, payloads []string, pe parentEdge) bool {
+	for _, p := range payloads {
 		if e.cfg.Stabilize {
-			kind, charge, nf, nl := stabilize.Classify(p, payload, int(ns.frontier), ns.lost, int(ns.submitted))
-			ns.frontier, ns.lost = int32(nf), nl
-			ns.remaining -= int32(charge)
-			if ns.remaining < 0 {
-				e.violation = &foundViolation{parent: from, mv: mv, detail: fmt.Sprintf(
+			kind, charge, nf, nl := stabilize.Classify(p, payload, int(ns.gfro), ns.lost, int(ns.sub))
+			ns.gfro, ns.lost = int32(nf), nl
+			ns.grem -= int32(charge)
+			if ns.grem < 0 {
+				e.violation = &foundViolation{pe, fmt.Sprintf(
 					"%s delivery of %q exceeds the corrupted start's amnesty (%s)",
 					kind, p, kind.Property())}
 				return false
 			}
-			ns.delivered++
+			ns.del++
 			continue
 		}
-		idx := int(ns.delivered)
+		idx := int(ns.del)
 		switch {
-		case idx >= int(ns.submitted):
-			e.violation = &foundViolation{parent: from, mv: mv, detail: fmt.Sprintf(
-				"delivery %d with only %d message(s) submitted", idx, ns.submitted)}
+		case idx >= int(ns.sub):
+			e.violation = &foundViolation{pe, fmt.Sprintf(
+				"delivery %d with only %d message(s) submitted", idx, ns.sub)}
 			return false
 		case p != payload(idx):
-			e.violation = &foundViolation{parent: from, mv: mv, detail: fmt.Sprintf(
+			e.violation = &foundViolation{pe, fmt.Sprintf(
 				"delivery %d carries %q, want %q", idx, p, payload(idx))}
 			return false
 		}
-		ns.delivered++
+		ns.del++
 	}
 	return true
 }
 
-// drainAcks forwards the receiver's pending acknowledgements to the r→t
-// channel, dropping at send beyond the occupancy cap. The send-then-drop
-// shape (rather than the audit's skip-the-send) mirrors sim.Runner.DrainAcks
-// exactly, so a witness re-drive reproduces the same channel state.
-func (e *explorer) drainAcks(ns *config) {
-	for {
-		a, ok := ns.r.NextPkt()
-		if !ok {
-			return
-		}
-		ns.chAck.Send(a)
-		if ns.chAck.InTransit() > e.cfg.Occupancy {
-			_ = ns.chAck.Drop(a)
-		}
-	}
-}
-
-// expand fans a configuration out over the transition alphabet.
-func (e *explorer) expand(s *config) {
+// expand fans node id out over the transition alphabet. Each successor is
+// the node's key with the ids of the components its move steps swapped for
+// the memoised results.
+func (e *explorer) expand(id int32) {
 	L := e.cfg.Occupancy
+	k := e.keys.at(id)
+	data, ack := e.chs.objs[k.dk], e.chs.objs[k.ak]
 
 	// submit: hand the transmitter the next positional message, only when
 	// it is idle and the message bound has room.
-	if !s.t.Busy() && int(s.submitted) < e.cfg.MaxMessages {
-		ns := e.cloneOf(s, mvSubmit)
-		ns.t.SendMsg(payload(int(ns.submitted)))
-		ns.submitted++
-		e.visit(ns, s.id, move{kind: mvSubmit})
+	if !e.ts.objs[k.tc].Busy() && int(k.sub) < e.cfg.MaxMessages {
+		ns := k
+		ns.tc = e.stepT(mvSubmit, k.tc, uint32(k.sub), k.ak).id
+		ns.sub++
+		e.visit(ns, parentEdge{parent: id, kind: mvSubmit})
 	}
 
 	// transmit: one send_pkt^{t→r}, if enabled. Below cap the packet is
 	// delayed in transit; at cap it is dropped at send, which is the only
 	// way to let the transmitter keep stepping against a full channel.
-	{
-		ns := e.cloneOf(s, mvTransmit)
-		if pkt, ok := ns.t.NextPkt(); ok {
-			ns.chData.Send(pkt)
-			if s.chData.InTransit() < L {
-				e.visit(ns, s.id, move{kind: mvTransmit})
-			} else {
-				_ = ns.chData.Drop(pkt)
-				e.visit(ns, s.id, move{kind: mvTransmitDrop})
-			}
+	if out := e.stepT(mvTransmit, k.tc, 0, k.ak); out.ok {
+		ns := k
+		ns.tc = out.id
+		if data.ch.InTransit() < L {
+			ns.dk = e.stepCh(k.dk, out.pkt, true)
+			e.visit(ns, parentEdge{parent: id, kind: mvTransmit})
 		} else {
-			e.release(ns)
+			e.visit(ns, parentEdge{parent: id, kind: mvTransmitDrop})
 		}
 	}
 
 	// deliver-data: each distinct in-transit data packet, removed from the
 	// channel before the receiver sees it (genie snapshots observe the
-	// post-delivery transit), DL1-checked per delivery, acks drained.
-	for i, n := 0, s.chData.DistinctPackets(); i < n; i++ {
-		pkt := s.chData.PacketAt(i)
-		ns := e.cloneOf(s, mvDeliverData)
-		if ns.chData.Deliver(pkt) != nil {
-			e.release(ns)
-			continue
-		}
-		mv := move{kind: mvDeliverData, pkt: pkt}
-		ns.r.DeliverPkt(pkt)
-		if !e.collect(ns, s.id, mv) {
+	// post-delivery transit), DL1-checked per delivery. The receiver's
+	// acknowledgements then drain into the ack channel while it holds fewer
+	// than L; the rest are dropped at send.
+	for _, p := range data.pkts {
+		ns := k
+		ns.dk = e.stepCh(k.dk, p, false)
+		out := e.stepR(k.rc, p, ns.dk)
+		ns.rc = out.id
+		pe := parentEdge{parent: id, kind: mvDeliverData, pkt: p}
+		if !e.collect(&ns, out.payloads, pe) {
 			return
 		}
-		e.drainAcks(ns)
-		e.visit(ns, s.id, mv)
+		for _, a := range out.acks {
+			if e.chs.objs[ns.ak].ch.InTransit() < L {
+				ns.ak = e.stepCh(ns.ak, a, true)
+			}
+		}
+		e.visit(ns, pe)
 	}
 
-	// deliver-ack: each distinct in-transit ack packet.
-	for i, n := 0, s.chAck.DistinctPackets(); i < n; i++ {
-		pkt := s.chAck.PacketAt(i)
-		ns := e.cloneOf(s, mvDeliverAck)
-		if ns.chAck.Deliver(pkt) != nil {
-			e.release(ns)
-			continue
-		}
-		ns.t.DeliverPkt(pkt)
-		e.visit(ns, s.id, move{kind: mvDeliverAck, pkt: pkt})
+	// deliver-ack: each distinct in-transit ack packet, removed before the
+	// transmitter sees it.
+	for _, p := range ack.pkts {
+		ns := k
+		ns.ak = e.stepCh(k.ak, p, false)
+		ns.tc = e.stepT(mvDeliverAck, k.tc, p, ns.ak).id
+		e.visit(ns, parentEdge{parent: id, kind: mvDeliverAck, pkt: p})
 	}
 
 	// drop: each distinct in-transit packet, on either channel. Under the
 	// lazy-drop reduction, drops are explored only at cap — where they are
 	// needed to unblock a send; see DESIGN.md §12 for why postponing them
 	// preserves endpoint-observable reachability for genie-free protocols.
-	if !e.por || s.chData.InTransit() >= L {
-		for i, n := 0, s.chData.DistinctPackets(); i < n; i++ {
-			pkt := s.chData.PacketAt(i)
-			ns := e.cloneOf(s, mvDropData)
-			if ns.chData.Drop(pkt) == nil {
-				e.visit(ns, s.id, move{kind: mvDropData, pkt: pkt})
-			} else {
-				e.release(ns)
-			}
+	if !e.por || data.ch.InTransit() >= L {
+		for _, p := range data.pkts {
+			ns := k
+			ns.dk = e.stepCh(k.dk, p, false)
+			e.visit(ns, parentEdge{parent: id, kind: mvDropData, pkt: p})
 		}
 	}
-	if !e.por || s.chAck.InTransit() >= L {
-		for i, n := 0, s.chAck.DistinctPackets(); i < n; i++ {
-			pkt := s.chAck.PacketAt(i)
-			ns := e.cloneOf(s, mvDropAck)
-			if ns.chAck.Drop(pkt) == nil {
-				e.visit(ns, s.id, move{kind: mvDropAck, pkt: pkt})
-			} else {
-				e.release(ns)
-			}
+	if !e.por || ack.ch.InTransit() >= L {
+		for _, p := range ack.pkts {
+			ns := k
+			ns.ak = e.stepCh(k.ak, p, false)
+			e.visit(ns, parentEdge{parent: id, kind: mvDropAck, pkt: p})
 		}
 	}
 }

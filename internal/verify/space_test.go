@@ -1,78 +1,77 @@
 package verify
 
 import (
+	"fmt"
 	"testing"
 
-	"repro/internal/intern"
 	"repro/internal/protocol"
+	"repro/internal/sim"
+	"repro/internal/stabilize"
+	"repro/internal/trace"
 )
 
-// keyCheckStore holds every inserted configuration's incremental key to the
-// key recomputed with every component re-rendered.
-type keyCheckStore struct {
-	store
-	e *explorer
-	t *testing.T
-}
-
-func (s keyCheckStore) insert(c *config) (int32, bool) {
-	if full := fullKey(s.e, c); c.key != full {
-		s.t.Fatalf("incremental key %+v, full re-render %+v, of %s", c.key, full, s.e.render(c))
-	}
-	return s.store.insert(c)
-}
-
-// fullKey is the reference for keyOf: every component rendered afresh and
-// interned, the counters read from the configuration.
-func fullKey(e *explorer, c *config) intKey {
-	k := intKey{
-		tc:  e.tab.Intern(string(protocol.AppendControlKey(nil, c.t))),
-		rc:  e.tab.Intern(string(protocol.AppendControlKey(nil, c.r))),
-		dk:  e.tab.Intern(c.chData.Key()),
-		ak:  e.tab.Intern(c.chAck.Key()),
-		sub: c.submitted,
-		del: c.delivered,
-	}
+// runnerKey renders the runner's configuration the way explorer.render
+// renders a packed key. In stabilize mode the amnesty bookkeeping comes
+// from classifying the logged deliveries, each against the messages
+// submitted before it, starting from the root seed's amnesty.
+func runnerKey(e *explorer, run *sim.Runner, wl *trace.Log, root int32) string {
+	b := protocol.AppendControlKey(nil, run.T)
+	b = append(b, '|')
+	b = protocol.AppendControlKey(b, run.R)
+	b = append(b, '|')
+	b = run.ChData.AppendKey(b)
+	b = append(b, '|')
+	b = run.ChAck.AppendKey(b)
+	b = fmt.Appendf(b, "|%d|%d", run.SentMessages(), len(run.Delivered()))
 	if e.cfg.Stabilize {
-		k.grem, k.gfro, k.lost = c.remaining, c.frontier, c.lost
+		rem, fro, lost, sub := stabilize.Amnesty(e.roots[root], e.cfg.Occupancy), 0, uint64(0), 0
+		for _, ev := range wl.Events {
+			switch ev.Kind {
+			case trace.KindSubmit:
+				sub++
+			case trace.KindRecvMsg:
+				var charge int
+				_, charge, fro, lost = stabilize.Classify(ev.Msg.Payload, payload, fro, lost, sub)
+				rem -= charge
+			}
+		}
+		b = fmt.Appendf(b, "|g%d|f%d|l%x", rem, fro, lost)
 	}
-	return k
+	return string(b)
 }
 
-// parentState renders everything of c a move could change, with the full
-// state keys besides the control keys the canonical key carries.
-func parentState(e *explorer, c *config) string {
-	return string(e.render(c)) + " t=" + protocol.StateKey(c.t) + " r=" + protocol.StateKey(c.r)
-}
-
-// TestExpandSharing holds endpoint sharing and incremental keys to their
-// references on every specimen: expand must leave each configuration it
-// expands as it was (its successors share its unstepped endpoint), and
-// every successor's incremental key must equal its key with every component
-// re-rendered. POR is off, so drops fire everywhere; stabdl2 and stabnaive
-// also run from their corrupted starts, whose keys carry the amnesty
-// bookkeeping.
-func TestExpandSharing(t *testing.T) {
-	for _, r := range specimenCases(Config{NoPOR: true, MaxStates: 2000}) {
-		t.Run(r.name, func(t *testing.T) {
-			cfg := r.cfg.withDefaults()
-			e := &explorer{cfg: cfg, proto: r.p, tab: intern.NewLocal(), pkts: newPktIntern()}
-			e.seen = keyCheckStore{store: newIntStore(&e.keys, e.render), e: e, t: t}
-			if _, err := e.visitRoots(); err != nil {
+// TestRedriveNodes holds every visited configuration to the simulator: the
+// node's parent path is re-driven through a fresh runner by the witness
+// re-drive, and the runner's configuration must render to the node's key.
+// The explorer steps interned components through memoised steps; the runner
+// steps live endpoints over live channels, so a step memoised on too small a
+// key, a lost ack or a wrong amnesty charge shows at the first node it
+// reaches. Every specimen runs with POR off, where drops fire everywhere,
+// and on; stabdl2 and stabnaive also run from their corrupted starts.
+func TestRedriveNodes(t *testing.T) {
+	cases := specimenCases(Config{NoPOR: true, MaxStates: 3000})
+	for _, c := range specimenCases(Config{MaxStates: 3000}) {
+		c.name = "por-" + c.name
+		cases = append(cases, c)
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e, _, err := explore(c.p, c.cfg, newIntStore)
+			if err != nil {
 				t.Fatal(err)
 			}
-			head := int32(0)
-			for ; int(head) < e.queue.len() && e.violation == nil && e.keys.len() < cfg.MaxStates; head++ {
-				s := e.queue.at(head)
-				before := parentState(e, s)
-				e.expand(s)
-				if after := parentState(e, s); after != before {
-					t.Fatalf("expanding node %d changed it:\nbefore %s\nafter  %s", head, before, after)
-				}
-				e.release(s)
+			if e.keys.len() < 2 {
+				t.Fatalf("visited only %d configuration(s)", e.keys.len())
 			}
-			if head < 2 {
-				t.Fatalf("expanded only %d configuration(s)", head)
+			for id := int32(0); int(id) < e.keys.len(); id++ {
+				moves, root := e.chain(id, nil)
+				wl, run, err := e.witnessLog(moves, root)
+				if err != nil {
+					t.Fatalf("node %d: %v", id, err)
+				}
+				if got, want := runnerKey(e, run, wl, root), string(e.render(e.keys.at(id))); got != want {
+					t.Fatalf("node %d, path %v:\nrunner %s\nkey    %s", id, moves, got, want)
+				}
 			}
 		})
 	}

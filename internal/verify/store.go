@@ -5,25 +5,26 @@ package verify
 // order. A fresh insert appends the configuration's packed key to the
 // explorer's key log (explorer.keys), so the log is indexed by id and its
 // length is the number of visited configurations. A configuration has two
-// equivalent forms — its packed key (config.key: component ids plus
-// counters) and its canonical key bytes (explorer.render). The prover's
-// store, intStore, dedups on the packed key: an open-addressed table of ids
-// whose probes compare 40-byte keys from the key log, instead of hashing a
-// canonical string that runs to hundreds of bytes at high occupancy. It
-// renders the bytes only on a fresh insert, to fold the space hash.
+// equivalent forms — its packed key (intKey: component ids plus counters)
+// and its canonical key bytes (explorer.render, the components' interned
+// bytes joined). The prover's store, intStore, dedups on the packed key: an
+// open-addressed table of ids whose probes compare 40-byte keys from the key
+// log, instead of hashing a canonical string that runs to hundreds of bytes
+// at high occupancy. It renders the bytes only on a fresh insert, to fold
+// the space hash.
 //
 // The tests' reference store (refStore, store_test.go) dedups on the
-// canonical bytes instead, rendered from each configuration at every insert
-// and looked up in a Go map that shares no code with intStore's table; run
-// takes the store's constructor so the tests can swap it in. The two dedup
-// disciplines agree: interning is injective (equal component ids ⇔ equal
-// component strings), so a packed-key hit is a canonical-key hit. The
-// converse — distinct packed keys implying distinct canonical keys —
-// additionally needs the '|'-joined rendering to be unambiguous, which every
-// registered key format satisfies (no component embeds the separator at a
-// splitting position); a hypothetical ambiguous format would make the packed
-// store strictly *finer* (never merging distinct configurations), erring
-// sound. TestStoreEquivalence and TestReferenceEquivalence pin the agreement.
+// canonical bytes instead, rendered at every insert and looked up in a Go
+// map that shares no code with intStore's table; run takes the store's
+// constructor so the tests can swap it in. The two dedup disciplines agree:
+// interning is injective (equal component ids ⇔ equal component strings),
+// so a packed-key hit is a canonical-key hit. The converse — distinct packed
+// keys implying distinct canonical keys — additionally needs the '|'-joined
+// rendering to be unambiguous, which every registered key format satisfies
+// (no component embeds the separator at a splitting position); a
+// hypothetical ambiguous format would make the packed store strictly
+// *finer* (never merging distinct configurations), erring sound.
+// TestStoreEquivalence and TestReferenceEquivalence pin the agreement.
 //
 // A store maintains the canonical space hash — the XOR of fnv64a over all
 // visited canonical keys, folded only on fresh inserts — an
@@ -32,23 +33,28 @@ package verify
 // equivalence tests compare verdicts, not hashes: the reduction visits fewer
 // states by design).
 type store interface {
-	// insert returns c's id and whether it was fresh, appending c.key to
-	// the key log when it was. It reads c.key and, where it needs the
-	// canonical bytes, the store's renderer.
-	insert(c *config) (id int32, fresh bool)
+	// insert returns k's id and whether it was fresh, appending k to the
+	// key log when it was. Where it needs the canonical bytes, it asks the
+	// store's renderer. Keys pass by value: through the interface, a
+	// pointer would move every visited key to the heap.
+	insert(k intKey) (id int32, fresh bool)
 	hash() uint64
 }
 
-// renderer returns a configuration's canonical key bytes, valid until the
-// next call (explorer.render).
-type renderer func(*config) []byte
+// renderer returns a packed key's canonical bytes, valid until the next
+// call (explorer.render).
+type renderer func(intKey) []byte
 
 // intKey is the packed form of a canonical configuration key: the four
 // string components (transmitter control key, receiver control key, data
-// channel key, ack channel key) interned to dense ids, plus the raw
-// counters. The stabilize-mode bookkeeping rides in grem/gfro/lost and is
-// zero in clean mode, exactly mirroring the canonical bytes' conditional
-// "|g…|f…|l…" suffix.
+// channel key, ack channel key) interned to dense ids of their kind (both
+// channels share one), plus the raw counters. It is the whole
+// configuration: expand steps the components it names. The stabilize-mode
+// bookkeeping rides in grem/gfro/lost and is zero in clean mode, exactly
+// mirroring the canonical bytes' conditional "|g…|f…|l…" suffix: two
+// occurrences of the same joint configuration with different remaining
+// budgets, frontiers or lost sets have different judgeable futures, so
+// merging them would be unsound.
 type intKey struct {
 	tc, rc, dk, ak uint32
 	sub, del       int32
@@ -105,24 +111,24 @@ func newIntStore(keys *chunked[intKey], render renderer) store {
 	return &intStore{keys: keys, slots: make([]uint64, minSlots), render: render}
 }
 
-func (s *intStore) insert(c *config) (int32, bool) {
-	h := c.key.hash()
+func (s *intStore) insert(k intKey) (int32, bool) {
+	h := k.hash()
 	mask := uint64(len(s.slots) - 1)
 	i := h & mask
 	for ; s.slots[i] != 0; i = (i + 1) & mask {
 		if sl := s.slots[i]; sl>>32 == h>>32 {
-			if id := int32(uint32(sl) - 1); s.keys.at(id) == c.key {
+			if id := int32(uint32(sl) - 1); s.keys.at(id) == k {
 				return id, false
 			}
 		}
 	}
 	id := int32(s.keys.len())
-	s.keys.push(c.key)
+	s.keys.push(k)
 	s.slots[i] = h>>32<<32 | uint64(id+1)
 	if 4*s.keys.len() > 3*len(s.slots) {
 		s.grow()
 	}
-	s.xor ^= keyHash(s.render(c))
+	s.xor ^= keyHash(s.render(k))
 	return id, true
 }
 

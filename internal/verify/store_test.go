@@ -6,11 +6,10 @@ import (
 	"testing"
 )
 
-// refStore is the reference visited set: it renders every inserted
-// configuration and dedups on the canonical bytes through a Go map. The
-// bytes come from the configuration, not from the packed key's ids, and the
-// map shares no code with intStore's table, so TestReferenceEquivalence
-// holds the packed keys, keyOf's touch sets and the table's probing to it.
+// refStore is the reference visited set: it renders every inserted key and
+// dedups on the canonical bytes through a Go map. The map shares no code
+// with intStore's table, so TestReferenceEquivalence holds the packed keys'
+// equality and the table's probing to it.
 type refStore struct {
 	ids    map[string]int32
 	keys   *chunked[intKey]
@@ -22,13 +21,13 @@ func newRefStore(keys *chunked[intKey], render renderer) store {
 	return &refStore{ids: map[string]int32{}, keys: keys, render: render}
 }
 
-func (s *refStore) insert(c *config) (int32, bool) {
-	canon := s.render(c)
+func (s *refStore) insert(k intKey) (int32, bool) {
+	canon := s.render(k)
 	if id, ok := s.ids[string(canon)]; ok {
 		return id, false
 	}
 	id := int32(s.keys.len())
-	s.keys.push(c.key)
+	s.keys.push(k)
 	s.ids[string(canon)] = id
 	s.xor ^= keyHash(canon)
 	return id, true
@@ -36,16 +35,16 @@ func (s *refStore) insert(c *config) (int32, bool) {
 
 func (s *refStore) hash() uint64 { return s.xor }
 
-// canonTable is a test renderer: the canonical bytes of each configuration
-// come from a table, and every call is counted.
+// canonTable is a test renderer: the canonical bytes of each key come from
+// a table, and every call is counted.
 type canonTable struct {
-	keys  map[*config]string
+	keys  map[intKey]string
 	calls int
 }
 
-func (ct *canonTable) render(c *config) []byte {
+func (ct *canonTable) render(k intKey) []byte {
 	ct.calls++
-	return []byte(ct.keys[c])
+	return []byte(ct.keys[k])
 }
 
 // TestStoreEquivalence drives both stores through the same configuration
@@ -60,24 +59,21 @@ func (ct *canonTable) render(c *config) []byte {
 // order: each must get back the id it was first given. The intStore renders
 // only on fresh inserts, the refStore on every insert.
 func TestStoreEquivalence(t *testing.T) {
-	intCanon := &canonTable{keys: map[*config]string{}}
+	intCanon := &canonTable{keys: map[intKey]string{}}
 	refCanon := &canonTable{keys: intCanon.keys}
 	var intKeys, refKeys chunked[intKey]
 	ints := newIntStore(&intKeys, intCanon.render).(*intStore)
 	ref := newRefStore(&refKeys, refCanon.render)
 
 	const distinct = 100_000
-	var probes []*config
-	added := map[intKey]bool{}
+	var probes []intKey
 	add := func(k intKey) {
-		if added[k] || len(probes) == distinct {
+		if _, ok := intCanon.keys[k]; ok || len(probes) == distinct {
 			return
 		}
-		added[k] = true
-		c := &config{key: k}
-		intCanon.keys[c] = fmt.Sprintf("t%d|r%d|d%d|a%d|%d|%d|g%d|f%d|l%x",
+		intCanon.keys[k] = fmt.Sprintf("t%d|r%d|d%d|a%d|%d|%d|g%d|f%d|l%x",
 			k.tc, k.rc, k.dk, k.ak, k.sub, k.del, k.grem, k.gfro, k.lost)
-		probes = append(probes, c)
+		probes = append(probes, k)
 	}
 	for i := 0; len(probes) < distinct; i++ {
 		base := intKey{
@@ -115,20 +111,20 @@ func TestStoreEquivalence(t *testing.T) {
 	}
 
 	inserts := 0
-	insert := func(c *config, wantID int32, wantFresh bool) {
+	insert := func(k intKey, wantID int32, wantFresh bool) {
 		t.Helper()
 		inserts++
-		iid, ifresh := ints.insert(c)
-		rid, rfresh := ref.insert(c)
+		iid, ifresh := ints.insert(k)
+		rid, rfresh := ref.insert(k)
 		if iid != rid || ifresh != rfresh {
-			t.Fatalf("insert %d (%q): int (%d, %v), ref (%d, %v)", inserts, intCanon.keys[c], iid, ifresh, rid, rfresh)
+			t.Fatalf("insert %d (%q): int (%d, %v), ref (%d, %v)", inserts, intCanon.keys[k], iid, ifresh, rid, rfresh)
 		}
 		if iid != wantID || ifresh != wantFresh {
-			t.Fatalf("insert %d (%q): (%d, %v), want (%d, %v)", inserts, intCanon.keys[c], iid, ifresh, wantID, wantFresh)
+			t.Fatalf("insert %d (%q): (%d, %v), want (%d, %v)", inserts, intCanon.keys[k], iid, ifresh, wantID, wantFresh)
 		}
 	}
-	for i, c := range probes {
-		insert(c, int32(i), true)
+	for i, k := range probes {
+		insert(k, int32(i), true)
 		if i%3 == 0 {
 			insert(probes[i/2], int32(i/2), false)
 		}
@@ -143,9 +139,9 @@ func TestStoreEquivalence(t *testing.T) {
 	if intKeys.len() != distinct || refKeys.len() != distinct {
 		t.Fatalf("key logs: int %d, ref %d, want %d", intKeys.len(), refKeys.len(), distinct)
 	}
-	for i, c := range probes {
-		if ik, rk := intKeys.at(int32(i)), refKeys.at(int32(i)); ik != c.key || rk != c.key {
-			t.Fatalf("key log entry %d: int %+v, ref %+v, want %+v", i, ik, rk, c.key)
+	for i, k := range probes {
+		if ik, rk := intKeys.at(int32(i)), refKeys.at(int32(i)); ik != k || rk != k {
+			t.Fatalf("key log entry %d: int %+v, ref %+v, want %+v", i, ik, rk, k)
 		}
 	}
 	if ints.hash() != ref.hash() {

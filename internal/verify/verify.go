@@ -40,7 +40,6 @@ import (
 	"strings"
 
 	"repro/internal/channel"
-	"repro/internal/intern"
 	"repro/internal/ioa"
 	"repro/internal/protocol"
 	"repro/internal/stabilize"
@@ -218,9 +217,10 @@ func Run(p protocol.Protocol, cfg Config) (*Report, error) {
 	return run(p, cfg, newIntStore)
 }
 
-// run is Run over the visited set newStore builds. The tests pass the
-// reference store (refStore, store_test.go) to hold intStore to it.
-func run(p protocol.Protocol, cfg Config, newStore func(*chunked[intKey], renderer) store) (*Report, error) {
+// explore runs the BFS over the visited set newStore builds and returns
+// the explorer with the report's space fields filled in: the seeds, the
+// reduction, the state and edge counts, exhaustion and the space hash.
+func explore(p protocol.Protocol, cfg Config, newStore func(*chunked[intKey], renderer) store) (*explorer, *Report, error) {
 	cfg = cfg.withDefaults()
 	rep := &Report{
 		Protocol:    p.Name(),
@@ -229,10 +229,10 @@ func run(p protocol.Protocol, cfg Config, newStore func(*chunked[intKey], render
 		MaxStates:   cfg.MaxStates,
 	}
 
-	e := &explorer{cfg: cfg, proto: p, tab: intern.NewLocal(), pkts: newPktIntern()}
+	e := &explorer{cfg: cfg, proto: p, memo: map[stepKey]stepOut{}, chMemo: map[chStep]uint32{}, pkts: newPktIntern()}
 	if cfg.Stabilize {
 		if cfg.MaxMessages > stabilize.MaxLost {
-			return nil, fmt.Errorf("verify: stabilize mode tracks at most %d message positions, got MaxMessages=%d",
+			return nil, nil, fmt.Errorf("verify: stabilize mode tracks at most %d message positions, got MaxMessages=%d",
 				stabilize.MaxLost, cfg.MaxMessages)
 		}
 		rep.Stabilize = true
@@ -242,15 +242,13 @@ func run(p protocol.Protocol, cfg Config, newStore func(*chunked[intKey], render
 	// The lazy-drop reduction is sound only when the endpoints cannot
 	// observe in-transit contents; genie users can (Stale snapshots), so
 	// the reduction is forced off for them.
-	init := newInit(p)
-	_, tGenie := init.t.(protocol.AckGenieUser)
-	_, rGenie := init.r.(protocol.DataGenieUser)
+	t, r, _, _ := newInit(p)
+	_, tGenie := t.(protocol.AckGenieUser)
+	_, rGenie := r.(protocol.DataGenieUser)
 	switch {
 	case tGenie || rGenie:
-		e.por = false
 		rep.PORReason = "genie-consulting protocol"
 	case cfg.NoPOR:
-		e.por = false
 		rep.PORReason = "disabled"
 	default:
 		e.por = true
@@ -260,43 +258,42 @@ func run(p protocol.Protocol, cfg Config, newStore func(*chunked[intKey], render
 	e.seen = newStore(&e.keys, e.render)
 	var err error
 	if rep.Seeds, err = e.visitRoots(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	exhausted := true
-	for head := int32(0); int(head) < e.queue.len(); head++ {
-		if e.violation != nil {
-			exhausted = false
+	rep.Exhausted = true
+	for head := int32(0); int(head) < e.keys.len(); head++ {
+		if e.violation != nil || e.keys.len() >= cfg.MaxStates {
+			rep.Exhausted = false
 			break
 		}
-		if e.keys.len() >= cfg.MaxStates {
-			exhausted = false
-			break
-		}
-		s := e.queue.at(head)
-		e.expand(s)
-		// Recycle the configuration once its wave has passed; only its
-		// packed key and parent edge are needed afterwards, so its struct
-		// and channel storage go back to the freelist for cloneOf. Its
-		// queue entry is never read again.
-		e.release(s)
+		e.expand(head)
 	}
 
 	rep.States = e.keys.len()
 	rep.Edges = e.nedges
-	rep.Exhausted = exhausted
 	rep.SpaceHash = fmt.Sprintf("%016x", e.seen.hash())
+	return e, rep, nil
+}
 
+// run is Run over the visited set newStore builds. The tests pass the
+// reference store (refStore, store_test.go) to hold intStore to it.
+func run(p protocol.Protocol, cfg Config, newStore func(*chunked[intKey], renderer) store) (*Report, error) {
+	e, rep, err := explore(p, cfg, newStore)
+	if err != nil {
+		return nil, err
+	}
 	switch {
 	case e.violation != nil:
 		rep.Verdict = VerdictViolated
-		moves, root := e.chain(e.violation.parent, &e.violation.mv)
-		wl, werr := e.witnessLog(moves, root)
+		fv := e.violation
+		moves, root := e.chain(fv.parent, &move{kind: fv.kind, pkt: e.pkts.at(fv.pkt)})
+		wl, _, werr := e.witnessLog(moves, root)
 		if werr == nil {
 			var v *ioa.Violation
-			if cfg.Stabilize {
+			if e.cfg.Stabilize {
 				seed := e.roots[root]
 				rep.Seed = seed.Key()
-				wl, v, werr = confirmStabilize(wl, seed, cfg.Occupancy)
+				wl, v, werr = confirmStabilize(wl, seed, e.cfg.Occupancy)
 			} else {
 				wl, v, werr = confirmSafety(wl)
 			}
@@ -304,14 +301,14 @@ func run(p protocol.Protocol, cfg Config, newStore func(*chunked[intKey], render
 				rep.Witness = wl
 				rep.WitnessConfirmed = true
 				rep.Property = v.Property
-				rep.Detail = e.violation.detail
+				rep.Detail = fv.detail
 				rep.WitnessOps = countOps(wl)
 			}
 		}
 		if werr != nil {
 			rep.Failures = append(rep.Failures, werr.Error())
 		}
-	case exhausted:
+	case rep.Exhausted:
 		cands := e.strandedCandidates()
 		rep.DL3Candidates = len(cands)
 		if len(cands) > 0 {
@@ -336,7 +333,7 @@ func run(p protocol.Protocol, cfg Config, newStore func(*chunked[intKey], render
 		rep.Verdict = VerdictBudget
 	}
 
-	if cfg.Stabilize {
+	if e.cfg.Stabilize {
 		judgeStabilize(rep, p)
 	} else {
 		judge(rep, p)
@@ -353,63 +350,62 @@ func run(p protocol.Protocol, cfg Config, newStore func(*chunked[intKey], render
 // seeds.
 func (e *explorer) visitRoots() (int, error) {
 	if !e.cfg.Stabilize {
-		e.visit(newInit(e.proto), -1, move{})
+		e.visit(e.rootKey(newInit(e.proto)), parentEdge{parent: -1})
 		return 0, nil
 	}
 	e.roots = make(map[int32]stabilize.Corruption)
 	seeds := stabilize.Enumerate(e.proto, e.cfg.MaxPoison)
 	for _, seed := range seeds {
-		root, err := corruptInit(e.proto, seed, e.cfg.Occupancy)
+		t, r, data, ack, err := corruptInit(e.proto, seed)
 		if err != nil {
 			return 0, err
 		}
-		if id, fresh := e.visit(root, -1, move{}); fresh {
+		k := e.rootKey(t, r, data, ack)
+		k.grem = int32(stabilize.Amnesty(seed, e.cfg.Occupancy))
+		if id, fresh := e.visit(k, parentEdge{parent: -1}); fresh {
 			e.roots[id] = seed
 		}
 	}
 	return len(seeds), nil
 }
 
-// newInit builds the clean initial configuration.
-func newInit(p protocol.Protocol) *config {
-	init := &config{
-		chData: channel.NewNonFIFO(ioa.TtoR),
-		chAck:  channel.NewNonFIFO(ioa.RtoT),
-	}
-	init.t, init.r = p.New(
-		channel.ChannelGenie{Ch: init.chData},
-		channel.ChannelGenie{Ch: init.chAck},
-	)
-	return init
+// rootKey interns a root's endpoints and channels.
+func (e *explorer) rootKey(t protocol.Transmitter, r protocol.Receiver, data, ack *channel.NonFIFO) intKey {
+	return intKey{tc: internEnd(e, &e.ts, t), rc: internEnd(e, &e.rs, r), dk: e.internCh(data), ak: e.internCh(ack)}
 }
 
-// corruptInit builds the initial configuration for one corrupted seed:
-// declared endpoint states (genies rebound to the fresh channels) and the
-// poison packets pre-loaded in transit, with the seed's amnesty as the
-// remaining fault budget.
-func corruptInit(p protocol.Protocol, seed stabilize.Corruption, occupancy int) (*config, error) {
-	init := newInit(p)
+// newInit builds the clean initial endpoints and channels.
+func newInit(p protocol.Protocol) (protocol.Transmitter, protocol.Receiver, *channel.NonFIFO, *channel.NonFIFO) {
+	data, ack := channel.NewNonFIFO(ioa.TtoR), channel.NewNonFIFO(ioa.RtoT)
+	t, r := p.New(channel.ChannelGenie{Ch: data}, channel.ChannelGenie{Ch: ack})
+	return t, r, data, ack
+}
+
+// corruptInit builds the initial endpoints and channels for one corrupted
+// seed: declared endpoint states (genies rebound to the fresh channels) and
+// the poison packets pre-loaded in transit.
+func corruptInit(p protocol.Protocol, seed stabilize.Corruption) (protocol.Transmitter, protocol.Receiver, *channel.NonFIFO, *channel.NonFIFO, error) {
+	t, r, data, ack := newInit(p)
 	if seed.TIdx != 0 || seed.RIdx != 0 {
 		cp, ok := p.(protocol.Corruptible)
 		if !ok {
-			return nil, fmt.Errorf("verify: seed %s for non-Corruptible protocol %s", seed, p.Name())
+			return nil, nil, nil, nil, fmt.Errorf("verify: seed %s for non-Corruptible protocol %s", seed, p.Name())
 		}
 		space := cp.Corruptions()
 		if seed.TIdx < 0 || seed.TIdx >= len(space.Transmitters) || seed.RIdx < 0 || seed.RIdx >= len(space.Receivers) {
-			return nil, fmt.Errorf("verify: seed %s out of range for protocol %s", seed, p.Name())
+			return nil, nil, nil, nil, fmt.Errorf("verify: seed %s out of range for protocol %s", seed, p.Name())
 		}
-		init.t = space.Transmitters[seed.TIdx].Clone()
-		init.r = space.Receivers[seed.RIdx].Clone()
-		protocol.BindGenies(init.t, init.r, init.chData, init.chAck)
+		t = space.Transmitters[seed.TIdx].Clone()
+		r = space.Receivers[seed.RIdx].Clone()
+		protocol.BindGenies(t, r, data, ack)
 	}
 	for _, pkt := range seed.Data {
-		init.chData.Send(pkt)
+		data.Send(pkt)
 	}
 	for _, pkt := range seed.Ack {
-		init.chAck.Send(pkt)
+		ack.Send(pkt)
 	}
-	init.remaining = int32(stabilize.Amnesty(seed, occupancy))
-	return init, nil
+	return t, r, data, ack, nil
 }
 
 func countOps(l *trace.Log) int {

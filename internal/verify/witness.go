@@ -18,10 +18,12 @@ import (
 // attached turns the finding into an ordinary NFT schedule; replaying that
 // schedule through internal/replay and re-deriving the verdict is the
 // checker's confirmation step. The two layers are deliberately independent:
-// the explorer mutates cloned endpoints directly while the runner drives
-// live ones through its own bookkeeping, so a divergence or a clean replay
-// here would expose semantic drift between verifier and simulator rather
-// than slip through as a wrong verdict.
+// the explorer memoises steps of interned components while the runner
+// drives live endpoints through its own bookkeeping, so a divergence or a
+// clean replay here would expose semantic drift between verifier and
+// simulator rather than slip through as a wrong verdict. The tests hold
+// every visited node, not only the witnesses, to the runner's
+// configuration at the end of its re-driven path (TestRedriveNodes).
 
 // chain reconstructs the move path from its BFS root to id by walking the
 // parent edges, optionally appending a final (not-visited) move such as the
@@ -49,15 +51,16 @@ func (e *explorer) chain(id int32, last *move) ([]move, int32) {
 }
 
 // witnessLog re-drives the move path through a fresh runner and returns the
-// captured NFT schedule. The data policy replays the per-transmit decisions
-// the path encodes (Delay below cap, Drop at cap); the ack policy is the
-// live drop-at-cap closure the explorer's drain uses, evaluated against the
-// runner's own channel. Channel-policy decisions are captured into the log
-// by the runner, which is what makes the schedule self-contained. In
-// stabilize mode the root's corruption is applied first, so the schedule
-// opens with the replayable corrupt/poison operations and the witness is a
-// complete corrupted-start scenario.
-func (e *explorer) witnessLog(moves []move, root int32) (*trace.Log, error) {
+// captured NFT schedule and the runner at the path's end. The data policy
+// replays the per-transmit decisions the path encodes (Delay below cap, Drop
+// at cap); the ack policy drops an ack at send when the runner's own ack
+// channel already holds L, the cap the explorer's drain keeps (the runner
+// consults the policy before it adds the ack). Channel-policy decisions are
+// captured into the log by the runner, which is what makes the schedule
+// self-contained. In stabilize mode the root's corruption is applied first,
+// so the schedule opens with the replayable corrupt/poison operations and
+// the witness is a complete corrupted-start scenario.
+func (e *explorer) witnessLog(moves []move, root int32) (*trace.Log, *sim.Runner, error) {
 	var dataDecisions []channel.Decision
 	for _, m := range moves {
 		switch m.kind {
@@ -81,7 +84,7 @@ func (e *explorer) witnessLog(moves []move, root int32) (*trace.Log, error) {
 			return channel.Delay
 		}),
 		AckPolicy: channel.PolicyFunc(func(ioa.Packet) channel.Decision {
-			if run.ChAck.InTransit() > e.cfg.Occupancy {
+			if run.ChAck.InTransit() >= e.cfg.Occupancy {
 				return channel.Drop
 			}
 			return channel.Delay
@@ -90,7 +93,7 @@ func (e *explorer) witnessLog(moves []move, root int32) (*trace.Log, error) {
 	})
 	if seed, ok := e.roots[root]; ok && !seed.Clean() {
 		if err := stabilize.Apply(run, seed); err != nil {
-			return nil, fmt.Errorf("verify: witness re-drive: applying corrupted start %s: %v", seed, err)
+			return nil, nil, fmt.Errorf("verify: witness re-drive: applying corrupted start %s: %v", seed, err)
 		}
 	}
 	for i, m := range moves {
@@ -116,10 +119,10 @@ func (e *explorer) witnessLog(moves []move, root int32) (*trace.Log, error) {
 			err = fmt.Errorf("unknown move kind")
 		}
 		if err != nil {
-			return nil, fmt.Errorf("verify: witness re-drive: step %d (%s): %v", i, m, err)
+			return nil, nil, fmt.Errorf("verify: witness re-drive: step %d (%s): %v", i, m, err)
 		}
 	}
-	return wl, nil
+	return wl, run, nil
 }
 
 // confirmSafety replays a reconstructed witness schedule and demands a
