@@ -29,19 +29,16 @@ func Capture(pol Policy, d ioa.Dir, tlog *trace.Log) Policy {
 // FromDecisions replays a recorded decision stream as a Policy. Once the
 // stream is exhausted — which happens when a shrunk or edited trace makes
 // the protocol send more packets than the recording did — every further
-// packet gets the fallback decision, and *exhausted (when non-nil) is set.
-// Delay is the conservative fallback for replaying attacks: it strands the
-// extra copies instead of inventing deliveries the recording never made.
-func FromDecisions(decisions []trace.Decision, fallback Decision, exhausted *bool) Policy {
+// packet gets the fallback decision. Delay is the conservative fallback for
+// replaying attacks: it strands the extra copies instead of inventing
+// deliveries the recording never made.
+func FromDecisions(decisions []trace.Decision, fallback Decision) Policy {
 	i := 0
 	return PolicyFunc(func(ioa.Packet) Decision {
 		if i < len(decisions) {
 			d := Decision(decisions[i])
 			i++
 			return d
-		}
-		if exhausted != nil {
-			*exhausted = true
 		}
 		return fallback
 	})
@@ -59,10 +56,10 @@ func Counting(pol Policy, n *int) Policy {
 }
 
 // DecisionReplayer is a reusable, allocation-free equivalent of
-// Counting(FromDecisions(dec, fallback, nil), n): it replays a recorded
-// decision stream with a fallback once exhausted, counting consultations.
-// The interned fuzz core binds one per channel per execution instead of
-// building the four-closure tower anew; Bind rewinds it.
+// Counting(FromDecisions(dec, fallback), n): it replays a recorded decision
+// stream with a fallback once exhausted, counting consultations. replay's
+// pooled executor binds one per channel per execution instead of building
+// the four-closure tower anew; Bind rewinds it.
 type DecisionReplayer struct {
 	dec      []trace.Decision
 	fallback Decision

@@ -3,7 +3,6 @@ package fuzz
 import (
 	"strconv"
 
-	"repro/internal/channel"
 	"repro/internal/ioa"
 	"repro/internal/protocol"
 	"repro/internal/replay"
@@ -18,16 +17,18 @@ import (
 // allocates a runner per input, renders two state-key strings per operation
 // and re-scans the recorded trace with the batch checkers, a Core:
 //
-//   - pools one sim.Runner and resets it per input, recycling the channel
-//     multisets, recorder and metrics slices;
+//   - runs every input on one replay.Exec, the pooled executor replay
+//     re-executes traces on: one sim.Runner reset per input, recycling the
+//     channel multisets, recorder and metrics slices, with the decision
+//     streams bound to reusable replayers;
 //   - renders the joint state key into one reused scratch buffer (the
 //     endpoints' AppendStateKey) and caches the coverage hash midstate per
 //     joint key — the per-operation coverage point costs one map probe and
 //     three FNV steps instead of building and hashing both key strings;
-//   - judges clean runs with an incremental ioa.LiveChecker monitor instead
-//     of recording a trace and re-walking it per property;
-//   - judges a livelock candidate's closing drive (refuseLivelock) on the
-//     same runner and checker, straight on from the execution it holds.
+//   - judges clean runs with the executor's incremental ioa.LiveChecker
+//     instead of recording a trace and re-walking it per property;
+//   - judges a livelock candidate's closing drive (refuseLivelock) with the
+//     executor's Refuse, straight on from the execution it holds.
 //
 // Corrupted-start inputs keep the recorded-trace path: the amnesty judge
 // consumes an ioa.Trace, and corruption is the cold path by construction
@@ -36,36 +37,27 @@ import (
 type Core struct {
 	proto protocol.Protocol
 	pair  map[string]uint64 // "tkey\0rkey" -> FNV midstate over those bytes
-	run   *sim.Runner       // pooled across executions; nil until first use
-	check *ioa.LiveChecker
-	dpol  channel.DecisionReplayer // data policy, rebound per execution
-	apol  channel.DecisionReplayer // ack policy, rebound per execution
-	jbuf  []byte                   // scratch for the rendered joint key
+	x     *replay.Exec
+	jbuf  []byte // scratch for the rendered joint key
 
-	// held is the input whose unrecorded execution the pooled runner holds,
-	// nil once a logged execution or a closing drive has replaced it.
+	// held is the input whose unrecorded execution the executor holds, nil
+	// once a logged execution or a closing drive has replaced it.
 	held *Input
-	seen map[string]int // the closing drive's sightings
-	kbuf []byte         // scratch for the closing drive's keys
 
 	// Adjacency cache: the coverage point (pre-salt) last computed and the
 	// runner version it was computed at. Schedules are full of unproductive
 	// operations — drains with no pending acks, transmits while idle, stale
 	// picks on empty channels — and sim.Runner.Version() is unchanged across
-	// them, so the point is reused without rendering a single key byte.
+	// them, so the point is reused without rendering a single key byte. A
+	// runner's version starts at 1 and only grows, across Reset too, so the
+	// zero value never matches.
 	lastVer uint64
 	lastPt  uint64
-	ptValid bool
 }
 
 // NewCore returns an execution core for proto.
 func NewCore(proto protocol.Protocol) *Core {
-	return &Core{
-		proto: proto,
-		pair:  make(map[string]uint64),
-		check: ioa.NewLiveChecker(),
-		seen:  make(map[string]int),
-	}
+	return &Core{proto: proto, pair: make(map[string]uint64), x: replay.NewExec(proto)}
 }
 
 // Execute drives one input and reports coverage and verdicts, exactly as the
@@ -80,26 +72,10 @@ func (c *Core) Execute(in *Input, withLog bool) *ExecResult {
 	}
 	corrupt := in.Corrupt != nil
 	c.held = nil
-	c.dpol.Bind(in.Data, channel.Delay, &res.DataUsed)
-	c.apol.Bind(in.Ack, channel.Delay, &res.AckUsed)
-	c.check.Reset()
-	cfg := sim.Config{
-		Protocol:   c.proto,
-		DataPolicy: &c.dpol,
-		AckPolicy:  &c.apol,
-		// The amnesty judge consumes a materialised trace; clean runs are
-		// judged by the live checker and need none. The checker watches
-		// corrupted runs too, for refuseLivelock's closing drive.
-		RecordTrace: corrupt,
-		TraceLog:    tlog,
-		Monitor:     c.check,
-	}
-	if c.run == nil {
-		c.run = sim.NewRunner(cfg)
-	} else {
-		c.run.Reset(cfg)
-	}
-	r := c.run
+	// The amnesty judge consumes a materialised trace; clean runs are judged
+	// by the executor's live checker and need none. The checker watches
+	// corrupted runs too, for refuseLivelock's closing drive.
+	r := c.x.Start(in.Data, in.Ack, &res.DataUsed, &res.AckUsed, tlog, corrupt)
 
 	var salt uint64
 	if corrupt {
@@ -112,10 +88,6 @@ func (c *Core) Execute(in *Input, withLog bool) *ExecResult {
 			return res
 		}
 	}
-
-	// stabilize.Apply mutates endpoints and channels without runner events,
-	// so the adjacency cache must not survive into a fresh execution.
-	c.ptValid = false
 
 	submits := 0
 	for _, op := range in.Ops {
@@ -155,10 +127,10 @@ func (c *Core) Execute(in *Input, withLog bool) *ExecResult {
 			res.DL3, res.Charges = q.Violation, q.Charges
 		}
 	} else {
-		if err := c.check.Safety(); err != nil {
+		if err := c.x.Check.Safety(); err != nil {
 			res.Verdict, _ = ioa.AsViolation(err)
 		}
-		if err := c.check.DL3Quiescent(); err != nil {
+		if err := c.x.Check.DL3Quiescent(); err != nil {
 			res.DL3, _ = ioa.AsViolation(err)
 		}
 	}
@@ -172,21 +144,18 @@ func (c *Core) Execute(in *Input, withLog bool) *ExecResult {
 }
 
 // refuseLivelock returns the refusal replay.CertifyLivelock gives
-// Execute(in, true).Log at its closing drive, judged without recording: the
-// reliable closing drive runs on the pooled runner, re-executing in first
-// unless the runner still holds in's unrecorded execution (it does right
-// after Execute(in, false) on this Core, and nothing else ran since). nil
-// means the drive ends in a stranding cycle; only CertifyLivelock can then
-// certify, or refuse, the logged trace. Either way the drive leaves the
-// runner past in's execution.
+// Execute(in, true).Log at its closing drive, judged without recording by
+// the executor's Refuse, re-executing in first unless the executor still
+// holds in's unrecorded execution (it does right after Execute(in, false)
+// on this Core, and nothing else ran since). nil means the drive ends in a
+// stranding cycle; only CertifyLivelock can then certify, or refuse, the
+// logged trace. Either way the drive leaves the runner past in's execution.
 func (c *Core) refuseLivelock(in *Input) error {
 	if c.held != in {
 		c.Execute(in, false)
 	}
 	c.held = nil
-	var err error
-	c.kbuf, err = replay.RefuseLivelock(c.run, c.check, c.seen, c.kbuf)
-	return err
+	return c.x.Refuse()
 }
 
 // FNV-64a, inlined so the midstate can be cached mid-stream. The constants
@@ -207,7 +176,7 @@ const (
 // once per distinct joint state, on the cache miss), and finishes each
 // observation with the three trailing bytes.
 func (c *Core) point(r *sim.Runner) uint64 {
-	if c.ptValid && r.Version() == c.lastVer {
+	if r.Version() == c.lastVer {
 		return c.lastPt
 	}
 	b := r.T.AppendStateKey(c.jbuf[:0])
@@ -226,6 +195,6 @@ func (c *Core) point(r *sim.Runner) uint64 {
 	h := (mid ^ 0) * fnvPrime64
 	h = (h ^ uint64(byte(occBucket(d)))) * fnvPrime64
 	h = (h ^ uint64(byte(occBucket(a)))) * fnvPrime64
-	c.lastVer, c.lastPt, c.ptValid = r.Version(), h, true
+	c.lastVer, c.lastPt = r.Version(), h
 	return h
 }

@@ -60,8 +60,8 @@ func Execute(proto protocol.Protocol, in *Input, withLog bool) *ExecResult {
 	}
 	r := sim.NewRunner(sim.Config{
 		Protocol:    proto,
-		DataPolicy:  channel.Counting(channel.FromDecisions(in.Data, channel.Delay, nil), &res.DataUsed),
-		AckPolicy:   channel.Counting(channel.FromDecisions(in.Ack, channel.Delay, nil), &res.AckUsed),
+		DataPolicy:  channel.Counting(channel.FromDecisions(in.Data, channel.Delay), &res.DataUsed),
+		AckPolicy:   channel.Counting(channel.FromDecisions(in.Ack, channel.Delay), &res.AckUsed),
 		RecordTrace: true,
 		TraceLog:    tlog,
 	})

@@ -146,8 +146,8 @@ type SessionResult struct {
 }
 
 // sessionEnv is the wiring a session drives: the two chaos-wrapped write
-// paths and the matching read paths. RunLoopbackSession builds a standalone
-// two-socket env; Server builds a mux-backed one.
+// paths and the matching read paths. Server.RunSession builds it over the
+// mux and one client socket per session.
 type sessionEnv struct {
 	dataChaos *ChaosConn // wraps the client socket; data pkts → dataAddr
 	ackChaos  *ChaosConn // wraps the server writer; acks → ackAddr
@@ -171,34 +171,6 @@ type session struct {
 	pending []pendingStale
 	stats   SessionStats
 	ioErr   error
-}
-
-// RunLoopbackSession runs one lock-step soak session over a fresh pair of
-// loopback UDP sockets.
-func RunLoopbackSession(cfg SessionConfig) (*SessionResult, error) {
-	serverConn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("netlink: server socket: %w", err)
-	}
-	clientConn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		_ = serverConn.Close()
-		return nil, fmt.Errorf("netlink: client socket: %w", err)
-	}
-	cfg = cfg.withDefaults()
-	env := &sessionEnv{
-		dataChaos: NewChaosConn(clientConn, chaosFor(cfg, "soak/data")),
-		ackChaos:  NewChaosConn(serverConn, chaosFor(cfg, "soak/ack")),
-		dataAddr:  serverConn.LocalAddr(),
-		ackAddr:   clientConn.LocalAddr(),
-		recvData:  deadlineReader(serverConn),
-		recvAck:   deadlineReader(clientConn),
-		close: func() {
-			_ = clientConn.Close()
-			_ = serverConn.Close()
-		},
-	}
-	return runSession(cfg, env), nil
 }
 
 // chaosFor derives one direction's chaos configuration: the probabilities

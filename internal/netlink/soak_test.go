@@ -10,13 +10,18 @@ import (
 	"repro/internal/trace"
 )
 
-// runSoakSessionT runs one loopback session and fails the test on transport
-// errors (operational protocol errors stay in the result).
+// runSoakSessionT runs one session on a fresh Server and fails the test on
+// transport errors (operational protocol errors stay in the result).
 func runSoakSessionT(t *testing.T, cfg SessionConfig) *SessionResult {
 	t.Helper()
-	res, err := RunLoopbackSession(cfg)
+	sv, err := NewServer("")
 	if err != nil {
-		t.Fatalf("RunLoopbackSession: %v", err)
+		t.Fatalf("NewServer: %v", err)
+	}
+	defer sv.Close()
+	res, err := sv.RunSession(cfg)
+	if err != nil {
+		t.Fatalf("RunSession: %v", err)
 	}
 	return res
 }
@@ -247,41 +252,6 @@ func TestSoakConcurrentSessionsReplay(t *testing.T) {
 			t.Fatalf("session %s verdict mismatch: recorded=%v replayed=%v dl3=%v",
 				o.Session, rr.RecordedVerdict, rr.Verdict, rr.DL3)
 		}
-	}
-}
-
-// TestSoakServerSessionMatchesStandalone pins that a mux-backed session and
-// a standalone two-socket session with the same seed produce identical logs:
-// the transport plumbing must be invisible to the recorded execution.
-func TestSoakServerSessionMatchesStandalone(t *testing.T) {
-	cfg := SessionConfig{
-		Protocol: protocol.NewSeqNum(),
-		Messages: 6,
-		Chaos:    ChaosConfig{HoldProb: 0.3, DupProb: 0.2},
-		Seed:     11,
-	}
-	standalone := runSoakSessionT(t, cfg)
-
-	sv, err := NewServer("")
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
-	defer sv.Close()
-	muxed, err := sv.RunSession(cfg)
-	if err != nil {
-		t.Fatalf("RunSession: %v", err)
-	}
-
-	var sb, mb bytes.Buffer
-	if err := standalone.Log.Encode(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if err := muxed.Log.Encode(&mb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sb.Bytes(), mb.Bytes()) {
-		t.Fatalf("mux changed the recorded execution:\nstandalone:\n%s\nmuxed:\n%s",
-			standalone.Log, muxed.Log)
 	}
 }
 

@@ -8,52 +8,98 @@ import (
 	"repro/internal/trace"
 )
 
-// judge answers the questions the shrinker's oracles and the livelock
-// certifier's refusals ask of a re-driven trace — which safety property it
-// violates, and how its closing drive ends — without recording it. Run and
-// CloseDrive re-record every replayed execution into a trace.Log and an
-// ioa.Trace, re-check it with the batch checkers and scan it for
-// divergence: that is what a certificate needs, and what a rejected shrink
-// candidate or a refused certification throws away. The judge re-issues the
-// same operations through the same dispatch (reissue) and the same closing
-// drive (closeLoop) on one sim.Runner, reset per execution, with the
-// decision streams bound to reusable replayers and an ioa.LiveChecker as the
-// runner's Monitor. The LiveChecker's contract is equality with the batch
-// checkers, Index and Detail included, so every answer equals the recording
-// path's (TestJudgeMatchesReplay and FuzzReplayRobustness hold the two
-// equal). A judge serves one trace's candidates and is not safe for
-// concurrent use.
-type judge struct {
-	proto protocol.Protocol
-	run   *sim.Runner // nil until the first execution, then Reset per execution
-	check *ioa.LiveChecker
+// Exec is the pooled executor every re-execution runs on: one sim.Runner,
+// reset per execution, with the decision streams bound to two reusable
+// channel.DecisionReplayers and an ioa.LiveChecker as its Monitor, plus the
+// closing drive's cycle map and key scratch. The judge embeds one, and each
+// fuzz.Core runs its inputs and its livelock refusals on one. An Exec is
+// protocol-bound and not safe for concurrent use.
+type Exec struct {
+	Run   *sim.Runner      // the current execution; nil before the first Start
+	Check *ioa.LiveChecker // Run's Monitor, reset per execution
 
-	dpol, apol        channel.DecisionReplayer
+	proto      protocol.Protocol
+	dpol, apol channel.DecisionReplayer
+	seen       map[string]int // the closing drive's sightings
+	kbuf       []byte         // scratch for the closing drive's keys
+}
+
+// NewExec returns an executor for protocol p.
+func NewExec(p protocol.Protocol) *Exec {
+	return &Exec{Check: ioa.NewLiveChecker(), proto: p, seen: make(map[string]int)}
+}
+
+// Start resets the runner for a fresh execution from the protocol's
+// initial configuration and returns it. The data and ack decision streams
+// stand in for the channel policies, with Delay once a stream runs dry (the
+// conservative fallback: extra packets strand in transit rather than being
+// delivered in ways the recording never sanctioned), and every consultation
+// is counted into *dataUsed or *ackUsed, which Start zeroes. tlog, when
+// non-nil, receives the capture log; record turns on the ioa recorder.
+func (x *Exec) Start(data, ack []trace.Decision, dataUsed, ackUsed *int, tlog *trace.Log, record bool) *sim.Runner {
+	*dataUsed, *ackUsed = 0, 0
+	x.dpol.Bind(data, channel.Delay, dataUsed)
+	x.apol.Bind(ack, channel.Delay, ackUsed)
+	x.Check.Reset()
+	cfg := sim.Config{Protocol: x.proto, DataPolicy: &x.dpol, AckPolicy: &x.apol, RecordTrace: record, TraceLog: tlog, Monitor: x.Check}
+	if x.Run == nil {
+		x.Run = sim.NewRunner(cfg)
+	} else {
+		x.Run.Reset(cfg)
+	}
+	return x.Run
+}
+
+// Refuse is the closing-drive refusal of CertifyLivelock(l,
+// CertifyOptions{}) for the trace l whose operations the runner has just
+// executed without a TraceLog: the reliable closing drive, DefaultDriveBudget
+// rounds at most, runs on the runner itself, and the result is the
+// diagnosis CertifyLivelock refuses l with, text for text. nil means the
+// drive ends in a stranding cycle: only CertifyLivelock can certify such a
+// trace, and it may still refuse it after the drive (an empty cycle, or a
+// cycle that does not pump). The drive leaves the runner past l.
+func (x *Exec) Refuse() error {
+	out := DriveOutcome{Mode: DriveReliable}
+	x.drive(DefaultDriveBudget, &out)
+	return refuse(&out)
+}
+
+// judge re-drives one trace, and the candidates cut from it, on its Exec.
+// The shrinker's oracles and the livelock certifier's refusals ask which
+// safety property an execution violates and how its closing drive ends;
+// safety and close answer without recording, through the LiveChecker, so a
+// rejected candidate or a refused certification pays for no trace.Log,
+// ioa.Trace, batch check or divergence scan. run and closeDrive are Run and
+// CloseDrive on the judge: the same dispatch (reissue) and closing drive
+// with a capture log, re-checked by the batch checkers. The LiveChecker's
+// contract is equality with the batch checkers, Index and Detail included,
+// so both paths answer alike (TestJudgeMatchesReplay and
+// FuzzReplayRobustness hold them equal). A judge is not safe for concurrent
+// use.
+type judge struct {
+	Exec
 	data, ack         []trace.Decision // the executed events' decision streams
 	dataUsed, ackUsed int              // policy consultations
-
-	seen map[string]int // the closing drive's sightings
-	kbuf []byte         // scratch for the closing drive's keys
 
 	// Bookkeeping of the last execution, as Result and DriveOutcome report it.
 	ops, staleSkipped int
 }
 
 // newJudge returns a judge for l and the candidates cut from it, which
-// share its metadata: it checks once, as every redrive does, that l can be
-// re-driven and resolves its protocol.
+// share its metadata: it checks once that l can be re-driven and resolves
+// its protocol.
 func newJudge(l *trace.Log) (*judge, error) {
 	proto, err := resolve(l)
 	if err != nil {
 		return nil, err
 	}
-	return &judge{proto: proto, check: ioa.NewLiveChecker(), seen: make(map[string]int)}, nil
+	return &judge{Exec: *NewExec(proto)}, nil
 }
 
 // exec re-drives the operations among events from the protocol's initial
 // configuration, substituting the events' decision streams for the channel
-// policies exactly as redrive does.
-func (j *judge) exec(events []trace.Event) error {
+// policies; tlog and record are Start's.
+func (j *judge) exec(events []trace.Event, tlog *trace.Log, record bool) error {
 	j.data, j.ack = j.data[:0], j.ack[:0]
 	for _, e := range events {
 		if e.Kind != trace.KindDecision {
@@ -66,28 +112,23 @@ func (j *judge) exec(events []trace.Event) error {
 			j.ack = append(j.ack, e.Decision)
 		}
 	}
-	j.dataUsed, j.ackUsed = 0, 0
-	j.dpol.Bind(j.data, channel.Delay, &j.dataUsed)
-	j.apol.Bind(j.ack, channel.Delay, &j.ackUsed)
-	j.check.Reset()
-	cfg := sim.Config{Protocol: j.proto, DataPolicy: &j.dpol, AckPolicy: &j.apol, Monitor: j.check}
-	if j.run == nil {
-		j.run = sim.NewRunner(cfg)
-	} else {
-		j.run.Reset(cfg)
-	}
+	r := j.Start(j.data, j.ack, &j.dataUsed, &j.ackUsed, tlog, record)
 	var err error
-	j.ops, j.staleSkipped, err = reissue(j.run, events)
+	j.ops, j.staleSkipped, err = reissue(r, events)
 	return err
 }
+
+// exhausted reports whether the last execution consulted a replayer past
+// the end of its stream. Read it before a closing drive swaps them out.
+func (j *judge) exhausted() bool { return j.dataUsed > len(j.data) || j.ackUsed > len(j.ack) }
 
 // safety re-drives events and returns the first safety violation of the
 // execution, as Run's Verdict reports it; nil when it is safe.
 func (j *judge) safety(events []trace.Event) (*ioa.Violation, error) {
-	if err := j.exec(events); err != nil {
+	if err := j.exec(events, nil, false); err != nil {
 		return nil, err
 	}
-	v, _ := ioa.AsViolation(j.check.Safety())
+	v, _ := ioa.AsViolation(j.Check.Safety())
 	return v, nil
 }
 
@@ -95,32 +136,65 @@ func (j *judge) safety(events []trace.Event) (*ioa.Violation, error) {
 // CloseDrive(events, mode, budget) would, less the capture log: Log is nil,
 // and CycleStart and CycleEnd count rounds, not events.
 func (j *judge) close(events []trace.Event, mode DriveMode, budget int) (*DriveOutcome, error) {
-	if err := j.exec(events); err != nil {
+	if err := j.exec(events, nil, false); err != nil {
 		return nil, err
 	}
-	out := &DriveOutcome{
-		Mode:         mode,
-		Ops:          j.ops,
-		StaleSkipped: j.staleSkipped,
-		// The recorded stream runs dry when a replayer was consulted past its
-		// end; closeLoop swaps the replayers out before driving on.
-		DecisionsExhausted: j.dataUsed > len(j.data) || j.ackUsed > len(j.ack),
-	}
-	j.kbuf = judgeClose(j.run, j.check, budget, j.seen, j.kbuf, out)
+	out := &DriveOutcome{Mode: mode, Ops: j.ops, StaleSkipped: j.staleSkipped, DecisionsExhausted: j.exhausted()}
+	j.drive(budget, out)
 	return out, nil
 }
 
-// judgeClose drives the closing extension of out.Mode on r, a runner that
-// has executed a trace's operations unrecorded with check as its Monitor,
-// and records the drive (closeLoop) and check's verdicts and counts over the
-// driven execution in out. It clears seen before the drive; kbuf is the
-// key scratch, returned grown for reuse.
-func judgeClose(r *sim.Runner, check *ioa.LiveChecker, budget int, seen map[string]int, kbuf []byte, out *DriveOutcome) []byte {
-	clear(seen)
-	kbuf = closeLoop(r, budget, seen, kbuf, out)
-	out.Safety, _ = ioa.AsViolation(check.Safety())
-	out.DL3, _ = ioa.AsViolation(check.DL3Quiescent())
-	out.Submitted = r.SentMessages()
-	out.Delivered = len(r.Delivered())
-	return kbuf
+// capture returns a fresh capture log for a replay of l: l's metadata, with
+// the source stamped "replay".
+func capture(l *trace.Log) *trace.Log {
+	c := trace.NewLog(nil)
+	//nfvet:allow maprange (order-insensitive copy into another map)
+	for k, v := range l.Meta {
+		c.SetMeta(k, v)
+	}
+	c.SetMeta(trace.MetaSource, "replay")
+	return c
+}
+
+// run is Run(l) on the judge, for an l of the judge's protocol.
+func (j *judge) run(l *trace.Log) (*Result, error) {
+	rl := capture(l)
+	if err := j.exec(l.Events, rl, true); err != nil {
+		return nil, err
+	}
+	run := j.Run.Result()
+	res := &Result{
+		Protocol:           l.Meta[trace.MetaProtocol],
+		Delivered:          run.Delivered,
+		Metrics:            run.Metrics,
+		Trace:              run.Trace,
+		Ops:                j.ops,
+		StaleSkipped:       j.staleSkipped,
+		DecisionsExhausted: j.exhausted(),
+	}
+	res.Verdict, _ = ioa.AsViolation(ioa.CheckSafety(run.Trace))
+	res.DL3, _ = ioa.AsViolation(ioa.CheckDL3Quiescent(run.Trace))
+	res.RecordedVerdict, res.HadRecordedVerdict = l.Verdict()
+	res.VerdictMatches = verdictMatches(res.Verdict, res.DL3, res.RecordedVerdict)
+	res.Divergence = diverge(l, rl)
+
+	rl.Emit(trace.VerdictEvent(res.Verdict, res.DL3))
+	res.Log = rl
+	return res, nil
+}
+
+// closeDrive is CloseDrive(l, mode, budget) on the judge, for an l of the
+// judge's protocol. Its verdicts are the batch checkers', over the
+// recorded trace.
+func (j *judge) closeDrive(l *trace.Log, mode DriveMode, budget int) (*DriveOutcome, error) {
+	rl := capture(l)
+	if err := j.exec(l.Events, rl, true); err != nil {
+		return nil, err
+	}
+	out := &DriveOutcome{Mode: mode, Ops: j.ops, StaleSkipped: j.staleSkipped, DecisionsExhausted: j.exhausted(), Log: rl}
+	j.drive(budget, out)
+	tr := j.Run.Result().Trace
+	out.Safety, _ = ioa.AsViolation(ioa.CheckSafety(tr))
+	out.DL3, _ = ioa.AsViolation(ioa.CheckDL3Quiescent(tr))
+	return out, nil
 }

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -144,11 +145,25 @@ func checkJudge(t testing.TB, j *judge, l *trace.Log) (*Result, []*DriveOutcome)
 	return rr, want
 }
 
+// encoded returns l's NFT encoding.
+func encoded(t testing.TB, l *trace.Log) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := l.Encode(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
 // TestJudgeMatchesReplay licenses the judge: on seeded random schedules and
 // random subsets of their operation groups — the candidates a shrink cuts —
 // its safety answer equals Run's Verdict and its closing outcome equals
 // CloseDrive's, in both drive modes; and one judge reused across a log's
-// candidates answers exactly like a fresh judge per candidate.
+// candidates answers exactly like a fresh judge per candidate. Between
+// candidates the reused judge also takes the recording path (run and
+// closeDrive), as Shrink's re-recording and CertifyLivelock do: what it
+// records equals what a fresh judge records, byte for byte, and a log it
+// returned stays as recorded through every later execution on the judge.
 func TestJudgeMatchesReplay(t *testing.T) {
 	var logs []*trace.Log
 	for _, name := range []string{"altbit", "seqnum", "cntk4", "cheat1", "livelock", "stabnaive", "stabdl2"} {
@@ -169,6 +184,8 @@ func TestJudgeMatchesReplay(t *testing.T) {
 			t.Fatalf("log %d: %v", li, err)
 		}
 		prelude, groups := segment(l)
+		var runs []*trace.Log // the logs the reused judge's run returned
+		var runBytes [][]byte // and their encodings when returned
 		for k := 0; k < 12; k++ {
 			// Candidate 0 is the whole log, then ever sparser subsets.
 			keep := 1 - float64(k)/12
@@ -189,6 +206,23 @@ func TestJudgeMatchesReplay(t *testing.T) {
 			if rr == nil {
 				t.Fatalf("%s: replay failed", name)
 			}
+			rec, err := j.run(c)
+			if err != nil {
+				t.Fatalf("%s: reused judge run: %v", name, err)
+			}
+			if !reflect.DeepEqual(rec, rr) || !bytes.Equal(encoded(t, rec.Log), encoded(t, rr.Log)) {
+				t.Fatalf("%s: reused judge recorded\n%v\nfresh judge\n%v", name, rec.Log, rr.Log)
+			}
+			runs, runBytes = append(runs, rec.Log), append(runBytes, encoded(t, rec.Log))
+			for i, mode := range driveModes {
+				out, err := j.closeDrive(c, mode, 0)
+				if err != nil {
+					t.Fatalf("%s: reused judge closeDrive %s: %v", name, mode, err)
+				}
+				if !reflect.DeepEqual(out, outs[i]) {
+					t.Fatalf("%s: %s closing drive:\nreused judge %+v\nCloseDrive   %+v", name, mode, *out, *outs[i])
+				}
+			}
 			fresh, err := newJudge(c)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -204,6 +238,11 @@ func TestJudgeMatchesReplay(t *testing.T) {
 			for i := range fouts {
 				if !reflect.DeepEqual(*fouts[i], *routs[i]) {
 					t.Fatalf("%s: %s closing drive:\nreused judge %+v\nfresh judge  %+v", name, fouts[i].Mode, *routs[i], *fouts[i])
+				}
+			}
+			for i, rl := range runs {
+				if !bytes.Equal(encoded(t, rl), runBytes[i]) {
+					t.Fatalf("%s: the log run returned for candidate %d changed after later executions on its judge:\n%v", name, i, rl)
 				}
 			}
 

@@ -141,46 +141,25 @@ func appendDriveKey(dst []byte, r *sim.Runner) []byte {
 // selected by mode. budget bounds the drive rounds; <= 0 means
 // DefaultDriveBudget.
 func CloseDrive(l *trace.Log, mode DriveMode, budget int) (*DriveOutcome, error) {
-	rd, err := redrive(l)
+	j, err := newJudge(l)
 	if err != nil {
 		return nil, err
 	}
-	out := &DriveOutcome{
-		Mode:               mode,
-		Ops:                rd.ops,
-		StaleSkipped:       rd.staleSkipped,
-		DecisionsExhausted: rd.decisionsExhausted,
-		Log:                rd.log,
-	}
-	r := rd.runner
-	closeLoop(r, budget, make(map[string]int), nil, out)
-
-	run := r.Result()
-	if err := ioa.CheckSafety(run.Trace); err != nil {
-		out.Safety, _ = ioa.AsViolation(err)
-	}
-	if err := ioa.CheckDL3Quiescent(run.Trace); err != nil {
-		out.DL3, _ = ioa.AsViolation(err)
-	}
-	out.Submitted = r.SentMessages()
-	out.Delivered = len(r.Delivered())
-	return out, nil
+	return j.closeDrive(l, mode, budget)
 }
 
-// closeLoop is the closing drive itself, shared by CloseDrive and the
-// unrecorded drives of judgeClose (the judge and RefuseLivelock): it
-// switches r's channels to the closing behaviour of out.Mode and steps the
-// transmitter and drains acks until the transmitter goes idle, a joint
+// drive is the closing drive, run straight on from the runner's execution:
+// it switches the channels to the closing behaviour of out.Mode and steps
+// the transmitter and drains acks until the transmitter goes idle, a joint
 // configuration repeats, or budget rounds (<= 0 means DefaultDriveBudget)
-// have run, recording Rounds, Quiescent and the cycle in out. seen must be
-// empty; it maps each configuration to its position at first sighting,
-// which is the capture-log event index when r records a log and the round
-// number when it does not. kbuf is scratch for the rendered key; the grown
-// buffer is returned for reuse.
-func closeLoop(r *sim.Runner, budget int, seen map[string]int, kbuf []byte, out *DriveOutcome) []byte {
+// have run. It records Rounds, Quiescent, the cycle, the checker's verdicts
+// and the message counts in out. A cycle's positions are capture-log event
+// indexes when the runner records a log, and round numbers when it does not.
+func (x *Exec) drive(budget int, out *DriveOutcome) {
 	if budget <= 0 {
 		budget = DefaultDriveBudget
 	}
+	r := x.Run
 	if out.Mode == DriveReliable {
 		r.SetPolicies(channel.Reliable(), channel.Reliable())
 	} else {
@@ -196,25 +175,29 @@ func closeLoop(r *sim.Runner, budget int, seen map[string]int, kbuf []byte, out 
 		}
 		return out.Rounds
 	}
+	clear(x.seen)
 	for out.Rounds < budget {
 		if !r.T.Busy() {
 			out.Quiescent = true
 			break
 		}
-		kbuf = appendDriveKey(kbuf[:0], r)
-		if at, ok := seen[string(kbuf)]; ok { // no-alloc map probe
+		x.kbuf = appendDriveKey(x.kbuf[:0], r)
+		if at, ok := x.seen[string(x.kbuf)]; ok { // no-alloc map probe
 			out.CycleFound = true
-			out.RepeatedKey = string(kbuf)
+			out.RepeatedKey = string(x.kbuf)
 			out.CycleStart = at
 			out.CycleEnd = pos()
 			break
 		}
-		seen[string(kbuf)] = pos()
+		x.seen[string(x.kbuf)] = pos()
 		r.StepTransmit()
 		r.DrainAcks()
 		out.Rounds++
 	}
-	return kbuf
+	out.Safety, _ = ioa.AsViolation(x.Check.Safety())
+	out.DL3, _ = ioa.AsViolation(x.Check.DL3Quiescent())
+	out.Submitted = r.SentMessages()
+	out.Delivered = len(r.Delivered())
 }
 
 // Meta keys stamped on pumped livelock certificates.
@@ -321,9 +304,9 @@ func (o CertifyOptions) withDefaults() CertifyOptions {
 // with a diagnosis.
 func CertifyLivelock(l *trace.Log, opts CertifyOptions) (*LivelockCert, error) {
 	opts = opts.withDefaults()
-	// Most traces handed here are refused, so the refusal is decided by the
-	// unrecorded judge; only a certifiable trace is re-driven with recording,
-	// for the events the certificate is cut from.
+	// Most traces handed here are refused, so the refusal is decided
+	// unrecorded; only a certifiable trace is re-driven with recording, on
+	// the same judge, for the events the certificate is cut from.
 	j, err := newJudge(l)
 	if err != nil {
 		return nil, err
@@ -335,7 +318,7 @@ func CertifyLivelock(l *trace.Log, opts CertifyOptions) (*LivelockCert, error) {
 	if err := refuse(judged); err != nil {
 		return nil, err
 	}
-	out, err := CloseDrive(l, opts.Mode, opts.DriveBudget)
+	out, err := j.closeDrive(l, opts.Mode, opts.DriveBudget)
 	if err != nil {
 		return nil, err
 	}
@@ -360,7 +343,7 @@ func CertifyLivelock(l *trace.Log, opts CertifyOptions) (*LivelockCert, error) {
 
 	// Pump verification — the certificate must prove itself by replay, since
 	// state keys are protocol-supplied and could in principle under-report.
-	rr, err := Run(cert.Pumped(opts.Pump))
+	rr, err := j.run(cert.Pumped(opts.Pump))
 	if err != nil {
 		return nil, fmt.Errorf("replay: verifying pumped certificate: %w", err)
 	}
@@ -374,24 +357,6 @@ func CertifyLivelock(l *trace.Log, opts CertifyOptions) (*LivelockCert, error) {
 		return nil, fmt.Errorf("replay: pumped certificate delivers everything; cycle is not a livelock")
 	}
 	return cert, nil
-}
-
-// RefuseLivelock is the closing-drive refusal of CertifyLivelock(l,
-// CertifyOptions{}), judged on a caller's live runner instead of a log. r
-// must have just executed a trace's operations with check as its Monitor
-// and no TraceLog; the reliable closing drive, DefaultDriveBudget rounds at
-// most, then runs on r itself, and the result is the diagnosis
-// CertifyLivelock refuses that trace's log l with, text for text. nil means
-// the drive ends in a stranding cycle: only CertifyLivelock can certify such
-// a trace, and it may still refuse it after the drive (an empty cycle, or a
-// cycle that does not pump). The drive leaves r past the trace's execution.
-//
-// seen and kbuf are the drive's cycle map and key scratch, kept by the
-// caller across calls: seen is cleared here, and kbuf is returned grown.
-func RefuseLivelock(r *sim.Runner, check *ioa.LiveChecker, seen map[string]int, kbuf []byte) ([]byte, error) {
-	out := DriveOutcome{Mode: DriveReliable}
-	kbuf = judgeClose(r, check, DefaultDriveBudget, seen, kbuf, &out)
-	return kbuf, refuse(&out)
 }
 
 // refuse diagnoses a closing-drive outcome that certifies no livelock: a

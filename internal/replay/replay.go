@@ -11,9 +11,9 @@
 // and quiescent DL3) independently of the recorded verdict, and re-recorded
 // into a fresh log, which is what makes trace shrinking (see Shrink) sound:
 // a shrunk trace is never trusted, it is always re-executed and re-judged.
-// Shrink candidates and refused livelock certifications are re-executed
-// without recording (judge.go); only what becomes a certificate is
-// re-recorded.
+// Every re-execution runs on one pooled executor (Exec, judge.go). Shrink
+// candidates and refused livelock certifications are re-executed without
+// recording; only what becomes a certificate is re-recorded.
 package replay
 
 import (
@@ -21,7 +21,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/channel"
 	"repro/internal/ioa"
 	"repro/internal/protocol"
 	"repro/internal/sim"
@@ -131,52 +130,6 @@ type Result struct {
 	Divergence *Divergence
 }
 
-// redriven is the raw outcome of re-issuing a log's operations: the runner
-// (still live, so callers can keep driving it), the fresh capture log, and
-// the replay bookkeeping. Run consumes it directly; the liveness certifier
-// (liveness.go) keeps driving the runner past the recorded operations.
-type redriven struct {
-	runner             *sim.Runner
-	log                *trace.Log
-	ops                int
-	staleSkipped       int
-	decisionsExhausted bool
-}
-
-// redrive re-issues a recorded log's operations against a fresh runner with
-// the recorded decision streams substituted for the channel policies. It
-// fails on traces that are not re-drivable: unknown protocols, or
-// observational recordings (e.g. netlink session logs, which capture only
-// one vantage point of a real network run and cannot be re-executed).
-func redrive(l *trace.Log) (*redriven, error) {
-	proto, err := resolve(l)
-	if err != nil {
-		return nil, err
-	}
-	rd := &redriven{log: trace.NewLog(nil)}
-	//nfvet:allow maprange (order-insensitive copy into another map)
-	for k, v := range l.Meta {
-		rd.log.SetMeta(k, v)
-	}
-	rd.log.SetMeta(trace.MetaSource, "replay")
-	rd.runner = sim.NewRunner(sim.Config{
-		Protocol: proto,
-		// Substitute the recorded decision streams for the channel policies.
-		// Delay is the conservative fallback once a stream runs dry: extra
-		// packets strand in transit rather than being delivered in ways the
-		// recording never sanctioned.
-		DataPolicy:  channel.FromDecisions(l.Decisions(ioa.TtoR), channel.Delay, &rd.decisionsExhausted),
-		AckPolicy:   channel.FromDecisions(l.Decisions(ioa.RtoT), channel.Delay, &rd.decisionsExhausted),
-		RecordTrace: true,
-		TraceLog:    rd.log,
-	})
-	rd.ops, rd.staleSkipped, err = reissue(rd.runner, l.Events)
-	if err != nil {
-		return nil, err
-	}
-	return rd, nil
-}
-
 // resolve checks that l can be re-driven and returns the protocol its
 // metadata names.
 func resolve(l *trace.Log) (protocol.Protocol, error) {
@@ -198,8 +151,7 @@ func resolve(l *trace.Log) (protocol.Protocol, error) {
 
 // reissue re-issues the driver operations among events against r, in order,
 // and counts them. It is the one operation dispatch of this package: the
-// recording replay (redrive) and the unrecorded judge (judge.go) both
-// drive through it.
+// judge (judge.go) drives every replay, recorded or not, through it.
 func reissue(r *sim.Runner, events []trace.Event) (ops, staleSkipped int, err error) {
 	for _, e := range events {
 		if !e.Kind.IsOp() {
@@ -240,37 +192,16 @@ func reissue(r *sim.Runner, events []trace.Event) (ops, staleSkipped int, err er
 	return ops, staleSkipped, nil
 }
 
-// Run replays a recorded simulation trace and re-checks it.
+// Run replays a recorded simulation trace and re-checks it. It fails on
+// traces that are not re-drivable: unknown protocols, or observational
+// recordings (e.g. netlink's free-running station logs, which capture only
+// one vantage point of a real network run and cannot be re-executed).
 func Run(l *trace.Log) (*Result, error) {
-	rd, err := redrive(l)
+	j, err := newJudge(l)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Protocol:           l.Meta[trace.MetaProtocol],
-		Ops:                rd.ops,
-		StaleSkipped:       rd.staleSkipped,
-		DecisionsExhausted: rd.decisionsExhausted,
-	}
-	rl := rd.log
-
-	run := rd.runner.Result()
-	res.Delivered = run.Delivered
-	res.Metrics = run.Metrics
-	res.Trace = run.Trace
-	if err := ioa.CheckSafety(run.Trace); err != nil {
-		res.Verdict, _ = ioa.AsViolation(err)
-	}
-	if err := ioa.CheckDL3Quiescent(run.Trace); err != nil {
-		res.DL3, _ = ioa.AsViolation(err)
-	}
-	res.RecordedVerdict, res.HadRecordedVerdict = l.Verdict()
-	res.VerdictMatches = verdictMatches(res.Verdict, res.DL3, res.RecordedVerdict)
-	res.Divergence = diverge(l, rl)
-
-	rl.Emit(trace.VerdictEvent(res.Verdict, res.DL3))
-	res.Log = rl
-	return res, nil
+	return j.run(l)
 }
 
 // verdictMatches compares the replayed checker outcome against a recorded

@@ -16,11 +16,11 @@ import (
 // are never trusted: each one is re-executed, and it survives only if the
 // re-driven execution still violates the original property. The
 // re-execution is unrecorded: a judge (judge.go) re-issues the candidate's
-// operations on one reused runner under an ioa.LiveChecker, which by its
-// contract returns the batch checkers' verdicts, and runs the liveness
-// oracles' closing drive (CloseDrive's loop) the same way. Most candidates
-// are rejected, so none of them pays for a capture log, an ioa.Trace or a
-// divergence scan.
+// operations on its executor's one reused runner under an ioa.LiveChecker,
+// which by its contract returns the batch checkers' verdicts, and runs the
+// liveness oracles' closing drive (CloseDrive's) the same way. Most
+// candidates are rejected, so none of them pays for a capture log, an
+// ioa.Trace or a divergence scan.
 //
 // Two oracle families are supported:
 //
@@ -38,10 +38,10 @@ import (
 //     violation.
 //
 // The result is the *re-recorded* log of the final candidate, not the
-// candidate itself: only the kept candidate is re-driven by Run, with
-// recording, and re-checked by the batch checkers, so what Shrink returns is
-// an execution the replayer actually performed, verdict included, never a
-// speculative edit.
+// candidate itself: only the kept candidate is re-driven as Run does it, on
+// the same judge, with recording, and re-checked by the batch checkers, so
+// what Shrink returns is an execution the replayer actually performed,
+// verdict included, never a speculative edit.
 
 // ShrinkResult describes a completed shrink.
 type ShrinkResult struct {
@@ -186,7 +186,7 @@ func shrinkWith(l *trace.Log, j *judge, o oracle, res *ShrinkResult) (*ShrinkRes
 		c.SetMeta(k, v)
 	}
 	c.Events = append(c.Events, events(kept)...)
-	final, err := Run(c)
+	final, err := j.run(c)
 	res.Replays++
 	if err != nil {
 		return nil, fmt.Errorf("replay: re-recording shrunk trace: %w", err)

@@ -141,7 +141,8 @@ type Runner struct {
 
 // Version reports a counter that advances whenever the joint configuration
 // may have changed: on every submit, packet send, packet receive, stale
-// drop and Reset. Between two equal Version() readings the endpoint states
+// drop, corrupted start, poison packet and Reset (so a fresh runner reads
+// 1). Between two equal Version() readings the endpoint states
 // and channel occupancies are identical, so derived observations (state
 // keys, coverage points) can be reused instead of recomputed. This leans on
 // the endpoint contract that an unproductive NextPkt mutates nothing
@@ -149,38 +150,16 @@ type Runner struct {
 // through recordSend.
 func (r *Runner) Version() uint64 { return r.ver }
 
-// NewRunner constructs a runner; the protocol's genies are wired to the
-// live channels.
+// NewRunner allocates a runner's channels and header set and starts its
+// run with Reset; the protocol's genies are wired to the live channels.
 func NewRunner(cfg Config) *Runner {
-	cfg = cfg.withDefaults()
-	chData := channel.NewNonFIFO(ioa.TtoR)
-	chAck := channel.NewNonFIFO(ioa.RtoT)
-	t, r := cfg.Protocol.New(channel.ChannelGenie{Ch: chData}, channel.ChannelGenie{Ch: chAck})
-	run := &Runner{
-		cfg:     cfg,
-		T:       t,
-		R:       r,
-		ChData:  chData,
-		ChAck:   chAck,
+	r := &Runner{
+		ChData:  channel.NewNonFIFO(ioa.TtoR),
+		ChAck:   channel.NewNonFIFO(ioa.RtoT),
 		headers: make(map[string]bool),
-		curMsg:  -1,
 	}
-	if cfg.RecordTrace {
-		run.rec = ioa.NewRecorder()
-	}
-	run.mon = cfg.Monitor
-	if cfg.TraceLog != nil {
-		run.tlog = cfg.TraceLog
-		if run.tlog.Meta[trace.MetaProtocol] == "" {
-			run.tlog.SetMeta(trace.MetaProtocol, cfg.Protocol.Name())
-		}
-		if run.tlog.Meta[trace.MetaKind] == "" {
-			run.tlog.SetMeta(trace.MetaKind, "sim")
-		}
-		run.cfg.DataPolicy = channel.Capture(run.cfg.DataPolicy, ioa.TtoR, run.tlog)
-		run.cfg.AckPolicy = channel.Capture(run.cfg.AckPolicy, ioa.RtoT, run.tlog)
-	}
-	return run
+	r.Reset(cfg)
+	return r
 }
 
 // SetPolicies replaces the channel policies from this point on. The
@@ -448,6 +427,7 @@ func (r *Runner) CorruptStart(tIdx, rIdx int) error {
 	r.T = space.Transmitters[tIdx].Clone()
 	r.R = space.Receivers[rIdx].Clone()
 	protocol.BindGenies(r.T, r.R, r.ChData, r.ChAck)
+	r.ver++
 	if r.tlog != nil {
 		r.tlog.Emit(trace.Event{Kind: trace.KindCorrupt, Index: tIdx, Bits: uint64(rIdx)})
 	}
@@ -476,6 +456,7 @@ func (r *Runner) Poison(d ioa.Dir, p ioa.Packet) error {
 		return fmt.Errorf("sim: unknown direction %v", d)
 	}
 	ch.Send(p)
+	r.ver++
 	if r.rec != nil {
 		r.rec.SendPkt(d, p)
 	}
@@ -507,21 +488,15 @@ func (r *Runner) JointState() (tkey, rkey string, dataTransit, ackTransit int) {
 
 // Reset reinitialises the runner in place for a fresh run of cfg, recycling
 // the channel multisets, the header set, the recorder and the metrics
-// slices. It is NewRunner for pooled runners: the fuzz exec core resets one
-// runner per input instead of allocating the whole object graph per
-// execution.
+// slices. NewRunner starts every run with it; replay's pooled executor
+// resets one runner per execution instead of allocating a new one.
 func (r *Runner) Reset(cfg Config) {
 	cfg = cfg.withDefaults()
 	r.ChData.Reset(ioa.TtoR)
 	r.ChAck.Reset(ioa.RtoT)
-	t, rcv := cfg.Protocol.New(channel.ChannelGenie{Ch: r.ChData}, channel.ChannelGenie{Ch: r.ChAck})
 	r.cfg = cfg
-	r.T, r.R = t, rcv
-	if r.headers == nil {
-		r.headers = make(map[string]bool)
-	} else {
-		clear(r.headers)
-	}
+	r.T, r.R = cfg.Protocol.New(channel.ChannelGenie{Ch: r.ChData}, channel.ChannelGenie{Ch: r.ChAck})
+	clear(r.headers)
 	r.ver++
 	r.lastHeader = ""
 	r.sent = 0
@@ -538,9 +513,8 @@ func (r *Runner) Reset(cfg Config) {
 	} else {
 		r.rec = nil
 	}
-	r.tlog = nil
-	if cfg.TraceLog != nil {
-		r.tlog = cfg.TraceLog
+	r.tlog = cfg.TraceLog
+	if r.tlog != nil {
 		if r.tlog.Meta[trace.MetaProtocol] == "" {
 			r.tlog.SetMeta(trace.MetaProtocol, cfg.Protocol.Name())
 		}

@@ -549,3 +549,34 @@ func TestSoakLongRun(t *testing.T) {
 		}
 	}
 }
+
+// TestVersionAdvancesOnEveryStart pins Version's contract on the mutations
+// that start a run: a fresh runner reads non-zero (so a zero-valued cache
+// never matches it), and Reset, a corrupted start and each poison packet
+// advance the counter, since each may change the joint configuration.
+func TestVersionAdvancesOnEveryStart(t *testing.T) {
+	p := protocol.NewStabDL(2)
+	r := NewRunner(Config{Protocol: p})
+	v := r.Version()
+	if v == 0 {
+		t.Error("a fresh runner's Version is 0")
+	}
+	space := p.Corruptions()
+	for _, step := range []struct {
+		name string
+		do   func() error
+	}{
+		{"Reset", func() error { r.Reset(Config{Protocol: p}); return nil }},
+		{"CorruptStart", func() error { return r.CorruptStart(1, 1) }},
+		{"Poison data", func() error { return r.Poison(ioa.TtoR, space.DataPoison[0]) }},
+		{"Poison ack", func() error { return r.Poison(ioa.RtoT, space.AckPoison[0]) }},
+	} {
+		if err := step.do(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if r.Version() <= v {
+			t.Errorf("%s left Version at %d (was %d)", step.name, r.Version(), v)
+		}
+		v = r.Version()
+	}
+}

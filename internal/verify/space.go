@@ -407,8 +407,8 @@ type explorer struct {
 	pkts   *pktIntern
 	kbuf   []byte
 
-	// roots maps BFS root node ids to their corrupted seeds (stabilize
-	// mode only; nil otherwise — clean mode has the single root 0).
+	// roots maps BFS root node ids to their seeds: the corrupted seeds in
+	// stabilize mode, the clean seed of the single root 0 otherwise.
 	roots map[int32]stabilize.Corruption
 
 	violation *foundViolation

@@ -39,9 +39,9 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/channel"
 	"repro/internal/ioa"
 	"repro/internal/protocol"
+	"repro/internal/sim"
 	"repro/internal/stabilize"
 	"repro/internal/trace"
 )
@@ -242,9 +242,9 @@ func explore(p protocol.Protocol, cfg Config, newStore func(*chunked[intKey], re
 	// The lazy-drop reduction is sound only when the endpoints cannot
 	// observe in-transit contents; genie users can (Stale snapshots), so
 	// the reduction is forced off for them.
-	t, r, _, _ := newInit(p)
-	_, tGenie := t.(protocol.AckGenieUser)
-	_, rGenie := r.(protocol.DataGenieUser)
+	r0 := sim.NewRunner(sim.Config{Protocol: p})
+	_, tGenie := r0.T.(protocol.AckGenieUser)
+	_, rGenie := r0.R.(protocol.DataGenieUser)
 	switch {
 	case tGenie || rGenie:
 		rep.PORReason = "genie-consulting protocol"
@@ -342,70 +342,37 @@ func run(p protocol.Protocol, cfg Config, newStore func(*chunked[intKey], render
 }
 
 // visitRoots visits the exploration's roots and returns the number of
-// corrupted seeds. A clean run has the single root newInit. In stabilize
-// mode the frontier is seeded with the full bounded corrupted space: every
-// declared endpoint-state pair crossed with every poison multiset. Each
-// seed is a BFS root carrying its own amnesty; subspaces that reconverge to
-// identical joint configurations with identical bookkeeping dedup across
-// seeds.
+// corrupted seeds. A clean run has the single root of a fresh runner. In
+// stabilize mode the frontier is seeded with the full bounded corrupted
+// space: every declared endpoint-state pair crossed with every poison
+// multiset, each applied to a fresh runner as the witness re-drive applies
+// it. Each seed is a BFS root carrying its own amnesty; subspaces that
+// reconverge to identical joint configurations with identical bookkeeping
+// dedup across seeds.
 func (e *explorer) visitRoots() (int, error) {
-	if !e.cfg.Stabilize {
-		e.visit(e.rootKey(newInit(e.proto)), parentEdge{parent: -1})
-		return 0, nil
+	seeds := []stabilize.Corruption{{}}
+	if e.cfg.Stabilize {
+		seeds = stabilize.Enumerate(e.proto, e.cfg.MaxPoison)
 	}
-	e.roots = make(map[int32]stabilize.Corruption)
-	seeds := stabilize.Enumerate(e.proto, e.cfg.MaxPoison)
+	e.roots = make(map[int32]stabilize.Corruption, len(seeds))
 	for _, seed := range seeds {
-		t, r, data, ack, err := corruptInit(e.proto, seed)
-		if err != nil {
-			return 0, err
+		run := sim.NewRunner(sim.Config{Protocol: e.proto})
+		if err := stabilize.Apply(run, seed); err != nil {
+			return 0, fmt.Errorf("verify: corrupted start %s: %v", seed, err)
 		}
-		k := e.rootKey(t, r, data, ack)
-		k.grem = int32(stabilize.Amnesty(seed, e.cfg.Occupancy))
+		k := intKey{
+			tc: internEnd(e, &e.ts, run.T), rc: internEnd(e, &e.rs, run.R),
+			dk: e.internCh(run.ChData), ak: e.internCh(run.ChAck),
+			grem: int32(stabilize.Amnesty(seed, e.cfg.Occupancy)),
+		}
 		if id, fresh := e.visit(k, parentEdge{parent: -1}); fresh {
 			e.roots[id] = seed
 		}
 	}
+	if !e.cfg.Stabilize {
+		return 0, nil
+	}
 	return len(seeds), nil
-}
-
-// rootKey interns a root's endpoints and channels.
-func (e *explorer) rootKey(t protocol.Transmitter, r protocol.Receiver, data, ack *channel.NonFIFO) intKey {
-	return intKey{tc: internEnd(e, &e.ts, t), rc: internEnd(e, &e.rs, r), dk: e.internCh(data), ak: e.internCh(ack)}
-}
-
-// newInit builds the clean initial endpoints and channels.
-func newInit(p protocol.Protocol) (protocol.Transmitter, protocol.Receiver, *channel.NonFIFO, *channel.NonFIFO) {
-	data, ack := channel.NewNonFIFO(ioa.TtoR), channel.NewNonFIFO(ioa.RtoT)
-	t, r := p.New(channel.ChannelGenie{Ch: data}, channel.ChannelGenie{Ch: ack})
-	return t, r, data, ack
-}
-
-// corruptInit builds the initial endpoints and channels for one corrupted
-// seed: declared endpoint states (genies rebound to the fresh channels) and
-// the poison packets pre-loaded in transit.
-func corruptInit(p protocol.Protocol, seed stabilize.Corruption) (protocol.Transmitter, protocol.Receiver, *channel.NonFIFO, *channel.NonFIFO, error) {
-	t, r, data, ack := newInit(p)
-	if seed.TIdx != 0 || seed.RIdx != 0 {
-		cp, ok := p.(protocol.Corruptible)
-		if !ok {
-			return nil, nil, nil, nil, fmt.Errorf("verify: seed %s for non-Corruptible protocol %s", seed, p.Name())
-		}
-		space := cp.Corruptions()
-		if seed.TIdx < 0 || seed.TIdx >= len(space.Transmitters) || seed.RIdx < 0 || seed.RIdx >= len(space.Receivers) {
-			return nil, nil, nil, nil, fmt.Errorf("verify: seed %s out of range for protocol %s", seed, p.Name())
-		}
-		t = space.Transmitters[seed.TIdx].Clone()
-		r = space.Receivers[seed.RIdx].Clone()
-		protocol.BindGenies(t, r, data, ack)
-	}
-	for _, pkt := range seed.Data {
-		data.Send(pkt)
-	}
-	for _, pkt := range seed.Ack {
-		ack.Send(pkt)
-	}
-	return t, r, data, ack, nil
 }
 
 func countOps(l *trace.Log) int {

@@ -74,12 +74,6 @@ func ReadShardLog(dir string, m *ShardManifest, session string) (*TraceLog, erro
 // port). Run sessions with its RunSession and RunSoak methods.
 func NewSoakServer(addr string) (*SoakServer, error) { return netlink.NewServer(addr) }
 
-// RunLoopbackSoakSession runs one lock-step session over a standalone pair
-// of loopback sockets, without a server mux.
-func RunLoopbackSoakSession(cfg SoakSessionConfig) (*SoakSessionResult, error) {
-	return netlink.RunLoopbackSession(cfg)
-}
-
 // Socket-level errors.
 var (
 	// ErrNetClosed is returned by operations on a closed station.
