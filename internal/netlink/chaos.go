@@ -105,11 +105,27 @@ var _ net.PacketConn = (*ChaosConn)(nil)
 
 // NewChaosConn wraps inner with the given chaos configuration.
 func NewChaosConn(inner net.PacketConn, cfg ChaosConfig) *ChaosConn {
-	return &ChaosConn{
-		inner: inner,
-		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
+	c := new(ChaosConn)
+	c.rebind(inner, cfg)
+	return c
+}
+
+// rebind makes c the conn NewChaosConn(inner, cfg) returns, keeping its
+// generator and hold queue storage: the generator is re-seeded in place,
+// which leaves it as a new one from cfg.Seed, and the hold queue is
+// emptied, so nothing a previous binding held is ever released. A soak
+// worker rebinds its two conns for each session it runs.
+func (c *ChaosConn) rebind(inner net.PacketConn, cfg ChaosConfig) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.inner, c.cfg = inner, cfg
+	if c.rng == nil {
+		c.rng = rand.New(rand.NewSource(cfg.Seed))
+	} else {
+		c.rng.Seed(cfg.Seed)
 	}
+	clear(c.held)
+	c.held = c.held[:0]
 }
 
 // WriteTo applies the loss/reorder/duplication discipline, then writes.

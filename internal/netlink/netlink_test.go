@@ -1,8 +1,10 @@
 package netlink
 
 import (
+	"bytes"
 	"fmt"
 	"net"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -230,6 +232,75 @@ func TestChaosConnHoldAndFlush(t *testing.T) {
 	n, _, err := b.ReadFrom(buf)
 	if err != nil || string(buf[:n]) != "held" {
 		t.Fatalf("released datagram: %q, %v", buf[:n], err)
+	}
+}
+
+// recordConn is a net.PacketConn whose writes are recorded, not sent.
+// ChaosConn calls no other method on the conn it wraps.
+type recordConn struct {
+	net.PacketConn
+	writes []string
+}
+
+func (c *recordConn) WriteTo(b []byte, _ net.Addr) (int, error) {
+	c.writes = append(c.writes, string(b))
+	return len(b), nil
+}
+
+// TestChaosConnRebind: a ChaosConn holding datagrams, rebound to another
+// conn with another seed, holds nothing and from then on deals the fates
+// and releases a new ChaosConn with that seed deals over the same writes,
+// writing only to the conn it was rebound to.
+func TestChaosConnRebind(t *testing.T) {
+	cfg := ChaosConfig{DropProb: 0.1, HoldProb: 0.4, DupProb: 0.2, Seed: 1}
+	old := &recordConn{}
+	c := NewChaosConn(old, cfg)
+	for i := 0; c.HeldCount() < 3; i++ {
+		if i == 100 {
+			t.Fatalf("holding %d datagrams after %d writes", c.HeldCount(), i)
+		}
+		if _, err := c.WriteOutcome([]byte(fmt.Sprintf("old-%d", i)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg.Seed = 2
+	inner, fresh := &recordConn{}, &recordConn{}
+	c.rebind(inner, cfg)
+	if n := c.HeldCount(); n != 0 {
+		t.Fatalf("rebound conn holds %d datagrams, want 0", n)
+	}
+	f := NewChaosConn(fresh, cfg)
+	oldWrites := len(old.writes)
+	for i := 0; i < 200; i++ {
+		b := []byte(fmt.Sprintf("new-%d", i))
+		got, err := c.WriteOutcome(b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := f.WriteOutcome(b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("write %d: rebound conn dealt %v releasing %q, a new conn %v releasing %q",
+				i, got.Fate, got.Released, want.Fate, want.Released)
+		}
+	}
+	for {
+		got, gok := c.ReleaseOne()
+		want, wok := f.ReleaseOne()
+		if gok != wok || !bytes.Equal(got, want) {
+			t.Fatalf("final release: rebound conn %q (%v), a new conn %q (%v)", got, gok, want, wok)
+		}
+		if !gok {
+			break
+		}
+	}
+	if !reflect.DeepEqual(inner.writes, fresh.writes) {
+		t.Fatalf("rebound conn wrote %d datagrams, a new conn %d, or in another order", len(inner.writes), len(fresh.writes))
+	}
+	if len(old.writes) != oldWrites {
+		t.Fatalf("rebound conn wrote %d datagrams to the conn it left", len(old.writes)-oldWrites)
 	}
 }
 

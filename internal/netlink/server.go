@@ -110,9 +110,17 @@ func (sv *Server) unregister(key string) {
 // RunSession runs one lock-step soak session against the shared socket: the
 // session's transmitter station gets a fresh client socket, its
 // receiver-side wire is the mux. Blocks until the session completes; safe to
-// call from many goroutines (the worker pool does).
+// call from many goroutines. Each call runs on session state of its own, so
+// the result's Log is the caller's to keep.
 func (sv *Server) RunSession(cfg SessionConfig) (*SessionResult, error) {
-	cfg = cfg.withDefaults()
+	return sv.runSession(cfg, newWorker())
+}
+
+// runSession runs one session on w's state, opening the session's client
+// socket and registering its inbox. The client socket stays per session
+// because its address is the session's mux key; the inbox does too, since
+// the pump may still send a straggler of the previous session to it.
+func (sv *Server) runSession(cfg SessionConfig, w *worker) (*SessionResult, error) {
 	clientConn, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("netlink: client socket: %w", err)
@@ -120,25 +128,27 @@ func (sv *Server) RunSession(cfg SessionConfig) (*SessionResult, error) {
 	key := clientConn.LocalAddr().String()
 	inbox := sv.register(key)
 	env := &sessionEnv{
-		dataChaos: NewChaosConn(clientConn, chaosFor(cfg, "soak/data")),
+		dataConn: clientConn,
 		// The ack lane writes through the SHARED socket; env.close must not
 		// close it, so only the client socket is released here.
-		ackChaos: NewChaosConn(sv.conn, chaosFor(cfg, "soak/ack")),
+		ackConn:  sv.conn,
 		dataAddr: sv.conn.LocalAddr(),
 		ackAddr:  clientConn.LocalAddr(),
 		recvData: inboxReader(inbox),
-		recvAck:  deadlineReader(clientConn),
+		recvAck:  deadlineReader(clientConn, w.buf),
 		close: func() {
 			sv.unregister(key)
 			_ = clientConn.Close()
 		},
 	}
-	return runSession(cfg, env), nil
+	return runSession(cfg, env, w), nil
 }
 
 // inboxReader adapts a mux inbox to the session's blocking-read shape,
 // bounded by sessionReadTimeout and reusing one timer across calls
-// (sessions read thousands of times).
+// (sessions read thousands of times). It needs no read buffer: the pump
+// reads into its own and sends each datagram copied out, while the client
+// socket's reader uses the buffer its worker reuses across sessions.
 func inboxReader(inbox <-chan []byte) func() ([]byte, bool) {
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {

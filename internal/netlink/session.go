@@ -145,17 +145,42 @@ type SessionResult struct {
 	Err error
 }
 
-// sessionEnv is the wiring a session drives: the two chaos-wrapped write
-// paths and the matching read paths. Server.RunSession builds it over the
-// mux and one client socket per session.
+// sessionEnv is the wiring a session drives: the two write paths, which
+// the worker's ChaosConns wrap for the session, and the matching read
+// paths. Server.runSession builds it over the mux and one client socket per
+// session.
 type sessionEnv struct {
-	dataChaos *ChaosConn // wraps the client socket; data pkts → dataAddr
-	ackChaos  *ChaosConn // wraps the server writer; acks → ackAddr
-	dataAddr  net.Addr   // the server (receiver-side) address
-	ackAddr   net.Addr   // the client (transmitter-side) address
-	recvData  func() ([]byte, bool)
-	recvAck   func() ([]byte, bool)
-	close     func()
+	dataConn net.PacketConn // the client socket; data pkts → dataAddr
+	ackConn  net.PacketConn // the server's shared socket; acks → ackAddr
+	dataAddr net.Addr       // the server (receiver-side) address
+	ackAddr  net.Addr       // the client (transmitter-side) address
+	recvData func() ([]byte, bool)
+	recvAck  func() ([]byte, bool)
+	close    func()
+}
+
+// worker is the session state a soak worker reuses for every session it
+// runs, reset at each session's start: the runner, its live checker, the
+// log the runner records into, the client socket's read buffer and the two
+// ChaosConns. RunSoak makes one per worker goroutine, so a session's log is
+// only good until the worker's next session; RunSession makes one per call,
+// so the log it returns stays the caller's.
+type worker struct {
+	log       *trace.Log
+	check     *ioa.LiveChecker
+	runner    *sim.Runner // nil before the first session
+	buf       []byte      // deadlineReader's read buffer
+	data, ack *ChaosConn  // rebound to each session's sockets and seeds
+}
+
+func newWorker() *worker {
+	return &worker{
+		log:   trace.NewLog(nil),
+		check: ioa.NewLiveChecker(),
+		buf:   make([]byte, 64<<10),
+		data:  new(ChaosConn),
+		ack:   new(ChaosConn),
+	}
 }
 
 type pendingStale struct {
@@ -163,11 +188,12 @@ type pendingStale struct {
 	pkt ioa.Packet
 }
 
-// session is the lock-step driver; it lives on one goroutine.
+// session is the lock-step driver: one session's own state over the
+// worker's it runs on. It lives on one goroutine.
 type session struct {
+	*worker
 	cfg     SessionConfig
 	env     *sessionEnv
-	runner  *sim.Runner
 	pending []pendingStale
 	stats   SessionStats
 	ioErr   error
@@ -182,10 +208,10 @@ func chaosFor(cfg SessionConfig, stream string) ChaosConfig {
 }
 
 // deadlineReader returns a single-goroutine blocking read function over
-// conn, bounded by sessionReadTimeout. The buffer is reused across calls;
-// each returned datagram is copied out.
-func deadlineReader(conn net.PacketConn) func() ([]byte, bool) {
-	buf := make([]byte, 64<<10)
+// conn, bounded by sessionReadTimeout, that reads into buf. buf is the
+// worker's, reused across calls and across the worker's sessions, so each
+// returned datagram is copied out.
+func deadlineReader(conn net.PacketConn, buf []byte) func() ([]byte, bool) {
 	return func() ([]byte, bool) {
 		_ = conn.SetReadDeadline(time.Now().Add(sessionReadTimeout))
 		n, _, err := conn.ReadFrom(buf)
@@ -198,26 +224,37 @@ func deadlineReader(conn net.PacketConn) func() ([]byte, bool) {
 	}
 }
 
-// runSession drives one session to completion over env and always closes it.
-func runSession(cfg SessionConfig, env *sessionEnv) *SessionResult {
+// runSession resets w for one session, drives the session to completion
+// over env and always closes env. The result's Log is w's.
+func runSession(cfg SessionConfig, env *sessionEnv, w *worker) *SessionResult {
 	cfg = cfg.withDefaults()
 	defer env.close()
 
-	s := &session{cfg: cfg, env: env}
-	log := trace.NewLog(nil)
-	log.SetMeta(trace.MetaKind, SoakTraceKind)
-	log.SetMeta(trace.MetaSource, "netlink")
-	check := ioa.NewLiveChecker()
-	s.runner = sim.NewRunner(sim.Config{
+	w.data.rebind(env.dataConn, chaosFor(cfg, "soak/data"))
+	w.ack.rebind(env.ackConn, chaosFor(cfg, "soak/ack"))
+	// Reset stamps the protocol only into an empty slot, so the previous
+	// session's meta goes with its events.
+	w.log.Events = w.log.Events[:0]
+	clear(w.log.Meta)
+	w.log.SetMeta(trace.MetaKind, SoakTraceKind)
+	w.log.SetMeta(trace.MetaSource, "netlink")
+	w.check.Reset()
+	s := &session{worker: w, cfg: cfg, env: env}
+	rcfg := sim.Config{
 		Protocol:   cfg.Protocol,
 		DataPolicy: channel.PolicyFunc(func(p ioa.Packet) channel.Decision { return s.onSend(ioa.TtoR, p) }),
 		AckPolicy:  channel.PolicyFunc(func(p ioa.Packet) channel.Decision { return s.onSend(ioa.RtoT, p) }),
 		StepBudget: sessionStepBudget,
-		Monitor:    check,
-		TraceLog:   log,
-	})
+		Monitor:    w.check,
+		TraceLog:   w.log,
+	}
+	if w.runner == nil {
+		w.runner = sim.NewRunner(rcfg)
+	} else {
+		w.runner.Reset(rcfg)
+	}
 
-	res := &SessionResult{Log: log}
+	res := &SessionResult{Log: w.log}
 	if cfg.CorruptT != 0 || cfg.CorruptR != 0 {
 		if err := s.runner.CorruptStart(cfg.CorruptT, cfg.CorruptR); err != nil {
 			res.Err = err
@@ -242,13 +279,13 @@ func runSession(cfg SessionConfig, env *sessionEnv) *SessionResult {
 	s.stats.Elapsed = time.Since(start)
 	s.stats.Delivered = len(s.runner.Delivered())
 
-	if err := check.Safety(); err != nil {
+	if err := w.check.Safety(); err != nil {
 		res.Verdict, _ = ioa.AsViolation(err)
 	}
-	if err := check.DL3Quiescent(); err != nil {
+	if err := w.check.DL3Quiescent(); err != nil {
 		res.DL3, _ = ioa.AsViolation(err)
 	}
-	log.Emit(trace.VerdictEvent(res.Verdict, res.DL3))
+	w.log.Emit(trace.VerdictEvent(res.Verdict, res.DL3))
 	res.Stats = s.stats
 	return res
 }
@@ -284,9 +321,9 @@ func (s *session) runToIdle() error {
 // consults reality. It performs the real write, waits for the arrivals the
 // chaos outcome promises, and renders the outcome as the recorded decision.
 func (s *session) onSend(dir ioa.Dir, p ioa.Packet) channel.Decision {
-	conn, addr, recv := s.env.dataChaos, s.env.dataAddr, s.env.recvData
+	conn, addr, recv := s.data, s.env.dataAddr, s.env.recvData
 	if dir == ioa.RtoT {
-		conn, addr, recv = s.env.ackChaos, s.env.ackAddr, s.env.recvAck
+		conn, addr, recv = s.ack, s.env.ackAddr, s.env.recvAck
 	}
 	res, err := conn.WriteOutcome(wire.Encode(p), addr)
 	if err != nil {
@@ -366,8 +403,8 @@ func (s *session) forceRelease() bool {
 		recv func() ([]byte, bool)
 	}
 	for _, ln := range []lane{
-		{s.env.ackChaos, ioa.RtoT, s.env.recvAck},
-		{s.env.dataChaos, ioa.TtoR, s.env.recvData},
+		{s.ack, ioa.RtoT, s.env.recvAck},
+		{s.data, ioa.TtoR, s.env.recvData},
 	} {
 		if _, ok := ln.conn.ReleaseOne(); !ok {
 			continue
@@ -399,8 +436,8 @@ func (s *session) finalDrain() {
 			dir  ioa.Dir
 			recv func() ([]byte, bool)
 		}{
-			{s.env.dataChaos, ioa.TtoR, s.env.recvData},
-			{s.env.ackChaos, ioa.RtoT, s.env.recvAck},
+			{s.data, ioa.TtoR, s.env.recvData},
+			{s.ack, ioa.RtoT, s.env.recvAck},
 		} {
 			if _, ok := ln.conn.ReleaseOne(); !ok {
 				continue

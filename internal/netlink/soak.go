@@ -144,8 +144,9 @@ func (sv *Server) RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			w := newWorker()
 			for id := range ids {
-				out, sessionLats := sv.runSoakSession(cfg, id)
+				out, sessionLats := sv.runSoakSession(cfg, id, w)
 				mu.Lock()
 				outcomes = append(outcomes, out)
 				lats = append(lats, sessionLats...)
@@ -188,9 +189,11 @@ func (sv *Server) RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	return rep, nil
 }
 
-// runSoakSession runs session id with its derived seed and round-robin
-// protocol, records the log, and flattens the result into an outcome.
-func (sv *Server) runSoakSession(cfg SoakConfig, id int) (SessionOutcome, []time.Duration) {
+// runSoakSession runs session id on w with its derived seed and round-robin
+// protocol, records the log, and flattens the result into an outcome. The
+// log is w's: it is recorded here, before w runs another session, and the
+// outcome keeps none of it.
+func (sv *Server) runSoakSession(cfg SoakConfig, id int, w *worker) (SessionOutcome, []time.Duration) {
 	p := cfg.Protocols[id%len(cfg.Protocols)]
 	scfg := SessionConfig{
 		Protocol: p,
@@ -199,7 +202,7 @@ func (sv *Server) runSoakSession(cfg SoakConfig, id int) (SessionOutcome, []time
 		Seed:     seed.Split(cfg.Seed, "session/"+strconv.Itoa(id)),
 	}
 	out := SessionOutcome{ID: id, Session: SessionName(id), Protocol: p.Name(), Seed: scfg.Seed}
-	res, err := sv.RunSession(scfg)
+	res, err := sv.runSession(scfg, w)
 	if err != nil {
 		out.Err = err.Error()
 		return out, nil

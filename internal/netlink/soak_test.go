@@ -2,11 +2,13 @@ package netlink
 
 import (
 	"bytes"
+	"strconv"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/protocol"
 	"repro/internal/replay"
+	"repro/internal/seed"
 	"repro/internal/trace"
 )
 
@@ -290,5 +292,85 @@ func TestSoakGracefulDrain(t *testing.T) {
 	}
 	if rep.Errors > 0 {
 		t.Fatalf("%d in-flight sessions failed during drain", rep.Errors)
+	}
+}
+
+// TestSoakWorkerReuse: one worker runs every session of a soak on the same
+// runner, checker, log, read buffer and ChaosConns, reset per session. Each
+// session's recorded blob must equal byte for byte the log of the same
+// session run alone on fresh state through RunSession. The protocols rotate,
+// so a log whose meta outlived its session would carry the wrong protocol,
+// and the run must hold a violating session followed by a clean one, so a
+// verdict or checker state carried over would show.
+func TestSoakWorkerReuse(t *testing.T) {
+	sv, err := NewServer("")
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	defer sv.Close()
+	dir := t.TempDir()
+	store, err := trace.NewShardStore(dir, 4)
+	if err != nil {
+		t.Fatalf("NewShardStore: %v", err)
+	}
+	cfg := SoakConfig{
+		Protocols: []protocol.Protocol{protocol.NewSeqNum(), protocol.NewAltBit(), protocol.NewCntK(4)},
+		Sessions:  48,
+		Messages:  8,
+		Chaos:     ChaosConfig{DropProb: 0.05, HoldProb: 0.2, DupProb: 0.1},
+		Seed:      3,
+		Workers:   1,
+		Store:     store,
+	}
+	rep, err := sv.RunSoak(cfg)
+	if err != nil {
+		t.Fatalf("RunSoak: %v", err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatalf("store close: %v", err)
+	}
+	if rep.Recorded != cfg.Sessions || rep.Errors != 0 {
+		t.Fatalf("recorded %d of %d sessions, %d errors", rep.Recorded, cfg.Sessions, rep.Errors)
+	}
+	t.Logf("%d of %d sessions violate", rep.Violations, cfg.Sessions)
+	violThenClean := false
+	for i := 1; i < len(rep.Outcomes); i++ {
+		if rep.Outcomes[i-1].Verdict != "" && rep.Outcomes[i].Verdict == "" {
+			violThenClean = true
+		}
+	}
+	if !violThenClean {
+		t.Fatalf("no violating session is followed by a clean one (%d violations)", rep.Violations)
+	}
+
+	m, err := trace.ScanShards(dir)
+	if err != nil {
+		t.Fatalf("ScanShards: %v", err)
+	}
+	encode := func(l *trace.Log) []byte {
+		var buf bytes.Buffer
+		if err := l.Encode(&buf); err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		return buf.Bytes()
+	}
+	for _, o := range rep.Outcomes {
+		got, err := trace.ReadShardLog(dir, m, o.Session)
+		if err != nil {
+			t.Fatalf("read %s: %v", o.Session, err)
+		}
+		res, err := sv.RunSession(SessionConfig{
+			Protocol: cfg.Protocols[o.ID%len(cfg.Protocols)],
+			Messages: cfg.Messages,
+			Chaos:    cfg.Chaos,
+			Seed:     seed.Split(cfg.Seed, "session/"+strconv.Itoa(o.ID)),
+		})
+		if err != nil {
+			t.Fatalf("RunSession %s: %v", o.Session, err)
+		}
+		if !bytes.Equal(encode(got), encode(res.Log)) {
+			t.Fatalf("session %s (%s): recorded blob differs from a fresh session's log:\nrecorded:\n%s\nfresh:\n%s",
+				o.Session, o.Protocol, got, res.Log)
+		}
 	}
 }

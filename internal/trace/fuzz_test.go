@@ -11,6 +11,27 @@ import (
 	"repro/internal/ioa"
 )
 
+// everyKindLog holds one event of every kind a version-1 log can carry
+// (corruptedLog holds the version-2 kinds).
+func everyKindLog() *Log {
+	return &Log{
+		Meta: map[string]string{MetaProtocol: "altbit", MetaKind: "sim"},
+		Events: []Event{
+			{Kind: KindSubmit, Msg: ioa.Message{ID: 0, Payload: "m0"}},
+			{Kind: KindTransmit},
+			{Kind: KindDecision, Dir: ioa.TtoR, Decision: Delay},
+			{Kind: KindSendPkt, Dir: ioa.TtoR, Pkt: ioa.Packet{Header: "d0", Payload: "m0"}},
+			{Kind: KindDrain},
+			{Kind: KindStale, Dir: ioa.TtoR, Pkt: ioa.Packet{Header: "d0", Payload: "m0"}},
+			{Kind: KindRecvPkt, Dir: ioa.TtoR, Pkt: ioa.Packet{Header: "d0", Payload: "m0"}},
+			{Kind: KindRecvMsg, Msg: ioa.Message{ID: 0, Payload: "m0"}},
+			{Kind: KindDropStale, Dir: ioa.RtoT, Pkt: ioa.Packet{Header: "a0"}},
+			{Kind: KindRNG, Bits: 0xdeadbeef},
+			{Kind: KindVerdict, Property: "DL1", Index: 3, Detail: "dup"},
+		},
+	}
+}
+
 // FuzzTraceCodecRoundTrip feeds arbitrary bytes to the NFT decoder. Decoding
 // must never panic; when it succeeds, the decoded log must survive an
 // encode→decode round trip unchanged — the codec is the persistence layer
@@ -25,19 +46,7 @@ func FuzzTraceCodecRoundTrip(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	seed(NewLog(nil))
-	seed(&Log{
-		Meta: map[string]string{MetaProtocol: "altbit", MetaKind: "sim"},
-		Events: []Event{
-			{Kind: KindSubmit, Msg: ioa.Message{ID: 0, Payload: "m0"}},
-			{Kind: KindTransmit},
-			{Kind: KindDecision, Dir: ioa.TtoR, Decision: Delay},
-			{Kind: KindSendPkt, Dir: ioa.TtoR, Pkt: ioa.Packet{Header: "d0", Payload: "m0"}},
-			{Kind: KindDrain},
-			{Kind: KindStale, Dir: ioa.TtoR, Pkt: ioa.Packet{Header: "d0", Payload: "m0"}},
-			{Kind: KindRNG, Bits: 0xdeadbeef},
-			{Kind: KindVerdict, Property: "DL1", Index: 3, Detail: "dup"},
-		},
-	})
+	seed(everyKindLog())
 	f.Add([]byte{})
 	f.Add([]byte("NFTRC\x01garbage"))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
@@ -69,11 +78,13 @@ func FuzzTraceCodecRoundTrip(f *testing.F) {
 
 // FuzzShardScan feeds arbitrary bytes to the shard scan as one shard file.
 // The scan must not panic, every error it returns must wrap ErrShard, and
-// every frame it indexes must read back through its entry.
+// every frame it indexes must read back through its entry, which must equal
+// the entry Put computes from the log read back and carry that log's
+// Collect headline.
 func FuzzShardScan(f *testing.F) {
 	shard := []byte(shardHeader)
-	for i, l := range []*Log{soakLog(0), corruptedLog(), soakLog(5)} {
-		frame, _ := encodeFrame(fmt.Sprintf("s%06d", i), l)
+	for i, l := range []*Log{soakLog(0), corruptedLog(), soakLog(5), everyKindLog()} {
+		_, frame, _ := encodeFrame(nil, fmt.Sprintf("s%06d", i), l)
 		shard = append(shard, frame...)
 	}
 	f.Add(shard)
@@ -91,8 +102,19 @@ func FuzzShardScan(f *testing.F) {
 			return
 		}
 		for _, e := range entries {
-			if _, err := readEntry(bytes.NewReader(b), e); err != nil {
+			l, err := readEntry(bytes.NewReader(b), e)
+			if err != nil {
 				t.Fatalf("indexed session %q does not read back: %v", e.Session, err)
+			}
+			want := newEntry(e.Session, e.Shard, int(e.Length), l)
+			want.Offset = e.Offset
+			if e != want {
+				t.Fatalf("scanned entry %+v, the read-back log's is %+v", e, want)
+			}
+			st := Collect(l)
+			if e.Events != st.Events || e.Ops != st.Ops || e.Messages != st.Messages ||
+				e.Deliveries != st.Deliveries || e.Verdict != st.Verdict {
+				t.Fatalf("entry %+v disagrees with the log's stats %+v", e, st)
 			}
 		}
 	})

@@ -97,9 +97,9 @@ func (m *Manifest) Violations() []ManifestEntry {
 func ReadManifestFile(dir string) (*Manifest, error) { return ScanShards(dir) }
 
 // ScanShards rebuilds a shard directory's index by scanning every shard
-// file in it, decoding each frame's log for its entry. A short final frame,
-// what a killed writer leaves, ends its shard's scan; any other malformation
-// fails with an error wrapping ErrShard.
+// file in it, counting each frame's events into its entry as they decode.
+// A short final frame, what a killed writer leaves, ends its shard's scan;
+// any other malformation fails with an error wrapping ErrShard.
 func ScanShards(dir string) (*Manifest, error) {
 	des, err := os.ReadDir(dir)
 	if err != nil {
@@ -157,31 +157,62 @@ func scanShard(r io.Reader, shard int, entries []ManifestEntry) ([]ManifestEntry
 		if err != nil {
 			return entries, fmt.Errorf("%w: frame at offset %d: %w", ErrShard, off, err)
 		}
-		l, err := ReadLog(bytes.NewReader(blob))
+		e, err := scanEntry(session, shard, blob)
 		if err != nil {
 			return entries, fmt.Errorf("%w: session %q at offset %d: %v", ErrShard, session, off, err)
 		}
-		e := newEntry(session, shard, len(blob), l)
 		e.Offset = off
 		entries = append(entries, e)
 		off += size
 	}
 }
 
+// scanEntry summarises the log encoded in blob as newEntry summarises the
+// decoded log, counting its events as ReadLog's decoder yields them,
+// without building the log; it fails where ReadLog would.
+func scanEntry(session string, shard int, blob []byte) (ManifestEntry, error) {
+	tr, err := NewReader(bytes.NewReader(blob))
+	if err != nil {
+		return ManifestEntry{}, err
+	}
+	e := ManifestEntry{Session: session, Shard: shard, Length: int64(len(blob)), Protocol: tr.Meta()[MetaProtocol]}
+	for {
+		ev, err := tr.Next()
+		if err == io.EOF {
+			return e, nil
+		}
+		if err != nil {
+			return ManifestEntry{}, err
+		}
+		e.count(ev)
+	}
+}
+
 // newEntry summarises session's log l, whose blob is blobLen bytes, in an
 // entry of the given shard; the caller sets its offset.
 func newEntry(session string, shard, blobLen int, l *Log) ManifestEntry {
-	st := Collect(l)
-	return ManifestEntry{
-		Session:    session,
-		Shard:      shard,
-		Length:     int64(blobLen),
-		Protocol:   l.Meta[MetaProtocol],
-		Verdict:    st.Verdict,
-		Events:     st.Events,
-		Ops:        st.Ops,
-		Messages:   st.Messages,
-		Deliveries: st.Deliveries,
+	e := ManifestEntry{Session: session, Shard: shard, Length: int64(blobLen), Protocol: l.Meta[MetaProtocol]}
+	for _, ev := range l.Events {
+		e.count(ev)
+	}
+	return e
+}
+
+// count adds one event to the entry's headline: Events, Ops, Messages and
+// Deliveries count as Collect counts them, and Verdict is the last verdict
+// event's property.
+func (e *ManifestEntry) count(ev Event) {
+	e.Events++
+	if ev.Kind.IsOp() {
+		e.Ops++
+	}
+	switch ev.Kind {
+	case KindSubmit:
+		e.Messages++
+	case KindRecvMsg:
+		e.Deliveries++
+	case KindVerdict:
+		e.Verdict = ev.Property
 	}
 }
 
@@ -228,6 +259,8 @@ type shardFile struct {
 	// err latches the first failed write: a torn frame must stay its
 	// shard's last, or a scan would read the frames after it as its blob.
 	err error
+	// buf holds the frame being written; each Put encodes into it.
+	buf []byte
 }
 
 // NewShardStore creates dir (if needed) and the given number of shard
@@ -286,14 +319,17 @@ func (s *ShardStore) Put(session string, l *Log) (ManifestEntry, error) {
 	s.seen[session] = true
 	s.mu.Unlock()
 
-	frame, blobLen := encodeFrame(session, l)
-	e := newEntry(session, shardIndex(session, len(s.shards)), blobLen, l)
-	sf := s.shards[e.Shard]
+	shard := shardIndex(session, len(s.shards))
+	sf := s.shards[shard]
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
 	if sf.err != nil {
 		return ManifestEntry{}, sf.err
 	}
+	var frame []byte
+	var blobLen int
+	sf.buf, frame, blobLen = encodeFrame(sf.buf, session, l)
+	e := newEntry(session, shard, blobLen, l)
 	if _, err := sf.f.Write(frame); err != nil {
 		sf.err = err
 		return ManifestEntry{}, err
@@ -303,19 +339,20 @@ func (s *ShardStore) Put(session string, l *Log) (ManifestEntry, error) {
 	return e, nil
 }
 
-// encodeFrame returns session's frame and its blob length. The log is
-// encoded once, straight into the frame: the blob goes in after room for
-// the key and the widest length prefix, and the two are then copied in
-// just before it.
-func encodeFrame(session string, l *Log) (frame []byte, blobLen int) {
+// encodeFrame encodes session's frame into buf's storage and returns that
+// storage, grown as needed, the frame, which ends it, and the blob length.
+// The log is encoded once, straight into the storage: the blob goes in
+// after room for the key and the widest length prefix, and the two are
+// then copied in just before it.
+func encodeFrame(buf []byte, session string, l *Log) (grown, frame []byte, blobLen int) {
 	room := len(session) + 2*binary.MaxVarintLen64
-	b := l.appendTo(make([]byte, room))
+	b := l.appendTo(append(buf[:0], make([]byte, room)...))
 	blobLen = len(b) - room
-	var buf [32]byte
-	head := binary.AppendUvarint(appendString(buf[:0], session), uint64(blobLen))
+	var hb [32]byte
+	head := binary.AppendUvarint(appendString(hb[:0], session), uint64(blobLen))
 	i := room - len(head)
 	copy(b[i:], head)
-	return b[i:], blobLen
+	return b, b[i:], blobLen
 }
 
 // Close closes every shard file.
