@@ -21,7 +21,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -112,45 +111,27 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintln(out)
 		if *check && v.Cert != nil {
+			// Every certificate's claim is its verdict event (a livelock's
+			// DL3 included), re-checked by the replay; a corrupted-start
+			// certificate's amnesty claim is re-judged by stabilize.Recheck.
 			rr, err := replay.Run(v.Cert)
 			if err != nil {
 				return fmt.Errorf("re-checking %s certificate: %w", v.Property, err)
 			}
-			if v.Corruption != "" {
-				// A corrupted-start certificate is an over-amnesty claim: the
-				// replay must be divergence-free and the amnesty judge — re-run
-				// from scratch with the budget recorded in the metadata — must
-				// still find the same property over budget.
-				if rr.Divergence != nil {
-					return fmt.Errorf("corrupted-start certificate replay diverged: %v", rr.Divergence)
-				}
-				amnesty, err := strconv.Atoi(v.Cert.Meta[stabilize.MetaAmnesty])
-				if err != nil {
-					return fmt.Errorf("corrupted-start certificate lacks a usable %s metadata key: %w", stabilize.MetaAmnesty, err)
-				}
-				j := stabilize.JudgeTrace(rr.Trace, amnesty)
-				if j.Violation == nil || j.Violation.Property != v.Property {
-					return fmt.Errorf("corrupted-start certificate re-check mismatch: judged %v, want %s over amnesty %d", j.Violation, v.Property, amnesty)
-				}
-				fmt.Fprintf(out, "  re-checked: replay reproduces %s over amnesty %d with zero divergence\n", v.Property, amnesty)
-				continue
-			}
-			if v.Property == "DL3" {
-				// A livelock certificate is a liveness claim: the replay must
-				// be safety-clean and still strand a message.
-				if rr.Verdict != nil {
-					return fmt.Errorf("livelock certificate re-check violates %s", rr.Verdict.Property)
-				}
-				if rr.DL3 == nil {
-					return fmt.Errorf("livelock certificate re-check delivered everything")
-				}
-			} else if rr.Verdict == nil || rr.Verdict.Property != v.Property {
-				return fmt.Errorf("certificate re-check mismatch: replayed verdict %v, want %s", rr.Verdict, v.Property)
-			}
 			if rr.Divergence != nil {
 				return fmt.Errorf("certificate replay diverged: %v", rr.Divergence)
 			}
-			fmt.Fprintf(out, "  re-checked: replay reproduces %s with zero divergence\n", v.Property)
+			if !rr.VerdictMatches {
+				return fmt.Errorf("certificate re-check mismatch: replayed verdict %v (liveness %v), recorded %v", rr.Verdict, rr.DL3, rr.RecordedVerdict)
+			}
+			if err := stabilize.Recheck(v.Cert, rr); err != nil {
+				return fmt.Errorf("re-checking %s certificate: %w", v.Property, err)
+			}
+			if v.Corruption != "" {
+				fmt.Fprintf(out, "  re-checked: replay reproduces %s over amnesty %s with zero divergence\n", v.Property, v.Cert.Meta[stabilize.MetaAmnesty])
+			} else {
+				fmt.Fprintf(out, "  re-checked: replay reproduces %s with zero divergence\n", v.Property)
+			}
 		}
 	}
 	if len(res.Errors) > 0 {

@@ -31,6 +31,7 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/replay"
 	"repro/internal/sim"
+	"repro/internal/stabilize"
 	"repro/internal/trace"
 )
 
@@ -197,6 +198,9 @@ func cmdReplay(args []string, out io.Writer) error {
 	if rr.HadRecordedVerdict && !rr.VerdictMatches {
 		return fmt.Errorf("replayed verdict %v does not match recorded verdict %v",
 			rr.Verdict, rr.RecordedVerdict)
+	}
+	if err := stabilize.Recheck(l, rr); err != nil {
+		return err
 	}
 	if rr.HadRecordedVerdict {
 		fmt.Fprintf(out, "recorded verdict reproduced\n")

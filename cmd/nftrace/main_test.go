@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/ioa"
+	"repro/internal/protocol"
+	"repro/internal/stabilize"
 	"repro/internal/trace"
 )
 
@@ -82,6 +84,47 @@ func TestShrinkPipeline(t *testing.T) {
 	out = mustRun(t, "replay", dir+"/min.nft")
 	if !strings.Contains(out, "DL1 violated") || !strings.Contains(out, "recorded verdict reproduced") {
 		t.Fatalf("replay of shrunk trace:\n%s", out)
+	}
+}
+
+// TestReplayRejudgesCorruptedStart: a corrupted-start witness replays with
+// its amnesty claim re-judged, and the same witness with a forged amnesty
+// or a forged diverged property fails the replay, although its verdict
+// event still reproduces.
+func TestReplayRejudgesCorruptedStart(t *testing.T) {
+	p := protocol.NewStabNaive()
+	var w *trace.Log
+	for _, seed := range stabilize.Enumerate(p, 1) {
+		rep, err := stabilize.CheckConvergence(p, seed, stabilize.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Converged && rep.Violation.Property == "DL1" {
+			w = rep.Witness
+			break
+		}
+	}
+	if w == nil {
+		t.Fatal("stabnaive has no DL1 divergence witness")
+	}
+	dir := t.TempDir()
+	if err := trace.WriteFile(dir+"/w.nft", w); err != nil {
+		t.Fatal(err)
+	}
+	if out := mustRun(t, "replay", dir+"/w.nft"); !strings.Contains(out, "recorded verdict reproduced") {
+		t.Fatalf("replay of the witness:\n%s", out)
+	}
+	for _, meta := range [][2]string{{stabilize.MetaAmnesty, "99"}, {stabilize.MetaStabilize, "diverged DL2"}} {
+		l := w.Clone()
+		l.SetMeta(meta[0], meta[1])
+		if err := trace.WriteFile(dir+"/forged.nft", l); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		err := run([]string{"replay", dir + "/forged.nft"}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "amnesty") {
+			t.Errorf("replay of the witness with %s %q: %v, want an amnesty re-judgement error\n%s", meta[0], meta[1], err, buf.String())
+		}
 	}
 }
 

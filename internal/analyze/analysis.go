@@ -209,12 +209,6 @@ func RunUnit(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg 
 	return res
 }
 
-// RunAnalyzers executes the given analyzers without facts and returns the
-// active diagnostics; the facts-aware entry point is RunUnit.
-func RunAnalyzers(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) []Diagnostic {
-	return RunUnit(analyzers, fset, files, pkg, info, nil).Diags
-}
-
 func sortDiags(out []Diagnostic) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

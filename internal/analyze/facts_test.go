@@ -117,7 +117,7 @@ func writeUnitCfg(t *testing.T, dir string, cfg *vetConfig) string {
 // fails on the cross-package impurity only when PackageVetx is supplied, and
 // the keys unit's own vetx carries the derived Node.AppendStateKey impurity.
 func TestVetxCfgRoundTrip(t *testing.T) {
-	exports, err := ExportMap(vetmodDir, "./...")
+	exports, err := exportMap(vetmodDir, "./...")
 	if err != nil {
 		t.Fatalf("resolving vetmod export data: %v", err)
 	}

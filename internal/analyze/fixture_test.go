@@ -30,7 +30,7 @@ var fixtureExports = struct {
 func stdExports(t *testing.T) map[string]string {
 	t.Helper()
 	fixtureExports.once.Do(func() {
-		fixtureExports.m, fixtureExports.err = ExportMap(moduleRoot(t),
+		fixtureExports.m, fixtureExports.err = exportMap(moduleRoot(t),
 			"fmt", "math/rand", "sort", "strconv", "strings", "testing", "time",
 			"repro/internal/intern")
 	})
@@ -93,7 +93,7 @@ func runFixture(t *testing.T, rel, importPath string) {
 		t.Fatalf("type-checking fixture %s: %v", rel, err)
 	}
 
-	diags := RunAnalyzers(Analyzers(), fset, files, pkg, info)
+	diags := RunUnit(Analyzers(), fset, files, pkg, info, nil).Diags
 	wants := collectWants(fset, files)
 	matched := make(map[string]map[int][]bool)
 	for file, byLine := range wants {

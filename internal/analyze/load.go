@@ -71,9 +71,9 @@ func goList(dir string, patterns ...string) ([]*listedPackage, error) {
 	return pkgs, nil
 }
 
-// ExportMap resolves the patterns and returns import path → export data
+// exportMap resolves the patterns and returns import path → export data
 // file for every package in their dependency closure.
-func ExportMap(dir string, patterns ...string) (map[string]string, error) {
+func exportMap(dir string, patterns ...string) (map[string]string, error) {
 	pkgs, err := goList(dir, patterns...)
 	if err != nil {
 		return nil, err

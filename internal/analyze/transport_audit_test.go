@@ -118,7 +118,7 @@ func TestTransportStateKeyLintClean(t *testing.T) {
 		t.Fatal("LoadPackages returned no packages")
 	}
 	for _, p := range pkgs {
-		for _, d := range RunAnalyzers(Analyzers(), p.Fset, p.Files, p.Pkg, p.Info) {
+		for _, d := range RunUnit(Analyzers(), p.Fset, p.Files, p.Pkg, p.Info, nil).Diags {
 			t.Errorf("lint finding: %s", d)
 		}
 	}

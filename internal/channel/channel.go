@@ -27,9 +27,6 @@ import (
 type NonFIFO struct {
 	dir     ioa.Dir
 	transit *mset.Multiset[ioa.Packet]
-	sent    int
-	recvd   int
-	dropped int
 }
 
 // NewNonFIFO returns an empty non-FIFO channel for the given direction.
@@ -40,36 +37,9 @@ func NewNonFIFO(dir ioa.Dir) *NonFIFO {
 	}
 }
 
-// Dir reports the channel's direction.
-func (c *NonFIFO) Dir() ioa.Dir { return c.dir }
-
-// Send places a copy of p in transit and returns it for chaining.
+// Send places a copy of p in transit.
 // The caller (runner or adversary) records the send_pkt event.
-func (c *NonFIFO) Send(p ioa.Packet) {
-	c.transit.Add(p, 1)
-	c.sent++
-}
-
-// SendDelivered records a send_pkt immediately followed by the receive_pkt
-// of the same copy: the add-then-remove on the in-transit multiset is the
-// identity, so the fused form only bumps the counters. The exploration
-// engines use it for the DeliverNow policy branch, which is the single
-// hottest channel operation (the optimal behaviour delivers everything
-// immediately), and it makes the multiset churn of that branch zero.
-func (c *NonFIFO) SendDelivered(p ioa.Packet) {
-	_ = p // the copy never rests in transit; p is identified by value only
-	c.sent++
-	c.recvd++
-}
-
-// SendDropped records a send_pkt whose copy is immediately discarded: the
-// fused form of Send followed by Drop, again the identity on the in-transit
-// multiset.
-func (c *NonFIFO) SendDropped(p ioa.Packet) {
-	_ = p
-	c.sent++
-	c.dropped++
-}
+func (c *NonFIFO) Send(p ioa.Packet) { c.transit.Add(p, 1) }
 
 // Deliver removes one in-transit copy of p, modelling a receive_pkt action.
 // It returns an error if no copy of p is in transit — attempting such a
@@ -78,23 +48,21 @@ func (c *NonFIFO) Deliver(p ioa.Packet) error {
 	if err := c.transit.Remove(p, 1); err != nil {
 		return fmt.Errorf("channel %s: deliver %s: no copy in transit", c.dir, p)
 	}
-	c.recvd++
 	return nil
 }
 
 // Drop permanently discards one in-transit copy of p. Dropping is
-// indistinguishable from an infinite delay in the model; the separate
-// operation exists for loss statistics.
+// indistinguishable from an infinite delay in the model; it differs from
+// Deliver only in that no receive_pkt follows.
 func (c *NonFIFO) Drop(p ioa.Packet) error {
 	if err := c.transit.Remove(p, 1); err != nil {
 		return fmt.Errorf("channel %s: drop %s: no copy in transit", c.dir, p)
 	}
-	c.dropped++
 	return nil
 }
 
 // InTransit reports the total number of packets currently delayed on the
-// channel (sp − rp − dropped).
+// channel.
 func (c *NonFIFO) InTransit() int { return c.transit.Len() }
 
 // Count reports the number of in-transit copies of the exact packet p.
@@ -124,38 +92,16 @@ func (c *NonFIFO) PacketAt(i int) ioa.Packet { return c.transit.At(i) }
 // DistinctPackets reports the number of distinct in-transit packet values.
 func (c *NonFIFO) DistinctPackets() int { return c.transit.Distinct() }
 
-// Transit returns a deep copy of the in-transit multiset.
-func (c *NonFIFO) Transit() *mset.Multiset[ioa.Packet] { return c.transit.Clone() }
-
-// Sent reports the total send_pkt count on this channel.
-func (c *NonFIFO) Sent() int { return c.sent }
-
-// Received reports the total receive_pkt count on this channel.
-func (c *NonFIFO) Received() int { return c.recvd }
-
-// Dropped reports the number of permanently discarded copies.
-func (c *NonFIFO) Dropped() int { return c.dropped }
-
 // Clone returns an independent copy of the channel state, used by
 // adversaries to branch executions.
 func (c *NonFIFO) Clone() *NonFIFO {
-	return &NonFIFO{
-		dir:     c.dir,
-		transit: c.transit.Clone(),
-		sent:    c.sent,
-		recvd:   c.recvd,
-		dropped: c.dropped,
-	}
+	return &NonFIFO{dir: c.dir, transit: c.transit.Clone()}
 }
 
-// Reset empties the channel and zeroes its counters, keeping the multiset
-// backing array for reuse.
+// Reset empties the channel, keeping the multiset backing array for reuse.
 func (c *NonFIFO) Reset(dir ioa.Dir) {
 	c.dir = dir
 	c.transit.Reset()
-	c.sent = 0
-	c.recvd = 0
-	c.dropped = 0
 }
 
 // Key returns a canonical encoding of the in-transit contents, used as a

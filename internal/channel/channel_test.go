@@ -12,9 +12,6 @@ func pk(h string) ioa.Packet { return ioa.Packet{Header: h} }
 
 func TestNonFIFOSendDeliver(t *testing.T) {
 	c := NewNonFIFO(ioa.TtoR)
-	if c.Dir() != ioa.TtoR {
-		t.Fatal("Dir wrong")
-	}
 	c.Send(pk("a"))
 	c.Send(pk("a"))
 	c.Send(pk("b"))
@@ -24,8 +21,8 @@ func TestNonFIFOSendDeliver(t *testing.T) {
 	if err := c.Deliver(pk("a")); err != nil {
 		t.Fatalf("Deliver: %v", err)
 	}
-	if c.InTransit() != 2 || c.Received() != 1 || c.Sent() != 3 {
-		t.Fatalf("counters wrong: in=%d recv=%d sent=%d", c.InTransit(), c.Received(), c.Sent())
+	if c.InTransit() != 2 || c.Count(pk("a")) != 1 || c.Count(pk("b")) != 1 {
+		t.Fatalf("transit after delivery wrong: %s", c.Key())
 	}
 }
 
@@ -46,8 +43,8 @@ func TestNonFIFODrop(t *testing.T) {
 	if err := c.Drop(pk("a")); err != nil {
 		t.Fatalf("Drop: %v", err)
 	}
-	if c.InTransit() != 0 || c.Dropped() != 1 || c.Received() != 0 {
-		t.Fatal("drop accounting wrong")
+	if c.InTransit() != 0 || c.Count(pk("a")) != 0 {
+		t.Fatal("drop left the copy in transit")
 	}
 	if err := c.Drop(pk("a")); err == nil {
 		t.Fatal("dropping an absent packet must fail")
@@ -92,30 +89,36 @@ func TestNonFIFOPacketsDeterministic(t *testing.T) {
 	}
 }
 
-// Property: any interleaving of sends and legal deliveries keeps the
-// invariant InTransit = Sent − Received − Dropped, and never permits a
-// delivery of a value with zero in-transit copies (PL1 by construction).
+// Property: any interleaving of sends, deliveries and drops keeps
+// InTransit equal to the sends minus the deliveries and drops that
+// succeeded, and a delivery or drop succeeds exactly when a copy of its
+// value was in transit before the call (PL1 by construction).
 func TestQuickNonFIFOConservation(t *testing.T) {
 	f := func(ops []uint8) bool {
 		c := NewNonFIFO(ioa.TtoR)
 		headers := []string{"a", "b", "c"}
+		sent, removed := 0, 0
 		for _, op := range ops {
 			h := pk(headers[int(op)%len(headers)])
 			switch (op / 4) % 3 {
 			case 0:
 				c.Send(h)
-			case 1:
-				err := c.Deliver(h)
-				if c.Count(h) < 0 || (err == nil) == false && c.Count(h) > 0 {
-					// Deliver must succeed iff a copy was present before.
-					// We can't observe "before" here, so re-check: failure
-					// with copies present is a bug.
+				sent++
+			case 1, 2:
+				remove := c.Deliver
+				if (op/4)%3 == 2 {
+					remove = c.Drop
+				}
+				before := c.Count(h)
+				err := remove(h)
+				if (err == nil) != (before > 0) {
 					return false
 				}
-			case 2:
-				_ = c.Drop(h)
+				if err == nil {
+					removed++
+				}
 			}
-			if c.InTransit() != c.Sent()-c.Received()-c.Dropped() {
+			if c.InTransit() != sent-removed {
 				return false
 			}
 		}
@@ -253,9 +256,6 @@ func TestDecisionString(t *testing.T) {
 
 func TestFIFOOrdering(t *testing.T) {
 	c := NewFIFO(ioa.TtoR)
-	if c.Dir() != ioa.TtoR {
-		t.Fatal("Dir wrong")
-	}
 	c.Send(pk("a"))
 	c.Send(pk("b"))
 	c.Send(pk("c"))
@@ -270,8 +270,8 @@ func TestFIFOOrdering(t *testing.T) {
 	if err != nil || p3.Header != "c" {
 		t.Fatalf("delivery after drop = %v, %v", p3, err)
 	}
-	if c.InTransit() != 0 || c.Sent() != 3 || c.Received() != 2 || c.Dropped() != 1 {
-		t.Fatal("FIFO accounting wrong")
+	if len(c.queue) != 0 {
+		t.Fatalf("FIFO queue not empty after two deliveries and a drop: %s", c.Key())
 	}
 }
 
@@ -292,7 +292,7 @@ func TestFIFOCloneIndependence(t *testing.T) {
 	if _, err := d.DeliverHead(); err != nil {
 		t.Fatal(err)
 	}
-	if c.InTransit() != 1 || d.InTransit() != 0 {
+	if len(c.queue) != 1 || len(d.queue) != 0 {
 		t.Fatal("FIFO clone shares state")
 	}
 }
@@ -314,25 +314,10 @@ func TestQuickFIFOPreservesOrder(t *testing.T) {
 				return false
 			}
 		}
-		return c.InTransit() == 0
+		return len(c.queue) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestNonFIFOTransitSnapshot(t *testing.T) {
-	c := NewNonFIFO(ioa.TtoR)
-	c.Send(pk("a"))
-	c.Send(pk("a"))
-	snap := c.Transit()
-	if snap.Count(pk("a")) != 2 {
-		t.Fatalf("snapshot = %s", snap.Key())
-	}
-	// The snapshot is a deep copy.
-	snap.Add(pk("b"), 1)
-	if c.Count(pk("b")) != 0 {
-		t.Fatal("Transit() exposed internal state")
 	}
 }
 

@@ -12,11 +12,8 @@ import (
 // non-FIFO channels. Deliveries occur strictly in send order; copies may be
 // dropped but never reordered.
 type FIFO struct {
-	dir     ioa.Dir
-	queue   []ioa.Packet
-	sent    int
-	recvd   int
-	dropped int
+	dir   ioa.Dir
+	queue []ioa.Packet
 }
 
 // NewFIFO returns an empty FIFO channel for the given direction.
@@ -24,14 +21,8 @@ func NewFIFO(dir ioa.Dir) *FIFO {
 	return &FIFO{dir: dir}
 }
 
-// Dir reports the channel's direction.
-func (c *FIFO) Dir() ioa.Dir { return c.dir }
-
 // Send enqueues a copy of p.
-func (c *FIFO) Send(p ioa.Packet) {
-	c.queue = append(c.queue, p)
-	c.sent++
-}
+func (c *FIFO) Send(p ioa.Packet) { c.queue = append(c.queue, p) }
 
 // DeliverHead dequeues and returns the oldest in-transit packet.
 func (c *FIFO) DeliverHead() (ioa.Packet, error) {
@@ -40,7 +31,6 @@ func (c *FIFO) DeliverHead() (ioa.Packet, error) {
 	}
 	p := c.queue[0]
 	c.queue = c.queue[1:]
-	c.recvd++
 	return p, nil
 }
 
@@ -50,12 +40,8 @@ func (c *FIFO) DropHead() error {
 		return fmt.Errorf("channel %s: drop on empty FIFO channel", c.dir)
 	}
 	c.queue = c.queue[1:]
-	c.dropped++
 	return nil
 }
-
-// InTransit reports the number of queued packets.
-func (c *FIFO) InTransit() int { return len(c.queue) }
 
 // Head returns the oldest in-transit packet without removing it.
 func (c *FIFO) Head() (ioa.Packet, bool) {
@@ -88,18 +74,9 @@ func (c *FIFO) Key() string {
 	return s + "]"
 }
 
-// Sent reports the total send count.
-func (c *FIFO) Sent() int { return c.sent }
-
-// Received reports the total delivery count.
-func (c *FIFO) Received() int { return c.recvd }
-
-// Dropped reports the number of discarded copies.
-func (c *FIFO) Dropped() int { return c.dropped }
-
 // Clone returns an independent copy of the channel state.
 func (c *FIFO) Clone() *FIFO {
 	q := make([]ioa.Packet, len(c.queue))
 	copy(q, c.queue)
-	return &FIFO{dir: c.dir, queue: q, sent: c.sent, recvd: c.recvd, dropped: c.dropped}
+	return &FIFO{dir: c.dir, queue: q}
 }

@@ -105,9 +105,6 @@ func (in *Input) Clone() *Input {
 	return c
 }
 
-// Len reports the schedule length.
-func (in *Input) Len() int { return len(in.Ops) }
-
 // String renders a compact summary for logs and stats lines.
 func (in *Input) String() string {
 	if in.Corrupt != nil {

@@ -204,21 +204,6 @@ func (s *compState) Apply(action string) (State, error) {
 	return &compState{comp: s.comp, states: next}, nil
 }
 
-// Part exposes a component's current state within a composite state, for
-// predicates over monitors.
-func (s *compState) Part(i int) State { return s.states[i] }
-
-// PartState extracts part i's state from a composite state produced by
-// Compose(...).Init()/Apply chains. ok is false for non-composite states or
-// out-of-range indices.
-func PartState(s State, i int) (State, bool) {
-	cs, ok := s.(*compState)
-	if !ok || i < 0 || i >= len(cs.states) {
-		return nil, false
-	}
-	return cs.states[i], true
-}
-
 // Result is the outcome of a reachability exploration.
 type Result struct {
 	// Found is non-nil when the predicate matched: the action path from

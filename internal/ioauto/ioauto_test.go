@@ -78,20 +78,6 @@ func TestCompositeApplyUnknownAction(t *testing.T) {
 	}
 }
 
-func TestPartState(t *testing.T) {
-	sys, _ := Compose("sys", NewUser(1), NewDLMonitor(1))
-	s := sys.Init()
-	if p, ok := PartState(s, 0); !ok || !strings.HasPrefix(p.Key(), "user") {
-		t.Fatalf("PartState(0) = %v, %t", p, ok)
-	}
-	if _, ok := PartState(s, 5); ok {
-		t.Fatal("out-of-range part accepted")
-	}
-	if _, ok := PartState(NewUser(1).Init(), 0); ok {
-		t.Fatal("non-composite state accepted")
-	}
-}
-
 func TestReachFindsInitialMatch(t *testing.T) {
 	res, err := Reach(NewUser(1), func(State) bool { return true }, 100)
 	if err != nil {

@@ -139,33 +139,6 @@ func (m *Multiset[T]) Reset() {
 	m.size = 0
 }
 
-// Equal reports whether m and o contain exactly the same copies.
-func (m *Multiset[T]) Equal(o *Multiset[T]) bool {
-	if m.size != o.size || len(m.ents) != len(o.ents) {
-		return false
-	}
-	for i, e := range m.ents {
-		if o.ents[i] != e {
-			return false
-		}
-	}
-	return true
-}
-
-// Contains reports whether every copy in o is also present in m
-// (multiset inclusion: o ⊆ m).
-func (m *Multiset[T]) Contains(o *Multiset[T]) bool {
-	if o.size > m.size {
-		return false
-	}
-	for _, e := range o.ents {
-		if m.Count(e.v) < e.n {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the multiset as "{v1×n1, v2×n2, ...}" in deterministic
 // order, primarily for certificates and test failure messages.
 func (m *Multiset[T]) String() string {

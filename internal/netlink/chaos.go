@@ -209,24 +209,6 @@ func (c *ChaosConn) ReleaseOne() (b []byte, ok bool) {
 	return h.b, true
 }
 
-// FlushHeld releases every held datagram (stale copies arriving at last).
-func (c *ChaosConn) FlushHeld() {
-	c.mu.Lock()
-	held := c.held
-	c.held = nil
-	c.mu.Unlock()
-	for _, h := range held {
-		_, _ = c.inner.WriteTo(h.b, h.addr)
-	}
-}
-
-// HeldCount reports the datagrams currently delayed.
-func (c *ChaosConn) HeldCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.held)
-}
-
 // ReadFrom delegates to the wrapped socket.
 func (c *ChaosConn) ReadFrom(b []byte) (int, net.Addr, error) { return c.inner.ReadFrom(b) }
 

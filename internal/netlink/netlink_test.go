@@ -204,6 +204,8 @@ func TestChaosConnDropAll(t *testing.T) {
 	}
 }
 
+// TestChaosConnHoldAndFlush: a held write stays off the wire until
+// ReleaseOne flushes it, and a second ReleaseOne finds nothing held.
 func TestChaosConnHoldAndFlush(t *testing.T) {
 	a, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -220,12 +222,14 @@ func TestChaosConnHoldAndFlush(t *testing.T) {
 	if _, err := c.WriteTo([]byte("held"), b.LocalAddr()); err != nil {
 		t.Fatal(err)
 	}
-	if c.HeldCount() != 1 {
-		t.Fatalf("held = %d, want 1", c.HeldCount())
+	if len(c.held) != 1 {
+		t.Fatalf("held = %d, want 1", len(c.held))
 	}
-	c.FlushHeld()
-	if c.HeldCount() != 0 {
-		t.Fatal("flush did not release")
+	if got, ok := c.ReleaseOne(); !ok || string(got) != "held" {
+		t.Fatalf("ReleaseOne = %q, %t; want \"held\", true", got, ok)
+	}
+	if got, ok := c.ReleaseOne(); ok {
+		t.Fatalf("ReleaseOne on an empty hold queue = %q, true", got)
 	}
 	buf := make([]byte, 16)
 	_ = b.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -255,9 +259,9 @@ func TestChaosConnRebind(t *testing.T) {
 	cfg := ChaosConfig{DropProb: 0.1, HoldProb: 0.4, DupProb: 0.2, Seed: 1}
 	old := &recordConn{}
 	c := NewChaosConn(old, cfg)
-	for i := 0; c.HeldCount() < 3; i++ {
+	for i := 0; len(c.held) < 3; i++ {
 		if i == 100 {
-			t.Fatalf("holding %d datagrams after %d writes", c.HeldCount(), i)
+			t.Fatalf("holding %d datagrams after %d writes", len(c.held), i)
 		}
 		if _, err := c.WriteOutcome([]byte(fmt.Sprintf("old-%d", i)), nil); err != nil {
 			t.Fatal(err)
@@ -266,7 +270,7 @@ func TestChaosConnRebind(t *testing.T) {
 	cfg.Seed = 2
 	inner, fresh := &recordConn{}, &recordConn{}
 	c.rebind(inner, cfg)
-	if n := c.HeldCount(); n != 0 {
+	if n := len(c.held); n != 0 {
 		t.Fatalf("rebound conn holds %d datagrams, want 0", n)
 	}
 	f := NewChaosConn(fresh, cfg)

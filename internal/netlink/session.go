@@ -89,10 +89,6 @@ type SessionConfig struct {
 	// are seed.Split(Seed, "soak/data") and seed.Split(Seed,
 	// "soak/ack").
 	Seed int64
-	// CorruptT/CorruptR select corrupted start states from the protocol's
-	// declared corruption space (protocol.Corruptible); zero is the clean
-	// start. Stabilize specimens soak from adversarial starts this way.
-	CorruptT, CorruptR int
 }
 
 func (c SessionConfig) withDefaults() SessionConfig {
@@ -255,13 +251,6 @@ func runSession(cfg SessionConfig, env *sessionEnv, w *worker) *SessionResult {
 	}
 
 	res := &SessionResult{Log: w.log}
-	if cfg.CorruptT != 0 || cfg.CorruptR != 0 {
-		if err := s.runner.CorruptStart(cfg.CorruptT, cfg.CorruptR); err != nil {
-			res.Err = err
-			res.Stats = s.stats
-			return res
-		}
-	}
 
 	// internal/netlink is outside the wallclock lint's deterministic set:
 	// sessions touch real sockets, so ambient time is part of the job.

@@ -43,10 +43,9 @@ type SoakConfig struct {
 	// Stop, when non-nil, drains the soak gracefully: no new session starts
 	// after it fires, in-flight sessions finish and are recorded.
 	Stop <-chan struct{}
-	// OnResult, when non-nil, observes each outcome as it completes. It is
-	// called from worker goroutines; the callback must be safe for
-	// concurrent use.
-	OnResult func(SessionOutcome)
+	// onResult, when non-nil, observes each outcome as it completes, from
+	// the worker goroutines. Tests use it to stop a soak at a fixed point.
+	onResult func(SessionOutcome)
 }
 
 // SessionName is the shard-store key for soak session id.
@@ -151,8 +150,8 @@ func (sv *Server) RunSoak(cfg SoakConfig) (*SoakReport, error) {
 				outcomes = append(outcomes, out)
 				lats = append(lats, sessionLats...)
 				mu.Unlock()
-				if cfg.OnResult != nil {
-					cfg.OnResult(out)
+				if cfg.onResult != nil {
+					cfg.onResult(out)
 				}
 			}
 		}()

@@ -149,40 +149,6 @@ func TestSoakViolationShrinksToCertificate(t *testing.T) {
 	}
 }
 
-// TestSoakCorruptedStart runs a stabilize specimen from an adversarial
-// start state over the real wire: the corrupted-start op makes the log a
-// v2 NFT trace that still replays bit for bit.
-func TestSoakCorruptedStart(t *testing.T) {
-	res := runSoakSessionT(t, SessionConfig{
-		Protocol: protocol.NewStabDL(2),
-		Messages: 6,
-		Chaos:    ChaosConfig{HoldProb: 0.2},
-		Seed:     7,
-		CorruptT: 1,
-		CorruptR: 2,
-	})
-	if res.Err != nil {
-		t.Fatalf("session error: %v", res.Err)
-	}
-	foundCorrupt := false
-	for _, e := range res.Log.Events {
-		if e.Kind == trace.KindCorrupt {
-			foundCorrupt = true
-			break
-		}
-	}
-	if !foundCorrupt {
-		t.Fatal("corrupted-start session log carries no KindCorrupt op")
-	}
-	rr, err := replay.Run(res.Log)
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if rr.Divergence != nil {
-		t.Fatalf("replay diverged: %v", rr.Divergence)
-	}
-}
-
 // TestSoakConcurrentSessionsReplay is the scale satellite: 32+ sessions run
 // concurrently through one Server mux over loopback UDP (run it under
 // -race), every session's log is recorded into a sharded store with zero
@@ -274,7 +240,7 @@ func TestSoakGracefulDrain(t *testing.T) {
 		Messages:  2,
 		Seed:      5,
 		Workers:   4,
-		OnResult: func(SessionOutcome) {
+		onResult: func(SessionOutcome) {
 			if done.Add(1) == 8 {
 				close(stop)
 			}

@@ -298,20 +298,18 @@ func (r *Runner) StepTransmit() bool {
 		return false
 	}
 	r.recordSend(ioa.TtoR, p)
-	// The policy is consulted before the channel is touched so the
-	// DeliverNow and Drop branches can use the fused channel operations
-	// (add-then-remove of the same copy is the identity on the in-transit
-	// multiset). No observer runs between the send and its fate: policies
-	// see only the packet, and the receiver's genie reads the channel only
-	// inside DeliverPkt, after the copy would have been removed anyway.
+	// The policy is consulted before the channel is touched, and only a
+	// delayed copy is put in transit: DeliverNow and Drop never touch the
+	// channel, since adding a copy and removing it again is the identity on
+	// the in-transit multiset. No observer runs between the send and its
+	// fate: policies see only the packet, and the receiver's genie reads the
+	// channel only inside DeliverPkt, after the copy would have been removed
+	// anyway.
 	switch r.cfg.DataPolicy.OnSend(p) {
 	case channel.DeliverNow:
-		r.ChData.SendDelivered(p)
 		r.recordRecv(ioa.TtoR, p)
 		r.R.DeliverPkt(p)
 		r.collectDelivered()
-	case channel.Drop:
-		r.ChData.SendDropped(p)
 	case channel.Delay:
 		r.ChData.Send(p)
 	}
@@ -335,11 +333,8 @@ func (r *Runner) DrainAcks() {
 		r.recordSend(ioa.RtoT, a)
 		switch r.cfg.AckPolicy.OnSend(a) {
 		case channel.DeliverNow:
-			r.ChAck.SendDelivered(a)
 			r.recordRecv(ioa.RtoT, a)
 			r.T.DeliverPkt(a)
-		case channel.Drop:
-			r.ChAck.SendDropped(a)
 		case channel.Delay:
 			r.ChAck.Send(a)
 		}

@@ -62,22 +62,6 @@ func Conforms(tr ioa.Trace, a Automaton) error {
 	return nil
 }
 
-// ConformsQuiescent additionally requires the automaton to be quiescent at
-// the end of the trace (terminal liveness: no outputs owed).
-func ConformsQuiescent(tr ioa.Trace, a Automaton) error {
-	if err := Conforms(tr, a); err != nil {
-		return err
-	}
-	if !a.Quiescent() {
-		return &ioa.Violation{
-			Property: a.Name(),
-			Index:    -1,
-			Detail:   "service still owes output actions at end of trace",
-		}
-	}
-	return nil
-}
-
 // DLSpec is the data link layer specification automaton of [LMF88]: its
 // state is the FIFO queue of messages accepted by send_msg and not yet
 // emitted by receive_msg, and receive_msg is enabled only for the head of
@@ -85,7 +69,7 @@ func ConformsQuiescent(tr ioa.Trace, a Automaton) error {
 //
 // Relationship to the hand-coded checkers of internal/ioa: conformance to
 // DLSpec is the *gap-free* (prefix) formulation. On complete executions
-// (checked with ConformsQuiescent) it coincides exactly with
+// (conformance, then Quiescent at the end) it coincides exactly with
 // DL1 ∧ DL2 ∧ DL3. On partial executions it is strictly stronger than the
 // safety conjunction DL1 ∧ DL2: an execution that *skips* a message and
 // delivers a later one satisfies DL1 ∧ DL2 (the skipped message is merely
@@ -138,9 +122,6 @@ func (s *DLSpec) Apply(e ioa.Event) error {
 // Quiescent implements Automaton: no accepted message is undelivered.
 func (s *DLSpec) Quiescent() bool { return len(s.queue) == 0 }
 
-// Pending reports the number of undelivered messages (exposed for tests).
-func (s *DLSpec) Pending() int { return len(s.queue) }
-
 // PLSpec is the physical layer specification automaton for one channel
 // direction: its state is the multiset of in-transit packets. Its traces
 // are exactly the executions satisfying PL1 on that channel.
@@ -186,23 +167,6 @@ func (s *PLSpec) Apply(e ioa.Event) error {
 // Quiescent implements Automaton. The physical layer owes nothing: it may
 // drop every in-transit packet, so any state is quiescent.
 func (s *PLSpec) Quiescent() bool { return true }
-
-// InTransit reports the current in-transit copy count (exposed for tests).
-func (s *PLSpec) InTransit() int { return s.transit.Len() }
-
-// CheckTrace verifies a complete execution against the composed
-// specification — DL quiescent-conformance plus PL conformance on both
-// channels. It is the specification-automaton formulation of
-// ioa.CheckValid.
-func CheckTrace(tr ioa.Trace) error {
-	if err := Conforms(tr, NewPLSpec(ioa.TtoR)); err != nil {
-		return err
-	}
-	if err := Conforms(tr, NewPLSpec(ioa.RtoT)); err != nil {
-		return err
-	}
-	return ConformsQuiescent(tr, NewDLSpec())
-}
 
 // CheckTraceSafety verifies only the prefix-closed part — the
 // specification-automaton formulation of ioa.CheckSafety.

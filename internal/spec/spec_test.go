@@ -13,6 +13,36 @@ import (
 
 func msg(id int, payload string) ioa.Message { return ioa.Message{ID: id, Payload: payload} }
 
+// ConformsQuiescent additionally requires the automaton to be quiescent at
+// the end of the trace (terminal liveness: no outputs owed).
+func ConformsQuiescent(tr ioa.Trace, a Automaton) error {
+	if err := Conforms(tr, a); err != nil {
+		return err
+	}
+	if !a.Quiescent() {
+		return &ioa.Violation{
+			Property: a.Name(),
+			Index:    -1,
+			Detail:   "service still owes output actions at end of trace",
+		}
+	}
+	return nil
+}
+
+// CheckTrace verifies a complete execution against the composed
+// specification — DL quiescent-conformance plus PL conformance on both
+// channels. It is the specification-automaton formulation of
+// ioa.CheckValid, the reference the tests hold that checker to.
+func CheckTrace(tr ioa.Trace) error {
+	if err := Conforms(tr, NewPLSpec(ioa.TtoR)); err != nil {
+		return err
+	}
+	if err := Conforms(tr, NewPLSpec(ioa.RtoT)); err != nil {
+		return err
+	}
+	return ConformsQuiescent(tr, NewDLSpec())
+}
+
 func TestDLSpecAcceptsValidSequences(t *testing.T) {
 	s := NewDLSpec()
 	tr := ioa.Trace{
@@ -66,7 +96,7 @@ func TestDLSpecQuiescence(t *testing.T) {
 	if err := Conforms(tr, s); err != nil {
 		t.Fatal(err)
 	}
-	if s.Quiescent() || s.Pending() != 1 {
+	if s.Quiescent() || len(s.queue) != 1 {
 		t.Fatal("spec should owe one delivery")
 	}
 	if err := ConformsQuiescent(tr, NewDLSpec()); err == nil {
@@ -85,8 +115,8 @@ func TestPLSpec(t *testing.T) {
 	if err := Conforms(tr, s); err != nil {
 		t.Fatal(err)
 	}
-	if s.InTransit() != 1 {
-		t.Fatalf("in transit = %d", s.InTransit())
+	if n := s.transit.Len(); n != 1 {
+		t.Fatalf("in transit = %d", n)
 	}
 	if !s.Quiescent() {
 		t.Fatal("the physical layer is always quiescent (it may drop)")

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 
 	"repro/internal/ioa"
 	"repro/internal/protocol"
@@ -21,9 +22,37 @@ const (
 	// MetaStabilize records the stabilize-level verdict ("diverged
 	// <property>" or "converged") that the amnesty judge reached; the
 	// embedded verdict event stays the clean-start checkers' finding so the
-	// witness replays with a matching verdict under `nftrace replay`.
+	// witness replays with a matching verdict under `nftrace replay`, and
+	// Recheck re-judges the claim itself wherever a witness is replayed.
 	MetaStabilize = "stabilize"
 )
+
+// Recheck re-judges the amnesty claim of a corrupted-start certificate
+// against its replay rr. A certificate is a log that carries MetaAmnesty
+// and a verdict event and is not a pumped livelock certificate (whose DL3
+// cycle claim is its verdict event, which rr.VerdictMatches checks); the
+// amnesty judge over rr.Trace must find the property P of its "diverged P"
+// MetaStabilize. Every other log claims nothing here, and Recheck returns
+// nil for it.
+func Recheck(l *trace.Log, rr *replay.Result) error {
+	a, ok := l.Meta[MetaAmnesty]
+	if _, hasVerdict := l.Verdict(); !ok || !hasVerdict || l.Meta[replay.MetaLivelockPump] != "" {
+		return nil
+	}
+	amnesty, err := strconv.Atoi(a)
+	if err != nil {
+		return fmt.Errorf("stabilize: certificate amnesty %q: %w", a, err)
+	}
+	claim := l.Meta[MetaStabilize]
+	prop, ok := strings.CutPrefix(claim, "diverged ")
+	if !ok {
+		return fmt.Errorf("stabilize: certificate with amnesty %d claims %q, not a divergence", amnesty, claim)
+	}
+	if v := JudgeQuiescent(rr.Trace, amnesty).Violation; v == nil || v.Property != prop {
+		return fmt.Errorf("stabilize: certificate claims %q over amnesty %d, the replay judges %v", claim, amnesty, v)
+	}
+	return nil
+}
 
 // Config tunes CheckConvergence. The zero value is ready to use.
 type Config struct {

@@ -100,9 +100,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 // Meta returns the file's metadata.
 func (tr *Reader) Meta() map[string]string { return tr.meta }
 
-// Version returns the file's format version.
-func (tr *Reader) Version() byte { return tr.version }
-
 // Next decodes the next event; it returns io.EOF at a clean end of log.
 // Corrupted-start events in a stream stamped version 1 are rejected: a
 // version-1 producer cannot have written them, so their presence means the

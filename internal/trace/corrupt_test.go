@@ -38,8 +38,8 @@ func TestCorruptRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Version() != versionV2 {
-		t.Fatalf("Reader.Version() = %d, want %d", r.Version(), versionV2)
+	if r.version != versionV2 {
+		t.Fatalf("Reader version = %d, want %d", r.version, versionV2)
 	}
 	got, err := ReadLog(bytes.NewReader(buf.Bytes()))
 	if err != nil {

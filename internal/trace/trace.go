@@ -291,19 +291,6 @@ func (l *Log) Verdict() (v *ioa.Violation, ok bool) {
 	return nil, false
 }
 
-// Decisions extracts the recorded channel-policy decision stream for one
-// direction, in order — the channel nondeterminism that replay substitutes
-// for a live policy.
-func (l *Log) Decisions(d ioa.Dir) []Decision {
-	var out []Decision
-	for _, e := range l.Events {
-		if e.Kind == KindDecision && e.Dir == d {
-			out = append(out, e.Decision)
-		}
-	}
-	return out
-}
-
 // String renders the log one event per line, for diagnostics. Metadata is
 // rendered in sorted key order so the output is byte-stable across runs.
 func (l *Log) String() string {

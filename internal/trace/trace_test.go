@@ -225,10 +225,6 @@ func TestVerdictAndProjections(t *testing.T) {
 	if !ok || v == nil || v.Property != "DL1" || v.Index != 9 {
 		t.Fatalf("Verdict = %v, %v", v, ok)
 	}
-	ds := l.Decisions(ioa.TtoR)
-	if want := []Decision{Delay, DeliverNow}; !reflect.DeepEqual(ds, want) {
-		t.Errorf("Decisions(t→r) = %v want %v", ds, want)
-	}
 }
 
 func TestStats(t *testing.T) {
