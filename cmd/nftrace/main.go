@@ -219,6 +219,14 @@ func cmdShrink(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if a, ok := l.Meta[stabilize.MetaAmnesty]; ok {
+		// The shrinker's oracle is the clean-start checkers, which excuse
+		// nothing: it would cut a corrupted-start witness down to a fault
+		// its amnesty excuses, and the shrunk file would claim a divergence
+		// it does not show.
+		return fmt.Errorf("shrink: %s is a corrupted-start certificate (amnesty %s, claim %q); shrink judges clean starts only and would not preserve the claim",
+			file, a, l.Meta[stabilize.MetaStabilize])
+	}
 	sr, err := replay.Shrink(l)
 	if err != nil {
 		return err

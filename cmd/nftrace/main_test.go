@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ioa"
 	"repro/internal/protocol"
+	"repro/internal/replay"
 	"repro/internal/stabilize"
 	"repro/internal/trace"
 )
@@ -92,21 +93,7 @@ func TestShrinkPipeline(t *testing.T) {
 // or a forged diverged property fails the replay, although its verdict
 // event still reproduces.
 func TestReplayRejudgesCorruptedStart(t *testing.T) {
-	p := protocol.NewStabNaive()
-	var w *trace.Log
-	for _, seed := range stabilize.Enumerate(p, 1) {
-		rep, err := stabilize.CheckConvergence(p, seed, stabilize.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep.Converged && rep.Violation.Property == "DL1" {
-			w = rep.Witness
-			break
-		}
-	}
-	if w == nil {
-		t.Fatal("stabnaive has no DL1 divergence witness")
-	}
+	w := stabnaiveWitness(t)
 	dir := t.TempDir()
 	if err := trace.WriteFile(dir+"/w.nft", w); err != nil {
 		t.Fatal(err)
@@ -125,6 +112,66 @@ func TestReplayRejudgesCorruptedStart(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "amnesty") {
 			t.Errorf("replay of the witness with %s %q: %v, want an amnesty re-judgement error\n%s", meta[0], meta[1], err, buf.String())
 		}
+	}
+}
+
+// stabnaiveWitness returns stabnaive's first corrupted-start DL1
+// divergence witness, with its amnesty and claim metadata.
+func stabnaiveWitness(t *testing.T) *trace.Log {
+	t.Helper()
+	p := protocol.NewStabNaive()
+	for _, seed := range stabilize.Enumerate(p, 1) {
+		rep, err := stabilize.CheckConvergence(p, seed, stabilize.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Converged && rep.Violation.Property == "DL1" {
+			return rep.Witness
+		}
+	}
+	t.Fatal("stabnaive has no DL1 divergence witness")
+	return nil
+}
+
+// TestShrinkRefusesCorruptedStart: shrink judges clean starts only, so it
+// refuses a corrupted-start certificate, naming its amnesty and claim, and
+// writes nothing; a clean-start shrink writes exactly replay.Shrink's log.
+func TestShrinkRefusesCorruptedStart(t *testing.T) {
+	dir := t.TempDir()
+	w := stabnaiveWitness(t)
+	if err := trace.WriteFile(dir+"/w.nft", w); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	err := run([]string{"shrink", dir + "/w.nft", "-o", dir + "/min.nft"}, &buf)
+	if err == nil {
+		t.Fatalf("shrink of a corrupted-start witness succeeded:\n%s", buf.String())
+	}
+	for _, want := range []string{"amnesty " + w.Meta[stabilize.MetaAmnesty], w.Meta[stabilize.MetaStabilize]} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("shrink error %q does not name %q", err, want)
+		}
+	}
+	if _, err := os.Stat(dir + "/min.nft"); !os.IsNotExist(err) {
+		t.Errorf("refused shrink left an output file: %v", err)
+	}
+
+	violatingFile(t, dir+"/v.nft")
+	mustRun(t, "shrink", dir+"/v.nft", "-o", dir+"/clean.nft")
+	l, err := trace.ReadFile(dir + "/v.nft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := replay.Shrink(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := sr.Log.Encode(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(dir + "/clean.nft"); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("clean-start shrink wrote %d bytes (%v), replay.Shrink encodes %d", len(got), err, want.Len())
 	}
 }
 

@@ -46,7 +46,7 @@ func (c *NonFIFO) Send(p ioa.Packet) { c.transit.Add(p, 1) }
 // delivery would violate PL1, so the channel refuses it.
 func (c *NonFIFO) Deliver(p ioa.Packet) error {
 	if err := c.transit.Remove(p, 1); err != nil {
-		return fmt.Errorf("channel %s: deliver %s: no copy in transit", c.dir, p)
+		return &staleError{dir: c.dir, op: "deliver", pkt: p}
 	}
 	return nil
 }
@@ -56,9 +56,22 @@ func (c *NonFIFO) Deliver(p ioa.Packet) error {
 // Deliver only in that no receive_pkt follows.
 func (c *NonFIFO) Drop(p ioa.Packet) error {
 	if err := c.transit.Remove(p, 1); err != nil {
-		return fmt.Errorf("channel %s: drop %s: no copy in transit", c.dir, p)
+		return &staleError{dir: c.dir, op: "drop", pkt: p}
 	}
 	return nil
+}
+
+// staleError is the error of a Deliver or Drop with no copy in transit. It
+// formats only when read: replaying a shrunk trace meets many such stale
+// moves and only checks the error for nil.
+type staleError struct {
+	dir ioa.Dir
+	op  string
+	pkt ioa.Packet
+}
+
+func (e *staleError) Error() string {
+	return fmt.Sprintf("channel %s: %s %s: no copy in transit", e.dir, e.op, e.pkt)
 }
 
 // InTransit reports the total number of packets currently delayed on the

@@ -43,6 +43,9 @@ type Core struct {
 	// held is the input whose unrecorded execution the executor holds, nil
 	// once a logged execution or a closing drive has replaced it.
 	held *Input
+	// res is the result every unlogged Execute returns, reset per call; its
+	// Points keep their backing array across executions.
+	res ExecResult
 
 	// Adjacency cache: the coverage point (pre-salt) last computed and the
 	// runner version it was computed at. Schedules are full of unproductive
@@ -63,12 +66,20 @@ func NewCore(proto protocol.Protocol) *Core {
 // Execute drives one input and reports coverage and verdicts, exactly as the
 // package-level Execute does — same points, same verdicts, same log — via
 // the interned fast path.
+//
+// A logged result is the caller's. An unlogged one is the Core's own,
+// Points included: it is valid until the Core's next unlogged execution
+// (an unlogged Execute, or a refuseLivelock that re-executes), so a caller
+// that keeps it longer, or hands it to another goroutine, copies it.
 func (c *Core) Execute(in *Input, withLog bool) *ExecResult {
-	res := &ExecResult{Points: make([]uint64, 0, len(in.Ops))}
-
+	var res *ExecResult
 	var tlog *trace.Log
 	if withLog {
+		res = &ExecResult{Points: make([]uint64, 0, len(in.Ops))}
 		tlog = trace.NewLog(map[string]string{trace.MetaSource: "fuzz"})
+	} else {
+		res = &c.res
+		*res = ExecResult{Points: res.Points[:0]}
 	}
 	corrupt := in.Corrupt != nil
 	c.held = nil

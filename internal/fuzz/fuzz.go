@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -490,8 +491,11 @@ func (c *campaign) parallel() {
 				}
 				// Ship only results that matter: a violation, or coverage new
 				// to this worker's view (a superset check of "new globally").
+				// The Core reuses its unlogged result, so the merger gets a copy.
 				if res.Verdict != nil || local.addAll(res.Points) > 0 {
-					results <- workerResult{in: cand, res: res}
+					shipped := *res
+					shipped.Points = slices.Clone(res.Points)
+					results <- workerResult{in: cand, res: &shipped}
 				}
 			}
 		}(w)

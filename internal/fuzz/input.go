@@ -91,18 +91,21 @@ type Input struct {
 	Corrupt *CorruptGene
 }
 
-// Clone returns an independent deep copy.
+// Clone returns an independent deep copy. Each slice gets headroom, so the
+// mutation operators that grow a candidate (Mutate clones its parent
+// first) extend it in place rather than reallocating it.
 func (in *Input) Clone() *Input {
-	c := &Input{
-		Ops:     make([]Op, len(in.Ops)),
-		Data:    make([]trace.Decision, len(in.Data)),
-		Ack:     make([]trace.Decision, len(in.Ack)),
+	return &Input{
+		Ops:     withHeadroom(in.Ops),
+		Data:    withHeadroom(in.Data),
+		Ack:     withHeadroom(in.Ack),
 		Corrupt: in.Corrupt.clone(),
 	}
-	copy(c.Ops, in.Ops)
-	copy(c.Data, in.Data)
-	copy(c.Ack, in.Ack)
-	return c
+}
+
+// withHeadroom returns a copy of s with room to grow by half again, plus 8.
+func withHeadroom[E any](s []E) []E {
+	return append(make([]E, 0, len(s)+len(s)/2+8), s...)
 }
 
 // String renders a compact summary for logs and stats lines.

@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"math/rand"
+	"slices"
 
 	"repro/internal/ioa"
 	"repro/internal/trace"
@@ -107,7 +108,7 @@ func opFlipDecision(c *Input, rng *rand.Rand) {
 // opInsertOp inserts a random op at a random position.
 func opInsertOp(c *Input, rng *rand.Rand) {
 	i := rng.Intn(len(c.Ops) + 1)
-	c.Ops = append(c.Ops[:i], append([]Op{randOp(rng)}, c.Ops[i:]...)...)
+	c.Ops = slices.Insert(c.Ops, i, randOp(rng))
 }
 
 // opRemoveOp removes one op.
@@ -121,7 +122,7 @@ func opRemoveOp(c *Input, rng *rand.Rand) {
 // opSpliceStale splices a stale re-delivery — the paper's replay move.
 func opSpliceStale(c *Input, rng *rand.Rand) {
 	i := rng.Intn(len(c.Ops) + 1)
-	c.Ops = append(c.Ops[:i], append([]Op{randStale(rng)}, c.Ops[i:]...)...)
+	c.Ops = slices.Insert(c.Ops, i, randStale(rng))
 }
 
 // opTruncateTail truncates the schedule tail.
@@ -154,8 +155,8 @@ func opDuplicateSegment(c *Input, rng *rand.Rand) {
 	if len(c.Ops) > 0 {
 		i := rng.Intn(len(c.Ops))
 		j := i + 1 + rng.Intn(len(c.Ops)-i)
-		seg := append([]Op(nil), c.Ops[i:j]...)
-		c.Ops = append(c.Ops[:j], append(seg, c.Ops[j:]...)...)
+		// slices.Insert copes with a segment that aliases the schedule.
+		c.Ops = slices.Insert(c.Ops, j, c.Ops[i:j]...)
 	}
 }
 

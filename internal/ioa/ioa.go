@@ -63,8 +63,10 @@ func (m Message) String() string {
 	return "m" + strconv.Itoa(m.ID) + "(" + m.Payload + ")"
 }
 
-// Dir identifies one of the two physical channels of a data link.
-type Dir int
+// Dir identifies one of the two physical channels of a data link. It is
+// byte-sized: the codecs write it as one byte, and a fuzz op or an event
+// carries it without padding.
+type Dir uint8
 
 const (
 	// TtoR is the channel from the transmitting station to the receiving
@@ -100,7 +102,7 @@ func (d Dir) String() string {
 }
 
 // Kind identifies the action type of an execution event.
-type Kind int
+type Kind uint8
 
 const (
 	// SendMsg is the data link input action send_msg(m).

@@ -65,6 +65,18 @@ func (m *Multiset[T]) Add(v T, n int) {
 	m.size += n
 }
 
+// shortError is Remove's error when fewer than n copies are present. It
+// formats only when read: Remove's callers in this module report an error
+// of their own instead.
+type shortError[T comparable] struct {
+	v       T
+	n, have int
+}
+
+func (e *shortError[T]) Error() string {
+	return fmt.Sprintf("mset: Remove %d copies of %v, only %d present", e.n, e.v, e.have)
+}
+
 // Remove deletes n copies of v. It returns an error if fewer than n copies
 // are present; the multiset is unchanged in that case.
 func (m *Multiset[T]) Remove(v T, n int) error {
@@ -77,7 +89,7 @@ func (m *Multiset[T]) Remove(v T, n int) error {
 		have = m.ents[i].n
 	}
 	if have < n {
-		return fmt.Errorf("mset: Remove %d copies of %v, only %d present", n, v, have)
+		return &shortError[T]{v: v, n: n, have: have}
 	}
 	if n == 0 {
 		return nil

@@ -108,8 +108,7 @@ func (t *altBitT) DeliverPkt(p ioa.Packet) {
 		t.bit ^= 1
 		if len(t.queue) > 0 {
 			t.busy = true
-			t.payload = t.queue[0]
-			t.queue = t.queue[1:]
+			t.payload = popFront(&t.queue)
 		}
 	}
 	// Stale acks (wrong bit) are ignored.
@@ -180,9 +179,7 @@ func (r *altBitR) NextPkt() (ioa.Packet, bool) {
 	if len(r.acks) == 0 {
 		return ioa.Packet{}, false
 	}
-	p := r.acks[0]
-	r.acks = r.acks[1:]
-	return p, true
+	return popFront(&r.acks), true
 }
 
 func (r *altBitR) TakeDelivered() []string {

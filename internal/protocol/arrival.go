@@ -68,6 +68,9 @@ func (Arrival) Corruptions() CorruptionSpace {
 	}
 }
 
+// arrival's data headers, "s<i>".
+var arrivalHeaders = newHeaderTable("s")
+
 // arrivalT is a stop-and-wait transmitter: send ⟨s<seq>, payload⟩ until ack
 // a<seq> arrives, then advance seq.
 type arrivalT struct {
@@ -97,8 +100,7 @@ func (t *arrivalT) DeliverPkt(p ioa.Packet) {
 	t.seq++
 	if len(t.queue) > 0 {
 		t.busy = true
-		t.payload = t.queue[0]
-		t.queue = t.queue[1:]
+		t.payload = popFront(&t.queue)
 	}
 }
 
@@ -106,7 +108,7 @@ func (t *arrivalT) NextPkt() (ioa.Packet, bool) {
 	if !t.busy {
 		return ioa.Packet{}, false
 	}
-	return ioa.Packet{Header: "s" + strconv.Itoa(t.seq), Payload: t.payload}, true
+	return ioa.Packet{Header: arrivalHeaders.at(t.seq), Payload: t.payload}, true
 }
 
 func (t *arrivalT) Busy() bool { return t.busy || len(t.queue) > 0 }
@@ -161,9 +163,7 @@ func (r *arrivalR) NextPkt() (ioa.Packet, bool) {
 	if len(r.acks) == 0 {
 		return ioa.Packet{}, false
 	}
-	p := r.acks[0]
-	r.acks = r.acks[1:]
-	return p, true
+	return popFront(&r.acks), true
 }
 
 func (r *arrivalR) TakeDelivered() []string {

@@ -134,9 +134,7 @@ func (t *cntkT) DeliverPkt(p ioa.Packet) {
 		t.payload = ""
 		t.phase++
 		if len(t.queue) > 0 {
-			next := t.queue[0]
-			t.queue = t.queue[1:]
-			t.startPhase(next)
+			t.startPhase(popFront(&t.queue))
 		}
 	}
 }
@@ -231,9 +229,7 @@ func (r *cntkR) NextPkt() (ioa.Packet, bool) {
 	if len(r.acks) == 0 {
 		return ioa.Packet{}, false
 	}
-	p := r.acks[0]
-	r.acks = r.acks[1:]
-	return p, true
+	return popFront(&r.acks), true
 }
 
 func (r *cntkR) TakeDelivered() []string {

@@ -184,6 +184,66 @@ func TestContractCloneIsDeep(t *testing.T) {
 			t.Fatalf("%s: clone mutation changed original receiver", p.Name())
 		}
 	}
+
+	// The other direction matters because pops shift a queue down in place:
+	// popping and refilling the original's queues after cloning must leave
+	// the clone's state, and the acks it has queued, as they were. A pair
+	// built the same way and never touched stands in for the clone.
+	for _, p := range append(everyProtocol(), NewArrival()) {
+		tx, rx := queuedPair(p)
+		wantT, wantR := queuedPair(p)
+		tc, rc := tx.Clone(), rx.Clone()
+		queuedPairRounds(tx, rx, 8)
+		if got, want := StateKey(tc), StateKey(wantT); got != want {
+			t.Fatalf("%s: popping the original transmitter changed its clone: %s, want %s", p.Name(), got, want)
+		}
+		if got, want := StateKey(rc), StateKey(wantR); got != want {
+			t.Fatalf("%s: popping the original receiver changed its clone: %s, want %s", p.Name(), got, want)
+		}
+		for {
+			got, gok := rc.NextPkt()
+			want, wok := wantR.NextPkt()
+			if got != want || gok != wok {
+				t.Fatalf("%s: popping the original receiver changed its clone's acks: %v, want %v", p.Name(), got, want)
+			}
+			if !gok {
+				break
+			}
+		}
+	}
+}
+
+// queuedPair returns an endpoint pair with messages queued at the
+// transmitter and distinct acks queued at the receiver: a second receiver
+// confirms the transmitter's packets, so the first one's acks pile up.
+func queuedPair(p Protocol) (Transmitter, Receiver) {
+	tx, rx := p.New(channel.NoGenie{}, channel.NoGenie{})
+	_, confirm := p.New(channel.NoGenie{}, channel.NoGenie{})
+	for i := 0; i < 6; i++ {
+		tx.SendMsg(fmt.Sprintf("m%d", i))
+	}
+	for _, pk := range queuedPairRounds(tx, confirm, 3) {
+		rx.DeliverPkt(pk)
+	}
+	return tx, rx
+}
+
+// queuedPairRounds runs rounds rounds in which tx sends one packet to
+// confirm, every ack confirm has queued goes back to tx, and tx queues one
+// more message. It returns the packets tx sent.
+func queuedPairRounds(tx Transmitter, confirm Receiver, rounds int) []ioa.Packet {
+	var sent []ioa.Packet
+	for i := 0; i < rounds; i++ {
+		if pk, ok := tx.NextPkt(); ok {
+			sent = append(sent, pk)
+			confirm.DeliverPkt(pk)
+		}
+		for a, ok := confirm.NextPkt(); ok; a, ok = confirm.NextPkt() {
+			tx.DeliverPkt(a)
+		}
+		tx.SendMsg("x")
+	}
+	return sent
 }
 
 // TestContractStateSizePositive: the space proxy is positive once a

@@ -266,9 +266,7 @@ func (t *countingT) DeliverPkt(p ioa.Packet) {
 		t.payload = ""
 		t.bit ^= 1
 		if len(t.queue) > 0 {
-			next := t.queue[0]
-			t.queue = t.queue[1:]
-			t.startPhase(next)
+			t.startPhase(popFront(&t.queue))
 		}
 	}
 }
@@ -415,9 +413,7 @@ func (r *countingR) NextPkt() (ioa.Packet, bool) {
 	if len(r.acks) == 0 {
 		return ioa.Packet{}, false
 	}
-	p := r.acks[0]
-	r.acks = r.acks[1:]
-	return p, true
+	return popFront(&r.acks), true
 }
 
 func (r *countingR) TakeDelivered() []string {

@@ -392,3 +392,41 @@ func cloneQueue(q []string) []string {
 	copy(out, q)
 	return out
 }
+
+// popFront removes the head of queue *q and shifts the rest down in place,
+// so a queue keeps its capacity across pops: a q[1:] pop strands the head
+// slot and makes the next append reallocate. Every Clone deep-copies its
+// queues, so the shift never reaches a clone.
+func popFront[E any](q *[]E) E {
+	s := *q
+	head := s[0]
+	n := copy(s, s[1:])
+	var zero E
+	s[n] = zero
+	*q = s[:n]
+	return head
+}
+
+// headerTable holds the headers prefix+"0" to prefix+"63", so the protocols
+// that number their headers build no string for the first 64 numbers. It
+// is read-only after init.
+type headerTable struct {
+	prefix string
+	first  [64]string
+}
+
+func newHeaderTable(prefix string) *headerTable {
+	t := &headerTable{prefix: prefix}
+	for i := range t.first {
+		t.first[i] = prefix + strconv.Itoa(i)
+	}
+	return t
+}
+
+// at returns the header numbered n.
+func (t *headerTable) at(n int) string {
+	if n >= 0 && n < len(t.first) {
+		return t.first[n]
+	}
+	return t.prefix + strconv.Itoa(n)
+}

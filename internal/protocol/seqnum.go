@@ -48,6 +48,9 @@ func (SeqNum) New(_, _ channel.Genie) (Transmitter, Receiver) {
 	return &seqNumT{}, &seqNumR{}
 }
 
+// seqnum's data and ack headers, "d<i>" and "a<i>".
+var dataHeaders, ackHeaders = newHeaderTable("d"), newHeaderTable("a")
+
 type seqNumT struct {
 	seq     int // sequence number of the current message
 	busy    bool
@@ -76,8 +79,7 @@ func (t *seqNumT) DeliverPkt(p ioa.Packet) {
 		t.seq++
 		if len(t.queue) > 0 {
 			t.busy = true
-			t.payload = t.queue[0]
-			t.queue = t.queue[1:]
+			t.payload = popFront(&t.queue)
 		}
 	}
 	// Acks for already-confirmed messages are stale; ignore.
@@ -87,7 +89,7 @@ func (t *seqNumT) NextPkt() (ioa.Packet, bool) {
 	if !t.busy {
 		return ioa.Packet{}, false
 	}
-	return ioa.Packet{Header: "d" + strconv.Itoa(t.seq), Payload: t.payload}, true
+	return ioa.Packet{Header: dataHeaders.at(t.seq), Payload: t.payload}, true
 }
 
 func (t *seqNumT) Busy() bool { return t.busy || len(t.queue) > 0 }
@@ -128,11 +130,11 @@ func (r *seqNumR) DeliverPkt(p ioa.Packet) {
 	case seq == r.next:
 		r.delivered = append(r.delivered, p.Payload)
 		r.next++
-		r.acks = append(r.acks, ioa.Packet{Header: "a" + strconv.Itoa(seq)})
+		r.acks = append(r.acks, ioa.Packet{Header: ackHeaders.at(seq)})
 	case seq < r.next:
 		// Stale copy of an already delivered message: re-acknowledge so a
 		// transmitter whose ack was lost can make progress, never deliver.
-		r.acks = append(r.acks, ioa.Packet{Header: "a" + strconv.Itoa(seq)})
+		r.acks = append(r.acks, ioa.Packet{Header: ackHeaders.at(seq)})
 	default:
 		// seq > next can only be a corrupted or adversarial packet; the
 		// transmitter never runs ahead. Ignore.
@@ -143,9 +145,7 @@ func (r *seqNumR) NextPkt() (ioa.Packet, bool) {
 	if len(r.acks) == 0 {
 		return ioa.Packet{}, false
 	}
-	p := r.acks[0]
-	r.acks = r.acks[1:]
-	return p, true
+	return popFront(&r.acks), true
 }
 
 func (r *seqNumR) TakeDelivered() []string {

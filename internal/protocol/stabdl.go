@@ -161,8 +161,7 @@ func (t *stabDLT) DeliverPkt(p ioa.Packet) {
 	t.label = (t.label + 1) % t.k
 	if len(t.queue) > 0 {
 		t.busy = true
-		t.payload = t.queue[0]
-		t.queue = t.queue[1:]
+		t.payload = popFront(&t.queue)
 	}
 }
 
@@ -245,9 +244,7 @@ func (r *stabDLR) NextPkt() (ioa.Packet, bool) {
 	if len(r.acks) == 0 {
 		return ioa.Packet{}, false
 	}
-	p := r.acks[0]
-	r.acks = r.acks[1:]
-	return p, true
+	return popFront(&r.acks), true
 }
 
 func (r *stabDLR) TakeDelivered() []string {

@@ -104,8 +104,7 @@ func (t *stabNaiveT) DeliverPkt(p ioa.Packet) {
 	t.round = (t.round + 1) % stabNaiveRounds
 	if len(t.queue) > 0 {
 		t.busy = true
-		t.payload = t.queue[0]
-		t.queue = t.queue[1:]
+		t.payload = popFront(&t.queue)
 	}
 }
 
@@ -170,9 +169,7 @@ func (r *stabNaiveR) NextPkt() (ioa.Packet, bool) {
 	if len(r.acks) == 0 {
 		return ioa.Packet{}, false
 	}
-	p := r.acks[0]
-	r.acks = r.acks[1:]
-	return p, true
+	return popFront(&r.acks), true
 }
 
 func (r *stabNaiveR) TakeDelivered() []string {

@@ -1,6 +1,8 @@
 package replay
 
 import (
+	"bytes"
+
 	"repro/internal/channel"
 	"repro/internal/ioa"
 	"repro/internal/protocol"
@@ -11,7 +13,7 @@ import (
 // Exec is the pooled executor every re-execution runs on: one sim.Runner,
 // reset per execution, with the decision streams bound to two reusable
 // channel.DecisionReplayers and an ioa.LiveChecker as its Monitor, plus the
-// closing drive's cycle map and key scratch. The judge embeds one, and each
+// closing drive's sightings and key scratch. The judge embeds one, and each
 // fuzz.Core runs its inputs and its livelock refusals on one. An Exec is
 // protocol-bound and not safe for concurrent use.
 type Exec struct {
@@ -20,13 +22,71 @@ type Exec struct {
 
 	proto      protocol.Protocol
 	dpol, apol channel.DecisionReplayer
-	seen       map[string]int // the closing drive's sightings
-	kbuf       []byte         // scratch for the closing drive's keys
+	seen       sightings // the closing drive's joint configurations
+	kbuf       []byte    // scratch for the closing drive's keys
 }
 
 // NewExec returns an executor for protocol p.
 func NewExec(p protocol.Protocol) *Exec {
-	return &Exec{Check: ioa.NewLiveChecker(), proto: p, seen: make(map[string]int)}
+	return &Exec{Check: ioa.NewLiveChecker(), proto: p, seen: sightings{first: make(map[uint64]int)}}
+}
+
+// sightings records the joint configurations one closing drive has passed,
+// for its cycle check: the keys end to end in one byte log, the position
+// each was first seen at, and an index from a 64-bit hash of a key to the
+// first key with that hash. The Exec reuses it across drives, so once the
+// log has grown a drive round allocates nothing. A repeat is declared only
+// on byte equality: a hash hit compares the bytes, and a collision falls
+// back to an exact scan, so no collision can certify a false cycle.
+type sightings struct {
+	log   []byte
+	ends  []int // ends[i] is the log offset where key i ends
+	pos   []int // pos[i] is the position key i was first seen at
+	first map[uint64]int
+}
+
+func (s *sightings) reset() {
+	s.log, s.ends, s.pos = s.log[:0], s.ends[:0], s.pos[:0]
+	clear(s.first)
+}
+
+// key returns the bytes of key i.
+func (s *sightings) key(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = s.ends[i-1]
+	}
+	return s.log[start:s.ends[i]]
+}
+
+// see returns the position key was first seen at, and true, if the drive
+// has passed it; otherwise it records key as seen at pos.
+func (s *sightings) see(key []byte, pos int) (int, bool) {
+	h := keyHash(key)
+	if i, ok := s.first[h]; !ok {
+		s.first[h] = len(s.ends)
+	} else if bytes.Equal(s.key(i), key) {
+		return s.pos[i], true
+	} else {
+		for i := range s.ends {
+			if bytes.Equal(s.key(i), key) {
+				return s.pos[i], true
+			}
+		}
+	}
+	s.log = append(s.log, key...)
+	s.ends = append(s.ends, len(s.log))
+	s.pos = append(s.pos, pos)
+	return 0, false
+}
+
+// keyHash is fnv64a over a drive key.
+func keyHash(key []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, b := range key {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	return h
 }
 
 // Start resets the runner for a fresh execution from the protocol's

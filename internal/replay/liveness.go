@@ -175,21 +175,20 @@ func (x *Exec) drive(budget int, out *DriveOutcome) {
 		}
 		return out.Rounds
 	}
-	clear(x.seen)
+	x.seen.reset()
 	for out.Rounds < budget {
 		if !r.T.Busy() {
 			out.Quiescent = true
 			break
 		}
 		x.kbuf = appendDriveKey(x.kbuf[:0], r)
-		if at, ok := x.seen[string(x.kbuf)]; ok { // no-alloc map probe
+		if at, ok := x.seen.see(x.kbuf, pos()); ok {
 			out.CycleFound = true
 			out.RepeatedKey = string(x.kbuf)
 			out.CycleStart = at
 			out.CycleEnd = pos()
 			break
 		}
-		x.seen[string(x.kbuf)] = pos()
 		r.StepTransmit()
 		r.DrainAcks()
 		out.Rounds++
@@ -363,17 +362,34 @@ func CertifyLivelock(l *trace.Log, opts CertifyOptions) (*LivelockCert, error) {
 // safety violation, a recovery, or a stranding without a repeated
 // configuration. It returns nil for a stranding cycle.
 func refuse(out *DriveOutcome) error {
-	if out.Safety != nil {
-		return fmt.Errorf("replay: driven trace violates %s; livelock certification wants a safety-clean liveness failure (use Shrink for safety violations): %v",
-			out.Safety.Property, out.Safety)
+	if out.Safety == nil && out.DL3 != nil && out.CycleFound {
+		return nil
 	}
-	if out.DL3 == nil {
-		return fmt.Errorf("replay: protocol recovers under the %s closing drive (quiescent=%v after %d rounds, %d/%d delivered); no livelock to certify",
-			out.Mode, out.Quiescent, out.Rounds, out.Delivered, out.Submitted)
+	return &refusal{
+		safety: out.Safety, recovered: out.DL3 == nil, mode: out.Mode, quiescent: out.Quiescent,
+		rounds: out.Rounds, delivered: out.Delivered, submitted: out.Submitted,
 	}
-	if !out.CycleFound {
-		return fmt.Errorf("replay: %d message(s) stranded but no joint configuration repeated within %d drive rounds; cannot certify a pumping cycle",
-			out.Submitted-out.Delivered, out.Rounds)
+}
+
+// refusal is refuse's diagnosis. It formats only when read: the fuzzer
+// refuses about half its candidates and only checks the error for nil.
+type refusal struct {
+	safety                       *ioa.Violation
+	recovered, quiescent         bool
+	mode                         DriveMode
+	rounds, delivered, submitted int
+}
+
+func (r *refusal) Error() string {
+	switch {
+	case r.safety != nil:
+		return fmt.Sprintf("replay: driven trace violates %s; livelock certification wants a safety-clean liveness failure (use Shrink for safety violations): %v",
+			r.safety.Property, r.safety)
+	case r.recovered:
+		return fmt.Sprintf("replay: protocol recovers under the %s closing drive (quiescent=%v after %d rounds, %d/%d delivered); no livelock to certify",
+			r.mode, r.quiescent, r.rounds, r.delivered, r.submitted)
+	default:
+		return fmt.Sprintf("replay: %d message(s) stranded but no joint configuration repeated within %d drive rounds; cannot certify a pumping cycle",
+			r.submitted-r.delivered, r.rounds)
 	}
-	return nil
 }

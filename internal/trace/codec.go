@@ -53,14 +53,25 @@ var ErrFormat = errors.New("trace: malformed trace file")
 
 // Reader streams a trace log from an io.Reader.
 type Reader struct {
-	br      *bufio.Reader
+	br      byteReader
 	meta    map[string]string
 	version byte
 }
 
-// NewReader validates the header and returns a streaming reader.
+// byteReader is what the decoder reads through.
+type byteReader interface {
+	io.Reader
+	io.ByteReader
+}
+
+// NewReader validates the header and returns a streaming reader. An input
+// that is already an io.ByteReader, such as a bytes.Reader over an
+// in-memory blob, is read directly; any other is buffered.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
+	br, ok := r.(byteReader)
+	if !ok {
+		br = bufio.NewReader(r)
+	}
 	head := make([]byte, len(magic)+1)
 	if _, err := io.ReadFull(br, head); err != nil {
 		return nil, fmt.Errorf("%w: short header: %v", ErrFormat, err)
@@ -265,7 +276,7 @@ func appendEvent(b []byte, e Event) []byte {
 	return b
 }
 
-func readString(br *bufio.Reader) (string, error) {
+func readString(br byteReader) (string, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
 		return "", err
@@ -293,7 +304,7 @@ func readBytes(r io.Reader, n uint64) ([]byte, error) {
 	return b, err
 }
 
-func readEvent(br *bufio.Reader) (Event, error) {
+func readEvent(br byteReader) (Event, error) {
 	kb, err := br.ReadByte()
 	if err == io.EOF {
 		return Event{}, io.EOF
