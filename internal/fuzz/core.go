@@ -28,7 +28,10 @@ import (
 //   - judges clean runs with the executor's incremental ioa.LiveChecker
 //     instead of recording a trace and re-walking it per property;
 //   - judges a livelock candidate's closing drive (refuseLivelock) with the
-//     executor's Refuse, straight on from the execution it holds.
+//     executor's Refuse, straight on from the execution it holds;
+//   - shrinks a promoted violation on the same executor (shrink), and
+//     re-executes the input it holds with a log reserved from the held
+//     run's counts.
 //
 // Corrupted-start inputs keep the recorded-trace path: the amnesty judge
 // consumes an ioa.Trace, and corruption is the cold path by construction
@@ -77,6 +80,18 @@ func (c *Core) Execute(in *Input, withLog bool) *ExecResult {
 	if withLog {
 		res = &ExecResult{Points: make([]uint64, 0, len(in.Ops))}
 		tlog = trace.NewLog(map[string]string{trace.MetaSource: "fuzz"})
+		if c.held == in {
+			// The held execution bounds what this one records, so the log
+			// is one allocation: an event per executed op (a point each,
+			// and the corrupted start's move), per observed action, per
+			// consumed decision, and the verdict. Submits and poisons are
+			// ops the checker observes too, and are counted twice.
+			n := len(c.res.Points) + c.x.Check.Events() + c.res.DataUsed + c.res.AckUsed + 1
+			if in.Corrupt != nil {
+				n++
+			}
+			tlog.Events = make([]trace.Event, 0, n)
+		}
 	} else {
 		res = &c.res
 		*res = ExecResult{Points: res.Points[:0]}
@@ -167,6 +182,14 @@ func (c *Core) refuseLivelock(in *Input) error {
 	}
 	c.held = nil
 	return c.x.Refuse()
+}
+
+// shrink is replay.Shrink of l, a log of the Core's protocol, on the Core's
+// executor. It drops the held execution: the shrink's replays reset the
+// runner.
+func (c *Core) shrink(l *trace.Log) (*replay.ShrinkResult, error) {
+	c.held = nil
+	return c.x.Shrink(l)
 }
 
 // FNV-64a, inlined so the midstate can be cached mid-stream. The constants

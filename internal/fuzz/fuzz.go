@@ -252,8 +252,9 @@ func (c *campaign) observe(in *Input, res *ExecResult, countDL3 bool) {
 
 // promote turns a violating input into a first-class certificate: re-execute
 // with trace recording, shrink with the delta-debugging shrinker, and hand
-// the result to win. Corrupted-start violations take their own confirmation
-// path (promoteCorrupt).
+// the result to win. The shrink runs on the campaign's Core, whose executor
+// is idle on this goroutine. Corrupted-start violations take their own
+// confirmation path (promoteCorrupt).
 func (c *campaign) promote(in *Input, res *ExecResult) {
 	if !res.Corruption.Clean() {
 		c.promoteCorrupt(in)
@@ -264,7 +265,7 @@ func (c *campaign) promote(in *Input, res *ExecResult) {
 		// Unreachable: execution is deterministic.
 		return
 	}
-	sr, err := replay.Shrink(logged.Log)
+	sr, err := c.core.shrink(logged.Log)
 	if err != nil {
 		c.errs = append(c.errs, fmt.Errorf("fuzz: shrinking %s violation: %w", res.Verdict.Property, err))
 		return
@@ -431,7 +432,7 @@ func nextCandidate(corpus []*Entry, rng *rand.Rand, corrupt bool) *Input {
 	var cand *Input
 	if len(corpus) >= 2 && rng.Intn(10) == 0 {
 		other := pickParent(corpus, rng)
-		cand = Mutate(Crossover(parent, other, rng), rng)
+		cand = mutate(Crossover(parent, other, rng), rng)
 	} else {
 		cand = Mutate(parent, rng)
 	}

@@ -105,8 +105,11 @@ func (in *Input) Clone() *Input {
 
 // withHeadroom returns a copy of s with room to grow by half again, plus 8.
 func withHeadroom[E any](s []E) []E {
-	return append(make([]E, 0, len(s)+len(s)/2+8), s...)
+	return append(make([]E, 0, headroom(len(s))), s...)
 }
+
+// headroom is the capacity a candidate slice of length n is built with.
+func headroom(n int) int { return n + n/2 + 8 }
 
 // String renders a compact summary for logs and stats lines.
 func (in *Input) String() string {

@@ -64,8 +64,12 @@ func capInput(in *Input) *Input {
 
 // Mutate derives a candidate from parent by applying 1–3 randomly chosen
 // operators.
-func Mutate(parent *Input, rng *rand.Rand) *Input {
-	c := parent.Clone()
+func Mutate(parent *Input, rng *rand.Rand) *Input { return mutate(parent.Clone(), rng) }
+
+// mutate is Mutate on a candidate of the caller's own — a clone, or a
+// crossover child, which shares no memory with its parents — mutated in
+// place, with Mutate's draws.
+func mutate(c *Input, rng *rand.Rand) *Input {
 	for n := 1 + rng.Intn(3); n > 0; n-- {
 		c = mutateOnce(c, rng)
 	}
@@ -176,7 +180,9 @@ func flipDecision(c *Input, rng *rand.Rand) {
 }
 
 // Crossover splices a prefix of a onto a suffix of b, recombining both
-// schedules and both decision streams at independent cut points.
+// schedules and both decision streams at independent cut points. The child
+// shares no memory with its parents, and its slices have the headroom
+// Input.Clone leaves, so it can be mutated in place.
 func Crossover(a, b *Input, rng *rand.Rand) *Input {
 	cut := func(x, y []Op) []Op {
 		i, j := 0, 0
@@ -186,7 +192,7 @@ func Crossover(a, b *Input, rng *rand.Rand) *Input {
 		if len(y) > 0 {
 			j = rng.Intn(len(y) + 1)
 		}
-		out := make([]Op, 0, i+len(y)-j)
+		out := make([]Op, 0, headroom(i+len(y)-j))
 		out = append(out, x[:i]...)
 		return append(out, y[j:]...)
 	}
@@ -198,7 +204,7 @@ func Crossover(a, b *Input, rng *rand.Rand) *Input {
 		if len(y) > 0 {
 			j = rng.Intn(len(y) + 1)
 		}
-		out := make([]trace.Decision, 0, i+len(y)-j)
+		out := make([]trace.Decision, 0, headroom(i+len(y)-j))
 		out = append(out, x[:i]...)
 		return append(out, y[j:]...)
 	}

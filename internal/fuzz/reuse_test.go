@@ -2,7 +2,9 @@ package fuzz
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -127,5 +129,112 @@ func TestMutationSharesNoMemory(t *testing.T) {
 		check("Mutate", i, Mutate(p, rng), p)
 		other := parents[(i+1)%len(parents)]
 		check("Crossover", i, Crossover(p, other, rng), p, other)
+	}
+}
+
+// TestCrossoverChildMutatedInPlace: the campaign mutates a crossover child
+// in place (mutate) instead of cloning it first (Mutate), with the same
+// draws in the same order, so both make the same candidate and leave the
+// RNG in the same state.
+func TestCrossoverChildMutatedInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 200; i++ {
+		a, b := randomValidInput(rng), randomValidInput(rng)
+		if i%3 == 0 {
+			MutateCorrupt(a, rng)
+		}
+		s := rng.Int63()
+		r1, r2 := rand.New(rand.NewSource(s)), rand.New(rand.NewSource(s))
+		got := mutate(Crossover(a, b, r1), r1)
+		want := Mutate(Crossover(a, b, r2), r2)
+		if !bytes.Equal(got.Encode(), want.Encode()) || r1.Int63() != r2.Int63() {
+			t.Fatalf("pair %d: in-place mutation of the child made %v, Mutate %v", i, got, want)
+		}
+	}
+}
+
+// TestLoggedExecuteReservesItsLog: re-executing the input the Core holds
+// with a log records into one allocation, reserved from the held run's
+// counts, which bound what the log records; other logged executions grow
+// their logs as they go.
+func TestLoggedExecuteReservesItsLog(t *testing.T) {
+	for _, name := range []string{"altbit", "stabnaive"} {
+		p, err := replay.LookupProtocol(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewCore(p)
+		rng := rand.New(rand.NewSource(5))
+		for i, in := range benchCorpus(48) {
+			if name == "stabnaive" && i%2 == 0 {
+				in = in.Clone()
+				MutateCorrupt(in, rng)
+			}
+			res := c.Execute(in, false)
+			reserved := len(res.Points) + c.x.Check.Events() + res.DataUsed + res.AckUsed + 1
+			if in.Corrupt != nil {
+				reserved++
+			}
+			l := c.Execute(in, true).Log
+			if cap(l.Events) != reserved || len(l.Events) > reserved {
+				t.Fatalf("%s input %d: logged %d events into capacity %d, reserved %d", name, i, len(l.Events), cap(l.Events), reserved)
+			}
+			if want := Execute(p, in, true).Log; !bytes.Equal(encodeLog(t, l), encodeLog(t, want)) {
+				t.Fatalf("%s input %d: the reserved log differs from Execute's", name, i)
+			}
+		}
+	}
+}
+
+func encodeLog(t *testing.T, l *trace.Log) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := l.Encode(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestCoreShrinkLeavesLaterExecutions: promotion shrinks on the campaign
+// Core's executor between two of its executions. The shrink equals
+// replay.Shrink, and the Core's later executions — their results, logs and
+// livelock refusals — equal those of a Core that never shrank.
+func TestCoreShrinkLeavesLaterExecutions(t *testing.T) {
+	p, err := replay.LookupProtocol("altbit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logs []*trace.Log
+	for s := int64(1); s <= 4; s++ {
+		res, err := Run(Config{Protocol: p, Seed: s, StopOnViolation: true})
+		if err != nil || len(res.Violations) == 0 {
+			t.Fatalf("seed %d: %v %v", s, res, err)
+		}
+		logs = append(logs, res.Violations[0].Cert)
+	}
+	shrinking, plain := NewCore(p), NewCore(p)
+	ins := benchCorpus(33)
+	for i, in := range ins[:32] {
+		next := ins[i+1]
+		shrinking.Execute(in, false)
+		plain.Execute(in, false)
+		l := logs[i%len(logs)]
+		got, gerr := shrinking.shrink(l)
+		want, werr := replay.Shrink(l)
+		if gerr != nil || werr != nil || !bytes.Equal(encodeLog(t, got.Log), encodeLog(t, want.Log)) || got.Replays != want.Replays {
+			t.Fatalf("input %d: Core shrink %v (%v), replay.Shrink %v (%v)", i, got, gerr, want, werr)
+		}
+		// refuseLivelock must re-execute: the shrink replaced the held run.
+		if g, w := fmt.Sprint(shrinking.refuseLivelock(in)), fmt.Sprint(plain.refuseLivelock(in)); g != w {
+			t.Fatalf("input %d: refusal after a shrink %q, without %q", i, g, w)
+		}
+		g, w := shrinking.Execute(next, false), plain.Execute(next, false)
+		if !slices.Equal(g.Points, w.Points) || !reflect.DeepEqual(g.Verdict, w.Verdict) || !reflect.DeepEqual(g.DL3, w.DL3) ||
+			g.DataUsed != w.DataUsed || g.AckUsed != w.AckUsed || g.StaleHits != w.StaleHits {
+			t.Fatalf("input %d: the execution after a shrink differs", i)
+		}
+		if g, w := shrinking.Execute(next, true), plain.Execute(next, true); !bytes.Equal(encodeLog(t, g.Log), encodeLog(t, w.Log)) {
+			t.Fatalf("input %d: the logged execution after a shrink differs", i)
+		}
 	}
 }

@@ -23,8 +23,13 @@ func (v *Violation) Error() string {
 	return fmt.Sprintf("%s violated at event %d: %s", v.Property, v.Index, v.Detail)
 }
 
-// AsViolation extracts a *Violation from err, if present.
+// AsViolation extracts a *Violation from err, if present. The checkers'
+// own errors are unwrapped *Violations, and are answered without
+// errors.As, whose target escapes.
 func AsViolation(err error) (*Violation, bool) {
+	if v, ok := err.(*Violation); ok || err == nil {
+		return v, ok
+	}
 	var v *Violation
 	if errors.As(err, &v) {
 		return v, true

@@ -175,6 +175,9 @@ func (c *LiveChecker) ReceivePkt(d Dir, p Packet) {
 	out[p]--
 }
 
+// Events reports how many actions the checker has observed.
+func (c *LiveChecker) Events() int { return c.idx }
+
 // Safety returns the first safety violation in CheckSafety's property order
 // (PL1 t→r, PL1 r→t, DL1, DL2), or nil.
 func (c *LiveChecker) Safety() error {

@@ -17,9 +17,12 @@ import (
 // protocols and observational traces are all defined, non-panicking
 // outcomes.) Every decoded trace also goes through the unrecorded judge the
 // shrinker and the certifier decide on, which must answer exactly as Run and
-// CloseDrive do on the same trace, errors included.
+// CloseDrive do on the same trace, errors included; and every decoded trace
+// of at most 64 op groups that Shrink accepts must shrink to the reference
+// shrinker's result (TestShrinkMatchesReference).
 func FuzzReplayRobustness(f *testing.F) {
-	// Seed with a genuine recorded run, a truncation of it, and junk.
+	// Seed with a genuine recorded run, a truncation of it, two violating
+	// runs, and junk.
 	l := trace.NewLog(map[string]string{
 		trace.MetaProtocol: "altbit",
 		trace.MetaKind:     "sim",
@@ -35,6 +38,9 @@ func FuzzReplayRobustness(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:len(buf.Bytes())/2])
+	// Logs Shrink accepts: a safety violation and a stranded message.
+	f.Add(encoded(f, minimalAltbitViolation(f)))
+	f.Add(encoded(f, strandedAltbitLog(f)))
 	f.Add([]byte("NFTRC\x01\x00"))
 	f.Add([]byte{})
 
@@ -49,13 +55,21 @@ func FuzzReplayRobustness(f *testing.F) {
 		if err != nil {
 			return // malformed file: the codec's problem, tested there
 		}
-		j, err := newJudge(l)
+		x, err := execFor(l)
 		if err != nil {
 			if _, rerr := Run(l); fmt.Sprint(rerr) != err.Error() {
-				t.Fatalf("Run error %v, newJudge error %v", rerr, err)
+				t.Fatalf("Run error %v, execFor error %v", rerr, err)
 			}
 			return
 		}
-		checkJudge(t, j, l)
+		checkJudge(t, x, l)
+		x.segment(l.Events)
+		if len(x.bounds)-1 > 64 {
+			return
+		}
+		if got, err := Shrink(l); err == nil {
+			want, werr := refShrink(l)
+			sameShrink(t, "decoded trace", got, err, want, werr)
+		}
 	})
 }

@@ -13,8 +13,9 @@ import (
 // Exec is the pooled executor every re-execution runs on: one sim.Runner,
 // reset per execution, with the decision streams bound to two reusable
 // channel.DecisionReplayers and an ioa.LiveChecker as its Monitor, plus the
-// closing drive's sightings and key scratch. The judge embeds one, and each
-// fuzz.Core runs its inputs and its livelock refusals on one. An Exec is
+// closing drive's sightings and key scratch. Replay's judge (below) and its
+// shrinker (shrink.go) run on one, and each fuzz.Core runs its inputs, its
+// livelock refusals and its promotions' shrinks on one. An Exec is
 // protocol-bound and not safe for concurrent use.
 type Exec struct {
 	Run   *sim.Runner      // the current execution; nil before the first Start
@@ -24,6 +25,20 @@ type Exec struct {
 	dpol, apol channel.DecisionReplayer
 	seen       sightings // the closing drive's joint configurations
 	kbuf       []byte    // scratch for the closing drive's keys
+
+	// The judge's execution: its decision streams, the policies'
+	// consultations of them, and the bookkeeping Result and DriveOutcome
+	// report.
+	data, ack         []trace.Decision
+	dataUsed, ackUsed int
+	ops, staleSkipped int
+
+	// The trace the judge replays from: its events, its op groups as
+	// offsets into them (segment), and a shrink's two candidate lists of
+	// group indices (kept lists every group for a whole-trace replay).
+	src         []trace.Event
+	bounds      []int
+	kept, trial []int
 }
 
 // NewExec returns an executor for protocol p.
@@ -124,83 +139,121 @@ func (x *Exec) Refuse() error {
 	return refuse(&out)
 }
 
-// judge re-drives one trace, and the candidates cut from it, on its Exec.
-// The shrinker's oracles and the livelock certifier's refusals ask which
-// safety property an execution violates and how its closing drive ends;
-// safety and close answer without recording, through the LiveChecker, so a
-// rejected candidate or a refused certification pays for no trace.Log,
-// ioa.Trace, batch check or divergence scan. run and closeDrive are Run and
-// CloseDrive on the judge: the same dispatch (reissue) and closing drive
-// with a capture log, re-checked by the batch checkers. The LiveChecker's
-// contract is equality with the batch checkers, Index and Detail included,
-// so both paths answer alike (TestJudgeMatchesReplay and
-// FuzzReplayRobustness hold them equal). A judge is not safe for concurrent
-// use.
-type judge struct {
-	Exec
-	data, ack         []trace.Decision // the executed events' decision streams
-	dataUsed, ackUsed int              // policy consultations
+// The judge: Exec's re-executions of one trace, and of the candidates a
+// shrink cuts from it. The shrinker's oracles and the livelock certifier's
+// refusals ask which safety property an execution violates and how its
+// closing drive ends; the judge answers without recording, through the
+// LiveChecker, so a rejected candidate or a refused certification pays for
+// no trace.Log, ioa.Trace, batch check or divergence scan. run and
+// closeDrive are Run and CloseDrive on the Exec: the same dispatch (issue)
+// and closing drive with a capture log, re-checked by the batch checkers.
+// The LiveChecker's contract is equality with the batch checkers, Index and
+// Detail included, so both paths answer alike (TestJudgeMatchesReplay and
+// FuzzReplayRobustness hold them equal).
 
-	// Bookkeeping of the last execution, as Result and DriveOutcome report it.
-	ops, staleSkipped int
-}
-
-// newJudge returns a judge for l and the candidates cut from it, which
+// execFor returns an executor for l and the candidates cut from it, which
 // share its metadata: it checks once that l can be re-driven and resolves
 // its protocol.
-func newJudge(l *trace.Log) (*judge, error) {
+func execFor(l *trace.Log) (*Exec, error) {
 	proto, err := resolve(l)
 	if err != nil {
 		return nil, err
 	}
-	return &judge{Exec: *NewExec(proto)}, nil
+	return NewExec(proto), nil
 }
 
-// exec re-drives the operations among events from the protocol's initial
-// configuration, substituting the events' decision streams for the channel
-// policies; tlog and record are Start's.
-func (j *judge) exec(events []trace.Event, tlog *trace.Log, record bool) error {
-	j.data, j.ack = j.data[:0], j.ack[:0]
+// appendDecisions appends the decisions among events to the data and ack
+// streams, in order.
+func appendDecisions(data, ack []trace.Decision, events []trace.Event) ([]trace.Decision, []trace.Decision) {
 	for _, e := range events {
 		if e.Kind != trace.KindDecision {
 			continue
 		}
 		switch e.Dir {
 		case ioa.TtoR:
-			j.data = append(j.data, e.Decision)
+			data = append(data, e.Decision)
 		case ioa.RtoT:
-			j.ack = append(j.ack, e.Decision)
+			ack = append(ack, e.Decision)
 		}
 	}
-	r := j.Start(j.data, j.ack, &j.dataUsed, &j.ackUsed, tlog, record)
-	var err error
-	j.ops, j.staleSkipped, err = reissue(r, events)
-	return err
+	return data, ack
+}
+
+// segment splits events into operation groups — a driver operation and the
+// events it caused — as offsets: group g is x.src[x.bounds[g]:x.bounds[g+1]],
+// its operation first. Events preceding the first operation (none, for
+// runner-produced logs) form a prelude every replay keeps. Verdict events
+// stay in the groups: only operations and decisions are re-driven.
+func (x *Exec) segment(events []trace.Event) {
+	x.src, x.bounds = events, x.bounds[:0]
+	for i, e := range events {
+		if e.Kind.IsOp() {
+			x.bounds = append(x.bounds, i)
+		}
+	}
+	x.bounds = append(x.bounds, len(events))
+}
+
+// all sets x.kept to every op group, in order, and returns it.
+func (x *Exec) all() []int {
+	x.kept = x.kept[:0]
+	for g := 0; g < len(x.bounds)-1; g++ {
+		x.kept = append(x.kept, g)
+	}
+	return x.kept
+}
+
+// group returns the events of op group g.
+func (x *Exec) group(g int) []trace.Event { return x.src[x.bounds[g]:x.bounds[g+1]] }
+
+// prelude returns the events before the first operation.
+func (x *Exec) prelude() []trace.Event { return x.src[:x.bounds[0]] }
+
+// bind resets the runner for a replay of the candidate keep, a list of
+// op-group indices: the prelude's and the kept groups' decisions, in order,
+// stand in for the channel policies. tlog and record are Start's.
+func (x *Exec) bind(keep []int, tlog *trace.Log, record bool) {
+	x.data, x.ack = appendDecisions(x.data[:0], x.ack[:0], x.prelude())
+	for _, g := range keep {
+		x.data, x.ack = appendDecisions(x.data, x.ack, x.group(g))
+	}
+	x.Start(x.data, x.ack, &x.dataUsed, &x.ackUsed, tlog, record)
+	x.ops, x.staleSkipped = 0, 0
+}
+
+// replay re-drives the candidate keep from the protocol's initial
+// configuration: bind's streams, then the kept groups' operations in order.
+func (x *Exec) replay(keep []int, tlog *trace.Log, record bool) error {
+	x.bind(keep, tlog, record)
+	for _, g := range keep {
+		if err := x.issue(x.src[x.bounds[g]]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// exec re-drives the operations among events from the protocol's initial
+// configuration, substituting the events' decision streams for the channel
+// policies: the replay of all their op groups. tlog and record are Start's.
+func (x *Exec) exec(events []trace.Event, tlog *trace.Log, record bool) error {
+	x.segment(events)
+	return x.replay(x.all(), tlog, record)
 }
 
 // exhausted reports whether the last execution consulted a replayer past
 // the end of its stream. Read it before a closing drive swaps them out.
-func (j *judge) exhausted() bool { return j.dataUsed > len(j.data) || j.ackUsed > len(j.ack) }
-
-// safety re-drives events and returns the first safety violation of the
-// execution, as Run's Verdict reports it; nil when it is safe.
-func (j *judge) safety(events []trace.Event) (*ioa.Violation, error) {
-	if err := j.exec(events, nil, false); err != nil {
-		return nil, err
-	}
-	v, _ := ioa.AsViolation(j.Check.Safety())
-	return v, nil
-}
+func (x *Exec) exhausted() bool { return x.dataUsed > len(x.data) || x.ackUsed > len(x.ack) }
 
 // close re-drives events and then the closing drive of mode, returning what
 // CloseDrive(events, mode, budget) would, less the capture log: Log is nil,
 // and CycleStart and CycleEnd count rounds, not events.
-func (j *judge) close(events []trace.Event, mode DriveMode, budget int) (*DriveOutcome, error) {
-	if err := j.exec(events, nil, false); err != nil {
+func (x *Exec) close(events []trace.Event, mode DriveMode, budget int) (*DriveOutcome, error) {
+	if err := x.exec(events, nil, false); err != nil {
 		return nil, err
 	}
-	out := &DriveOutcome{Mode: mode, Ops: j.ops, StaleSkipped: j.staleSkipped, DecisionsExhausted: j.exhausted()}
-	j.drive(budget, out)
+	out := &DriveOutcome{Mode: mode, Ops: x.ops, StaleSkipped: x.staleSkipped, DecisionsExhausted: x.exhausted()}
+	x.drive(budget, out)
 	return out, nil
 }
 
@@ -216,21 +269,21 @@ func capture(l *trace.Log) *trace.Log {
 	return c
 }
 
-// run is Run(l) on the judge, for an l of the judge's protocol.
-func (j *judge) run(l *trace.Log) (*Result, error) {
+// run is Run(l) on the Exec, for an l of the Exec's protocol.
+func (x *Exec) run(l *trace.Log) (*Result, error) {
 	rl := capture(l)
-	if err := j.exec(l.Events, rl, true); err != nil {
+	if err := x.exec(l.Events, rl, true); err != nil {
 		return nil, err
 	}
-	run := j.Run.Result()
+	run := x.Run.Result()
 	res := &Result{
 		Protocol:           l.Meta[trace.MetaProtocol],
 		Delivered:          run.Delivered,
 		Metrics:            run.Metrics,
 		Trace:              run.Trace,
-		Ops:                j.ops,
-		StaleSkipped:       j.staleSkipped,
-		DecisionsExhausted: j.exhausted(),
+		Ops:                x.ops,
+		StaleSkipped:       x.staleSkipped,
+		DecisionsExhausted: x.exhausted(),
 	}
 	res.Verdict, _ = ioa.AsViolation(ioa.CheckSafety(run.Trace))
 	res.DL3, _ = ioa.AsViolation(ioa.CheckDL3Quiescent(run.Trace))
@@ -243,17 +296,17 @@ func (j *judge) run(l *trace.Log) (*Result, error) {
 	return res, nil
 }
 
-// closeDrive is CloseDrive(l, mode, budget) on the judge, for an l of the
-// judge's protocol. Its verdicts are the batch checkers', over the
-// recorded trace.
-func (j *judge) closeDrive(l *trace.Log, mode DriveMode, budget int) (*DriveOutcome, error) {
+// closeDrive is CloseDrive(l, mode, budget) on the Exec, for an l of the
+// Exec's protocol. Its verdicts are the batch checkers', over the recorded
+// trace.
+func (x *Exec) closeDrive(l *trace.Log, mode DriveMode, budget int) (*DriveOutcome, error) {
 	rl := capture(l)
-	if err := j.exec(l.Events, rl, true); err != nil {
+	if err := x.exec(l.Events, rl, true); err != nil {
 		return nil, err
 	}
-	out := &DriveOutcome{Mode: mode, Ops: j.ops, StaleSkipped: j.staleSkipped, DecisionsExhausted: j.exhausted(), Log: rl}
-	j.drive(budget, out)
-	tr := j.Run.Result().Trace
+	out := &DriveOutcome{Mode: mode, Ops: x.ops, StaleSkipped: x.staleSkipped, DecisionsExhausted: x.exhausted(), Log: rl}
+	x.drive(budget, out)
+	tr := x.Run.Result().Trace
 	out.Safety, _ = ioa.AsViolation(ioa.CheckSafety(tr))
 	out.DL3, _ = ioa.AsViolation(ioa.CheckDL3Quiescent(tr))
 	return out, nil

@@ -85,16 +85,26 @@ func randomLog(t testing.TB, proto protocol.Protocol, seed int64, n int, corrupt
 	return l
 }
 
-// judgeAll asks j everything the shrinker and the certifier ask: the safety
+// safetyOf re-drives events on x and returns the first safety violation of
+// the execution, as Run's Verdict reports it; nil when it is safe.
+func safetyOf(x *Exec, events []trace.Event) (*ioa.Violation, error) {
+	if err := x.exec(events, nil, false); err != nil {
+		return nil, err
+	}
+	v, _ := ioa.AsViolation(x.Check.Safety())
+	return v, nil
+}
+
+// judgeAll asks x everything the shrinker and the certifier ask: the safety
 // verdict, and the closing outcome in both drive modes.
-func judgeAll(j *judge, events []trace.Event) (*ioa.Violation, []*DriveOutcome, error) {
-	v, err := j.safety(events)
+func judgeAll(x *Exec, events []trace.Event) (*ioa.Violation, []*DriveOutcome, error) {
+	v, err := safetyOf(x, events)
 	if err != nil {
 		return nil, nil, err
 	}
 	var outs []*DriveOutcome
 	for _, mode := range driveModes {
-		out, err := j.close(events, mode, 0)
+		out, err := x.close(events, mode, 0)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -111,13 +121,13 @@ func stripped(o DriveOutcome) DriveOutcome {
 	return o
 }
 
-// checkJudge fails t unless j's answers on l equal the recording path's:
+// checkJudge fails t unless x's answers on l equal the recording path's:
 // Run's error or Verdict, and CloseDrive's outcome in both modes — Safety,
 // DL3, Quiescent, CycleFound, RepeatedKey, Rounds, Submitted, Delivered and
 // the replay bookkeeping. It returns the recording path's answers.
-func checkJudge(t testing.TB, j *judge, l *trace.Log) (*Result, []*DriveOutcome) {
+func checkJudge(t testing.TB, x *Exec, l *trace.Log) (*Result, []*DriveOutcome) {
 	t.Helper()
-	v, got, jerr := judgeAll(j, l.Events)
+	v, got, jerr := judgeAll(x, l.Events)
 	rr, err := Run(l)
 	if err == nil && rr == nil {
 		t.Fatal("Run returned neither result nor error")
@@ -155,16 +165,10 @@ func encoded(t testing.TB, l *trace.Log) []byte {
 	return b.Bytes()
 }
 
-// TestJudgeMatchesReplay licenses the judge: on seeded random schedules and
-// random subsets of their operation groups — the candidates a shrink cuts —
-// its safety answer equals Run's Verdict and its closing outcome equals
-// CloseDrive's, in both drive modes; and one judge reused across a log's
-// candidates answers exactly like a fresh judge per candidate. Between
-// candidates the reused judge also takes the recording path (run and
-// closeDrive), as Shrink's re-recording and CertifyLivelock do: what it
-// records equals what a fresh judge records, byte for byte, and a log it
-// returned stays as recorded through every later execution on the judge.
-func TestJudgeMatchesReplay(t *testing.T) {
+// judgeLogs returns TestJudgeMatchesReplay's logs: seeded random schedules
+// of seven protocols, eight seeds each (corrupted starts where the protocol
+// declares a corruption space), and the package's fixtures.
+func judgeLogs(t testing.TB) []*trace.Log {
 	var logs []*trace.Log
 	for _, name := range []string{"altbit", "seqnum", "cntk4", "cheat1", "livelock", "stabnaive", "stabdl2"} {
 		proto := replayLookup(t, name)
@@ -173,76 +177,111 @@ func TestJudgeMatchesReplay(t *testing.T) {
 			logs = append(logs, randomLog(t, proto, seed, 40, corrupt))
 		}
 	}
-	logs = append(logs, violatingAltbitLog(t), minimalAltbitViolation(t), strandedAltbitLog(t), livelockTrace(t, 3))
+	return append(logs, violatingAltbitLog(t), minimalAltbitViolation(t), strandedAltbitLog(t), livelockTrace(t, 3))
+}
 
+// candidateLog returns the candidate keep of the log segmented on x as a
+// log of its own: l's metadata, the prelude, then the kept op groups'
+// events.
+func candidateLog(x *Exec, l *trace.Log, keep []int) *trace.Log {
+	c := trace.NewLog(l.Meta)
+	c.Events = append(c.Events, x.prelude()...)
+	for _, g := range keep {
+		c.Events = append(c.Events, x.group(g)...)
+	}
+	return c
+}
+
+// TestJudgeMatchesReplay licenses the judge: on seeded random schedules and
+// random subsets of their operation groups — the candidates a shrink cuts —
+// its safety answer equals Run's Verdict and its closing outcome equals
+// CloseDrive's, in both drive modes, whether it replays the candidate's
+// events or the candidate's group indices straight from the source log, as
+// the shrinker does; and one executor reused across a log's candidates
+// answers exactly like a fresh one per candidate. Between candidates the
+// reused executor also takes the recording path (run and closeDrive), as
+// Shrink's re-recording and CertifyLivelock do: what it records equals what
+// a fresh one records, byte for byte, and a log it returned stays as
+// recorded through every later execution on it.
+func TestJudgeMatchesReplay(t *testing.T) {
 	// Each kind of answer must come up, or the equalities prove little.
 	seen := map[string]int{}
 	rng := rand.New(rand.NewSource(1))
-	for li, l := range logs {
-		j, err := newJudge(l)
+	for li, l := range judgeLogs(t) {
+		x, err := execFor(l)
 		if err != nil {
 			t.Fatalf("log %d: %v", li, err)
 		}
-		prelude, groups := segment(l)
-		var runs []*trace.Log // the logs the reused judge's run returned
+		var runs []*trace.Log // the logs the reused executor's run returned
 		var runBytes [][]byte // and their encodings when returned
+		var keep []int
 		for k := 0; k < 12; k++ {
 			// Candidate 0 is the whole log, then ever sparser subsets.
-			keep := 1 - float64(k)/12
-			c := trace.NewLog(nil)
-			//nfvet:allow maprange (order-insensitive copy into another map)
-			for key, v := range l.Meta {
-				c.SetMeta(key, v)
-			}
-			c.Events = append(c.Events, prelude...)
-			for _, g := range groups {
-				if k == 0 || rng.Float64() < keep {
-					c.Events = append(c.Events, g.events...)
+			p := 1 - float64(k)/12
+			x.segment(l.Events)
+			keep = keep[:0]
+			for g := 0; g < len(x.bounds)-1; g++ {
+				if k == 0 || rng.Float64() < p {
+					keep = append(keep, g)
 				}
 			}
+			c := candidateLog(x, l, keep)
 			name := fmt.Sprintf("log %d (%s) candidate %d", li, l.Meta[trace.MetaProtocol], k)
 
-			rr, outs := checkJudge(t, j, c)
+			rr, outs := checkJudge(t, x, c)
 			if rr == nil {
 				t.Fatalf("%s: replay failed", name)
 			}
-			rec, err := j.run(c)
+			x.segment(l.Events) // checkJudge's replays segmented c
+			if err := x.replay(keep, nil, false); err != nil {
+				t.Fatalf("%s: replaying the candidate's groups: %v", name, err)
+			}
+			if v, _ := ioa.AsViolation(x.Check.Safety()); !reflect.DeepEqual(v, rr.Verdict) {
+				t.Fatalf("%s: group replay safety %v, Run verdict %v", name, v, rr.Verdict)
+			}
+			for i, mode := range driveModes {
+				want := outs[i].Safety == nil && outs[i].DL3 != nil
+				if got := livenessOracle(mode).holds(x, keep); got != want {
+					t.Fatalf("%s: %s liveness oracle on the candidate's groups %v, CloseDrive %+v", name, mode, got, *outs[i])
+				}
+			}
+			rec, err := x.run(c)
 			if err != nil {
-				t.Fatalf("%s: reused judge run: %v", name, err)
+				t.Fatalf("%s: reused executor run: %v", name, err)
 			}
 			if !reflect.DeepEqual(rec, rr) || !bytes.Equal(encoded(t, rec.Log), encoded(t, rr.Log)) {
-				t.Fatalf("%s: reused judge recorded\n%v\nfresh judge\n%v", name, rec.Log, rr.Log)
+				t.Fatalf("%s: reused executor recorded\n%v\nfresh executor\n%v", name, rec.Log, rr.Log)
 			}
 			runs, runBytes = append(runs, rec.Log), append(runBytes, encoded(t, rec.Log))
 			for i, mode := range driveModes {
-				out, err := j.closeDrive(c, mode, 0)
+				out, err := x.closeDrive(c, mode, 0)
 				if err != nil {
-					t.Fatalf("%s: reused judge closeDrive %s: %v", name, mode, err)
+					t.Fatalf("%s: reused executor closeDrive %s: %v", name, mode, err)
 				}
 				if !reflect.DeepEqual(out, outs[i]) {
-					t.Fatalf("%s: %s closing drive:\nreused judge %+v\nCloseDrive   %+v", name, mode, *out, *outs[i])
+					t.Fatalf("%s: %s closing drive:\nreused executor %+v\nCloseDrive      %+v", name, mode, *out, *outs[i])
 				}
 			}
-			fresh, err := newJudge(c)
+			fresh, err := execFor(c)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			fv, fouts, ferr := judgeAll(fresh, c.Events)
-			rv, routs, rerr := judgeAll(j, c.Events)
+			rv, routs, rerr := judgeAll(x, c.Events)
 			if ferr != nil || rerr != nil {
-				t.Fatalf("%s: fresh judge error %v, reused judge error %v", name, ferr, rerr)
+				t.Fatalf("%s: fresh executor error %v, reused executor error %v", name, ferr, rerr)
 			}
 			if !reflect.DeepEqual(fv, rv) {
-				t.Fatalf("%s: reused judge safety %v, fresh judge %v", name, rv, fv)
+				t.Fatalf("%s: reused executor safety %v, fresh executor %v", name, rv, fv)
 			}
 			for i := range fouts {
 				if !reflect.DeepEqual(*fouts[i], *routs[i]) {
-					t.Fatalf("%s: %s closing drive:\nreused judge %+v\nfresh judge  %+v", name, fouts[i].Mode, *routs[i], *fouts[i])
+					t.Fatalf("%s: %s closing drive:\nreused executor %+v\nfresh executor  %+v", name, fouts[i].Mode, *routs[i], *fouts[i])
 				}
 			}
 			for i, rl := range runs {
 				if !bytes.Equal(encoded(t, rl), runBytes[i]) {
-					t.Fatalf("%s: the log run returned for candidate %d changed after later executions on its judge:\n%v", name, i, rl)
+					t.Fatalf("%s: the log run returned for candidate %d changed after later executions on its executor:\n%v", name, i, rl)
 				}
 			}
 

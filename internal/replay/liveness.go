@@ -141,11 +141,11 @@ func appendDriveKey(dst []byte, r *sim.Runner) []byte {
 // selected by mode. budget bounds the drive rounds; <= 0 means
 // DefaultDriveBudget.
 func CloseDrive(l *trace.Log, mode DriveMode, budget int) (*DriveOutcome, error) {
-	j, err := newJudge(l)
+	x, err := execFor(l)
 	if err != nil {
 		return nil, err
 	}
-	return j.closeDrive(l, mode, budget)
+	return x.closeDrive(l, mode, budget)
 }
 
 // drive is the closing drive, run straight on from the runner's execution:
@@ -305,24 +305,24 @@ func CertifyLivelock(l *trace.Log, opts CertifyOptions) (*LivelockCert, error) {
 	opts = opts.withDefaults()
 	// Most traces handed here are refused, so the refusal is decided
 	// unrecorded; only a certifiable trace is re-driven with recording, on
-	// the same judge, for the events the certificate is cut from.
-	j, err := newJudge(l)
+	// the same executor, for the events the certificate is cut from.
+	x, err := execFor(l)
 	if err != nil {
 		return nil, err
 	}
-	judged, err := j.close(l.Events, opts.Mode, opts.DriveBudget)
+	judged, err := x.close(l.Events, opts.Mode, opts.DriveBudget)
 	if err != nil {
 		return nil, err
 	}
 	if err := refuse(judged); err != nil {
 		return nil, err
 	}
-	out, err := j.closeDrive(l, opts.Mode, opts.DriveBudget)
+	out, err := x.closeDrive(l, opts.Mode, opts.DriveBudget)
 	if err != nil {
 		return nil, err
 	}
 	if err := refuse(out); err != nil {
-		// Cannot happen: the judge drove the same deterministic execution.
+		// Cannot happen: the executor drove the same deterministic execution.
 		// Guard anyway rather than cut a certificate from a refused drive.
 		return nil, err
 	}
@@ -342,7 +342,7 @@ func CertifyLivelock(l *trace.Log, opts CertifyOptions) (*LivelockCert, error) {
 
 	// Pump verification — the certificate must prove itself by replay, since
 	// state keys are protocol-supplied and could in principle under-report.
-	rr, err := j.run(cert.Pumped(opts.Pump))
+	rr, err := x.run(cert.Pumped(opts.Pump))
 	if err != nil {
 		return nil, fmt.Errorf("replay: verifying pumped certificate: %w", err)
 	}

@@ -324,11 +324,14 @@ func TestLivenessOracleEdges(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			j, err := newJudge(tc.l)
+			x, err := execFor(tc.l)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := livenessOracle(tc.mode).holds(j, tc.l.Events); got != tc.want {
+			if _, _, err := x.classify(tc.l); err != nil {
+				t.Fatal(err)
+			}
+			if got := livenessOracle(tc.mode).holds(x, x.kept); got != tc.want {
 				t.Fatalf("oracle holds = %v, want %v", got, tc.want)
 			}
 		})

@@ -133,14 +133,8 @@ type Result struct {
 // resolve checks that l can be re-driven and returns the protocol its
 // metadata names.
 func resolve(l *trace.Log) (protocol.Protocol, error) {
-	// "sim" traces come from the simulator; "soak" traces come from the
-	// lock-step netlink sessions, which drive a sim.Runner whose channel
-	// behaviour is decided by a real wire — every wire outcome is lifted
-	// into the recorded decision/stale vocabulary, so the log is exactly as
-	// re-drivable as a simulator log. Other kinds (e.g. the free-running
-	// "netlink" recordings) are observational and refused.
-	if kind := l.Meta[trace.MetaKind]; kind != "" && kind != "sim" && kind != "soak" {
-		return nil, fmt.Errorf("replay: trace kind %q is observational, only %q and %q traces can be re-driven", kind, "sim", "soak")
+	if err := redrivable(l); err != nil {
+		return nil, err
 	}
 	name := l.Meta[trace.MetaProtocol]
 	if name == "" {
@@ -149,47 +143,58 @@ func resolve(l *trace.Log) (protocol.Protocol, error) {
 	return LookupProtocol(name)
 }
 
-// reissue re-issues the driver operations among events against r, in order,
-// and counts them. It is the one operation dispatch of this package: the
-// judge (judge.go) drives every replay, recorded or not, through it.
-func reissue(r *sim.Runner, events []trace.Event) (ops, staleSkipped int, err error) {
-	for _, e := range events {
-		if !e.Kind.IsOp() {
-			continue
+// redrivable refuses a trace whose kind is observational.
+func redrivable(l *trace.Log) error {
+	// "sim" traces come from the simulator; "soak" traces come from the
+	// lock-step netlink sessions, which drive a sim.Runner whose channel
+	// behaviour is decided by a real wire — every wire outcome is lifted
+	// into the recorded decision/stale vocabulary, so the log is exactly as
+	// re-drivable as a simulator log. Other kinds (e.g. the free-running
+	// "netlink" recordings) are observational and refused.
+	if kind := l.Meta[trace.MetaKind]; kind != "" && kind != "sim" && kind != "soak" {
+		return fmt.Errorf("replay: trace kind %q is observational, only %q and %q traces can be re-driven", kind, "sim", "soak")
+	}
+	return nil
+}
+
+// issue re-issues the driver operation e against the Exec's runner and
+// counts it in x.ops, and an infeasible stale move in x.staleSkipped. It is
+// the one operation dispatch of this package: every replay, recorded or
+// not, of a whole log or of a shrink candidate, goes through it.
+func (x *Exec) issue(e trace.Event) error {
+	r := x.Run
+	x.ops++
+	switch e.Kind {
+	case trace.KindSubmit:
+		r.SubmitMsg(e.Msg.Payload)
+	case trace.KindTransmit:
+		r.StepTransmit()
+	case trace.KindDrain:
+		r.DrainAcks()
+	case trace.KindStale:
+		if r.DeliverStale(e.Dir, e.Pkt) != nil {
+			// The delayed copy does not exist in this (shrunk) execution;
+			// the move is infeasible and skipped.
+			x.staleSkipped++
 		}
-		ops++
-		switch e.Kind {
-		case trace.KindSubmit:
-			r.SubmitMsg(e.Msg.Payload)
-		case trace.KindTransmit:
-			r.StepTransmit()
-		case trace.KindDrain:
-			r.DrainAcks()
-		case trace.KindStale:
-			if r.DeliverStale(e.Dir, e.Pkt) != nil {
-				// The delayed copy does not exist in this (shrunk) execution;
-				// the move is infeasible and skipped.
-				staleSkipped++
-			}
-		case trace.KindDropStale:
-			if r.DropStale(e.Dir, e.Pkt) != nil {
-				staleSkipped++
-			}
-		case trace.KindCorrupt:
-			// Corrupted-start moves are structural: a trace that replays
-			// them out of range or against a non-Corruptible protocol is
-			// malformed, not shrunk, so the failure is fatal rather than
-			// skipped.
-			if err := r.CorruptStart(e.Index, int(e.Bits)); err != nil {
-				return ops, staleSkipped, fmt.Errorf("replay: %w", err)
-			}
-		case trace.KindPoison:
-			if err := r.Poison(e.Dir, e.Pkt); err != nil {
-				return ops, staleSkipped, fmt.Errorf("replay: %w", err)
-			}
+	case trace.KindDropStale:
+		if r.DropStale(e.Dir, e.Pkt) != nil {
+			x.staleSkipped++
+		}
+	case trace.KindCorrupt:
+		// Corrupted-start moves are structural: a trace that replays
+		// them out of range or against a non-Corruptible protocol is
+		// malformed, not shrunk, so the failure is fatal rather than
+		// skipped.
+		if err := r.CorruptStart(e.Index, int(e.Bits)); err != nil {
+			return fmt.Errorf("replay: %w", err)
+		}
+	case trace.KindPoison:
+		if err := r.Poison(e.Dir, e.Pkt); err != nil {
+			return fmt.Errorf("replay: %w", err)
 		}
 	}
-	return ops, staleSkipped, nil
+	return nil
 }
 
 // Run replays a recorded simulation trace and re-checks it. It fails on
@@ -197,11 +202,11 @@ func reissue(r *sim.Runner, events []trace.Event) (ops, staleSkipped int, err er
 // recordings (e.g. netlink's free-running station logs, which capture only
 // one vantage point of a real network run and cannot be re-executed).
 func Run(l *trace.Log) (*Result, error) {
-	j, err := newJudge(l)
+	x, err := execFor(l)
 	if err != nil {
 		return nil, err
 	}
-	return j.run(l)
+	return x.run(l)
 }
 
 // verdictMatches compares the replayed checker outcome against a recorded

@@ -21,7 +21,7 @@ import (
 // attack: strand a d0 copy, deliver two messages, then re-deliver the stale
 // copy when the receiver expects bit 0 again. Removing any operation group
 // breaks the violation, so the trace is already minimal.
-func minimalAltbitViolation(t *testing.T) *trace.Log {
+func minimalAltbitViolation(t testing.TB) *trace.Log {
 	t.Helper()
 	l := trace.NewLog(nil)
 	r := sim.NewRunner(sim.Config{

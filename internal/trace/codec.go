@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -56,6 +57,7 @@ type Reader struct {
 	br      byteReader
 	meta    map[string]string
 	version byte
+	buf     []byte // scratch the short strings are read through
 }
 
 // byteReader is what the decoder reads through.
@@ -93,19 +95,19 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if hint > 1024 {
 		hint = 1024
 	}
-	meta := make(map[string]string, hint)
+	tr := &Reader{br: br, meta: make(map[string]string, hint), version: v}
 	for i := uint64(0); i < n; i++ {
-		k, err := readString(br)
+		k, err := readString(br, &tr.buf)
 		if err != nil {
 			return nil, fmt.Errorf("%w: meta key: %v", ErrFormat, err)
 		}
-		v, err := readString(br)
+		v, err := readString(br, &tr.buf)
 		if err != nil {
 			return nil, fmt.Errorf("%w: meta value: %v", ErrFormat, err)
 		}
-		meta[k] = v
+		tr.meta[k] = v
 	}
-	return &Reader{br: br, meta: meta, version: v}, nil
+	return tr, nil
 }
 
 // Meta returns the file's metadata.
@@ -116,7 +118,7 @@ func (tr *Reader) Meta() map[string]string { return tr.meta }
 // version-1 producer cannot have written them, so their presence means the
 // file is corrupt.
 func (tr *Reader) Next() (Event, error) {
-	e, err := readEvent(tr.br)
+	e, err := readEvent(tr.br, &tr.buf)
 	if err == nil && requiresV2(e.Kind) && tr.version < versionV2 {
 		return Event{}, fmt.Errorf("%w: event %s requires format version %d, file stamped version %d", ErrFormat, e.Kind, versionV2, tr.version)
 	}
@@ -276,7 +278,10 @@ func appendEvent(b []byte, e Event) []byte {
 	return b
 }
 
-func readString(br byteReader) (string, error) {
+// readString reads a length-prefixed string. One of at most shortBytes is
+// read through *scratch, grown as needed, and copied once into the string;
+// a longer one is read as readBytes reads it.
+func readString(br byteReader, scratch *[]byte) (string, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
 		return "", err
@@ -284,15 +289,27 @@ func readString(br byteReader) (string, error) {
 	if n > 1<<24 {
 		return "", fmt.Errorf("implausible string length %d", n)
 	}
-	buf, err := readBytes(br, n)
-	return string(buf), err
+	if n > shortBytes {
+		buf, err := readBytes(br, n)
+		return string(buf), err
+	}
+	b := slices.Grow((*scratch)[:0], int(n))[:n]
+	*scratch = b
+	if _, err := io.ReadFull(br, b); err != nil {
+		return "", err
+	}
+	return string(b), nil
 }
 
-// readBytes reads exactly n bytes. Beyond a bufio buffer's worth, its
-// buffer grows only as the bytes arrive, so a corrupt length costs no more
-// memory than the input holds.
+// shortBytes is a bufio buffer's worth: the most a length read from the
+// input may claim up front.
+const shortBytes = 4096
+
+// readBytes reads exactly n bytes. Beyond shortBytes, its buffer grows only
+// as the bytes arrive, so a corrupt length costs no more memory than the
+// input holds.
 func readBytes(r io.Reader, n uint64) ([]byte, error) {
-	if n <= 4096 {
+	if n <= shortBytes {
 		b := make([]byte, n)
 		_, err := io.ReadFull(r, b)
 		return b, err
@@ -304,7 +321,7 @@ func readBytes(r io.Reader, n uint64) ([]byte, error) {
 	return b, err
 }
 
-func readEvent(br byteReader) (Event, error) {
+func readEvent(br byteReader, scratch *[]byte) (Event, error) {
 	kb, err := br.ReadByte()
 	if err == io.EOF {
 		return Event{}, io.EOF
@@ -323,7 +340,7 @@ func readEvent(br byteReader) (Event, error) {
 			return fail("msg id", err)
 		}
 		e.Msg.ID = int(id)
-		if e.Msg.Payload, err = readString(br); err != nil {
+		if e.Msg.Payload, err = readString(br, scratch); err != nil {
 			return fail("payload", err)
 		}
 	case KindTransmit, KindDrain:
@@ -334,10 +351,10 @@ func readEvent(br byteReader) (Event, error) {
 			return fail("dir", err)
 		}
 		e.Dir = ioa.Dir(db)
-		if e.Pkt.Header, err = readString(br); err != nil {
+		if e.Pkt.Header, err = readString(br, scratch); err != nil {
 			return fail("header", err)
 		}
-		if e.Pkt.Payload, err = readString(br); err != nil {
+		if e.Pkt.Payload, err = readString(br, scratch); err != nil {
 			return fail("payload", err)
 		}
 	case KindCorrupt:
@@ -367,7 +384,7 @@ func readEvent(br byteReader) (Event, error) {
 		e.Bits = bits
 	case KindVerdict:
 		var err error
-		if e.Property, err = readString(br); err != nil {
+		if e.Property, err = readString(br, scratch); err != nil {
 			return fail("property", err)
 		}
 		idx, err := binary.ReadVarint(br)
@@ -375,7 +392,7 @@ func readEvent(br byteReader) (Event, error) {
 			return fail("index", err)
 		}
 		e.Index = int(idx)
-		if e.Detail, err = readString(br); err != nil {
+		if e.Detail, err = readString(br, scratch); err != nil {
 			return fail("detail", err)
 		}
 	default:

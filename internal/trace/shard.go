@@ -219,7 +219,8 @@ func (e *ManifestEntry) count(ev Event) {
 // readFrame reads one frame and reports its size in bytes. Input that ends
 // before or inside the frame yields io.EOF or io.ErrUnexpectedEOF.
 func readFrame(br *bufio.Reader) (session string, blob []byte, size int64, err error) {
-	if session, err = readString(br); err != nil {
+	var scratch []byte
+	if session, err = readString(br, &scratch); err != nil {
 		return "", nil, 0, err
 	}
 	n, err := binary.ReadUvarint(br)
