@@ -145,6 +145,7 @@ func (t *fixtureT) Clone() protocol.Transmitter {
 	c := *t
 	return &c
 }
+func (t *fixtureT) Reset() { *t = fixtureT{leak: t.leak} }
 func (t *fixtureT) NextPkt() (ioa.Packet, bool) {
 	if !t.busy {
 		return ioa.Packet{}, false
@@ -179,9 +180,10 @@ func (r *fixtureR) NextPkt() (ioa.Packet, bool) {
 }
 func (r *fixtureR) TakeDelivered() []string {
 	d := r.delivered
-	r.delivered = nil
+	r.delivered = d[:0]
 	return d
 }
+func (r *fixtureR) Reset()         { *r = fixtureR{delivered: r.delivered[:0]} }
 func (r *fixtureR) StateSize() int { return 1 }
 func (r *fixtureR) Clone() protocol.Receiver {
 	c := *r

@@ -94,6 +94,8 @@ func exportKey(obj types.Object) string {
 // module that stay exported, each for the reason given.
 var keptExports = map[string]string{
 	"repro/internal/core.SplitSeed":            "nfperf, a module of its own, calls it",
+	"repro/internal/fuzz.Mutate":               "nfperf, a module of its own, calls it",
+	"repro/internal/fuzz.Crossover":            "nfperf, a module of its own, calls it",
 	"repro/internal/trace.ReadManifestFile":    "nfperf, a module of its own, calls it",
 	"repro/internal/trace.ShardStore.Dir":      "nfperf, a module of its own, calls it",
 	"repro/internal/netlink.Server.RunSession": "nfperf, a module of its own, calls it",

@@ -289,6 +289,7 @@ func (t ungeniedT) Busy() bool                  { return t.inner.Busy() }
 func (t ungeniedT) Clone() protocol.Transmitter {
 	return ungeniedT{inner: t.inner.Clone()}
 }
+func (t ungeniedT) Reset()                           { t.inner.Reset() }
 func (t ungeniedT) AppendStateKey(dst []byte) []byte { return t.inner.AppendStateKey(dst) }
 func (t ungeniedT) StateSize() int                   { return t.inner.StateSize() }
 
@@ -300,6 +301,7 @@ func (r ungeniedR) TakeDelivered() []string     { return r.inner.TakeDelivered()
 func (r ungeniedR) Clone() protocol.Receiver {
 	return ungeniedR{inner: r.inner.Clone()}
 }
+func (r ungeniedR) Reset()                           { r.inner.Reset() }
 func (r ungeniedR) AppendStateKey(dst []byte) []byte { return r.inner.AppendStateKey(dst) }
 func (r ungeniedR) StateSize() int                   { return r.inner.StateSize() }
 

@@ -388,6 +388,8 @@ func (t *blindAckT) NextPkt() (ioa.Packet, bool) {
 
 func (t *blindAckT) Busy() bool { return t.busy || len(t.queue) > 0 }
 
+func (t *blindAckT) Reset() { *t = blindAckT{queue: t.queue[:0]} }
+
 func (t *blindAckT) Clone() protocol.Transmitter {
 	c := *t
 	c.queue = append([]string(nil), t.queue...)

@@ -1,8 +1,6 @@
 package fuzz
 
 import (
-	"strconv"
-
 	"repro/internal/ioa"
 	"repro/internal/protocol"
 	"repro/internal/replay"
@@ -44,7 +42,12 @@ type Core struct {
 	jbuf  []byte // scratch for the rendered joint key
 
 	// held is the input whose unrecorded execution the executor holds, nil
-	// once a logged execution or a closing drive has replaced it.
+	// once a logged execution or a closing drive has replaced it. It is
+	// compared by pointer, and a campaign's candidates all live in one
+	// scratch input, so the comparison leans on the campaign loop: the
+	// scratch is refilled only just before its next Execute, and nothing
+	// calls refuseLivelock or a logged Execute between the refill and that
+	// Execute, so a held scratch is always held for its current contents.
 	held *Input
 	// res is the result every unlogged Execute returns, reset per call; its
 	// Points keep their backing array across executions.
@@ -119,7 +122,7 @@ func (c *Core) Execute(in *Input, withLog bool) *ExecResult {
 	for _, op := range in.Ops {
 		switch op.Kind {
 		case OpSubmit:
-			r.SubmitMsg("m" + strconv.Itoa(submits))
+			r.SubmitMsg(protocol.Payload(submits))
 			submits++
 		case OpTransmit:
 			r.StepTransmit()

@@ -1,7 +1,7 @@
 package fuzz
 
 import (
-	"strconv"
+	"slices"
 
 	"repro/internal/channel"
 	"repro/internal/ioa"
@@ -82,7 +82,7 @@ func Execute(proto protocol.Protocol, in *Input, withLog bool) *ExecResult {
 	for _, op := range in.Ops {
 		switch op.Kind {
 		case OpSubmit:
-			r.SubmitMsg("m" + strconv.Itoa(submits))
+			r.SubmitMsg(protocol.Payload(submits))
 			submits++
 		case OpTransmit:
 			r.StepTransmit()
@@ -136,20 +136,17 @@ func Execute(proto protocol.Protocol, in *Input, withLog bool) *ExecResult {
 	return res
 }
 
-// Trim returns the input with unconsumed decision-stream tails removed, as
-// measured by the execution res. Trimming changes nothing about the
-// execution (unread decisions decide nothing) but keeps corpus genotypes at
-// their live length, so mutation energy lands on bytes that matter.
+// Trim returns a copy of the input, sized to its contents, with the
+// unconsumed decision-stream tails removed, as measured by the execution
+// res. Trimming changes nothing about the execution (unread decisions
+// decide nothing) but keeps corpus genotypes at their live length, so
+// mutation energy lands on bytes that matter. The copy is what a campaign
+// admits to its corpus: its candidates live in a scratch input.
 func Trim(in *Input, res *ExecResult) *Input {
-	if res.DataUsed >= len(in.Data) && res.AckUsed >= len(in.Ack) {
-		return in
+	return &Input{
+		Ops:     slices.Clone(in.Ops),
+		Data:    slices.Clone(in.Data[:min(res.DataUsed, len(in.Data))]),
+		Ack:     slices.Clone(in.Ack[:min(res.AckUsed, len(in.Ack))]),
+		Corrupt: in.Corrupt.clone(),
 	}
-	c := in.Clone()
-	if res.DataUsed < len(c.Data) {
-		c.Data = c.Data[:res.DataUsed]
-	}
-	if res.AckUsed < len(c.Ack) {
-		c.Ack = c.Ack[:res.AckUsed]
-	}
-	return c
 }

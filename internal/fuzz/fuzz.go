@@ -232,6 +232,8 @@ func (c *campaign) observe(in *Input, res *ExecResult, countDL3 bool) {
 	}
 	fresh := c.master.addAll(res.Points)
 	if fresh > 0 {
+		// in may be a scratch candidate that the next one overwrites, so
+		// the corpus keeps a copy.
 		kept := Trim(in, res)
 		c.corpus = append(c.corpus, &Entry{Input: kept, NewPoints: fresh})
 		if err := saveEntry(c.cfg.CorpusDir, kept); err != nil {
@@ -423,30 +425,36 @@ func pickParent(corpus []*Entry, rng *rand.Rand) *Input {
 	return corpus[rng.Intn(len(corpus))].Input
 }
 
-// nextCandidate derives one candidate input from the corpus snapshot. With
+// nextCandidate derives one candidate input from the corpus snapshot into
+// cand, the worker's scratch input, with the draws of
+// mutate(Crossover(parent, other)) or Mutate(parent): cand is refilled
+// from its parents and mutated in place, so a candidate the corpus rejects
+// allocates nothing beyond a copy of its parent's corruption gene. With
 // corrupt enabled, a third of the candidates additionally get their
-// corruption gene mutated — applied after the schedule mutations so the gene
-// step never perturbs the clean operators' RNG draws within a candidate.
-func nextCandidate(corpus []*Entry, rng *rand.Rand, corrupt bool) *Input {
+// corruption gene mutated — applied after the schedule mutations so the
+// gene step never perturbs the clean operators' RNG draws within a
+// candidate.
+func nextCandidate(cand *Input, corpus []*Entry, rng *rand.Rand, corrupt bool) {
 	parent := pickParent(corpus, rng)
-	var cand *Input
 	if len(corpus) >= 2 && rng.Intn(10) == 0 {
 		other := pickParent(corpus, rng)
-		cand = mutate(Crossover(parent, other, rng), rng)
+		crossover(cand, parent, other, rng)
 	} else {
-		cand = Mutate(parent, rng)
+		cand.copyFrom(parent)
 	}
+	mutate(cand, rng)
 	if corrupt && rng.Intn(3) == 0 {
 		MutateCorrupt(cand, rng)
 	}
-	return cand
 }
 
-// serial is the deterministic single-worker loop.
+// serial is the deterministic single-worker loop. Its candidates share one
+// scratch input, refilled right before each Execute (see Core.held).
 func (c *campaign) serial() {
 	rng := rand.New(rand.NewSource(seed.Split(c.cfg.Seed, "fuzz-worker-0")))
+	cand := new(Input)
 	for c.execs.Load() < c.cfg.Budget && !c.stop.Load() {
-		cand := nextCandidate(c.corpus, rng, c.cfg.Corrupt)
+		nextCandidate(cand, c.corpus, rng, c.cfg.Corrupt)
 		res := c.exec(cand, false)
 		c.execs.Add(1)
 		c.observe(cand, res, true)
@@ -480,23 +488,25 @@ func (c *campaign) parallel() {
 			rng := rand.New(rand.NewSource(seed.Split(c.cfg.Seed, "fuzz-worker-"+strconv.Itoa(id))))
 			local := make(coverSet)
 			exec := c.execOn(NewCore(c.cfg.Protocol)) // per-worker: cores are single-goroutine
+			cand := new(Input)                        // per-worker scratch candidate
 			for !c.stop.Load() {
 				if c.execs.Add(1) > c.cfg.Budget {
 					c.execs.Add(-1)
 					return
 				}
-				cand := nextCandidate(snap.Load().corpus, rng, c.cfg.Corrupt)
+				nextCandidate(cand, snap.Load().corpus, rng, c.cfg.Corrupt)
 				res := exec(cand, false)
 				if res.DL3 != nil {
 					c.dl3Misses.Add(1)
 				}
 				// Ship only results that matter: a violation, or coverage new
 				// to this worker's view (a superset check of "new globally").
-				// The Core reuses its unlogged result, so the merger gets a copy.
+				// The candidate is the worker's scratch and the Core reuses
+				// its unlogged result, so the merger gets copies of both.
 				if res.Verdict != nil || local.addAll(res.Points) > 0 {
 					shipped := *res
 					shipped.Points = slices.Clone(res.Points)
-					results <- workerResult{in: cand, res: &shipped}
+					results <- workerResult{in: cand.Clone(), res: &shipped}
 				}
 			}
 		}(w)

@@ -91,25 +91,22 @@ type Input struct {
 	Corrupt *CorruptGene
 }
 
-// Clone returns an independent deep copy. Each slice gets headroom, so the
-// mutation operators that grow a candidate (Mutate clones its parent
-// first) extend it in place rather than reallocating it.
+// Clone returns an independent deep copy.
 func (in *Input) Clone() *Input {
-	return &Input{
-		Ops:     withHeadroom(in.Ops),
-		Data:    withHeadroom(in.Data),
-		Ack:     withHeadroom(in.Ack),
-		Corrupt: in.Corrupt.clone(),
-	}
+	c := new(Input)
+	c.copyFrom(in)
+	return c
 }
 
-// withHeadroom returns a copy of s with room to grow by half again, plus 8.
-func withHeadroom[E any](s []E) []E {
-	return append(make([]E, 0, headroom(len(s))), s...)
+// copyFrom overwrites c with a deep copy of in, in c's own storage, which
+// keeps its capacity: a campaign refills one scratch candidate from each
+// parent this way and mutates it in place.
+func (c *Input) copyFrom(in *Input) {
+	c.Ops = append(c.Ops[:0], in.Ops...)
+	c.Data = append(c.Data[:0], in.Data...)
+	c.Ack = append(c.Ack[:0], in.Ack...)
+	c.Corrupt = in.Corrupt.clone()
 }
-
-// headroom is the capacity a candidate slice of length n is built with.
-func headroom(n int) int { return n + n/2 + 8 }
 
 // String renders a compact summary for logs and stats lines.
 func (in *Input) String() string {

@@ -9,8 +9,10 @@ import (
 )
 
 // Mutation operators. Each takes a parent genotype and a worker-local RNG
-// and returns a fresh candidate; parents are never modified in place (they
-// are shared across workers through corpus snapshots).
+// and derives a candidate in storage of its own: Mutate and Crossover
+// return fresh inputs, and a campaign mutates one scratch input per worker
+// in place (nextCandidate). Parents are never modified (they are shared
+// across workers through corpus snapshots).
 //
 // The operator set mirrors the structure of the search space:
 //
@@ -66,9 +68,9 @@ func capInput(in *Input) *Input {
 // operators.
 func Mutate(parent *Input, rng *rand.Rand) *Input { return mutate(parent.Clone(), rng) }
 
-// mutate is Mutate on a candidate of the caller's own — a clone, or a
-// crossover child, which shares no memory with its parents — mutated in
-// place, with Mutate's draws.
+// mutate is Mutate on a candidate of the caller's own — a clone, a
+// crossover child, or a campaign's scratch input, none of which shares
+// memory with its parents — mutated in place, with Mutate's draws.
 func mutate(c *Input, rng *rand.Rand) *Input {
 	for n := 1 + rng.Intn(3); n > 0; n-- {
 		c = mutateOnce(c, rng)
@@ -80,7 +82,7 @@ func mutate(c *Input, rng *rand.Rand) *Input {
 }
 
 // mutator is one named mutation operator. Operators mutate the candidate in
-// place (callers pass clones) and draw from the worker RNG; the table order
+// place (callers pass copies) and draw from the worker RNG; the table order
 // is part of the campaign determinism contract — reordering or renumbering
 // it changes every seeded campaign's trajectory.
 type mutator struct {
@@ -181,41 +183,36 @@ func flipDecision(c *Input, rng *rand.Rand) {
 
 // Crossover splices a prefix of a onto a suffix of b, recombining both
 // schedules and both decision streams at independent cut points. The child
-// shares no memory with its parents, and its slices have the headroom
-// Input.Clone leaves, so it can be mutated in place.
-func Crossover(a, b *Input, rng *rand.Rand) *Input {
-	cut := func(x, y []Op) []Op {
-		i, j := 0, 0
-		if len(x) > 0 {
-			i = rng.Intn(len(x) + 1)
-		}
-		if len(y) > 0 {
-			j = rng.Intn(len(y) + 1)
-		}
-		out := make([]Op, 0, headroom(i+len(y)-j))
-		out = append(out, x[:i]...)
-		return append(out, y[j:]...)
-	}
-	cutD := func(x, y []trace.Decision) []trace.Decision {
-		i, j := 0, 0
-		if len(x) > 0 {
-			i = rng.Intn(len(x) + 1)
-		}
-		if len(y) > 0 {
-			j = rng.Intn(len(y) + 1)
-		}
-		out := make([]trace.Decision, 0, headroom(i+len(y)-j))
-		out = append(out, x[:i]...)
-		return append(out, y[j:]...)
-	}
+// shares no memory with its parents.
+func Crossover(a, b *Input, rng *rand.Rand) *Input { return crossover(new(Input), a, b, rng) }
+
+// crossover is Crossover into c's own storage, with Crossover's draws; c
+// must not be a or b.
+func crossover(c, a, b *Input, rng *rand.Rand) *Input {
+	c.Ops = splice(c.Ops[:0], a.Ops, b.Ops, rng)
+	c.Data = splice(c.Data[:0], a.Data, b.Data, rng)
+	c.Ack = splice(c.Ack[:0], a.Ack, b.Ack, rng)
 	// The corrupted-start gene rides with the first parent: a corruption is
 	// a property of the whole run (it happens before op 0), so splicing two
 	// genes has no schedule-level meaning the way splicing ops does.
-	c := &Input{Ops: cut(a.Ops, b.Ops), Data: cutD(a.Data, b.Data), Ack: cutD(a.Ack, b.Ack), Corrupt: a.Corrupt.clone()}
+	c.Corrupt = a.Corrupt.clone()
 	if len(c.Ops) == 0 {
 		c.Ops = append(c.Ops, Op{Kind: OpSubmit}, Op{Kind: OpTransmit})
 	}
 	return capInput(c)
+}
+
+// splice appends a prefix of x and a suffix of y, each cut at a random
+// point (drawn only for a non-empty slice), to dst.
+func splice[E any](dst, x, y []E, rng *rand.Rand) []E {
+	i, j := 0, 0
+	if len(x) > 0 {
+		i = rng.Intn(len(x) + 1)
+	}
+	if len(y) > 0 {
+		j = rng.Intn(len(y) + 1)
+	}
+	return append(append(dst, x[:i]...), y[j:]...)
 }
 
 // SeedInputs returns the initial corpus for any protocol: a handful of plain

@@ -14,12 +14,14 @@ import (
 
 // TestExecuteAllocCeilings caps what one execution allocates on a warmed
 // Core, for each SeedInputs entry under seqnum and altbit: an unlogged
-// Execute, which returns the Core's own result and grows no candidate or
-// queue storage it already has, and Execute plus refuseLivelock, whose
-// closing drive reuses one sightings log and builds its refusal text only
-// when read.
+// Execute, which returns the Core's own result, resets the endpoints in
+// place, submits payloads from a table and grows no queue or delivered
+// storage it already has, and Execute plus refuseLivelock, whose closing
+// drive reuses one sightings log and builds its refusal text only when
+// read. What is left is the DL3 checker's eagerly formatted Detail on the
+// all-delay input, and the refusal itself.
 func TestExecuteAllocCeilings(t *testing.T) {
-	ceilings := [...]struct{ exec, refuse float64 }{{9, 12}, {8, 14}, {7, 10}}
+	ceilings := [...]struct{ exec, refuse float64 }{{0, 1}, {2, 3}, {0, 1}}
 	for _, name := range []string{"seqnum", "altbit"} {
 		p, err := replay.LookupProtocol(name)
 		if err != nil {
@@ -90,8 +92,8 @@ func scribble(c *Input) {
 }
 
 // TestMutationSharesNoMemory: a candidate shares no memory with its
-// parents. Clone leaves headroom that the growing operators fill in
-// place, so writing a candidate's slices out to their capacity must leave
+// parents. The growing operators extend a candidate in place wherever it
+// has room, so writing a candidate's slices out to their capacity must leave
 // every parent's encoding unchanged, for each operator applied the way
 // Mutate applies it (to a clone), for MutateCorrupt, Mutate and Crossover.
 func TestMutationSharesNoMemory(t *testing.T) {
@@ -235,6 +237,86 @@ func TestCoreShrinkLeavesLaterExecutions(t *testing.T) {
 		}
 		if g, w := shrinking.Execute(next, true), plain.Execute(next, true); !bytes.Equal(encodeLog(t, g.Log), encodeLog(t, w.Log)) {
 			t.Fatalf("input %d: the logged execution after a shrink differs", i)
+		}
+	}
+}
+
+// TestScratchCandidateMatchesFresh: a campaign derives each candidate into
+// one scratch input, refilled and mutated in place, with the draws of the
+// fresh derivation through the exported Mutate and Crossover that nfperf's
+// replica of the campaign loop makes. Both make the same candidate and
+// leave the RNG in the same state.
+func TestScratchCandidateMatchesFresh(t *testing.T) {
+	fresh := func(corpus []*Entry, rng *rand.Rand, corrupt bool) *Input {
+		parent := pickParent(corpus, rng)
+		var cand *Input
+		if len(corpus) >= 2 && rng.Intn(10) == 0 {
+			other := pickParent(corpus, rng)
+			cand = Mutate(Crossover(parent, other, rng), rng)
+		} else {
+			cand = Mutate(parent, rng)
+		}
+		if corrupt && rng.Intn(3) == 0 {
+			MutateCorrupt(cand, rng)
+		}
+		return cand
+	}
+	rng := rand.New(rand.NewSource(13))
+	var corpus []*Entry
+	for i := 0; i < 40; i++ {
+		in := randomValidInput(rng)
+		if i%3 == 0 {
+			MutateCorrupt(in, rng)
+		}
+		corpus = append(corpus, &Entry{Input: in})
+	}
+	for _, corrupt := range []bool{false, true} {
+		cand := new(Input)
+		for i := 0; i < 2000; i++ {
+			s := rng.Int63()
+			r1, r2 := rand.New(rand.NewSource(s)), rand.New(rand.NewSource(s))
+			nextCandidate(cand, corpus[:1+i%len(corpus)], r1, corrupt)
+			want := fresh(corpus[:1+i%len(corpus)], r2, corrupt)
+			if !bytes.Equal(cand.Encode(), want.Encode()) || r1.Int63() != r2.Int63() {
+				t.Fatalf("corrupt %t, candidate %d: the scratch holds %v, the fresh derivation made %v", corrupt, i, cand, want)
+			}
+		}
+	}
+}
+
+// TestAdmittedEntriesShareNoScratch: the campaign mutates one scratch
+// candidate in place and admits copies of it, so writing the scratch out to
+// its capacity after each admission leaves every corpus entry's encoding as
+// it was admitted.
+func TestAdmittedEntriesShareNoScratch(t *testing.T) {
+	for _, name := range []string{"altbit", "stabnaive"} {
+		p, err := replay.LookupProtocol(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &campaign{cfg: Config{Protocol: p, Corrupt: name == "stabnaive"}, master: make(coverSet), wins: make(map[string]*Violation), core: NewCore(p)}
+		c.exec = c.execOn(c.core)
+		for _, in := range SeedInputs() {
+			c.observe(in, c.exec(in, false), true)
+		}
+		var admitted [][]byte
+		rng := rand.New(rand.NewSource(3))
+		cand := new(Input)
+		for i := 0; i < 600; i++ {
+			nextCandidate(cand, c.corpus, rng, c.cfg.Corrupt)
+			c.observe(cand, c.exec(cand, false), true)
+			for _, e := range c.corpus[len(admitted):] {
+				admitted = append(admitted, e.Input.Encode())
+			}
+			scribble(cand)
+			for k, e := range c.corpus {
+				if !bytes.Equal(e.Input.Encode(), admitted[k]) {
+					t.Fatalf("%s candidate %d: writing the scratch changed corpus entry %d", name, i, k)
+				}
+			}
+		}
+		if len(c.corpus) <= len(SeedInputs()) {
+			t.Fatalf("%s: the campaign admitted no candidate", name)
 		}
 	}
 }

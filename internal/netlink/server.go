@@ -2,16 +2,19 @@ package netlink
 
 // Server is the soak server's listener mux: ONE UDP socket is the
 // receiver-side endpoint of every concurrent session. A read pump routes
-// arriving datagrams to per-session inboxes by source address (each session
-// owns a distinct client socket, so the source address identifies it), and
-// acknowledgements are written back through the shared socket (UDP WriteTo
-// is goroutine-safe). This is what lets `nfserve load -sessions 1000` run on
-// a bounded file-descriptor budget: the peak socket count is the worker pool
-// size plus one, not the session count.
+// arriving datagrams to the inbox of the session whose client socket sent
+// them (each session owns a distinct client socket, so the source address
+// identifies it), and acknowledgements are written back through the shared
+// socket (UDP WriteTo is goroutine-safe). This is what lets `nfserve load
+// -sessions 1000` run on a bounded file-descriptor budget: the peak socket
+// count is the worker pool size plus one, not the session count. An inbox
+// belongs to the worker that runs the session, which registers it for each
+// of its sessions in turn.
 
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 )
@@ -24,10 +27,13 @@ const inboxDepth = 256
 
 // Server runs concurrent soak sessions behind one shared UDP socket.
 type Server struct {
-	conn net.PacketConn
+	conn *net.UDPConn
 
+	// mu guards inboxes, and the pump sends to an inbox only while holding
+	// it, so once unregister has returned no datagram reaches the inbox it
+	// removed: its worker can register it for the next session.
 	mu      sync.Mutex
-	inboxes map[string]chan []byte
+	inboxes map[netip.AddrPort]chan []byte // by unmapped source address
 
 	pumpDone  chan struct{}
 	closeOnce sync.Once
@@ -44,8 +50,8 @@ func NewServer(addr string) (*Server, error) {
 		return nil, fmt.Errorf("netlink: server socket: %w", err)
 	}
 	sv := &Server{
-		conn:     conn,
-		inboxes:  make(map[string]chan []byte),
+		conn:     conn.(*net.UDPConn), // what ListenPacket makes for "udp"
+		inboxes:  make(map[netip.AddrPort]chan []byte),
 		pumpDone: make(chan struct{}),
 	}
 	go sv.pump()
@@ -69,39 +75,49 @@ func (sv *Server) Close() error {
 // pump routes every datagram arriving at the shared socket to the inbox
 // registered for its source address. Datagrams from unknown sources (a
 // session that already finished) and inbox overflows are dropped — both
-// surface as ordinary wire loss to the affected session.
+// surface as ordinary wire loss to the affected session. The send happens
+// under sv.mu (see Server.mu); it never blocks, so holding the lock is
+// cheap.
 func (sv *Server) pump() {
 	defer close(sv.pumpDone)
 	buf := make([]byte, 64<<10)
 	for {
-		n, src, err := sv.conn.ReadFrom(buf)
+		n, src, err := sv.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // closed
 		}
-		b := make([]byte, n)
-		copy(b, buf[:n])
 		sv.mu.Lock()
-		inbox := sv.inboxes[src.String()]
+		if inbox := sv.inboxes[unmapped(src)]; inbox != nil {
+			b := make([]byte, n)
+			copy(b, buf[:n])
+			select {
+			case inbox <- b:
+			default:
+			}
+		}
 		sv.mu.Unlock()
-		if inbox == nil {
-			continue
-		}
-		select {
-		case inbox <- b:
-		default:
-		}
 	}
 }
 
-func (sv *Server) register(key string) chan []byte {
-	inbox := make(chan []byte, inboxDepth)
+// unmapped is ap with an IPv4-mapped IPv6 address turned into the IPv4
+// address it maps: a socket may report an IPv4 peer in either form.
+func unmapped(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+}
+
+// register routes the datagrams from key to inbox, after dropping what the
+// inbox's previous session left in it: that session was unregistered, so
+// nothing more arrives for it.
+func (sv *Server) register(key netip.AddrPort, inbox chan []byte) {
+	for len(inbox) > 0 {
+		<-inbox
+	}
 	sv.mu.Lock()
 	sv.inboxes[key] = inbox
 	sv.mu.Unlock()
-	return inbox
 }
 
-func (sv *Server) unregister(key string) {
+func (sv *Server) unregister(key netip.AddrPort) {
 	sv.mu.Lock()
 	delete(sv.inboxes, key)
 	sv.mu.Unlock()
@@ -117,16 +133,16 @@ func (sv *Server) RunSession(cfg SessionConfig) (*SessionResult, error) {
 }
 
 // runSession runs one session on w's state, opening the session's client
-// socket and registering its inbox. The client socket stays per session
-// because its address is the session's mux key; the inbox does too, since
-// the pump may still send a straggler of the previous session to it.
+// socket and registering w's inbox for it. The client socket stays per
+// session because its address is the session's mux key.
 func (sv *Server) runSession(cfg SessionConfig, w *worker) (*SessionResult, error) {
-	clientConn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("netlink: client socket: %w", err)
 	}
-	key := clientConn.LocalAddr().String()
-	inbox := sv.register(key)
+	clientConn := conn.(*net.UDPConn)
+	key := unmapped(clientConn.LocalAddr().(*net.UDPAddr).AddrPort())
+	sv.register(key, w.inbox)
 	env := &sessionEnv{
 		dataConn: clientConn,
 		// The ack lane writes through the SHARED socket; env.close must not
@@ -134,7 +150,7 @@ func (sv *Server) runSession(cfg SessionConfig, w *worker) (*SessionResult, erro
 		ackConn:  sv.conn,
 		dataAddr: sv.conn.LocalAddr(),
 		ackAddr:  clientConn.LocalAddr(),
-		recvData: inboxReader(inbox),
+		recvData: inboxReader(w.inbox),
 		recvAck:  deadlineReader(clientConn, w.buf),
 		close: func() {
 			sv.unregister(key)

@@ -157,16 +157,17 @@ type sessionEnv struct {
 
 // worker is the session state a soak worker reuses for every session it
 // runs, reset at each session's start: the runner, its live checker, the
-// log the runner records into, the client socket's read buffer and the two
-// ChaosConns. RunSoak makes one per worker goroutine, so a session's log is
-// only good until the worker's next session; RunSession makes one per call,
-// so the log it returns stays the caller's.
+// log the runner records into, the client socket's read buffer, the two
+// ChaosConns and the mux inbox. RunSoak makes one per worker goroutine, so
+// a session's log is only good until the worker's next session; RunSession
+// makes one per call, so the log it returns stays the caller's.
 type worker struct {
 	log       *trace.Log
 	check     *ioa.LiveChecker
 	runner    *sim.Runner // nil before the first session
 	buf       []byte      // deadlineReader's read buffer
 	data, ack *ChaosConn  // rebound to each session's sockets and seeds
+	inbox     chan []byte // registered with the mux for each session (Server.register)
 }
 
 func newWorker() *worker {
@@ -176,6 +177,7 @@ func newWorker() *worker {
 		buf:   make([]byte, 64<<10),
 		data:  new(ChaosConn),
 		ack:   new(ChaosConn),
+		inbox: make(chan []byte, inboxDepth),
 	}
 }
 
@@ -207,10 +209,10 @@ func chaosFor(cfg SessionConfig, stream string) ChaosConfig {
 // conn, bounded by sessionReadTimeout, that reads into buf. buf is the
 // worker's, reused across calls and across the worker's sessions, so each
 // returned datagram is copied out.
-func deadlineReader(conn net.PacketConn, buf []byte) func() ([]byte, bool) {
+func deadlineReader(conn *net.UDPConn, buf []byte) func() ([]byte, bool) {
 	return func() ([]byte, bool) {
 		_ = conn.SetReadDeadline(time.Now().Add(sessionReadTimeout))
-		n, _, err := conn.ReadFrom(buf)
+		n, _, err := conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return nil, false
 		}

@@ -6,10 +6,12 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/ioa"
 	"repro/internal/protocol"
 	"repro/internal/replay"
 	"repro/internal/seed"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // runSoakSessionT runs one session on a fresh Server and fails the test on
@@ -338,5 +340,44 @@ func TestSoakWorkerReuse(t *testing.T) {
 			t.Fatalf("session %s (%s): recorded blob differs from a fresh session's log:\nrecorded:\n%s\nfresh:\n%s",
 				o.Session, o.Protocol, got, res.Log)
 		}
+	}
+}
+
+// TestWorkerInboxDropsStragglers: a worker registers one mux inbox for all
+// of its sessions, so a datagram left in the inbox when a session ends — a
+// straggler the pump routed after the session's last read — must not reach
+// the worker's next session, which records the log and counts the wire
+// stats of a fresh session. A session that read the straggler would take it
+// for its first arrival and record the real one's loss.
+func TestWorkerInboxDropsStragglers(t *testing.T) {
+	sv, err := NewServer("")
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	defer sv.Close()
+	cfg := SessionConfig{Protocol: protocol.NewAltBit(), Messages: 4, Seed: 5}
+	w := newWorker()
+	if _, err := sv.runSession(cfg, w); err != nil {
+		t.Fatalf("first session: %v", err)
+	}
+	w.inbox <- wire.Encode(ioa.Packet{Header: "d1", Payload: "straggler"})
+	got, err := sv.runSession(cfg, w)
+	if err != nil {
+		t.Fatalf("second session: %v", err)
+	}
+	want, err := sv.RunSession(cfg)
+	if err != nil {
+		t.Fatalf("fresh session: %v", err)
+	}
+	var gb, wb bytes.Buffer
+	if err := got.Log.Encode(&gb); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Log.Encode(&wb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gb.Bytes(), wb.Bytes()) || got.Stats.WireLost != want.Stats.WireLost || got.Stats.WireFiltered != want.Stats.WireFiltered {
+		t.Fatalf("the worker's next session read its previous session's straggler: lost %d, filtered %d, want %d and %d\n%s\nwant\n%s",
+			got.Stats.WireLost, got.Stats.WireFiltered, want.Stats.WireLost, want.Stats.WireFiltered, got.Log, want.Log)
 	}
 }

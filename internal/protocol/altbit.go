@@ -123,6 +123,8 @@ func (t *altBitT) NextPkt() (ioa.Packet, bool) {
 
 func (t *altBitT) Busy() bool { return t.busy || len(t.queue) > 0 }
 
+func (t *altBitT) Reset() { *t = altBitT{queue: t.queue[:0]} }
+
 func (t *altBitT) Clone() Transmitter {
 	c := *t
 	c.queue = cloneQueue(t.queue)
@@ -182,11 +184,9 @@ func (r *altBitR) NextPkt() (ioa.Packet, bool) {
 	return popFront(&r.acks), true
 }
 
-func (r *altBitR) TakeDelivered() []string {
-	out := r.delivered
-	r.delivered = nil
-	return out
-}
+func (r *altBitR) TakeDelivered() []string { return takeDelivered(&r.delivered) }
+
+func (r *altBitR) Reset() { *r = altBitR{delivered: r.delivered[:0], acks: r.acks[:0]} }
 
 func (r *altBitR) Clone() Receiver {
 	c := *r

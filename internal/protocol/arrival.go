@@ -113,6 +113,8 @@ func (t *arrivalT) NextPkt() (ioa.Packet, bool) {
 
 func (t *arrivalT) Busy() bool { return t.busy || len(t.queue) > 0 }
 
+func (t *arrivalT) Reset() { *t = arrivalT{queue: t.queue[:0]} }
+
 func (t *arrivalT) Clone() Transmitter {
 	c := *t
 	c.queue = cloneQueue(t.queue)
@@ -166,10 +168,10 @@ func (r *arrivalR) NextPkt() (ioa.Packet, bool) {
 	return popFront(&r.acks), true
 }
 
-func (r *arrivalR) TakeDelivered() []string {
-	out := r.delivered
-	r.delivered = nil
-	return out
+func (r *arrivalR) TakeDelivered() []string { return takeDelivered(&r.delivered) }
+
+func (r *arrivalR) Reset() {
+	*r = arrivalR{seen: r.seen[:0], delivered: r.delivered[:0], acks: r.acks[:0]}
 }
 
 func (r *arrivalR) Clone() Receiver {

@@ -148,6 +148,8 @@ func (t *cntkT) NextPkt() (ioa.Packet, bool) {
 
 func (t *cntkT) Busy() bool { return t.busy || len(t.queue) > 0 }
 
+func (t *cntkT) Reset() { *t = cntkT{k: t.k, ackGenie: t.ackGenie, queue: t.queue[:0]} }
+
 func (t *cntkT) Clone() Transmitter {
 	c := *t
 	c.queue = cloneQueue(t.queue)
@@ -232,10 +234,11 @@ func (r *cntkR) NextPkt() (ioa.Packet, bool) {
 	return popFront(&r.acks), true
 }
 
-func (r *cntkR) TakeDelivered() []string {
-	out := r.delivered
-	r.delivered = nil
-	return out
+func (r *cntkR) TakeDelivered() []string { return takeDelivered(&r.delivered) }
+
+func (r *cntkR) Reset() {
+	*r = cntkR{k: r.k, dataGenie: r.dataGenie, lastAccepted: -1, delivered: r.delivered[:0], acks: r.acks[:0]}
+	r.snapshot()
 }
 
 func (r *cntkR) Clone() Receiver {

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/channel"
@@ -194,30 +195,91 @@ func TestContractCloneIsDeep(t *testing.T) {
 		wantT, wantR := queuedPair(p)
 		tc, rc := tx.Clone(), rx.Clone()
 		queuedPairRounds(tx, rx, 8)
-		if got, want := StateKey(tc), StateKey(wantT); got != want {
-			t.Fatalf("%s: popping the original transmitter changed its clone: %s, want %s", p.Name(), got, want)
+		samePair(t, p.Name()+": popping the original changed its clone", tc, rc, wantT, wantR)
+	}
+
+	// Reset keeps an endpoint's storage, so a clone sharing any of its
+	// original's would write into the original once reset and refilled.
+	// Resetting and refilling clones of a queued pair, of one whose queues
+	// were drained, and of each pair of corruption templates queued the same
+	// way, after the original has refilled its own queues, must leave the
+	// original as a twin built and refilled the same way and never cloned.
+	for _, p := range append(everyProtocol(), NewArrival()) {
+		type build struct {
+			label string
+			pair  func() (Transmitter, Receiver)
 		}
-		if got, want := StateKey(rc), StateKey(wantR); got != want {
-			t.Fatalf("%s: popping the original receiver changed its clone: %s, want %s", p.Name(), got, want)
+		builds := []build{
+			{"queued pair", func() (Transmitter, Receiver) { return queuedPair(p) }},
+			{"drained pair", func() (Transmitter, Receiver) {
+				tx, rx := queuedPair(p)
+				for _, ok := rx.NextPkt(); ok; _, ok = rx.NextPkt() {
+				}
+				rx.TakeDelivered()
+				return tx, rx
+			}},
 		}
-		for {
-			got, gok := rc.NextPkt()
-			want, wok := wantR.NextPkt()
-			if got != want || gok != wok {
-				t.Fatalf("%s: popping the original receiver changed its clone's acks: %v, want %v", p.Name(), got, want)
+		if c, ok := p.(Corruptible); ok {
+			space := c.Corruptions()
+			for i := range space.Transmitters {
+				for j := range space.Receivers {
+					builds = append(builds, build{fmt.Sprintf("corruption templates t%d r%d", i, j), func() (Transmitter, Receiver) {
+						space := c.Corruptions()
+						tx, rx := space.Transmitters[i], space.Receivers[j]
+						queueOn(p, tx, rx)
+						return tx, rx
+					}})
+				}
 			}
-			if !gok {
-				break
-			}
+		}
+		for _, b := range builds {
+			tx, rx := b.pair()
+			wantT, wantR := b.pair()
+			tc, rc := tx.Clone(), rx.Clone()
+			queueOn(p, tx, rx)
+			queueOn(p, wantT, wantR)
+			tc.Reset()
+			rc.Reset()
+			queueOn(p, tc, rc)
+			queuedPairRounds(tc, rc, 8)
+			samePair(t, fmt.Sprintf("%s %s: resetting and refilling a clone changed its original", p.Name(), b.label), tx, rx, wantT, wantR)
+		}
+	}
+}
+
+// samePair fails the test with msg unless tx and rx have wantT's and
+// wantR's keys, and rx has wantR's acks queued. It drains both receivers.
+func samePair(t *testing.T, msg string, tx Transmitter, rx Receiver, wantT Transmitter, wantR Receiver) {
+	t.Helper()
+	if got, want := StateKey(tx), StateKey(wantT); got != want {
+		t.Fatalf("%s: transmitter %s, want %s", msg, got, want)
+	}
+	if got, want := StateKey(rx), StateKey(wantR); got != want {
+		t.Fatalf("%s: receiver %s, want %s", msg, got, want)
+	}
+	for {
+		got, gok := rx.NextPkt()
+		want, wok := wantR.NextPkt()
+		if got != want || gok != wok {
+			t.Fatalf("%s: queued ack %v, want %v", msg, got, want)
+		}
+		if !gok {
+			return
 		}
 	}
 }
 
 // queuedPair returns an endpoint pair with messages queued at the
-// transmitter and distinct acks queued at the receiver: a second receiver
-// confirms the transmitter's packets, so the first one's acks pile up.
+// transmitter and distinct acks queued at the receiver (queueOn).
 func queuedPair(p Protocol) (Transmitter, Receiver) {
 	tx, rx := p.New(channel.NoGenie{}, channel.NoGenie{})
+	queueOn(p, tx, rx)
+	return tx, rx
+}
+
+// queueOn queues messages at tx and acks at rx: a second receiver of p
+// confirms tx's packets, and rx gets the same packets, so its acks pile up.
+func queueOn(p Protocol, tx Transmitter, rx Receiver) {
 	_, confirm := p.New(channel.NoGenie{}, channel.NoGenie{})
 	for i := 0; i < 6; i++ {
 		tx.SendMsg(fmt.Sprintf("m%d", i))
@@ -225,7 +287,6 @@ func queuedPair(p Protocol) (Transmitter, Receiver) {
 	for _, pk := range queuedPairRounds(tx, confirm, 3) {
 		rx.DeliverPkt(pk)
 	}
-	return tx, rx
 }
 
 // queuedPairRounds runs rounds rounds in which tx sends one packet to
@@ -414,4 +475,148 @@ func TestContractIdleNextPktPure(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestContractResetIsNew: Reset returns an endpoint to the state New gives
+// it, wherever the endpoint came from and whatever it went through.
+// sim.Runner.Reset reuses a protocol's endpoints across runs on this
+// contract.
+func TestContractResetIsNew(t *testing.T) {
+	for _, p := range append(everyProtocol(), NewArrival()) {
+		CheckResetIsNew(t, p)
+	}
+}
+
+// CheckResetIsNew holds p's endpoints to the Reset contract: pairs from
+// New, clones of a driven pair, and clones of every corruption template
+// are driven through seeded random schedules, reset, and compared with a
+// fresh pair from New. The reset pair's keys must equal the fresh pair's,
+// and so must the packets, keys and delivered payloads of a further
+// schedule. The transport protocols' external test calls it too.
+func CheckResetIsNew(t *testing.T, p Protocol) {
+	t.Helper()
+	for seed := int64(1); seed <= 6; seed++ {
+		w := newWire()
+		tx, rx := w.pair(p)
+		resetMatchesNew(t, p.Name()+" from New", p, tx, rx, w, seed)
+
+		// A clone of a driven pair, on copies of its channels, as Fork
+		// makes it.
+		w = newWire()
+		tx, rx = w.pair(p)
+		schedule(tx, rx, w, rand.New(rand.NewSource(-seed)), 40)
+		fw := wire{data: w.data.Clone(), ack: w.ack.Clone()}
+		tc, rc := tx.Clone(), rx.Clone()
+		BindGenies(tc, rc, fw.data, fw.ack)
+		resetMatchesNew(t, p.Name()+" from Clone", p, tc, rc, fw, seed)
+
+		c, ok := p.(Corruptible)
+		if !ok {
+			continue
+		}
+		space := c.Corruptions()
+		for i, tt := range space.Transmitters {
+			for j, rt := range space.Receivers {
+				w := newWire()
+				tc, rc := tt.Clone(), rt.Clone()
+				BindGenies(tc, rc, w.data, w.ack)
+				resetMatchesNew(t, fmt.Sprintf("%s from corruption template t%d r%d", p.Name(), i, j), p, tc, rc, w, seed)
+			}
+		}
+	}
+}
+
+// wire is the pair of channels a test pair's genies read, standing in for
+// a runner's: schedules hold delayed copies on them.
+type wire struct{ data, ack *channel.NonFIFO }
+
+func newWire() wire {
+	return wire{data: channel.NewNonFIFO(ioa.TtoR), ack: channel.NewNonFIFO(ioa.RtoT)}
+}
+
+// pair returns a fresh pair of p whose genies read w.
+func (w wire) pair(p Protocol) (Transmitter, Receiver) {
+	return p.New(channel.ChannelGenie{Ch: w.data}, channel.ChannelGenie{Ch: w.ack})
+}
+
+// resetMatchesNew drives tx and rx, whose genies read w, through a seeded
+// random schedule, then resets w's channels and the pair, in the order
+// sim.Runner.Reset does, and compares the pair with a fresh one of p.
+func resetMatchesNew(t *testing.T, label string, p Protocol, tx Transmitter, rx Receiver, w wire, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	schedule(tx, rx, w, rng, 60)
+	w.data.Reset(ioa.TtoR)
+	w.ack.Reset(ioa.RtoT)
+	tx.Reset()
+	rx.Reset()
+	fw := newWire()
+	ft, fr := fw.pair(p)
+	if got, want := StateKey(tx), StateKey(ft); got != want {
+		t.Fatalf("%s, seed %d: reset transmitter %s, New gives %s", label, seed, got, want)
+	}
+	if got, want := StateKey(rx), StateKey(fr); got != want {
+		t.Fatalf("%s, seed %d: reset receiver %s, New gives %s", label, seed, got, want)
+	}
+	s := rng.Int63()
+	got := schedule(tx, rx, w, rand.New(rand.NewSource(s)), 80)
+	want := schedule(ft, fr, fw, rand.New(rand.NewSource(s)), 80)
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s, seed %d: after Reset, step %d of a schedule shows\n%s\nwhere a fresh pair shows\n%s", label, seed, i, got[i], want[i])
+		}
+	}
+}
+
+// schedule drives tx and rx through n random steps over w — submits, sends
+// whose copy is delivered, held on w or dropped, deliveries of held
+// copies, and takes of the delivered payloads — and returns what each step
+// showed: the packets sent and payloads taken, and both state keys after.
+func schedule(tx Transmitter, rx Receiver, w wire, rng *rand.Rand, n int) []string {
+	fate := func(p ioa.Packet, ch *channel.NonFIFO, deliver func(ioa.Packet)) {
+		switch rng.Intn(3) {
+		case 0:
+			deliver(p)
+		case 1:
+			ch.Send(p)
+		}
+	}
+	stale := func(ch *channel.NonFIFO, deliver func(ioa.Packet)) {
+		if n := ch.DistinctPackets(); n > 0 {
+			p := ch.PacketAt(rng.Intn(n))
+			_ = ch.Deliver(p)
+			deliver(p)
+		}
+	}
+	steps := make([]string, n)
+	var b []byte
+	for i := range steps {
+		b = b[:0]
+		switch rng.Intn(6) {
+		case 0:
+			tx.SendMsg(Payload(i))
+		case 1:
+			p, ok := tx.NextPkt()
+			b = fmt.Appendf(b, "send %v %t; ", p, ok)
+			if ok {
+				fate(p, w.data, rx.DeliverPkt)
+			}
+		case 2:
+			p, ok := rx.NextPkt()
+			b = fmt.Appendf(b, "ack %v %t; ", p, ok)
+			if ok {
+				fate(p, w.ack, tx.DeliverPkt)
+			}
+		case 3:
+			stale(w.data, rx.DeliverPkt)
+		case 4:
+			stale(w.ack, tx.DeliverPkt)
+		case 5:
+			b = fmt.Appendf(b, "delivered %q; ", rx.TakeDelivered())
+		}
+		b = tx.AppendStateKey(b)
+		b = rx.AppendStateKey(append(b, ' '))
+		steps[i] = string(b)
+	}
+	return steps
 }

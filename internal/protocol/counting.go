@@ -281,6 +281,10 @@ func (t *countingT) NextPkt() (ioa.Packet, bool) {
 
 func (t *countingT) Busy() bool { return t.busy || len(t.queue) > 0 }
 
+func (t *countingT) Reset() {
+	*t = countingT{mode: t.mode, ackGenie: t.ackGenie, queue: t.queue[:0]}
+}
+
 func (t *countingT) Clone() Transmitter {
 	c := *t
 	c.queue = cloneQueue(t.queue)
@@ -416,10 +420,12 @@ func (r *countingR) NextPkt() (ioa.Packet, bool) {
 	return popFront(&r.acks), true
 }
 
-func (r *countingR) TakeDelivered() []string {
-	out := r.delivered
-	r.delivered = nil
-	return out
+func (r *countingR) TakeDelivered() []string { return takeDelivered(&r.delivered) }
+
+func (r *countingR) Reset() {
+	*r = countingR{mode: r.mode, d: r.d, dataGenie: r.dataGenie, lastAccepted: -1,
+		delivered: r.delivered[:0], acks: r.acks[:0]}
+	r.snapshot()
 }
 
 func (r *countingR) Clone() Receiver {

@@ -53,6 +53,7 @@ func (t *livelockT) NextPkt() (ioa.Packet, bool) {
 
 func (t *livelockT) Busy() bool         { return t.busy }
 func (t *livelockT) Clone() Transmitter { c := *t; return &c }
+func (t *livelockT) Reset()             { t.busy = false }
 
 func (t *livelockT) AppendStateKey(dst []byte) []byte {
 	if t.busy {
@@ -71,5 +72,6 @@ func (r *livelockR) DeliverPkt(ioa.Packet)            {}
 func (r *livelockR) NextPkt() (ioa.Packet, bool)      { return ioa.Packet{}, false }
 func (r *livelockR) TakeDelivered() []string          { return nil }
 func (r *livelockR) Clone() Receiver                  { c := *r; return &c }
+func (r *livelockR) Reset()                           {}
 func (r *livelockR) AppendStateKey(dst []byte) []byte { return append(dst, "livelockR{}"...) }
 func (r *livelockR) StateSize() int                   { return 1 }

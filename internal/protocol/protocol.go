@@ -60,6 +60,13 @@ type Transmitter interface {
 	Busy() bool
 	// Clone returns an independent deep copy.
 	Clone() Transmitter
+	// Reset returns the automaton to the state New gives it, in place: it
+	// keeps its configuration (header counts, modes, thresholds and its
+	// genie) and keeps its queues at length 0 with their capacity, so a
+	// harness that reruns one protocol (sim.Runner.Reset) builds no new
+	// endpoints. Clone deep-copies every queue, so resetting and refilling
+	// a clone never reaches its original.
+	Reset()
 	// AppendStateKey appends a canonical encoding of the automaton state
 	// to dst and returns the extended slice. Equal keys mean equal states:
 	// the explorers, the fuzzer's coverage and the prover identify states
@@ -79,10 +86,17 @@ type Receiver interface {
 	// enabled.
 	NextPkt() (ioa.Packet, bool)
 	// TakeDelivered drains the payloads of messages delivered to the
-	// higher layer (receive_msg actions) since the previous call.
+	// higher layer (receive_msg actions) since the previous call. The
+	// slice is the receiver's own: it is valid until the receiver's next
+	// DeliverPkt, Reset or TakeDelivered, which reuse its storage, so a
+	// caller that keeps the payloads longer copies them.
 	TakeDelivered() []string
 	// Clone returns an independent deep copy.
 	Clone() Receiver
+	// Reset returns the automaton to the state New gives it, in place, as
+	// for Transmitter. A receiver that snapshots its genie at construction
+	// snapshots it again, so a harness resets the channels first.
+	Reset()
 	// AppendStateKey appends a canonical encoding of the automaton state
 	// to dst, as for Transmitter.
 	AppendStateKey(dst []byte) []byte
@@ -407,6 +421,14 @@ func popFront[E any](q *[]E) E {
 	return head
 }
 
+// takeDelivered returns *delivered and keeps its storage at length 0 for
+// the receiver's next deliveries (Receiver.TakeDelivered).
+func takeDelivered(delivered *[]string) []string {
+	out := *delivered
+	*delivered = out[:0]
+	return out
+}
+
 // headerTable holds the headers prefix+"0" to prefix+"63", so the protocols
 // that number their headers build no string for the first 64 numbers. It
 // is read-only after init.
@@ -430,3 +452,11 @@ func (t *headerTable) at(n int) string {
 	}
 	return t.prefix + strconv.Itoa(n)
 }
+
+// payloads holds the positional message payloads "m<i>".
+var payloads = newHeaderTable("m")
+
+// Payload returns "m<i>", the payload of the i-th message the fuzzer, the
+// prover and the stabilization sweep submit; the first 64 come from a
+// read-only table, so submitting them builds no string.
+func Payload(i int) string { return payloads.at(i) }

@@ -94,6 +94,8 @@ func (t *seqNumT) NextPkt() (ioa.Packet, bool) {
 
 func (t *seqNumT) Busy() bool { return t.busy || len(t.queue) > 0 }
 
+func (t *seqNumT) Reset() { *t = seqNumT{queue: t.queue[:0]} }
+
 func (t *seqNumT) Clone() Transmitter {
 	c := *t
 	c.queue = cloneQueue(t.queue)
@@ -148,11 +150,9 @@ func (r *seqNumR) NextPkt() (ioa.Packet, bool) {
 	return popFront(&r.acks), true
 }
 
-func (r *seqNumR) TakeDelivered() []string {
-	out := r.delivered
-	r.delivered = nil
-	return out
-}
+func (r *seqNumR) TakeDelivered() []string { return takeDelivered(&r.delivered) }
+
+func (r *seqNumR) Reset() { *r = seqNumR{delivered: r.delivered[:0], acks: r.acks[:0]} }
 
 func (r *seqNumR) Clone() Receiver {
 	c := *r

@@ -174,6 +174,8 @@ func (t *stabDLT) NextPkt() (ioa.Packet, bool) {
 
 func (t *stabDLT) Busy() bool { return t.busy || len(t.queue) > 0 }
 
+func (t *stabDLT) Reset() { *t = stabDLT{c: t.c, k: t.k, queue: t.queue[:0]} }
+
 func (t *stabDLT) Clone() Transmitter {
 	c := *t
 	c.queue = cloneQueue(t.queue)
@@ -247,10 +249,10 @@ func (r *stabDLR) NextPkt() (ioa.Packet, bool) {
 	return popFront(&r.acks), true
 }
 
-func (r *stabDLR) TakeDelivered() []string {
-	out := r.delivered
-	r.delivered = nil
-	return out
+func (r *stabDLR) TakeDelivered() []string { return takeDelivered(&r.delivered) }
+
+func (r *stabDLR) Reset() {
+	*r = stabDLR{c: r.c, k: r.k, delivered: r.delivered[:0], acks: r.acks[:0]}
 }
 
 func (r *stabDLR) Clone() Receiver {

@@ -117,6 +117,8 @@ func (t *stabNaiveT) NextPkt() (ioa.Packet, bool) {
 
 func (t *stabNaiveT) Busy() bool { return t.busy || len(t.queue) > 0 }
 
+func (t *stabNaiveT) Reset() { *t = stabNaiveT{queue: t.queue[:0]} }
+
 func (t *stabNaiveT) Clone() Transmitter {
 	c := *t
 	c.queue = cloneQueue(t.queue)
@@ -172,11 +174,9 @@ func (r *stabNaiveR) NextPkt() (ioa.Packet, bool) {
 	return popFront(&r.acks), true
 }
 
-func (r *stabNaiveR) TakeDelivered() []string {
-	out := r.delivered
-	r.delivered = nil
-	return out
-}
+func (r *stabNaiveR) TakeDelivered() []string { return takeDelivered(&r.delivered) }
+
+func (r *stabNaiveR) Reset() { *r = stabNaiveR{delivered: r.delivered[:0], acks: r.acks[:0]} }
 
 func (r *stabNaiveR) Clone() Receiver {
 	c := *r

@@ -485,12 +485,25 @@ func (r *Runner) JointState() (tkey, rkey string, dataTransit, ackTransit int) {
 // the channel multisets, the header set, the recorder and the metrics
 // slices. NewRunner starts every run with it; replay's pooled executor
 // resets one runner per execution instead of allocating a new one.
+//
+// A run of the protocol the runner last ran resets its endpoints in place
+// (Transmitter.Reset and Receiver.Reset), whether New built them or
+// CorruptStart or Fork installed them: their genies already read this
+// runner's channels. Any other protocol, and the first run, gets a new
+// pair from New. The channels are reset first, since counting receivers
+// snapshot their genie as they start. Every protocol type in the module is
+// comparable (TestProtocolsComparable), so the comparison cannot panic.
 func (r *Runner) Reset(cfg Config) {
 	cfg = cfg.withDefaults()
 	r.ChData.Reset(ioa.TtoR)
 	r.ChAck.Reset(ioa.RtoT)
+	if cfg.Protocol == r.cfg.Protocol {
+		r.T.Reset()
+		r.R.Reset()
+	} else {
+		r.T, r.R = cfg.Protocol.New(channel.ChannelGenie{Ch: r.ChData}, channel.ChannelGenie{Ch: r.ChAck})
+	}
 	r.cfg = cfg
-	r.T, r.R = cfg.Protocol.New(channel.ChannelGenie{Ch: r.ChData}, channel.ChannelGenie{Ch: r.ChAck})
 	clear(r.headers)
 	r.ver++
 	r.lastHeader = ""

@@ -143,7 +143,7 @@ func CheckConvergence(p protocol.Protocol, c Corruption, cfg Config) (*Report, e
 		StepBudget:  cfg.StepBudget,
 		RecordTrace: true,
 		TraceLog:    tlog,
-		Payload:     func(i int) string { return "m" + strconv.Itoa(i) },
+		Payload:     protocol.Payload,
 	})
 	if err := Apply(run, c); err != nil {
 		return nil, err
@@ -173,7 +173,7 @@ func CheckConvergence(p protocol.Protocol, c Corruption, cfg Config) (*Report, e
 	}
 
 	for i := 0; i < cfg.Probes; i++ {
-		run.SubmitMsg("m" + strconv.Itoa(i))
+		run.SubmitMsg(protocol.Payload(i))
 		if i == 0 {
 			// Deliver the poison while the transmitter is busy with its
 			// first message — corrupted in-flight packets meeting live

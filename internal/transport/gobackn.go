@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -145,6 +146,8 @@ func (t *gbnSender) NextPkt() (ioa.Packet, bool) {
 
 func (t *gbnSender) Busy() bool { return len(t.segs) > 0 || len(t.queue) > 0 }
 
+func (t *gbnSender) Reset() { *t = gbnSender{s: t.s, w: t.w, segs: t.segs[:0], queue: t.queue[:0]} }
+
 func (t *gbnSender) Clone() protocol.Transmitter {
 	c := *t
 	c.segs = append([]segment(nil), t.segs...)
@@ -224,15 +227,17 @@ func (r *gbnReceiver) NextPkt() (ioa.Packet, bool) {
 		return ioa.Packet{}, false
 	}
 	p := r.acks[0]
-	r.acks = r.acks[1:]
+	r.acks = slices.Delete(r.acks, 0, 1) // in place: a reset queue keeps its capacity
 	return p, true
 }
 
 func (r *gbnReceiver) TakeDelivered() []string {
 	out := r.delivered
-	r.delivered = nil
+	r.delivered = out[:0]
 	return out
 }
+
+func (r *gbnReceiver) Reset() { *r = gbnReceiver{s: r.s, delivered: r.delivered[:0], acks: r.acks[:0]} }
 
 func (r *gbnReceiver) Clone() protocol.Receiver {
 	c := *r

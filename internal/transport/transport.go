@@ -36,6 +36,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -217,6 +218,8 @@ func (t *swSender) NextPkt() (ioa.Packet, bool) {
 }
 
 func (t *swSender) Busy() bool { return len(t.segs) > 0 || len(t.queue) > 0 }
+
+func (t *swSender) Reset() { *t = swSender{s: t.s, w: t.w, segs: t.segs[:0], queue: t.queue[:0]} }
 
 func (t *swSender) Clone() protocol.Transmitter {
 	c := *t
@@ -439,14 +442,18 @@ func (r *swReceiver) NextPkt() (ioa.Packet, bool) {
 		return ioa.Packet{}, false
 	}
 	p := r.acks[0]
-	r.acks = r.acks[1:]
+	r.acks = slices.Delete(r.acks, 0, 1) // in place: a reset queue keeps its capacity
 	return p, true
 }
 
 func (r *swReceiver) TakeDelivered() []string {
 	out := r.delivered
-	r.delivered = nil
+	r.delivered = out[:0]
 	return out
+}
+
+func (r *swReceiver) Reset() {
+	*r = swReceiver{s: r.s, w: r.w, buf: r.buf[:0], delivered: r.delivered[:0], acks: r.acks[:0]}
 }
 
 func (r *swReceiver) Clone() protocol.Receiver {

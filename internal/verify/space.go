@@ -46,9 +46,6 @@ import (
 //     Under the lazy-drop reduction (POR), in-transit drops are explored
 //     only at cap; see verify.go.
 
-// payload is the positional payload of the i-th submitted message.
-func payload(i int) string { return "m" + strconv.Itoa(i) }
-
 type moveKind uint8
 
 const (
@@ -195,7 +192,7 @@ func (e *explorer) stepT(kind moveKind, id, arg, ack uint32) stepOut {
 	protocol.BindGenies(t, nil, nil, e.chs.objs[ack].ch)
 	switch kind {
 	case mvSubmit:
-		t.SendMsg(payload(int(arg)))
+		t.SendMsg(protocol.Payload(int(arg)))
 	case mvTransmit:
 		var p ioa.Packet
 		p, out.ok = t.NextPkt()
@@ -224,6 +221,11 @@ func (e *explorer) stepR(id, pkt, data uint32) stepOut {
 	r = r.Clone()
 	protocol.BindGenies(nil, r, e.chs.objs[data].ch, nil)
 	r.DeliverPkt(e.pkts.at(pkt))
+	// The memo keeps the receiver's own delivered slice, which its next
+	// DeliverPkt, Reset or TakeDelivered would overwrite. None comes: r is
+	// interned below or dropped, an interned receiver is never stepped
+	// (every step, this one included, clones it first), and a clone shares
+	// none of its storage.
 	out.payloads = r.TakeDelivered()
 	for {
 		a, ok := r.NextPkt()
@@ -451,8 +453,8 @@ func (e *explorer) edge(from, to int32) {
 
 // collect counts a delivery's payloads into the successor key ns. In clean
 // mode it checks DL1 correspondence per delivery: the i-th delivered payload
-// must be payload(i) of a submitted message. In stabilize mode each delivery
-// is instead classified by the amnesty judge (stabilize.Classify) —
+// must be protocol.Payload(i) of a submitted message. In stabilize mode each
+// delivery is instead classified by the amnesty judge (stabilize.Classify) —
 // progress, skip, late (DL2: FIFO order broken on the fly), duplicate or
 // garbage — and the faults are charged against the seed's remaining budget;
 // the violation fires only on overdraft. It reports whether the successor is
@@ -460,7 +462,7 @@ func (e *explorer) edge(from, to int32) {
 func (e *explorer) collect(ns *intKey, payloads []string, pe parentEdge) bool {
 	for _, p := range payloads {
 		if e.cfg.Stabilize {
-			kind, charge, nf, nl := stabilize.Classify(p, payload, int(ns.gfro), ns.lost, int(ns.sub))
+			kind, charge, nf, nl := stabilize.Classify(p, protocol.Payload, int(ns.gfro), ns.lost, int(ns.sub))
 			ns.gfro, ns.lost = int32(nf), nl
 			ns.grem -= int32(charge)
 			if ns.grem < 0 {
@@ -478,9 +480,9 @@ func (e *explorer) collect(ns *intKey, payloads []string, pe parentEdge) bool {
 			e.violation = &foundViolation{pe, fmt.Sprintf(
 				"delivery %d with only %d message(s) submitted", idx, ns.sub)}
 			return false
-		case p != payload(idx):
+		case p != protocol.Payload(idx):
 			e.violation = &foundViolation{pe, fmt.Sprintf(
-				"delivery %d carries %q, want %q", idx, p, payload(idx))}
+				"delivery %d carries %q, want %q", idx, p, protocol.Payload(idx))}
 			return false
 		}
 		ns.del++

@@ -31,7 +31,7 @@ func runnerKey(e *explorer, run *sim.Runner, wl *trace.Log, root int32) string {
 				sub++
 			case trace.KindRecvMsg:
 				var charge int
-				_, charge, fro, lost = stabilize.Classify(ev.Msg.Payload, payload, fro, lost, sub)
+				_, charge, fro, lost = stabilize.Classify(ev.Msg.Payload, protocol.Payload, fro, lost, sub)
 				rem -= charge
 			}
 		}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/ioa"
+	"repro/internal/protocol"
 	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/stabilize"
@@ -100,7 +101,7 @@ func (e *explorer) witnessLog(moves []move, root int32) (*trace.Log, *sim.Runner
 		var err error
 		switch m.kind {
 		case mvSubmit:
-			run.SubmitMsg(payload(run.SentMessages()))
+			run.SubmitMsg(protocol.Payload(run.SentMessages()))
 		case mvTransmit, mvTransmitDrop:
 			if !run.StepTransmit() {
 				err = fmt.Errorf("no transmitter output enabled")
