@@ -448,10 +448,26 @@ func nextCandidate(cand *Input, corpus []*Entry, rng *rand.Rand, corrupt bool) {
 	}
 }
 
+// loopRands holds the campaign loops' generators between campaigns: a
+// source is a ~4.9 KB table, and (*rand.Rand).Seed resets the source and
+// its read position, so a re-seeded generator draws what a new one would.
+var loopRands sync.Pool
+
+// loopRand returns a generator seeded with s, re-seeding a pooled one when
+// the pool has one. The loop puts it back in loopRands when it returns.
+func loopRand(s int64) *rand.Rand {
+	if rng, ok := loopRands.Get().(*rand.Rand); ok {
+		rng.Seed(s)
+		return rng
+	}
+	return rand.New(rand.NewSource(s))
+}
+
 // serial is the deterministic single-worker loop. Its candidates share one
 // scratch input, refilled right before each Execute (see Core.held).
 func (c *campaign) serial() {
-	rng := rand.New(rand.NewSource(seed.Split(c.cfg.Seed, "fuzz-worker-0")))
+	rng := loopRand(seed.Split(c.cfg.Seed, "fuzz-worker-0"))
+	defer loopRands.Put(rng)
 	cand := new(Input)
 	for c.execs.Load() < c.cfg.Budget && !c.stop.Load() {
 		nextCandidate(cand, c.corpus, rng, c.cfg.Corrupt)
@@ -485,7 +501,8 @@ func (c *campaign) parallel() {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed.Split(c.cfg.Seed, "fuzz-worker-"+strconv.Itoa(id))))
+			rng := loopRand(seed.Split(c.cfg.Seed, "fuzz-worker-"+strconv.Itoa(id)))
+			defer loopRands.Put(rng)
 			local := make(coverSet)
 			exec := c.execOn(NewCore(c.cfg.Protocol)) // per-worker: cores are single-goroutine
 			cand := new(Input)                        // per-worker scratch candidate

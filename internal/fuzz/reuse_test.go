@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/replay"
+	"repro/internal/seed"
 	"repro/internal/trace"
 )
 
@@ -318,5 +319,42 @@ func TestAdmittedEntriesShareNoScratch(t *testing.T) {
 		if len(c.corpus) <= len(SeedInputs()) {
 			t.Fatalf("%s: the campaign admitted no candidate", name)
 		}
+	}
+}
+
+// TestLoopRandReseeds: a campaign loop's generator comes from a pool and
+// is re-seeded, so one taken after arbitrary draws (a read position
+// included) must yield what rand.New(rand.NewSource(s)) yields.
+func TestLoopRandReseeds(t *testing.T) {
+	same := func(s int64, what string, r *rand.Rand) {
+		t.Helper()
+		want := rand.New(rand.NewSource(s))
+		for i := 0; i < 1000; i++ {
+			if g, w := r.Intn(1000), want.Intn(1000); g != w {
+				t.Fatalf("seed %d, %s generator: draw %d is %d, a new generator draws %d", s, what, i, g, w)
+			}
+		}
+		gb, wb := make([]byte, 7), make([]byte, 7)
+		r.Read(gb)
+		want.Read(wb)
+		if !bytes.Equal(gb, wb) {
+			t.Fatalf("seed %d, %s generator: Read gives %x, a new generator %x", s, what, gb, wb)
+		}
+	}
+	for _, s := range []int64{1, -7, seed.Split(1, "fuzz-worker-0"), seed.Split(2, "fuzz-worker-3")} {
+		used := rand.New(rand.NewSource(s + 1))
+		used.Intn(9)
+		used.Perm(5)
+		used.Read(make([]byte, 3))
+		loopRands.Put(used)
+		got := loopRand(s) // used, re-seeded, unless the pool dropped it
+		same(s, "pooled", got)
+		loopRands.Put(got)
+
+		// The same in place, whatever the pool did.
+		used = rand.New(rand.NewSource(s + 2))
+		used.Read(make([]byte, 5))
+		used.Seed(s)
+		same(s, "re-seeded", used)
 	}
 }

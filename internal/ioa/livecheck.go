@@ -20,81 +20,101 @@ var _ Monitor = (*Recorder)(nil)
 // LiveChecker is a Monitor that incrementally maintains the CheckSafety and
 // CheckDL3Quiescent verdicts of the event stream it observes.
 //
-// Equivalence contract, enforced by TestLiveCheckerMatchesBatch and the
-// simdiff harness: after feeding any trace event-by-event, Safety() equals
-// CheckSafety(trace) and DL3Quiescent() equals CheckDL3Quiescent(trace),
-// including the Violation's Index and Detail bytes. Two invariants make
-// this hold: each property records only its *first* violation and then
-// stops updating its own state (the batch checker returns at that point, so
-// later state is unobservable), and Safety() selects among the recorded
-// firsts in the batch checker's fixed property order (PL1 t→r, PL1 r→t,
-// DL1, DL2) rather than chronologically.
+// Equivalence contract, enforced by TestLiveCheckerMatchesBatch,
+// FuzzLiveCheckerMatchesBatch and the simdiff harness: after feeding any
+// trace event-by-event, Safety() equals CheckSafety(trace) and
+// DL3Quiescent() equals CheckDL3Quiescent(trace), including the Violation's
+// Index and Detail bytes. Two invariants make this hold: each property
+// records only its *first* violation and then stops updating its own state
+// (the batch checker returns at that point, so later state is
+// unobservable), and Safety() selects among the recorded firsts in the
+// batch checker's fixed property order (PL1 t→r, PL1 r→t, DL1, DL2) rather
+// than chronologically.
+//
+// An event costs a slice update; the only map write is a packet's first
+// entry into the run's packet table. The message properties keep their
+// counts in one slice indexed by Message.ID, grown by each send to cover
+// its ID; an entry no send has reached reads as never sent, and a receive
+// past the slice's end matches nothing. Message IDs must therefore be
+// non-negative: the runner numbers sends by count (SubmitMsg) and receives
+// by delivery count, and nothing else in the module feeds a checker. PL1
+// keeps its counts per packet index: one table per run takes each distinct
+// packet to its index, and each direction caches the last packet it looked
+// up, so the retransmissions of one packet hash once. Each direction also
+// holds its last send uncounted until its next send: the runner reports a
+// DeliverNow send as send_pkt(p) followed at once by receive_pkt(p), and
+// that receive consumes the held send, so the pair touches no table.
 type LiveChecker struct {
 	idx int // global event index, counted across all four kinds
 
-	outData map[Packet]int // PL1 t→r: sends without a matching receive
-	outAck  map[Packet]int // PL1 r→t
-	pl1Data *Violation
-	pl1Ack  *Violation
-
-	dl1Out  map[int]int    // DL1: message ID -> unmatched sends
-	payload map[int]string // ID -> sent payload; written identically for DL1 and DL3
-	dl1     *Violation
-
-	sendPos     map[int]int // DL2: message ID -> position in send order
-	nsent       int
-	lastRecvPos int
+	pkts        map[Packet]int // distinct packets of the run -> index into pl1Dir.out
+	pl1         [2]pl1Dir      // PL1 per direction: [0] t→r, [1] r→t
+	msgs        []msgState     // message ID -> its DL1, DL2 and DL3 state
+	dl1         *Violation
 	dl2         *Violation
+	nsent       int // DL2: sends counted while DL2 holds
+	lastRecvPos int // DL2: highest send position received so far, -1 for none
+	sm          int // DL3: send_msg actions
+}
 
-	unmatched map[int]int // DL3: message ID -> sends without a matching receive
-	sm        int
+// pl1Dir is PL1's state for one channel direction. A packet's outstanding
+// sends are its out count, plus one if it is the held send.
+type pl1Dir struct {
+	out     []int  // packet index -> counted sends without a matching receive
+	last    Packet // the packet of the last lookup, valid while lastI >= 0
+	lastI   int
+	held    Packet // the last send, not yet counted, valid while holding
+	holding bool
+	v       *Violation
+}
+
+// msgState is one message ID's state. Its zero value is an ID never sent.
+type msgState struct {
+	payload   string // the payload the last send carried; shared by DL1 and DL3
+	dl1Out    int    // DL1: sends without a matching receive
+	unmatched int    // DL3: sends without a matching receive (same ID and payload)
+	sendPos   int    // DL2: position in send order plus one; 0 while unsent
 }
 
 // NewLiveChecker returns an empty checker.
 func NewLiveChecker() *LiveChecker {
-	return &LiveChecker{
-		outData:     make(map[Packet]int),
-		outAck:      make(map[Packet]int),
-		dl1Out:      make(map[int]int),
-		payload:     make(map[int]string),
-		sendPos:     make(map[int]int),
-		lastRecvPos: -1,
-		unmatched:   make(map[int]int),
-	}
+	c := &LiveChecker{pkts: make(map[Packet]int)}
+	c.Reset()
+	return c
 }
 
-// Reset returns the checker to its initial state, keeping the maps for
-// reuse across pooled executions.
+// Reset returns the checker to its initial state, keeping the packet
+// table and the slices' storage for reuse across pooled executions.
 func (c *LiveChecker) Reset() {
 	c.idx = 0
-	clear(c.outData)
-	clear(c.outAck)
-	c.pl1Data, c.pl1Ack = nil, nil
-	clear(c.dl1Out)
-	clear(c.payload)
-	c.dl1 = nil
-	clear(c.sendPos)
-	c.nsent = 0
-	c.lastRecvPos = -1
-	c.dl2 = nil
-	clear(c.unmatched)
+	clear(c.pkts)
+	for i, d := range c.pl1 {
+		c.pl1[i] = pl1Dir{out: d.out[:0], lastI: -1}
+	}
+	c.msgs = c.msgs[:0]
+	c.dl1, c.dl2 = nil, nil
+	c.nsent, c.lastRecvPos = 0, -1
 	c.sm = 0
 }
 
 // SendMsg implements Monitor.
 func (c *LiveChecker) SendMsg(m Message) {
 	c.idx++
-	if c.dl1 == nil {
-		c.dl1Out[m.ID]++
+	for len(c.msgs) <= m.ID {
+		c.msgs = append(c.msgs, msgState{})
 	}
-	c.payload[m.ID] = m.Payload
+	st := &c.msgs[m.ID]
+	if c.dl1 == nil {
+		st.dl1Out++
+	}
+	st.payload = m.Payload
 	if c.dl2 == nil {
-		if _, dup := c.sendPos[m.ID]; !dup {
-			c.sendPos[m.ID] = c.nsent
+		if st.sendPos == 0 {
+			st.sendPos = c.nsent + 1
 		}
 		c.nsent++
 	}
-	c.unmatched[m.ID]++
+	st.unmatched++
 	c.sm++
 }
 
@@ -102,77 +122,112 @@ func (c *LiveChecker) SendMsg(m Message) {
 func (c *LiveChecker) ReceiveMsg(m Message) {
 	i := c.idx
 	c.idx++
+	var st *msgState // nil: no send reached m.ID
+	if m.ID < len(c.msgs) {
+		st = &c.msgs[m.ID]
+	}
 	if c.dl1 == nil {
 		switch {
-		case c.dl1Out[m.ID] == 0:
+		case st == nil || st.dl1Out == 0:
 			c.dl1 = &Violation{
 				Property: "DL1",
 				Index:    i,
 				Detail: fmt.Sprintf("receive_msg(%s) has no unmatched preceding send_msg "+
 					"(duplicate or spurious delivery)", m),
 			}
-		case c.payload[m.ID] != m.Payload:
+		case st.payload != m.Payload:
 			c.dl1 = &Violation{
 				Property: "DL1",
 				Index:    i,
 				Detail: fmt.Sprintf("receive_msg(%s) delivered payload %q but send_msg carried %q",
-					m, m.Payload, c.payload[m.ID]),
+					m, m.Payload, st.payload),
 			}
 		default:
-			c.dl1Out[m.ID]--
+			st.dl1Out--
 		}
 	}
-	if c.dl2 == nil {
-		if pos, ok := c.sendPos[m.ID]; ok {
-			if pos < c.lastRecvPos {
-				c.dl2 = &Violation{
-					Property: "DL2",
-					Index:    i,
-					Detail: fmt.Sprintf("receive_msg(%s) (sent at position %d) delivered after a message "+
-						"sent later (position %d): FIFO order broken", m, pos, c.lastRecvPos),
-				}
-			} else if pos > c.lastRecvPos {
-				c.lastRecvPos = pos
+	if st == nil {
+		return
+	}
+	if c.dl2 == nil && st.sendPos > 0 {
+		if pos := st.sendPos - 1; pos < c.lastRecvPos {
+			c.dl2 = &Violation{
+				Property: "DL2",
+				Index:    i,
+				Detail: fmt.Sprintf("receive_msg(%s) (sent at position %d) delivered after a message "+
+					"sent later (position %d): FIFO order broken", m, pos, c.lastRecvPos),
 			}
+		} else if pos > c.lastRecvPos {
+			c.lastRecvPos = pos
 		}
 	}
-	if c.unmatched[m.ID] > 0 && c.payload[m.ID] == m.Payload {
-		c.unmatched[m.ID]--
+	if st.unmatched > 0 && st.payload == m.Payload {
+		st.unmatched--
 	}
 }
 
-// SendPkt implements Monitor.
+// dir returns PL1's state for direction d; any direction but t→r is r→t.
+func (c *LiveChecker) dir(d Dir) *pl1Dir {
+	if d == TtoR {
+		return &c.pl1[0]
+	}
+	return &c.pl1[1]
+}
+
+// count returns p's counted sends on direction pd, entering p into the
+// run's packet table if it is new.
+func (c *LiveChecker) count(pd *pl1Dir, p Packet) *int {
+	if pd.lastI < 0 || pd.last != p {
+		i, ok := c.pkts[p]
+		if !ok {
+			i = len(c.pkts)
+			c.pkts[p] = i
+		}
+		pd.last, pd.lastI = p, i
+	}
+	for len(pd.out) <= pd.lastI {
+		pd.out = append(pd.out, 0)
+	}
+	return &pd.out[pd.lastI]
+}
+
+// SendPkt implements Monitor. The send is held uncounted until the next
+// send on its direction, so a receive that consumes it at once touches no
+// table.
 func (c *LiveChecker) SendPkt(d Dir, p Packet) {
 	c.idx++
-	if d == TtoR {
-		if c.pl1Data == nil {
-			c.outData[p]++
-		}
-	} else if c.pl1Ack == nil {
-		c.outAck[p]++
+	pd := c.dir(d)
+	if pd.v != nil {
+		return
 	}
+	if pd.holding {
+		*c.count(pd, pd.held)++
+	}
+	pd.held, pd.holding = p, true
 }
 
 // ReceivePkt implements Monitor.
 func (c *LiveChecker) ReceivePkt(d Dir, p Packet) {
 	i := c.idx
 	c.idx++
-	out, slot := c.outData, &c.pl1Data
-	if d != TtoR {
-		out, slot = c.outAck, &c.pl1Ack
-	}
-	if *slot != nil {
+	pd := c.dir(d)
+	if pd.v != nil {
 		return
 	}
-	if out[p] == 0 {
-		*slot = &Violation{
+	if pd.holding && pd.held == p {
+		pd.holding = false
+		return
+	}
+	n := c.count(pd, p)
+	if *n == 0 {
+		pd.v = &Violation{
 			Property: "PL1",
 			Index:    i,
 			Detail:   fmt.Sprintf("receive_pkt^%s(%s) without an unmatched preceding send_pkt", d, p),
 		}
 		return
 	}
-	out[p]--
+	*n--
 }
 
 // Events reports how many actions the checker has observed.
@@ -182,10 +237,10 @@ func (c *LiveChecker) Events() int { return c.idx }
 // (PL1 t→r, PL1 r→t, DL1, DL2), or nil.
 func (c *LiveChecker) Safety() error {
 	switch {
-	case c.pl1Data != nil:
-		return c.pl1Data
-	case c.pl1Ack != nil:
-		return c.pl1Ack
+	case c.pl1[0].v != nil:
+		return c.pl1[0].v
+	case c.pl1[1].v != nil:
+		return c.pl1[1].v
 	case c.dl1 != nil:
 		return c.dl1
 	case c.dl2 != nil:
@@ -195,14 +250,14 @@ func (c *LiveChecker) Safety() error {
 }
 
 // DL3Quiescent returns the end-of-stream quiescent-liveness verdict,
-// matching CheckDL3Quiescent on the observed trace.
+// matching CheckDL3Quiescent on the observed trace. The scan runs in ID
+// order, so the first stranded ID is the first one it meets.
 func (c *LiveChecker) DL3Quiescent() error {
 	stranded, first := 0, -1
-	//nfvet:allow maprange (order-insensitive sum and min over the map)
-	for id, n := range c.unmatched {
-		if n > 0 {
+	for id := range c.msgs {
+		if n := c.msgs[id].unmatched; n > 0 {
 			stranded += n
-			if first == -1 || id < first {
+			if first < 0 {
 				first = id
 			}
 		}

@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// feed replays a trace into a LiveChecker event by event.
-func feed(c *LiveChecker, tr Trace) {
+// Feed replays a trace into a LiveChecker event by event. The native fuzz
+// target, an external test, uses it too.
+func Feed(c *LiveChecker, tr Trace) {
 	for _, e := range tr {
 		switch e.Kind {
 		case SendMsg:
@@ -22,9 +23,9 @@ func feed(c *LiveChecker, tr Trace) {
 	}
 }
 
-// diff compares a batch checker's error with the live checker's, demanding
+// Diff compares a batch checker's error with the live checker's, demanding
 // byte-identical violations (property, index and detail).
-func diff(t *testing.T, what string, tr Trace, batch, live error) {
+func Diff(t *testing.T, what string, tr Trace, batch, live error) {
 	t.Helper()
 	bv, bok := AsViolation(batch)
 	lv, lok := AsViolation(live)
@@ -38,15 +39,16 @@ func diff(t *testing.T, what string, tr Trace, batch, live error) {
 	}
 }
 
-// randomTrace generates an adversarial event sequence over tiny ID, payload
-// and header spaces, so duplicate deliveries, spurious receives, payload
-// mismatches, FIFO inversions and stranded messages all occur with high
-// probability across the sweep.
+// randomTrace generates an adversarial event sequence over tiny payload and
+// header spaces and a few message IDs drawn out of order from 0–40, so
+// duplicate deliveries, spurious receives, payload mismatches, FIFO
+// inversions and stranded messages all occur with high probability across
+// the sweep, and unsent IDs sit between and past the sent ones.
 func randomTrace(rng *rand.Rand, n int) Trace {
+	ids := rng.Perm(41)[:2+rng.Intn(4)]
 	var tr Trace
 	for i := 0; i < n; i++ {
-		id := rng.Intn(4)
-		msg := Message{ID: id, Payload: fmt.Sprintf("p%d", rng.Intn(3))}
+		msg := Message{ID: ids[rng.Intn(len(ids))], Payload: fmt.Sprintf("p%d", rng.Intn(3))}
 		pkt := Packet{Header: fmt.Sprintf("h%d", rng.Intn(3))}
 		if rng.Intn(4) == 0 {
 			pkt.Payload = msg.Payload
@@ -69,29 +71,169 @@ func randomTrace(rng *rand.Rand, n int) Trace {
 	return tr
 }
 
+// runnerTrace generates the event shapes sim.Runner emits: sends numbered
+// 0, 1, 2, … and receives numbered by delivery count, a DeliverNow
+// send_pkt(p) followed at once by receive_pkt(p) on the same direction,
+// bursts of one retransmitted packet, and data and acks interleaved. Stale
+// deliveries of delayed copies, re-deliveries of old payloads and receives
+// of packets with no unmatched send make PL1, DL1 and DL3 fire.
+func runnerTrace(rng *rand.Rand, n int) Trace {
+	var tr Trace
+	var delayed [2][]Packet // per direction, copies sent but not received
+	sent, delivered := 0, 0
+	for len(tr) < n {
+		d := TtoR
+		if rng.Intn(2) == 0 {
+			d = RtoT
+		}
+		switch rng.Intn(7) {
+		case 0:
+			tr = append(tr, Event{Kind: SendMsg, Msg: Message{ID: sent, Payload: fmt.Sprintf("m%d", sent)}})
+			sent++
+		case 1:
+			m := Message{ID: delivered, Payload: fmt.Sprintf("m%d", delivered)}
+			if rng.Intn(6) == 0 {
+				m.Payload = fmt.Sprintf("m%d", rng.Intn(delivered+1))
+			}
+			tr = append(tr, Event{Kind: ReceiveMsg, Msg: m})
+			delivered++
+		case 2, 3, 4:
+			p := Packet{Header: fmt.Sprintf("h%d", rng.Intn(3))}
+			if d == TtoR && rng.Intn(2) == 0 {
+				p.Payload = fmt.Sprintf("m%d", sent)
+			}
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				tr = append(tr, Event{Kind: SendPkt, Dir: d, Pkt: p})
+				if rng.Intn(3) == 0 {
+					delayed[d-1] = append(delayed[d-1], p)
+				} else {
+					tr = append(tr, Event{Kind: ReceivePkt, Dir: d, Pkt: p})
+				}
+			}
+		case 5:
+			if q := delayed[d-1]; len(q) > 0 {
+				j := rng.Intn(len(q))
+				tr = append(tr, Event{Kind: ReceivePkt, Dir: d, Pkt: q[j]})
+				delayed[d-1] = append(q[:j], q[j+1:]...)
+			}
+		case 6:
+			if rng.Intn(4) == 0 {
+				tr = append(tr, Event{Kind: ReceivePkt, Dir: d, Pkt: Packet{Header: fmt.Sprintf("h%d", rng.Intn(3))}})
+			}
+		}
+	}
+	return tr
+}
+
 // TestLiveCheckerMatchesBatch is the equivalence property the interned fuzz
-// core's clean-run judging rests on: over thousands of adversarial random
-// traces, the streaming checker agrees with CheckSafety and
-// CheckDL3Quiescent byte for byte, violations included. One checker
-// instance is Reset between traces, so the reuse path is what gets proved.
+// core's clean-run judging rests on: over thousands of adversarial and
+// runner-shaped random traces, the streaming checker agrees with
+// CheckSafety and CheckDL3Quiescent byte for byte, violations included.
+// One checker instance is Reset between traces of both families, so the
+// reuse path is what gets proved.
 func TestLiveCheckerMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	c := NewLiveChecker()
-	violations := 0
-	for trial := 0; trial < 4000; trial++ {
-		tr := randomTrace(rng, 2+rng.Intn(40))
+	families := []struct {
+		name string
+		gen  func(*rand.Rand, int) Trace
+	}{{"adversarial", randomTrace}, {"runner", runnerTrace}}
+	fired := make(map[string]map[string]int) // family -> property -> first violations seen
+	for _, f := range families {
+		fired[f.name] = make(map[string]int)
+	}
+	for trial := 0; trial < 8000; trial++ {
+		f := families[trial%len(families)]
+		tr := f.gen(rng, 2+rng.Intn(40))
 		c.Reset()
-		feed(c, tr)
-		diff(t, "safety", tr, CheckSafety(tr), c.Safety())
-		diff(t, "dl3", tr, CheckDL3Quiescent(tr), c.DL3Quiescent())
-		if c.Safety() != nil {
-			violations++
+		Feed(c, tr)
+		Diff(t, f.name+" safety", tr, CheckSafety(tr), c.Safety())
+		Diff(t, f.name+" dl3", tr, CheckDL3Quiescent(tr), c.DL3Quiescent())
+		// Safety() shows only the first property in CheckSafety's order, so
+		// each property's own first violation is held to its batch checker
+		// too: a later property's state must be right even when an earlier
+		// one masks it.
+		for _, p := range []struct {
+			batch error
+			live  *Violation
+		}{
+			{CheckPL1(tr, TtoR), c.pl1[0].v},
+			{CheckPL1(tr, RtoT), c.pl1[1].v},
+			{CheckDL1(tr), c.dl1},
+			{CheckDL2(tr), c.dl2},
+		} {
+			var live error
+			if p.live != nil {
+				live = p.live
+				fired[f.name][p.live.Property]++
+			}
+			Diff(t, f.name+" property", tr, p.batch, live)
+		}
+		if c.DL3Quiescent() != nil {
+			fired[f.name]["DL3"]++
 		}
 	}
-	if violations == 0 {
-		t.Fatal("sweep produced no safety violations; the generator is too tame to prove anything")
+	for name, want := range map[string][]string{
+		"adversarial": {"PL1", "DL1", "DL2", "DL3"},
+		"runner":      {"PL1", "DL1", "DL3"}, // receives in delivery order never invert DL2
+	} {
+		for _, prop := range want {
+			if fired[name][prop] == 0 {
+				t.Fatalf("%s traces never violated %s; the generator is too tame to prove anything", name, prop)
+			}
+		}
 	}
-	t.Logf("4000 traces, %d with safety violations, zero divergence", violations)
+	t.Logf("8000 traces, first violations by family and property %v, zero divergence", fired)
+}
+
+// TestLiveCheckerResetLeaksNothing feeds a checker traces over one packet
+// alphabet and message ID range, resets it, and feeds it a trace over a
+// disjoint alphabet and range: its verdicts must equal a fresh checker's
+// (and the batch checkers'), and its packet table must hold only the new
+// trace's packets, so nothing survives Reset in the table, the
+// per-direction caches or the slices' reused storage.
+func TestLiveCheckerResetLeaksNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	// over renames a trace's headers with prefix and shifts its IDs by base.
+	over := func(tr Trace, prefix string, base int) Trace {
+		out := make(Trace, len(tr))
+		for i, e := range tr {
+			if e.Kind == SendPkt || e.Kind == ReceivePkt {
+				e.Pkt.Header = prefix + e.Pkt.Header
+			} else {
+				e.Msg.ID += base
+			}
+			out[i] = e
+		}
+		return out
+	}
+	gens := []func(*rand.Rand, int) Trace{randomTrace, runnerTrace}
+	c := NewLiveChecker()
+	for trial := 0; trial < 2000; trial++ {
+		// Alternate which trace holds the high IDs, so the reused slice is
+		// both shorter and longer than its storage.
+		baseA, baseB := 0, 50
+		if trial%2 == 1 {
+			baseA, baseB = 50, 0
+		}
+		c.Reset()
+		for k := 0; k < 3; k++ {
+			Feed(c, over(gens[rng.Intn(2)](rng, 2+rng.Intn(40)), "a", baseA))
+		}
+		tr := over(gens[rng.Intn(2)](rng, 2+rng.Intn(40)), "b", baseB)
+		c.Reset()
+		Feed(c, tr)
+		fresh := NewLiveChecker()
+		Feed(fresh, tr)
+		Diff(t, "safety vs fresh", tr, fresh.Safety(), c.Safety())
+		Diff(t, "dl3 vs fresh", tr, fresh.DL3Quiescent(), c.DL3Quiescent())
+		Diff(t, "safety vs batch", tr, CheckSafety(tr), c.Safety())
+		Diff(t, "dl3 vs batch", tr, CheckDL3Quiescent(tr), c.DL3Quiescent())
+		if len(c.pkts) != len(fresh.pkts) || c.Events() != fresh.Events() {
+			t.Fatalf("after Reset the checker holds %d packets and %d events, a fresh one %d and %d",
+				len(c.pkts), c.Events(), len(fresh.pkts), fresh.Events())
+		}
+	}
 }
 
 // TestLiveCheckerCleanRun feeds a well-formed exchange and checks both
@@ -106,7 +248,7 @@ func TestLiveCheckerCleanRun(t *testing.T) {
 		{Kind: ReceiveMsg, Msg: m},
 	}
 	c := NewLiveChecker()
-	feed(c, tr)
+	Feed(c, tr)
 	if err := c.Safety(); err != nil {
 		t.Fatalf("clean run flagged: %v", err)
 	}
