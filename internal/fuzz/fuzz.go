@@ -311,11 +311,7 @@ func (c *campaign) promoteCorrupt(in *Input) {
 		// reproduce, so it is not promoted.
 		return
 	}
-	cert := rr.Log
-	cert.SetMeta(trace.MetaSource, "fuzz-stabilize")
-	cert.SetMeta(stabilize.MetaCorruption, logged.Corruption.Key())
-	cert.SetMeta(stabilize.MetaAmnesty, strconv.Itoa(logged.Amnesty))
-	cert.SetMeta(stabilize.MetaStabilize, "diverged "+j.Violation.Property)
+	cert := stabilize.Stamp(rr.Log, "fuzz-stabilize", logged.Corruption, logged.Amnesty, j.Violation)
 	v := &Violation{
 		Property:    j.Violation.Property,
 		Corruption:  logged.Corruption.Key(),

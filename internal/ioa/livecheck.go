@@ -43,7 +43,9 @@ var _ Monitor = (*Recorder)(nil)
 // up, so the retransmissions of one packet hash once. Each direction also
 // holds its last send uncounted until its next send: the runner reports a
 // DeliverNow send as send_pkt(p) followed at once by receive_pkt(p), and
-// that receive consumes the held send, so the pair touches no table.
+// that receive consumes the held send, so the pair touches no table. A
+// packet event on a direction other than t→r and r→t counts as an event
+// and is otherwise ignored, as CheckPL1 ignores it.
 type LiveChecker struct {
 	idx int // global event index, counted across all four kinds
 
@@ -166,12 +168,17 @@ func (c *LiveChecker) ReceiveMsg(m Message) {
 	}
 }
 
-// dir returns PL1's state for direction d; any direction but t→r is r→t.
+// dir returns PL1's state for direction d, or nil for a direction that is
+// neither t→r nor r→t: CheckPL1 judges only those two, so a packet event on
+// any other counts as an event and is otherwise ignored.
 func (c *LiveChecker) dir(d Dir) *pl1Dir {
-	if d == TtoR {
+	switch d {
+	case TtoR:
 		return &c.pl1[0]
+	case RtoT:
+		return &c.pl1[1]
 	}
-	return &c.pl1[1]
+	return nil
 }
 
 // count returns p's counted sends on direction pd, entering p into the
@@ -197,7 +204,7 @@ func (c *LiveChecker) count(pd *pl1Dir, p Packet) *int {
 func (c *LiveChecker) SendPkt(d Dir, p Packet) {
 	c.idx++
 	pd := c.dir(d)
-	if pd.v != nil {
+	if pd == nil || pd.v != nil {
 		return
 	}
 	if pd.holding {
@@ -211,7 +218,7 @@ func (c *LiveChecker) ReceivePkt(d Dir, p Packet) {
 	i := c.idx
 	c.idx++
 	pd := c.dir(d)
-	if pd.v != nil {
+	if pd == nil || pd.v != nil {
 		return
 	}
 	if pd.holding && pd.held == p {

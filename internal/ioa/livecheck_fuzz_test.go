@@ -11,7 +11,9 @@ import (
 
 // The fuzz encoding spends two bytes per event. The first packs the kind
 // (bits 0–1), the direction (bit 2), a header index (bits 3–4) and a
-// payload index (bits 5–7); the second is the message ID. Headers and
+// payload index (bits 5–7); the second is a message event's ID. A packet
+// event's second byte, when nonzero, is its direction instead, so packets
+// also travel on directions that are neither t→r nor r→t. Headers and
 // payloads come from small alphabets, so equal packets and matching
 // messages are common.
 var (
@@ -33,6 +35,9 @@ func decodeEvents(b []byte) ioa.Trace {
 			if b[0]&4 != 0 {
 				e.Dir = ioa.RtoT
 			}
+			if b[1] != 0 {
+				e.Dir = ioa.Dir(b[1])
+			}
 			e.Pkt = ioa.Packet{Header: fuzzHeaders[b[0]>>3&3], Payload: payload}
 		}
 		tr = append(tr, e)
@@ -42,7 +47,8 @@ func decodeEvents(b []byte) ioa.Trace {
 
 // encodeEvents is decodeEvents' inverse up to renaming: it maps each
 // distinct header and payload of tr to an alphabet index in order of first
-// appearance ("" stays payload 0), wrapping when an alphabet runs out.
+// appearance ("" stays payload 0), wrapping when an alphabet runs out. A
+// packet on direction 0 encodes as t→r.
 func encodeEvents(tr ioa.Trace) []byte {
 	headers, payloads := map[string]int{}, map[string]int{"": 0}
 	index := func(m map[string]int, s string, n int) byte {
@@ -62,8 +68,12 @@ func encodeEvents(tr ioa.Trace) []byte {
 			b0 |= index(payloads, e.Msg.Payload, len(fuzzPayloads)) << 5
 			id = byte(min(e.Msg.ID, 255))
 		default:
-			if e.Dir == ioa.RtoT {
+			switch e.Dir {
+			case ioa.TtoR:
+			case ioa.RtoT:
 				b0 |= 4
+			default:
+				id = byte(e.Dir)
 			}
 			b0 |= index(headers, e.Pkt.Header, len(fuzzHeaders))<<3 | index(payloads, e.Pkt.Payload, len(fuzzPayloads))<<5
 		}
@@ -125,6 +135,7 @@ func FuzzLiveCheckerMatchesBatch(f *testing.F) {
 	f.Add([]byte{0x0a, 0, 0x0b, 0, 0x0b, 0, 0x07, 0})             // send_pkt 1, receive it twice; r→t receive
 	f.Add([]byte{0x00, 0, 0x00, 1, 0x01, 1, 0x01, 0})             // FIFO inversion
 	f.Add([]byte{0x20, 40, 0x40, 2, 0x21, 40, 0x41, 9, 0x41, 60}) // sparse IDs; receive a gap and past the end
+	f.Add([]byte{0x02, 3, 0x07, 0})                               // send_pkt on direction 3, receive on r→t
 	f.Fuzz(func(t *testing.T, b []byte) {
 		tr := decodeEvents(b)
 		c := ioa.NewLiveChecker()

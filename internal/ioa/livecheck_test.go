@@ -132,8 +132,20 @@ func runnerTrace(rng *rand.Rand, n int) Trace {
 // One checker instance is Reset between traces of both families, so the
 // reuse path is what gets proved.
 func TestLiveCheckerMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
 	c := NewLiveChecker()
+	// Fixed cases first. A packet event on a direction that is neither t→r
+	// nor r→t is ignored by both CheckPL1 passes, so the receive below has
+	// no matching send on r→t: PL1 at event 1, live as in batch.
+	a0 := Packet{Header: "a0"}
+	for _, tr := range []Trace{
+		{{Kind: SendPkt, Dir: Dir(3), Pkt: a0}, {Kind: ReceivePkt, Dir: RtoT, Pkt: a0}},
+	} {
+		c.Reset()
+		Feed(c, tr)
+		Diff(t, "fixed safety", tr, CheckSafety(tr), c.Safety())
+		Diff(t, "fixed dl3", tr, CheckDL3Quiescent(tr), c.DL3Quiescent())
+	}
+	rng := rand.New(rand.NewSource(1))
 	families := []struct {
 		name string
 		gen  func(*rand.Rand, int) Trace

@@ -144,7 +144,7 @@ func (c *ChaosConn) WriteOutcome(b []byte, addr net.Addr) (WriteResult, error) {
 	c.mu.Lock()
 	roll := c.rng.Float64()
 	var res WriteResult
-	var release, dupCopy *heldPacket
+	var release heldPacket
 	p := c.cfg.DropProb
 	switch {
 	case roll < p:
@@ -163,18 +163,14 @@ func (c *ChaosConn) WriteOutcome(b []byte, addr net.Addr) (WriteResult, error) {
 		// release roll precedes the dup copy's enqueue so a duplicate is
 		// never released behind its own original write.
 		if len(c.held) > 0 && c.rng.Float64() < 0.5 {
-			release = &c.held[0]
-			c.held = c.held[1:]
+			release = c.pop()
 		}
 		if roll < p+c.cfg.HoldProb+c.cfg.DupProb && len(c.held) < maxHeld {
 			cp := make([]byte, len(b))
 			copy(cp, b)
-			dupCopy = &heldPacket{b: cp, addr: addr}
+			c.held = append(c.held, heldPacket{b: cp, addr: addr})
 			res.Fate = FateDup
 		}
-	}
-	if dupCopy != nil {
-		c.held = append(c.held, *dupCopy)
 	}
 	c.mu.Unlock()
 
@@ -184,11 +180,22 @@ func (c *ChaosConn) WriteOutcome(b []byte, addr net.Addr) (WriteResult, error) {
 	if _, err := c.inner.WriteTo(b, addr); err != nil {
 		return res, err
 	}
-	if release != nil {
+	if release.b != nil {
 		res.Released = append(res.Released, release.b)
 		_, _ = c.inner.WriteTo(release.b, release.addr)
 	}
 	return res, nil
+}
+
+// pop removes and returns the oldest held datagram. It shifts the queue
+// down in place, which costs at most maxHeld copies, so the queue keeps its
+// storage instead of giving up a slot at the front with every pop.
+func (c *ChaosConn) pop() heldPacket {
+	h := c.held[0]
+	n := copy(c.held, c.held[1:])
+	c.held[n] = heldPacket{}
+	c.held = c.held[:n]
+	return h
 }
 
 // ReleaseOne pops the oldest held datagram and writes it to the wire,
@@ -202,8 +209,7 @@ func (c *ChaosConn) ReleaseOne() (b []byte, ok bool) {
 		c.mu.Unlock()
 		return nil, false
 	}
-	h := c.held[0]
-	c.held = c.held[1:]
+	h := c.pop()
 	c.mu.Unlock()
 	_, _ = c.inner.WriteTo(h.b, h.addr)
 	return h.b, true

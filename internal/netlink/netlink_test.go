@@ -308,6 +308,42 @@ func TestChaosConnRebind(t *testing.T) {
 	}
 }
 
+// nopConn is an inner PacketConn whose writes go nowhere and allocate
+// nothing.
+type nopConn struct{ net.PacketConn }
+
+func (nopConn) WriteTo(b []byte, _ net.Addr) (int, error) { return len(b), nil }
+
+// TestChaosConnPopsInPlace: a warmed ChaosConn that holds datagrams and
+// releases them again allocates only each held datagram's copy, and still
+// does after a rebind: its hold queue is popped in place, so it keeps its
+// storage instead of regrowing.
+func TestChaosConnPopsInPlace(t *testing.T) {
+	b := []byte("datagram")
+	c := NewChaosConn(nopConn{}, ChaosConfig{HoldProb: 1, Seed: 1})
+	const held = 3
+	cycle := func() {
+		for i := 0; i < held; i++ {
+			if res, err := c.WriteOutcome(b, nil); err != nil || res.Fate != FateHeld {
+				t.Fatalf("write %d: %v, %v; want held", i, res.Fate, err)
+			}
+		}
+		for i := 0; i < held; i++ {
+			if got, ok := c.ReleaseOne(); !ok || !bytes.Equal(got, b) {
+				t.Fatalf("release %d: %q, %v", i, got, ok)
+			}
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != held {
+		t.Fatalf("a hold-and-release cycle of %d datagrams allocates %v times, want %d", held, n, held)
+	}
+	c.rebind(nopConn{}, ChaosConfig{HoldProb: 1, Seed: 2})
+	if n := testing.AllocsPerRun(100, cycle); n != held {
+		t.Fatalf("after rebind, a hold-and-release cycle of %d datagrams allocates %v times, want %d", held, n, held)
+	}
+}
+
 func TestChaosConnTransparentByDefault(t *testing.T) {
 	a, _ := net.ListenPacket("udp", "127.0.0.1:0")
 	b, _ := net.ListenPacket("udp", "127.0.0.1:0")

@@ -16,7 +16,6 @@ import (
 	"net"
 	"net/netip"
 	"sync"
-	"time"
 )
 
 // inboxDepth bounds one session's routed-datagram queue. A lock-step
@@ -126,60 +125,8 @@ func (sv *Server) unregister(key netip.AddrPort) {
 // RunSession runs one lock-step soak session against the shared socket: the
 // session's transmitter station gets a fresh client socket, its
 // receiver-side wire is the mux. Blocks until the session completes; safe to
-// call from many goroutines. Each call runs on session state of its own, so
-// the result's Log is the caller's to keep.
+// call from many goroutines. Each call runs on a worker of its own, so the
+// result's Log is the caller's to keep.
 func (sv *Server) RunSession(cfg SessionConfig) (*SessionResult, error) {
-	return sv.runSession(cfg, newWorker())
-}
-
-// runSession runs one session on w's state, opening the session's client
-// socket and registering w's inbox for it. The client socket stays per
-// session because its address is the session's mux key.
-func (sv *Server) runSession(cfg SessionConfig, w *worker) (*SessionResult, error) {
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("netlink: client socket: %w", err)
-	}
-	clientConn := conn.(*net.UDPConn)
-	key := unmapped(clientConn.LocalAddr().(*net.UDPAddr).AddrPort())
-	sv.register(key, w.inbox)
-	env := &sessionEnv{
-		dataConn: clientConn,
-		// The ack lane writes through the SHARED socket; env.close must not
-		// close it, so only the client socket is released here.
-		ackConn:  sv.conn,
-		dataAddr: sv.conn.LocalAddr(),
-		ackAddr:  clientConn.LocalAddr(),
-		recvData: inboxReader(w.inbox),
-		recvAck:  deadlineReader(clientConn, w.buf),
-		close: func() {
-			sv.unregister(key)
-			_ = clientConn.Close()
-		},
-	}
-	return runSession(cfg, env, w), nil
-}
-
-// inboxReader adapts a mux inbox to the session's blocking-read shape,
-// bounded by sessionReadTimeout and reusing one timer across calls
-// (sessions read thousands of times). It needs no read buffer: the pump
-// reads into its own and sends each datagram copied out, while the client
-// socket's reader uses the buffer its worker reuses across sessions.
-func inboxReader(inbox <-chan []byte) func() ([]byte, bool) {
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	return func() ([]byte, bool) {
-		timer.Reset(sessionReadTimeout)
-		select {
-		case b := <-inbox:
-			if !timer.Stop() {
-				<-timer.C
-			}
-			return b, true
-		case <-timer.C:
-			return nil, false
-		}
-	}
+	return newWorker(sv).run(cfg)
 }

@@ -141,39 +141,39 @@ type SessionResult struct {
 	Err error
 }
 
-// sessionEnv is the wiring a session drives: the two write paths, which
-// the worker's ChaosConns wrap for the session, and the matching read
-// paths. Server.runSession builds it over the mux and one client socket per
-// session.
-type sessionEnv struct {
-	dataConn net.PacketConn // the client socket; data pkts → dataAddr
-	ackConn  net.PacketConn // the server's shared socket; acks → ackAddr
-	dataAddr net.Addr       // the server (receiver-side) address
-	ackAddr  net.Addr       // the client (transmitter-side) address
-	recvData func() ([]byte, bool)
-	recvAck  func() ([]byte, bool)
-	close    func()
-}
-
-// worker is the session state a soak worker reuses for every session it
-// runs, reset at each session's start: the runner, its live checker, the
-// log the runner records into, the client socket's read buffer, the two
-// ChaosConns and the mux inbox. RunSoak makes one per worker goroutine, so
-// a session's log is only good until the worker's next session; RunSession
-// makes one per call, so the log it returns stays the caller's.
+// worker is the lock-step session driver, and the session state a soak
+// worker reuses for every session it runs, reset at each session's start:
+// the runner, its live checker, the log the runner records into, the read
+// timer and buffer, the two ChaosConns, the mux inbox and the release
+// queue. RunSoak makes one per worker goroutine, so a session's log is only
+// good until the worker's next session; RunSession makes one per call, so
+// the log it returns stays the caller's. A worker lives on one goroutine.
 type worker struct {
+	sv        *Server
 	log       *trace.Log
 	check     *ioa.LiveChecker
 	runner    *sim.Runner // nil before the first session
-	buf       []byte      // deadlineReader's read buffer
+	timer     *time.Timer // bounds each inbox read; stopped and drained between reads
+	buf       []byte      // the client socket's read buffer
 	data, ack *ChaosConn  // rebound to each session's sockets and seeds
 	inbox     chan []byte // registered with the mux for each session (Server.register)
+
+	// One session's state, reset by run.
+	client            *net.UDPConn // the data lane's writer and the ack lane's reader
+	dataAddr, ackAddr net.Addr     // where each lane's datagrams go: the mux, the client socket
+	pending           []pendingStale
+	stats             SessionStats
+	ioErr             error
 }
 
-func newWorker() *worker {
+func newWorker(sv *Server) *worker {
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
 	return &worker{
+		sv:    sv,
 		log:   trace.NewLog(nil),
 		check: ioa.NewLiveChecker(),
+		timer: timer,
 		buf:   make([]byte, 64<<10),
 		data:  new(ChaosConn),
 		ack:   new(ChaosConn),
@@ -186,17 +186,6 @@ type pendingStale struct {
 	pkt ioa.Packet
 }
 
-// session is the lock-step driver: one session's own state over the
-// worker's it runs on. It lives on one goroutine.
-type session struct {
-	*worker
-	cfg     SessionConfig
-	env     *sessionEnv
-	pending []pendingStale
-	stats   SessionStats
-	ioErr   error
-}
-
 // chaosFor derives one direction's chaos configuration: the probabilities
 // from cfg.Chaos, the seed split from the session seed by stream name.
 func chaosFor(cfg SessionConfig, stream string) ChaosConfig {
@@ -205,31 +194,29 @@ func chaosFor(cfg SessionConfig, stream string) ChaosConfig {
 	return cc
 }
 
-// deadlineReader returns a single-goroutine blocking read function over
-// conn, bounded by sessionReadTimeout, that reads into buf. buf is the
-// worker's, reused across calls and across the worker's sessions, so each
-// returned datagram is copied out.
-func deadlineReader(conn *net.UDPConn, buf []byte) func() ([]byte, bool) {
-	return func() ([]byte, bool) {
-		_ = conn.SetReadDeadline(time.Now().Add(sessionReadTimeout))
-		n, _, err := conn.ReadFromUDPAddrPort(buf)
-		if err != nil {
-			return nil, false
-		}
-		b := make([]byte, n)
-		copy(b, buf[:n])
-		return b, true
+// run runs one session on w and drives it to completion. It opens the
+// session's client socket, which stays per session because its address is
+// the session's mux key, and registers w's inbox for it; both are released
+// when the session ends. The result's Log is w's.
+func (w *worker) run(cfg SessionConfig) (*SessionResult, error) {
+	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		return nil, fmt.Errorf("netlink: client socket: %w", err)
 	}
-}
+	w.client = conn.(*net.UDPConn)
+	key := unmapped(w.client.LocalAddr().(*net.UDPAddr).AddrPort())
+	w.sv.register(key, w.inbox)
+	defer func() {
+		w.sv.unregister(key)
+		_ = w.client.Close()
+	}()
 
-// runSession resets w for one session, drives the session to completion
-// over env and always closes env. The result's Log is w's.
-func runSession(cfg SessionConfig, env *sessionEnv, w *worker) *SessionResult {
 	cfg = cfg.withDefaults()
-	defer env.close()
-
-	w.data.rebind(env.dataConn, chaosFor(cfg, "soak/data"))
-	w.ack.rebind(env.ackConn, chaosFor(cfg, "soak/ack"))
+	// Data goes out through the client socket to the mux; acks go out
+	// through the shared socket, which outlives the session, to the client.
+	w.data.rebind(w.client, chaosFor(cfg, "soak/data"))
+	w.ack.rebind(w.sv.conn, chaosFor(cfg, "soak/ack"))
+	w.dataAddr, w.ackAddr = w.sv.conn.LocalAddr(), w.client.LocalAddr()
 	// Reset stamps the protocol only into an empty slot, so the previous
 	// session's meta goes with its events.
 	w.log.Events = w.log.Events[:0]
@@ -237,11 +224,12 @@ func runSession(cfg SessionConfig, env *sessionEnv, w *worker) *SessionResult {
 	w.log.SetMeta(trace.MetaKind, SoakTraceKind)
 	w.log.SetMeta(trace.MetaSource, "netlink")
 	w.check.Reset()
-	s := &session{worker: w, cfg: cfg, env: env}
+	w.pending = w.pending[:0]
+	w.stats, w.ioErr = SessionStats{}, nil
 	rcfg := sim.Config{
 		Protocol:   cfg.Protocol,
-		DataPolicy: channel.PolicyFunc(func(p ioa.Packet) channel.Decision { return s.onSend(ioa.TtoR, p) }),
-		AckPolicy:  channel.PolicyFunc(func(p ioa.Packet) channel.Decision { return s.onSend(ioa.RtoT, p) }),
+		DataPolicy: channel.PolicyFunc(func(p ioa.Packet) channel.Decision { return w.onSend(ioa.TtoR, p) }),
+		AckPolicy:  channel.PolicyFunc(func(p ioa.Packet) channel.Decision { return w.onSend(ioa.RtoT, p) }),
 		StepBudget: sessionStepBudget,
 		Monitor:    w.check,
 		TraceLog:   w.log,
@@ -259,16 +247,16 @@ func runSession(cfg SessionConfig, env *sessionEnv, w *worker) *SessionResult {
 	start := time.Now()
 	for i := 0; i < cfg.Messages && res.Err == nil; i++ {
 		mstart := time.Now()
-		s.runner.SubmitMsg("msg-" + strconv.Itoa(i))
-		s.stats.Messages++
-		res.Err = s.runToIdle()
-		s.stats.Latencies = append(s.stats.Latencies, time.Since(mstart))
+		w.runner.SubmitMsg("msg-" + strconv.Itoa(i))
+		w.stats.Messages++
+		res.Err = w.runToIdle(cfg.Protocol)
+		w.stats.Latencies = append(w.stats.Latencies, time.Since(mstart))
 	}
 	if res.Err == nil {
-		s.finalDrain()
+		w.finalDrain()
 	}
-	s.stats.Elapsed = time.Since(start)
-	s.stats.Delivered = len(s.runner.Delivered())
+	w.stats.Elapsed = time.Since(start)
+	w.stats.Delivered = len(w.runner.Delivered())
 
 	if err := w.check.Safety(); err != nil {
 		res.Verdict, _ = ioa.AsViolation(err)
@@ -277,174 +265,177 @@ func runSession(cfg SessionConfig, env *sessionEnv, w *worker) *SessionResult {
 		res.DL3, _ = ioa.AsViolation(err)
 	}
 	w.log.Emit(trace.VerdictEvent(res.Verdict, res.DL3))
-	res.Stats = s.stats
-	return res
+	res.Stats = w.stats
+	return res, nil
 }
 
 // runToIdle steps the runner until the transmitter confirms every accepted
 // message, lifting wire arrivals between operations and force-releasing held
 // datagrams when the transmitter is stuck waiting on one.
-func (s *session) runToIdle() error {
-	for steps := 0; s.runner.T.Busy(); steps++ {
+func (w *worker) runToIdle(p protocol.Protocol) error {
+	for steps := 0; w.runner.T.Busy(); steps++ {
 		if steps >= sessionStepBudget {
-			return fmt.Errorf("%w after %d steps (protocol %s)", ErrSessionStalled, steps, s.cfg.Protocol.Name())
+			return fmt.Errorf("%w after %d steps (protocol %s)", ErrSessionStalled, steps, p.Name())
 		}
-		progressed := s.runner.StepTransmit()
-		s.liftPending()
-		s.runner.DrainAcks()
-		s.liftPending()
-		if s.ioErr != nil {
-			return s.ioErr
+		progressed := w.runner.StepTransmit()
+		w.liftPending()
+		w.runner.DrainAcks()
+		w.liftPending()
+		if w.ioErr != nil {
+			return w.ioErr
 		}
-		if !progressed && s.runner.T.Busy() {
+		if !progressed && w.runner.T.Busy() {
 			// The transmitter has no enabled output: it is waiting on a
-			// datagram the chaos layer is holding. Force one onto the wire;
-			// if nothing is held anywhere, the session is truly stuck.
-			if !s.forceRelease() {
+			// datagram the chaos layer is holding. Force one onto the wire,
+			// acks first, since a stuck transmitter is usually waiting for
+			// one; if nothing is held anywhere, the session is truly stuck.
+			if !w.release(ioa.RtoT) && !w.release(ioa.TtoR) {
 				return fmt.Errorf("%w: transmitter waiting with nothing held", ErrSessionStalled)
 			}
+			w.stats.ForcedReleases++
 		}
 	}
 	return nil
 }
 
+// lane returns direction dir's chaos writer and the address its datagrams
+// go to.
+func (w *worker) lane(dir ioa.Dir) (*ChaosConn, net.Addr) {
+	if dir == ioa.RtoT {
+		return w.ack, w.ackAddr
+	}
+	return w.data, w.dataAddr
+}
+
 // onSend is the wire policy: the channel-policy seam where the model
 // consults reality. It performs the real write, waits for the arrivals the
 // chaos outcome promises, and renders the outcome as the recorded decision.
-func (s *session) onSend(dir ioa.Dir, p ioa.Packet) channel.Decision {
-	conn, addr, recv := s.data, s.env.dataAddr, s.env.recvData
-	if dir == ioa.RtoT {
-		conn, addr, recv = s.ack, s.env.ackAddr, s.env.recvAck
-	}
+func (w *worker) onSend(dir ioa.Dir, p ioa.Packet) channel.Decision {
+	conn, addr := w.lane(dir)
 	res, err := conn.WriteOutcome(wire.Encode(p), addr)
 	if err != nil {
 		// Socket failure: the datagram never made the wire. Drop is the
 		// truthful decision; the error aborts the session after this op.
-		s.ioErr = err
+		w.ioErr = err
 		return channel.Drop
 	}
 	switch res.Fate {
 	case FateDropped:
-		s.stats.ChaosDrops++
+		w.stats.ChaosDrops++
 		return channel.Drop
 	case FateHeld:
-		s.stats.ChaosHolds++
+		w.stats.ChaosHolds++
 		return channel.Delay
 	case FateDup:
-		s.stats.ChaosDups++
+		w.stats.ChaosDups++
 	}
 	// Passed (possibly duplicated): the datagram and any released held
 	// copies are on the wire. Read them back; copies are matched by value
 	// (multiset semantics), so kernel arrival order cannot matter.
 	delivered := false
 	for i := 0; i < 1+len(res.Released); i++ {
-		b, ok := recv()
+		b, ok := w.read(dir)
 		if !ok {
 			break // lost or late; a straggler surfaces in a later window
 		}
 		q, err := wire.Decode(b)
 		if err != nil {
-			s.stats.WireFiltered++
+			w.stats.WireFiltered++
 			continue
 		}
 		if !delivered && q == p {
 			delivered = true
 			continue
 		}
-		s.pending = append(s.pending, pendingStale{dir: dir, pkt: q})
+		w.pending = append(w.pending, pendingStale{dir: dir, pkt: q})
 	}
 	if !delivered {
-		s.stats.WireLost++
+		w.stats.WireLost++
 		return channel.Drop
 	}
 	return channel.DeliverNow
 }
 
-// liftPending mirrors arrived released datagrams into the model as stale
-// deliveries. An arrival with no in-transit model copy (duplicate residue, a
-// straggler whose copy was already dropped) is filtered: the model never
-// delivers a copy it does not hold.
-func (s *session) liftPending() {
-	for len(s.pending) > 0 {
-		ps := s.pending[0]
-		s.pending = s.pending[1:]
-		ch := s.runner.ChData
-		if ps.dir == ioa.RtoT {
-			ch = s.runner.ChAck
+// read returns the next datagram to arrive on direction dir within
+// sessionReadTimeout, or false when none does. Data arrives in w's inbox,
+// each datagram already copied out of the pump's buffer; acks arrive at the
+// client socket and are copied out of w's buffer, which sessions reuse.
+func (w *worker) read(dir ioa.Dir) ([]byte, bool) {
+	if dir == ioa.RtoT {
+		_ = w.client.SetReadDeadline(time.Now().Add(sessionReadTimeout))
+		n, _, err := w.client.ReadFromUDPAddrPort(w.buf)
+		if err != nil {
+			return nil, false
 		}
-		if ch.Count(ps.pkt) == 0 {
-			s.stats.WireFiltered++
-			continue
+		b := make([]byte, n)
+		copy(b, w.buf[:n])
+		return b, true
+	}
+	w.timer.Reset(sessionReadTimeout)
+	select {
+	case b := <-w.inbox:
+		if !w.timer.Stop() {
+			<-w.timer.C
 		}
-		if err := s.runner.DeliverStale(ps.dir, ps.pkt); err != nil {
-			s.stats.WireFiltered++
-			continue
-		}
-		s.stats.StaleLifted++
+		return b, true
+	case <-w.timer.C:
+		return nil, false
 	}
 }
 
-// forceRelease puts one held datagram on the wire — acks first, since a
-// stuck transmitter is usually waiting for one — reads it back and lifts it.
-// It reports whether anything was held.
-func (s *session) forceRelease() bool {
-	type lane struct {
-		conn *ChaosConn
-		dir  ioa.Dir
-		recv func() ([]byte, bool)
+// release puts the oldest datagram held on direction dir onto the wire,
+// reads it back, queues it and lifts it. It reports whether anything was
+// held.
+func (w *worker) release(dir ioa.Dir) bool {
+	conn, _ := w.lane(dir)
+	if _, ok := conn.ReleaseOne(); !ok {
+		return false
 	}
-	for _, ln := range []lane{
-		{s.ack, ioa.RtoT, s.env.recvAck},
-		{s.data, ioa.TtoR, s.env.recvData},
-	} {
-		if _, ok := ln.conn.ReleaseOne(); !ok {
+	if b, ok := w.read(dir); ok {
+		if q, err := wire.Decode(b); err == nil {
+			w.pending = append(w.pending, pendingStale{dir: dir, pkt: q})
+		} else {
+			w.stats.WireFiltered++
+		}
+	}
+	w.liftPending()
+	return true
+}
+
+// liftPending mirrors arrived released datagrams into the model as stale
+// deliveries, in arrival order. An arrival with no in-transit model copy
+// (duplicate residue, a straggler whose copy was already dropped) is
+// filtered: the model never delivers a copy it does not hold. A stale
+// delivery sends nothing, so no policy runs and the queue cannot grow while
+// it drains.
+func (w *worker) liftPending() {
+	for _, ps := range w.pending {
+		ch := w.runner.ChData
+		if ps.dir == ioa.RtoT {
+			ch = w.runner.ChAck
+		}
+		if ch.Count(ps.pkt) == 0 {
+			w.stats.WireFiltered++
 			continue
 		}
-		s.stats.ForcedReleases++
-		if b, ok := ln.recv(); ok {
-			if q, err := wire.Decode(b); err == nil {
-				s.pending = append(s.pending, pendingStale{dir: ln.dir, pkt: q})
-			} else {
-				s.stats.WireFiltered++
-			}
+		if err := w.runner.DeliverStale(ps.dir, ps.pkt); err != nil {
+			w.stats.WireFiltered++
+			continue
 		}
-		s.liftPending()
-		return true
+		w.stats.StaleLifted++
 	}
-	return false
+	w.pending = w.pending[:0]
 }
 
 // finalDrain releases every datagram still held by the chaos layer after the
-// last message confirms: the stale copies arrive at last, which is exactly
-// when a bounded protocol's DL1 violations surface (an old copy re-accepted
-// as new). Releases write directly to the wire (no chaos re-roll), so the
-// drain strictly empties the hold queues.
-func (s *session) finalDrain() {
-	for {
-		released := false
-		for _, ln := range []struct {
-			conn *ChaosConn
-			dir  ioa.Dir
-			recv func() ([]byte, bool)
-		}{
-			{s.data, ioa.TtoR, s.env.recvData},
-			{s.ack, ioa.RtoT, s.env.recvAck},
-		} {
-			if _, ok := ln.conn.ReleaseOne(); !ok {
-				continue
-			}
-			released = true
-			if b, ok := ln.recv(); ok {
-				if q, err := wire.Decode(b); err == nil {
-					s.pending = append(s.pending, pendingStale{dir: ln.dir, pkt: q})
-				} else {
-					s.stats.WireFiltered++
-				}
-			}
-			s.liftPending()
-		}
-		if !released {
-			return
-		}
+// last message confirms, data then ack each round: the stale copies arrive
+// at last, which is exactly when a bounded protocol's DL1 violations surface
+// (an old copy re-accepted as new). Releases write directly to the wire (no
+// chaos re-roll), so the drain strictly empties the hold queues.
+func (w *worker) finalDrain() {
+	for released := true; released; {
+		data := w.release(ioa.TtoR)
+		ack := w.release(ioa.RtoT)
+		released = data || ack
 	}
 }

@@ -115,22 +115,15 @@ func (sv *Server) RunSoak(cfg SoakConfig) (*SoakReport, error) {
 
 	start := time.Now()
 	ids := make(chan int)
-	skipped := make(chan int, 1)
 	go func() {
 		defer close(ids)
 		for i := 0; cfg.Sessions <= 0 || i < cfg.Sessions; i++ {
 			select {
 			case <-cfg.Stop: // nil channel when Stop is unset: never fires
-				if cfg.Sessions > 0 {
-					skipped <- cfg.Sessions - i
-				} else {
-					skipped <- 0
-				}
 				return
 			case ids <- i:
 			}
 		}
-		skipped <- 0
 	}()
 
 	var (
@@ -143,9 +136,9 @@ func (sv *Server) RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := newWorker()
+			w := newWorker(sv)
 			for id := range ids {
-				out, sessionLats := sv.runSoakSession(cfg, id, w)
+				out, sessionLats := w.soakSession(cfg, id)
 				mu.Lock()
 				outcomes = append(outcomes, out)
 				lats = append(lats, sessionLats...)
@@ -158,7 +151,8 @@ func (sv *Server) RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	}
 	wg.Wait()
 
-	rep := &SoakReport{Skipped: <-skipped, Elapsed: time.Since(start)}
+	// Every id handed out reported an outcome; Stop kept the rest from starting.
+	rep := &SoakReport{Skipped: max(cfg.Sessions-len(outcomes), 0), Elapsed: time.Since(start)}
 	sort.Slice(outcomes, func(i, j int) bool { return outcomes[i].ID < outcomes[j].ID })
 	rep.Outcomes = outcomes
 	for _, o := range outcomes {
@@ -188,11 +182,11 @@ func (sv *Server) RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	return rep, nil
 }
 
-// runSoakSession runs session id on w with its derived seed and round-robin
+// soakSession runs session id on w with its derived seed and round-robin
 // protocol, records the log, and flattens the result into an outcome. The
 // log is w's: it is recorded here, before w runs another session, and the
 // outcome keeps none of it.
-func (sv *Server) runSoakSession(cfg SoakConfig, id int, w *worker) (SessionOutcome, []time.Duration) {
+func (w *worker) soakSession(cfg SoakConfig, id int) (SessionOutcome, []time.Duration) {
 	p := cfg.Protocols[id%len(cfg.Protocols)]
 	scfg := SessionConfig{
 		Protocol: p,
@@ -201,7 +195,7 @@ func (sv *Server) runSoakSession(cfg SoakConfig, id int, w *worker) (SessionOutc
 		Seed:     seed.Split(cfg.Seed, "session/"+strconv.Itoa(id)),
 	}
 	out := SessionOutcome{ID: id, Session: SessionName(id), Protocol: p.Name(), Seed: scfg.Seed}
-	res, err := sv.runSession(scfg, w)
+	res, err := w.run(scfg)
 	if err != nil {
 		out.Err = err.Error()
 		return out, nil

@@ -2,10 +2,12 @@ package netlink
 
 import (
 	"bytes"
+	"hash/fnv"
 	"strconv"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/channel"
 	"repro/internal/ioa"
 	"repro/internal/protocol"
 	"repro/internal/replay"
@@ -356,12 +358,12 @@ func TestWorkerInboxDropsStragglers(t *testing.T) {
 	}
 	defer sv.Close()
 	cfg := SessionConfig{Protocol: protocol.NewAltBit(), Messages: 4, Seed: 5}
-	w := newWorker()
-	if _, err := sv.runSession(cfg, w); err != nil {
+	w := newWorker(sv)
+	if _, err := w.run(cfg); err != nil {
 		t.Fatalf("first session: %v", err)
 	}
 	w.inbox <- wire.Encode(ioa.Packet{Header: "d1", Payload: "straggler"})
-	got, err := sv.runSession(cfg, w)
+	got, err := w.run(cfg)
 	if err != nil {
 		t.Fatalf("second session: %v", err)
 	}
@@ -379,5 +381,143 @@ func TestWorkerInboxDropsStragglers(t *testing.T) {
 	if !bytes.Equal(gb.Bytes(), wb.Bytes()) || got.Stats.WireLost != want.Stats.WireLost || got.Stats.WireFiltered != want.Stats.WireFiltered {
 		t.Fatalf("the worker's next session read its previous session's straggler: lost %d, filtered %d, want %d and %d\n%s\nwant\n%s",
 			got.Stats.WireLost, got.Stats.WireFiltered, want.Stats.WireLost, want.Stats.WireFiltered, got.Log, want.Log)
+	}
+}
+
+// onceSeqNum is seqnum with a transmitter that sends each message's data
+// packet once and then waits for its acknowledgement without
+// retransmitting. A datagram the chaos layer holds on either lane leaves
+// that transmitter with nothing to send until the session force-releases
+// one, and a dropped one stalls it for good. Every registered protocol
+// retransmits while busy, so only such a transmitter reaches the session's
+// stall path.
+type onceSeqNum struct{}
+
+func (onceSeqNum) Name() string             { return "seqnum-once" }
+func (onceSeqNum) HeaderBound() (int, bool) { return 0, false }
+
+func (onceSeqNum) New(dataGenie, ackGenie channel.Genie) (protocol.Transmitter, protocol.Receiver) {
+	_, r := protocol.NewSeqNum().New(dataGenie, ackGenie)
+	return new(onceT), r
+}
+
+// onceT speaks seqnum's packets: data "d<i>" carries the i-th message and
+// "a<i>" acknowledges it.
+type onceT struct {
+	seq   int      // the current message's sequence number
+	sent  bool     // the current message's data packet is on the wire
+	queue []string // accepted messages; the head is the current one
+}
+
+func (t *onceT) SendMsg(payload string) { t.queue = append(t.queue, payload) }
+
+func (t *onceT) DeliverPkt(p ioa.Packet) {
+	if len(t.queue) > 0 && p.Header == "a"+strconv.Itoa(t.seq) {
+		t.queue, t.seq, t.sent = t.queue[1:], t.seq+1, false
+	}
+}
+
+func (t *onceT) NextPkt() (ioa.Packet, bool) {
+	if len(t.queue) == 0 || t.sent {
+		return ioa.Packet{}, false
+	}
+	t.sent = true
+	return ioa.Packet{Header: "d" + strconv.Itoa(t.seq), Payload: t.queue[0]}, true
+}
+
+func (t *onceT) Busy() bool     { return len(t.queue) > 0 }
+func (t *onceT) Reset()         { *t = onceT{queue: t.queue[:0]} }
+func (t *onceT) StateSize() int { return 2 + len(t.queue) }
+
+func (t *onceT) Clone() protocol.Transmitter {
+	c := *t
+	c.queue = append([]string(nil), t.queue...)
+	return &c
+}
+
+func (t *onceT) AppendStateKey(dst []byte) []byte {
+	dst = strconv.AppendInt(append(dst, "onceT{seq="...), int64(t.seq), 10)
+	dst = strconv.AppendBool(append(dst, " sent="...), t.sent)
+	for _, p := range t.queue {
+		dst = strconv.AppendQuote(append(dst, ' '), p)
+	}
+	return append(dst, '}')
+}
+
+// TestSoakSessionsPinned pins what RunSession records and counts for a
+// table of sessions under drop, hold and dup chaos: the fnv64a of each
+// encoded log, its verdict and error, and every SessionStats counter but
+// the clock-derived Latencies and Elapsed. The values are the ones the
+// session driver produced before it was folded into the soak worker.
+// Between them the rows lift stale copies, filter duplicate residue,
+// force held datagrams onto the wire, stall with nothing held, run out of
+// steps and record DL1s, so every path of the driver is held to its
+// recorded bytes.
+func TestSoakSessionsPinned(t *testing.T) {
+	sv, err := NewServer("")
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	defer sv.Close()
+	lookup := func(name string) protocol.Protocol {
+		p, err := replay.LookupProtocol(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	type counters struct {
+		msgs, delivered, drops, holds, dups, lifted, filtered, lost, forced int
+	}
+	for _, tc := range []struct {
+		proto   protocol.Protocol
+		chaos   ChaosConfig
+		seed    int64
+		hash    uint64
+		verdict string
+		err     string
+		stats   counters
+	}{
+		{protocol.NewSeqNum(), ChaosConfig{DropProb: 0.1, HoldProb: 0.3, DupProb: 0.2}, 1,
+			0x73c6283a2447cfa5, "", "", counters{10, 10, 5, 11, 12, 11, 12, 0, 0}},
+		{protocol.NewAltBit(), ChaosConfig{DropProb: 0.1, HoldProb: 0.3, DupProb: 0.2}, 1,
+			0xfcdf0dfbe0a75977, "DL1", "", counters{10, 15, 5, 11, 12, 11, 12, 0, 0}},
+		{protocol.NewCntK(4), ChaosConfig{DropProb: 0.05, HoldProb: 0.2, DupProb: 0.1}, 3,
+			0x108638f5b11f7f31, "", "", counters{10, 10, 2, 3, 5, 3, 5, 0, 0}},
+		{lookup("gbn-s4-w2"), ChaosConfig{HoldProb: 0.5, DupProb: 0.2}, 2,
+			0x3d62b8432d9fc605, "DL1", "", counters{10, 14, 0, 46, 19, 46, 19, 0, 0}},
+		{lookup("livelock"), ChaosConfig{DropProb: 0.1, HoldProb: 0.3, DupProb: 0.2}, 1,
+			0x65225853846a33a1, "", "netlink: session stalled after 4096 steps (protocol livelock)", counters{1, 0, 422, 618, 915, 616, 885, 0, 0}},
+		{onceSeqNum{}, ChaosConfig{HoldProb: 0.3, DupProb: 0.2}, 1,
+			0xaece3071234d692a, "", "", counters{10, 10, 0, 6, 8, 6, 8, 0, 10}},
+		{onceSeqNum{}, ChaosConfig{HoldProb: 0.5, DupProb: 0.1}, 2,
+			0xbd7ead7746e7f6ab, "", "", counters{10, 10, 0, 12, 1, 12, 1, 0, 13}},
+		{onceSeqNum{}, ChaosConfig{DropProb: 0.04, HoldProb: 0.3, DupProb: 0.2}, 4,
+			0x6090aec878d0fac7, "", "netlink: session stalled: transmitter waiting with nothing held", counters{10, 10, 1, 5, 3, 5, 3, 0, 7}},
+	} {
+		res, err := sv.RunSession(SessionConfig{Protocol: tc.proto, Messages: 10, Chaos: tc.chaos, Seed: tc.seed})
+		if err != nil {
+			t.Fatalf("RunSession: %v", err)
+		}
+		var b bytes.Buffer
+		if err := res.Log.Encode(&b); err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		h := fnv.New64a()
+		h.Write(b.Bytes())
+		verdict, serr := "", ""
+		if res.Verdict != nil {
+			verdict = res.Verdict.Property
+		}
+		if res.Err != nil {
+			serr = res.Err.Error()
+		}
+		st := res.Stats
+		stats := counters{st.Messages, st.Delivered, st.ChaosDrops, st.ChaosHolds, st.ChaosDups,
+			st.StaleLifted, st.WireFiltered, st.WireLost, st.ForcedReleases}
+		if h.Sum64() != tc.hash || verdict != tc.verdict || serr != tc.err || stats != tc.stats {
+			t.Errorf("%s seed %d: log %#x, verdict %q, error %q, stats %+v\nwant %#x, %q, %q, %+v",
+				tc.proto.Name(), tc.seed, h.Sum64(), verdict, serr, stats, tc.hash, tc.verdict, tc.err, tc.stats)
+		}
 	}
 }

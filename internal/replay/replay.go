@@ -143,14 +143,16 @@ func resolve(l *trace.Log) (protocol.Protocol, error) {
 	return LookupProtocol(name)
 }
 
-// redrivable refuses a trace whose kind is observational.
+// redrivable refuses a trace of a kind that is not known to be
+// decision-complete.
 func redrivable(l *trace.Log) error {
 	// "sim" traces come from the simulator; "soak" traces come from the
 	// lock-step netlink sessions, which drive a sim.Runner whose channel
 	// behaviour is decided by a real wire — every wire outcome is lifted
 	// into the recorded decision/stale vocabulary, so the log is exactly as
-	// re-drivable as a simulator log. Other kinds (e.g. the free-running
-	// "netlink" recordings) are observational and refused.
+	// re-drivable as a simulator log. Nothing in the module writes another
+	// kind (the free-running netlink stations record nothing), and a trace
+	// that claims one is refused.
 	if kind := l.Meta[trace.MetaKind]; kind != "" && kind != "sim" && kind != "soak" {
 		return fmt.Errorf("replay: trace kind %q is observational, only %q and %q traces can be re-driven", kind, "sim", "soak")
 	}
@@ -198,9 +200,8 @@ func (x *Exec) issue(e trace.Event) error {
 }
 
 // Run replays a recorded simulation trace and re-checks it. It fails on
-// traces that are not re-drivable: unknown protocols, or observational
-// recordings (e.g. netlink's free-running station logs, which capture only
-// one vantage point of a real network run and cannot be re-executed).
+// traces that are not re-drivable: unknown protocols, or a kind other than
+// "sim" and "soak" (simulator runs and lock-step soak sessions).
 func Run(l *trace.Log) (*Result, error) {
 	x, err := execFor(l)
 	if err != nil {

@@ -162,12 +162,12 @@ func CheckConvergence(p protocol.Protocol, c Corruption, cfg Config) (*Report, e
 			// closing drive recovers under a schedule the stalled run never
 			// tried). Report the stall with the raw log as witness.
 			rep.CertErr = cerr.Error()
-			rep.Witness = stampWitness(tlog.Clone(), rep)
+			rep.Witness = Stamp(tlog.Clone(), "stabilize", rep.Seed, rep.Amnesty, rep.Violation)
 			return rep, nil
 		}
 		rep.Cert = cert
 		// The same pumped artifact CertifyLivelock verified by replay.
-		rep.Witness = stampWitness(cert.Pumped(replay.DefaultPump), rep)
+		rep.Witness = Stamp(cert.Pumped(replay.DefaultPump), "stabilize", rep.Seed, rep.Amnesty, rep.Violation)
 		rep.ReplayConfirmed = true
 		return rep, nil
 	}
@@ -217,18 +217,22 @@ func CheckConvergence(p protocol.Protocol, c Corruption, cfg Config) (*Report, e
 	// rr.Log carries the clean-start checkers' verdict event, so the
 	// witness replays with a matching verdict under `nftrace replay`; the
 	// amnesty-level verdict rides in the metadata.
-	rep.Witness = stampWitness(rr.Log, rep)
+	rep.Witness = Stamp(rr.Log, "stabilize", rep.Seed, rep.Amnesty, rep.Violation)
 	return rep, nil
 }
 
-// stampWitness tags a witness log with the corrupted-start provenance.
-func stampWitness(l *trace.Log, rep *Report) *trace.Log {
-	l.SetMeta(trace.MetaSource, "stabilize")
-	l.SetMeta(MetaCorruption, rep.Seed.Key())
-	l.SetMeta(MetaAmnesty, strconv.Itoa(rep.Amnesty))
+// Stamp tags l with the provenance of a corrupted-start run and returns
+// it: the source, the corrupted start c, the amnesty the run was judged
+// against and the amnesty judge's verdict, "diverged P" for v's property P
+// or "converged" for a nil v. The convergence checker, the prover and the
+// fuzzer stamp their witnesses with it, and Recheck re-judges the claim.
+func Stamp(l *trace.Log, source string, c Corruption, amnesty int, v *ioa.Violation) *trace.Log {
+	l.SetMeta(trace.MetaSource, source)
+	l.SetMeta(MetaCorruption, c.Key())
+	l.SetMeta(MetaAmnesty, strconv.Itoa(amnesty))
 	verdict := "converged"
-	if rep.Violation != nil {
-		verdict = "diverged " + rep.Violation.Property
+	if v != nil {
+		verdict = "diverged " + v.Property
 	}
 	l.SetMeta(MetaStabilize, verdict)
 	return l

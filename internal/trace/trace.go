@@ -209,9 +209,9 @@ const (
 	// MetaProtocol names the protocol under test (protocol.Protocol.Name).
 	MetaProtocol = "protocol"
 	// MetaKind distinguishes trace provenance: "sim" for simulator runs
-	// (deterministically replayable), "soak" for lock-step netlink soak
-	// sessions (wire-driven but decision-complete, equally replayable),
-	// "shrunk" for minimised traces.
+	// (deterministically replayable) and "soak" for lock-step netlink soak
+	// sessions (wire-driven but decision-complete, equally replayable).
+	// Replay re-drives these two kinds and refuses every other.
 	MetaKind = "kind"
 	// MetaSource is free-form provenance (tool name, attack, workload).
 	MetaSource = "source"

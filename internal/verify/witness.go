@@ -2,7 +2,6 @@ package verify
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/channel"
 	"repro/internal/ioa"
@@ -166,10 +165,5 @@ func confirmStabilize(wl *trace.Log, seed stabilize.Corruption, occupancy int) (
 		return nil, nil, fmt.Errorf("verify: witness replayed within amnesty %d (%d fault(s)); the explored divergence did not reproduce",
 			amnesty, j.Charges)
 	}
-	l := rr.Log
-	l.SetMeta(trace.MetaSource, "verify-stabilize")
-	l.SetMeta(stabilize.MetaCorruption, seed.Key())
-	l.SetMeta(stabilize.MetaAmnesty, strconv.Itoa(amnesty))
-	l.SetMeta(stabilize.MetaStabilize, "diverged "+j.Violation.Property)
-	return l, j.Violation, nil
+	return stabilize.Stamp(rr.Log, "verify-stabilize", seed, amnesty, j.Violation), j.Violation, nil
 }
