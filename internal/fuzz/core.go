@@ -29,12 +29,16 @@ import (
 //     executor's Refuse, straight on from the execution it holds;
 //   - shrinks a promoted violation on the same executor (shrink), and
 //     re-executes the input it holds with a log reserved from the held
-//     run's counts.
+//     run's counts: into a fresh log for a logged Execute, into a log the
+//     Core keeps for a clean promotion (promotion), whose only reader is
+//     the shrink.
 //
 // Corrupted-start inputs keep the recorded-trace path: the amnesty judge
 // consumes an ioa.Trace, and corruption is the cold path by construction
 // (one in three candidates at most). A Core is protocol-bound and not safe
-// for concurrent use; campaigns run one per worker.
+// for concurrent use; campaigns run one per worker, taken from a pooled
+// kit, so a Core and everything it has grown serve campaign after
+// campaign (see kit).
 type Core struct {
 	proto protocol.Protocol
 	pair  map[string]uint64 // "tkey\0rkey" -> FNV midstate over those bytes
@@ -52,6 +56,10 @@ type Core struct {
 	// res is the result every unlogged Execute returns, reset per call; its
 	// Points keep their backing array across executions.
 	res ExecResult
+	// pres and plog are promotion's result and log, reset per promotion and
+	// keeping their storage, so a warm Core reserves no promotion log.
+	pres ExecResult
+	plog *trace.Log
 
 	// Adjacency cache: the coverage point (pre-salt) last computed and the
 	// runner version it was computed at. Schedules are full of unproductive
@@ -78,27 +86,58 @@ func NewCore(proto protocol.Protocol) *Core {
 // (an unlogged Execute, or a refuseLivelock that re-executes), so a caller
 // that keeps it longer, or hands it to another goroutine, copies it.
 func (c *Core) Execute(in *Input, withLog bool) *ExecResult {
-	var res *ExecResult
-	var tlog *trace.Log
-	if withLog {
-		res = &ExecResult{Points: make([]uint64, 0, len(in.Ops))}
-		tlog = trace.NewLog(map[string]string{trace.MetaSource: "fuzz"})
-		if c.held == in {
-			// The held execution bounds what this one records, so the log
-			// is one allocation: an event per executed op (a point each,
-			// and the corrupted start's move), per observed action, per
-			// consumed decision, and the verdict. Submits and poisons are
-			// ops the checker observes too, and are counted twice.
-			n := len(c.res.Points) + c.x.Check.Events() + c.res.DataUsed + c.res.AckUsed + 1
-			if in.Corrupt != nil {
-				n++
-			}
-			tlog.Events = make([]trace.Event, 0, n)
-		}
-	} else {
-		res = &c.res
-		*res = ExecResult{Points: res.Points[:0]}
+	if !withLog {
+		c.res = ExecResult{Points: c.res.Points[:0]}
+		c.execute(in, &c.res, nil)
+		c.held = in
+		return &c.res
 	}
+	res := &ExecResult{Points: make([]uint64, 0, len(in.Ops))}
+	tlog := trace.NewLog(map[string]string{trace.MetaSource: "fuzz"})
+	if n := c.logSize(in); n > 0 {
+		tlog.Events = make([]trace.Event, 0, n)
+	}
+	c.execute(in, res, tlog)
+	return res
+}
+
+// promotion is Execute(in, true) into the Core's own result and log, which
+// keep their storage from one promotion to the next: both are valid until
+// the Core's next promotion. A clean promotion re-executes its input into
+// this log only for the shrink, which reads it and returns a fresh log.
+func (c *Core) promotion(in *Input) *ExecResult {
+	if c.plog == nil {
+		c.plog = trace.NewLog(map[string]string{trace.MetaSource: "fuzz"})
+	}
+	c.plog.Events = c.plog.Events[:0]
+	if n := c.logSize(in); n > cap(c.plog.Events) {
+		c.plog.Events = make([]trace.Event, 0, n)
+	}
+	c.pres = ExecResult{Points: c.pres.Points[:0]}
+	c.execute(in, &c.pres, c.plog)
+	return &c.pres
+}
+
+// logSize returns how many events a logged execution of in records, at
+// most, when the Core holds in's unrecorded execution, and 0 otherwise.
+// The held execution bounds what a logged one records: an event per
+// executed op (a point each, and the corrupted start's move), per observed
+// action, per consumed decision, and the verdict. Submits and poisons are
+// ops the checker observes too, and are counted twice.
+func (c *Core) logSize(in *Input) int {
+	if c.held != in {
+		return 0
+	}
+	n := len(c.res.Points) + c.x.Check.Events() + c.res.DataUsed + c.res.AckUsed + 1
+	if in.Corrupt != nil {
+		n++
+	}
+	return n
+}
+
+// execute drives in into res, with a capture log when tlog is non-nil,
+// and drops the held execution: the runner now holds this one.
+func (c *Core) execute(in *Input, res *ExecResult, tlog *trace.Log) {
 	corrupt := in.Corrupt != nil
 	c.held = nil
 	// The amnesty judge consumes a materialised trace; clean runs are judged
@@ -114,7 +153,7 @@ func (c *Core) Execute(in *Input, withLog bool) *ExecResult {
 		if err := stabilize.Apply(r, res.Corruption); err != nil {
 			// Unreachable: resolution reduces every pick into the declared
 			// space and the runner has not executed an operation yet.
-			return res
+			return
 		}
 	}
 
@@ -163,13 +202,10 @@ func (c *Core) Execute(in *Input, withLog bool) *ExecResult {
 			res.DL3, _ = ioa.AsViolation(err)
 		}
 	}
-	if withLog {
+	if tlog != nil {
 		tlog.Emit(trace.VerdictEvent(res.Verdict, res.DL3))
 		res.Log = tlog
-	} else {
-		c.held = in
 	}
-	return res
 }
 
 // refuseLivelock returns the refusal replay.CertifyLivelock gives

@@ -141,9 +141,9 @@ type Result struct {
 // campaign is the merger-side state shared by the serial and parallel paths.
 type campaign struct {
 	cfg    Config
-	core   *Core                                     // merger-side interned core
+	core   *Core                                     // merger-side interned core, the Run goroutine's kit's
 	exec   func(in *Input, withLog bool) *ExecResult // merger-side executor
-	master coverSet
+	master coverSet                                  // the Run goroutine's kit's
 	corpus []*Entry
 	wins   map[string]*Violation // certificate name → smallest certificate
 	errs   []error
@@ -162,12 +162,14 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	k := takeKit(cfg.Protocol, seed.Split(cfg.Seed, "fuzz-worker-0"))
+	defer kits.Put(k)
 	c := &campaign{
 		cfg:    cfg,
-		master: make(coverSet),
+		core:   k.core,
+		master: k.cover,
 		wins:   make(map[string]*Violation),
 		start:  cfg.Clock(),
-		core:   NewCore(cfg.Protocol),
 	}
 	c.exec = c.execOn(c.core)
 
@@ -197,7 +199,7 @@ func Run(cfg Config) (*Result, error) {
 
 	if !c.stop.Load() && c.execs.Load() < cfg.Budget {
 		if cfg.Workers == 1 {
-			c.serial()
+			c.serial(k)
 		} else {
 			c.parallel()
 		}
@@ -262,7 +264,7 @@ func (c *campaign) promote(in *Input, res *ExecResult) {
 		c.promoteCorrupt(in)
 		return
 	}
-	logged := c.exec(in, true)
+	logged := c.relog(in)
 	if logged.Verdict == nil {
 		// Unreachable: execution is deterministic.
 		return
@@ -279,6 +281,16 @@ func (c *campaign) promote(in *Input, res *ExecResult) {
 		FoundAtExec: c.execs.Load(),
 	}
 	c.win(v.Property, v, "%s after %d execs: %d ops after shrink", v.Property, v.FoundAtExec, v.Ops)
+}
+
+// relog re-executes a clean violating input with a log for its shrink:
+// the string reference Execute under Config.StringCore, otherwise the
+// campaign Core's promotion, whose result and log the Core keeps.
+func (c *campaign) relog(in *Input) *ExecResult {
+	if c.cfg.StringCore {
+		return c.exec(in, true)
+	}
+	return c.core.promotion(in)
 }
 
 // promoteCorrupt turns a corrupted-start over-amnesty violation into a
@@ -444,27 +456,53 @@ func nextCandidate(cand *Input, corpus []*Entry, rng *rand.Rand, corrupt bool) {
 	}
 }
 
-// loopRands holds the campaign loops' generators between campaigns: a
-// source is a ~4.9 KB table, and (*rand.Rand).Seed resets the source and
-// its read position, so a re-seeded generator draws what a new one would.
-var loopRands sync.Pool
-
-// loopRand returns a generator seeded with s, re-seeding a pooled one when
-// the pool has one. The loop puts it back in loopRands when it returns.
-func loopRand(s int64) *rand.Rand {
-	if rng, ok := loopRands.Get().(*rand.Rand); ok {
-		rng.Seed(s)
-		return rng
-	}
-	return rand.New(rand.NewSource(s))
+// kit is what one goroutine of a campaign executes with: the Core (its
+// executor, runner, live checker, pair cache and unlogged result), a
+// coverage set (the campaign's master set on the Run goroutine, a worker's
+// private one otherwise), the loop's generator and its scratch candidate.
+// Run and each parallel worker take one from kits and put it back when
+// they return, so a process pays for a kit's storage once, not once per
+// campaign. Nothing a Result holds points into a kit: the corpus keeps
+// Trim's copies and every certificate is a fresh log.
+type kit struct {
+	core  *Core
+	cover coverSet
+	rng   *rand.Rand
+	cand  *Input
 }
 
-// serial is the deterministic single-worker loop. Its candidates share one
-// scratch input, refilled right before each Execute (see Core.held).
-func (c *campaign) serial() {
-	rng := loopRand(seed.Split(c.cfg.Seed, "fuzz-worker-0"))
-	defer loopRands.Put(rng)
-	cand := new(Input)
+// kits holds the kits no campaign is using. The pool keeps each kit's
+// grown storage: its Core's pair cache (the FNV midstate of every joint
+// key the Core has seen, a pure function of the key's bytes, so valid in
+// any campaign), its maps and slices at their largest run's capacity, and
+// its coverage set's capacity.
+var kits = new(sync.Pool)
+
+// takeKit returns a kit for a campaign of proto whose generator is seeded
+// with s: a pooled one, its coverage set cleared, its generator re-seeded
+// (a re-seeded source draws what a new one would) and its Core's held
+// execution dropped, since the scratch candidate it was held for belongs
+// to another campaign now; its Core is replaced if it runs another
+// protocol. The pool empty, it builds one.
+func takeKit(proto protocol.Protocol, s int64) *kit {
+	k, ok := kits.Get().(*kit)
+	if !ok {
+		return &kit{core: NewCore(proto), cover: make(coverSet), rng: rand.New(rand.NewSource(s)), cand: new(Input)}
+	}
+	if k.core.proto != proto {
+		k.core = NewCore(proto)
+	}
+	k.core.held = nil
+	clear(k.cover)
+	k.rng.Seed(s)
+	return k
+}
+
+// serial is the deterministic single-worker loop, on the Run goroutine's
+// kit k. Its candidates share k's scratch input, refilled right before
+// each Execute (see Core.held).
+func (c *campaign) serial(k *kit) {
+	rng, cand := k.rng, k.cand
 	for c.execs.Load() < c.cfg.Budget && !c.stop.Load() {
 		nextCandidate(cand, c.corpus, rng, c.cfg.Corrupt)
 		res := c.exec(cand, false)
@@ -497,11 +535,11 @@ func (c *campaign) parallel() {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			rng := loopRand(seed.Split(c.cfg.Seed, "fuzz-worker-"+strconv.Itoa(id)))
-			defer loopRands.Put(rng)
-			local := make(coverSet)
-			exec := c.execOn(NewCore(c.cfg.Protocol)) // per-worker: cores are single-goroutine
-			cand := new(Input)                        // per-worker scratch candidate
+			// Per worker: cores are single-goroutine, and the candidate is
+			// the worker's scratch.
+			k := takeKit(c.cfg.Protocol, seed.Split(c.cfg.Seed, "fuzz-worker-"+strconv.Itoa(id)))
+			defer kits.Put(k)
+			rng, local, cand, exec := k.rng, k.cover, k.cand, c.execOn(k.core)
 			for !c.stop.Load() {
 				if c.execs.Add(1) > c.cfg.Budget {
 					c.execs.Add(-1)

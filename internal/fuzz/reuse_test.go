@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
+	"repro/internal/protocol"
 	"repro/internal/replay"
 	"repro/internal/seed"
 	"repro/internal/trace"
@@ -322,10 +324,12 @@ func TestAdmittedEntriesShareNoScratch(t *testing.T) {
 	}
 }
 
-// TestLoopRandReseeds: a campaign loop's generator comes from a pool and
-// is re-seeded, so one taken after arbitrary draws (a read position
-// included) must yield what rand.New(rand.NewSource(s)) yields.
-func TestLoopRandReseeds(t *testing.T) {
+// TestKitReseeds: a campaign takes its generator from a pooled kit, which
+// re-seeds it, so a kit taken after arbitrary draws (a read position
+// included) must yield what rand.New(rand.NewSource(s)) yields. A taken kit
+// also holds no coverage and no held execution, and runs the protocol it
+// was taken for.
+func TestKitReseeds(t *testing.T) {
 	same := func(s int64, what string, r *rand.Rand) {
 		t.Helper()
 		want := rand.New(rand.NewSource(s))
@@ -341,20 +345,40 @@ func TestLoopRandReseeds(t *testing.T) {
 			t.Fatalf("seed %d, %s generator: Read gives %x, a new generator %x", s, what, gb, wb)
 		}
 	}
-	for _, s := range []int64{1, -7, seed.Split(1, "fuzz-worker-0"), seed.Split(2, "fuzz-worker-3")} {
-		used := rand.New(rand.NewSource(s + 1))
-		used.Intn(9)
-		used.Perm(5)
-		used.Read(make([]byte, 3))
-		loopRands.Put(used)
-		got := loopRand(s) // used, re-seeded, unless the pool dropped it
-		same(s, "pooled", got)
-		loopRands.Put(got)
+	altbit, err := replay.LookupProtocol("altbit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqnum, err := replay.LookupProtocol("seqnum")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: a Put kit is the next Get's
+	for i, s := range []int64{1, -7, seed.Split(1, "fuzz-worker-0"), seed.Split(2, "fuzz-worker-3")} {
+		used := takeKit(altbit, s+1)
+		used.rng.Intn(9)
+		used.rng.Perm(5)
+		used.rng.Read(make([]byte, 3))
+		used.cover.addAll([]uint64{1, 2, 3})
+		used.cand.copyFrom(SeedInputs()[1])
+		used.core.Execute(used.cand, false)
+		kits.Put(used)
+		p := []protocol.Protocol{altbit, seqnum}[i%2]
+		got := takeKit(p, s) // used, re-seeded, unless the pool dropped it
+		if got != used {
+			t.Logf("seed %d: the pool dropped the used kit", s)
+		}
+		if len(got.cover) != 0 || got.core.held != nil || got.core.proto != p {
+			t.Fatalf("seed %d: a taken kit holds %d points, held %v, protocol %s; want none, nil, %s",
+				s, len(got.cover), got.core.held, got.core.proto.Name(), p.Name())
+		}
+		same(s, "pooled", got.rng)
+		kits.Put(got)
 
 		// The same in place, whatever the pool did.
-		used = rand.New(rand.NewSource(s + 2))
-		used.Read(make([]byte, 5))
-		used.Seed(s)
-		same(s, "re-seeded", used)
+		r := rand.New(rand.NewSource(s + 2))
+		r.Read(make([]byte, 5))
+		r.Seed(s)
+		same(s, "re-seeded", r)
 	}
 }

@@ -32,12 +32,16 @@ var _ Monitor = (*Recorder)(nil)
 // than chronologically.
 //
 // An event costs a slice update; the only map write is a packet's first
-// entry into the run's packet table. The message properties keep their
-// counts in one slice indexed by Message.ID, grown by each send to cover
-// its ID; an entry no send has reached reads as never sent, and a receive
-// past the slice's end matches nothing. Message IDs must therefore be
-// non-negative: the runner numbers sends by count (SubmitMsg) and receives
-// by delivery count, and nothing else in the module feeds a checker. PL1
+// entry into the run's packet table, which also lists the run's packets: a
+// checker that once saw a long run keeps its table's capacity, and clearing
+// all of it would cost every later run that capacity, so Reset deletes
+// just the run's packets. The message
+// properties keep their counts in one slice indexed by Message.ID, grown
+// by each send to cover its ID; an entry no send has reached reads as
+// never sent, and a receive past the slice's end matches nothing. Message
+// IDs must therefore be non-negative: the runner numbers sends by count
+// (SubmitMsg) and receives by delivery count, and nothing else in the
+// module feeds a checker. PL1
 // keeps its counts per packet index: one table per run takes each distinct
 // packet to its index, and each direction caches the last packet it looked
 // up, so the retransmissions of one packet hash once. Each direction also
@@ -50,6 +54,7 @@ type LiveChecker struct {
 	idx int // global event index, counted across all four kinds
 
 	pkts        map[Packet]int // distinct packets of the run -> index into pl1Dir.out
+	keys        []Packet       // the run's packets by index: pkts' keys, for Reset
 	pl1         [2]pl1Dir      // PL1 per direction: [0] t→r, [1] r→t
 	msgs        []msgState     // message ID -> its DL1, DL2 and DL3 state
 	dl1         *Violation
@@ -86,10 +91,15 @@ func NewLiveChecker() *LiveChecker {
 }
 
 // Reset returns the checker to its initial state, keeping the packet
-// table and the slices' storage for reuse across pooled executions.
+// table and the slices' storage for reuse across pooled executions. It
+// empties the table in time proportional to the run, not to the table's
+// capacity.
 func (c *LiveChecker) Reset() {
 	c.idx = 0
-	clear(c.pkts)
+	for _, p := range c.keys {
+		delete(c.pkts, p)
+	}
+	c.keys = c.keys[:0]
 	for i, d := range c.pl1 {
 		c.pl1[i] = pl1Dir{out: d.out[:0], lastI: -1}
 	}
@@ -187,8 +197,9 @@ func (c *LiveChecker) count(pd *pl1Dir, p Packet) *int {
 	if pd.lastI < 0 || pd.last != p {
 		i, ok := c.pkts[p]
 		if !ok {
-			i = len(c.pkts)
+			i = len(c.keys)
 			c.pkts[p] = i
+			c.keys = append(c.keys, p)
 		}
 		pd.last, pd.lastI = p, i
 	}

@@ -3,6 +3,8 @@ package ioa
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
 	"testing"
 )
 
@@ -201,9 +203,12 @@ func TestLiveCheckerMatchesBatch(t *testing.T) {
 // TestLiveCheckerResetLeaksNothing feeds a checker traces over one packet
 // alphabet and message ID range, resets it, and feeds it a trace over a
 // disjoint alphabet and range: its verdicts must equal a fresh checker's
-// (and the batch checkers'), and its packet table must hold only the new
-// trace's packets, so nothing survives Reset in the table, the
-// per-direction caches or the slices' reused storage.
+// (and the batch checkers'), Index and Detail included, and its packet
+// table and its list of the table's packets must hold only the new trace's
+// packets, so nothing survives Reset in the table, the per-direction caches
+// or the slices' reused storage. Every 50th trial first feeds a run with
+// hundreds of packets, so the short runs after it reset a table far larger
+// than they are.
 func TestLiveCheckerResetLeaksNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	// over renames a trace's headers with prefix and shifts its IDs by base.
@@ -219,6 +224,16 @@ func TestLiveCheckerResetLeaksNothing(t *testing.T) {
 		}
 		return out
 	}
+	// long sends n distinct packets each way and n messages, receiving none.
+	long := func(n int) Trace {
+		var tr Trace
+		for i := 0; i < n; i++ {
+			p := Packet{Header: "l" + strconv.Itoa(i)}
+			tr = append(tr, Event{Kind: SendMsg, Msg: Message{ID: i, Payload: "x"}},
+				Event{Kind: SendPkt, Dir: TtoR, Pkt: p}, Event{Kind: SendPkt, Dir: RtoT, Pkt: p})
+		}
+		return tr
+	}
 	gens := []func(*rand.Rand, int) Trace{randomTrace, runnerTrace}
 	c := NewLiveChecker()
 	for trial := 0; trial < 2000; trial++ {
@@ -227,6 +242,10 @@ func TestLiveCheckerResetLeaksNothing(t *testing.T) {
 		baseA, baseB := 0, 50
 		if trial%2 == 1 {
 			baseA, baseB = 50, 0
+		}
+		if trial%50 == 0 {
+			c.Reset()
+			Feed(c, long(300+trial/4))
 		}
 		c.Reset()
 		for k := 0; k < 3; k++ {
@@ -241,9 +260,9 @@ func TestLiveCheckerResetLeaksNothing(t *testing.T) {
 		Diff(t, "dl3 vs fresh", tr, fresh.DL3Quiescent(), c.DL3Quiescent())
 		Diff(t, "safety vs batch", tr, CheckSafety(tr), c.Safety())
 		Diff(t, "dl3 vs batch", tr, CheckDL3Quiescent(tr), c.DL3Quiescent())
-		if len(c.pkts) != len(fresh.pkts) || c.Events() != fresh.Events() {
-			t.Fatalf("after Reset the checker holds %d packets and %d events, a fresh one %d and %d",
-				len(c.pkts), c.Events(), len(fresh.pkts), fresh.Events())
+		if len(c.pkts) != len(fresh.pkts) || c.Events() != fresh.Events() || !slices.Equal(c.keys, fresh.keys) {
+			t.Fatalf("after Reset the checker holds %d packets, lists %v and counts %d events, a fresh one %d, %v and %d",
+				len(c.pkts), c.keys, c.Events(), len(fresh.pkts), fresh.keys, fresh.Events())
 		}
 	}
 }

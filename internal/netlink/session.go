@@ -152,11 +152,13 @@ type worker struct {
 	sv        *Server
 	log       *trace.Log
 	check     *ioa.LiveChecker
-	runner    *sim.Runner // nil before the first session
-	timer     *time.Timer // bounds each inbox read; stopped and drained between reads
-	buf       []byte      // the client socket's read buffer
-	data, ack *ChaosConn  // rebound to each session's sockets and seeds
-	inbox     chan []byte // registered with the mux for each session (Server.register)
+	runner    *sim.Runner     // nil before the first session
+	timer     *time.Timer     // bounds each inbox read; stopped and drained between reads
+	buf       []byte          // the client socket's read buffer
+	lats      []time.Duration // every latency of w's sessions: each session's Latencies are a suffix
+	wbuf      []byte          // the datagram onSend encodes; the write keeps none of it
+	data, ack *ChaosConn      // rebound to each session's sockets and seeds
+	inbox     chan []byte     // registered with the mux for each session (Server.register)
 
 	// One session's state, reset by run.
 	client            *net.UDPConn // the data lane's writer and the ack lane's reader
@@ -226,6 +228,7 @@ func (w *worker) run(cfg SessionConfig) (*SessionResult, error) {
 	w.check.Reset()
 	w.pending = w.pending[:0]
 	w.stats, w.ioErr = SessionStats{}, nil
+	first := len(w.lats)
 	rcfg := sim.Config{
 		Protocol:   cfg.Protocol,
 		DataPolicy: channel.PolicyFunc(func(p ioa.Packet) channel.Decision { return w.onSend(ioa.TtoR, p) }),
@@ -250,12 +253,13 @@ func (w *worker) run(cfg SessionConfig) (*SessionResult, error) {
 		w.runner.SubmitMsg("msg-" + strconv.Itoa(i))
 		w.stats.Messages++
 		res.Err = w.runToIdle(cfg.Protocol)
-		w.stats.Latencies = append(w.stats.Latencies, time.Since(mstart))
+		w.lats = append(w.lats, time.Since(mstart))
 	}
 	if res.Err == nil {
 		w.finalDrain()
 	}
 	w.stats.Elapsed = time.Since(start)
+	w.stats.Latencies = w.lats[first:]
 	w.stats.Delivered = len(w.runner.Delivered())
 
 	if err := w.check.Safety(); err != nil {
@@ -312,7 +316,8 @@ func (w *worker) lane(dir ioa.Dir) (*ChaosConn, net.Addr) {
 // chaos outcome promises, and renders the outcome as the recorded decision.
 func (w *worker) onSend(dir ioa.Dir, p ioa.Packet) channel.Decision {
 	conn, addr := w.lane(dir)
-	res, err := conn.WriteOutcome(wire.Encode(p), addr)
+	w.wbuf = wire.Append(w.wbuf[:0], p)
+	res, err := conn.WriteOutcome(w.wbuf, addr)
 	if err != nil {
 		// Socket failure: the datagram never made the wire. Drop is the
 		// truthful decision; the error aborts the session after this op.

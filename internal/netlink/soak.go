@@ -8,6 +8,7 @@ package netlink
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -128,25 +129,25 @@ func (sv *Server) RunSoak(cfg SoakConfig) (*SoakReport, error) {
 
 	var (
 		mu       sync.Mutex
-		outcomes []SessionOutcome
-		lats     []time.Duration
+		outcomes = make([]SessionOutcome, 0, max(cfg.Sessions, 0))
+		lats     = make([][]time.Duration, workers) // each worker's, merged once below
 	)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for i := range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			w := newWorker(sv)
 			for id := range ids {
-				out, sessionLats := w.soakSession(cfg, id)
+				out := w.soakSession(cfg, id)
 				mu.Lock()
 				outcomes = append(outcomes, out)
-				lats = append(lats, sessionLats...)
 				mu.Unlock()
 				if cfg.onResult != nil {
 					cfg.onResult(out)
 				}
 			}
+			lats[i] = w.lats
 		}()
 	}
 	wg.Wait()
@@ -178,7 +179,7 @@ func (sv *Server) RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	if secs := rep.Elapsed.Seconds(); secs > 0 {
 		rep.Throughput = float64(rep.Deliveries) / secs
 	}
-	rep.LatP50, rep.LatP95, rep.LatMax = latencySummary(lats)
+	rep.LatP50, rep.LatP95, rep.LatMax = latencySummary(slices.Concat(lats...))
 	return rep, nil
 }
 
@@ -186,7 +187,7 @@ func (sv *Server) RunSoak(cfg SoakConfig) (*SoakReport, error) {
 // protocol, records the log, and flattens the result into an outcome. The
 // log is w's: it is recorded here, before w runs another session, and the
 // outcome keeps none of it.
-func (w *worker) soakSession(cfg SoakConfig, id int) (SessionOutcome, []time.Duration) {
+func (w *worker) soakSession(cfg SoakConfig, id int) SessionOutcome {
 	p := cfg.Protocols[id%len(cfg.Protocols)]
 	scfg := SessionConfig{
 		Protocol: p,
@@ -198,7 +199,7 @@ func (w *worker) soakSession(cfg SoakConfig, id int) (SessionOutcome, []time.Dur
 	res, err := w.run(scfg)
 	if err != nil {
 		out.Err = err.Error()
-		return out, nil
+		return out
 	}
 	out.Messages = res.Stats.Messages
 	out.Delivered = res.Stats.Delivered
@@ -220,7 +221,7 @@ func (w *worker) soakSession(cfg SoakConfig, id int) (SessionOutcome, []time.Dur
 			out.Recorded = true
 		}
 	}
-	return out, res.Stats.Latencies
+	return out
 }
 
 // latencySummary reports the p50/p95/max of the given durations (zeros when

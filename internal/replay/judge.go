@@ -53,16 +53,25 @@ func NewExec(p protocol.Protocol) *Exec {
 // log has grown a drive round allocates nothing. A repeat is declared only
 // on byte equality: a hash hit compares the bytes, and a collision falls
 // back to an exact scan, so no collision can certify a false cycle.
+//
+// The index lists the hashes the drive entered: an Exec that once ran a
+// long drive keeps the index's capacity, and clearing all of it would cost
+// every later drive that capacity, so reset deletes just the drive's
+// hashes.
 type sightings struct {
-	log   []byte
-	ends  []int // ends[i] is the log offset where key i ends
-	pos   []int // pos[i] is the position key i was first seen at
-	first map[uint64]int
+	log    []byte
+	ends   []int // ends[i] is the log offset where key i ends
+	pos    []int // pos[i] is the position key i was first seen at
+	first  map[uint64]int
+	hashes []uint64 // first's keys, in the order the drive entered them
 }
 
 func (s *sightings) reset() {
 	s.log, s.ends, s.pos = s.log[:0], s.ends[:0], s.pos[:0]
-	clear(s.first)
+	for _, h := range s.hashes {
+		delete(s.first, h)
+	}
+	s.hashes = s.hashes[:0]
 }
 
 // key returns the bytes of key i.
@@ -80,6 +89,7 @@ func (s *sightings) see(key []byte, pos int) (int, bool) {
 	h := keyHash(key)
 	if i, ok := s.first[h]; !ok {
 		s.first[h] = len(s.ends)
+		s.hashes = append(s.hashes, h)
 	} else if bytes.Equal(s.key(i), key) {
 		return s.pos[i], true
 	} else {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/channel"
@@ -41,10 +42,11 @@ func TestProtocolsComparable(t *testing.T) {
 
 // TestResetRecordsWhatNewRunnerRecords: a reused runner's next run is a new
 // runner's. Over seeded random schedules, a runner reset after a run of
-// another protocol, after a run of the same protocol, after a corrupted
-// start, and a forked runner reset after the fork's run all record the
-// trace-log bytes, and show the endpoint keys, that NewRunner's run of the
-// same schedule does.
+// another protocol, after a run of the same protocol, after a long run that
+// sent many headers, after a corrupted start, and a forked runner reset
+// after the fork's run all record the trace-log bytes, show the endpoint
+// keys and report the metrics that NewRunner's run of the same schedule
+// does, and list only that run's headers.
 func TestResetRecordsWhatNewRunnerRecords(t *testing.T) {
 	ps := registered()
 	for seed := int64(1); seed <= 4; seed++ {
@@ -53,6 +55,14 @@ func TestResetRecordsWhatNewRunnerRecords(t *testing.T) {
 			r := NewRunner(Config{Protocol: prev})
 			drive(r, rand.New(rand.NewSource(seed)), 40)
 			resetMatchesNew(t, fmt.Sprintf("%s after %s", p.Name(), prev.Name()), r, p, seed)
+
+			r = NewRunner(Config{Protocol: p})
+			drive(r, rand.New(rand.NewSource(seed)), 3000)
+			listed := len(r.hdrs)
+			if distinct := r.Result().Metrics.HeadersUsed; listed > 2*max(distinct, 32) {
+				t.Fatalf("%s: a long run lists %d headers for %d distinct ones", p.Name(), listed, distinct)
+			}
+			resetMatchesNew(t, p.Name()+" after a long run", r, p, seed)
 
 			r = NewRunner(Config{Protocol: p})
 			t0, r0 := r.T, r.R
@@ -109,12 +119,19 @@ func resetMatchesNew(t *testing.T, label string, r *Runner, p protocol.Protocol,
 		return b.Bytes(), keys
 	}
 	gotLog, gotKeys := run(func(cfg Config) *Runner { r.Reset(cfg); return r })
-	wantLog, wantKeys := run(NewRunner)
+	var fresh *Runner
+	wantLog, wantKeys := run(func(cfg Config) *Runner { fresh = NewRunner(cfg); return fresh })
 	if !bytes.Equal(gotLog, wantLog) {
 		t.Fatalf("%s, seed %d: the reset runner recorded a log of %d bytes, a new runner %d bytes that differ", label, seed, len(gotLog), len(wantLog))
 	}
 	if !bytes.Equal(gotKeys, wantKeys) {
 		t.Fatalf("%s, seed %d: the reset runner's endpoints showed keys\n%s\na new runner's\n%s", label, seed, gotKeys, wantKeys)
+	}
+	if !slices.Equal(r.hdrs, fresh.hdrs) {
+		t.Fatalf("%s, seed %d: the reset runner lists headers %q, a new runner %q", label, seed, r.hdrs, fresh.hdrs)
+	}
+	if got, want := r.Result(), fresh.Result(); !reflect.DeepEqual(got.Metrics, want.Metrics) {
+		t.Fatalf("%s, seed %d: the reset runner reports %+v, a new runner %+v", label, seed, got.Metrics, want.Metrics)
 	}
 }
 

@@ -15,6 +15,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/channel"
@@ -127,16 +128,26 @@ type Runner struct {
 	// ChData is the t→r physical channel; ChAck is the r→t channel.
 	ChData, ChAck *channel.NonFIFO
 
-	rec        *ioa.Recorder
-	mon        ioa.Monitor
-	tlog       *trace.Log
-	headers    map[string]bool
-	lastHeader string // last header inserted into headers (retransmits repeat it)
-	sent       int    // send_msg counter (message IDs)
-	delivered  []string
-	metrics    Metrics
-	curMsg     int // index of the message data packets are attributed to
-	ver        uint64
+	rec  *ioa.Recorder // the recorder while the run records, else nil
+	kept *ioa.Recorder // the recorder's storage, kept across unrecorded runs
+	mon  ioa.Monitor
+	tlog *trace.Log
+	// hdrs lists the run's headers in the order it sent them, less each
+	// direction's repeats of its own last header (retransmissions), so a
+	// header may be listed more than once. Only result reads the distinct
+	// count, so a send costs an append at most and Reset a truncation;
+	// compactHeaders keeps the list within twice its distinct headers, or
+	// 64 while it holds fewer than 32.
+	hdrs      []string
+	distinct  int                 // len(hdrs) after its last compaction
+	seen      map[string]struct{} // compactHeaders' scratch, empty between calls
+	lastHdr   [2]string           // per direction (t→r, r→t), its last header
+	hdrSent   [2]bool             // per direction, whether lastHdr holds one
+	sent      int                 // send_msg counter (message IDs)
+	delivered []string
+	metrics   Metrics
+	curMsg    int // index of the message data packets are attributed to
+	ver       uint64
 }
 
 // Version reports a counter that advances whenever the joint configuration
@@ -150,13 +161,12 @@ type Runner struct {
 // through recordSend.
 func (r *Runner) Version() uint64 { return r.ver }
 
-// NewRunner allocates a runner's channels and header set and starts its
-// run with Reset; the protocol's genies are wired to the live channels.
+// NewRunner allocates a runner's channels and starts its run with Reset;
+// the protocol's genies are wired to the live channels.
 func NewRunner(cfg Config) *Runner {
 	r := &Runner{
-		ChData:  channel.NewNonFIFO(ioa.TtoR),
-		ChAck:   channel.NewNonFIFO(ioa.RtoT),
-		headers: make(map[string]bool),
+		ChData: channel.NewNonFIFO(ioa.TtoR),
+		ChAck:  channel.NewNonFIFO(ioa.RtoT),
 	}
 	r.Reset(cfg)
 	return r
@@ -211,7 +221,10 @@ func (r *Runner) Fork(data, ack channel.Policy) *Runner {
 		R:         r.R.Clone(),
 		ChData:    r.ChData.Clone(),
 		ChAck:     r.ChAck.Clone(),
-		headers:   make(map[string]bool, len(r.headers)),
+		hdrs:      slices.Clone(r.hdrs),
+		distinct:  r.distinct,
+		lastHdr:   r.lastHdr,
+		hdrSent:   r.hdrSent,
 		sent:      r.sent,
 		delivered: append([]string(nil), r.delivered...),
 		metrics:   r.metrics,
@@ -219,12 +232,9 @@ func (r *Runner) Fork(data, ack channel.Policy) *Runner {
 	}
 	f.cfg.Monitor = nil // monitors do not follow forks; see Config.Monitor
 	f.metrics.DataPacketsPerMessage = append([]int(nil), r.metrics.DataPacketsPerMessage...)
-	//nfvet:allow maprange (order-insensitive copy into another set)
-	for h := range r.headers {
-		f.headers[h] = true
-	}
 	if r.rec != nil {
 		f.rec = r.rec.Clone()
+		f.kept = f.rec
 	}
 	f.tlog = ftlog
 	protocol.BindGenies(f.T, f.R, f.ChData, f.ChAck)
@@ -482,9 +492,10 @@ func (r *Runner) JointState() (tkey, rkey string, dataTransit, ackTransit int) {
 }
 
 // Reset reinitialises the runner in place for a fresh run of cfg, recycling
-// the channel multisets, the header set, the recorder and the metrics
+// the channel multisets, the header list, the recorder and the metrics
 // slices. NewRunner starts every run with it; replay's pooled executor
-// resets one runner per execution instead of allocating a new one.
+// resets one runner per execution instead of allocating a new one. The
+// recorder keeps its storage across runs that do not record.
 //
 // A run of the protocol the runner last ran resets its endpoints in place
 // (Transmitter.Reset and Receiver.Reset), whether New built them or
@@ -504,22 +515,20 @@ func (r *Runner) Reset(cfg Config) {
 		r.T, r.R = cfg.Protocol.New(channel.ChannelGenie{Ch: r.ChData}, channel.ChannelGenie{Ch: r.ChAck})
 	}
 	r.cfg = cfg
-	clear(r.headers)
+	r.hdrs, r.distinct, r.hdrSent = r.hdrs[:0], 0, [2]bool{}
 	r.ver++
-	r.lastHeader = ""
 	r.sent = 0
 	r.delivered = r.delivered[:0]
 	r.metrics = Metrics{DataPacketsPerMessage: r.metrics.DataPacketsPerMessage[:0]}
 	r.curMsg = -1
 	r.mon = cfg.Monitor
+	r.rec = nil
 	if cfg.RecordTrace {
-		if r.rec != nil {
-			r.rec.Reset()
-		} else {
-			r.rec = ioa.NewRecorder()
+		if r.kept == nil {
+			r.kept = ioa.NewRecorder()
 		}
-	} else {
-		r.rec = nil
+		r.rec = r.kept
+		r.rec.Reset()
 	}
 	r.tlog = cfg.TraceLog
 	if r.tlog != nil {
@@ -556,7 +565,7 @@ func (r *Runner) result(err error) Result {
 		Metrics:   r.metrics,
 		Err:       err,
 	}
-	res.Metrics.HeadersUsed = len(r.headers)
+	res.Metrics.HeadersUsed = r.compactHeaders()
 	res.Metrics.DataPacketsPerMessage = append([]int(nil), r.metrics.DataPacketsPerMessage...)
 	if r.rec != nil {
 		res.Trace = r.rec.Trace()
@@ -590,9 +599,15 @@ func (r *Runner) recordSend(d ioa.Dir, p ioa.Packet) {
 	if r.tlog != nil {
 		r.tlog.Emit(trace.Event{Kind: trace.KindSendPkt, Dir: d, Pkt: p})
 	}
-	if p.Header != r.lastHeader || len(r.headers) == 0 {
-		r.headers[p.Header] = true
-		r.lastHeader = p.Header
+	i := 0
+	if d == ioa.RtoT {
+		i = 1
+	}
+	if !r.hdrSent[i] || r.lastHdr[i] != p.Header {
+		r.lastHdr[i], r.hdrSent[i] = p.Header, true
+		if r.hdrs = append(r.hdrs, p.Header); len(r.hdrs) > 2*max(r.distinct, 32) {
+			r.compactHeaders()
+		}
 	}
 	if d == ioa.TtoR {
 		r.metrics.TotalDataPackets++
@@ -602,6 +617,28 @@ func (r *Runner) recordSend(d ioa.Dir, p ioa.Packet) {
 	} else {
 		r.metrics.TotalAckPackets++
 	}
+}
+
+// compactHeaders reduces hdrs to its distinct headers, in the order the
+// run first sent them, and returns their count. It runs in time
+// proportional to the list.
+func (r *Runner) compactHeaders() int {
+	if r.seen == nil {
+		r.seen = make(map[string]struct{})
+	}
+	n := 0
+	for _, h := range r.hdrs {
+		if _, dup := r.seen[h]; !dup {
+			r.seen[h] = struct{}{}
+			r.hdrs[n] = h
+			n++
+		}
+	}
+	r.hdrs, r.distinct = r.hdrs[:n], n
+	for _, h := range r.hdrs {
+		delete(r.seen, h)
+	}
+	return n
 }
 
 func (r *Runner) recordRecv(d ioa.Dir, p ioa.Packet) {

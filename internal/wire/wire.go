@@ -29,11 +29,15 @@ var ErrTruncated = errors.New("wire: truncated packet")
 
 // Encode serialises a packet into a fresh byte slice.
 func Encode(p ioa.Packet) []byte {
-	buf := make([]byte, 0, binary.MaxVarintLen64+len(p.Header)+len(p.Payload))
-	buf = binary.AppendUvarint(buf, uint64(len(p.Header)))
-	buf = append(buf, p.Header...)
-	buf = append(buf, p.Payload...)
-	return buf
+	return Append(make([]byte, 0, binary.MaxVarintLen64+len(p.Header)+len(p.Payload)), p)
+}
+
+// Append appends a packet's encoding to dst and returns the extended
+// slice, so a sender that reuses one buffer encodes without allocating.
+func Append(dst []byte, p ioa.Packet) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(p.Header)))
+	dst = append(dst, p.Header...)
+	return append(dst, p.Payload...)
 }
 
 // Decode parses a datagram produced by Encode.

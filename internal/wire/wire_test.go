@@ -96,3 +96,24 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestAppendMatchesEncode: Append writes Encode's bytes after whatever dst
+// holds, and encodes into a buffer with room without allocating.
+func TestAppendMatchesEncode(t *testing.T) {
+	pkts := []ioa.Packet{{}, {Header: "d0"}, {Header: "c4:3", Payload: "hello"}, {Payload: strings.Repeat("x", 300)}}
+	buf := []byte("prefix")
+	for _, p := range pkts {
+		got := Append(buf, p)
+		if want := append([]byte("prefix"), Encode(p)...); string(got) != string(want) {
+			t.Fatalf("%v: Append gives %q, Encode %q after the prefix", p, got, want)
+		}
+	}
+	buf = make([]byte, 0, 512)
+	if n := testing.AllocsPerRun(100, func() {
+		for _, p := range pkts {
+			buf = Append(buf[:0], p)
+		}
+	}); n != 0 {
+		t.Errorf("Append into a buffer with room: %.0f allocations", n)
+	}
+}
