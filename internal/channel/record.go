@@ -21,7 +21,7 @@ import (
 func Capture(pol Policy, d ioa.Dir, tlog *trace.Log) Policy {
 	return PolicyFunc(func(p ioa.Packet) Decision {
 		dec := pol.OnSend(p)
-		tlog.Emit(trace.Event{Kind: trace.KindDecision, Dir: d, Decision: trace.Decision(dec)})
+		tlog.Emit(trace.Event{Kind: trace.KindDecision, Dir: d, Decision: dec})
 		return dec
 	})
 }
@@ -36,7 +36,7 @@ func FromDecisions(decisions []trace.Decision, fallback Decision) Policy {
 	i := 0
 	return PolicyFunc(func(ioa.Packet) Decision {
 		if i < len(decisions) {
-			d := Decision(decisions[i])
+			d := decisions[i]
 			i++
 			return d
 		}
@@ -77,7 +77,7 @@ func (d *DecisionReplayer) Bind(dec []trace.Decision, fallback Decision, n *int)
 func (d *DecisionReplayer) OnSend(ioa.Packet) Decision {
 	*d.n++
 	if d.i < len(d.dec) {
-		v := Decision(d.dec[d.i])
+		v := d.dec[d.i]
 		d.i++
 		return v
 	}

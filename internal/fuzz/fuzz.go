@@ -297,35 +297,26 @@ func (c *campaign) relog(in *Input) *ExecResult {
 // replay-confirmed certificate. The delta-debugging shrinker is deliberately
 // skipped: its oracle is the clean-start checker suite, which fails a
 // corrupted run on its first *bought* fault, so shrinking against it would
-// minimize toward the wrong finding. Instead the logged execution is
-// replayed independently, re-judged from scratch by the amnesty judge, and
-// the replay's own re-recorded log becomes the certificate — it opens with
-// the replayable corrupt/poison operations and carries the amnesty-level
-// verdict in its metadata, exactly like `nfvet verify -stabilize` witnesses.
+// minimize toward the wrong finding. Instead stabilize.Witness replays the
+// logged execution independently, re-judges it from scratch by the amnesty
+// judge, and seals the replay's own re-recorded log as the certificate — it
+// opens with the replayable corrupt/poison operations and carries the
+// amnesty-level verdict in its metadata, exactly like `nfvet verify
+// -stabilize` witnesses. A witness that does not confirm is an error:
+// execution is deterministic, so a correct build never reports one.
 func (c *campaign) promoteCorrupt(in *Input) {
 	logged := c.exec(in, true)
 	if logged.Verdict == nil {
 		// Unreachable: execution is deterministic.
 		return
 	}
-	rr, err := replay.Run(logged.Log)
+	cert, err := stabilize.Witness(logged.Log, "fuzz-stabilize", logged.Corruption, logged.Amnesty, logged.Verdict.Property)
 	if err != nil {
-		c.errs = append(c.errs, fmt.Errorf("fuzz: corrupted-start witness replay: %w", err))
+		c.errs = append(c.errs, fmt.Errorf("fuzz: corrupted-start %s witness: %w", logged.Verdict.Property, err))
 		return
 	}
-	if rr.Divergence != nil {
-		c.errs = append(c.errs, fmt.Errorf("fuzz: corrupted-start witness diverged on replay: %v", rr.Divergence))
-		return
-	}
-	j := stabilize.JudgeTrace(rr.Trace, logged.Amnesty)
-	if j.Violation == nil {
-		// The independent replay stayed within amnesty; the finding did not
-		// reproduce, so it is not promoted.
-		return
-	}
-	cert := stabilize.Stamp(rr.Log, "fuzz-stabilize", logged.Corruption, logged.Amnesty, j.Violation)
 	v := &Violation{
-		Property:    j.Violation.Property,
+		Property:    logged.Verdict.Property,
 		Corruption:  logged.Corruption.Key(),
 		Cert:        cert,
 		Ops:         len(in.Ops),

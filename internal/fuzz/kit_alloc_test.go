@@ -11,8 +11,43 @@ import (
 )
 
 // The race detector's instrumentation allocates on its own, and its
-// sync.Pool drops a quarter of the kits put back, so the ceiling holds in
-// ordinary builds only.
+// sync.Pool drops pooled items at random: a quarter of the kits put back,
+// and the fmt printers the DL3 checker's Detail is formatted with. So the
+// ceilings hold in ordinary builds only.
+
+// TestExecuteAllocCeilings caps what one execution allocates on a warmed
+// Core, for each SeedInputs entry under seqnum and altbit: an unlogged
+// Execute, which returns the Core's own result, resets the endpoints in
+// place, submits payloads from a table and grows no queue or delivered
+// storage it already has, and Execute plus refuseLivelock, whose closing
+// drive reuses one sightings log and builds its refusal text only when
+// read. What is left is the DL3 checker's eagerly formatted Detail on the
+// all-delay input, and the refusal itself.
+func TestExecuteAllocCeilings(t *testing.T) {
+	ceilings := [...]struct{ exec, refuse float64 }{{0, 1}, {2, 3}, {0, 1}}
+	for _, name := range []string{"seqnum", "altbit"} {
+		p, err := replay.LookupProtocol(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewCore(p)
+		for i, in := range SeedInputs() {
+			for k := 0; k < 3; k++ {
+				c.Execute(in, false)
+				c.refuseLivelock(in)
+			}
+			exec := testing.AllocsPerRun(50, func() { c.Execute(in, false) })
+			refuse := testing.AllocsPerRun(50, func() {
+				c.Execute(in, false)
+				c.refuseLivelock(in)
+			})
+			if exec > ceilings[i].exec || refuse > ceilings[i].refuse {
+				t.Errorf("%s seed input %d: %.0f allocations per Execute, %.0f with refuseLivelock; ceilings %.0f and %.0f",
+					name, i, exec, refuse, ceilings[i].exec, ceilings[i].refuse)
+			}
+		}
+	}
+}
 
 // TestWarmCampaignAllocCeiling caps what a 300-execution seqnum campaign,
 // nfperf's fuzz-sound campaign, allocates on a warm kit: its corpus, its

@@ -23,35 +23,70 @@ const (
 	// <property>" or "converged") that the amnesty judge reached; the
 	// embedded verdict event stays the clean-start checkers' finding so the
 	// witness replays with a matching verdict under `nftrace replay`, and
-	// Recheck re-judges the claim itself wherever a witness is replayed.
+	// Confirm re-judges the claim itself wherever a witness is replayed.
 	MetaStabilize = "stabilize"
 )
 
-// Recheck re-judges the amnesty claim of a corrupted-start certificate
-// against its replay rr. A certificate is a log that carries MetaAmnesty
-// and a verdict event and is not a pumped livelock certificate (whose DL3
-// cycle claim is its verdict event, which rr.VerdictMatches checks); the
-// amnesty judge over rr.Trace must find the property P of its "diverged P"
-// MetaStabilize. Every other log claims nothing here, and Recheck returns
-// nil for it.
-func Recheck(l *trace.Log, rr *replay.Result) error {
+// Confirm checks the certificate l, the one check every command that
+// replays a certificate and every engine that confirms one runs: l's replay
+// must reproduce it with zero divergence, reproduce its verdict event (a
+// pumped livelock's DL3 claim included; replay.Result.VerdictMatches), and
+// re-judge its amnesty claim. A log that carries MetaAmnesty and a verdict
+// event and is not a pumped livelock certificate claims "diverged P" in
+// MetaStabilize, and the amnesty judge over the replay must find P; every
+// other log claims nothing beyond its verdict event. Confirm returns the
+// replay whenever the replay ran, so a caller can print what it saw.
+func Confirm(l *trace.Log) (*replay.Result, error) {
+	rr, err := replay.Run(l)
+	if err != nil {
+		return nil, err
+	}
+	if rr.Divergence != nil {
+		return rr, fmt.Errorf("replay diverged from recording at %v", rr.Divergence)
+	}
+	if rr.HadRecordedVerdict && !rr.VerdictMatches {
+		return rr, fmt.Errorf("replayed verdict %v does not match recorded verdict %v", rr.Verdict, rr.RecordedVerdict)
+	}
 	a, ok := l.Meta[MetaAmnesty]
-	if _, hasVerdict := l.Verdict(); !ok || !hasVerdict || l.Meta[replay.MetaLivelockPump] != "" {
-		return nil
+	if !ok || !rr.HadRecordedVerdict || l.Meta[replay.MetaLivelockPump] != "" {
+		return rr, nil
 	}
 	amnesty, err := strconv.Atoi(a)
 	if err != nil {
-		return fmt.Errorf("stabilize: certificate amnesty %q: %w", a, err)
+		return rr, fmt.Errorf("stabilize: certificate amnesty %q: %w", a, err)
 	}
 	claim := l.Meta[MetaStabilize]
 	prop, ok := strings.CutPrefix(claim, "diverged ")
 	if !ok {
-		return fmt.Errorf("stabilize: certificate with amnesty %d claims %q, not a divergence", amnesty, claim)
+		return rr, fmt.Errorf("stabilize: certificate with amnesty %d claims %q, not a divergence", amnesty, claim)
 	}
 	if v := JudgeQuiescent(rr.Trace, amnesty).Violation; v == nil || v.Property != prop {
-		return fmt.Errorf("stabilize: certificate claims %q over amnesty %d, the replay judges %v", claim, amnesty, v)
+		return rr, fmt.Errorf("stabilize: certificate claims %q over amnesty %d, the replay judges %v", claim, amnesty, v)
 	}
-	return nil
+	return rr, nil
+}
+
+// Witness seals the corrupted-start schedule wl as a certificate: wl must
+// replay with zero divergence, and the amnesty judge Confirm re-runs must
+// find a violation of property want over the replay. It returns the
+// replay's re-recorded log stamped with source, the corrupted start c, the
+// amnesty and that violation, which Confirm accepts by construction. The
+// log's verdict event stays the clean-start checkers' finding, so the
+// certificate replays with a matching verdict; the amnesty-level verdict
+// rides in the metadata.
+func Witness(wl *trace.Log, source string, c Corruption, amnesty int, want string) (*trace.Log, error) {
+	rr, err := replay.Run(wl)
+	if err != nil {
+		return nil, fmt.Errorf("stabilize: witness replay: %w", err)
+	}
+	if rr.Divergence != nil {
+		return nil, fmt.Errorf("stabilize: witness diverged on replay: %v", rr.Divergence)
+	}
+	v := JudgeQuiescent(rr.Trace, amnesty).Violation
+	if v == nil || v.Property != want {
+		return nil, fmt.Errorf("stabilize: witness replay judges %v over amnesty %d, want a %s violation", v, amnesty, want)
+	}
+	return Stamp(rr.Log, source, c, amnesty, v), nil
 }
 
 // Config tunes CheckConvergence. The zero value is ready to use.
@@ -204,28 +239,22 @@ func CheckConvergence(p protocol.Protocol, c Corruption, cfg Config) (*Report, e
 		return rep, nil
 	}
 
-	// Divergence by fault overdraft: confirm the witness by replay — it
-	// must re-drive with zero divergence and the replayed trace must
-	// re-judge to the same violated property.
-	rr, err := replay.Run(tlog)
+	// Divergence by fault overdraft: the witness is sealed by replay. One
+	// that does not confirm keeps the raw log, as an uncertified stall does.
+	w, err := Witness(tlog, "stabilize", rep.Seed, rep.Amnesty, rep.Violation.Property)
 	if err != nil {
-		return nil, fmt.Errorf("stabilize: replaying divergence witness: %w", err)
+		w = Stamp(tlog, "stabilize", rep.Seed, rep.Amnesty, rep.Violation)
 	}
-	rj := JudgeQuiescent(rr.Trace, rep.Amnesty)
-	rep.ReplayConfirmed = rr.Divergence == nil && rj.Violation != nil &&
-		rj.Violation.Property == rep.Violation.Property
-	// rr.Log carries the clean-start checkers' verdict event, so the
-	// witness replays with a matching verdict under `nftrace replay`; the
-	// amnesty-level verdict rides in the metadata.
-	rep.Witness = Stamp(rr.Log, "stabilize", rep.Seed, rep.Amnesty, rep.Violation)
+	rep.Witness, rep.ReplayConfirmed = w, err == nil
 	return rep, nil
 }
 
 // Stamp tags l with the provenance of a corrupted-start run and returns
 // it: the source, the corrupted start c, the amnesty the run was judged
 // against and the amnesty judge's verdict, "diverged P" for v's property P
-// or "converged" for a nil v. The convergence checker, the prover and the
-// fuzzer stamp their witnesses with it, and Recheck re-judges the claim.
+// or "converged" for a nil v. Witness seals corrupted-start certificates
+// with it, the convergence checker its stalls, and Confirm re-judges the
+// claim.
 func Stamp(l *trace.Log, source string, c Corruption, amnesty int, v *ioa.Violation) *trace.Log {
 	l.SetMeta(trace.MetaSource, source)
 	l.SetMeta(MetaCorruption, c.Key())

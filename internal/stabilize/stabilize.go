@@ -30,6 +30,9 @@
 //     reliable channels and judges it — certifying *non*-convergence either
 //     as an over-amnesty safety violation (replay-confirmed) or as a
 //     pumped livelock certificate via replay.CertifyLivelock.
+//   - Witness seals a corrupted-start schedule as a certificate, and
+//     Confirm is the one check every certificate answers to wherever it
+//     is replayed (DESIGN.md §13.5).
 //
 // The exhaustive counterpart lives in internal/verify: `nfvet verify
 // -stabilize` seeds the BFS frontier with every Corruption from Enumerate

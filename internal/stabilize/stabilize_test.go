@@ -270,53 +270,3 @@ func TestDivergenceWitnessReplays(t *testing.T) {
 	}
 	t.Skip("no fault-divergence seed found (covered by TestStabNaiveDiverges)")
 }
-
-// TestRecheck: every witness CheckConvergence writes from starts with up to
-// two poison packets passes Recheck against its own replay (fault
-// divergences and pumped stall certificates alike), while a fault-divergence witness whose amnesty or
-// claimed property was rewritten fails it, as does its claim rewritten to
-// "converged".
-func TestRecheck(t *testing.T) {
-	forged := 0
-	for _, p := range []protocol.Protocol{protocol.NewStabNaive(), protocol.NewAltBit(), protocol.NewArrival()} {
-		for _, seed := range Enumerate(p, 2) {
-			rep, err := CheckConvergence(p, seed, Config{})
-			if err != nil {
-				t.Fatalf("%s seed %s: %v", p.Name(), seed, err)
-			}
-			if rep.Converged {
-				continue
-			}
-			rr, err := replay.Run(rep.Witness)
-			if err != nil {
-				t.Fatalf("%s seed %s: replaying witness: %v", p.Name(), seed, err)
-			}
-			if err := Recheck(rep.Witness, rr); err != nil {
-				t.Errorf("%s seed %s: witness fails Recheck: %v", p.Name(), seed, err)
-			}
-			if rep.Violation.Property == "DL3" {
-				continue
-			}
-			other := "DL2"
-			if rep.Violation.Property == "DL2" {
-				other = "DL1"
-			}
-			for _, meta := range [][2]string{
-				{MetaAmnesty, "99"},
-				{MetaAmnesty, "x"},
-				{MetaStabilize, "diverged " + other},
-				{MetaStabilize, "converged"},
-			} {
-				l := rep.Witness.Clone()
-				l.SetMeta(meta[0], meta[1])
-				if Recheck(l, rr) == nil {
-					t.Errorf("%s seed %s: witness with %s %q passes Recheck", p.Name(), seed, meta[0], meta[1])
-				}
-			}
-			forged++
-		}
-	}
-	if forged == 0 {
-		t.Fatal("no fault-divergence witness to forge")
-	}
-}

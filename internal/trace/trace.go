@@ -132,9 +132,10 @@ func (k Kind) IsOp() bool {
 	return false
 }
 
-// Decision mirrors channel.Decision without importing internal/channel
-// (channel imports this package for capture wrappers). The numeric values
-// are identical by construction.
+// Decision is a channel policy's verdict on a freshly sent packet. It
+// lives here, where the trace records it, and internal/channel uses this
+// type as its channel.Decision (channel imports this package for capture
+// wrappers, so the type cannot live there).
 type Decision uint8
 
 const (

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"repro/internal/replay"
+	"repro/internal/stabilize"
 	"repro/internal/trace"
 )
 
@@ -107,11 +108,10 @@ func (e *explorer) confirmLivelock(cands []int32) (*replay.LivelockCert, *trace.
 			// reliable closing drive: not a livelock, try the next one.
 			continue
 		}
-		pumped := cert.Pumped(replay.DefaultPump)
-		// Re-derive the verdict through an ordinary replay so the returned
-		// artifact is confirmed the same way safety witnesses are.
-		rr, err := replay.Run(pumped)
-		if err != nil || rr.Divergence != nil || rr.Verdict != nil || rr.DL3 == nil {
+		// The returned artifact is the pumped certificate's replay, checked
+		// as every certificate is.
+		rr, err := stabilize.Confirm(cert.Pumped(replay.DefaultPump))
+		if err != nil {
 			continue
 		}
 		return cert, rr.Log, attempted, nil

@@ -342,10 +342,11 @@ func (b bitset) has(i int32) bool {
 
 // foundViolation is an on-the-fly safety finding: the pre-state and the
 // delivering move that produced a payload out of correspondence (clean
-// mode) or over the amnesty budget (stabilize mode).
+// mode, always DL1) or over the amnesty budget (stabilize mode, the
+// property of the delivery's step kind), and the property it violates.
 type foundViolation struct {
 	parentEdge
-	detail string
+	property, detail string
 }
 
 // chunkLen is the element count of one chunk of a chunked log.
@@ -466,7 +467,7 @@ func (e *explorer) collect(ns *intKey, payloads []string, pe parentEdge) bool {
 			ns.gfro, ns.lost = int32(nf), nl
 			ns.grem -= int32(charge)
 			if ns.grem < 0 {
-				e.violation = &foundViolation{pe, fmt.Sprintf(
+				e.violation = &foundViolation{pe, kind.Property(), fmt.Sprintf(
 					"%s delivery of %q exceeds the corrupted start's amnesty (%s)",
 					kind, p, kind.Property())}
 				return false
@@ -477,11 +478,11 @@ func (e *explorer) collect(ns *intKey, payloads []string, pe parentEdge) bool {
 		idx := int(ns.del)
 		switch {
 		case idx >= int(ns.sub):
-			e.violation = &foundViolation{pe, fmt.Sprintf(
+			e.violation = &foundViolation{pe, "DL1", fmt.Sprintf(
 				"delivery %d with only %d message(s) submitted", idx, ns.sub)}
 			return false
 		case p != protocol.Payload(idx):
-			e.violation = &foundViolation{pe, fmt.Sprintf(
+			e.violation = &foundViolation{pe, "DL1", fmt.Sprintf(
 				"delivery %d carries %q, want %q", idx, p, protocol.Payload(idx))}
 			return false
 		}

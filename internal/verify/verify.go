@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/ioa"
 	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/stabilize"
@@ -289,18 +288,17 @@ func run(p protocol.Protocol, cfg Config, newStore func(*chunked[intKey], render
 		moves, root := e.chain(fv.parent, &move{kind: fv.kind, pkt: e.pkts.at(fv.pkt)})
 		wl, _, werr := e.witnessLog(moves, root)
 		if werr == nil {
-			var v *ioa.Violation
 			if e.cfg.Stabilize {
 				seed := e.roots[root]
 				rep.Seed = seed.Key()
-				wl, v, werr = confirmStabilize(wl, seed, e.cfg.Occupancy)
+				wl, werr = stabilize.Witness(wl, "verify-stabilize", seed, stabilize.Amnesty(seed, e.cfg.Occupancy), fv.property)
 			} else {
-				wl, v, werr = confirmSafety(wl)
+				wl, werr = confirmSafety(wl, fv.property)
 			}
 			if werr == nil {
 				rep.Witness = wl
 				rep.WitnessConfirmed = true
-				rep.Property = v.Property
+				rep.Property = fv.property
 				rep.Detail = fv.detail
 				rep.WitnessOps = countOps(wl)
 			}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/protocol"
 	"repro/internal/replay"
+	"repro/internal/stabilize"
 	"repro/internal/trace"
 )
 
@@ -356,5 +357,52 @@ func TestVerdictJudgement(t *testing.T) {
 	}
 	if rep.Check != CheckConsistent {
 		t.Fatalf("check = %s, want CONSISTENT below declared attack bounds", rep.Check)
+	}
+}
+
+// TestConfirmSafetyWantsItsProperty holds clean-mode witness confirmation
+// to the rule stabilize.Witness keeps for corrupted starts: the explored
+// altbit schedule confirms as the DL1 violation the explorer found, what
+// confirmSafety returns passes stabilize.Confirm, and the same schedule is
+// refused as a DL2 violation, as are the schedule without its first submit
+// (a divergence) and its safe prefix without the violating delivery.
+func TestConfirmSafetyWantsItsProperty(t *testing.T) {
+	e, _, err := explore(protocol.NewAltBit(), Config{}, newIntStore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fv := e.violation
+	if fv == nil || fv.property != "DL1" {
+		t.Fatalf("explored violation %+v, want DL1", fv)
+	}
+	moves, root := e.chain(fv.parent, &move{kind: fv.kind, pkt: e.pkts.at(fv.pkt)})
+	wl, _, err := e.witnessLog(moves, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := confirmSafety(wl, "DL1")
+	if err != nil {
+		t.Fatalf("confirmSafety(DL1): %v", err)
+	}
+	if _, err := stabilize.Confirm(w); err != nil {
+		t.Errorf("confirmed witness fails stabilize.Confirm: %v", err)
+	}
+	if _, err := confirmSafety(wl, "DL2"); err == nil {
+		t.Error("confirmSafety confirmed a DL1 schedule as DL2")
+	}
+	if wl.Events[0].Kind != trace.KindSubmit {
+		t.Fatalf("witness opens with %v, want a submit", wl.Events[0])
+	}
+	edited := wl.Clone()
+	edited.Events = edited.Events[1:]
+	if _, err := confirmSafety(edited, "DL1"); err == nil || !strings.Contains(err.Error(), "diverged") {
+		t.Errorf("confirmSafety of the schedule without its first submit: %v, want a divergence", err)
+	}
+	safe, _, err := e.witnessLog(moves[:len(moves)-1], root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := confirmSafety(safe, "DL1"); err == nil {
+		t.Error("confirmSafety confirmed a safe prefix")
 	}
 }

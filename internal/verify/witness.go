@@ -6,7 +6,6 @@ import (
 	"repro/internal/channel"
 	"repro/internal/ioa"
 	"repro/internal/protocol"
-	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/stabilize"
 	"repro/internal/trace"
@@ -16,12 +15,13 @@ import (
 // the configuration graph, and every move of that path is a sim.Runner
 // operation. Re-driving the path through a fresh runner with a trace log
 // attached turns the finding into an ordinary NFT schedule; replaying that
-// schedule through internal/replay and re-deriving the verdict is the
-// checker's confirmation step. The two layers are deliberately independent:
-// the explorer memoises steps of interned components while the runner
-// drives live endpoints through its own bookkeeping, so a divergence or a
-// clean replay here would expose semantic drift between verifier and
-// simulator rather than slip through as a wrong verdict. The tests hold
+// schedule and re-deriving the explored property (confirmSafety, or
+// stabilize.Witness for a corrupted start) is the checker's confirmation
+// step. The two layers are deliberately independent: the explorer
+// memoises steps of interned components while the runner drives live
+// endpoints through its own bookkeeping, so a divergence or a clean
+// replay here would expose semantic drift between verifier and simulator
+// rather than slip through as a wrong verdict. The tests hold
 // every visited node, not only the witnesses, to the runner's
 // configuration at the end of its re-driven path (TestRedriveNodes).
 
@@ -125,45 +125,17 @@ func (e *explorer) witnessLog(moves []move, root int32) (*trace.Log, *sim.Runner
 	return wl, run, nil
 }
 
-// confirmSafety replays a reconstructed witness schedule and demands a
-// divergence-free reproduction that the independent checkers judge unsafe.
-// It returns the replay's re-recorded log (which carries the fresh verdict
-// event) and the confirmed violation.
-func confirmSafety(wl *trace.Log) (*trace.Log, *ioa.Violation, error) {
-	rr, err := replay.Run(wl)
+// confirmSafety replays a reconstructed witness schedule through
+// stabilize.Confirm and demands that the independent checkers judge the
+// replay a violation of want, the explored property. It returns the
+// replay's re-recorded log, which carries the fresh verdict event.
+func confirmSafety(wl *trace.Log, want string) (*trace.Log, error) {
+	rr, err := stabilize.Confirm(wl)
 	if err != nil {
-		return nil, nil, fmt.Errorf("verify: witness replay: %w", err)
+		return nil, fmt.Errorf("verify: witness replay: %w", err)
 	}
-	if rr.Divergence != nil {
-		return nil, nil, fmt.Errorf("verify: witness diverged on replay (verifier/simulator drift): %v", rr.Divergence)
+	if rr.Verdict == nil || rr.Verdict.Property != want {
+		return nil, fmt.Errorf("verify: witness replay judges %v; the explored %s violation did not reproduce", rr.Verdict, want)
 	}
-	if rr.Verdict == nil {
-		return nil, nil, fmt.Errorf("verify: witness replayed safety-clean; the explored violation did not reproduce")
-	}
-	return rr.Log, rr.Verdict, nil
-}
-
-// confirmStabilize replays a corrupted-start witness schedule and demands a
-// divergence-free reproduction that the amnesty judge — re-run from scratch
-// on the replayed trace — still finds over budget. The clean-start checkers
-// are the wrong referee here (a within-amnesty garbage delivery already
-// fails them), so the replayed trace is re-judged by stabilize.JudgeTrace
-// with the seed's amnesty instead. The returned log carries the replay's
-// own verdict event, so the witness file replays with a matching verdict
-// under `nftrace replay`; the stabilize-level finding rides in the metadata.
-func confirmStabilize(wl *trace.Log, seed stabilize.Corruption, occupancy int) (*trace.Log, *ioa.Violation, error) {
-	rr, err := replay.Run(wl)
-	if err != nil {
-		return nil, nil, fmt.Errorf("verify: witness replay: %w", err)
-	}
-	if rr.Divergence != nil {
-		return nil, nil, fmt.Errorf("verify: witness diverged on replay (verifier/simulator drift): %v", rr.Divergence)
-	}
-	amnesty := stabilize.Amnesty(seed, occupancy)
-	j := stabilize.JudgeTrace(rr.Trace, amnesty)
-	if j.Violation == nil {
-		return nil, nil, fmt.Errorf("verify: witness replayed within amnesty %d (%d fault(s)); the explored divergence did not reproduce",
-			amnesty, j.Charges)
-	}
-	return stabilize.Stamp(rr.Log, "verify-stabilize", seed, amnesty, j.Violation), j.Violation, nil
+	return rr.Log, nil
 }
