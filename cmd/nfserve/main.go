@@ -361,8 +361,7 @@ func cmdReplay(args []string, out io.Writer) error {
 	if rr.Verdict != nil {
 		verdict = rr.Verdict.Property + " violated"
 	}
-	fmt.Fprintf(out, "session %s: %d events replayed bit for bit, verdict %s (matches recording: %v)\n",
-		name, l.Len(), verdict, rr.VerdictMatches)
+	fmt.Fprintf(out, "session %s: %d events replayed bit for bit, verdict %s\n", name, l.Len(), verdict)
 
 	final := l
 	if *shrink {

@@ -96,6 +96,7 @@ var keptExports = map[string]string{
 	"repro/internal/core.SplitSeed":            "nfperf, a module of its own, calls it",
 	"repro/internal/fuzz.Mutate":               "nfperf, a module of its own, calls it",
 	"repro/internal/fuzz.Crossover":            "nfperf, a module of its own, calls it",
+	"repro/internal/fuzz.Trim":                 "nfperf, a module of its own, calls it",
 	"repro/internal/trace.ReadManifestFile":    "nfperf, a module of its own, calls it",
 	"repro/internal/trace.ShardStore.Dir":      "nfperf, a module of its own, calls it",
 	"repro/internal/netlink.Server.RunSession": "nfperf, a module of its own, calls it",

@@ -24,7 +24,9 @@ import (
 //     joint key — the per-operation coverage point costs one map probe and
 //     three FNV steps instead of building and hashing both key strings;
 //   - judges clean runs with the executor's incremental ioa.LiveChecker
-//     instead of recording a trace and re-walking it per property;
+//     instead of recording a trace and re-walking it per property, and an
+//     unlogged run by the checker's queries alone, so that its verdicts
+//     cost no Detail;
 //   - judges a livelock candidate's closing drive (refuseLivelock) with the
 //     executor's Refuse, straight on from the execution it holds;
 //   - shrinks a promoted violation on the same executor (shrink), and
@@ -54,8 +56,10 @@ type Core struct {
 	// Execute, so a held scratch is always held for its current contents.
 	held *Input
 	// res is the result every unlogged Execute returns, reset per call; its
-	// Points keep their backing array across executions.
-	res ExecResult
+	// Points keep their backing array across executions, and on a clean
+	// start its Verdict and DL3 point at verdict and dl3.
+	res          ExecResult
+	verdict, dl3 ioa.Violation
 	// pres and plog are promotion's result and log, reset per promotion and
 	// keeping their storage, so a warm Core reserves no promotion log.
 	pres ExecResult
@@ -77,14 +81,20 @@ func NewCore(proto protocol.Protocol) *Core {
 	return &Core{proto: proto, pair: make(map[string]uint64), x: replay.NewExec(proto)}
 }
 
-// Execute drives one input and reports coverage and verdicts, exactly as the
-// package-level Execute does — same points, same verdicts, same log — via
-// the interned fast path.
+// Execute drives one input and reports coverage and verdicts as the
+// package-level Execute does, via the interned fast path: the same points
+// and log, and verdicts naming the same properties at the same indices,
+// Detail included except as below.
 //
 // A logged result is the caller's. An unlogged one is the Core's own,
-// Points included: it is valid until the Core's next unlogged execution
-// (an unlogged Execute, or a refuseLivelock that re-executes), so a caller
-// that keeps it longer, or hands it to another goroutine, copies it.
+// Points and violations included: it is valid until the Core's next
+// unlogged execution (an unlogged Execute, or a refuseLivelock that
+// re-executes), so a caller that keeps it longer, or hands it to another
+// goroutine, copies it (ExecResult.clone). An unlogged clean-start result's
+// Verdict and DL3 carry their Property and Index but no Detail: the
+// campaign reads only whether they are present and what they name, so
+// they are read off the live checker's queries and nothing is formatted. A
+// logged one, and every corrupted-start one, carries the Detail too.
 func (c *Core) Execute(in *Input, withLog bool) *ExecResult {
 	if !withLog {
 		c.res = ExecResult{Points: c.res.Points[:0]}
@@ -194,6 +204,15 @@ func (c *Core) execute(in *Input, res *ExecResult, tlog *trace.Log) {
 			q := stabilize.JudgeQuiescent(run.Trace, res.Amnesty)
 			res.DL3, res.Charges = q.Violation, q.Charges
 		}
+	} else if tlog == nil {
+		if p, at := c.x.Check.SafetyVerdict(); p != "" {
+			c.verdict = ioa.Violation{Property: p, Index: at}
+			res.Verdict = &c.verdict
+		}
+		if c.x.Check.Stranded() > 0 {
+			c.dl3 = ioa.Violation{Property: "DL3", Index: -1}
+			res.DL3 = &c.dl3
+		}
 	} else {
 		if err := c.x.Check.Safety(); err != nil {
 			res.Verdict, _ = ioa.AsViolation(err)
@@ -215,6 +234,8 @@ func (c *Core) execute(in *Input, res *ExecResult, tlog *trace.Log) {
 // on this Core, and nothing else ran since). nil means the drive ends in a
 // stranding cycle; only CertifyLivelock can then certify, or refuse, the
 // logged trace. Either way the drive leaves the runner past in's execution.
+// A refusal is the executor's own (Exec.Refuse), valid until the Core's
+// next refuseLivelock.
 func (c *Core) refuseLivelock(in *Input) error {
 	if c.held != in {
 		c.Execute(in, false)

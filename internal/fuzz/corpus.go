@@ -28,6 +28,94 @@ type Entry struct {
 	NewPoints int
 }
 
+// corpus is a campaign's retained inputs in admission order, and the
+// storage they are copied into: chunks of ops, decisions and records (an
+// Entry with the Input it points to), which the Run goroutine's kit keeps
+// from one campaign to the next and resets when it is taken. A campaign's
+// candidates live in a scratch input, so each admitted input is copied; a
+// chunk is never moved, and nothing it has handed out is rewritten before
+// the reset, so the corpus snapshots parallel workers read stay valid for
+// the campaign. Corpus inputs are read-only: candidates are copied out of
+// them (Input.copyFrom), and every handed-out slice's capacity is its
+// length. Nothing a Result holds points into a corpus, and a kit returns
+// to the pool only after every worker of its campaign has returned.
+type corpus struct {
+	entries []*Entry
+	recs    slab[record]
+	ops     slab[Op]
+	decs    slab[trace.Decision]
+}
+
+// record is one admitted input's records, stored together.
+type record struct {
+	entry Entry
+	input Input
+}
+
+// newCorpus returns an empty corpus whose first chunks are small: a cold
+// kit's first campaign pays little more than exact-size copies would.
+func newCorpus() *corpus {
+	return &corpus{recs: slab[record]{first: 64}, ops: slab[Op]{first: 4096}, decs: slab[trace.Decision]{first: 4096}}
+}
+
+// reset empties the corpus and keeps its chunks for the next campaign.
+func (s *corpus) reset() {
+	s.entries = s.entries[:0]
+	s.recs.reset()
+	s.ops.reset()
+	s.decs.reset()
+}
+
+// admit appends in to the corpus as an entry contributing fresh coverage
+// points, copied as Trim copies it, with the decision-stream tails res did
+// not consume cut off, and returns the copy.
+func (s *corpus) admit(in *Input, res *ExecResult, fresh int) *Input {
+	data, ack := consumed(in, res)
+	ops := s.ops.take(len(in.Ops))
+	copy(ops, in.Ops)
+	d := s.decs.take(len(data) + len(ack))
+	nd := copy(d, data)
+	copy(d[nd:], ack)
+	r := &s.recs.take(1)[0]
+	r.input = Input{Ops: ops, Data: d[:nd:nd], Ack: d[nd:], Corrupt: in.Corrupt.clone()}
+	r.entry = Entry{Input: &r.input, NewPoints: fresh}
+	s.entries = append(s.entries, &r.entry)
+	return &r.input
+}
+
+// slab hands out slices of T from chunks it keeps: the first chunk holds
+// first elements, each later one twice as many as the one before, up to
+// 64 times first, or as many as the request that opens it. A handed-out
+// slice's capacity is its length. A chunk is never moved, and reset keeps
+// every chunk for reuse, so what the slab hands out stays valid until its
+// reset.
+type slab[T any] struct {
+	first  int
+	chunks [][]T
+	i, off int // the chunk in use, and the offset of its free part
+}
+
+// take returns a slice of n elements for the caller to overwrite: after a
+// reset they hold what an earlier campaign left there. A request the chunk
+// in use has no room for moves on to the next chunk, or opens a new one.
+func (s *slab[T]) take(n int) []T {
+	for ; s.i < len(s.chunks); s.i, s.off = s.i+1, 0 {
+		if c := s.chunks[s.i]; s.off+n <= len(c) {
+			s.off += n
+			return c[s.off-n : s.off : s.off]
+		}
+	}
+	size := s.first
+	if k := len(s.chunks); k > 0 {
+		size = min(2*len(s.chunks[k-1]), 64*s.first)
+	}
+	s.chunks = append(s.chunks, make([]T, max(size, n)))
+	s.off = n
+	return s.chunks[s.i][:n:n]
+}
+
+func (s *slab[T]) reset() { s.i, s.off = 0, 0 }
+
 // inputID is the content hash used as the corpus filename stem.
 func inputID(in *Input) string {
 	h := fnv.New64a()

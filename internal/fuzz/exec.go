@@ -13,6 +13,11 @@ import (
 
 // ExecResult is the phenotype of one input: what happened when its schedule
 // was driven against a fresh protocol instance.
+//
+// Execute and the Core's logged executions report Verdict and DL3 in full.
+// An unlogged Core.Execute of a clean start reports only their Property and
+// Index, with Detail empty: a campaign reads no more of them, and a
+// promotion re-executes its input with a log.
 type ExecResult struct {
 	// Points are the coverage points observed after each operation, in
 	// order (duplicates included; sets are the caller's business).
@@ -136,17 +141,42 @@ func Execute(proto protocol.Protocol, in *Input, withLog bool) *ExecResult {
 	return res
 }
 
+// clone returns a copy of r that shares no storage with it: the points
+// and the violations are copied too. A parallel worker ships a clone of its
+// Core's unlogged result, which its next execution overwrites.
+func (r *ExecResult) clone() *ExecResult {
+	c := *r
+	c.Points = slices.Clone(r.Points)
+	if r.Verdict != nil {
+		v := *r.Verdict
+		c.Verdict = &v
+	}
+	if r.DL3 != nil {
+		v := *r.DL3
+		c.DL3 = &v
+	}
+	return &c
+}
+
 // Trim returns a copy of the input, sized to its contents, with the
 // unconsumed decision-stream tails removed, as measured by the execution
 // res. Trimming changes nothing about the execution (unread decisions
 // decide nothing) but keeps corpus genotypes at their live length, so
-// mutation energy lands on bytes that matter. The copy is what a campaign
-// admits to its corpus: its candidates live in a scratch input.
+// mutation energy lands on bytes that matter. A campaign admits the same
+// trimmed copy, made in its kit's storage (corpus.admit) rather than in
+// fresh slices; nfperf's replica of the campaign loop calls Trim.
 func Trim(in *Input, res *ExecResult) *Input {
+	data, ack := consumed(in, res)
 	return &Input{
 		Ops:     slices.Clone(in.Ops),
-		Data:    slices.Clone(in.Data[:min(res.DataUsed, len(in.Data))]),
-		Ack:     slices.Clone(in.Ack[:min(res.AckUsed, len(in.Ack))]),
+		Data:    slices.Clone(data),
+		Ack:     slices.Clone(ack),
 		Corrupt: in.Corrupt.clone(),
 	}
+}
+
+// consumed returns the prefixes of in's decision streams that the
+// execution res read: what Trim and a campaign's corpus keep of them.
+func consumed(in *Input, res *ExecResult) (data, ack []trace.Decision) {
+	return in.Data[:min(res.DataUsed, len(in.Data))], in.Ack[:min(res.AckUsed, len(in.Ack))]
 }

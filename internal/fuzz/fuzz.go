@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -144,8 +143,8 @@ type campaign struct {
 	core   *Core                                     // merger-side interned core, the Run goroutine's kit's
 	exec   func(in *Input, withLog bool) *ExecResult // merger-side executor
 	master coverSet                                  // the Run goroutine's kit's
-	corpus []*Entry
-	wins   map[string]*Violation // certificate name → smallest certificate
+	corpus *corpus                                   // the Run goroutine's kit's
+	wins   map[string]*Violation                     // certificate name → smallest certificate
 	errs   []error
 
 	execs     atomic.Int64
@@ -168,6 +167,7 @@ func Run(cfg Config) (*Result, error) {
 		cfg:    cfg,
 		core:   k.core,
 		master: k.cover,
+		corpus: k.corpus,
 		wins:   make(map[string]*Violation),
 		start:  cfg.Clock(),
 	}
@@ -176,8 +176,9 @@ func Run(cfg Config) (*Result, error) {
 	// Seed the corpus: canonical starting schedules plus any persisted
 	// entries from a previous run. Every initial input is executed (and
 	// counted against the budget) so resumed campaigns rebuild the exact
-	// coverage frontier they left off at.
-	initial := SeedInputs()
+	// coverage frontier they left off at. initial's capacity is its length,
+	// so the resume appends into a copy, not into seeds.
+	initial := seeds[:len(seeds):len(seeds)]
 	if cfg.CorpusDir != "" {
 		loaded, err := LoadCorpus(cfg.CorpusDir)
 		if err != nil {
@@ -236,8 +237,7 @@ func (c *campaign) observe(in *Input, res *ExecResult, countDL3 bool) {
 	if fresh > 0 {
 		// in may be a scratch candidate that the next one overwrites, so
 		// the corpus keeps a copy.
-		kept := Trim(in, res)
-		c.corpus = append(c.corpus, &Entry{Input: kept, NewPoints: fresh})
+		kept := c.corpus.admit(in, res, fresh)
 		if err := saveEntry(c.cfg.CorpusDir, kept); err != nil {
 			c.errs = append(c.errs, err)
 		}
@@ -412,11 +412,16 @@ func (c *campaign) win(name string, v *Violation, format string, args ...any) {
 	}
 }
 
+// seeds is SeedInputs(), built once for every campaign's seeding loop and
+// for pickParent's parent of last resort. Campaigns only read it: they
+// execute its inputs and copy them into candidates.
+var seeds = SeedInputs()
+
 // pickParent selects a mutation parent: mostly uniform over the corpus, with
 // a bias toward the newest entries (the current frontier).
 func pickParent(corpus []*Entry, rng *rand.Rand) *Input {
 	if len(corpus) == 0 {
-		return SeedInputs()[0]
+		return seeds[0]
 	}
 	if rng.Intn(2) == 0 && len(corpus) > 16 {
 		return corpus[len(corpus)-1-rng.Intn(16)].Input
@@ -450,41 +455,45 @@ func nextCandidate(cand *Input, corpus []*Entry, rng *rand.Rand, corrupt bool) {
 // kit is what one goroutine of a campaign executes with: the Core (its
 // executor, runner, live checker, pair cache and unlogged result), a
 // coverage set (the campaign's master set on the Run goroutine, a worker's
-// private one otherwise), the loop's generator and its scratch candidate.
-// Run and each parallel worker take one from kits and put it back when
-// they return, so a process pays for a kit's storage once, not once per
-// campaign. Nothing a Result holds points into a kit: the corpus keeps
-// Trim's copies and every certificate is a fresh log.
+// private one otherwise), the loop's generator, its scratch candidate and
+// a corpus (the campaign's on the Run goroutine, unused by a worker). Run
+// and each parallel worker take one from kits and put it back when they
+// return, so a process pays for a kit's storage once, not once per
+// campaign. Nothing a Result holds points into a kit: the corpus is the
+// campaign's working set, read by no Result, and every certificate is a
+// fresh log.
 type kit struct {
-	core  *Core
-	cover coverSet
-	rng   *rand.Rand
-	cand  *Input
+	core   *Core
+	cover  coverSet
+	rng    *rand.Rand
+	cand   *Input
+	corpus *corpus
 }
 
 // kits holds the kits no campaign is using. The pool keeps each kit's
 // grown storage: its Core's pair cache (the FNV midstate of every joint
 // key the Core has seen, a pure function of the key's bytes, so valid in
-// any campaign), its maps and slices at their largest run's capacity, and
-// its coverage set's capacity.
+// any campaign), its maps and slices at their largest run's capacity, its
+// coverage set's capacity and its corpus's chunks.
 var kits = new(sync.Pool)
 
 // takeKit returns a kit for a campaign of proto whose generator is seeded
-// with s: a pooled one, its coverage set cleared, its generator re-seeded
-// (a re-seeded source draws what a new one would) and its Core's held
-// execution dropped, since the scratch candidate it was held for belongs
-// to another campaign now; its Core is replaced if it runs another
-// protocol. The pool empty, it builds one.
+// with s: a pooled one, its coverage set cleared, its corpus emptied, its
+// generator re-seeded (a re-seeded source draws what a new one would) and
+// its Core's held execution dropped, since the scratch candidate it was
+// held for belongs to another campaign now; its Core is replaced if it
+// runs another protocol. The pool empty, it builds one.
 func takeKit(proto protocol.Protocol, s int64) *kit {
 	k, ok := kits.Get().(*kit)
 	if !ok {
-		return &kit{core: NewCore(proto), cover: make(coverSet), rng: rand.New(rand.NewSource(s)), cand: new(Input)}
+		return &kit{core: NewCore(proto), cover: make(coverSet), rng: rand.New(rand.NewSource(s)), cand: new(Input), corpus: newCorpus()}
 	}
 	if k.core.proto != proto {
 		k.core = NewCore(proto)
 	}
 	k.core.held = nil
 	clear(k.cover)
+	k.corpus.reset()
 	k.rng.Seed(s)
 	return k
 }
@@ -495,7 +504,7 @@ func takeKit(proto protocol.Protocol, s int64) *kit {
 func (c *campaign) serial(k *kit) {
 	rng, cand := k.rng, k.cand
 	for c.execs.Load() < c.cfg.Budget && !c.stop.Load() {
-		nextCandidate(cand, c.corpus, rng, c.cfg.Corrupt)
+		nextCandidate(cand, c.corpus.entries, rng, c.cfg.Corrupt)
 		res := c.exec(cand, false)
 		c.execs.Add(1)
 		c.observe(cand, res, true)
@@ -518,7 +527,7 @@ type workerResult struct {
 func (c *campaign) parallel() {
 	type snapshot struct{ corpus []*Entry }
 	var snap atomic.Pointer[snapshot]
-	snap.Store(&snapshot{corpus: c.corpus})
+	snap.Store(&snapshot{corpus: c.corpus.entries})
 
 	results := make(chan workerResult, 4*c.cfg.Workers)
 	var wg sync.WaitGroup
@@ -546,9 +555,7 @@ func (c *campaign) parallel() {
 				// The candidate is the worker's scratch and the Core reuses
 				// its unlogged result, so the merger gets copies of both.
 				if res.Verdict != nil || local.addAll(res.Points) > 0 {
-					shipped := *res
-					shipped.Points = slices.Clone(res.Points)
-					results <- workerResult{in: cand.Clone(), res: &shipped}
+					results <- workerResult{in: cand.Clone(), res: res.clone()}
 				}
 			}
 		}(w)
@@ -559,12 +566,12 @@ func (c *campaign) parallel() {
 	}()
 
 	for wr := range results {
-		before := len(c.corpus)
+		before := len(c.corpus.entries)
 		// DL3 was already counted worker-side (countDL3 false), but the value
 		// itself is kept: the merger needs it for livelock promotion.
 		c.observe(wr.in, wr.res, false)
-		if len(c.corpus) != before {
-			snap.Store(&snapshot{corpus: c.corpus})
+		if len(c.corpus.entries) != before {
+			snap.Store(&snapshot{corpus: c.corpus.entries})
 		}
 	}
 }
@@ -585,13 +592,13 @@ func (c *campaign) maybeStats() {
 		rate = float64(execs) / elapsed
 	}
 	fmt.Fprintf(c.cfg.Stats, "execs %d (%.0f/sec) corpus %d coverage %d violations %d\n",
-		execs, rate, len(c.corpus), len(c.master), len(c.wins))
+		execs, rate, len(c.corpus.entries), len(c.master), len(c.wins))
 }
 
 func (c *campaign) result() *Result {
 	r := &Result{
 		Execs:          c.execs.Load(),
-		CorpusSize:     len(c.corpus),
+		CorpusSize:     len(c.corpus.entries),
 		CoveragePoints: len(c.master),
 		DL3Misses:      c.dl3Misses.Load(),
 		Elapsed:        c.cfg.Clock().Sub(c.start),

@@ -3,6 +3,8 @@ package fuzz
 import (
 	"fmt"
 	"hash/fnv"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -41,7 +43,10 @@ func answer(t *testing.T, res *Result, parallel bool) string {
 // livelock campaign that certifies DL3, a stabnaive campaign from corrupted
 // starts and a two-worker sound campaign — each match the same campaign
 // run with an empty kit pool, and every Result still renders as it did
-// once all ten have run.
+// once all ten have run. Last, a kit's corpus keeps its chunks from one
+// campaign to the next, so a sound campaign runs right after a larger one
+// on the same kit, in the storage the larger one filled: its persisted
+// corpus and its Result must be a new kit's.
 func TestPooledCampaignsMatchFresh(t *testing.T) {
 	lookup := func(name string) Config {
 		p, err := replay.LookupProtocol(name)
@@ -92,5 +97,46 @@ func TestPooledCampaignsMatchFresh(t *testing.T) {
 		if got := answer(t, r.res, i%5 == 4); got != r.answer {
 			t.Errorf("campaign %d changed after later campaigns ran:\n%s\nwas\n%s", i, got, r.answer)
 		}
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: the kit Run puts back is the next Run's
+	large, small := seqnum, seqnum
+	large.Budget, large.Seed = 4000, seed.Split(3, "pooled/large")
+	small.Seed = seed.Split(3, "pooled/small")
+	// persisted runs cfg, on a new kit if fresh, and returns its answer and
+	// the encodings of the corpus it saved.
+	persisted := func(cfg Config, fresh bool) (string, []string) {
+		cfg.CorpusDir = t.TempDir()
+		if fresh {
+			saved := kits
+			kits = new(sync.Pool)
+			defer func() { kits = saved }()
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins, err := LoadCorpus(cfg.CorpusDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		encs := make([]string, len(ins))
+		for i, in := range ins {
+			encs[i] = string(in.Encode())
+		}
+		return answer(t, res, false), encs
+	}
+	lres, err := Run(large)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, warmCorpus := persisted(small, false)
+	fresh, freshCorpus := persisted(small, true)
+	if lres.CorpusSize <= len(freshCorpus) {
+		t.Fatalf("the large campaign kept %d inputs, the small one %d", lres.CorpusSize, len(freshCorpus))
+	}
+	if warm != fresh || !slices.Equal(warmCorpus, freshCorpus) {
+		t.Fatalf("a campaign after a larger one on its kit: %s, %d inputs saved; on a new kit: %s, %d inputs saved",
+			warm, len(warmCorpus), fresh, len(freshCorpus))
 	}
 }

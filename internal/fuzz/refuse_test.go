@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -70,34 +71,37 @@ func TestRefusalMatchesCertify(t *testing.T) {
 			logged := Execute(p, in, true)
 			_, werr := replay.CertifyLivelock(logged.Log, replay.CertifyOptions{})
 
+			// A Core's refusal is its executor's own, rewritten by its next
+			// refuseLivelock, so each is read as soon as it is returned.
 			reused.Execute(in, false)
 			got := reused.refuseLivelock(in)
-			again := reused.refuseLivelock(in)
+			gotText := fmt.Sprint(got)
+			again := fmt.Sprint(reused.refuseLivelock(in))
 			reused.Execute(in, false)
 			lg := reused.Execute(in, true)
-			afterLog := reused.refuseLivelock(in)
+			afterLog := fmt.Sprint(reused.refuseLivelock(in))
 			_, lerr := replay.CertifyLivelock(lg.Log, replay.CertifyOptions{})
-			fresh := NewCore(p).refuseLivelock(in)
+			fresh := fmt.Sprint(NewCore(p).refuseLivelock(in))
 
 			switch {
-			case !sameRefusal(got, again):
-				t.Fatalf("%s input %d: second refusal %v, first %v", name, i, again, got)
-			case !sameRefusal(got, afterLog):
-				t.Fatalf("%s input %d: refusal after a logged Execute %v, after an unlogged one %v", name, i, afterLog, got)
-			case !sameRefusal(got, fresh):
-				t.Fatalf("%s input %d: fresh-Core refusal %v, reused %v", name, i, fresh, got)
+			case again != gotText:
+				t.Fatalf("%s input %d: second refusal %s, first %s", name, i, again, gotText)
+			case afterLog != gotText:
+				t.Fatalf("%s input %d: refusal after a logged Execute %s, after an unlogged one %s", name, i, afterLog, gotText)
+			case fresh != gotText:
+				t.Fatalf("%s input %d: fresh-Core refusal %s, reused %s", name, i, fresh, gotText)
 			case !sameRefusal(lerr, werr):
 				t.Fatalf("%s input %d: the Core's logged execution certifies as %v, Execute's as %v", name, i, lerr, werr)
 			}
 			if driveRefuses(t, logged.Log) {
-				if got == nil || werr == nil || got.Error() != werr.Error() {
-					t.Fatalf("%s input %d: Core refusal %v, CertifyLivelock %v", name, i, got, werr)
+				if got == nil || werr == nil || gotText != werr.Error() {
+					t.Fatalf("%s input %d: Core refusal %s, CertifyLivelock %v", name, i, gotText, werr)
 				}
 				refused++
 				continue
 			}
 			if got != nil {
-				t.Fatalf("%s input %d: Core refuses %v, but the closing drive cycles (CertifyLivelock: %v)", name, i, got, werr)
+				t.Fatalf("%s input %d: Core refuses %s, but the closing drive cycles (CertifyLivelock: %v)", name, i, gotText, werr)
 			}
 			if werr != nil {
 				afterDrive++

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/ioa"
 	"repro/internal/protocol"
 	"repro/internal/replay"
 	"repro/internal/seed"
@@ -16,26 +17,88 @@ import (
 )
 
 // TestUnloggedResultOutlivesLoggedExecute: the campaign reads an unlogged
-// result's points and decision counts after promote re-executes the input
-// with a log on the same Core, so a logged Execute must leave the Core's
-// unlogged result as it was.
+// result's points, decision counts and verdicts after promote re-executes
+// the input with a log on the same Core, so logged executions, of that
+// input and of another, must leave the Core's unlogged result as it was:
+// its violations, which the Core owns and reuses, included.
 func TestUnloggedResultOutlivesLoggedExecute(t *testing.T) {
 	p, err := replay.LookupProtocol("altbit")
 	if err != nil {
 		t.Fatal(err)
 	}
+	copied := func(v *ioa.Violation) *ioa.Violation {
+		if v == nil {
+			return nil
+		}
+		c := *v
+		return &c
+	}
 	c := NewCore(p)
 	ins := benchCorpus(32)
+	verdicts := 0
 	for i, in := range ins {
 		res := c.Execute(in, false)
 		want := *res
 		want.Points = slices.Clone(res.Points)
+		verdict, dl3 := copied(res.Verdict), copied(res.DL3)
+		c.Execute(in, true)
 		c.Execute(ins[(i+1)%len(ins)], true)
 		if !slices.Equal(res.Points, want.Points) || res.DataUsed != want.DataUsed || res.AckUsed != want.AckUsed ||
-			res.Verdict != want.Verdict || res.DL3 != want.DL3 || res.StaleHits != want.StaleHits {
+			res.Verdict != want.Verdict || res.DL3 != want.DL3 || res.StaleHits != want.StaleHits ||
+			!reflect.DeepEqual(res.Verdict, verdict) || !reflect.DeepEqual(res.DL3, dl3) {
 			t.Fatalf("input %d: a logged Execute changed the unlogged result", i)
 		}
+		if res.Verdict != nil {
+			verdicts++
+		}
 	}
+	if verdicts == 0 {
+		t.Fatal("no unlogged result has a safety verdict; the corpus is too tame to prove anything")
+	}
+}
+
+// TestUnloggedVerdictsNameLoggedOnes: an unlogged Execute of a clean start
+// reads its verdicts off the live checker's queries and leaves their Detail
+// out, and the campaign promotes and counts on those verdicts, so each must
+// be present exactly when the logged Execute's is, with its Property and
+// Index. Every registered protocol runs benchCorpus, SeedInputs first, and
+// altbit, stabnaive and stabdl2 run each input from a corrupted start too,
+// whose unlogged verdicts the amnesty judge reports in full.
+func TestUnloggedVerdictsNameLoggedOnes(t *testing.T) {
+	same := func(a, b *ioa.Violation) bool {
+		return (a == nil) == (b == nil) && (a == nil || a.Property == b.Property && a.Index == b.Index)
+	}
+	rng := rand.New(rand.NewSource(5))
+	verdicts := map[bool]int{} // corrupted start -> inputs with a verdict
+	for _, name := range protocol.Names() {
+		p := protocol.Registry()[name]
+		ins := benchCorpus(96)
+		switch name {
+		case "altbit", "stabnaive", "stabdl2":
+			for _, in := range ins[:len(ins):len(ins)] {
+				c := in.Clone()
+				for k := 0; k < 3; k++ {
+					MutateCorrupt(c, rng)
+				}
+				ins = append(ins, c)
+			}
+		}
+		c := NewCore(p)
+		for i, in := range ins {
+			got := c.Execute(in, false)
+			want := Execute(p, in, true)
+			if !same(got.Verdict, want.Verdict) || !same(got.DL3, want.DL3) {
+				t.Fatalf("%s input %d: unlogged verdicts %v and %v, logged %v and %v", name, i, got.Verdict, got.DL3, want.Verdict, want.DL3)
+			}
+			if got.Verdict != nil {
+				verdicts[in.Corrupt != nil]++
+			}
+		}
+	}
+	if verdicts[false] == 0 || verdicts[true] == 0 {
+		t.Fatalf("inputs with a verdict, by corrupted start: %v; the corpus is too tame to prove anything", verdicts)
+	}
+	t.Logf("inputs with a verdict, by corrupted start: %v", verdicts)
 }
 
 // scribble overwrites every element of c's slices up to their capacity,
@@ -263,7 +326,7 @@ func TestAdmittedEntriesShareNoScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := &campaign{cfg: Config{Protocol: p, Corrupt: name == "stabnaive"}, master: make(coverSet), wins: make(map[string]*Violation), core: NewCore(p)}
+		c := &campaign{cfg: Config{Protocol: p, Corrupt: name == "stabnaive"}, master: make(coverSet), corpus: newCorpus(), wins: make(map[string]*Violation), core: NewCore(p)}
 		c.exec = c.execOn(c.core)
 		for _, in := range SeedInputs() {
 			c.observe(in, c.exec(in, false), true)
@@ -272,19 +335,19 @@ func TestAdmittedEntriesShareNoScratch(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
 		cand := new(Input)
 		for i := 0; i < 600; i++ {
-			nextCandidate(cand, c.corpus, rng, c.cfg.Corrupt)
+			nextCandidate(cand, c.corpus.entries, rng, c.cfg.Corrupt)
 			c.observe(cand, c.exec(cand, false), true)
-			for _, e := range c.corpus[len(admitted):] {
+			for _, e := range c.corpus.entries[len(admitted):] {
 				admitted = append(admitted, e.Input.Encode())
 			}
 			scribble(cand)
-			for k, e := range c.corpus {
+			for k, e := range c.corpus.entries {
 				if !bytes.Equal(e.Input.Encode(), admitted[k]) {
 					t.Fatalf("%s candidate %d: writing the scratch changed corpus entry %d", name, i, k)
 				}
 			}
 		}
-		if len(c.corpus) <= len(SeedInputs()) {
+		if len(c.corpus.entries) <= len(SeedInputs()) {
 			t.Fatalf("%s: the campaign admitted no candidate", name)
 		}
 	}

@@ -31,6 +31,18 @@ var _ Monitor = (*Recorder)(nil)
 // batch checker's fixed property order (PL1 t→r, PL1 r→t, DL1, DL2) rather
 // than chronologically.
 //
+// A first violation is recorded as the event index it fired at, plus what
+// its Detail needs that the property's frozen state does not keep: the
+// received message for DL1 and DL2, and for DL1 the payload its send
+// carried. PL1's packet is its direction's last lookup, and DL2's two
+// positions are its own frozen counters. Safety() builds the Violation on
+// the first call that returns it, and returns that same pointer until the
+// verdict changes or Reset; DL3Quiescent() formats on each call.
+// SafetyVerdict and Stranded answer what those two would report without
+// building anything, for callers that read only whether, and where, a
+// property failed: most executions the fuzzer and the shrinker judge are
+// dropped before anyone reads a Detail.
+//
 // An event costs a slice update; the only map write is a packet's first
 // entry into the run's packet table, which also lists the run's packets: a
 // checker that once saw a long run keeps its table's capacity, and clearing
@@ -57,22 +69,34 @@ type LiveChecker struct {
 	keys        []Packet       // the run's packets by index: pkts' keys, for Reset
 	pl1         [2]pl1Dir      // PL1 per direction: [0] t→r, [1] r→t
 	msgs        []msgState     // message ID -> its DL1, DL2 and DL3 state
-	dl1         *Violation
-	dl2         *Violation
-	nsent       int // DL2: sends counted while DL2 holds
-	lastRecvPos int // DL2: highest send position received so far, -1 for none
-	sm          int // DL3: send_msg actions
+	dl1, dl2    msgFault
+	dl1Sent     string     // DL1: the payload its violating receive's send carried, if one is unmatched
+	v           *Violation // the violation Safety() returned last, nil until then
+	vk          int        // which one v is, an index into safetyProps; -1 with v nil
+	nsent       int        // DL2: sends counted while DL2 holds
+	lastRecvPos int        // DL2: highest send position received so far, -1 for none
+	sm          int        // DL3: send_msg actions
 }
 
 // pl1Dir is PL1's state for one channel direction. A packet's outstanding
-// sends are its out count, plus one if it is the held send.
+// sends are its out count, plus one if it is the held send. at is the index
+// of the direction's first receive without an unmatched send, -1 while PL1
+// holds there; the direction stops updating at it, so last is that
+// receive's packet.
 type pl1Dir struct {
 	out     []int  // packet index -> counted sends without a matching receive
 	last    Packet // the packet of the last lookup, valid while lastI >= 0
 	lastI   int
 	held    Packet // the last send, not yet counted, valid while holding
 	holding bool
-	v       *Violation
+	at      int
+}
+
+// msgFault is DL1's or DL2's first violation: the receive's event index,
+// -1 while the property holds, and the message it received.
+type msgFault struct {
+	at int
+	m  Message
 }
 
 // msgState is one message ID's state. Its zero value is an ID never sent.
@@ -101,10 +125,11 @@ func (c *LiveChecker) Reset() {
 	}
 	c.keys = c.keys[:0]
 	for i, d := range c.pl1 {
-		c.pl1[i] = pl1Dir{out: d.out[:0], lastI: -1}
+		c.pl1[i] = pl1Dir{out: d.out[:0], lastI: -1, at: -1}
 	}
 	c.msgs = c.msgs[:0]
-	c.dl1, c.dl2 = nil, nil
+	c.dl1, c.dl2, c.dl1Sent = msgFault{at: -1}, msgFault{at: -1}, ""
+	c.v, c.vk = nil, -1
 	c.nsent, c.lastRecvPos = 0, -1
 	c.sm = 0
 }
@@ -116,11 +141,11 @@ func (c *LiveChecker) SendMsg(m Message) {
 		c.msgs = append(c.msgs, msgState{})
 	}
 	st := &c.msgs[m.ID]
-	if c.dl1 == nil {
+	if c.dl1.at < 0 {
 		st.dl1Out++
 	}
 	st.payload = m.Payload
-	if c.dl2 == nil {
+	if c.dl2.at < 0 {
 		if st.sendPos == 0 {
 			st.sendPos = c.nsent + 1
 		}
@@ -138,22 +163,12 @@ func (c *LiveChecker) ReceiveMsg(m Message) {
 	if m.ID < len(c.msgs) {
 		st = &c.msgs[m.ID]
 	}
-	if c.dl1 == nil {
+	if c.dl1.at < 0 {
 		switch {
 		case st == nil || st.dl1Out == 0:
-			c.dl1 = &Violation{
-				Property: "DL1",
-				Index:    i,
-				Detail: fmt.Sprintf("receive_msg(%s) has no unmatched preceding send_msg "+
-					"(duplicate or spurious delivery)", m),
-			}
+			c.dl1 = msgFault{at: i, m: m}
 		case st.payload != m.Payload:
-			c.dl1 = &Violation{
-				Property: "DL1",
-				Index:    i,
-				Detail: fmt.Sprintf("receive_msg(%s) delivered payload %q but send_msg carried %q",
-					m, m.Payload, st.payload),
-			}
+			c.dl1, c.dl1Sent = msgFault{at: i, m: m}, st.payload
 		default:
 			st.dl1Out--
 		}
@@ -161,14 +176,9 @@ func (c *LiveChecker) ReceiveMsg(m Message) {
 	if st == nil {
 		return
 	}
-	if c.dl2 == nil && st.sendPos > 0 {
+	if c.dl2.at < 0 && st.sendPos > 0 {
 		if pos := st.sendPos - 1; pos < c.lastRecvPos {
-			c.dl2 = &Violation{
-				Property: "DL2",
-				Index:    i,
-				Detail: fmt.Sprintf("receive_msg(%s) (sent at position %d) delivered after a message "+
-					"sent later (position %d): FIFO order broken", m, pos, c.lastRecvPos),
-			}
+			c.dl2 = msgFault{at: i, m: m}
 		} else if pos > c.lastRecvPos {
 			c.lastRecvPos = pos
 		}
@@ -215,7 +225,7 @@ func (c *LiveChecker) count(pd *pl1Dir, p Packet) *int {
 func (c *LiveChecker) SendPkt(d Dir, p Packet) {
 	c.idx++
 	pd := c.dir(d)
-	if pd == nil || pd.v != nil {
+	if pd == nil || pd.at >= 0 {
 		return
 	}
 	if pd.holding {
@@ -229,7 +239,7 @@ func (c *LiveChecker) ReceivePkt(d Dir, p Packet) {
 	i := c.idx
 	c.idx++
 	pd := c.dir(d)
-	if pd == nil || pd.v != nil {
+	if pd == nil || pd.at >= 0 {
 		return
 	}
 	if pd.holding && pd.held == p {
@@ -238,11 +248,7 @@ func (c *LiveChecker) ReceivePkt(d Dir, p Packet) {
 	}
 	n := c.count(pd, p)
 	if *n == 0 {
-		pd.v = &Violation{
-			Property: "PL1",
-			Index:    i,
-			Detail:   fmt.Sprintf("receive_pkt^%s(%s) without an unmatched preceding send_pkt", d, p),
-		}
+		pd.at = i
 		return
 	}
 	*n--
@@ -251,42 +257,116 @@ func (c *LiveChecker) ReceivePkt(d Dir, p Packet) {
 // Events reports how many actions the checker has observed.
 func (c *LiveChecker) Events() int { return c.idx }
 
-// Safety returns the first safety violation in CheckSafety's property order
-// (PL1 t→r, PL1 r→t, DL1, DL2), or nil.
-func (c *LiveChecker) Safety() error {
-	switch {
-	case c.pl1[0].v != nil:
-		return c.pl1[0].v
-	case c.pl1[1].v != nil:
-		return c.pl1[1].v
-	case c.dl1 != nil:
-		return c.dl1
-	case c.dl2 != nil:
-		return c.dl2
+// safetyProps names the safety properties in CheckSafety's order, the
+// order Safety() picks among their first violations in: PL1 t→r, PL1 r→t,
+// DL1, DL2.
+var safetyProps = [...]string{"PL1", "PL1", "DL1", "DL2"}
+
+// at returns the event index of property k's first violation, k an index
+// into safetyProps, or -1 while k holds.
+func (c *LiveChecker) at(k int) int {
+	switch k {
+	case 0, 1:
+		return c.pl1[k].at
+	case 2:
+		return c.dl1.at
 	}
-	return nil
+	return c.dl2.at
+}
+
+// first returns the property Safety() reports, as an index into
+// safetyProps, or -1 while every one holds.
+func (c *LiveChecker) first() int {
+	for k := range safetyProps {
+		if c.at(k) >= 0 {
+			return k
+		}
+	}
+	return -1
+}
+
+// Safety returns the first safety violation in CheckSafety's property order
+// (PL1 t→r, PL1 r→t, DL1, DL2), or nil. It builds the Violation on the first
+// call that returns it; later calls return the same pointer until the
+// verdict changes or Reset.
+func (c *LiveChecker) Safety() error {
+	k := c.first()
+	if k < 0 {
+		return nil
+	}
+	if k != c.vk {
+		c.v, c.vk = c.fault(k), k
+	}
+	return c.v
+}
+
+// SafetyVerdict returns the Property and Index of the violation Safety
+// returns, or "" and -1 when it returns nil, without building it.
+func (c *LiveChecker) SafetyVerdict() (property string, index int) {
+	k := c.first()
+	if k < 0 {
+		return "", -1
+	}
+	return safetyProps[k], c.at(k)
+}
+
+// fault builds property k's first violation, k an index into safetyProps,
+// or returns nil while k holds. The property stopped updating its state
+// when it fired, so what that state reads now is what it read then.
+func (c *LiveChecker) fault(k int) *Violation {
+	at := c.at(k)
+	if at < 0 {
+		return nil
+	}
+	v := &Violation{Property: safetyProps[k], Index: at}
+	switch k {
+	case 0, 1:
+		v.Detail = fmt.Sprintf("receive_pkt^%s(%s) without an unmatched preceding send_pkt",
+			[...]Dir{TtoR, RtoT}[k], c.pl1[k].last)
+	case 2:
+		// DL1's counts froze with the receive's unmatched sends, if any.
+		if m := c.dl1.m; m.ID < len(c.msgs) && c.msgs[m.ID].dl1Out > 0 {
+			v.Detail = fmt.Sprintf("receive_msg(%s) delivered payload %q but send_msg carried %q",
+				m, m.Payload, c.dl1Sent)
+		} else {
+			v.Detail = fmt.Sprintf("receive_msg(%s) has no unmatched preceding send_msg "+
+				"(duplicate or spurious delivery)", m)
+		}
+	case 3:
+		m := c.dl2.m
+		v.Detail = fmt.Sprintf("receive_msg(%s) (sent at position %d) delivered after a message "+
+			"sent later (position %d): FIFO order broken", m, c.msgs[m.ID].sendPos-1, c.lastRecvPos)
+	}
+	return v
+}
+
+// Stranded returns how many sends have no matching delivery, the count
+// DL3Quiescent's violation reports: DL3Quiescent returns nil exactly when
+// it is 0. It builds nothing.
+func (c *LiveChecker) Stranded() int {
+	n := 0
+	for i := range c.msgs {
+		n += c.msgs[i].unmatched
+	}
+	return n
 }
 
 // DL3Quiescent returns the end-of-stream quiescent-liveness verdict,
 // matching CheckDL3Quiescent on the observed trace. The scan runs in ID
 // order, so the first stranded ID is the first one it meets.
 func (c *LiveChecker) DL3Quiescent() error {
-	stranded, first := 0, -1
-	for id := range c.msgs {
-		if n := c.msgs[id].unmatched; n > 0 {
-			stranded += n
-			if first < 0 {
-				first = id
-			}
-		}
+	stranded := c.Stranded()
+	if stranded == 0 {
+		return nil
 	}
-	if stranded > 0 {
-		return &Violation{
-			Property: "DL3",
-			Index:    -1,
-			Detail: fmt.Sprintf("%d of %d sent messages have no matching delivery (first stranded id %d)",
-				stranded, c.sm, first),
-		}
+	first := 0
+	for c.msgs[first].unmatched == 0 {
+		first++
 	}
-	return nil
+	return &Violation{
+		Property: "DL3",
+		Index:    -1,
+		Detail: fmt.Sprintf("%d of %d sent messages have no matching delivery (first stranded id %d)",
+			stranded, c.sm, first),
+	}
 }

@@ -116,18 +116,25 @@ func recordedAttack(tb testing.TB) ioa.Trace {
 	return tr
 }
 
-// judge feeds tr to c and holds its verdicts to the batch checkers.
+// judge feeds tr to c, holding its queries to its verdicts after every
+// event, and to a new checker read only at the end, and holds both
+// checkers' verdicts to the batch checkers.
 func judge(t *testing.T, c *ioa.LiveChecker, tr ioa.Trace) {
 	t.Helper()
-	ioa.Feed(c, tr)
-	ioa.Diff(t, "safety", tr, ioa.CheckSafety(tr), c.Safety())
-	ioa.Diff(t, "dl3", tr, ioa.CheckDL3Quiescent(tr), c.DL3Quiescent())
+	late := ioa.NewLiveChecker()
+	ioa.FeedChecked(t, c, tr)
+	ioa.Feed(late, tr)
+	for _, k := range []*ioa.LiveChecker{c, late} {
+		ioa.Diff(t, "safety", tr, ioa.CheckSafety(tr), k.Safety())
+		ioa.Diff(t, "dl3", tr, ioa.CheckDL3Quiescent(tr), k.DL3Quiescent())
+	}
 }
 
 // FuzzLiveCheckerMatchesBatch holds the streaming checker to CheckSafety
 // and CheckDL3Quiescent on arbitrary event streams over small alphabets
-// and IDs 0–255, then resets it and holds it again on the stream's second
-// half, so state the first feed left behind must not show.
+// and IDs 0–255, and its queries to its verdicts after every event, then
+// resets it and holds it again on the stream's second half, so state the
+// first feed left behind must not show.
 func FuzzLiveCheckerMatchesBatch(f *testing.F) {
 	f.Add(encodeEvents(recordedAttack(f)))
 	f.Add([]byte{})

@@ -25,6 +25,47 @@ func Feed(c *LiveChecker, tr Trace) {
 	}
 }
 
+// FeedChecked is Feed with the checker's queries held to its verdicts after
+// every event, since the shrinker reads the verdict after every op group:
+// SafetyVerdict names the Property and Index of the violation Safety()
+// returns, or "" and -1 with it nil; a second Safety() call returns the same
+// pointer, and so does every later one while that verdict stands; and
+// Stranded is 0 exactly when DL3Quiescent() returns nil, and otherwise the
+// count its Detail reports. The native fuzz target uses it too.
+func FeedChecked(t *testing.T, c *LiveChecker, tr Trace) {
+	t.Helper()
+	var last error
+	lastP, lastAt := "", -1
+	for i := range tr {
+		Feed(c, tr[i:i+1])
+		s := c.Safety()
+		p, at := c.SafetyVerdict()
+		v, _ := AsViolation(s)
+		switch {
+		case s == nil && (p != "" || at != -1):
+			t.Fatalf("event %d: SafetyVerdict %q at %d, Safety() nil\ntrace: %v", i, p, at, tr)
+		case s != nil && (v.Property != p || v.Index != at):
+			t.Fatalf("event %d: SafetyVerdict %q at %d, Safety() %v\ntrace: %v", i, p, at, s, tr)
+		case s != c.Safety():
+			t.Fatalf("event %d: a second Safety() call returned another violation\ntrace: %v", i, tr)
+		case s != nil && p == lastP && at == lastAt && s != last:
+			t.Fatalf("event %d: Safety() rebuilt the violation it returned before\ntrace: %v", i, tr)
+		}
+		last, lastP, lastAt = s, p, at
+		n := c.Stranded()
+		d, _ := AsViolation(c.DL3Quiescent())
+		reported := 0
+		if d != nil {
+			if _, err := fmt.Sscanf(d.Detail, "%d of", &reported); err != nil {
+				t.Fatalf("event %d: DL3 detail %q: %v", i, d.Detail, err)
+			}
+		}
+		if n != reported || (n == 0) != (d == nil) {
+			t.Fatalf("event %d: Stranded %d, DL3Quiescent() %v\ntrace: %v", i, n, d, tr)
+		}
+	}
+}
+
 // Diff compares a batch checker's error with the live checker's, demanding
 // byte-identical violations (property, index and detail).
 func Diff(t *testing.T, what string, tr Trace, batch, live error) {
@@ -127,12 +168,41 @@ func runnerTrace(rng *rand.Rand, n int) Trace {
 	return tr
 }
 
+// reorderTrace generates message traffic alone: sends numbered 0, 1, 2, …
+// with distinct payloads, and receives of sent messages in any order, each
+// once, now and then with another message's payload. PL1 holds, and DL1
+// often does, so DL2 is the property Safety() reports in many of them.
+func reorderTrace(rng *rand.Rand, n int) Trace {
+	var tr Trace
+	var pending []int // sent IDs not yet received
+	for sent := 0; len(tr) < n; {
+		if len(pending) == 0 || rng.Intn(2) == 0 {
+			tr = append(tr, Event{Kind: SendMsg, Msg: Message{ID: sent, Payload: fmt.Sprintf("m%d", sent)}})
+			pending = append(pending, sent)
+			sent++
+			continue
+		}
+		j := rng.Intn(len(pending))
+		m := Message{ID: pending[j], Payload: fmt.Sprintf("m%d", pending[j])}
+		if rng.Intn(10) == 0 {
+			m.Payload = fmt.Sprintf("m%d", rng.Intn(sent))
+		}
+		tr = append(tr, Event{Kind: ReceiveMsg, Msg: m})
+		pending = append(pending[:j], pending[j+1:]...)
+	}
+	return tr
+}
+
 // TestLiveCheckerMatchesBatch is the equivalence property the interned fuzz
 // core's clean-run judging rests on: over thousands of adversarial and
 // runner-shaped random traces, the streaming checker agrees with
-// CheckSafety and CheckDL3Quiescent byte for byte, violations included.
-// One checker instance is Reset between traces of both families, so the
-// reuse path is what gets proved.
+// CheckSafety and CheckDL3Quiescent byte for byte, violations included,
+// whether it builds its violations as they fire or only at the end, and
+// its queries agree with its verdicts after every event. One checker
+// instance is Reset between traces of every family, so the reuse path is
+// what gets proved, and a Reset leaves no verdict behind. Each of the four
+// safety properties must be the one Safety() reports in some trace, or a
+// query that ignored it would pass.
 func TestLiveCheckerMatchesBatch(t *testing.T) {
 	c := NewLiveChecker()
 	// Fixed cases first. A packet event on a direction that is neither t→r
@@ -151,37 +221,53 @@ func TestLiveCheckerMatchesBatch(t *testing.T) {
 	families := []struct {
 		name string
 		gen  func(*rand.Rand, int) Trace
-	}{{"adversarial", randomTrace}, {"runner", runnerTrace}}
+	}{{"adversarial", randomTrace}, {"runner", runnerTrace}, {"reorder", reorderTrace}}
 	fired := make(map[string]map[string]int) // family -> property -> first violations seen
+	var reported [len(safetyProps)]int       // traces whose Safety() is each property's
 	for _, f := range families {
 		fired[f.name] = make(map[string]int)
 	}
+	// c is queried after every event, so it builds each violation as it
+	// fires; late is read only at the end, and builds them then.
+	late := NewLiveChecker()
 	for trial := 0; trial < 8000; trial++ {
 		f := families[trial%len(families)]
 		tr := f.gen(rng, 2+rng.Intn(40))
 		c.Reset()
-		Feed(c, tr)
-		Diff(t, f.name+" safety", tr, CheckSafety(tr), c.Safety())
-		Diff(t, f.name+" dl3", tr, CheckDL3Quiescent(tr), c.DL3Quiescent())
-		// Safety() shows only the first property in CheckSafety's order, so
-		// each property's own first violation is held to its batch checker
-		// too: a later property's state must be right even when an earlier
-		// one masks it.
-		for _, p := range []struct {
-			batch error
-			live  *Violation
-		}{
-			{CheckPL1(tr, TtoR), c.pl1[0].v},
-			{CheckPL1(tr, RtoT), c.pl1[1].v},
-			{CheckDL1(tr), c.dl1},
-			{CheckDL2(tr), c.dl2},
-		} {
-			var live error
-			if p.live != nil {
-				live = p.live
-				fired[f.name][p.live.Property]++
+		if p, at := c.SafetyVerdict(); c.Safety() != nil || p != "" || at != -1 || c.Stranded() != 0 || c.DL3Quiescent() != nil {
+			t.Fatalf("after Reset: Safety() %v, SafetyVerdict %q at %d, Stranded %d", c.Safety(), p, at, c.Stranded())
+		}
+		late.Reset()
+		FeedChecked(t, c, tr)
+		Feed(late, tr)
+		if k := c.first(); k >= 0 {
+			reported[k]++
+		}
+		for _, k := range []*LiveChecker{c, late} {
+			Diff(t, f.name+" safety", tr, CheckSafety(tr), k.Safety())
+			Diff(t, f.name+" dl3", tr, CheckDL3Quiescent(tr), k.DL3Quiescent())
+			// Safety() shows only the first property in CheckSafety's order,
+			// so each property's own first violation is held to its batch
+			// checker too: a later property's state must be right even when
+			// an earlier one masks it.
+			for _, p := range []struct {
+				batch error
+				live  *Violation
+			}{
+				{CheckPL1(tr, TtoR), k.fault(0)},
+				{CheckPL1(tr, RtoT), k.fault(1)},
+				{CheckDL1(tr), k.fault(2)},
+				{CheckDL2(tr), k.fault(3)},
+			} {
+				var live error
+				if p.live != nil {
+					live = p.live
+					if k == c {
+						fired[f.name][p.live.Property]++
+					}
+				}
+				Diff(t, f.name+" property", tr, p.batch, live)
 			}
-			Diff(t, f.name+" property", tr, p.batch, live)
 		}
 		if c.DL3Quiescent() != nil {
 			fired[f.name]["DL3"]++
@@ -190,6 +276,7 @@ func TestLiveCheckerMatchesBatch(t *testing.T) {
 	for name, want := range map[string][]string{
 		"adversarial": {"PL1", "DL1", "DL2", "DL3"},
 		"runner":      {"PL1", "DL1", "DL3"}, // receives in delivery order never invert DL2
+		"reorder":     {"DL1", "DL2", "DL3"},
 	} {
 		for _, prop := range want {
 			if fired[name][prop] == 0 {
@@ -197,7 +284,12 @@ func TestLiveCheckerMatchesBatch(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("8000 traces, first violations by family and property %v, zero divergence", fired)
+	for k, n := range reported {
+		if n == 0 {
+			t.Fatalf("no trace's Safety() reported property %d (%s); its query is untested", k, safetyProps[k])
+		}
+	}
+	t.Logf("8000 traces, first violations by family and property %v, Safety() by property %v, zero divergence", fired, reported)
 }
 
 // TestLiveCheckerResetLeaksNothing feeds a checker traces over one packet

@@ -275,7 +275,11 @@ func (w *worker) run(cfg SessionConfig) (*SessionResult, error) {
 
 // runToIdle steps the runner until the transmitter confirms every accepted
 // message, lifting wire arrivals between operations and force-releasing held
-// datagrams when the transmitter is stuck waiting on one.
+// datagrams when the transmitter is stuck waiting on one. A busy
+// transmitter of a registered protocol always has a packet to send
+// (protocol.TestContractBusyTransmits), so only a protocol that does not
+// retransmit, such as the send-once one TestSoakSessionsPinned runs, gets
+// stuck: the forced release is the guard for those.
 func (w *worker) runToIdle(p protocol.Protocol) error {
 	for steps := 0; w.runner.T.Busy(); steps++ {
 		if steps >= sessionStepBudget {

@@ -345,6 +345,44 @@ func TestContractBusyDrivesOutput(t *testing.T) {
 	}
 }
 
+// TestContractBusyTransmits: a busy transmitter always has a packet to
+// send, wherever a schedule of submits, sends, drops, holds, stale
+// deliveries and takes has taken it, not only right after a submit
+// (TestContractBusyDrivesOutput). The soak driver's stall path rests on it:
+// netlink's runToIdle force-releases a held datagram only when a busy
+// transmitter's step sends nothing, which a protocol that keeps this
+// contract never does.
+func TestContractBusyTransmits(t *testing.T) {
+	for _, p := range append(everyProtocol(), NewArrival()) {
+		CheckBusyTransmits(t, p)
+	}
+}
+
+// CheckBusyTransmits holds p to the contract TestContractBusyTransmits
+// names: over 40 seeded random schedules of 400 steps each (step), after
+// every step at which the transmitter is Busy, a clone of it must return a
+// packet from NextPkt. The clone keeps the probe from advancing the
+// transmitter itself. The transport protocols' external test calls it
+// too.
+func CheckBusyTransmits(t *testing.T, p Protocol) {
+	t.Helper()
+	for seed := int64(1); seed <= 40; seed++ {
+		w := newWire()
+		tx, rx := w.pair(p)
+		rng := rand.New(rand.NewSource(seed))
+		var b []byte
+		for i := 0; i < 400; i++ {
+			b = step(tx, rx, w, rng, i, b[:0])
+			if !tx.Busy() {
+				continue
+			}
+			if _, ok := tx.Clone().NextPkt(); !ok {
+				t.Fatalf("%s, seed %d, step %d: busy transmitter %s has no packet to send", p.Name(), seed, i, StateKey(tx))
+			}
+		}
+	}
+}
+
 // TestContractGarbageTolerance: endpoints must ignore packets outside
 // their alphabet without panicking or delivering.
 func TestContractGarbageTolerance(t *testing.T) {
@@ -568,11 +606,25 @@ func resetMatchesNew(t *testing.T, label string, p Protocol, tx Transmitter, rx 
 	}
 }
 
-// schedule drives tx and rx through n random steps over w — submits, sends
-// whose copy is delivered, held on w or dropped, deliveries of held
-// copies, and takes of the delivered payloads — and returns what each step
-// showed: the packets sent and payloads taken, and both state keys after.
+// schedule drives tx and rx through n random steps over w (step) and
+// returns what each step showed: the packets sent and payloads taken, and
+// both state keys after.
 func schedule(tx Transmitter, rx Receiver, w wire, rng *rand.Rand, n int) []string {
+	steps := make([]string, n)
+	var b []byte
+	for i := range steps {
+		b = step(tx, rx, w, rng, i, b[:0])
+		b = tx.AppendStateKey(b)
+		b = rx.AppendStateKey(append(b, ' '))
+		steps[i] = string(b)
+	}
+	return steps
+}
+
+// step takes schedule's step i — a submit, a send whose copy is delivered,
+// held on w or dropped, a delivery of a held copy, or a take of the
+// delivered payloads — and appends what it showed to b.
+func step(tx Transmitter, rx Receiver, w wire, rng *rand.Rand, i int, b []byte) []byte {
 	fate := func(p ioa.Packet, ch *channel.NonFIFO, deliver func(ioa.Packet)) {
 		switch rng.Intn(3) {
 		case 0:
@@ -588,35 +640,27 @@ func schedule(tx Transmitter, rx Receiver, w wire, rng *rand.Rand, n int) []stri
 			deliver(p)
 		}
 	}
-	steps := make([]string, n)
-	var b []byte
-	for i := range steps {
-		b = b[:0]
-		switch rng.Intn(6) {
-		case 0:
-			tx.SendMsg(Payload(i))
-		case 1:
-			p, ok := tx.NextPkt()
-			b = fmt.Appendf(b, "send %v %t; ", p, ok)
-			if ok {
-				fate(p, w.data, rx.DeliverPkt)
-			}
-		case 2:
-			p, ok := rx.NextPkt()
-			b = fmt.Appendf(b, "ack %v %t; ", p, ok)
-			if ok {
-				fate(p, w.ack, tx.DeliverPkt)
-			}
-		case 3:
-			stale(w.data, rx.DeliverPkt)
-		case 4:
-			stale(w.ack, tx.DeliverPkt)
-		case 5:
-			b = fmt.Appendf(b, "delivered %q; ", rx.TakeDelivered())
+	switch rng.Intn(6) {
+	case 0:
+		tx.SendMsg(Payload(i))
+	case 1:
+		p, ok := tx.NextPkt()
+		b = fmt.Appendf(b, "send %v %t; ", p, ok)
+		if ok {
+			fate(p, w.data, rx.DeliverPkt)
 		}
-		b = tx.AppendStateKey(b)
-		b = rx.AppendStateKey(append(b, ' '))
-		steps[i] = string(b)
+	case 2:
+		p, ok := rx.NextPkt()
+		b = fmt.Appendf(b, "ack %v %t; ", p, ok)
+		if ok {
+			fate(p, w.ack, tx.DeliverPkt)
+		}
+	case 3:
+		stale(w.data, rx.DeliverPkt)
+	case 4:
+		stale(w.ack, tx.DeliverPkt)
+	case 5:
+		b = fmt.Appendf(b, "delivered %q; ", rx.TakeDelivered())
 	}
-	return steps
+	return b
 }

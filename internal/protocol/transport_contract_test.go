@@ -17,3 +17,13 @@ func TestContractResetIsNewTransport(t *testing.T) {
 		protocol.CheckResetIsNew(t, reg[name])
 	}
 }
+
+// TestContractBusyTransmitsTransport holds the registry's sliding-window
+// and go-back-N pairs to the contract TestContractBusyTransmits checks
+// (CheckBusyTransmits).
+func TestContractBusyTransmitsTransport(t *testing.T) {
+	reg := transport.Registry()
+	for _, name := range transport.Names() {
+		protocol.CheckBusyTransmits(t, reg[name])
+	}
+}

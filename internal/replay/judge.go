@@ -25,6 +25,7 @@ type Exec struct {
 	dpol, apol channel.DecisionReplayer
 	seen       sightings // the closing drive's joint configurations
 	kbuf       []byte    // scratch for the closing drive's keys
+	refused    refusal   // Refuse's diagnosis, valid until its next Refuse
 
 	// The judge's execution: its decision streams, the policies'
 	// consultations of them, and the bookkeeping Result and DriveOutcome
@@ -142,11 +143,18 @@ func (x *Exec) Start(data, ack []trace.Decision, dataUsed, ackUsed *int, tlog *t
 // diagnosis CertifyLivelock refuses l with, text for text. nil means the
 // drive ends in a stranding cycle: only CertifyLivelock can certify such a
 // trace, and it may still refuse it after the drive (an empty cycle, or a
-// cycle that does not pump). The drive leaves the runner past l.
+// cycle that does not pump). The drive leaves the runner past l. The
+// refusal is the Exec's own, valid until its next Refuse, and the drive's
+// verdicts are read off the checker's queries, so a refusal allocates
+// nothing unless the drive violates safety.
 func (x *Exec) Refuse() error {
 	out := DriveOutcome{Mode: DriveReliable}
 	x.drive(DefaultDriveBudget, &out)
-	return refuse(&out)
+	safety, _ := ioa.AsViolation(x.Check.Safety())
+	if !x.refused.diagnose(&out, safety, x.Check.Stranded() > 0) {
+		return nil
+	}
+	return &x.refused
 }
 
 // The judge: Exec's re-executions of one trace, and of the candidates a
@@ -264,6 +272,8 @@ func (x *Exec) close(events []trace.Event, mode DriveMode, budget int) (*DriveOu
 	}
 	out := &DriveOutcome{Mode: mode, Ops: x.ops, StaleSkipped: x.staleSkipped, DecisionsExhausted: x.exhausted()}
 	x.drive(budget, out)
+	out.Safety, _ = ioa.AsViolation(x.Check.Safety())
+	out.DL3, _ = ioa.AsViolation(x.Check.DL3Quiescent())
 	return out, nil
 }
 

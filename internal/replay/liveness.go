@@ -152,9 +152,10 @@ func CloseDrive(l *trace.Log, mode DriveMode, budget int) (*DriveOutcome, error)
 // it switches the channels to the closing behaviour of out.Mode and steps
 // the transmitter and drains acks until the transmitter goes idle, a joint
 // configuration repeats, or budget rounds (<= 0 means DefaultDriveBudget)
-// have run. It records Rounds, Quiescent, the cycle, the checker's verdicts
-// and the message counts in out. A cycle's positions are capture-log event
-// indexes when the runner records a log, and round numbers when it does not.
+// have run. It records Rounds, Quiescent, the cycle and the message counts
+// in out, and leaves the verdicts to the caller: the checker holds them. A
+// cycle's positions are capture-log event indexes when the runner records
+// a log, and round numbers when it does not.
 func (x *Exec) drive(budget int, out *DriveOutcome) {
 	if budget <= 0 {
 		budget = DefaultDriveBudget
@@ -193,8 +194,6 @@ func (x *Exec) drive(budget int, out *DriveOutcome) {
 		r.DrainAcks()
 		out.Rounds++
 	}
-	out.Safety, _ = ioa.AsViolation(x.Check.Safety())
-	out.DL3, _ = ioa.AsViolation(x.Check.DL3Quiescent())
 	out.Submitted = r.SentMessages()
 	out.Delivered = len(r.Delivered())
 }
@@ -362,13 +361,12 @@ func CertifyLivelock(l *trace.Log, opts CertifyOptions) (*LivelockCert, error) {
 // safety violation, a recovery, or a stranding without a repeated
 // configuration. It returns nil for a stranding cycle.
 func refuse(out *DriveOutcome) error {
-	if out.Safety == nil && out.DL3 != nil && out.CycleFound {
+	var r refusal
+	if !r.diagnose(out, out.Safety, out.DL3 != nil) {
 		return nil
 	}
-	return &refusal{
-		safety: out.Safety, recovered: out.DL3 == nil, mode: out.Mode, quiescent: out.Quiescent,
-		rounds: out.Rounds, delivered: out.Delivered, submitted: out.Submitted,
-	}
+	kept := r // r stays on the stack, so a drive that cycles allocates none
+	return &kept
 }
 
 // refusal is refuse's diagnosis. It formats only when read: the fuzzer
@@ -378,6 +376,20 @@ type refusal struct {
 	recovered, quiescent         bool
 	mode                         DriveMode
 	rounds, delivered, submitted int
+}
+
+// diagnose sets r to the refusal of out, whose driven execution violates
+// safety (nil when it is safe) and strands a message or not, and reports
+// whether out is refused: false for a safe stranding cycle.
+func (r *refusal) diagnose(out *DriveOutcome, safety *ioa.Violation, strands bool) bool {
+	if safety == nil && strands && out.CycleFound {
+		return false
+	}
+	*r = refusal{
+		safety: safety, recovered: !strands, mode: out.Mode, quiescent: out.Quiescent,
+		rounds: out.Rounds, delivered: out.Delivered, submitted: out.Submitted,
+	}
+	return true
 }
 
 func (r *refusal) Error() string {

@@ -140,7 +140,7 @@ type oracle struct {
 }
 
 // safetyOracle preserves a specific safety property: Run's Verdict, judged
-// unrecorded.
+// unrecorded, by its property alone, so a candidate formats no Detail.
 func safetyOracle(property string) oracle {
 	return oracle{
 		property:   property,
@@ -150,8 +150,8 @@ func safetyOracle(property string) oracle {
 			if x.replay(keep, nil, false) != nil {
 				return false
 			}
-			v, _ := ioa.AsViolation(x.Check.Safety())
-			return v != nil && v.Property == property
+			p, _ := x.Check.SafetyVerdict()
+			return p == property
 		},
 	}
 }
@@ -171,7 +171,8 @@ func livenessOracle(mode DriveMode) oracle {
 			}
 			out := DriveOutcome{Mode: mode}
 			x.drive(0, &out)
-			return out.Safety == nil && out.DL3 != nil
+			p, _ := x.Check.SafetyVerdict()
+			return p == "" && x.Check.Stranded() > 0
 		},
 	}
 }
