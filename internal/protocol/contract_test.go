@@ -186,17 +186,26 @@ func TestContractCloneIsDeep(t *testing.T) {
 		}
 	}
 
-	// The other direction matters because pops shift a queue down in place:
-	// popping and refilling the original's queues after cloning must leave
-	// the clone's state, and the acks it has queued, as they were. A pair
-	// built the same way and never touched stands in for the clone.
 	for _, p := range append(everyProtocol(), NewArrival()) {
-		tx, rx := queuedPair(p)
-		wantT, wantR := queuedPair(p)
-		tc, rc := tx.Clone(), rx.Clone()
-		queuedPairRounds(tx, rx, 8)
-		samePair(t, p.Name()+": popping the original changed its clone", tc, rc, wantT, wantR)
+		CheckCloneIsDeep(t, p)
 	}
+}
+
+// CheckCloneIsDeep holds p's clones to the direction of the contract that
+// in-place pops and resets put at risk: the original's queues and the
+// clone's must share no storage. The transport protocols' external test
+// calls it too.
+func CheckCloneIsDeep(t *testing.T, p Protocol) {
+	t.Helper()
+	// Pops shift a queue down in place: popping and refilling the
+	// original's queues after cloning must leave the clone's state, and the
+	// acks it has queued, as they were. A pair built the same way and never
+	// touched stands in for the clone.
+	tx, rx := queuedPair(p)
+	wantT, wantR := queuedPair(p)
+	tc, rc := tx.Clone(), rx.Clone()
+	queuedPairRounds(tx, rx, 8)
+	samePair(t, p.Name()+": popping the original changed its clone", tc, rc, wantT, wantR)
 
 	// Reset keeps an endpoint's storage, so a clone sharing any of its
 	// original's would write into the original once reset and refilled.
@@ -204,46 +213,44 @@ func TestContractCloneIsDeep(t *testing.T) {
 	// were drained, and of each pair of corruption templates queued the same
 	// way, after the original has refilled its own queues, must leave the
 	// original as a twin built and refilled the same way and never cloned.
-	for _, p := range append(everyProtocol(), NewArrival()) {
-		type build struct {
-			label string
-			pair  func() (Transmitter, Receiver)
-		}
-		builds := []build{
-			{"queued pair", func() (Transmitter, Receiver) { return queuedPair(p) }},
-			{"drained pair", func() (Transmitter, Receiver) {
-				tx, rx := queuedPair(p)
-				for _, ok := rx.NextPkt(); ok; _, ok = rx.NextPkt() {
-				}
-				rx.TakeDelivered()
-				return tx, rx
-			}},
-		}
-		if c, ok := p.(Corruptible); ok {
-			space := c.Corruptions()
-			for i := range space.Transmitters {
-				for j := range space.Receivers {
-					builds = append(builds, build{fmt.Sprintf("corruption templates t%d r%d", i, j), func() (Transmitter, Receiver) {
-						space := c.Corruptions()
-						tx, rx := space.Transmitters[i], space.Receivers[j]
-						queueOn(p, tx, rx)
-						return tx, rx
-					}})
-				}
+	type build struct {
+		label string
+		pair  func() (Transmitter, Receiver)
+	}
+	builds := []build{
+		{"queued pair", func() (Transmitter, Receiver) { return queuedPair(p) }},
+		{"drained pair", func() (Transmitter, Receiver) {
+			tx, rx := queuedPair(p)
+			for _, ok := rx.NextPkt(); ok; _, ok = rx.NextPkt() {
+			}
+			rx.TakeDelivered()
+			return tx, rx
+		}},
+	}
+	if c, ok := p.(Corruptible); ok {
+		space := c.Corruptions()
+		for i := range space.Transmitters {
+			for j := range space.Receivers {
+				builds = append(builds, build{fmt.Sprintf("corruption templates t%d r%d", i, j), func() (Transmitter, Receiver) {
+					space := c.Corruptions()
+					tx, rx := space.Transmitters[i], space.Receivers[j]
+					queueOn(p, tx, rx)
+					return tx, rx
+				}})
 			}
 		}
-		for _, b := range builds {
-			tx, rx := b.pair()
-			wantT, wantR := b.pair()
-			tc, rc := tx.Clone(), rx.Clone()
-			queueOn(p, tx, rx)
-			queueOn(p, wantT, wantR)
-			tc.Reset()
-			rc.Reset()
-			queueOn(p, tc, rc)
-			queuedPairRounds(tc, rc, 8)
-			samePair(t, fmt.Sprintf("%s %s: resetting and refilling a clone changed its original", p.Name(), b.label), tx, rx, wantT, wantR)
-		}
+	}
+	for _, b := range builds {
+		tx, rx := b.pair()
+		wantT, wantR := b.pair()
+		tc, rc := tx.Clone(), rx.Clone()
+		queueOn(p, tx, rx)
+		queueOn(p, wantT, wantR)
+		tc.Reset()
+		rc.Reset()
+		queueOn(p, tc, rc)
+		queuedPairRounds(tc, rc, 8)
+		samePair(t, fmt.Sprintf("%s %s: resetting and refilling a clone changed its original", p.Name(), b.label), tx, rx, wantT, wantR)
 	}
 }
 

@@ -27,3 +27,14 @@ func TestContractBusyTransmitsTransport(t *testing.T) {
 		protocol.CheckBusyTransmits(t, reg[name])
 	}
 }
+
+// TestContractCloneIsDeepTransport holds the registry's sliding-window and
+// go-back-N pairs to the clone contract TestContractCloneIsDeep checks
+// (CheckCloneIsDeep): popping or resetting and refilling the original or
+// its clone never reaches the other.
+func TestContractCloneIsDeepTransport(t *testing.T) {
+	reg := transport.Registry()
+	for _, name := range transport.Names() {
+		protocol.CheckCloneIsDeep(t, reg[name])
+	}
+}
