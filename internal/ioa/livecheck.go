@@ -35,9 +35,8 @@ var _ Monitor = (*Recorder)(nil)
 // its Detail needs that the property's frozen state does not keep: the
 // received message for DL1 and DL2, and for DL1 the payload its send
 // carried. PL1's packet is its direction's last lookup, and DL2's two
-// positions are its own frozen counters. Safety() builds the Violation on
-// the first call that returns it, and returns that same pointer until the
-// verdict changes or Reset; DL3Quiescent() formats on each call.
+// positions are its own frozen counters. Safety() and DL3Quiescent() build
+// their Violation on each call.
 // SafetyVerdict and Stranded answer what those two would report without
 // building anything, for callers that read only whether, and where, a
 // property failed: most executions the fuzzer and the shrinker judge are
@@ -70,12 +69,10 @@ type LiveChecker struct {
 	pl1         [2]pl1Dir      // PL1 per direction: [0] t→r, [1] r→t
 	msgs        []msgState     // message ID -> its DL1, DL2 and DL3 state
 	dl1, dl2    msgFault
-	dl1Sent     string     // DL1: the payload its violating receive's send carried, if one is unmatched
-	v           *Violation // the violation Safety() returned last, nil until then
-	vk          int        // which one v is, an index into safetyProps; -1 with v nil
-	nsent       int        // DL2: sends counted while DL2 holds
-	lastRecvPos int        // DL2: highest send position received so far, -1 for none
-	sm          int        // DL3: send_msg actions
+	dl1Sent     string // DL1: the payload its violating receive's send carried, if one is unmatched
+	nsent       int    // DL2: sends counted while DL2 holds
+	lastRecvPos int    // DL2: highest send position received so far, -1 for none
+	sm          int    // DL3: send_msg actions
 }
 
 // pl1Dir is PL1's state for one channel direction. A packet's outstanding
@@ -129,7 +126,6 @@ func (c *LiveChecker) Reset() {
 	}
 	c.msgs = c.msgs[:0]
 	c.dl1, c.dl2, c.dl1Sent = msgFault{at: -1}, msgFault{at: -1}, ""
-	c.v, c.vk = nil, -1
 	c.nsent, c.lastRecvPos = 0, -1
 	c.sm = 0
 }
@@ -286,18 +282,13 @@ func (c *LiveChecker) first() int {
 }
 
 // Safety returns the first safety violation in CheckSafety's property order
-// (PL1 t→r, PL1 r→t, DL1, DL2), or nil. It builds the Violation on the first
-// call that returns it; later calls return the same pointer until the
-// verdict changes or Reset.
+// (PL1 t→r, PL1 r→t, DL1, DL2), or nil. Each call builds a new Violation.
 func (c *LiveChecker) Safety() error {
 	k := c.first()
 	if k < 0 {
 		return nil
 	}
-	if k != c.vk {
-		c.v, c.vk = c.fault(k), k
-	}
-	return c.v
+	return c.fault(k)
 }
 
 // SafetyVerdict returns the Property and Index of the violation Safety

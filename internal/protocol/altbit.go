@@ -60,7 +60,7 @@ func (AltBit) Corruptions() CorruptionSpace {
 		Transmitters: []Transmitter{
 			&altBitT{},
 			&altBitT{bit: 1},
-			&altBitT{busy: true, payload: "z"},
+			&altBitT{sender: sender{busy: true, payload: "z"}},
 		},
 		Receivers: []Receiver{
 			&altBitR{},
@@ -80,22 +80,11 @@ func (AltBit) Corruptions() CorruptionSpace {
 // altBitT is the alternating bit transmitter: resend the current data
 // packet until the matching ack arrives, then flip the bit.
 type altBitT struct {
-	bit     int
-	busy    bool
-	payload string
-	queue   []string
+	bit int
+	sender
 }
 
 var _ Transmitter = (*altBitT)(nil)
-
-func (t *altBitT) SendMsg(payload string) {
-	if t.busy {
-		t.queue = append(t.queue, payload)
-		return
-	}
-	t.busy = true
-	t.payload = payload
-}
 
 func (t *altBitT) DeliverPkt(p ioa.Packet) {
 	if !t.busy {
@@ -103,13 +92,8 @@ func (t *altBitT) DeliverPkt(p ioa.Packet) {
 	}
 	if p.Header == altBitAck[t.bit].Header {
 		// Current message acknowledged; move on.
-		t.busy = false
-		t.payload = ""
 		t.bit ^= 1
-		if len(t.queue) > 0 {
-			t.busy = true
-			t.payload = popFront(&t.queue)
-		}
+		t.confirm()
 	}
 	// Stale acks (wrong bit) are ignored.
 }
@@ -121,13 +105,11 @@ func (t *altBitT) NextPkt() (ioa.Packet, bool) {
 	return ioa.Packet{Header: altBitData[t.bit], Payload: t.payload}, true
 }
 
-func (t *altBitT) Busy() bool { return t.busy || len(t.queue) > 0 }
-
-func (t *altBitT) Reset() { *t = altBitT{queue: t.queue[:0]} }
+func (t *altBitT) Reset() { *t = altBitT{sender: t.reset()} }
 
 func (t *altBitT) Clone() Transmitter {
 	c := *t
-	c.queue = cloneQueue(t.queue)
+	c.sender = t.clone()
 	return &c
 }
 
@@ -137,15 +119,14 @@ func (t *altBitT) AppendStateKey(dst []byte) []byte {
 }
 
 func (t *altBitT) StateSize() int {
-	return 2 + len(t.payload) + queueBytes(t.queue)
+	return 2 + t.size()
 }
 
 // altBitR is the alternating bit receiver: deliver a data packet whose bit
 // matches the expected bit, acknowledge every data packet with its own bit.
 type altBitR struct {
-	expect    int
-	delivered []string
-	acks      []ioa.Packet
+	expect int
+	outbox
 }
 
 var _ Receiver = (*altBitR)(nil)
@@ -177,26 +158,11 @@ func (r *altBitR) DeliverPkt(p ioa.Packet) {
 	}
 }
 
-func (r *altBitR) NextPkt() (ioa.Packet, bool) {
-	if len(r.acks) == 0 {
-		return ioa.Packet{}, false
-	}
-	return popFront(&r.acks), true
-}
-
-func (r *altBitR) TakeDelivered() []string { return takeDelivered(&r.delivered) }
-
-func (r *altBitR) Reset() { *r = altBitR{delivered: r.delivered[:0], acks: r.acks[:0]} }
+func (r *altBitR) Reset() { *r = altBitR{outbox: r.reset()} }
 
 func (r *altBitR) Clone() Receiver {
 	c := *r
-	c.delivered = cloneQueue(r.delivered)
-	if len(r.acks) > 0 {
-		c.acks = make([]ioa.Packet, len(r.acks))
-		copy(c.acks, r.acks)
-	} else {
-		c.acks = nil
-	}
+	c.outbox = r.clone()
 	return &c
 }
 
@@ -206,5 +172,5 @@ func (r *altBitR) AppendStateKey(dst []byte) []byte {
 }
 
 func (r *altBitR) StateSize() int {
-	return 1 + len(r.acks) + queueBytes(r.delivered)
+	return 1 + r.size()
 }

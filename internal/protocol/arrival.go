@@ -74,34 +74,18 @@ var arrivalHeaders = newHeaderTable("s")
 // arrivalT is a stop-and-wait transmitter: send ⟨s<seq>, payload⟩ until ack
 // a<seq> arrives, then advance seq.
 type arrivalT struct {
-	seq     int
-	busy    bool
-	payload string
-	queue   []string
+	seq int
+	sender
 }
 
 var _ Transmitter = (*arrivalT)(nil)
-
-func (t *arrivalT) SendMsg(payload string) {
-	if t.busy {
-		t.queue = append(t.queue, payload)
-		return
-	}
-	t.busy = true
-	t.payload = payload
-}
 
 func (t *arrivalT) DeliverPkt(p ioa.Packet) {
 	if !t.busy || p.Header != "a"+strconv.Itoa(t.seq) {
 		return
 	}
-	t.busy = false
-	t.payload = ""
 	t.seq++
-	if len(t.queue) > 0 {
-		t.busy = true
-		t.payload = popFront(&t.queue)
-	}
+	t.confirm()
 }
 
 func (t *arrivalT) NextPkt() (ioa.Packet, bool) {
@@ -111,13 +95,11 @@ func (t *arrivalT) NextPkt() (ioa.Packet, bool) {
 	return ioa.Packet{Header: arrivalHeaders.at(t.seq), Payload: t.payload}, true
 }
 
-func (t *arrivalT) Busy() bool { return t.busy || len(t.queue) > 0 }
-
-func (t *arrivalT) Reset() { *t = arrivalT{queue: t.queue[:0]} }
+func (t *arrivalT) Reset() { *t = arrivalT{sender: t.reset()} }
 
 func (t *arrivalT) Clone() Transmitter {
 	c := *t
-	c.queue = cloneQueue(t.queue)
+	c.sender = t.clone()
 	return &c
 }
 
@@ -127,15 +109,14 @@ func (t *arrivalT) AppendStateKey(dst []byte) []byte {
 }
 
 func (t *arrivalT) StateSize() int {
-	return 2 + len(t.payload) + queueBytes(t.queue)
+	return 2 + t.size()
 }
 
 // arrivalR delivers each header's payload on first receipt, in arrival
 // order, and acknowledges every data packet.
 type arrivalR struct {
-	seen      []int // sorted distinct headers already delivered
-	delivered []string
-	acks      []ioa.Packet
+	seen []int // sorted distinct headers already delivered
+	outbox
 }
 
 var _ Receiver = (*arrivalR)(nil)
@@ -161,34 +142,12 @@ func (r *arrivalR) DeliverPkt(p ioa.Packet) {
 	r.delivered = append(r.delivered, p.Payload)
 }
 
-func (r *arrivalR) NextPkt() (ioa.Packet, bool) {
-	if len(r.acks) == 0 {
-		return ioa.Packet{}, false
-	}
-	return popFront(&r.acks), true
-}
-
-func (r *arrivalR) TakeDelivered() []string { return takeDelivered(&r.delivered) }
-
-func (r *arrivalR) Reset() {
-	*r = arrivalR{seen: r.seen[:0], delivered: r.delivered[:0], acks: r.acks[:0]}
-}
+func (r *arrivalR) Reset() { *r = arrivalR{seen: r.seen[:0], outbox: r.reset()} }
 
 func (r *arrivalR) Clone() Receiver {
 	c := *r
-	if len(r.seen) > 0 {
-		c.seen = make([]int, len(r.seen))
-		copy(c.seen, r.seen)
-	} else {
-		c.seen = nil
-	}
-	c.delivered = cloneQueue(r.delivered)
-	if len(r.acks) > 0 {
-		c.acks = make([]ioa.Packet, len(r.acks))
-		copy(c.acks, r.acks)
-	} else {
-		c.acks = nil
-	}
+	c.seen = cloneQueue(r.seen)
+	c.outbox = r.clone()
 	return &c
 }
 
@@ -205,5 +164,5 @@ func (r *arrivalR) AppendStateKey(dst []byte) []byte {
 }
 
 func (r *arrivalR) StateSize() int {
-	return 1 + len(r.seen) + len(r.acks) + queueBytes(r.delivered)
+	return 1 + len(r.seen) + r.size()
 }

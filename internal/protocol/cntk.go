@@ -89,10 +89,8 @@ type cntkT struct {
 	k        int
 	ackGenie channel.Genie
 
-	phase   int // number of confirmed messages; current phase index
-	busy    bool
-	payload string
-	queue   []string
+	phase int // number of confirmed messages; current phase index
+	sender
 
 	ackStale int
 	ackFresh int
@@ -110,16 +108,13 @@ func (t *cntkT) SetAckGenie(g channel.Genie) {
 }
 
 func (t *cntkT) SendMsg(payload string) {
-	if t.busy {
-		t.queue = append(t.queue, payload)
-		return
+	if t.accept(payload) {
+		t.startPhase()
 	}
-	t.startPhase(payload)
 }
 
-func (t *cntkT) startPhase(payload string) {
-	t.busy = true
-	t.payload = payload
+// startPhase starts counting acks for the message just made current.
+func (t *cntkT) startPhase() {
 	t.ackFresh = 0
 	t.ackStale = t.ackGenie.Stale(cntkAckHeader(t.k, t.phase))
 }
@@ -130,11 +125,9 @@ func (t *cntkT) DeliverPkt(p ioa.Packet) {
 	}
 	t.ackFresh++
 	if t.ackFresh > t.ackStale {
-		t.busy = false
-		t.payload = ""
 		t.phase++
-		if len(t.queue) > 0 {
-			t.startPhase(popFront(&t.queue))
+		if t.confirm() {
+			t.startPhase()
 		}
 	}
 }
@@ -146,13 +139,11 @@ func (t *cntkT) NextPkt() (ioa.Packet, bool) {
 	return ioa.Packet{Header: cntkDataHeader(t.k, t.phase), Payload: t.payload}, true
 }
 
-func (t *cntkT) Busy() bool { return t.busy || len(t.queue) > 0 }
-
-func (t *cntkT) Reset() { *t = cntkT{k: t.k, ackGenie: t.ackGenie, queue: t.queue[:0]} }
+func (t *cntkT) Reset() { *t = cntkT{k: t.k, ackGenie: t.ackGenie, sender: t.reset()} }
 
 func (t *cntkT) Clone() Transmitter {
 	c := *t
-	c.queue = cloneQueue(t.queue)
+	c.sender = t.clone()
 	return &c
 }
 
@@ -174,7 +165,7 @@ func (t *cntkT) AppendControlKey(dst []byte) []byte {
 }
 
 func (t *cntkT) StateSize() int {
-	return 1 + len(t.payload) + queueBytes(t.queue) +
+	return 1 + t.size() +
 		len(strconv.Itoa(t.phase)) + len(strconv.Itoa(t.ackStale)) + len(strconv.Itoa(t.ackFresh))
 }
 
@@ -188,8 +179,7 @@ type cntkR struct {
 	staleSnap    int
 	fresh        payloadCounts
 
-	delivered []string
-	acks      []ioa.Packet
+	outbox
 }
 
 var _ Receiver = (*cntkR)(nil)
@@ -227,29 +217,14 @@ func (r *cntkR) DeliverPkt(p ioa.Packet) {
 	}
 }
 
-func (r *cntkR) NextPkt() (ioa.Packet, bool) {
-	if len(r.acks) == 0 {
-		return ioa.Packet{}, false
-	}
-	return popFront(&r.acks), true
-}
-
-func (r *cntkR) TakeDelivered() []string { return takeDelivered(&r.delivered) }
-
 func (r *cntkR) Reset() {
-	*r = cntkR{k: r.k, dataGenie: r.dataGenie, lastAccepted: -1, delivered: r.delivered[:0], acks: r.acks[:0]}
+	*r = cntkR{k: r.k, dataGenie: r.dataGenie, lastAccepted: -1, outbox: r.reset()}
 	r.snapshot()
 }
 
 func (r *cntkR) Clone() Receiver {
 	c := *r
-	c.delivered = cloneQueue(r.delivered)
-	if len(r.acks) > 0 {
-		c.acks = make([]ioa.Packet, len(r.acks))
-		copy(c.acks, r.acks)
-	} else {
-		c.acks = nil
-	}
+	c.outbox = r.clone()
 	c.fresh = r.fresh.clone()
 	return &c
 }
@@ -276,7 +251,7 @@ func (r *cntkR) AppendControlKey(dst []byte) []byte {
 }
 
 func (r *cntkR) StateSize() int {
-	n := 2 + len(r.acks) + queueBytes(r.delivered)
+	n := 2 + r.size()
 	n += len(strconv.Itoa(r.accepted)) + len(strconv.Itoa(r.staleSnap))
 	for _, e := range r.fresh {
 		n += len(e.payload) + len(strconv.Itoa(e.n))

@@ -206,10 +206,8 @@ type countingT struct {
 	mode     countingMode
 	ackGenie channel.Genie
 
-	bit     int
-	busy    bool
-	payload string
-	queue   []string
+	bit int
+	sender
 
 	ackStale int    // stale ack copies of the current bit at phase start
 	ackFresh int    // same-bit ack copies received since phase start
@@ -228,16 +226,13 @@ func (t *countingT) SetAckGenie(g channel.Genie) {
 }
 
 func (t *countingT) SendMsg(payload string) {
-	if t.busy {
-		t.queue = append(t.queue, payload)
-		return
+	if t.accept(payload) {
+		t.startPhase()
 	}
-	t.startPhase(payload)
 }
 
-func (t *countingT) startPhase(payload string) {
-	t.busy = true
-	t.payload = payload
+// startPhase starts counting acks for the message just made current.
+func (t *countingT) startPhase() {
 	t.ackFresh = 0
 	t.ackStale = t.ackGenie.Stale(ackHeader(t.bit))
 	if t.mode == modeExp && t.ackEver[t.bit] > t.ackStale {
@@ -262,11 +257,9 @@ func (t *countingT) DeliverPkt(p ioa.Packet) {
 	t.ackFresh++
 	if t.ackFresh > t.ackStale {
 		// At least one fresh ack: the receiver accepted this phase.
-		t.busy = false
-		t.payload = ""
 		t.bit ^= 1
-		if len(t.queue) > 0 {
-			t.startPhase(popFront(&t.queue))
+		if t.confirm() {
+			t.startPhase()
 		}
 	}
 }
@@ -279,15 +272,11 @@ func (t *countingT) NextPkt() (ioa.Packet, bool) {
 	return ioa.Packet{Header: dataHeader(t.bit), Payload: t.payload}, true
 }
 
-func (t *countingT) Busy() bool { return t.busy || len(t.queue) > 0 }
-
-func (t *countingT) Reset() {
-	*t = countingT{mode: t.mode, ackGenie: t.ackGenie, queue: t.queue[:0]}
-}
+func (t *countingT) Reset() { *t = countingT{mode: t.mode, ackGenie: t.ackGenie, sender: t.reset()} }
 
 func (t *countingT) Clone() Transmitter {
 	c := *t
-	c.queue = cloneQueue(t.queue)
+	c.sender = t.clone()
 	return &c
 }
 
@@ -318,7 +307,7 @@ func (t *countingT) AppendControlKey(dst []byte) []byte {
 // Theorem 3.1 made visible.
 func (t *countingT) StateSize() int {
 	words := []int{t.ackStale, t.ackFresh, t.ackEver[0], t.ackEver[1], t.sent[0], t.sent[1]}
-	n := 1 + len(t.payload) + queueBytes(t.queue)
+	n := 1 + t.size()
 	for _, w := range words {
 		n += len(strconv.Itoa(w))
 	}
@@ -339,8 +328,7 @@ type countingR struct {
 	fresh        payloadCounts
 	recvEver     [2]int
 
-	delivered []string
-	acks      []ioa.Packet
+	outbox
 }
 
 var _ Receiver = (*countingR)(nil)
@@ -413,30 +401,14 @@ func (r *countingR) DeliverPkt(p ioa.Packet) {
 	}
 }
 
-func (r *countingR) NextPkt() (ioa.Packet, bool) {
-	if len(r.acks) == 0 {
-		return ioa.Packet{}, false
-	}
-	return popFront(&r.acks), true
-}
-
-func (r *countingR) TakeDelivered() []string { return takeDelivered(&r.delivered) }
-
 func (r *countingR) Reset() {
-	*r = countingR{mode: r.mode, d: r.d, dataGenie: r.dataGenie, lastAccepted: -1,
-		delivered: r.delivered[:0], acks: r.acks[:0]}
+	*r = countingR{mode: r.mode, d: r.d, dataGenie: r.dataGenie, lastAccepted: -1, outbox: r.reset()}
 	r.snapshot()
 }
 
 func (r *countingR) Clone() Receiver {
 	c := *r
-	c.delivered = cloneQueue(r.delivered)
-	if len(r.acks) > 0 {
-		c.acks = make([]ioa.Packet, len(r.acks))
-		copy(c.acks, r.acks)
-	} else {
-		c.acks = nil
-	}
+	c.outbox = r.clone()
 	c.fresh = r.fresh.clone()
 	return &c
 }
@@ -464,7 +436,7 @@ func (r *countingR) AppendControlKey(dst []byte) []byte {
 // transmitter, these grow with channel history (Theorem 3.1's unbounded
 // space).
 func (r *countingR) StateSize() int {
-	n := 2 + len(r.acks) + queueBytes(r.delivered)
+	n := 2 + r.size()
 	n += len(strconv.Itoa(r.staleSnap))
 	n += len(strconv.Itoa(r.recvEver[0])) + len(strconv.Itoa(r.recvEver[1]))
 	for _, e := range r.fresh {

@@ -388,6 +388,94 @@ func (k keyBuf) payloads(pc payloadCounts) keyBuf {
 	return k
 }
 
+// sender is a stop-and-wait transmitter's message queue: the message it
+// is working on (payload, while busy) and the messages submitted behind it,
+// in FIFO order. The transmitters embed it, so their key renderers read
+// busy, payload and queue, and SendMsg and Busy are theirs.
+type sender struct {
+	busy    bool
+	payload string
+	queue   []string
+}
+
+// SendMsg implements Transmitter.
+func (s *sender) SendMsg(payload string) { s.accept(payload) }
+
+// Busy implements Transmitter.
+func (s *sender) Busy() bool { return s.busy || len(s.queue) > 0 }
+
+// accept queues payload behind the current message, or makes it the
+// current message and reports true if there is none.
+func (s *sender) accept(payload string) bool {
+	if s.busy {
+		s.queue = append(s.queue, payload)
+		return false
+	}
+	s.busy, s.payload = true, payload
+	return true
+}
+
+// confirm ends the current message, makes the oldest queued one current and
+// reports whether there was one.
+func (s *sender) confirm() bool {
+	s.busy, s.payload = false, ""
+	if len(s.queue) == 0 {
+		return false
+	}
+	s.busy, s.payload = true, popFront(&s.queue)
+	return true
+}
+
+// reset returns the idle sender New gives, on s's queue storage.
+func (s *sender) reset() sender { return sender{queue: s.queue[:0]} }
+
+// clone returns a copy of s that shares no storage with it.
+func (s *sender) clone() sender {
+	c := *s
+	c.queue = cloneQueue(s.queue)
+	return c
+}
+
+// size is the sender's share of StateSize: the payloads it holds.
+func (s *sender) size() int { return len(s.payload) + queueBytes(s.queue) }
+
+// outbox is a stop-and-wait receiver's output: the payloads delivered since
+// the last TakeDelivered and the acks waiting to be sent, oldest first. The
+// receivers embed it, so their key renderers read acks and delivered, and
+// NextPkt and TakeDelivered are theirs.
+type outbox struct {
+	delivered []string
+	acks      []ioa.Packet
+}
+
+// NextPkt implements Receiver: it sends the oldest waiting ack.
+func (o *outbox) NextPkt() (ioa.Packet, bool) {
+	if len(o.acks) == 0 {
+		return ioa.Packet{}, false
+	}
+	return popFront(&o.acks), true
+}
+
+// TakeDelivered implements Receiver: it hands out the delivered slice and
+// keeps its storage at length 0 for the next deliveries.
+func (o *outbox) TakeDelivered() []string {
+	out := o.delivered
+	o.delivered = out[:0]
+	return out
+}
+
+// reset returns the empty outbox New gives, on o's storage.
+func (o *outbox) reset() outbox { return outbox{delivered: o.delivered[:0], acks: o.acks[:0]} }
+
+// clone returns a copy of o that shares no storage with it.
+func (o *outbox) clone() outbox {
+	return outbox{delivered: cloneQueue(o.delivered), acks: cloneQueue(o.acks)}
+}
+
+// size is the outbox's share of StateSize: an ack counts one, a delivered
+// payload its bytes.
+func (o *outbox) size() int { return len(o.acks) + queueBytes(o.delivered) }
+
 // queueBytes is a space proxy for queued payloads.
 func queueBytes(q []string) int {
 	n := 0
@@ -397,12 +485,12 @@ func queueBytes(q []string) int {
 	return n
 }
 
-// cloneQueue deep-copies a payload queue.
-func cloneQueue(q []string) []string {
+// cloneQueue deep-copies a queue.
+func cloneQueue[E any](q []E) []E {
 	if len(q) == 0 {
 		return nil
 	}
-	out := make([]string, len(q))
+	out := make([]E, len(q))
 	copy(out, q)
 	return out
 }
@@ -419,14 +507,6 @@ func popFront[E any](q *[]E) E {
 	s[n] = zero
 	*q = s[:n]
 	return head
-}
-
-// takeDelivered returns *delivered and keeps its storage at length 0 for
-// the receiver's next deliveries (Receiver.TakeDelivered).
-func takeDelivered(delivered *[]string) []string {
-	out := *delivered
-	*delivered = out[:0]
-	return out
 }
 
 // headerTable holds the headers prefix+"0" to prefix+"63", so the protocols

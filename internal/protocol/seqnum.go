@@ -52,35 +52,19 @@ func (SeqNum) New(_, _ channel.Genie) (Transmitter, Receiver) {
 var dataHeaders, ackHeaders = newHeaderTable("d"), newHeaderTable("a")
 
 type seqNumT struct {
-	seq     int // sequence number of the current message
-	busy    bool
-	payload string
-	queue   []string
+	seq int // sequence number of the current message
+	sender
 }
 
 var _ Transmitter = (*seqNumT)(nil)
-
-func (t *seqNumT) SendMsg(payload string) {
-	if t.busy {
-		t.queue = append(t.queue, payload)
-		return
-	}
-	t.busy = true
-	t.payload = payload
-}
 
 func (t *seqNumT) DeliverPkt(p ioa.Packet) {
 	if !t.busy {
 		return
 	}
 	if p.Header == "a"+strconv.Itoa(t.seq) {
-		t.busy = false
-		t.payload = ""
 		t.seq++
-		if len(t.queue) > 0 {
-			t.busy = true
-			t.payload = popFront(&t.queue)
-		}
+		t.confirm()
 	}
 	// Acks for already-confirmed messages are stale; ignore.
 }
@@ -92,13 +76,11 @@ func (t *seqNumT) NextPkt() (ioa.Packet, bool) {
 	return ioa.Packet{Header: dataHeaders.at(t.seq), Payload: t.payload}, true
 }
 
-func (t *seqNumT) Busy() bool { return t.busy || len(t.queue) > 0 }
-
-func (t *seqNumT) Reset() { *t = seqNumT{queue: t.queue[:0]} }
+func (t *seqNumT) Reset() { *t = seqNumT{sender: t.reset()} }
 
 func (t *seqNumT) Clone() Transmitter {
 	c := *t
-	c.queue = cloneQueue(t.queue)
+	c.sender = t.clone()
 	return &c
 }
 
@@ -109,13 +91,12 @@ func (t *seqNumT) AppendStateKey(dst []byte) []byte {
 
 // StateSize is O(log n): the counter's decimal width plus pending payloads.
 func (t *seqNumT) StateSize() int {
-	return len(strconv.Itoa(t.seq)) + len(t.payload) + queueBytes(t.queue)
+	return len(strconv.Itoa(t.seq)) + t.size()
 }
 
 type seqNumR struct {
-	next      int // next expected sequence number
-	delivered []string
-	acks      []ioa.Packet
+	next int // next expected sequence number
+	outbox
 }
 
 var _ Receiver = (*seqNumR)(nil)
@@ -143,26 +124,11 @@ func (r *seqNumR) DeliverPkt(p ioa.Packet) {
 	}
 }
 
-func (r *seqNumR) NextPkt() (ioa.Packet, bool) {
-	if len(r.acks) == 0 {
-		return ioa.Packet{}, false
-	}
-	return popFront(&r.acks), true
-}
-
-func (r *seqNumR) TakeDelivered() []string { return takeDelivered(&r.delivered) }
-
-func (r *seqNumR) Reset() { *r = seqNumR{delivered: r.delivered[:0], acks: r.acks[:0]} }
+func (r *seqNumR) Reset() { *r = seqNumR{outbox: r.reset()} }
 
 func (r *seqNumR) Clone() Receiver {
 	c := *r
-	c.delivered = cloneQueue(r.delivered)
-	if len(r.acks) > 0 {
-		c.acks = make([]ioa.Packet, len(r.acks))
-		copy(c.acks, r.acks)
-	} else {
-		c.acks = nil
-	}
+	c.outbox = r.clone()
 	return &c
 }
 
@@ -172,5 +138,5 @@ func (r *seqNumR) AppendStateKey(dst []byte) []byte {
 }
 
 func (r *seqNumR) StateSize() int {
-	return len(strconv.Itoa(r.next)) + len(r.acks) + queueBytes(r.delivered)
+	return len(strconv.Itoa(r.next)) + r.size()
 }

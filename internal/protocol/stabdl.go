@@ -105,7 +105,7 @@ func (p StabDL) Corruptions() CorruptionSpace {
 		Transmitters: []Transmitter{
 			&stabDLT{c: p.c, k: p.K()},
 			&stabDLT{c: p.c, k: p.K(), label: 1},
-			&stabDLT{c: p.c, k: p.K(), busy: true, payload: "z", acked: p.c},
+			&stabDLT{c: p.c, k: p.K(), sender: sender{busy: true, payload: "z"}, acked: p.c},
 		},
 		Receivers: []Receiver{
 			&stabDLR{c: p.c, k: p.K()},
@@ -125,24 +125,13 @@ func (p StabDL) Corruptions() CorruptionSpace {
 
 // stabDLT retransmits ⟨d<label>, payload⟩ until C+1 acks a<label> arrive.
 type stabDLT struct {
-	c, k    int
-	label   int
-	busy    bool
-	payload string
-	acked   int
-	queue   []string
+	c, k  int
+	label int
+	acked int
+	sender
 }
 
 var _ Transmitter = (*stabDLT)(nil)
-
-func (t *stabDLT) SendMsg(payload string) {
-	if t.busy {
-		t.queue = append(t.queue, payload)
-		return
-	}
-	t.busy = true
-	t.payload = payload
-}
 
 func (t *stabDLT) DeliverPkt(p ioa.Packet) {
 	if !t.busy {
@@ -155,14 +144,9 @@ func (t *stabDLT) DeliverPkt(p ioa.Packet) {
 	if t.acked < t.c+1 {
 		return
 	}
-	t.busy = false
-	t.payload = ""
 	t.acked = 0
 	t.label = (t.label + 1) % t.k
-	if len(t.queue) > 0 {
-		t.busy = true
-		t.payload = popFront(&t.queue)
-	}
+	t.confirm()
 }
 
 func (t *stabDLT) NextPkt() (ioa.Packet, bool) {
@@ -172,13 +156,11 @@ func (t *stabDLT) NextPkt() (ioa.Packet, bool) {
 	return ioa.Packet{Header: "d" + strconv.Itoa(t.label), Payload: t.payload}, true
 }
 
-func (t *stabDLT) Busy() bool { return t.busy || len(t.queue) > 0 }
-
-func (t *stabDLT) Reset() { *t = stabDLT{c: t.c, k: t.k, queue: t.queue[:0]} }
+func (t *stabDLT) Reset() { *t = stabDLT{c: t.c, k: t.k, sender: t.reset()} }
 
 func (t *stabDLT) Clone() Transmitter {
 	c := *t
-	c.queue = cloneQueue(t.queue)
+	c.sender = t.clone()
 	return &c
 }
 
@@ -189,7 +171,7 @@ func (t *stabDLT) AppendStateKey(dst []byte) []byte {
 }
 
 func (t *stabDLT) StateSize() int {
-	return 3 + len(t.payload) + queueBytes(t.queue)
+	return 3 + t.size()
 }
 
 // stabDLR tracks one candidate (header, payload) pair and adopts it after
@@ -201,10 +183,9 @@ type stabDLR struct {
 	fence string
 	// cand and candN are the current candidate pair and its run of
 	// consecutive receipts. A receipt of a different pair restarts the run.
-	cand      string
-	candN     int
-	delivered []string
-	acks      []ioa.Packet
+	cand  string
+	candN int
+	outbox
 }
 
 var _ Receiver = (*stabDLR)(nil)
@@ -242,28 +223,11 @@ func (r *stabDLR) DeliverPkt(p ioa.Packet) {
 	r.acks = append(r.acks, ioa.Packet{Header: "a" + rest})
 }
 
-func (r *stabDLR) NextPkt() (ioa.Packet, bool) {
-	if len(r.acks) == 0 {
-		return ioa.Packet{}, false
-	}
-	return popFront(&r.acks), true
-}
-
-func (r *stabDLR) TakeDelivered() []string { return takeDelivered(&r.delivered) }
-
-func (r *stabDLR) Reset() {
-	*r = stabDLR{c: r.c, k: r.k, delivered: r.delivered[:0], acks: r.acks[:0]}
-}
+func (r *stabDLR) Reset() { *r = stabDLR{c: r.c, k: r.k, outbox: r.reset()} }
 
 func (r *stabDLR) Clone() Receiver {
 	c := *r
-	c.delivered = cloneQueue(r.delivered)
-	if len(r.acks) > 0 {
-		c.acks = make([]ioa.Packet, len(r.acks))
-		copy(c.acks, r.acks)
-	} else {
-		c.acks = nil
-	}
+	c.outbox = r.clone()
 	return &c
 }
 
@@ -274,5 +238,5 @@ func (r *stabDLR) AppendStateKey(dst []byte) []byte {
 }
 
 func (r *stabDLR) StateSize() int {
-	return 3 + len(r.fence) + len(r.cand) + len(r.acks) + queueBytes(r.delivered)
+	return 3 + len(r.fence) + len(r.cand) + r.size()
 }

@@ -78,34 +78,18 @@ func (StabNaive) Corruptions() CorruptionSpace {
 
 // stabNaiveT retransmits ⟨c<round>, payload⟩ until ack k<round> arrives.
 type stabNaiveT struct {
-	round   int
-	busy    bool
-	payload string
-	queue   []string
+	round int
+	sender
 }
 
 var _ Transmitter = (*stabNaiveT)(nil)
-
-func (t *stabNaiveT) SendMsg(payload string) {
-	if t.busy {
-		t.queue = append(t.queue, payload)
-		return
-	}
-	t.busy = true
-	t.payload = payload
-}
 
 func (t *stabNaiveT) DeliverPkt(p ioa.Packet) {
 	if !t.busy || p.Header != "k"+strconv.Itoa(t.round) {
 		return
 	}
-	t.busy = false
-	t.payload = ""
 	t.round = (t.round + 1) % stabNaiveRounds
-	if len(t.queue) > 0 {
-		t.busy = true
-		t.payload = popFront(&t.queue)
-	}
+	t.confirm()
 }
 
 func (t *stabNaiveT) NextPkt() (ioa.Packet, bool) {
@@ -115,13 +99,11 @@ func (t *stabNaiveT) NextPkt() (ioa.Packet, bool) {
 	return ioa.Packet{Header: "c" + strconv.Itoa(t.round), Payload: t.payload}, true
 }
 
-func (t *stabNaiveT) Busy() bool { return t.busy || len(t.queue) > 0 }
-
-func (t *stabNaiveT) Reset() { *t = stabNaiveT{queue: t.queue[:0]} }
+func (t *stabNaiveT) Reset() { *t = stabNaiveT{sender: t.reset()} }
 
 func (t *stabNaiveT) Clone() Transmitter {
 	c := *t
-	c.queue = cloneQueue(t.queue)
+	c.sender = t.clone()
 	return &c
 }
 
@@ -131,15 +113,14 @@ func (t *stabNaiveT) AppendStateKey(dst []byte) []byte {
 }
 
 func (t *stabNaiveT) StateSize() int {
-	return 2 + len(t.payload) + queueBytes(t.queue)
+	return 2 + t.size()
 }
 
 // stabNaiveR accepts only the current round, re-acks only the previous one,
 // and silently ignores everything else — the missing repair rule.
 type stabNaiveR struct {
-	round     int
-	delivered []string
-	acks      []ioa.Packet
+	round int
+	outbox
 }
 
 var _ Receiver = (*stabNaiveR)(nil)
@@ -167,26 +148,11 @@ func (r *stabNaiveR) DeliverPkt(p ioa.Packet) {
 	}
 }
 
-func (r *stabNaiveR) NextPkt() (ioa.Packet, bool) {
-	if len(r.acks) == 0 {
-		return ioa.Packet{}, false
-	}
-	return popFront(&r.acks), true
-}
-
-func (r *stabNaiveR) TakeDelivered() []string { return takeDelivered(&r.delivered) }
-
-func (r *stabNaiveR) Reset() { *r = stabNaiveR{delivered: r.delivered[:0], acks: r.acks[:0]} }
+func (r *stabNaiveR) Reset() { *r = stabNaiveR{outbox: r.reset()} }
 
 func (r *stabNaiveR) Clone() Receiver {
 	c := *r
-	c.delivered = cloneQueue(r.delivered)
-	if len(r.acks) > 0 {
-		c.acks = make([]ioa.Packet, len(r.acks))
-		copy(c.acks, r.acks)
-	} else {
-		c.acks = nil
-	}
+	c.outbox = r.clone()
 	return &c
 }
 
@@ -196,5 +162,5 @@ func (r *stabNaiveR) AppendStateKey(dst []byte) []byte {
 }
 
 func (r *stabNaiveR) StateSize() int {
-	return 1 + len(r.acks) + queueBytes(r.delivered)
+	return 1 + r.size()
 }

@@ -54,9 +54,10 @@ import (
 //
 // The result is the *re-recorded* log of the final candidate, not the
 // candidate itself: only the kept candidate is re-driven, on the same
-// executor, with recording, and its verdict event is the batch checkers'
-// over the recorded ioa.Trace, so what Shrink returns is an execution the
-// replayer actually performed, verdict included, never a speculative edit.
+// executor, into a capture log, and its verdict event is the live checker's
+// (the batch checkers' by contract), so what Shrink returns is an execution
+// the replayer actually performed, verdict included, never a speculative
+// edit.
 
 // ShrinkResult describes a completed shrink.
 type ShrinkResult struct {
@@ -81,11 +82,11 @@ type ShrinkResult struct {
 // classify segments l and replays all its op groups, unrecorded: the
 // shrink's first run. It leaves x.kept holding every group and returns the
 // run's safety verdict and, for a violating run, the minimal violating
-// prefix: the count of groups after which Check.Safety() first named the
-// violated property. (Safety names the first violation of the
-// highest-priority property seen so far, so its name only ever changes to a
-// higher-priority property, and the final name first appears at its last
-// change.) The prefix is 0 when the run cannot vouch for it — an operation
+// prefix: the count of groups after which Check.SafetyVerdict() first named
+// the run's verdict. (It names the first violation of the highest-priority
+// property seen so far, a property and index that never change while it
+// stays first, so its name only ever changes to a higher-priority property,
+// and the final verdict first appears at its last change.) The prefix is 0 when the run cannot vouch for it — an operation
 // consumed a decision recorded in a later group, so a prefix of the log
 // need not replay as a prefix of the run — and the prefix pass searches.
 func (x *Exec) classify(l *trace.Log) (v *ioa.Violation, prefix int, err error) {
@@ -106,7 +107,7 @@ func (x *Exec) classify(l *trace.Log) (v *ioa.Violation, prefix int, err error) 
 	}
 	count(x.prelude())
 	asPrefix := true
-	var last error
+	lastP, lastAt := "", -1
 	for _, g := range x.kept {
 		events := x.group(g)
 		if err := x.issue(events[0]); err != nil {
@@ -114,14 +115,14 @@ func (x *Exec) classify(l *trace.Log) (v *ioa.Violation, prefix int, err error) 
 		}
 		count(events)
 		asPrefix = asPrefix && x.dataUsed <= nd && x.ackUsed <= na
-		if s := x.Check.Safety(); s != last {
-			last, prefix = s, g+1
+		if p, at := x.Check.SafetyVerdict(); p != lastP || at != lastAt {
+			lastP, lastAt, prefix = p, at, g+1
 		}
 	}
 	if !asPrefix {
 		prefix = 0
 	}
-	v, _ = ioa.AsViolation(last)
+	v, _ = ioa.AsViolation(x.Check.Safety())
 	return v, prefix, nil
 }
 
@@ -214,23 +215,23 @@ func (x *Exec) shrinkWith(l *trace.Log, o oracle, prefix int, res *ShrinkResult)
 	x.kept, x.trial = kept, trial
 
 	// The re-recording: the kept candidate, with a capture log sized to its
-	// events, and the batch checkers' verdict over the recorded trace.
+	// events, and the live checker's verdict, which by its contract is the
+	// batch checkers' over the run.
 	rl := capture(l)
 	n := len(x.prelude()) + 1
 	for _, g := range kept {
 		n += x.bounds[g+1] - x.bounds[g]
 	}
 	rl.Events = make([]trace.Event, 0, n)
-	err := x.replay(kept, rl, true)
+	err := x.replay(kept, rl, false)
 	res.Replays++
 	if err != nil {
 		return nil, fmt.Errorf("replay: re-recording shrunk trace: %w", err)
 	}
-	tr := x.Run.Recorder().Trace()
-	safety, _ := ioa.AsViolation(ioa.CheckSafety(tr))
+	safety, _ := ioa.AsViolation(x.Check.Safety())
 	var dl3 *ioa.Violation
 	if safety == nil {
-		dl3, _ = ioa.AsViolation(ioa.CheckDL3Quiescent(tr))
+		dl3, _ = ioa.AsViolation(x.Check.DL3Quiescent())
 	}
 	verdict := trace.VerdictEvent(safety, dl3)
 	if verdict.Property != res.Property {

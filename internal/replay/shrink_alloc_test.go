@@ -9,8 +9,8 @@ import "testing"
 
 // TestShrinkAllocCeiling caps the allocations of one shrink of the padded
 // altbit duplication attack on a warmed Exec: the result, the capture log
-// and its metadata, the recorded trace the batch checkers read, and the
-// errors of the stale deliveries a candidate's removals leave infeasible.
+// and its metadata, and the errors of the stale deliveries a candidate's
+// removals leave infeasible.
 // Endpoints reset in place, candidates cost no copies, and a candidate's
 // verdict is read off the live checker's property query, so it formats no
 // Detail.
@@ -22,7 +22,7 @@ func TestShrinkAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const ceiling = 23
+	const ceiling = 22
 	if n := testing.AllocsPerRun(20, func() { _, _ = x.Shrink(l) }); n > ceiling {
 		t.Errorf("%.0f allocations per Shrink on a warmed Exec, ceiling %d", n, ceiling)
 	}

@@ -95,7 +95,7 @@ func (t *gbnSender) SendMsg(payload string) {
 func (t *gbnSender) admit() {
 	for len(t.segs) < t.w && len(t.queue) > 0 {
 		t.segs = append(t.segs, segment{seq: t.next, payload: t.queue[0]})
-		t.queue = t.queue[1:]
+		t.queue = slices.Delete(t.queue, 0, 1)
 		t.next++
 	}
 }
@@ -127,7 +127,7 @@ func (t *gbnSender) DeliverPkt(p ioa.Packet) {
 		}
 	}
 	for len(t.segs) > 0 && t.segs[0].seq <= upTo {
-		t.segs = t.segs[1:]
+		t.segs = slices.Delete(t.segs, 0, 1)
 		t.base++
 	}
 	t.admit()

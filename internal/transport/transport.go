@@ -164,7 +164,7 @@ func (t *swSender) SendMsg(payload string) {
 func (t *swSender) admit() {
 	for len(t.segs) < t.w && len(t.queue) > 0 {
 		t.segs = append(t.segs, segment{seq: t.next, payload: t.queue[0]})
-		t.queue = t.queue[1:]
+		t.queue = slices.Delete(t.queue, 0, 1)
 		t.next++
 	}
 }
@@ -192,7 +192,7 @@ func (t *swSender) DeliverPkt(p ioa.Packet) {
 	}
 	// Slide the window past acknowledged prefixes.
 	for len(t.segs) > 0 && t.segs[0].acked {
-		t.segs = t.segs[1:]
+		t.segs = slices.Delete(t.segs, 0, 1)
 		t.base++
 	}
 	t.admit()
